@@ -17,11 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .analyze import (reference_window_rewards, reward_surface,
-                      rollout_reward_histogram, write_histogram_csv,
-                      write_surface_csv)
+                      rollout_reward_histogram, write_alignment_csv,
+                      write_histogram_csv, write_surface_csv)
 from .config import (ConfigError, TrainConfig, apply_overrides, default_config,
                      load_config, save_config)
 from .core import load_reference_dataset, save_reference_csv
+from .dtw import dtw_distance, local_cost
 from .sim import DEMO_TRAJECTORIES, MOTIONS, SimParams, generate_demo_set
 from .trainer import Trainer, evaluate_policy
 
@@ -77,9 +78,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--refs", help="reference data (defaults to the checkpoint's)")
     p.add_argument("--rollouts", type=int)
-    p.add_argument("--seeds", type=int, default=1,
-                   help="number of independent evaluation seeds")
+    p.add_argument("--seeds", type=int,
+                   help="number of independent evaluation seeds "
+                        "(defaults to the checkpoint's eval.seeds)")
     p.add_argument("--out", help="report path (defaults next to the checkpoint)")
+    p.add_argument("--alignments", metavar="DIR",
+                   help="write each rollout's alignment to its nearest "
+                        "reference as CSV into DIR")
 
     p = sub.add_parser("analyze", help="export reward surfaces and histograms")
     p.add_argument("--checkpoint", required=True)
@@ -191,10 +196,17 @@ def cmd_eval(args) -> int:
     cfg = trainer.cfg
     if args.rollouts is not None:
         cfg.eval.rollouts = args.rollouts
+    if args.seeds is not None:
+        cfg.eval.seeds = args.seeds
+    cfg.require_valid()
+    seeds = cfg.eval.seeds
 
     reports = []
-    for k in range(args.seeds):
+    for k in range(seeds):
         reports.append(evaluate_policy(cfg, trainer.policy, trainer.dataset, seed=k))
+        if args.alignments:
+            _write_alignments(Path(args.alignments), k, reports[-1],
+                              trainer.dataset, cfg)
     means = [r.dtw.mean for r in reports]
     payload = {
         "config": {"task": cfg.task, "loss": cfg.disc.loss_kind,
@@ -202,7 +214,7 @@ def cmd_eval(args) -> int:
                    "step_pattern": cfg.dtw.step_pattern,
                    "open_end": cfg.dtw.open_end,
                    "rollouts": cfg.eval.rollouts},
-        "seeds": args.seeds,
+        "seeds": seeds,
         "dtw_mean": float(np.mean(means)),
         "dtw_std_across_seeds": float(np.std(means)),
         "per_seed": [r.to_dict() for r in reports],
@@ -210,8 +222,19 @@ def cmd_eval(args) -> int:
     out = Path(args.out) if args.out else Path(args.checkpoint).with_name("eval.json")
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"dtw mean {payload['dtw_mean']:.3f} over {args.seeds} seed(s); report: {out}")
+    print(f"dtw mean {payload['dtw_mean']:.3f} over {seeds} seed(s); report: {out}")
     return EXIT_OK
+
+
+def _write_alignments(out: Path, seed: int, report, dataset, cfg) -> None:
+    """One CSV per rollout: its optimal alignment to the reference it is
+    nearest to, with the local cost of every matched frame pair."""
+    for a, seq in enumerate(report.rollouts):
+        b = int(np.argmin(report.dtw.distances[a]))
+        ref = dataset.trajectories[b]
+        _, path = dtw_distance(seq, ref, cfg.dtw)
+        write_alignment_csv(out / f"seed{seed}_rollout{a:03d}_ref{b:03d}.csv",
+                            seq, ref, path, local_cost(seq, ref))
 
 
 def _parse_range(text: str):

@@ -13,6 +13,10 @@ Two step patterns are provided:
 Open-end matching lets the path finish at any reference index, absorbing the
 time shift between a rollout and a demonstration. A brute-force path
 enumerator over the same step sets serves as the correctness oracle.
+
+``dtw_distance`` scores one pair and backtracks its alignment;
+``dtw_distances`` scores every (query, reference) pair of two lists at once,
+with the same arithmetic, and returns distances only.
 """
 
 from __future__ import annotations
@@ -38,19 +42,29 @@ class DtwConfig:
         return []
 
 
-def _local_cost(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    q = np.asarray(query, dtype=np.float64)
-    r = np.asarray(reference, dtype=np.float64)
-    if q.ndim == 1:
-        q = q[:, None]
-    if r.ndim == 1:
-        r = r[:, None]
-    if q.shape[0] == 0 or r.shape[0] == 0:
+def _as_sequence(seq) -> np.ndarray:
+    a = np.asarray(seq, dtype=np.float64)
+    if a.ndim == 1:
+        a = a[:, None]
+    if a.shape[0] == 0:
         raise ValueError("sequences must be non-empty")
+    return a
+
+
+def _check_dims(q: np.ndarray, r: np.ndarray) -> None:
     if q.shape[1] != r.shape[1]:
         raise ValueError(
             f"feature dimension mismatch: query {q.shape[1]} vs reference {r.shape[1]}")
+
+
+def local_cost(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """(n, m) Euclidean distances between every query and reference frame."""
+    q = _as_sequence(query)
+    r = _as_sequence(reference)
+    _check_dims(q, r)
     diff = q[:, None, :] - r[None, :, :]
+    # the sum over a 6-wide last axis adds left to right; dtw_distances
+    # repeats that order feature by feature
     return np.sqrt((diff * diff).sum(axis=2))
 
 
@@ -60,7 +74,7 @@ def dtw_distance(query, reference, cfg: DtwConfig):
     Returns (distance, alignment) where alignment is a list of
     (query_index, reference_index) pairs along the optimal path.
     """
-    cost = _local_cost(query, reference)
+    cost = local_cost(query, reference)
     n, m = cost.shape
     if cfg.step_pattern == "symmetric1":
         dist, path = _dtw_symmetric1(cost, cfg.open_end)
@@ -137,10 +151,103 @@ def _dtw_asymmetric(cost: np.ndarray, open_end: bool):
     return dist, path
 
 
+def dtw_distances(queries, references, cfg: DtwConfig) -> np.ndarray:
+    """Distance of every (query, reference) pair, shape (A, B); each equals
+    ``dtw_distance(queries[a], references[b], cfg)[0]`` bit for bit.
+
+    The accumulated-cost recurrences read only the previous query row, so the
+    loop runs over query rows and each row is computed for all pairs and all
+    reference indices at once; only one row of local costs is held. Sequences
+    of unequal length are padded on the right: a padded reference index costs
+    +inf, and since every step moves right or stays, no admissible path
+    reaches a real index through one. A query's distance is read at its own
+    last row, a closed end at each reference's own last index.
+    """
+    if cfg.step_pattern not in STEP_PATTERNS:
+        raise ValueError(f"unknown step pattern {cfg.step_pattern!r}")
+    qs = [_as_sequence(q) for q in queries]
+    rs = [_as_sequence(r) for r in references]
+    if not qs or not rs:
+        raise ValueError("need at least one query and one reference")
+    for seq in qs[1:] + rs:
+        _check_dims(qs[0], seq)
+    q_len = np.array([q.shape[0] for q in qs])
+    r_len = np.array([r.shape[0] for r in rs])
+    A, B = len(qs), len(rs)
+    n, m, d = int(q_len.max()), int(r_len.max()), qs[0].shape[1]
+
+    # queries as (n, d, A) and references as (d, B, m): one feature of one
+    # query row, or of every reference, is a contiguous block
+    q_rows = np.zeros((n, d, A))
+    for a, q in enumerate(qs):
+        q_rows[:q.shape[0], :, a] = q
+    r_feat = np.zeros((d, B, m))
+    for b, r in enumerate(rs):
+        r_feat[:, b, :r.shape[0]] = r.T
+    padded = np.arange(m) >= r_len[:, None]          # (B, m)
+    ragged = bool(padded.any())
+
+    cost = np.empty((A, B, m))
+    sq = np.empty((A, B, m))
+
+    def cost_row(i):
+        # the arithmetic of local_cost: squared differences summed feature
+        # by feature from the left, then the square root
+        np.subtract(q_rows[i, 0][:, None, None], r_feat[0], out=cost)
+        np.multiply(cost, cost, out=cost)
+        for k in range(1, d):
+            np.subtract(q_rows[i, k][:, None, None], r_feat[k], out=sq)
+            np.multiply(sq, sq, out=sq)
+            np.add(cost, sq, out=cost)
+        np.sqrt(cost, out=cost)
+        if ragged:
+            cost[:, padded] = _INF
+        return cost
+
+    final = np.empty((A, B, m))
+    if cfg.step_pattern == "mori_asymmetric":
+        acc = np.full((A, B, m), _INF)
+        acc[..., 0] = cost_row(0)[..., 0]
+        best = np.empty_like(acc)
+        for i in range(n):
+            if i > 0:
+                best[..., 0] = acc[..., 0]
+                np.minimum(acc[..., 1:], acc[..., :-1], out=best[..., 1:])
+                np.minimum(best[..., 2:], acc[..., :-2], out=best[..., 2:])
+                np.add(best, cost_row(i), out=acc)
+            ends = q_len == i + 1
+            final[ends] = acc[ends]
+    else:
+        acc = np.cumsum(cost_row(0), axis=2)
+        diag_up = np.empty((A, B, m - 1))
+        for i in range(n):
+            if i > 0:
+                np.minimum(acc[..., :-1], acc[..., 1:], out=diag_up)
+                row = cost_row(i)
+                acc[..., 0] += row[..., 0]
+                for j in range(1, m):
+                    acc[..., j] = row[..., j] + np.minimum(diag_up[..., j - 1],
+                                                           acc[..., j - 1])
+            ends = q_len == i + 1
+            final[ends] = acc[ends]
+
+    if cfg.open_end:
+        dist = final.min(axis=2)
+    else:
+        dist = final[:, np.arange(B), r_len - 1]
+    bad = np.argwhere(~np.isfinite(dist))
+    if bad.size:
+        a, b = bad[0]
+        raise ValueError(
+            f"no admissible alignment for lengths ({q_len[a]}, {r_len[b]}) under "
+            f"{cfg.step_pattern} (sequences too short for the step constraints)")
+    return dist
+
+
 def dtw_brute_force(query, reference, cfg: DtwConfig) -> float:
     """Exhaustive minimum over all admissible step-pattern paths. Exponential:
     both sequences must have length <= 8."""
-    cost = _local_cost(query, reference)
+    cost = local_cost(query, reference)
     n, m = cost.shape
     if n > 8 or m > 8:
         raise ValueError("brute force limited to sequences of length <= 8")
@@ -174,6 +281,11 @@ class DtwReport:
     std: float
     distances: np.ndarray  # (n_rollouts, n_references)
 
+    @classmethod
+    def of(cls, distances: np.ndarray) -> "DtwReport":
+        return cls(mean=float(distances.mean()), std=float(distances.std()),
+                   distances=distances)
+
     def to_dict(self) -> dict:
         return {"mean": self.mean, "std": self.std,
                 "distances": self.distances.tolist()}
@@ -190,14 +302,8 @@ def evaluate_policy_dtw(rollout_fn, dataset, n_rollouts: int, cfg: DtwConfig,
     """
     if n_rollouts <= 0:
         raise ValueError("n_rollouts must be positive")
-    rollouts = [np.asarray(rollout_fn(rng), dtype=np.float64)
-                for _ in range(n_rollouts)]
-    distances = np.empty((n_rollouts, dataset.num_trajectories))
-    for a, roll in enumerate(rollouts):
-        for b, ref in enumerate(dataset.trajectories):
-            distances[a, b], _ = dtw_distance(roll, ref, cfg)
-    return DtwReport(mean=float(distances.mean()), std=float(distances.std()),
-                     distances=distances)
+    rollouts = [rollout_fn(rng) for _ in range(n_rollouts)]
+    return DtwReport.of(dtw_distances(rollouts, dataset.trajectories, cfg))
 
 
 def stand_still_rollout(obs_frame: np.ndarray, length: int) -> np.ndarray:

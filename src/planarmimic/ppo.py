@@ -232,6 +232,14 @@ class RolloutCollector:
     def policy_obs(self) -> np.ndarray:
         return np.concatenate([self.prev_frame, self.cur_frame], axis=1)
 
+    def advance(self, actions: np.ndarray, live: np.ndarray) -> None:
+        """Shift the ``live`` rows' policy history by one control step, after
+        ``env.step(actions)``."""
+        self.prev_action[live] = actions[live]
+        self.prev_joint_vel[live] = self.env.qd[live]
+        self.prev_frame[live] = self.cur_frame[live]
+        self.cur_frame[live] = self._policy_frame()[live]
+
     def collect(self, policy: GaussianPolicy, value_net: MlpNet,
                 disc_net: MlpNet) -> RolloutBuffer:
         cfg = self.ppo_cfg
@@ -295,11 +303,7 @@ class RolloutCollector:
                     buf.episode_lengths.append(int(self.env.steps[i]))
                 self.env.reset_rows(dones)
                 self._init_rows(dones)
-            live = ~dones
-            self.prev_action[live] = actions[live]
-            self.prev_joint_vel[live] = self.env.qd[live]
-            self.prev_frame[live] = self.cur_frame[live]
-            self.cur_frame[live] = self._policy_frame()[live]
+            self.advance(actions, ~dones)
 
         final_values, _ = value_net.forward(self.policy_obs())
         buf.bootstrap_value = final_values[:, 0]

@@ -117,15 +117,25 @@ class PlanarEnv:
 
     Each environment owns its own random generator so resets (and therefore
     whole rollouts) are reproducible regardless of how many environments run
-    or in what order they are processed.
+    or in what order they are processed. An int ``seed`` seeds row ``i`` with
+    ``SeedSequence([seed, i])``; a sequence of ``num_envs`` ints seeds row
+    ``i`` with ``SeedSequence([seed[i], 0])``, the generator of a one-env
+    environment built with ``seed[i]``, so each row replays that environment.
     """
 
-    def __init__(self, params: SimParams, num_envs: int = 1, seed: int = 0):
+    def __init__(self, params: SimParams, num_envs: int = 1,
+                 seed: int | list[int] = 0):
         self.params = params
         self.num_envs = num_envs
         self.seed = seed
-        self.rngs = [np.random.default_rng(np.random.SeedSequence([seed, i]))
-                     for i in range(num_envs)]
+        if isinstance(seed, (int, np.integer)):
+            entropy = [[seed, i] for i in range(num_envs)]
+        else:
+            if len(seed) != num_envs:
+                raise ValueError(f"got {len(seed)} seeds for {num_envs} envs")
+            entropy = [[s, 0] for s in seed]
+        self.rngs = [np.random.default_rng(np.random.SeedSequence(e))
+                     for e in entropy]
         self._lo = np.asarray(params.joint_limits_low, dtype=np.float64)
         self._hi = np.asarray(params.joint_limits_high, dtype=np.float64)
         self._hip_x = np.array([params.half_length, -params.half_length])

@@ -4,6 +4,7 @@ metrics logging, and policy evaluation."""
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import time
 from dataclasses import dataclass
@@ -17,7 +18,8 @@ from .core import ReferenceDataset, load_reference_dataset, sample_reference_win
 from .discriminator import (build_discriminator, discriminator_loss,
                             lsgan_imitation_reward, pad_windows_full_state,
                             raw_score)
-from .dtw import DtwReport, evaluate_policy_dtw, stand_still_rollout
+from .dtw import (DtwReport, dtw_distances, evaluate_policy_dtw,
+                  stand_still_rollout)
 from .nets import (MlpNet, OptimizerState, net_from_dict, net_to_dict,
                    optimizer_from_dict, optimizer_to_dict, optimizer_step)
 from .ppo import (ACTION_DIM, GaussianPolicy, POLICY_OBS_DIM, RolloutCollector,
@@ -40,6 +42,36 @@ def build_identifier() -> str:
     except (OSError, subprocess.SubprocessError):
         pass
     return f"planarmimic-{__version__}"
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` in one step: the text goes to a temp
+    file in the same directory, is flushed to disk, and is renamed over
+    ``path``, so a crash mid-write leaves the previous file intact."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w") as f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _truncate_metrics(path: Path, iteration: int) -> None:
+    """Keep the metrics records up to ``iteration``. A last line torn by a
+    crash mid-write is dropped with the rest: it was written after the last
+    checkpoint, since records are flushed before every checkpoint."""
+    kept = []
+    for line in path.read_text().splitlines(keepends=True):
+        try:
+            if json.loads(line)["iteration"] <= iteration:
+                kept.append(line)
+        except json.JSONDecodeError:
+            pass
+    _write_atomic(path, "".join(kept))
 
 
 def _grads_list(grads) -> list:
@@ -140,27 +172,43 @@ class Trainer:
             progress=None) -> Path:
         """Train until ``iterations`` (defaults to the configured count),
         appending one JSONL metrics record per iteration and checkpointing
-        periodically. Returns the final checkpoint path."""
+        periodically. Returns the final checkpoint path.
+
+        A run that starts past iteration 0 (a resume) first drops the metrics
+        records after its iteration, which an interrupted run may have
+        written past its last checkpoint, and logs itself under ``resumes``
+        in ``run.json``; every iteration then has exactly one record."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         target = iterations if iterations is not None else self.cfg.iterations
+        metrics_path = out / "metrics.jsonl"
+        run_path = out / "run.json"
+        stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
 
         if self.iteration == 0:
             save_config(self.cfg, out / "config.txt")
-            (out / "run.json").write_text(json.dumps({
+            _write_atomic(run_path, json.dumps({
                 "seed": self.cfg.seed,
                 "build": build_identifier(),
                 "task": self.cfg.task,
                 "loss": self.cfg.disc.loss_kind,
-                "started": time.strftime("%Y-%m-%dT%H:%M:%S"),
+                "started": stamp,
             }, indent=2) + "\n")
+        else:
+            meta = json.loads(run_path.read_text()) if run_path.exists() else {}
+            meta.setdefault("resumes", []).append(
+                {"resumed_from": self.iteration, "at": stamp})
+            _write_atomic(run_path, json.dumps(meta, indent=2) + "\n")
+            if metrics_path.exists():
+                _truncate_metrics(metrics_path, self.iteration)
 
-        metrics_path = out / "metrics.jsonl"
         with metrics_path.open("a") as metrics:
             while self.iteration < target:
                 record = self.train_iteration()
                 metrics.write(json.dumps(record) + "\n")
                 if self.iteration % self.cfg.checkpoint_interval == 0:
+                    # a checkpoint never gets ahead of the records on disk
+                    metrics.flush()
                     self.save_checkpoint(out / f"checkpoint_{self.iteration:06d}.json")
                 if progress is not None and (
                         self.iteration % max(1, self.cfg.log_interval) == 0):
@@ -192,7 +240,7 @@ class Trainer:
     def save_checkpoint(self, path) -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.checkpoint_dict()) + "\n")
+        _write_atomic(path, json.dumps(self.checkpoint_dict()) + "\n")
         return path
 
     def restore(self, ckpt: dict) -> None:
@@ -256,6 +304,7 @@ class EvalReport:
     handcrafted: HandcraftedReport | None
     n_rollouts: int
     n_references: int
+    rollouts: np.ndarray  # (n_rollouts, frames, 6); not part of the report file
 
     def to_dict(self) -> dict:
         return {
@@ -274,43 +323,65 @@ class EvalReport:
 
 def rollout_observations(cfg: TrainConfig, policy: GaussianPolicy, frames: int,
                          seed: int, collect_handcrafted: bool = False):
-    """Deterministic (mean-action) rollout; returns the (frames, 6) base
-    observation sequence and, optionally, handcrafted-reward tallies.
+    """One deterministic (mean-action) rollout: the (frames, 6) base
+    observation sequence and the handcrafted-reward tallies of
+    ``rollout_batch`` with the single seed ``seed``."""
+    seqs, extras = rollout_batch(cfg, policy, frames, [seed], collect_handcrafted)
+    return seqs[0], extras[0]
 
-    If the robot's body hits the ground the remaining frames hold the last
+
+def rollout_batch(cfg: TrainConfig, policy: GaussianPolicy, frames: int,
+                  seeds, collect_handcrafted: bool = False):
+    """Deterministic (mean-action) rollouts, one per seed, stepped together
+    in one environment whose row ``i`` replays a one-env environment seeded
+    with ``seeds[i]``. Returns the (R, frames, 6) base observation sequences
+    and one handcrafted-tally dict per rollout; each equals what
+    ``rollout_observations`` gives for its seed alone, bit for bit.
+
+    Once a row's body hits the ground its remaining frames hold its last
     observation: the motion is over, and a frozen tail keeps the sequence
-    comparable to full-length references.
+    comparable to full-length references. Its tallies stop at that step.
+    Frozen rows repeat their last action until every row is done.
     """
-    env = PlanarEnv(cfg.sim, num_envs=1, seed=seed)
+    R = len(seeds)
+    env = PlanarEnv(cfg.sim, num_envs=R, seed=list(seeds))
+    # mean actions draw no noise, so the collector's own generators stay unused
     collector = RolloutCollector(env, cfg.disc, cfg.ppo, cfg.reward,
-                                 RunningStats(), seed=seed)
-    seq = np.zeros((frames, 6))
-    seq[0] = env.observation_features()[0]
-    standup_terms = []
-    backflip_total = 0.0
+                                 RunningStats())
+    seqs = np.zeros((R, frames, 6))
+    seqs[:, 0] = env.observation_features()
+    standup_terms = [[] for _ in range(R)]
+    backflip_total = np.zeros(R)
+    done = np.zeros(R, dtype=bool)
+    action = np.zeros((R, ACTION_DIM))
     for t in range(1, frames):
         obs = collector.policy_obs()
-        action = policy.mean_action(obs)
+        # one row per product: a many-row matrix product rounds differently
+        # from a one-row product, and a falling robot amplifies that ~1e-17
+        # to 1e-8 within 100 steps
+        for i in np.nonzero(~done)[0]:
+            action[i] = policy.mean_action(obs[i:i + 1])[0]
         result = env.step(action)
-        seq[t] = env.observation_features()[0]
+        seqs[:, t] = np.where(done[:, None], seqs[:, t - 1],
+                              env.observation_features())
         if collect_handcrafted:
-            front_contact = bool(result.foot_contacts[0, 0])
-            standup_terms.append(handcrafted_standup_reward(
-                float(env.pitch[0]), float(env.z[0]), front_contact))
-            if result.landing_event[0]:
-                # backward rotation counts positive for the flip reward
-                backflip_total += handcrafted_backflip_reward(
-                    -float(result.flight_traversed_angle[0]), True)
-        if result.terminal[0]:
-            seq[t + 1:] = seq[t]
+            for i in np.nonzero(~done)[0]:
+                standup_terms[i].append(handcrafted_standup_reward(
+                    float(env.pitch[i]), float(env.z[i]),
+                    bool(result.foot_contacts[i, 0])))
+                if result.landing_event[i]:
+                    # backward rotation counts positive for the flip reward
+                    backflip_total[i] += handcrafted_backflip_reward(
+                        -float(result.flight_traversed_angle[i]), True)
+        done |= result.terminal
+        if done.all():
+            seqs[:, t + 1:] = seqs[:, t, None]
             break
-        collector.prev_action[0] = action[0]
-        collector.prev_joint_vel[0] = env.qd[0]
-        collector.prev_frame[0] = collector.cur_frame[0]
-        collector.cur_frame[0] = collector._policy_frame()[0]
-    extras = {"standup_mean": float(np.mean(standup_terms)) if standup_terms else 0.0,
-              "backflip_total": backflip_total}
-    return seq, extras
+        collector.advance(action, ~done)
+    extras = [{"standup_mean": float(np.mean(terms)) if terms else 0.0,
+               "backflip_total": float(total)}
+              for terms, total in zip(standup_terms, backflip_total)]
+    return seqs, extras
 
 
 def evaluate_policy(cfg: TrainConfig, policy: GaussianPolicy,
@@ -319,18 +390,12 @@ def evaluate_policy(cfg: TrainConfig, policy: GaussianPolicy,
     for tasks with one, the handcrafted task-reward score."""
     frames = cfg.eval.episode_frames or max(t.shape[0] for t in dataset.trajectories)
     handcrafted_kind = {"standup": "standup", "backflip": "backflip"}.get(cfg.task)
-    extras_log = []
-
-    def rollout_fn(rng):
-        rollout_seed = int(rng.integers(0, 2 ** 31))
-        seq, extras = rollout_observations(cfg, policy, frames, rollout_seed,
-                                           collect_handcrafted=bool(handcrafted_kind))
-        extras_log.append(extras)
-        return seq
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 23, seed]))
-    dtw_report = evaluate_policy_dtw(rollout_fn, dataset, cfg.eval.rollouts,
-                                     cfg.dtw, rng)
+    seeds = [int(rng.integers(0, 2 ** 31)) for _ in range(cfg.eval.rollouts)]
+    seqs, extras_log = rollout_batch(cfg, policy, frames, seeds,
+                                     collect_handcrafted=bool(handcrafted_kind))
+    dtw_report = DtwReport.of(dtw_distances(seqs, dataset.trajectories, cfg.dtw))
 
     still = stand_still_rollout(_nominal_observation(cfg), frames)
     still_report = evaluate_policy_dtw(lambda _rng: still, dataset, 1, cfg.dtw,
@@ -346,7 +411,7 @@ def evaluate_policy(cfg: TrainConfig, policy: GaussianPolicy,
                                         per_rollout=values)
     return EvalReport(dtw=dtw_report, stand_still=still_report,
                       handcrafted=handcrafted, n_rollouts=cfg.eval.rollouts,
-                      n_references=dataset.num_trajectories)
+                      n_references=dataset.num_trajectories, rollouts=seqs)
 
 
 def _nominal_observation(cfg: TrainConfig) -> np.ndarray:

@@ -1,0 +1,89 @@
+import csv
+import json
+
+import numpy as np
+import pytest
+
+from planarmimic.cli import EXIT_CONFIG, EXIT_OK, main
+from planarmimic.dtw import local_cost
+from planarmimic.trainer import Trainer, evaluate_policy
+
+from test_trainer import tiny_config, tiny_dataset
+
+
+@pytest.fixture
+def checkpoint(tmp_path):
+    cfg = tiny_config(tmp_path=tmp_path)
+    cfg.eval.seeds = 2
+    cfg.eval.episode_frames = 30
+    return Trainer(cfg, tiny_dataset(cfg)).save_checkpoint(tmp_path / "ckpt.json")
+
+
+def run_eval(checkpoint, out, *extra):
+    code = main(["eval", "--checkpoint", str(checkpoint), "--out", str(out), *extra])
+    assert code == EXIT_OK
+    return json.loads(out.read_text())
+
+
+class TestEvalSeeds:
+    def test_default_comes_from_config(self, checkpoint, tmp_path):
+        payload = run_eval(checkpoint, tmp_path / "eval.json")
+        assert payload["seeds"] == 2
+        assert len(payload["per_seed"]) == 2
+
+    def test_flag_overrides_config(self, checkpoint, tmp_path):
+        payload = run_eval(checkpoint, tmp_path / "eval.json", "--seeds", "1")
+        assert payload["seeds"] == 1
+        assert len(payload["per_seed"]) == 1
+
+    def test_checkpoint_without_the_field_uses_one_seed(self, checkpoint, tmp_path):
+        blob = json.loads(checkpoint.read_text())
+        del blob["config"]["eval.seeds"]
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(blob))
+        assert run_eval(old, tmp_path / "eval.json")["seeds"] == 1
+
+    @pytest.mark.parametrize("flag", ["--seeds", "--rollouts"])
+    def test_zero_is_a_config_error(self, checkpoint, tmp_path, flag):
+        # zero seeds used to write a NaN mean and exit 0
+        out = tmp_path / "eval.json"
+        code = main(["eval", "--checkpoint", str(checkpoint), "--out", str(out),
+                     flag, "0"])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+
+
+class TestEvalAlignments:
+    def test_off_by_default(self, checkpoint, tmp_path):
+        run_eval(checkpoint, tmp_path / "eval.json")
+        assert not list(tmp_path.glob("**/seed*_rollout*.csv"))
+
+    def test_one_csv_per_rollout_against_its_nearest_reference(self, checkpoint,
+                                                               tmp_path):
+        out_dir = tmp_path / "align"
+        payload = run_eval(checkpoint, tmp_path / "eval.json", "--alignments",
+                           str(out_dir))
+        trainer = Trainer.from_checkpoint(checkpoint)
+        cfg, refs = trainer.cfg, trainer.dataset.trajectories
+        files = sorted(out_dir.iterdir())
+        assert len(files) == 2 * cfg.eval.rollouts
+        for k in range(2):
+            distances = np.array(payload["per_seed"][k]["dtw"]["distances"])
+            rollouts = evaluate_policy(cfg, trainer.policy, trainer.dataset,
+                                       seed=k).rollouts
+            for a, seq in enumerate(rollouts):
+                b = int(np.argmin(distances[a]))
+                path = out_dir / f"seed{k}_rollout{a:03d}_ref{b:03d}.csv"
+                with path.open() as f:
+                    rows = list(csv.DictReader(f))
+                # the asymmetric pattern matches every query frame exactly once
+                assert [int(r["query_index"]) for r in rows] == list(range(30))
+                costs = local_cost(seq, refs[b])
+                total = 0.0
+                for r in rows:
+                    qi, ri = int(r["query_index"]), int(r["reference_index"])
+                    assert float(r["local_cost"]) == costs[qi, ri]
+                    assert float(r["local_cost"]) == pytest.approx(
+                        np.linalg.norm(seq[qi] - refs[b][ri]), rel=1e-12)
+                    total += float(r["local_cost"])
+                assert total == pytest.approx(distances[a, b], rel=1e-12)

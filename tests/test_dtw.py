@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planarmimic.core import ReferenceDataset
 from planarmimic.dtw import (DtwConfig, dtw_brute_force, dtw_distance,
-                             evaluate_policy_dtw, stand_still_rollout)
+                             dtw_distances, evaluate_policy_dtw,
+                             stand_still_rollout)
+from planarmimic.sim import SimParams, generate_demo_set
 
 
 def cfgs():
@@ -114,6 +118,57 @@ class TestOracleEquivalence:
         dist, path = dtw_distance(a, b, cfg)
         total = sum(np.linalg.norm(a[i] - b[j]) for i, j in path)
         assert total == pytest.approx(dist, abs=1e-9)
+
+
+def _sequences(max_count):
+    frames = st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2)
+    return st.lists(st.lists(frames, min_size=1, max_size=8),
+                    min_size=1, max_size=max_count)
+
+
+class TestBatched:
+    @settings(max_examples=150, deadline=None)
+    @given(queries=_sequences(3), references=_sequences(3),
+           pattern=st.sampled_from(["symmetric1", "mori_asymmetric"]),
+           open_end=st.booleans())
+    def test_matches_brute_force(self, queries, references, pattern, open_end):
+        # ragged queries and references of up to 8 frames
+        cfg = DtwConfig(step_pattern=pattern, open_end=open_end)
+        oracle = np.array([[dtw_brute_force(q, r, cfg) for r in references]
+                           for q in queries])
+        if not np.isfinite(oracle).all():
+            with pytest.raises(ValueError, match="no admissible alignment"):
+                dtw_distances(queries, references, cfg)
+            return
+        got = dtw_distances(queries, references, cfg)
+        assert got.shape == oracle.shape
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("cfg", cfgs(), ids=lambda c: f"{c.step_pattern}-open{c.open_end}")
+    def test_bit_exact_on_leap_pairs(self, cfg):
+        # 130-frame rollouts against 130-frame demonstrations, plus one
+        # shorter reference so the padding is exercised at full size
+        params = SimParams()
+        rng = np.random.default_rng(8)
+        refs = generate_demo_set("leap", params, rng, n_trajectories=3)
+        refs.append(refs[0][:97])
+        queries = [r + 0.05 * rng.normal(size=r.shape) for r in refs[:2]]
+        got = dtw_distances(queries, refs, cfg)
+        for a, q in enumerate(queries):
+            for b, r in enumerate(refs):
+                assert got[a, b] == dtw_distance(q, r, cfg)[0]
+
+    def test_same_errors_as_single_pair(self):
+        cfg = DtwConfig()
+        with pytest.raises(ValueError, match="non-empty"):
+            dtw_distances([np.zeros((0, 2))], [np.zeros((3, 2))], cfg)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            dtw_distances([np.zeros((3, 2))], [np.zeros((3, 2)), np.zeros((3, 3))], cfg)
+        with pytest.raises(ValueError, match=r"lengths \(2, 6\).*too short"):
+            dtw_distances([np.zeros((2, 1))], [np.zeros((2, 1)), np.arange(6.0)],
+                          DtwConfig("mori_asymmetric", False))
+        with pytest.raises(ValueError, match="unknown step pattern"):
+            dtw_distances([np.zeros(3)], [np.zeros(3)], DtwConfig("itakura"))
 
 
 class TestProperties:

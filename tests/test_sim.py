@@ -174,6 +174,37 @@ class TestDeterminism:
             assert wide.pitch[i] == narrow.pitch[i]
             assert np.array_equal(wide.q[i], narrow.q[i])
 
+    def test_sequence_seeded_row_replays_one_env(self):
+        # row i of an env seeded with [s_0, s_1, ...] draws what a one-env
+        # env seeded with s_i draws, resets included, and steps bit-identically
+        params = SimParams()
+        seeds = [17, 3, 2 ** 31 - 1]
+        rng = np.random.default_rng(1)
+        actions = rng.normal(size=(200, len(seeds), 4))
+        batch = PlanarEnv(params, num_envs=len(seeds), seed=seeds)
+        singles = [PlanarEnv(params, num_envs=1, seed=s) for s in seeds]
+        fields = ("x", "z", "pitch", "vx", "vz", "om", "q", "qd", "mass",
+                  "flight_angle", "terminal", "airborne")
+        for t in range(200):
+            if t == 120:
+                mask = np.array([True, False, True])
+                batch.reset_rows(mask)
+                for single, m in zip(singles, mask):
+                    if m:
+                        single.reset_all()
+            result = batch.step(actions[t])
+            for i, single in enumerate(singles):
+                one = single.step(actions[t, i][None])
+                for name in fields:
+                    assert np.array_equal(getattr(batch, name)[i],
+                                          getattr(single, name)[0]), (t, i, name)
+                assert np.array_equal(result.joint_torques[i], one.joint_torques[0])
+                assert result.terminal[i] == one.terminal[0]
+
+    def test_seed_sequence_length_must_match(self):
+        with pytest.raises(ValueError, match="seeds"):
+            PlanarEnv(SimParams(), num_envs=3, seed=[1, 2])
+
     def test_non_finite_action_rejected(self):
         env = PlanarEnv(quiet_params(), num_envs=1, seed=0)
         with pytest.raises(ValueError, match="non-finite"):

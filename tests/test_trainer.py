@@ -5,9 +5,13 @@ import pytest
 
 from planarmimic.config import default_config
 from planarmimic.core import ReferenceDataset, save_reference_csv
-from planarmimic.sim import generate_demo_set
+from planarmimic.dtw import dtw_distance
+from planarmimic.ppo import RolloutCollector
+from planarmimic.rewards import (RunningStats, handcrafted_backflip_reward,
+                                 handcrafted_standup_reward)
+from planarmimic.sim import PlanarEnv, generate_demo_set
 from planarmimic.trainer import (Trainer, build_identifier, evaluate_policy,
-                                 rollout_observations)
+                                 rollout_batch, rollout_observations)
 
 
 def tiny_config(task="leap", loss="wgan", seed=3, tmp_path=None):
@@ -153,6 +157,49 @@ class TestCheckpointResume:
                     assert np.array_equal(slot_a[k], slot_b[k])
                     assert _layout(slot_a[k]) == _layout(slot_b[k])
 
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path=tmp_path)
+        trainer = Trainer(cfg, tiny_dataset(cfg))
+        path = trainer.save_checkpoint(tmp_path / "c.json")
+        before = path.read_bytes()
+        trainer.train_iteration()
+
+        def fail(fd):
+            raise OSError("disk full")
+
+        # the new checkpoint is fully written to the temp file when this fails
+        monkeypatch.setattr("planarmimic.trainer.os.fsync", fail)
+        with pytest.raises(OSError, match="disk full"):
+            trainer.save_checkpoint(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "refs"]
+        assert Trainer.from_checkpoint(path).iteration == 0
+
+    def test_resume_keeps_each_record_once(self, tmp_path):
+        cfg = tiny_config(tmp_path=tmp_path, seed=21)
+        solid_dir, run_dir = tmp_path / "solid", tmp_path / "run"
+        Trainer(cfg, tiny_dataset(cfg)).run(solid_dir, iterations=4)
+
+        # run to 3, so iteration 3 is logged past checkpoint_000002; a crash
+        # mid-append leaves a torn last line
+        Trainer(tiny_config(tmp_path=tmp_path, seed=21), tiny_dataset(cfg)).run(
+            run_dir, iterations=3)
+        with (run_dir / "metrics.jsonl").open("a") as f:
+            f.write('{"iteration": 4, "rew')
+        resumed = Trainer.from_checkpoint(run_dir / "checkpoint_000002.json")
+        resumed.run(run_dir, iterations=4)
+
+        lines = (run_dir / "metrics.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert [r["iteration"] for r in records] == [1, 2, 3, 4]
+        solid = [json.loads(line)
+                 for line in (solid_dir / "metrics.jsonl").read_text().splitlines()]
+        assert records == solid
+        resumes = json.loads((run_dir / "run.json").read_text())["resumes"]
+        assert [r["resumed_from"] for r in resumes] == [2]
+        assert resumes[0]["at"]
+
     def test_checkpoint_format_versioned(self, tmp_path):
         cfg = tiny_config(tmp_path=tmp_path)
         trainer = Trainer(cfg, tiny_dataset(cfg))
@@ -211,3 +258,89 @@ class TestEvaluation:
 
     def test_build_identifier_nonempty(self):
         assert build_identifier()
+
+
+def oracle_rollout(cfg, policy, frames, seed):
+    """The slow reference: one E=1 environment per rollout, stepped until its
+    first terminal, with the collector bookkeeping written out by hand.
+    Returns the sequence, the tallies and the terminal step (None if none)."""
+    env = PlanarEnv(cfg.sim, num_envs=1, seed=seed)
+    collector = RolloutCollector(env, cfg.disc, cfg.ppo, cfg.reward,
+                                 RunningStats(), seed=seed)
+    seq = np.zeros((frames, 6))
+    seq[0] = env.observation_features()[0]
+    standup_terms = []
+    backflip_total = 0.0
+    end = None
+    for t in range(1, frames):
+        obs = collector.policy_obs()
+        action = policy.mean_action(obs)
+        result = env.step(action)
+        seq[t] = env.observation_features()[0]
+        standup_terms.append(handcrafted_standup_reward(
+            float(env.pitch[0]), float(env.z[0]), bool(result.foot_contacts[0, 0])))
+        if result.landing_event[0]:
+            backflip_total += handcrafted_backflip_reward(
+                -float(result.flight_traversed_angle[0]), True)
+        if result.terminal[0]:
+            seq[t + 1:] = seq[t]
+            end = t
+            break
+        collector.prev_action[0] = action[0]
+        collector.prev_joint_vel[0] = env.qd[0]
+        collector.prev_frame[0] = collector.cur_frame[0]
+        collector.cur_frame[0] = collector._policy_frame()[0]
+    extras = {"standup_mean": float(np.mean(standup_terms)) if standup_terms else 0.0,
+              "backflip_total": backflip_total}
+    return seq, extras, end
+
+
+def flailing_trainer(task):
+    # output layer scaled up, so rollouts fall over at seed-dependent steps
+    cfg = tiny_config(task=task)
+    trainer = Trainer(cfg, tiny_dataset(cfg, task=task))
+    trainer.policy.net.weights[-1] *= 30.0
+    return cfg, trainer
+
+
+class TestBatchedRollouts:
+    @pytest.mark.parametrize("task", ["leap", "standup", "backflip"])
+    def test_batch_matches_one_env_oracle(self, task):
+        cfg, trainer = flailing_trainer(task)
+        frames, seeds = 110, [0, 2, 4, 7]
+        seqs, extras = rollout_batch(cfg, trainer.policy, frames, seeds,
+                                     collect_handcrafted=True)
+        assert seqs.shape == (len(seeds), frames, 6)
+        ends = []
+        for i, seed in enumerate(seeds):
+            seq, tallies, end = oracle_rollout(cfg, trainer.policy, frames, seed)
+            ends.append(end)
+            assert np.array_equal(seqs[i], seq)
+            assert extras[i] == tallies
+        # rows end at different steps, and one runs to the last frame
+        assert None in ends
+        assert len(set(ends)) == len(ends)
+        if task == "backflip":
+            assert any(e["backflip_total"] != 0.0 for e in extras)
+
+    def test_batch_of_one_is_bit_exact(self):
+        cfg, trainer = flailing_trainer("standup")
+        seq, extras = rollout_observations(cfg, trainer.policy, 80, seed=4,
+                                           collect_handcrafted=True)
+        oracle_seq, oracle_extras, end = oracle_rollout(cfg, trainer.policy, 80, 4)
+        assert end is not None
+        assert np.array_equal(seq, oracle_seq)
+        assert extras == oracle_extras
+
+    def test_evaluate_policy_draws_seeds_in_order(self):
+        cfg, trainer = flailing_trainer("leap")
+        cfg.eval.rollouts = 3
+        cfg.eval.episode_frames = 40
+        report = evaluate_policy(cfg, trainer.policy, trainer.dataset, seed=2)
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 23, 2]))
+        for a in range(3):
+            seq, _, _ = oracle_rollout(cfg, trainer.policy, 40,
+                                       int(rng.integers(0, 2 ** 31)))
+            assert np.array_equal(report.rollouts[a], seq)
+            for b, ref in enumerate(trainer.dataset.trajectories):
+                assert report.dtw.distances[a, b] == dtw_distance(seq, ref, cfg.dtw)[0]
