@@ -5,6 +5,7 @@ CSV so any external plotter can render the figures."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -61,9 +62,18 @@ def reference_window_rewards(trainer, n_samples: int = 512,
 
 
 def rollout_reward_histogram(trainer) -> np.ndarray:
-    """Per-sample imitation rewards over one fresh rollout batch."""
-    buf = trainer.collector.collect(trainer.policy, trainer.value_net,
-                                    trainer.disc)
+    """Per-sample imitation rewards over one fresh rollout batch.
+
+    The batch is collected against a copy of the trainer's running
+    statistics, so its scores never reach ``trainer.stats``: every reward
+    this module exports is normalized with the same statistics.
+    """
+    collector = trainer.collector
+    collector.stats = dataclasses.replace(trainer.stats)
+    try:
+        buf = collector.collect(trainer.policy, trainer.value_net, trainer.disc)
+    finally:
+        collector.stats = trainer.stats
     return trainer.imitation_reward_of_scores(buf.scores.reshape(-1))
 
 

@@ -158,6 +158,17 @@ def cmd_demo_gen(args) -> int:
     return EXIT_OK
 
 
+def _train_and_evaluate(trainer: Trainer, out: Path, quiet: bool):
+    """Train in ``out`` up to the configured iteration count, then evaluate
+    the final policy into ``out/eval.json``. Returns (final checkpoint,
+    evaluation report)."""
+    trainer.cfg.out_dir = str(out)
+    final = trainer.run(out, progress=_progress_printer(quiet))
+    report = evaluate_policy(trainer.cfg, trainer.policy, trainer.dataset)
+    (out / "eval.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    return final, report
+
+
 def cmd_train(args) -> int:
     if args.resume:
         trainer = Trainer.from_checkpoint(args.resume)
@@ -175,11 +186,7 @@ def cmd_train(args) -> int:
 
     out = Path(cfg.out_dir) if cfg.out_dir else (
         out_root() / f"{cfg.task}_{cfg.disc.loss_kind}_s{cfg.seed}")
-    cfg.out_dir = str(out)
-    final = trainer.run(out, progress=_progress_printer(args.quiet))
-
-    report = evaluate_policy(cfg, trainer.policy, trainer.dataset)
-    (out / "eval.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    final, report = _train_and_evaluate(trainer, out, args.quiet)
     if not args.quiet:
         print(f"final checkpoint: {final}")
         print(f"dtw mean {report.dtw.mean:.3f} (stand-still {report.stand_still.mean:.3f})")
@@ -300,13 +307,8 @@ def cmd_ablate(args) -> int:
                 raise ConfigError(["refs must point at reference data"])
             cfg.require_valid()
             run_dir = out / f"h{horizon}_{loss}"
-            cfg.out_dir = str(run_dir)
-            dataset = load_reference_dataset(cfg.refs, horizon)
-            trainer = Trainer(cfg, dataset)
-            trainer.run(run_dir, progress=_progress_printer(args.quiet))
-            report = evaluate_policy(cfg, trainer.policy, dataset)
-            (run_dir / "eval.json").write_text(
-                json.dumps(report.to_dict(), indent=2) + "\n")
+            trainer = Trainer(cfg, load_reference_dataset(cfg.refs, horizon))
+            _, report = _train_and_evaluate(trainer, run_dir, args.quiet)
             summary.append({"loss": loss, "horizon": horizon,
                             "dtw_mean": report.dtw.mean,
                             "dtw_std": report.dtw.std,

@@ -55,8 +55,6 @@ class TrainConfig:
     refs: str = ""
     checkpoint_interval: int = 500
     log_interval: int = 1
-    demo_noise: float = 1.0
-    demo_height_offset: float = 0.0
     sim: SimParams = field(default_factory=SimParams)
     disc: DiscriminatorConfig = field(default_factory=DiscriminatorConfig)
     ppo: PpoConfig = field(default_factory=PpoConfig)

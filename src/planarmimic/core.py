@@ -1,5 +1,5 @@
-"""Core domain types: simulator state, base-only observations, observation
-windows, and reference-trajectory datasets.
+"""Core domain types: the simulator state, the base-only observation map,
+the batched observation-window buffer, and reference-trajectory datasets.
 
 The observation is deliberately partial: it carries only what can be measured
 on a hand-held robot base (body-frame velocities, attitude via the projected
@@ -45,66 +45,16 @@ class SimState:
     time: float = 0.0
     terminal: bool = False
 
-    def is_finite(self) -> bool:
-        scalars = (self.base_x, self.base_z, self.pitch, self.base_vx,
-                   self.base_vz, self.pitch_rate, self.time)
-        return (all(math.isfinite(v) for v in scalars)
-                and bool(np.all(np.isfinite(self.joint_pos)))
-                and bool(np.all(np.isfinite(self.joint_vel))))
-
-
-@dataclass(frozen=True)
-class Observation:
-    """Base-only observation: body-frame linear velocity, pitch rate,
-    body-frame gravity direction, and base height."""
-
-    vx: float
-    vz: float
-    pitch_rate: float
-    gx: float
-    gz: float
-    height: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.vx, self.vz, self.pitch_rate,
-                         self.gx, self.gz, self.height], dtype=np.float64)
-
-    @classmethod
-    def from_array(cls, values: np.ndarray) -> "Observation":
-        v = np.asarray(values, dtype=np.float64).reshape(-1)
-        if v.shape != (OBS_DIM,):
-            raise ValueError(f"observation vector must have {OBS_DIM} entries, got {v.shape}")
-        return cls(*(float(x) for x in v))
-
-
-def phi_extract(state: SimState) -> Observation:
-    """Project a full state onto the partial base-only observation space.
-
-    World-frame base velocity is rotated into the body frame (rotation by
-    -pitch); the world gravity direction (0, -1) is expressed in the body
-    frame; height is the base height. Joint state is discarded.
-    """
-    if not state.is_finite():
-        raise ValueError("cannot extract observation from non-finite state")
-    c = math.cos(state.pitch)
-    s = math.sin(state.pitch)
-    # body = R(-pitch) @ world
-    vx_b = c * state.base_vx + s * state.base_vz
-    vz_b = -s * state.base_vx + c * state.base_vz
-    return Observation(
-        vx=vx_b,
-        vz=vz_b,
-        pitch_rate=state.pitch_rate,
-        gx=-s,
-        gz=-c,
-        height=state.base_z,
-    )
-
 
 def phi_extract_arrays(base_vx: np.ndarray, base_vz: np.ndarray,
                        pitch: np.ndarray, pitch_rate: np.ndarray,
                        base_z: np.ndarray) -> np.ndarray:
-    """Vectorized observation map over per-env state arrays. Returns (n, 6)."""
+    """Project per-env base states onto the base-only observation space.
+
+    World-frame base velocity is rotated into the body frame (rotation by
+    -pitch); the world gravity direction (0, -1) is expressed in the body
+    frame; height is the base height. Returns (n, 6) in ``OBS_FIELDS`` order.
+    """
     c = np.cos(pitch)
     s = np.sin(pitch)
     out = np.empty((base_vx.shape[0], OBS_DIM), dtype=np.float64)
@@ -117,63 +67,13 @@ def phi_extract_arrays(base_vx: np.ndarray, base_vz: np.ndarray,
     return out
 
 
-@dataclass(frozen=True)
-class ObservationWindow:
-    """A stack of H consecutive feature frames, oldest first.
-
-    ``feats`` has shape (H, F). Flattening is time-major: frame t's features
-    are contiguous, frames concatenated oldest to newest.
-    """
-
-    horizon: int
-    feats: np.ndarray
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("window horizon must be >= 1")
-        if self.feats.shape[0] != self.horizon:
-            raise ValueError(
-                f"window has {self.feats.shape[0]} frames, expected {self.horizon}")
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.feats.reshape(-1)
-
-    @classmethod
-    def from_observations(cls, observations) -> "ObservationWindow":
-        feats = np.stack([o.as_array() for o in observations])
-        return cls(horizon=len(observations), feats=feats)
-
-
-class WindowBuffer:
-    """Rolling buffer of the last H feature frames for one environment.
-
-    ``reset`` pre-fills all H slots with the first frame, so a full window is
-    available from the very first step of an episode.
-    """
-
-    def __init__(self, horizon: int, feat_dim: int = OBS_DIM):
-        if horizon < 1:
-            raise ValueError("window horizon must be >= 1")
-        self.horizon = horizon
-        self.feat_dim = feat_dim
-        self._buf = np.zeros((horizon, feat_dim), dtype=np.float64)
-
-    def reset(self, frame: np.ndarray) -> ObservationWindow:
-        self._buf[:] = np.asarray(frame, dtype=np.float64)
-        return self.window()
-
-    def push(self, frame: np.ndarray) -> ObservationWindow:
-        self._buf[:-1] = self._buf[1:]
-        self._buf[-1] = np.asarray(frame, dtype=np.float64)
-        return self.window()
-
-    def window(self) -> ObservationWindow:
-        return ObservationWindow(self.horizon, self._buf.copy())
-
-
 class BatchWindowBuffer:
-    """Vectorized rolling window buffers for a batch of environments."""
+    """Rolling buffers of the last H feature frames, one per environment.
+
+    ``reset_rows`` fills all H slots of the masked rows with their first
+    frame, so a full window is available from the very first step of an
+    episode.
+    """
 
     def __init__(self, num_envs: int, horizon: int, feat_dim: int = OBS_DIM):
         self.num_envs = num_envs
@@ -214,10 +114,6 @@ class ReferenceDataset:
     @property
     def num_trajectories(self) -> int:
         return len(self.trajectories)
-
-    @property
-    def feature_dim(self) -> int:
-        return OBS_DIM
 
     def total_frames(self) -> int:
         return sum(t.shape[0] for t in self.trajectories)
@@ -381,15 +277,18 @@ def sample_reference_windows(dataset: ReferenceDataset, batch: int, horizon: int
     pairs, with replacement. Returns an array of shape (batch, H, 6)."""
     if batch <= 0:
         raise ValueError("batch must be positive")
-    dataset.validate(horizon)
-    starts_per_traj = np.array([t.shape[0] - horizon + 1 for t in dataset.trajectories])
-    offsets = np.concatenate([[0], np.cumsum(starts_per_traj)])
-    total = int(offsets[-1])
-    flat = rng.integers(0, total, size=batch)
-    out = np.empty((batch, horizon, OBS_DIM), dtype=np.float64)
+    lengths = np.array([t.shape[0] for t in dataset.trajectories])
+    short = np.flatnonzero(lengths < horizon)
+    if short.size:
+        k = int(short[0])
+        raise ValueError(
+            f"trajectory {k} shorter than horizon ({lengths[k]} < {horizon})")
+    offsets = np.concatenate([[0], np.cumsum(lengths - horizon + 1)])
+    flat = rng.integers(0, int(offsets[-1]), size=batch)
     traj_idx = np.searchsorted(offsets, flat, side="right") - 1
-    for b in range(batch):
-        k = int(traj_idx[b])
-        start = int(flat[b] - offsets[k])
-        out[b] = dataset.trajectories[k][start:start + horizon]
-    return out
+    # each trajectory has horizon - 1 more frames than window starts, so in
+    # the concatenated frames window ``flat`` of trajectory k starts at row
+    # flat + k * (horizon - 1)
+    first_rows = flat + traj_idx * (horizon - 1)
+    frames = np.concatenate(dataset.trajectories)
+    return frames[first_rows[:, None] + np.arange(horizon)]

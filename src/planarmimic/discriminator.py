@@ -114,77 +114,47 @@ def input_gradient_norm2(net: MlpNet, window: np.ndarray) -> float:
     return float((g * g).sum())
 
 
-def _gp_contribution(net: MlpNet, cache, w_gp: float, batch: int) -> tuple:
-    if w_gp == 0.0:
-        return 0.0, None
-    value, grads = net.input_gradient_norm_grads(cache, coef=w_gp / batch)
-    return value, grads
-
-
-def wgan_loss(net: MlpNet, ref_batch: np.ndarray, pol_batch: np.ndarray,
-              cfg: DiscriminatorConfig) -> DiscLossResult:
-    """Wasserstein discriminator objective with reference gradient penalty.
-
-    total = w_loss * (-mean D(ref) + mean D(pol))
-            + w_gp * mean_ref ||d D/d input||^2
-    """
-    ref = _as_batch(ref_batch, net.layer_sizes[0])
-    pol = _as_batch(pol_batch, net.layer_sizes[0])
-    if ref.shape[0] == 0 or pol.shape[0] == 0:
-        raise ValueError("batches must be non-empty")
-
-    y_ref, cache_ref = net.forward(ref)
-    y_pol, cache_pol = net.forward(pol)
-    main = cfg.w_loss * (-float(y_ref.mean()) + float(y_pol.mean()))
-
-    grads = net.backward(cache_ref, np.full_like(y_ref, -cfg.w_loss / ref.shape[0]))
-    grads.d_input = None  # parameter gradients only: batches differ in size
-    grads.add_(net.backward(cache_pol, np.full_like(y_pol, cfg.w_loss / pol.shape[0])))
-
-    gp_value, gp_grads = _gp_contribution(net, cache_ref, cfg.w_gp, ref.shape[0])
-    if gp_grads is not None:
-        grads.d_weights = [a + b for a, b in zip(grads.d_weights, gp_grads.d_weights)]
-        grads.d_biases = [a + b for a, b in zip(grads.d_biases, gp_grads.d_biases)]
-
-    return DiscLossResult(total=main + gp_value, main_term=main, gp_term=gp_value,
-                          grads=grads)
-
-
-def lsgan_loss(net: MlpNet, ref_batch: np.ndarray, pol_batch: np.ndarray,
-               cfg: DiscriminatorConfig) -> DiscLossResult:
-    """Least-squares discriminator objective (+1 / -1 targets) with the same
-    reference gradient penalty as the Wasserstein variant."""
-    ref = _as_batch(ref_batch, net.layer_sizes[0])
-    pol = _as_batch(pol_batch, net.layer_sizes[0])
-    if ref.shape[0] == 0 or pol.shape[0] == 0:
-        raise ValueError("batches must be non-empty")
-
-    y_ref, cache_ref = net.forward(ref)
-    y_pol, cache_pol = net.forward(pol)
-    res_ref = y_ref - 1.0
-    res_pol = y_pol + 1.0
-    main = float((res_ref ** 2).mean()) + float((res_pol ** 2).mean())
-
-    grads = net.backward(cache_ref, 2.0 * res_ref / ref.shape[0])
-    grads.d_input = None  # parameter gradients only: batches differ in size
-    grads.add_(net.backward(cache_pol, 2.0 * res_pol / pol.shape[0]))
-
-    gp_value, gp_grads = _gp_contribution(net, cache_ref, cfg.w_gp, ref.shape[0])
-    if gp_grads is not None:
-        grads.d_weights = [a + b for a, b in zip(grads.d_weights, gp_grads.d_weights)]
-        grads.d_biases = [a + b for a, b in zip(grads.d_biases, gp_grads.d_biases)]
-
-    return DiscLossResult(total=main + gp_value, main_term=main, gp_term=gp_value,
-                          grads=grads)
-
-
 def discriminator_loss(net: MlpNet, ref_batch, pol_batch,
                        cfg: DiscriminatorConfig) -> DiscLossResult:
+    """Discriminator objective of ``cfg.loss_kind`` with its parameter
+    gradients, plus the reference gradient penalty shared by both kinds:
+
+      wgan:   main = w_loss * (-mean D(ref) + mean D(pol))
+      lsgan:  main = mean (D(ref) - 1)^2 + mean (D(pol) + 1)^2
+      total = main + w_gp * mean_ref ||d D/d input||^2
+    """
+    if cfg.loss_kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss kind {cfg.loss_kind!r}")
+    ref = _as_batch(ref_batch, net.layer_sizes[0])
+    pol = _as_batch(pol_batch, net.layer_sizes[0])
+    if ref.shape[0] == 0 or pol.shape[0] == 0:
+        raise ValueError("batches must be non-empty")
+
+    y_ref, cache_ref = net.forward(ref)
+    y_pol, cache_pol = net.forward(pol)
     if cfg.loss_kind == "wgan":
-        return wgan_loss(net, ref_batch, pol_batch, cfg)
-    if cfg.loss_kind == "lsgan":
-        return lsgan_loss(net, ref_batch, pol_batch, cfg)
-    raise ValueError(f"unknown loss kind {cfg.loss_kind!r}")
+        main = cfg.w_loss * (-float(y_ref.mean()) + float(y_pol.mean()))
+        dy_ref = np.full_like(y_ref, -cfg.w_loss / ref.shape[0])
+        dy_pol = np.full_like(y_pol, cfg.w_loss / pol.shape[0])
+    else:
+        res_ref = y_ref - 1.0
+        res_pol = y_pol + 1.0
+        main = float((res_ref ** 2).mean()) + float((res_pol ** 2).mean())
+        dy_ref = 2.0 * res_ref / ref.shape[0]
+        dy_pol = 2.0 * res_pol / pol.shape[0]
+
+    grads = net.backward(cache_ref, dy_ref)
+    grads.d_input = None  # parameter gradients only: batches differ in size
+    grads.add_(net.backward(cache_pol, dy_pol))
+
+    gp_value = 0.0
+    if cfg.w_gp != 0.0:
+        gp_value, gp_grads = net.input_gradient_norm_grads(
+            cache_ref, coef=cfg.w_gp / ref.shape[0])
+        grads.add_(gp_grads)
+
+    return DiscLossResult(total=main + gp_value, main_term=main, gp_term=gp_value,
+                          grads=grads)
 
 
 def lsgan_imitation_reward(score):

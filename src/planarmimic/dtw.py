@@ -291,21 +291,6 @@ class DtwReport:
                 "distances": self.distances.tolist()}
 
 
-def evaluate_policy_dtw(rollout_fn, dataset, n_rollouts: int, cfg: DtwConfig,
-                        rng: np.random.Generator) -> DtwReport:
-    """Score ``n_rollouts`` observation rollouts against every reference
-    trajectory; every rollout x reference pair contributes one distance.
-
-    ``rollout_fn(rng) -> (T, 6) array`` supplies the policy side, which keeps
-    this metric independent of how rollouts are produced (simulated policy,
-    scripted replay, or a stand-still baseline).
-    """
-    if n_rollouts <= 0:
-        raise ValueError("n_rollouts must be positive")
-    rollouts = [rollout_fn(rng) for _ in range(n_rollouts)]
-    return DtwReport.of(dtw_distances(rollouts, dataset.trajectories, cfg))
-
-
 def stand_still_rollout(obs_frame: np.ndarray, length: int) -> np.ndarray:
     """The motionless baseline: one observation frame repeated."""
     return np.tile(np.asarray(obs_frame, dtype=np.float64)[None, :], (length, 1))

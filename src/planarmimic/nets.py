@@ -104,21 +104,13 @@ class Grads:
             self.d_input += other.d_input
         return self
 
-    def scale_(self, c: float) -> "Grads":
-        for a in self.d_weights:
-            a *= c
-        for a in self.d_biases:
-            a *= c
-        if self.d_input is not None:
-            self.d_input *= c
-        return self
+    def as_list(self) -> list:
+        """Parameter gradients in ``MlpNet.params()`` order: each layer's
+        weights, then its biases."""
+        return [g for wb in zip(self.d_weights, self.d_biases) for g in wb]
 
     def flat(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.d_weights, self.d_biases):
-            parts.append(w.reshape(-1))
-            parts.append(b.reshape(-1))
-        return np.concatenate(parts)
+        return np.concatenate([g.reshape(-1) for g in self.as_list()])
 
 
 class MlpNet:
@@ -186,10 +178,6 @@ class MlpNet:
         return MlpNet(self.layer_sizes, self.activation,
                       [w.copy() for w in self.weights],
                       [b.copy() for b in self.biases])
-
-    def zero_grads(self) -> Grads:
-        return Grads([np.zeros_like(w) for w in self.weights],
-                     [np.zeros_like(b) for b in self.biases])
 
     # -- forward / backward -------------------------------------------------
 

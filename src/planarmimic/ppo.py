@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import BatchWindowBuffer, OBS_DIM
 from .discriminator import DiscriminatorConfig, lsgan_imitation_reward, raw_score
-from .nets import Grads, MlpNet, OptimizerState, optimizer_step
+from .nets import MlpNet, OptimizerState, optimizer_step
 from .rewards import (RewardWeights, RunningStats, imitation_reward,
                       regularization_reward, termination_penalty, total_reward)
 
@@ -405,18 +405,13 @@ def ppo_update(policy: GaussianPolicy, value_net: MlpNet, buf: RolloutBuffer,
             grads = policy.net.backward(cache, dmean)
             dlog_std = (dlogp[:, None] * (zscore * zscore - 1.0)).sum(axis=0)
             dlog_std -= cfg.entropy_coef  # entropy bonus, dH/dlog_std = 1
-            pol_grads = []
-            for w, b in zip(grads.d_weights, grads.d_biases):
-                pol_grads.extend([w, b])
-            pol_grads.append(dlog_std)
+            pol_grads = grads.as_list() + [dlog_std]
             _clip_grad_norm(pol_grads, cfg.max_grad_norm)
             optimizer_step(policy_opt, policy.params(), pol_grads)
 
             dv = (2.0 * (v - mb_ret) / n)[:, None]
             vgrads = value_net.backward(vcache, dv)
-            val_grads = []
-            for w, b in zip(vgrads.d_weights, vgrads.d_biases):
-                val_grads.extend([w, b])
+            val_grads = vgrads.as_list()
             _clip_grad_norm(val_grads, cfg.max_grad_norm)
             optimizer_step(value_opt, value_net.params(), val_grads)
 

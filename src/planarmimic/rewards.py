@@ -59,11 +59,6 @@ class RunningStats:
         return cls(count=d["count"], mean=d["mean"], m2=d["m2"], epsilon=d["epsilon"])
 
 
-def stats_update(stats: RunningStats, value: float) -> RunningStats:
-    stats.update(value)
-    return stats
-
-
 def imitation_reward(score, stats: RunningStats, warmup: int = STATS_WARMUP):
     """Discriminator score normalized to zero mean / unit variance by the
     running statistics. Returns 0 until the stats have seen ``warmup`` scores."""

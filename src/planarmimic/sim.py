@@ -199,48 +199,43 @@ class PlanarEnv:
     # -- kinematics -------------------------------------------------------------
 
     def _foot_kinematics(self):
-        """World foot positions/velocities and world Jacobian columns.
+        """Foot kinematics of every env, joints viewed as (E, leg, joint).
 
-        Returns (rx, rz, fx, fz, vfx, vfz, jac) where r is the foot offset from
-        the COM in world frame, f the world foot position, and jac has shape
-        (E, 2 legs, 2 joints, 2 xy).
+        Returns (c, s, rx, rz, fz, vfx, vfz, jac): c and s are the (E, 1)
+        cosine and sine of pitch, r the world-frame foot offset from the COM,
+        fz the world foot height, vf the world foot velocity, and jac the
+        body-frame Jacobian columns (j1x, j1z, j2x, j2z) of hip and knee,
+        each (E, 2 legs); the step reuses c, s and jac for its torque proxy.
         """
-        p = self.params
-        l1, l2 = p.link_lengths
-        hip_x = np.array([p.half_length, -p.half_length])
-        th1 = self.q[:, [0, 2]]
-        th2 = th1 + self.q[:, [1, 3]]
+        l1, l2 = self.params.link_lengths
+        q3 = self.q.reshape(-1, 2, 2)
+        qd3 = self.qd.reshape(-1, 2, 2)
+        th1 = q3[:, :, 0]
+        th2 = th1 + q3[:, :, 1]
         s1, c1 = np.sin(th1), np.cos(th1)
         s2, c2 = np.sin(th2), np.cos(th2)
-        fxb = hip_x[None, :] + l1 * s1 + l2 * s2
+        fxb = self._hip_x + l1 * s1 + l2 * s2
         fzb = -(l1 * c1 + l2 * c2)
         c = np.cos(self.pitch)[:, None]
         s = np.sin(self.pitch)[:, None]
         rx = c * fxb - s * fzb
         rz = s * fxb + c * fzb
-        fx = self.x[:, None] + rx
         fz = self.z[:, None] + rz
-        # body-frame Jacobian columns
         j1xb = l1 * c1 + l2 * c2
         j1zb = l1 * s1 + l2 * s2
         j2xb = l2 * c2
         j2zb = l2 * s2
-        jac = np.empty((self.num_envs, 2, 2, 2))
-        jac[:, :, 0, 0] = c * j1xb - s * j1zb
-        jac[:, :, 0, 1] = s * j1xb + c * j1zb
-        jac[:, :, 1, 0] = c * j2xb - s * j2zb
-        jac[:, :, 1, 1] = s * j2xb + c * j2zb
-        qd1 = self.qd[:, [0, 2]]
-        qd2 = self.qd[:, [1, 3]]
+        qd1 = qd3[:, :, 0]
+        qd2 = qd3[:, :, 1]
         dfxb = j1xb * qd1 + j2xb * qd2
         dfzb = j1zb * qd1 + j2zb * qd2
-        vfx = self.vx[:, None] + self.om[:, None] * (-rz) + (c * dfxb - s * dfzb)
-        vfz = self.vz[:, None] + self.om[:, None] * rx + (s * dfxb + c * dfzb)
-        return rx, rz, fx, fz, vfx, vfz, jac
+        om_col = self.om[:, None]
+        vfx = self.vx[:, None] - om_col * rz + (c * dfxb - s * dfzb)
+        vfz = self.vz[:, None] + om_col * rx + (s * dfxb + c * dfzb)
+        return c, s, rx, rz, fz, vfx, vfz, (j1xb, j1zb, j2xb, j2zb)
 
     def foot_contacts(self) -> np.ndarray:
-        _, _, _, fz, _, _, _ = self._foot_kinematics()
-        return fz < 0.0
+        return self._foot_kinematics()[4] < 0.0
 
     # -- stepping ---------------------------------------------------------------
 
@@ -259,8 +254,6 @@ class PlanarEnv:
                                          lo), hi)
 
         dt = p.dt_physics
-        l1, l2 = p.link_lengths
-        hip_x = self._hip_x
         inv_mass = 1.0 / self.mass
         torque_accum = np.zeros((self.num_envs, 4))
         landing = np.zeros(self.num_envs, dtype=bool)
@@ -274,32 +267,8 @@ class PlanarEnv:
             self.qd = (q_new - self.q) / dt
             self.q = q_new
 
-            # foot kinematics (inlined: reuses sin/cos across force and
-            # torque-proxy computations); (E, 4) joints viewed as (E, leg, joint)
-            q3 = self.q.reshape(-1, 2, 2)
-            qd3 = self.qd.reshape(-1, 2, 2)
-            th1 = q3[:, :, 0]
-            th2 = th1 + q3[:, :, 1]
-            s1, c1 = np.sin(th1), np.cos(th1)
-            s2, c2 = np.sin(th2), np.cos(th2)
-            fxb = hip_x + l1 * s1 + l2 * s2
-            fzb = -(l1 * c1 + l2 * c2)
-            c = np.cos(self.pitch)[:, None]
-            s = np.sin(self.pitch)[:, None]
-            rx = c * fxb - s * fzb
-            rz = s * fxb + c * fzb
-            fz = self.z[:, None] + rz
-            j1xb = l1 * c1 + l2 * c2
-            j1zb = l1 * s1 + l2 * s2
-            j2xb = l2 * c2
-            j2zb = l2 * s2
-            qd1 = qd3[:, :, 0]
-            qd2 = qd3[:, :, 1]
-            dfxb = j1xb * qd1 + j2xb * qd2
-            dfzb = j1zb * qd1 + j2zb * qd2
-            om_col = self.om[:, None]
-            vfx = self.vx[:, None] - om_col * rz + (c * dfxb - s * dfzb)
-            vfz = self.vz[:, None] + om_col * rx + (s * dfxb + c * dfzb)
+            c, s, rx, rz, fz, vfx, vfz, (j1xb, j1zb, j2xb, j2zb) = \
+                self._foot_kinematics()
 
             active = fz < 0.0
             fn = np.where(active,
@@ -347,11 +316,10 @@ class PlanarEnv:
         self.terminal = base_contact.copy()
         timeout = self.time >= p.max_episode_time - 1e-12
 
-        _, _, _, fz, _, _, _ = self._foot_kinematics()
         angle_report = np.where(landing, landing_angle, self.flight_angle)
         return StepBatch(
             base_contact=base_contact,
-            foot_contacts=fz < 0.0,
+            foot_contacts=self.foot_contacts(),
             joint_torques=torque_accum / p.control_decimation,
             landing_event=landing,
             flight_traversed_angle=angle_report,
@@ -417,23 +385,6 @@ def simulate_step(state: SimState, action: np.ndarray, params: SimParams):
     env.airborne[0] = feet_air and not check_termination(state, params)
     result = env.step(np.asarray(action, dtype=np.float64).reshape(1, 4))
     return env.get_state(0), result
-
-
-def reset_state(params: SimParams, rng: np.random.Generator) -> SimState:
-    """Sample an initial state: nominal standing pose with small joint and
-    height noise (matching the vectorized env's per-row reset)."""
-    if params.reset_noise_joint > 0:
-        jn = rng.uniform(-params.reset_noise_joint, params.reset_noise_joint, size=4)
-    else:
-        jn = np.zeros(4)
-    if params.reset_noise_height > 0:
-        hn = rng.uniform(-params.reset_noise_height, params.reset_noise_height)
-    else:
-        hn = 0.0
-    q = np.clip(NOMINAL_JOINT_POS + jn, params.joint_limits_low, params.joint_limits_high)
-    return SimState(base_x=0.0, base_z=params.nominal_height() + hn, pitch=0.0,
-                    base_vx=0.0, base_vz=0.0, pitch_rate=0.0,
-                    joint_pos=q, joint_vel=np.zeros(4))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ from .core import ReferenceDataset, load_reference_dataset, sample_reference_win
 from .discriminator import (build_discriminator, discriminator_loss,
                             lsgan_imitation_reward, pad_windows_full_state,
                             raw_score)
-from .dtw import (DtwReport, dtw_distances, evaluate_policy_dtw,
-                  stand_still_rollout)
+from .dtw import DtwReport, dtw_distances, stand_still_rollout
 from .nets import (MlpNet, OptimizerState, net_from_dict, net_to_dict,
                    optimizer_from_dict, optimizer_to_dict, optimizer_step)
 from .ppo import (ACTION_DIM, GaussianPolicy, POLICY_OBS_DIM, RolloutCollector,
@@ -29,6 +28,8 @@ from .rewards import (RunningStats, handcrafted_backflip_reward,
 from .sim import PlanarEnv
 
 CHECKPOINT_FORMAT_VERSION = 1
+# config keys that older checkpoints carry and nothing reads any more
+RETIRED_CONFIG_KEYS = ("demo_noise", "demo_height_offset")
 
 
 def build_identifier() -> str:
@@ -72,13 +73,6 @@ def _truncate_metrics(path: Path, iteration: int) -> None:
         except json.JSONDecodeError:
             pass
     _write_atomic(path, "".join(kept))
-
-
-def _grads_list(grads) -> list:
-    out = []
-    for w, b in zip(grads.d_weights, grads.d_biases):
-        out.extend([w, b])
-    return out
 
 
 class Trainer:
@@ -139,7 +133,7 @@ class Trainer:
                     ref_mb = pad_windows_full_state(ref_mb, cfg.disc.horizon)
                 res = discriminator_loss(self.disc, ref_mb, pol_mb, cfg.disc)
                 optimizer_step(self.disc_opt, self.disc.params(),
-                               _grads_list(res.grads))
+                               res.grads.as_list())
                 disc_totals.append(res.total)
                 disc_mains.append(res.main_term)
                 disc_gps.append(res.gp_term)
@@ -266,7 +260,8 @@ class Trainer:
                         cfg: TrainConfig | None = None) -> "Trainer":
         ckpt = json.loads(Path(path).read_text())
         if cfg is None:
-            lines = [f"{k} = {v}" for k, v in ckpt["config"].items()]
+            lines = [f"{k} = {v}" for k, v in ckpt["config"].items()
+                     if k not in RETIRED_CONFIG_KEYS]
             cfg = parse_config_text("\n".join(lines))
         if dataset is None:
             if not cfg.refs:
@@ -398,8 +393,8 @@ def evaluate_policy(cfg: TrainConfig, policy: GaussianPolicy,
     dtw_report = DtwReport.of(dtw_distances(seqs, dataset.trajectories, cfg.dtw))
 
     still = stand_still_rollout(_nominal_observation(cfg), frames)
-    still_report = evaluate_policy_dtw(lambda _rng: still, dataset, 1, cfg.dtw,
-                                       np.random.default_rng(0))
+    still_report = DtwReport.of(dtw_distances([still], dataset.trajectories,
+                                              cfg.dtw))
 
     handcrafted = None
     if handcrafted_kind:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from planarmimic.cli import EXIT_CONFIG, EXIT_OK, main
+from planarmimic.config import save_config
 from planarmimic.dtw import local_cost
 from planarmimic.trainer import Trainer, evaluate_policy
 
@@ -51,6 +52,50 @@ class TestEvalSeeds:
                      flag, "0"])
         assert code == EXIT_CONFIG
         assert not out.exists()
+
+
+class TestRetiredConfigKeys:
+    def _old_checkpoint(self, tmp_path, **extra):
+        cfg = tiny_config(tmp_path=tmp_path)
+        cfg.out_dir = str(tmp_path / "run")
+        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer.train_iteration()
+        blob = json.loads(trainer.save_checkpoint(tmp_path / "ckpt.json").read_text())
+        # written before demo_noise and demo_height_offset left TrainConfig
+        blob["config"].update({"demo_noise": "1.0", "demo_height_offset": "0.0"},
+                              **extra)
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(blob))
+        return old
+
+    def test_checkpoint_with_the_retired_keys_loads(self, tmp_path):
+        old = self._old_checkpoint(tmp_path)
+        assert run_eval(old, tmp_path / "eval.json")["seeds"] == 1
+        code = main(["train", "--resume", str(old), "--iterations", "2", "--quiet"])
+        assert code == EXIT_OK
+        records = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
+        assert [json.loads(r)["iteration"] for r in records] == [2]
+
+    def test_other_unknown_keys_still_fail(self, tmp_path):
+        old = self._old_checkpoint(tmp_path, demo_speed="1.0")
+        code = main(["eval", "--checkpoint", str(old), "--out",
+                     str(tmp_path / "eval.json")])
+        assert code == EXIT_CONFIG
+
+
+class TestAblate:
+    def test_summary_carries_each_run_eval(self, tmp_path):
+        save_config(tiny_config(tmp_path=tmp_path), tmp_path / "base.txt")
+        out = tmp_path / "sweep"
+        code = main(["ablate", "--config", str(tmp_path / "base.txt"),
+                     "--horizons", "2", "--losses", "wgan", "--iterations", "1",
+                     "--out", str(out), "--quiet"])
+        assert code == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        run_eval = json.loads((out / "h2_wgan" / "eval.json").read_text())
+        assert [(r["loss"], r["horizon"]) for r in summary] == [("wgan", 2)]
+        assert summary[0]["dtw_mean"] == run_eval["dtw"]["mean"]
+        assert summary[0]["stand_still"] == run_eval["stand_still"]["mean"]
 
 
 class TestEvalAlignments:

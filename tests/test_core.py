@@ -3,30 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from planarmimic.core import (GRAVITY_UNIT_TOL, OBS_DIM, Observation,
-                              ObservationWindow, ReferenceDataset, SimState,
-                              WindowBuffer, load_reference_dataset,
-                              phi_extract, phi_extract_arrays,
-                              sample_reference_windows, save_reference_csv)
+from planarmimic.core import (GRAVITY_UNIT_TOL, OBS_DIM, BatchWindowBuffer,
+                              ReferenceDataset, load_reference_dataset,
+                              phi_extract_arrays, sample_reference_windows,
+                              save_reference_csv)
+from planarmimic.sim import PlanarEnv, SimParams
 
 
-def make_state(**kwargs):
-    defaults = dict(base_x=0.0, base_z=0.3, pitch=0.0, base_vx=0.0,
-                    base_vz=0.0, pitch_rate=0.0, joint_pos=np.zeros(4),
-                    joint_vel=np.zeros(4))
-    defaults.update(kwargs)
-    return SimState(**defaults)
+def phi(base_vx=0.0, base_vz=0.0, pitch=0.0, pitch_rate=0.0, base_z=0.3):
+    """Observation of one base state: a batch of one."""
+    return phi_extract_arrays(np.array([base_vx]), np.array([base_vz]),
+                              np.array([pitch]), np.array([pitch_rate]),
+                              np.array([base_z]))[0]
 
 
 class TestPhiExtract:
     def test_upright_at_rest(self):
-        obs = phi_extract(make_state(base_z=0.30))
-        assert obs.as_array() == pytest.approx([0, 0, 0, 0, -1, 0.30])
+        assert phi(base_z=0.30) == pytest.approx([0, 0, 0, 0, -1, 0.30])
 
     def test_quarter_turn_gravity(self):
-        obs = phi_extract(make_state(pitch=math.pi / 2, base_z=0.30))
-        assert obs.gx == pytest.approx(-1.0)
-        assert obs.gz == pytest.approx(0.0, abs=1e-15)
+        obs = phi(pitch=math.pi / 2, base_z=0.30)
+        assert obs[3] == pytest.approx(-1.0)
+        assert obs[4] == pytest.approx(0.0, abs=1e-15)
 
     def test_velocity_rotation_against_matrix_oracle(self):
         # oracle: apply the 2x2 rotation matrix R(-pitch) literally
@@ -35,93 +33,84 @@ class TestPhiExtract:
         c, s = math.cos(pitch), math.sin(pitch)
         rot = np.array([[c, s], [-s, c]])
         expected = rot @ v_world
-        obs = phi_extract(make_state(pitch=pitch, base_vx=1.0))
-        assert obs.vx == pytest.approx(expected[0])
-        assert obs.vz == pytest.approx(expected[1])
+        obs = phi(pitch=pitch, base_vx=1.0)
+        assert obs[0] == pytest.approx(expected[0])
+        assert obs[1] == pytest.approx(expected[1])
         # frozen closed-form values
-        assert obs.vx == pytest.approx(0.70710678, abs=1e-8)
-        assert obs.vz == pytest.approx(-0.70710678, abs=1e-8)
+        assert obs[0] == pytest.approx(0.70710678, abs=1e-8)
+        assert obs[1] == pytest.approx(-0.70710678, abs=1e-8)
 
     def test_rotation_oracle_random_states(self):
         rng = np.random.default_rng(42)
-        for _ in range(100):
-            pitch = rng.uniform(-2 * math.pi, 2 * math.pi)
-            v = rng.normal(size=2)
-            c, s = math.cos(pitch), math.sin(pitch)
-            expected = np.array([[c, s], [-s, c]]) @ v
-            obs = phi_extract(make_state(pitch=pitch, base_vx=v[0], base_vz=v[1]))
-            assert np.allclose([obs.vx, obs.vz], expected, atol=1e-12)
+        pitch = rng.uniform(-2 * math.pi, 2 * math.pi, size=100)
+        v = rng.normal(size=(100, 2))
+        obs = phi_extract_arrays(v[:, 0], v[:, 1], pitch, np.zeros(100),
+                                 np.full(100, 0.3))
+        for k in range(100):
+            c, s = math.cos(pitch[k]), math.sin(pitch[k])
+            expected = np.array([[c, s], [-s, c]]) @ v[k]
+            assert np.allclose(obs[k, :2], expected, atol=1e-12)
 
     def test_joint_fields_are_ignored(self):
         rng = np.random.default_rng(0)
-        base = make_state(base_vx=0.5, pitch=0.3, pitch_rate=-1.0)
-        reference = phi_extract(base).as_array()
+        env = PlanarEnv(SimParams(), num_envs=3, seed=1)
+        env.step(rng.normal(size=(3, 4)) * 0.3)
+        reference = env.observation_features()
         for _ in range(20):
-            perturbed = make_state(base_vx=0.5, pitch=0.3, pitch_rate=-1.0,
-                                   joint_pos=rng.normal(size=4),
-                                   joint_vel=rng.normal(size=4))
-            assert np.array_equal(phi_extract(perturbed).as_array(), reference)
+            env.q = rng.normal(size=(3, 4))
+            env.qd = rng.normal(size=(3, 4))
+            assert np.array_equal(env.observation_features(), reference)
 
     def test_gravity_unit_norm(self):
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            obs = phi_extract(make_state(pitch=rng.uniform(-10, 10)))
-            assert abs(math.hypot(obs.gx, obs.gz) - 1.0) <= GRAVITY_UNIT_TOL
-
-    def test_non_finite_state_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            phi_extract(make_state(base_vx=math.nan))
+        pitch = rng.uniform(-10, 10, size=200)
+        obs = phi_extract_arrays(np.zeros(200), np.zeros(200), pitch,
+                                 np.zeros(200), np.full(200, 0.3))
+        assert np.abs(np.hypot(obs[:, 3], obs[:, 4]) - 1.0).max() <= GRAVITY_UNIT_TOL
 
     def test_batch_matches_scalar(self):
+        # every row of a batch equals the same state mapped as a batch of one
         rng = np.random.default_rng(3)
-        states = [make_state(base_vx=rng.normal(), base_vz=rng.normal(),
-                             pitch=rng.normal(), pitch_rate=rng.normal(),
-                             base_z=rng.uniform(0, 1)) for _ in range(16)]
-        batch = phi_extract_arrays(
-            np.array([s.base_vx for s in states]),
-            np.array([s.base_vz for s in states]),
-            np.array([s.pitch for s in states]),
-            np.array([s.pitch_rate for s in states]),
-            np.array([s.base_z for s in states]))
-        for row, state in zip(batch, states):
-            assert np.allclose(row, phi_extract(state).as_array(), atol=1e-15)
+        states = rng.normal(size=(5, 16))
+        states[4] = rng.uniform(0, 1, size=16)
+        batch = phi_extract_arrays(*states)
+        for row, state in zip(batch, states.T):
+            assert np.array_equal(row, phi(*state))
 
 
 class TestWindowBuffer:
     def test_horizon_one(self):
-        buf = WindowBuffer(1)
-        o = np.arange(6.0)
-        win = buf.reset(np.zeros(6))
-        win = buf.push(o)
-        assert win.feats.shape == (1, OBS_DIM)
-        assert np.array_equal(win.feats[0], o)
+        buf = BatchWindowBuffer(2, 1)
+        buf.reset_rows(np.ones(2, dtype=bool), np.zeros((2, OBS_DIM)))
+        frames = np.arange(12.0).reshape(2, OBS_DIM)
+        assert np.array_equal(buf.push(frames), frames)
 
     def test_reset_pads_with_first(self):
-        buf = WindowBuffer(3)
-        o0 = np.full(6, 2.0)
-        win = buf.reset(o0)
-        assert np.array_equal(win.feats, np.tile(o0, (3, 1)))
+        buf = BatchWindowBuffer(3, 3)
+        buf.reset_rows(np.ones(3, dtype=bool), np.zeros((3, OBS_DIM)))
+        buf.push(np.ones((3, OBS_DIM)))
+        first = np.arange(18.0).reshape(3, OBS_DIM)
+        buf.reset_rows(np.array([False, True, False]), first)
+        state = buf.state()
+        assert np.array_equal(state[1], np.tile(first[1], (3, 1)))
+        for row in (0, 2):  # rows outside the mask keep their history
+            assert np.array_equal(state[row, :2], np.zeros((2, OBS_DIM)))
+            assert np.array_equal(state[row, 2], np.ones(OBS_DIM))
 
     def test_push_drops_oldest(self):
-        buf = WindowBuffer(2)
-        a, b, c = (np.full(6, v) for v in (1.0, 2.0, 3.0))
-        buf.reset(a)
+        buf = BatchWindowBuffer(1, 2)
+        a, b, c = (np.full((1, OBS_DIM), v) for v in (1.0, 2.0, 3.0))
+        buf.reset_rows(np.ones(1, dtype=bool), a)
         buf.push(b)
-        win = buf.push(c)
-        assert np.array_equal(win.feats, np.stack([b, c]))
+        buf.push(c)
+        assert np.array_equal(buf.state()[0], np.concatenate([b, c]))
 
     def test_flattening_is_time_major(self):
-        buf = WindowBuffer(2)
-        buf.reset(np.zeros(6))
-        win = buf.push(np.arange(6.0))
-        assert np.array_equal(win.flat[:6], np.zeros(6))
-        assert np.array_equal(win.flat[6:], np.arange(6.0))
-
-    def test_invalid_horizon(self):
-        with pytest.raises(ValueError):
-            WindowBuffer(0)
-        with pytest.raises(ValueError):
-            ObservationWindow(2, np.zeros((3, 6)))
+        buf = BatchWindowBuffer(1, 2)
+        buf.reset_rows(np.ones(1, dtype=bool), np.zeros((1, OBS_DIM)))
+        flat = buf.push(np.arange(6.0)[None, :])[0]
+        assert np.array_equal(flat[:6], np.zeros(6))
+        assert np.array_equal(flat[6:], np.arange(6.0))
 
 
 def _write_dataset(tmp_path, n_traj=3, length=30, dt=0.02, seed=0, multi=False):
@@ -264,7 +253,37 @@ class TestSampling:
         b = sample_reference_windows(ds, 64, 4, np.random.default_rng(99))
         assert np.array_equal(a, b)
 
+    def test_gather_matches_loop_oracle_on_ragged_dataset(self):
+        ds = self._dataset([9, 30, 4, 17, 25])
+        for horizon in (1, 2, 4):
+            rng_a = np.random.default_rng(horizon)
+            rng_b = np.random.default_rng(horizon)
+            got = sample_reference_windows(ds, 257, horizon, rng_a)
+            assert np.array_equal(got, loop_gather(ds, 257, horizon, rng_b))
+            # one draw per call: both generators end in the same state
+            assert rng_a.integers(2 ** 62) == rng_b.integers(2 ** 62)
+
+    def test_trajectory_shorter_than_horizon_rejected(self):
+        ds = self._dataset([30, 5])
+        with pytest.raises(ValueError, match="trajectory 1 shorter than horizon"):
+            sample_reference_windows(ds, 8, 6, np.random.default_rng(0))
+
     def test_zero_batch_rejected(self):
         ds = self._dataset([30])
         with pytest.raises(ValueError, match="batch"):
             sample_reference_windows(ds, 0, 4, np.random.default_rng(0))
+
+
+def loop_gather(dataset, batch, horizon, rng):
+    """The per-window loop gather ``sample_reference_windows`` used before it
+    indexed all windows at once: the oracle for the fancy-index gather."""
+    starts_per_traj = np.array([t.shape[0] - horizon + 1 for t in dataset.trajectories])
+    offsets = np.concatenate([[0], np.cumsum(starts_per_traj)])
+    flat = rng.integers(0, int(offsets[-1]), size=batch)
+    out = np.empty((batch, horizon, OBS_DIM), dtype=np.float64)
+    traj_idx = np.searchsorted(offsets, flat, side="right") - 1
+    for b in range(batch):
+        k = int(traj_idx[b])
+        start = int(flat[b] - offsets[k])
+        out[b] = dataset.trajectories[k][start:start + horizon]
+    return out

@@ -3,9 +3,8 @@ import pytest
 
 from planarmimic.discriminator import (DiscriminatorConfig, build_discriminator,
                                        discriminator_loss, input_gradient_norm2,
-                                       lsgan_imitation_reward, lsgan_loss,
-                                       pad_windows_full_state, raw_score,
-                                       wgan_loss)
+                                       lsgan_imitation_reward,
+                                       pad_windows_full_state, raw_score)
 from planarmimic.nets import MlpNet, OptimizerState, optimizer_step
 
 from test_nets import fd_param_gradient, rand_net, rel_err, FD_RTOL
@@ -35,7 +34,7 @@ class TestLossArithmetic:
         net = constant_net(12, 3.3)
         cfg = small_cfg(w_gp=0.0)
         rng = np.random.default_rng(0)
-        res = wgan_loss(net, rng.normal(size=(5, 12)), rng.normal(size=(7, 12)), cfg)
+        res = discriminator_loss(net, rng.normal(size=(5, 12)), rng.normal(size=(7, 12)), cfg)
         assert res.total == pytest.approx(0.0, abs=1e-12)
 
     def test_wgan_separated_batches(self):
@@ -44,7 +43,7 @@ class TestLossArithmetic:
         cfg = small_cfg(w_gp=0.0)
         ref = np.zeros((4, 12)); ref[:, 0] = 1.0
         pol = np.zeros((4, 12))
-        res = wgan_loss(net, ref, pol, cfg)
+        res = discriminator_loss(net, ref, pol, cfg)
         assert res.total == pytest.approx(-0.5)
 
     def test_wgan_gradient_penalty_of_linear_map(self):
@@ -53,21 +52,22 @@ class TestLossArithmetic:
         cfg = DiscriminatorConfig(horizon=1, w_loss=0.5, w_gp=5.0)
         ref = np.random.default_rng(1).normal(size=(6, 4))
         pol = np.random.default_rng(2).normal(size=(6, 4))
-        res = wgan_loss(net, ref, pol, cfg)
+        res = discriminator_loss(net, ref, pol, cfg)
         assert res.gp_term == pytest.approx(5.0 * float(w @ w))
 
     def test_lsgan_global_minimum(self):
         # crafted: D(x) = x[0], ref batches have x0=1, pol batches x0=-1
         net = linear_net([1.0] + [0.0] * 5)
-        cfg = small_cfg(w_gp=0.0)
+        cfg = small_cfg(loss_kind="lsgan", w_gp=0.0)
         ref = np.zeros((3, 6)); ref[:, 0] = 1.0
         pol = np.zeros((3, 6)); pol[:, 0] = -1.0
-        res = lsgan_loss(net, ref, pol, cfg)
+        res = discriminator_loss(net, ref, pol, cfg)
         assert res.total == pytest.approx(0.0, abs=1e-12)
 
     def test_lsgan_zero_discriminator(self):
         net = constant_net(6, 0.0)
-        res = lsgan_loss(net, np.zeros((3, 6)), np.zeros((3, 6)), small_cfg(w_gp=0.0))
+        res = discriminator_loss(net, np.zeros((3, 6)), np.zeros((3, 6)),
+                                 small_cfg(loss_kind="lsgan", w_gp=0.0))
         assert res.total == pytest.approx(2.0)
 
     def test_lsgan_asymmetric_outputs(self):
@@ -75,7 +75,8 @@ class TestLossArithmetic:
         ref = np.zeros((3, 6))
         pol_net_value = constant_net(6, 0.0)
         # D(ref)=3 via constant net; for D(pol)=0 use a second evaluation
-        res_ref_side = lsgan_loss(net, ref, ref, small_cfg(w_gp=0.0))
+        res_ref_side = discriminator_loss(net, ref, ref,
+                                          small_cfg(loss_kind="lsgan", w_gp=0.0))
         # (3-1)^2 + (3+1)^2 = 20 when both batches score 3
         assert res_ref_side.total == pytest.approx(20.0)
         # direct arithmetic of the documented example: (3-1)^2 + (0+1)^2 = 5
@@ -84,12 +85,57 @@ class TestLossArithmetic:
     def test_mismatched_window_size_rejected(self):
         net = constant_net(12, 0.0)
         with pytest.raises(ValueError, match="features"):
-            wgan_loss(net, np.zeros((2, 10)), np.zeros((2, 12)), small_cfg())
+            discriminator_loss(net, np.zeros((2, 10)), np.zeros((2, 12)), small_cfg())
 
     def test_empty_batch_rejected(self):
         net = constant_net(12, 0.0)
         with pytest.raises(ValueError, match="non-empty"):
-            wgan_loss(net, np.zeros((0, 12)), np.zeros((2, 12)), small_cfg())
+            discriminator_loss(net, np.zeros((0, 12)), np.zeros((2, 12)), small_cfg())
+
+    def test_unknown_loss_kind_rejected(self):
+        net = constant_net(12, 0.0)
+        with pytest.raises(ValueError, match="unknown loss kind"):
+            discriminator_loss(net, np.zeros((2, 12)), np.zeros((2, 12)),
+                               small_cfg(loss_kind="hinge"))
+
+
+def separate_kind_loss(net, ref, pol, cfg):
+    """The per-kind losses as two functions computed them before they were
+    merged: the oracle for the merged arithmetic, bit for bit."""
+    y_ref, cache_ref = net.forward(ref)
+    y_pol, cache_pol = net.forward(pol)
+    if cfg.loss_kind == "wgan":
+        main = cfg.w_loss * (-float(y_ref.mean()) + float(y_pol.mean()))
+        grads = net.backward(cache_ref, np.full_like(y_ref, -cfg.w_loss / ref.shape[0]))
+        grads.d_input = None
+        grads.add_(net.backward(cache_pol, np.full_like(y_pol, cfg.w_loss / pol.shape[0])))
+    else:
+        res_ref = y_ref - 1.0
+        res_pol = y_pol + 1.0
+        main = float((res_ref ** 2).mean()) + float((res_pol ** 2).mean())
+        grads = net.backward(cache_ref, 2.0 * res_ref / ref.shape[0])
+        grads.d_input = None
+        grads.add_(net.backward(cache_pol, 2.0 * res_pol / pol.shape[0]))
+    gp_value = 0.0
+    if cfg.w_gp != 0.0:
+        gp_value, gp = net.input_gradient_norm_grads(cache_ref, coef=cfg.w_gp / ref.shape[0])
+        grads.d_weights = [a + b for a, b in zip(grads.d_weights, gp.d_weights)]
+        grads.d_biases = [a + b for a, b in zip(grads.d_biases, gp.d_biases)]
+    return main + gp_value, main, gp_value, grads.flat()
+
+
+@pytest.mark.parametrize("loss_kind", ["wgan", "lsgan"])
+@pytest.mark.parametrize("w_gp", [0.0, 5.0])
+def test_merged_loss_keeps_each_kind_bit_exact(loss_kind, w_gp):
+    rng = np.random.default_rng(17)
+    cfg = small_cfg(loss_kind=loss_kind, w_gp=w_gp)
+    net = build_discriminator(cfg, rng)
+    ref = rng.normal(size=(16, cfg.input_dim))
+    pol = rng.normal(size=(11, cfg.input_dim))
+    res = discriminator_loss(net, ref, pol, cfg)
+    total, main, gp_value, flat = separate_kind_loss(net, ref, pol, cfg)
+    assert (res.total, res.main_term, res.gp_term) == (total, main, gp_value)
+    assert np.array_equal(res.grads.flat(), flat)
 
 
 class TestInputGradient:
@@ -117,20 +163,21 @@ class TestInputGradient:
 
 
 class TestLossGradients:
-    @pytest.mark.parametrize("loss_fn", [wgan_loss, lsgan_loss])
+    @pytest.mark.parametrize("loss_kind", ["wgan", "lsgan"])
     @pytest.mark.parametrize("activation", ["relu", "elu"])
-    def test_full_loss_gradient_matches_finite_differences(self, loss_fn, activation):
+    def test_full_loss_gradient_matches_finite_differences(self, loss_kind, activation):
         failures = 0
         for seed in range(40):
             rng = np.random.default_rng(1000 + seed)
             net = rand_net(rng, [4, 6, 5, 1], activation)
-            cfg = DiscriminatorConfig(horizon=1, w_loss=0.5, w_gp=5.0)
+            cfg = DiscriminatorConfig(loss_kind=loss_kind, horizon=1,
+                                      w_loss=0.5, w_gp=5.0)
             ref = rng.normal(size=(4, 4))
             pol = rng.normal(size=(4, 4))
-            analytic = loss_fn(net, ref, pol, cfg).grads.flat()
+            analytic = discriminator_loss(net, ref, pol, cfg).grads.flat()
 
             def scalar():
-                return loss_fn(net, ref, pol, cfg).total
+                return discriminator_loss(net, ref, pol, cfg).total
 
             fd = fd_param_gradient(scalar, net)
             if rel_err(analytic, fd) >= FD_RTOL:
@@ -143,10 +190,10 @@ class TestLossGradients:
         net = rand_net(rng, [3, 7, 1], "elu")
         cfg = DiscriminatorConfig(horizon=1, w_loss=0.5, w_gp=2.0)
         batch = rng.normal(size=(5, 3))
-        analytic = wgan_loss(net, batch, batch, cfg).grads.flat()
+        analytic = discriminator_loss(net, batch, batch, cfg).grads.flat()
 
         def scalar():
-            return wgan_loss(net, batch, batch, cfg).total
+            return discriminator_loss(net, batch, batch, cfg).total
 
         fd = fd_param_gradient(scalar, net)
         assert rel_err(analytic, fd) < FD_RTOL
@@ -160,9 +207,9 @@ class TestShiftInvariance:
         net = build_discriminator(cfg, rng)
         ref = rng.normal(size=(64, cfg.input_dim))
         pol = rng.normal(size=(64, cfg.input_dim))
-        before = wgan_loss(net, ref, pol, cfg).main_term
+        before = discriminator_loss(net, ref, pol, cfg).main_term
         net.biases[-1][0] += shift
-        after = wgan_loss(net, ref, pol, cfg).main_term
+        after = discriminator_loss(net, ref, pol, cfg).main_term
         assert abs(after - before) < 1e-9
 
 
@@ -227,9 +274,6 @@ class TestMonotoneSeparation:
             ref = rng.normal(size=(64, cfg.input_dim)) + 2.0
             pol = rng.normal(size=(64, cfg.input_dim)) - 2.0
             for _ in range(300):
-                res = wgan_loss(net, ref, pol, cfg)
-                grads = []
-                for w, b in zip(res.grads.d_weights, res.grads.d_biases):
-                    grads.extend([w, b])
-                optimizer_step(opt, net.params(), grads)
+                res = discriminator_loss(net, ref, pol, cfg)
+                optimizer_step(opt, net.params(), res.grads.as_list())
             assert raw_score(net, ref).mean() > raw_score(net, pol).mean()

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planarmimic.core import ReferenceDataset
-from planarmimic.dtw import (DtwConfig, dtw_brute_force, dtw_distance,
-                             dtw_distances, evaluate_policy_dtw,
-                             stand_still_rollout)
+from planarmimic.dtw import (DtwConfig, DtwReport, dtw_brute_force,
+                             dtw_distance, dtw_distances, stand_still_rollout)
 from planarmimic.sim import SimParams, generate_demo_set
 
 
@@ -235,18 +234,17 @@ class TestEvaluation:
 
     def test_scripted_replay_of_reference_scores_zero(self):
         ds = self._dataset()
-        single = ReferenceDataset(trajectories=[ds.trajectories[0]],
-                                  motion_name="x", dt=0.02)
-        report = evaluate_policy_dtw(lambda rng: ds.trajectories[0], single,
-                                     n_rollouts=3, cfg=DtwConfig(),
-                                     rng=np.random.default_rng(0))
+        replays = [ds.trajectories[0]] * 3
+        report = DtwReport.of(dtw_distances(replays, ds.trajectories[:1],
+                                            DtwConfig()))
         assert report.mean == pytest.approx(0.0, abs=1e-12)
 
     def test_pair_matrix_shape(self):
         ds = self._dataset()
-        report = evaluate_policy_dtw(
-            lambda rng: rng.normal(size=(20, 6)), ds, n_rollouts=5,
-            cfg=DtwConfig(), rng=np.random.default_rng(1))
+        rng = np.random.default_rng(1)
+        rollouts = [rng.normal(size=(20, 6)) for _ in range(5)]
+        report = DtwReport.of(dtw_distances(rollouts, ds.trajectories,
+                                            DtwConfig()))
         assert report.distances.shape == (5, 4)
         assert report.mean == pytest.approx(report.distances.mean())
 
@@ -254,11 +252,10 @@ class TestEvaluation:
         ds = self._dataset()
         frame = np.array([0, 0, 0, 0, -1, 0.28])
         still = stand_still_rollout(frame, 20)
-        report = evaluate_policy_dtw(lambda rng: still, ds, 2, DtwConfig(),
-                                     np.random.default_rng(0))
+        report = DtwReport.of(dtw_distances([still], ds.trajectories,
+                                            DtwConfig()))
         assert report.mean > 0.0
 
     def test_rejects_zero_rollouts(self):
-        with pytest.raises(ValueError):
-            evaluate_policy_dtw(lambda rng: np.zeros((5, 6)), self._dataset(),
-                                0, DtwConfig(), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="at least one query"):
+            dtw_distances([], self._dataset().trajectories, DtwConfig())

@@ -6,15 +6,15 @@ import pytest
 from planarmimic.rewards import (RewardWeights, RunningStats,
                                  handcrafted_backflip_reward,
                                  handcrafted_standup_reward, imitation_reward,
-                                 regularization_reward, stats_update,
+                                 regularization_reward,
                                  termination_penalty, total_reward)
 
 
 class TestRunningStats:
     def test_two_values(self):
         s = RunningStats()
-        stats_update(s, 0.0)
-        stats_update(s, 2.0)
+        s.update(0.0)
+        s.update(2.0)
         assert s.mean == pytest.approx(1.0)
         assert s.variance == pytest.approx(1.0)  # population variance
 
