@@ -175,6 +175,8 @@ def cmd_train(args) -> int:
         cfg = trainer.cfg
         if args.iterations is not None:
             cfg.iterations = args.iterations
+        if args.out:
+            cfg.out_dir = args.out
     else:
         cfg = _build_train_config(args)
         if not cfg.refs:

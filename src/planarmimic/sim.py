@@ -8,7 +8,13 @@ legs carry no mass, a joint-torque proxy (PD effort plus Jacobian-transpose
 contact load) stands in for actuator torque in the regularization penalties.
 
 Everything is batched over environments; a batch of one gives the scalar
-semantics used in tests.
+semantics used in tests. A control step runs its physics substeps in four
+phases split along their data dependencies (see `PlanarEnv.step`): joint
+tracking, then body-frame leg kinematics of every substep in one batch, then
+the contact-and-body loop that alone must go substep by substep, then the
+torque proxy, termination and flight bookkeeping in batches over all
+substeps. Each value comes from the same IEEE operations, in the same order,
+as in a plain loop over the substeps, so the result is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -112,6 +118,103 @@ def check_termination(state: SimState, params: SimParams) -> bool:
         np.array([state.pitch]), params)[0])
 
 
+def leg_kinematics(q, qd, params: SimParams, out=None):
+    """Body-frame kinematics of both legs.
+
+    ``q`` and ``qd`` are joint angles and rates shaped (..., 4, E): the
+    (hip, knee) of the front leg, then of the rear leg, for E environments
+    after any leading shape. Returns ``(body, jac)``, each (..., 2, 2, 2, E):
+
+    - ``body[..., a, b, leg, :]``: coordinate a (x, z) of the foot's offset
+      from the COM (b = 0) or of its velocity (b = 1);
+    - ``jac[..., a, j, leg, :]``: coordinate a of the Jacobian column of
+      joint j (hip, knee), the one the torque proxy maps contact forces by.
+
+    One sin and one cos cover every hip and foot-link angle. ``out`` is an
+    optional (body, jac) pair to write into.
+    """
+    l1, l2 = params.link_lengths
+    lead, E = q.shape[:-2], q.shape[-1]
+    q = q.reshape(lead + (2, 2, E))          # (leg, joint)
+    qd = qd.reshape(lead + (2, 2, E))
+    if out is None:
+        out = (np.empty(lead + (2, 2, 2, E)), np.empty(lead + (2, 2, 2, E)))
+    body, jac = out
+    th = body[..., 1, :, :, :]               # scratch until fz is written
+    th[..., 0, :, :] = q[..., 0, :]
+    np.add(q[..., 0, :], q[..., 1, :], out=th[..., 1, :, :])
+    np.cos(th, out=jac[..., 0, :, :, :])
+    np.sin(th, out=jac[..., 1, :, :, :])
+    jac *= np.array([l1, l2])[:, None, None]     # (l c, l s) of each link
+    hip_x = np.array([params.half_length, -params.half_length])[:, None]
+    np.add(hip_x, jac[..., 1, 0, :, :], out=body[..., 0, 0, :, :])
+    body[..., 0, 0, :, :] += jac[..., 1, 1, :, :]
+    jac[..., 0, :, :] += jac[..., 1, :, :]       # the hip moves both links
+    np.negative(jac[..., 0, 0, :, :], out=body[..., 1, 0, :, :])
+    vel = body[..., 1, :, :]
+    np.multiply(jac[..., 0, :, :], qd[..., None, :, 0, :], out=vel)
+    vel += jac[..., 1, :, :] * qd[..., None, :, 1, :]
+    return body, jac
+
+
+# Rows of the stacked body state in `PlanarEnv.step`. Leg sums of the
+# (normal, tangential) contact forces give (az, ax), so z leads.
+_Z, _X, _PITCH = 0, 1, 2
+
+
+class _StepBuffers:
+    """The arrays `PlanarEnv.step` writes, kept from one step to the next:
+    fresh multi-megabyte arrays every step would cost more in page faults
+    than the arithmetic at E >= 256. Component axes come first and E last,
+    so each batched phase reads runs of E contiguous values."""
+
+    def __init__(self, env: "PlanarEnv", substeps: int):
+        K, E = substeps, env.num_envs
+        self.substeps = K
+        self.lo = np.repeat(env._lo[:, None], E, axis=1)
+        self.hi = np.repeat(env._hi[:, None], E, axis=1)
+        # per substep; q, pos, vel and trig lead with the state before it
+        self.q = np.empty((K + 1, 4, E))
+        self.qd = np.empty((K, 4, E))
+        self.body = np.empty((K, 2, 2, 2, E))
+        self.jac = np.empty((K, 2, 2, 2, E))
+        self.pos = np.empty((K + 1, 3, E))        # (z, x, pitch)
+        self.vel = np.empty((K + 1, 3, E))        # (vz, vx, om)
+        self.trig = np.empty((K + 1, 3, E))       # (-sin, cos, sin) of pitch
+        self.force = np.empty((K, 2, 2, E))       # (normal, tangential) per leg
+        self.contact = np.empty((K, 2, E), dtype=bool)
+        # scratch of one substep
+        self.cmd = np.empty((4, E))
+        self.inv_mass = np.empty((2, E))
+        self.gains = np.empty((3, 2, E))
+        self.friction = np.empty((2, 2, E))
+        self.rot = np.empty((2, 2, 2, E))
+        self.rot_tmp = np.empty((2, 2, 2, E))
+        self.om_r = np.empty((2, 2, E))
+        self.foot = np.empty((3, 2, E))           # (vfx, vfz, fz)
+        self.gained = np.empty((3, 2, E))
+        self.push = np.empty((2, E))
+        self.cap = np.empty((2, 2, E))
+        self.moment = np.empty((2, 2, E))
+        self.leg_torque = np.empty((2, E))
+        self.force_sum = np.empty((2, E))
+        self.acc = np.empty((3, E))
+        # scratch of the torque proxy
+        self.tau = np.empty((K, 4, E))
+        self.term = np.empty((K, 2, 2, E))
+        self.load = np.empty((K, 2, 2, E))
+        self.tmp = np.empty((K, 2, 2, E))
+        # the views substep k of the contact loop reads and writes
+        pos, vel, trig, force = self.pos, self.vel, self.trig, self.force
+        self.views = list(zip(
+            pos[:-1], pos[1:], vel[:-1], vel[1:],
+            pos[:-1, _Z], vel[:-1, _X], vel[:-1, _Z], vel[:-1, _PITCH],
+            trig[:-1, 1:, None, None], trig[:-1, :2, None, None],
+            self.body[:, 0], self.body[:, 1],
+            force, force[:, 0], force[:, 1], force[:, :, 0], force[:, :, 1],
+            self.contact, trig[1:, 1], trig[1:, 2], trig[1:, 0], pos[1:, _PITCH]))
+
+
 class PlanarEnv:
     """Vectorized planar robot environment.
 
@@ -138,7 +241,6 @@ class PlanarEnv:
                      for e in entropy]
         self._lo = np.asarray(params.joint_limits_low, dtype=np.float64)
         self._hi = np.asarray(params.joint_limits_high, dtype=np.float64)
-        self._hip_x = np.array([params.half_length, -params.half_length])
         E = num_envs
         self.x = np.zeros(E)
         self.z = np.zeros(E)
@@ -154,6 +256,7 @@ class PlanarEnv:
         self.terminal = np.zeros(E, dtype=bool)
         self.flight_angle = np.zeros(E)
         self.airborne = np.zeros(E, dtype=bool)
+        self._buffers = None
         self.reset_all()
 
     # -- resets ---------------------------------------------------------------
@@ -198,134 +301,236 @@ class PlanarEnv:
 
     # -- kinematics -------------------------------------------------------------
 
-    def _foot_kinematics(self):
-        """Foot kinematics of every env, joints viewed as (E, leg, joint).
-
-        Returns (c, s, rx, rz, fz, vfx, vfz, jac): c and s are the (E, 1)
-        cosine and sine of pitch, r the world-frame foot offset from the COM,
-        fz the world foot height, vf the world foot velocity, and jac the
-        body-frame Jacobian columns (j1x, j1z, j2x, j2z) of hip and knee,
-        each (E, 2 legs); the step reuses c, s and jac for its torque proxy.
-        """
-        l1, l2 = self.params.link_lengths
-        q3 = self.q.reshape(-1, 2, 2)
-        qd3 = self.qd.reshape(-1, 2, 2)
-        th1 = q3[:, :, 0]
-        th2 = th1 + q3[:, :, 1]
-        s1, c1 = np.sin(th1), np.cos(th1)
-        s2, c2 = np.sin(th2), np.cos(th2)
-        fxb = self._hip_x + l1 * s1 + l2 * s2
-        fzb = -(l1 * c1 + l2 * c2)
-        c = np.cos(self.pitch)[:, None]
-        s = np.sin(self.pitch)[:, None]
-        rx = c * fxb - s * fzb
-        rz = s * fxb + c * fzb
-        fz = self.z[:, None] + rz
-        j1xb = l1 * c1 + l2 * c2
-        j1zb = l1 * s1 + l2 * s2
-        j2xb = l2 * c2
-        j2zb = l2 * s2
-        qd1 = qd3[:, :, 0]
-        qd2 = qd3[:, :, 1]
-        dfxb = j1xb * qd1 + j2xb * qd2
-        dfzb = j1zb * qd1 + j2zb * qd2
-        om_col = self.om[:, None]
-        vfx = self.vx[:, None] - om_col * rz + (c * dfxb - s * dfzb)
-        vfz = self.vz[:, None] + om_col * rx + (s * dfxb + c * dfzb)
-        return c, s, rx, rz, fz, vfx, vfz, (j1xb, j1zb, j2xb, j2zb)
+    def foot_heights(self) -> np.ndarray:
+        """World height of each foot, (E, 2) for (front, rear)."""
+        body, _ = leg_kinematics(self.q.T, self.qd.T, self.params)
+        rz = np.sin(self.pitch) * body[0, 0] + np.cos(self.pitch) * body[1, 0]
+        return (self.z + rz).T
 
     def foot_contacts(self) -> np.ndarray:
-        return self._foot_kinematics()[4] < 0.0
+        return self.foot_heights() < 0.0
 
     # -- stepping ---------------------------------------------------------------
 
     def step(self, actions: np.ndarray) -> StepBatch:
         """Advance every environment by one control period (decimated physics
         substeps). ``actions`` are joint-target offsets from the nominal pose,
-        scaled by ``action_scale`` and clipped to the joint limits."""
+        scaled by ``action_scale`` and clipped to the joint limits.
+
+        The K = ``control_decimation`` substeps run in four phases, split
+        along their data dependencies:
+
+        1. Joint tracking depends only on the joints and their targets, so it
+           runs first as its own recurrence, giving every substep's joints.
+        2. Body-frame leg kinematics of all K substeps, in one batch.
+        3. Contact forces and body integration: the only loop that must run
+           substep by substep. The pitch's cos and sin at the end of a
+           substep are carried into the next one.
+        4. After the loop, in batches over all K substeps: the torque proxy
+           (accumulated in substep order), termination, flight and landing
+           bookkeeping, and the end-of-step foot contacts.
+
+        The result is bit-identical to a loop that does all of this substep
+        by substep (the tests keep that loop as an oracle). The phases only
+        move work between values that do not depend on each other, and each
+        value comes from the same IEEE operations in the same order, or from
+        an exact identity of them: ``c u - s w`` as ``c u + (-s) w``, a
+        contact mask as a product with 0 or 1, a skipped addition as the
+        addition of a zero. Sums over the two legs are written out as
+        ``front + rear``, and the torque proxy is summed over the substeps
+        with a sequential accumulate, never a reduction numpy may reassociate.
+        """
         p = self.params
         a = np.asarray(actions, dtype=np.float64)
         if a.shape != (self.num_envs, 4):
             raise ValueError(f"actions must have shape ({self.num_envs}, 4)")
         if not np.all(np.isfinite(a)):
             raise ValueError("non-finite action")
-        lo, hi = self._lo, self._hi
+        K = p.control_decimation
+        if self._buffers is None or self._buffers.substeps != K:
+            self._buffers = _StepBuffers(self, K)
+        b = self._buffers
         q_target = np.minimum(np.maximum(NOMINAL_JOINT_POS + p.action_scale * a,
-                                         lo), hi)
+                                         self._lo), self._hi).T.copy()
 
-        dt = p.dt_physics
-        inv_mass = 1.0 / self.mass
-        torque_accum = np.zeros((self.num_envs, 4))
-        landing = np.zeros(self.num_envs, dtype=bool)
-        landing_angle = np.zeros(self.num_envs)
+        self._track_joints(b, q_target)
+        leg_kinematics(b.q[1:], b.qd, p, out=(b.body, b.jac))
+        self._integrate_body(b)
 
-        for _ in range(p.control_decimation):
-            # joint tracking (first-order, velocity-limited)
-            qd_cmd = p.tracking_rate * (q_target - self.q)
-            np.clip(qd_cmd, -p.max_joint_vel, p.max_joint_vel, out=qd_cmd)
-            q_new = np.minimum(np.maximum(self.q + qd_cmd * dt, lo), hi)
-            self.qd = (q_new - self.q) / dt
-            self.q = q_new
+        pos, vel = b.pos, b.vel
+        base = check_termination_arrays(pos[1:, _X], pos[1:, _Z], pos[1:, _PITCH], p)
+        landing, angle_report = self._account_flight(b, base)
+        # the last substep's legs, rotated by the final pitch
+        trig, body = b.trig[K], b.body[K - 1]
+        fz = pos[K, _Z] + (trig[2] * body[0, 0] + trig[1] * body[1, 0])
 
-            c, s, rx, rz, fz, vfx, vfz, (j1xb, j1zb, j2xb, j2zb) = \
-                self._foot_kinematics()
-
-            active = fz < 0.0
-            fn = np.where(active,
-                          np.maximum(0.0, -p.contact_stiffness * fz
-                                     - p.contact_damping * vfz), 0.0)
-            cap = p.friction * fn
-            ft = np.where(active,
-                          np.minimum(np.maximum(-p.tangential_damping * vfx,
-                                                -cap), cap), 0.0)
-
-            torque = (rx * fn - rz * ft).sum(axis=1)
-            ax = ft.sum(axis=1) * inv_mass
-            az = fn.sum(axis=1) * inv_mass - p.gravity
-            alpha = torque / p.body_inertia
-
-            self.vx += ax * dt
-            self.vz += az * dt
-            self.om += alpha * dt
-            self.x += self.vx * dt
-            self.z += self.vz * dt
-            self.pitch += self.om * dt
-
-            # torque proxy: PD effort plus Jacobian-transpose contact load
-            tau = p.kp * (q_target - self.q) - p.kd * self.qd
-            tau3 = tau.reshape(-1, 2, 2)
-            tau3[:, :, 0] += (c * j1xb - s * j1zb) * ft + (s * j1xb + c * j1zb) * fn
-            tau3[:, :, 1] += (c * j2xb - s * j2zb) * ft + (s * j2xb + c * j2zb) * fn
-            torque_accum += tau
-
-            # flight accounting: both feet off the ground and body clear
-            feet_air = ~active.any(axis=1)
-            body_air = ~check_termination_arrays(self.x, self.z, self.pitch, p)
-            in_flight = feet_air & body_air
-            touched_down = self.airborne & ~feet_air
-            if touched_down.any():
-                landing |= touched_down
-                landing_angle = np.where(touched_down, self.flight_angle, landing_angle)
-                self.flight_angle[touched_down] = 0.0
-            self.flight_angle[in_flight] += self.om[in_flight] * dt
-            self.airborne = in_flight
-
+        self.q[...] = b.q[K].T
+        self.qd[...] = b.qd[K - 1].T
+        self.z[...], self.x[...], self.pitch[...] = pos[K]
+        self.vz[...], self.vx[...], self.om[...] = vel[K]
         self.time += p.control_dt
         self.steps += 1
-        base_contact = check_termination_arrays(self.x, self.z, self.pitch, p)
+        base_contact = base[K - 1].copy()
         self.terminal = base_contact.copy()
-        timeout = self.time >= p.max_episode_time - 1e-12
-
-        angle_report = np.where(landing, landing_angle, self.flight_angle)
         return StepBatch(
             base_contact=base_contact,
-            foot_contacts=self.foot_contacts(),
-            joint_torques=torque_accum / p.control_decimation,
+            foot_contacts=np.ascontiguousarray((fz < 0.0).T),
+            joint_torques=np.ascontiguousarray(self._torque_proxy(b, q_target).T),
             landing_event=landing,
             flight_traversed_angle=angle_report,
             terminal=base_contact.copy(),
-            timeout=timeout,
+            timeout=self.time >= p.max_episode_time - 1e-12,
         )
+
+    def _track_joints(self, b: "_StepBuffers", q_target: np.ndarray) -> None:
+        """Phase 1: first-order, velocity-limited joint tracking of every
+        substep into ``b.q`` (K + 1 rows, the first the current joints) and
+        ``b.qd`` (K rows)."""
+        p = self.params
+        rate, vmax, dt = (np.array(v) for v in (p.tracking_rate, p.max_joint_vel,
+                                                 p.dt_physics))
+        nvmax = -vmax
+        q, cmd, lo, hi = b.q, b.cmd, b.lo, b.hi
+        q[0] = self.q.T
+        for cur, nxt in zip(q[:-1], q[1:]):
+            np.subtract(q_target, cur, out=cmd)
+            np.multiply(cmd, rate, out=cmd)
+            np.maximum(cmd, nvmax, out=cmd)
+            np.minimum(cmd, vmax, out=cmd)
+            np.multiply(cmd, dt, out=cmd)
+            np.add(cur, cmd, out=nxt)
+            np.maximum(nxt, lo, out=nxt)
+            np.minimum(nxt, hi, out=nxt)
+        np.subtract(q[1:], q[:-1], out=b.qd)
+        b.qd /= dt
+
+    def _integrate_body(self, b: "_StepBuffers") -> None:
+        """Phase 3: contact forces and semi-implicit Euler integration of the
+        body, substep by substep, into ``b.pos``, ``b.vel``, ``b.trig``,
+        ``b.force`` and ``b.contact``.
+
+        Ground contact is a one-sided spring-damper per foot; friction is
+        tangential damping capped at ``friction`` times the normal force.
+        Rotations use the stacked (-sin, cos, sin) rows of ``b.trig``:
+        ``[c, s] * u + [-s, c] * w`` rotates (u, w) in one go, and is the
+        same IEEE result as ``c u - s w`` and ``s u + c w``.
+        """
+        p = self.params
+        pos, vel, trig, force = b.pos, b.vel, b.trig, b.force
+        pos[0] = (self.z, self.x, self.pitch)
+        vel[0] = (self.vz, self.vx, self.om)
+        np.cos(self.pitch, out=trig[0, 1])
+        np.sin(self.pitch, out=trig[0, 2])
+        np.negative(trig[0, 2], out=trig[0, 0])
+        np.divide(1.0, self.mass, out=b.inv_mass[0])
+        b.inv_mass[1] = b.inv_mass[0]
+        b.gains[...] = np.array([-p.tangential_damping, p.contact_damping,
+                                 -p.contact_stiffness])[:, None, None]
+        b.friction[...] = np.array([p.friction, -p.friction])[:, None, None]
+        zero, inertia, gravity, dt = (np.array(v) for v in (
+            0.0, p.body_inertia, p.gravity, p.dt_physics))
+        rot, rot_tmp, om_r, foot, gained = b.rot, b.rot_tmp, b.om_r, b.foot, b.gained
+        push, cap, moment, leg_torque, force_sum, acc = (
+            b.push, b.cap, b.moment, b.leg_torque, b.force_sum, b.acc)
+        r, dr, rz = rot[:, 0], rot[:, 1], rot[1, 0]   # foot offset, foot velocity
+        om_rx, om_rz = om_r
+        vfx, vfz, fz = foot
+        ft_push, fz_push, fz_spring = gained
+        cap_hi, cap_lo = cap
+        moment_n, moment_t = moment
+        torque_front, torque_rear = leg_torque
+        acc_zx, acc_z, alpha = acc[:2], acc[_Z], acc[_PITCH]
+        inv_mass, gains, friction = b.inv_mass, b.gains, b.friction
+        for (pk, pn, vk, vn, z, vx, vz, om, cs, ncs, bx, bz, fk, fn, ft, front, rear,
+             ck, cos_n, sin_n, nsin_n, pitch_n) in b.views:
+            np.multiply(cs, bx, out=rot)
+            np.multiply(ncs, bz, out=rot_tmp)
+            rot += rot_tmp
+            # world foot velocity (vx - om rz, vz + om rx) and height z + rz
+            np.multiply(om, r, out=om_r)
+            np.subtract(vx, om_rz, out=vfx)
+            np.add(vz, om_rx, out=vfz)
+            foot[:2] += dr
+            np.add(z, rz, out=fz)
+            np.less(fz, zero, out=ck)
+            np.multiply(gains, foot, out=gained)    # (-c_t vfx, c_d vfz, -k fz)
+            np.subtract(fz_spring, fz_push, out=push)
+            np.maximum(zero, push, out=push)
+            np.multiply(push, ck, out=fn)
+            # an airborne foot has a zero cap, so its friction clamps to zero
+            np.multiply(friction, fn, out=cap)
+            np.maximum(ft_push, cap_lo, out=ft)
+            np.minimum(ft, cap_hi, out=ft)
+            np.multiply(r, fk, out=moment)          # (rx fn, rz ft)
+            np.subtract(moment_n, moment_t, out=leg_torque)
+            np.add(torque_front, torque_rear, out=alpha)
+            np.divide(alpha, inertia, out=alpha)
+            np.add(front, rear, out=force_sum)
+            np.multiply(force_sum, inv_mass, out=acc_zx)
+            np.subtract(acc_z, gravity, out=acc_z)
+            np.multiply(acc, dt, out=acc)
+            np.add(vk, acc, out=vn)
+            np.multiply(vn, dt, out=acc)
+            np.add(pk, acc, out=pn)
+            np.cos(pitch_n, out=cos_n)
+            np.sin(pitch_n, out=sin_n)
+            np.negative(sin_n, out=nsin_n)
+
+    def _torque_proxy(self, b: "_StepBuffers", q_target: np.ndarray) -> np.ndarray:
+        """Phase 4: the substep-averaged PD effort plus Jacobian-transpose
+        contact load, (4, E), summed in substep order."""
+        p = self.params
+        K, E = p.control_decimation, self.num_envs
+        tau, term, load, tmp = b.tau, b.term, b.load, b.tmp
+        np.subtract(q_target, b.q[1:], out=tau)
+        tau *= p.kp
+        np.multiply(b.qd, p.kd, out=tmp.reshape(K, 4, E))
+        tau -= tmp.reshape(K, 4, E)
+        c, s = b.trig[:K, 1, None, None], b.trig[:K, 2, None, None]
+        jx, jz = b.jac[:, 0], b.jac[:, 1]     # (K, joint, leg, E)
+        # (c jx - s jz) ft + (s jx + c jz) fn
+        np.multiply(c, jx, out=term)
+        np.multiply(s, jz, out=tmp)
+        term -= tmp
+        term *= b.force[:, 1, None]
+        np.multiply(s, jx, out=load)
+        np.multiply(c, jz, out=tmp)
+        load += tmp
+        load *= b.force[:, 0, None]
+        term += load
+        tau.reshape(K, 2, 2, E)[...] += term.transpose(0, 2, 1, 3)
+        return np.add.accumulate(tau, axis=0)[K - 1] / K
+
+    def _account_flight(self, b: "_StepBuffers", base: np.ndarray):
+        """Phase 4: flight and landing bookkeeping over the K substeps.
+
+        A substep is in flight when neither foot nor the body touches the
+        ground; a foot touching down after a flight substep is a landing,
+        which reports the pitch traversed since take-off and restarts the
+        count. Returns (landing, angle): the landing flag and the reported
+        angle, the one at the last landing or else the running flight angle.
+        """
+        E, dt = self.num_envs, self.params.dt_physics
+        foot_down = b.contact[:, 0] | b.contact[:, 1]
+        in_flight = ~(foot_down | base)
+        touched = foot_down
+        touched[0] &= self.airborne
+        touched[1:] &= in_flight[:-1]
+        landing_angle = np.zeros(E)
+        fa = self.flight_angle
+        if self.airborne.any() or in_flight.any():
+            # a zero increment off flight leaves the angle as it is
+            inc = b.vel[1:, _PITCH] * dt
+            inc *= in_flight
+            touched_any = touched.any(axis=1)
+            for k in np.flatnonzero(touched_any | in_flight.any(axis=1)):
+                if touched_any[k]:
+                    np.copyto(landing_angle, fa, where=touched[k])
+                    np.copyto(fa, 0.0, where=touched[k])
+                fa += inc[k]
+        self.airborne = in_flight[-1].copy()
+        landing = touched.any(axis=0)
+        return landing, np.where(landing, landing_angle, fa)
 
     # -- views ------------------------------------------------------------------
 

@@ -132,3 +132,26 @@ class TestEvalAlignments:
                         np.linalg.norm(seq[qi] - refs[b][ri]), rel=1e-12)
                     total += float(r["local_cost"])
                 assert total == pytest.approx(distances[a, b], rel=1e-12)
+
+
+class TestResumeOut:
+    def test_resume_writes_under_out(self, tmp_path):
+        cfg = tiny_config(tmp_path=tmp_path)
+        first = tmp_path / "first"
+        cfg.out_dir = str(first)
+        ckpt = Trainer(cfg, tiny_dataset(cfg)).run(first, iterations=1)
+        before = {p.name: p.read_bytes() for p in first.iterdir()}
+        second = tmp_path / "second"
+        code = main(["train", "--resume", str(ckpt), "--iterations", "2",
+                     "--out", str(second), "--quiet"])
+        assert code == EXIT_OK
+        assert {p.name: p.read_bytes() for p in first.iterdir()} == before
+        assert (second / "checkpoint_final.json").exists()
+        assert (second / "eval.json").exists()
+        records = (second / "metrics.jsonl").read_text().splitlines()
+        assert [json.loads(r)["iteration"] for r in records] == [2]
+        resumes = json.loads((second / "run.json").read_text())["resumes"]
+        assert [r["resumed_from"] for r in resumes] == [1]
+        final = json.loads((second / "checkpoint_final.json").read_text())
+        assert final["iteration"] == 2
+        assert final["config"]["out_dir"] == str(second)

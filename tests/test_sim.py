@@ -5,7 +5,8 @@ import pytest
 
 from planarmimic.core import SimState
 from planarmimic.sim import (DEMO_FRAMES, MOTIONS, NOMINAL_JOINT_POS, PlanarEnv,
-                             SimParams, check_termination, generate_demo_set,
+                             SimParams, StepBatch, check_termination,
+                             check_termination_arrays, generate_demo_set,
                              generate_rough_demo, simulate_step)
 
 
@@ -31,7 +32,7 @@ class TestReset:
         assert np.array_equal(s.joint_pos, NOMINAL_JOINT_POS)
         assert s.base_vx == s.base_vz == s.pitch_rate == 0.0
         # feet exactly on the ground at the nominal pose
-        assert np.allclose(env._foot_kinematics()[4], 0.0, atol=1e-12)
+        assert np.allclose(env.foot_heights(), 0.0, atol=1e-12)
 
     def test_same_seed_same_state(self):
         a = PlanarEnv(SimParams(), num_envs=3, seed=42)
@@ -101,7 +102,7 @@ class TestStandingEquilibrium:
         env = PlanarEnv(params, num_envs=1, seed=0)
         for _ in range(50):
             env.step(np.zeros((1, 4)))
-        fz = env._foot_kinematics()[4]
+        fz = env.foot_heights()
         assert np.all(fz > -5e-3)
 
 
@@ -209,6 +210,12 @@ class TestDeterminism:
         env = PlanarEnv(quiet_params(), num_envs=1, seed=0)
         with pytest.raises(ValueError, match="non-finite"):
             env.step(np.full((1, 4), np.nan))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4), (1, 3), (1, 4, 1)])
+    def test_wrong_action_shape_rejected(self, shape):
+        env = PlanarEnv(quiet_params(), num_envs=1, seed=0)
+        with pytest.raises(ValueError, match=r"actions must have shape \(1, 4\)"):
+            env.step(np.zeros(shape))
 
 
 class TestFlightAccounting:
@@ -379,3 +386,179 @@ class TestStateViews:
         b = other.step(np.zeros((3, 4)))
         assert np.array_equal(env.z, other.z)
         assert np.array_equal(a.joint_torques, b.joint_torques)
+
+
+# ---------------------------------------------------------------------------
+# Slow oracle: the substep-by-substep step that the phased step replaced,
+# kept as it was with ``self`` renamed to ``env``, the input checks dropped
+# and the joint limits read from the params. The phased step must match it
+# bit for bit.
+# ---------------------------------------------------------------------------
+
+def oracle_foot_kinematics(env):
+    l1, l2 = env.params.link_lengths
+    hip_x = np.array([env.params.half_length, -env.params.half_length])
+    q3 = env.q.reshape(-1, 2, 2)
+    qd3 = env.qd.reshape(-1, 2, 2)
+    th1 = q3[:, :, 0]
+    th2 = th1 + q3[:, :, 1]
+    s1, c1 = np.sin(th1), np.cos(th1)
+    s2, c2 = np.sin(th2), np.cos(th2)
+    fxb = hip_x + l1 * s1 + l2 * s2
+    fzb = -(l1 * c1 + l2 * c2)
+    c = np.cos(env.pitch)[:, None]
+    s = np.sin(env.pitch)[:, None]
+    rx = c * fxb - s * fzb
+    rz = s * fxb + c * fzb
+    fz = env.z[:, None] + rz
+    j1xb = l1 * c1 + l2 * c2
+    j1zb = l1 * s1 + l2 * s2
+    j2xb = l2 * c2
+    j2zb = l2 * s2
+    qd1 = qd3[:, :, 0]
+    qd2 = qd3[:, :, 1]
+    dfxb = j1xb * qd1 + j2xb * qd2
+    dfzb = j1zb * qd1 + j2zb * qd2
+    om_col = env.om[:, None]
+    vfx = env.vx[:, None] - om_col * rz + (c * dfxb - s * dfzb)
+    vfz = env.vz[:, None] + om_col * rx + (s * dfxb + c * dfzb)
+    return c, s, rx, rz, fz, vfx, vfz, (j1xb, j1zb, j2xb, j2zb)
+
+
+def oracle_step(env, actions):
+    p = env.params
+    a = np.asarray(actions, dtype=np.float64)
+    lo = np.asarray(p.joint_limits_low, dtype=np.float64)
+    hi = np.asarray(p.joint_limits_high, dtype=np.float64)
+    q_target = np.minimum(np.maximum(NOMINAL_JOINT_POS + p.action_scale * a,
+                                     lo), hi)
+
+    dt = p.dt_physics
+    inv_mass = 1.0 / env.mass
+    torque_accum = np.zeros((env.num_envs, 4))
+    landing = np.zeros(env.num_envs, dtype=bool)
+    landing_angle = np.zeros(env.num_envs)
+
+    for _ in range(p.control_decimation):
+        qd_cmd = p.tracking_rate * (q_target - env.q)
+        np.clip(qd_cmd, -p.max_joint_vel, p.max_joint_vel, out=qd_cmd)
+        q_new = np.minimum(np.maximum(env.q + qd_cmd * dt, lo), hi)
+        env.qd = (q_new - env.q) / dt
+        env.q = q_new
+
+        c, s, rx, rz, fz, vfx, vfz, (j1xb, j1zb, j2xb, j2zb) = \
+            oracle_foot_kinematics(env)
+
+        active = fz < 0.0
+        fn = np.where(active,
+                      np.maximum(0.0, -p.contact_stiffness * fz
+                                 - p.contact_damping * vfz), 0.0)
+        cap = p.friction * fn
+        ft = np.where(active,
+                      np.minimum(np.maximum(-p.tangential_damping * vfx,
+                                            -cap), cap), 0.0)
+
+        torque = (rx * fn - rz * ft).sum(axis=1)
+        ax = ft.sum(axis=1) * inv_mass
+        az = fn.sum(axis=1) * inv_mass - p.gravity
+        alpha = torque / p.body_inertia
+
+        env.vx += ax * dt
+        env.vz += az * dt
+        env.om += alpha * dt
+        env.x += env.vx * dt
+        env.z += env.vz * dt
+        env.pitch += env.om * dt
+
+        tau = p.kp * (q_target - env.q) - p.kd * env.qd
+        tau3 = tau.reshape(-1, 2, 2)
+        tau3[:, :, 0] += (c * j1xb - s * j1zb) * ft + (s * j1xb + c * j1zb) * fn
+        tau3[:, :, 1] += (c * j2xb - s * j2zb) * ft + (s * j2xb + c * j2zb) * fn
+        torque_accum += tau
+
+        feet_air = ~active.any(axis=1)
+        body_air = ~check_termination_arrays(env.x, env.z, env.pitch, p)
+        in_flight = feet_air & body_air
+        touched_down = env.airborne & ~feet_air
+        if touched_down.any():
+            landing |= touched_down
+            landing_angle = np.where(touched_down, env.flight_angle, landing_angle)
+            env.flight_angle[touched_down] = 0.0
+        env.flight_angle[in_flight] += env.om[in_flight] * dt
+        env.airborne = in_flight
+
+    env.time += p.control_dt
+    env.steps += 1
+    base_contact = check_termination_arrays(env.x, env.z, env.pitch, p)
+    env.terminal = base_contact.copy()
+    timeout = env.time >= p.max_episode_time - 1e-12
+
+    angle_report = np.where(landing, landing_angle, env.flight_angle)
+    return StepBatch(
+        base_contact=base_contact,
+        foot_contacts=oracle_foot_kinematics(env)[4] < 0.0,
+        joint_torques=torque_accum / p.control_decimation,
+        landing_event=landing,
+        flight_traversed_angle=angle_report,
+        terminal=base_contact.copy(),
+        timeout=timeout,
+    )
+
+
+ORACLE_STATE = ("x", "z", "pitch", "vx", "vz", "om", "q", "qd", "flight_angle",
+                "airborne", "time")
+
+
+def assert_same_bits(a, b, label):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype, label
+    assert a.tobytes() == b.tobytes(), label
+
+
+def run_against_oracle(params, num_envs, steps, scale, seed=0):
+    """Step a phased env and an oracle env with the same random actions,
+    resetting rows that end; returns (landings, terminations) seen."""
+    fast = PlanarEnv(params, num_envs=num_envs, seed=seed)
+    slow = PlanarEnv(params, num_envs=num_envs, seed=seed)
+    rng = np.random.default_rng(seed)
+    landings = terminations = 0
+    for t in range(steps):
+        actions = scale * rng.standard_normal((num_envs, 4))
+        got = fast.step(actions)
+        want = oracle_step(slow, actions)
+        for name in StepBatch.__dataclass_fields__:
+            assert_same_bits(getattr(got, name), getattr(want, name), (t, name))
+        for name in ORACLE_STATE:
+            assert_same_bits(getattr(fast, name), getattr(slow, name), (t, name))
+        assert_same_bits(fast.foot_contacts(), oracle_foot_kinematics(slow)[4] < 0.0,
+                         (t, "foot_contacts()"))
+        landings += int(want.landing_event.sum())
+        terminations += int(want.terminal.sum())
+        done = want.terminal | want.timeout
+        if done.any():
+            fast.reset_rows(done)
+            slow.reset_rows(done)
+    return landings, terminations
+
+
+class TestStepMatchesOracle:
+    @pytest.mark.parametrize("scale", [0.5, 1.5, 3.0])
+    @pytest.mark.parametrize("num_envs, steps", [(1, 1000), (2, 1000), (16, 1000),
+                                                 (256, 200)])
+    def test_bit_identical(self, num_envs, steps, scale):
+        landings, terminations = run_against_oracle(SimParams(), num_envs, steps,
+                                                    scale)
+        assert landings > 0
+        assert terminations > 0
+
+    def test_bit_identical_with_mass_perturbation(self):
+        params = SimParams(mass_perturb_low=-0.5, mass_perturb_high=1.0)
+        landings, terminations = run_against_oracle(params, 16, 300, 1.5, seed=3)
+        assert landings > 0
+        assert terminations > 0
+
+    def test_foot_heights_match_oracle(self):
+        env = PlanarEnv(SimParams(), num_envs=5, seed=2)
+        env.step(np.random.default_rng(0).normal(size=(5, 4)))
+        assert_same_bits(env.foot_heights(), oracle_foot_kinematics(env)[4],
+                         "foot_heights")
