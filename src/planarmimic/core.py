@@ -1,5 +1,5 @@
-"""Core domain types: the simulator state, the base-only observation map,
-the batched observation-window buffer, and reference-trajectory datasets.
+"""Core domain types: the base-only observation map, the batched
+observation-window buffer, and reference-trajectory datasets.
 
 The observation is deliberately partial: it carries only what can be measured
 on a hand-held robot base (body-frame velocities, attitude via the projected
@@ -28,22 +28,6 @@ GRAVITY_LOAD_TOL = 1e-6
 
 CSV_HEADER = "t,vx,vz,pitch_rate,gx,gz,height"
 _TRAJ_SEPARATOR = re.compile(r"^#\s*trajectory\s+(\d+)\s*$")
-
-
-@dataclass(frozen=True)
-class SimState:
-    """Full planar simulator state (base pose/twist plus joint state)."""
-
-    base_x: float
-    base_z: float
-    pitch: float
-    base_vx: float
-    base_vz: float
-    pitch_rate: float
-    joint_pos: np.ndarray  # (4,) rad
-    joint_vel: np.ndarray  # (4,) rad/s
-    time: float = 0.0
-    terminal: bool = False
 
 
 def phi_extract_arrays(base_vx: np.ndarray, base_vz: np.ndarray,

@@ -104,16 +104,6 @@ def raw_score(net: MlpNet, windows: np.ndarray) -> np.ndarray:
     return y[:, 0]
 
 
-def input_gradient_norm2(net: MlpNet, window: np.ndarray) -> float:
-    """Squared L2 norm of d(score)/d(input) at one window, analytically."""
-    w = _as_batch(window, net.layer_sizes[0])
-    if w.shape[0] != 1:
-        raise ValueError("input_gradient_norm2 expects a single window")
-    _, cache = net.forward(w)
-    g = net.input_gradients(cache)
-    return float((g * g).sum())
-
-
 def discriminator_loss(net: MlpNet, ref_batch, pol_batch,
                        cfg: DiscriminatorConfig) -> DiscLossResult:
     """Discriminator objective of ``cfg.loss_kind`` with its parameter

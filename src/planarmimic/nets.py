@@ -1,9 +1,19 @@
-"""Dense networks with hand-written reverse-mode gradients.
+"""Dense networks with hand-written reverse-mode gradients, and their
+optimizers.
 
 Everything here is plain float64 numpy. The networks are small enough that
 explicit matrix calculus beats any framework overhead, and having the exact
 backward pass in hand is what makes the analytic input-gradient penalty
 (see ``input_gradient_norm_grads``) tractable.
+
+Layout: a learner's parameters are one C-contiguous float64 vector ``flat``
+holding, layer by layer, the weights (n_out, n_in) row by row and then the
+biases; the policy appends its ``log_std``. ``weights`` and ``biases`` are
+views into it (``unflatten``), so fresh and reloaded nets share one memory
+layout, which BLAS rounds by. A gradient and each optimizer slot is a vector
+of the same layout: a step, a snapshot or a restore is one array operation.
+``clip_grad_norm`` still sums squares per array view, in layout order: numpy
+sums pairwise, so one sum over the whole vector would round differently.
 """
 
 from __future__ import annotations
@@ -62,20 +72,41 @@ ACTIVATIONS = {
 
 
 def orthogonal_init(rows: int, cols: int, gain: float, rng: np.random.Generator) -> np.ndarray:
-    """Orthogonal(-ish) matrix scaled by ``gain`` (QR of a Gaussian draw).
-
-    The result is always C-contiguous. A wide matrix (``rows < cols``) comes
-    from ``q.T``, which is Fortran-ordered, while a checkpoint reload rebuilds
-    every weight from nested lists in C order. BLAS rounds ``x @ w.T``
-    differently for the two layouts, so a fresh net and a restored one must
-    share a layout for a resumed run to match an unbroken one bit for bit.
-    """
+    """Orthogonal(-ish) matrix scaled by ``gain`` (QR of a Gaussian draw)."""
     a = rng.standard_normal((max(rows, cols), min(rows, cols)))
     q, r = np.linalg.qr(a)
     q = q * np.sign(np.diag(r))  # fix sign ambiguity for determinism
     if rows < cols:
         q = q.T
-    return np.ascontiguousarray(gain * q[:rows, :cols])
+    return gain * q[:rows, :cols]
+
+
+# ---------------------------------------------------------------------------
+# Parameter layout
+# ---------------------------------------------------------------------------
+
+def param_shapes(layer_sizes) -> list:
+    """Shapes of an MLP's parameter arrays in layout order: each layer's
+    weights (n_out, n_in), then its biases (n_out,)."""
+    shapes = []
+    for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        shapes += [(n_out, n_in), (n_out,)]
+    return shapes
+
+
+def unflatten(flat: np.ndarray, shapes) -> list:
+    """Views of consecutive slices of the vector ``flat``, one per shape;
+    each is C-contiguous and shares ``flat``'s memory."""
+    if flat.dtype != np.float64 or flat.ndim != 1 or not flat.flags.c_contiguous:
+        raise ValueError("parameters must be one C-contiguous float64 vector")
+    sizes = [math.prod(shape) for shape in shapes]
+    if sum(sizes) != flat.size:
+        raise ValueError(f"vector has {flat.size} entries, the layout {sum(sizes)}")
+    views, i = [], 0
+    for shape, n in zip(shapes, sizes):
+        views.append(flat[i:i + n].reshape(shape))
+        i += n
+    return views
 
 
 @dataclass
@@ -87,46 +118,41 @@ class ForwardCache:
     activs: list             # post-activations per hidden layer, (B, n_l)
 
 
-@dataclass
 class Grads:
-    """Per-parameter gradients plus the gradient w.r.t. the input batch."""
+    """Parameter gradients as one vector in the net's layout, with a view per
+    weight and bias, plus the gradient w.r.t. the input batch."""
 
-    d_weights: list
-    d_biases: list
-    d_input: np.ndarray | None = None
+    def __init__(self, flat: np.ndarray, shapes):
+        self.flat = flat
+        views = unflatten(flat, shapes)
+        self.d_weights = views[0::2]
+        self.d_biases = views[1::2]
+        self.d_input = None
 
-    def add_(self, other: "Grads") -> "Grads":
-        for a, b in zip(self.d_weights, other.d_weights):
-            a += b
-        for a, b in zip(self.d_biases, other.d_biases):
-            a += b
-        if self.d_input is not None and other.d_input is not None:
-            self.d_input += other.d_input
-        return self
-
-    def as_list(self) -> list:
-        """Parameter gradients in ``MlpNet.params()`` order: each layer's
-        weights, then its biases."""
-        return [g for wb in zip(self.d_weights, self.d_biases) for g in wb]
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([g.reshape(-1) for g in self.as_list()])
+    def add_(self, other: "Grads") -> None:
+        """Add ``other``'s parameter gradients in place."""
+        self.flat += other.flat
 
 
 class MlpNet:
     """Fully connected net: affine layers with an elementwise hidden
-    activation and a linear output layer."""
+    activation and a linear output layer. Its parameters are the vector
+    ``flat`` (see the module docstring): the one passed in, not a copy, or
+    zeros."""
 
     def __init__(self, layer_sizes, activation: str = "elu",
-                 weights=None, biases=None):
+                 flat: np.ndarray | None = None):
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         self.layer_sizes = list(int(n) for n in layer_sizes)
         self.activation = activation
-        self.weights = weights
-        self.biases = biases
+        self.shapes = param_shapes(self.layer_sizes)
+        self.flat = np.zeros(self.num_params()) if flat is None else flat
+        views = unflatten(self.flat, self.shapes)
+        self.weights = views[0::2]
+        self.biases = views[1::2]
 
     @classmethod
     def create(cls, layer_sizes, activation: str = "elu",
@@ -135,14 +161,10 @@ class MlpNet:
                output_gain: float = 1.0) -> "MlpNet":
         rng = rng or np.random.default_rng(0)
         net = cls(layer_sizes, activation)
-        net.weights = []
-        net.biases = []
-        n_layers = len(net.layer_sizes) - 1
-        for l in range(n_layers):
-            n_in, n_out = net.layer_sizes[l], net.layer_sizes[l + 1]
-            gain = output_gain if l == n_layers - 1 else hidden_gain
-            net.weights.append(orthogonal_init(n_out, n_in, gain, rng))
-            net.biases.append(np.zeros(n_out))
+        last = net.num_layers - 1
+        for l, w in enumerate(net.weights):
+            gain = output_gain if l == last else hidden_gain
+            w[...] = orthogonal_init(*w.shape, gain, rng)
         return net
 
     # -- bookkeeping --------------------------------------------------------
@@ -152,32 +174,7 @@ class MlpNet:
         return len(self.layer_sizes) - 1
 
     def num_params(self) -> int:
-        return sum((n_in + 1) * n_out
-                   for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
-
-    def params(self) -> list:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-    def params_flat(self) -> np.ndarray:
-        return np.concatenate([p.reshape(-1) for p in self.params()])
-
-    def set_params_flat(self, flat: np.ndarray) -> None:
-        i = 0
-        for p in self.params():
-            n = p.size
-            p[...] = flat[i:i + n].reshape(p.shape)
-            i += n
-        if i != flat.size:
-            raise ValueError("flat parameter vector has wrong length")
-
-    def copy(self) -> "MlpNet":
-        return MlpNet(self.layer_sizes, self.activation,
-                      [w.copy() for w in self.weights],
-                      [b.copy() for b in self.biases])
+        return sum(math.prod(shape) for shape in self.shapes)
 
     # -- forward / backward -------------------------------------------------
 
@@ -204,27 +201,29 @@ class MlpNet:
         cache = ForwardCache(x=x, zs=zs, activs=activs)
         return (y[0] if squeeze else y), cache
 
-    def backward(self, cache: ForwardCache, output_grad: np.ndarray) -> Grads:
+    def backward(self, cache: ForwardCache, output_grad: np.ndarray,
+                 out: np.ndarray | None = None) -> Grads:
         """Exact VJP: gradients of sum_b <output_b, output_grad_b> w.r.t.
-        all parameters and the input batch."""
+        all parameters and the input batch. The parameter gradients go into
+        ``out``, a vector in this net's layout, or into a new one."""
         dy = np.asarray(output_grad, dtype=np.float64)
         if dy.ndim == 1:
             dy = dy[None, :]
         if dy.shape != cache.zs[-1].shape:
             raise ValueError("output_grad shape does not match cached forward")
         _, dact, _ = ACTIVATIONS[self.activation]
-        d_weights = [None] * self.num_layers
-        d_biases = [None] * self.num_layers
+        grads = Grads(np.empty(self.num_params()) if out is None else out,
+                      self.shapes)
         dz = dy
         for l in range(self.num_layers - 1, -1, -1):
             a_prev = cache.x if l == 0 else cache.activs[l - 1]
-            d_weights[l] = dz.T @ a_prev
-            d_biases[l] = dz.sum(axis=0)
+            np.matmul(dz.T, a_prev, out=grads.d_weights[l])
+            dz.sum(axis=0, out=grads.d_biases[l])
             if l > 0:
                 da = dz @ self.weights[l]
                 dz = da * dact(cache.zs[l - 1])
-        d_input = dz @ self.weights[0]
-        return Grads(d_weights, d_biases, d_input)
+        grads.d_input = dz @ self.weights[0]
+        return grads
 
     # -- input gradients and their double-backward --------------------------
 
@@ -252,11 +251,6 @@ class MlpNet:
         g = deltas[0] @ self.weights[0]
         return g, deltas, cs, ss
 
-    def input_gradients(self, cache: ForwardCache) -> np.ndarray:
-        """d(scalar output)/d(input) for every sample in the batch, (B, n0)."""
-        g, _, _, _ = self._input_grad_sweep(cache)
-        return g
-
     def input_gradient_norm_grads(self, cache: ForwardCache, coef: float = 1.0) -> tuple:
         """Value and parameter gradients of  coef * sum_b ||d y_b / d x_b||^2.
 
@@ -272,8 +266,8 @@ class MlpNet:
         L = self.num_layers
         value = coef * float((g * g).sum())
 
-        d_weights = [np.zeros_like(w) for w in self.weights]
-        d_biases = [np.zeros_like(b) for b in self.biases]
+        grads = Grads(np.zeros(self.num_params()), self.shapes)
+        d_weights, d_biases = grads.d_weights, grads.d_biases
 
         g_bar = 2.0 * coef * g                       # dP/dg
         # g = deltas[0] @ W_0
@@ -306,16 +300,31 @@ class MlpNet:
             d_biases[l] += z_bar.sum(axis=0)
             z_bar_total = z_bar
 
-        return value, Grads(d_weights, d_biases)
+        return value, grads
+
+
+def clip_grad_norm(grads: np.ndarray, shapes, max_norm: float) -> None:
+    """Scale the gradient vector ``grads`` in place so that its L2 norm is at
+    most ``max_norm``; a no-op for ``max_norm <= 0``. The squared norm is
+    summed per parameter array of the layout ``shapes``, in order."""
+    if max_norm <= 0:
+        return
+    total = math.sqrt(sum(float((g * g).sum()) for g in unflatten(grads, shapes)))
+    if total > max_norm:
+        grads *= max_norm / total
 
 
 # ---------------------------------------------------------------------------
 # Optimizers
 # ---------------------------------------------------------------------------
 
+SLOT_NAMES = {"sgd": ("buf",), "rmsprop": ("sq", "buf"), "adam": ("m", "v")}
+
+
 @dataclass
 class OptimizerState:
-    """Per-parameter optimizer with additive-L2 weight decay.
+    """Optimizer over one parameter vector with additive-L2 weight decay.
+    Each slot is one vector in the parameters' layout.
 
     kinds:
       ``sgd``      classical momentum buffer (``momentum`` = decay constant)
@@ -336,64 +345,60 @@ class OptimizerState:
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    slots: list = field(default_factory=list)
+    slots: dict = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params, kind: str, learning_rate: float,
+    def for_params(cls, params: np.ndarray, kind: str, learning_rate: float,
                    weight_decay: float = 0.0, momentum: float = 0.0,
                    rho: float = 0.99) -> "OptimizerState":
-        if kind not in ("sgd", "rmsprop", "adam"):
+        if kind not in SLOT_NAMES:
             raise ValueError(f"unknown optimizer kind {kind!r}")
         state = cls(kind=kind, learning_rate=learning_rate,
                     weight_decay=weight_decay, momentum=momentum, rho=rho)
-        for p in params:
-            if kind == "sgd":
-                state.slots.append({"buf": np.zeros_like(p)})
-            elif kind == "rmsprop":
-                state.slots.append({"sq": np.zeros_like(p), "buf": np.zeros_like(p)})
-            else:
-                state.slots.append({"m": np.zeros_like(p), "v": np.zeros_like(p)})
+        state.slots = {name: np.zeros_like(params) for name in SLOT_NAMES[kind]}
         return state
 
 
-def optimizer_step(state: OptimizerState, params, grads) -> None:
-    """Apply one in-place update. Rejects non-finite gradients up front so a
-    bad step never corrupts the parameters."""
-    if len(params) != len(state.slots):
-        raise ValueError("parameter list does not match optimizer state")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise ValueError("non-finite gradient: step rejected")
+def optimizer_step(state: OptimizerState, params: np.ndarray,
+                   grads: np.ndarray) -> None:
+    """Update the parameter vector ``params`` in place from the gradient
+    vector ``grads``. Rejects non-finite gradients up front so a bad step
+    never corrupts the parameters."""
+    if grads.shape != params.shape or any(
+            s.shape != params.shape for s in state.slots.values()):
+        raise ValueError("parameter vector does not match gradient or optimizer state")
+    if not np.all(np.isfinite(grads)):
+        raise ValueError("non-finite gradient: step rejected")
     lr = state.learning_rate
     state.step_count += 1
-    for p, g, slot in zip(params, grads, state.slots):
-        eff = g if state.weight_decay == 0.0 else g + state.weight_decay * p
-        if state.kind == "sgd":
-            if state.momentum > 0.0:
-                slot["buf"] *= state.momentum
-                slot["buf"] += eff
-                step = slot["buf"]
-            else:
-                step = eff
-            p -= lr * step
-        elif state.kind == "rmsprop":
-            slot["sq"] *= state.rho
-            slot["sq"] += (1.0 - state.rho) * eff * eff
-            normed = eff / np.sqrt(slot["sq"] + state.eps)
-            if state.momentum > 0.0:
-                slot["buf"] *= state.momentum
-                slot["buf"] += normed
-                p -= lr * slot["buf"]
-            else:
-                p -= lr * normed
-        else:  # adam
-            slot["m"] *= state.beta1
-            slot["m"] += (1.0 - state.beta1) * eff
-            slot["v"] *= state.beta2
-            slot["v"] += (1.0 - state.beta2) * eff * eff
-            mhat = slot["m"] / (1.0 - state.beta1 ** state.step_count)
-            vhat = slot["v"] / (1.0 - state.beta2 ** state.step_count)
-            p -= lr * mhat / (np.sqrt(vhat) + state.eps)
+    p, slot = params, state.slots
+    eff = grads if state.weight_decay == 0.0 else grads + state.weight_decay * p
+    if state.kind == "sgd":
+        if state.momentum > 0.0:
+            slot["buf"] *= state.momentum
+            slot["buf"] += eff
+            step = slot["buf"]
+        else:
+            step = eff
+        p -= lr * step
+    elif state.kind == "rmsprop":
+        slot["sq"] *= state.rho
+        slot["sq"] += (1.0 - state.rho) * eff * eff
+        normed = eff / np.sqrt(slot["sq"] + state.eps)
+        if state.momentum > 0.0:
+            slot["buf"] *= state.momentum
+            slot["buf"] += normed
+            p -= lr * slot["buf"]
+        else:
+            p -= lr * normed
+    else:  # adam
+        slot["m"] *= state.beta1
+        slot["m"] += (1.0 - state.beta1) * eff
+        slot["v"] *= state.beta2
+        slot["v"] += (1.0 - state.beta2) * eff * eff
+        mhat = slot["m"] / (1.0 - state.beta1 ** state.step_count)
+        vhat = slot["v"] / (1.0 - state.beta2 ** state.step_count)
+        p -= lr * mhat / (np.sqrt(vhat) + state.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -404,18 +409,14 @@ def net_to_dict(net: MlpNet) -> dict:
     return {
         "layer_sizes": net.layer_sizes,
         "activation": net.activation,
-        "params": [p.tolist() for p in net.params()],
+        "params": [p.tolist() for p in unflatten(net.flat, net.shapes)],
     }
 
 
 def net_from_dict(d: dict) -> MlpNet:
     net = MlpNet(d["layer_sizes"], d["activation"])
-    net.weights = []
-    net.biases = []
-    params = d["params"]
-    for l in range(net.num_layers):
-        net.weights.append(np.array(params[2 * l], dtype=np.float64))
-        net.biases.append(np.array(params[2 * l + 1], dtype=np.float64))
+    for view, p in zip(unflatten(net.flat, net.shapes), d["params"], strict=True):
+        view[...] = p
     return net
 
 
@@ -430,16 +431,22 @@ def optimizer_to_dict(state: OptimizerState) -> dict:
         "beta2": state.beta2,
         "eps": state.eps,
         "step_count": state.step_count,
-        "slots": [{k: v.tolist() for k, v in slot.items()} for slot in state.slots],
+        "slots": {name: v.tolist() for name, v in state.slots.items()},
     }
 
 
 def optimizer_from_dict(d: dict) -> OptimizerState:
+    """Rebuild an optimizer from ``optimizer_to_dict``'s output. Checkpoints
+    of format 1 hold one slot dict per parameter array; their slots are
+    joined in layout order."""
     state = OptimizerState(
         kind=d["kind"], learning_rate=d["learning_rate"],
         weight_decay=d["weight_decay"], momentum=d["momentum"], rho=d["rho"],
         beta1=d["beta1"], beta2=d["beta2"], eps=d["eps"],
         step_count=d["step_count"])
-    state.slots = [{k: np.array(v, dtype=np.float64) for k, v in slot.items()}
-                   for slot in d["slots"]]
+    slots = d["slots"]
+    if isinstance(slots, list):
+        slots = {name: np.concatenate([np.ravel(s[name]) for s in slots])
+                 for name in slots[0]}
+    state.slots = {name: np.array(v, dtype=np.float64) for name, v in slots.items()}
     return state

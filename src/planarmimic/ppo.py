@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import BatchWindowBuffer, OBS_DIM
 from .discriminator import DiscriminatorConfig, lsgan_imitation_reward, raw_score
-from .nets import MlpNet, OptimizerState, optimizer_step
+from .nets import MlpNet, OptimizerState, clip_grad_norm, optimizer_step
 from .rewards import (RewardWeights, RunningStats, imitation_reward,
                       regularization_reward, termination_penalty, total_reward)
 
@@ -106,22 +106,24 @@ def gae_advantages(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
 
 class GaussianPolicy:
     """Diagonal-Gaussian action head: the network emits the mean, a learnable
-    state-independent log-std sets the exploration scale."""
+    state-independent log-std sets the exploration scale.
 
-    def __init__(self, net: MlpNet, log_std: np.ndarray | None = None,
-                 init_log_std: float = 0.0):
-        self.net = net
-        if log_std is None:
-            out = net.layer_sizes[-1]
-            log_std = np.full(out, float(init_log_std))
-        self.log_std = np.asarray(log_std, dtype=np.float64)
+    The parameters are one vector ``flat`` in the layout ``shapes``: a copy
+    of ``net``'s parameters, then ``log_std``. ``self.net`` and
+    ``self.log_std`` are views into it."""
+
+    def __init__(self, net: MlpNet, log_std=None, init_log_std: float = 0.0):
+        n = net.num_params()
+        self.flat = np.empty(n + net.layer_sizes[-1])
+        self.flat[:n] = net.flat
+        self.flat[n:] = init_log_std if log_std is None else log_std
+        self.net = MlpNet(net.layer_sizes, net.activation, self.flat[:n])
+        self.log_std = self.flat[n:]
+        self.shapes = self.net.shapes + [self.log_std.shape]
 
     @property
     def action_dim(self) -> int:
         return self.log_std.shape[0]
-
-    def params(self) -> list:
-        return self.net.params() + [self.log_std]
 
     def mean_action(self, obs: np.ndarray) -> np.ndarray:
         y, _ = self.net.forward(obs)
@@ -329,16 +331,6 @@ class RolloutCollector:
             r.bit_generator.state = s
 
 
-def _clip_grad_norm(grads: list, max_norm: float) -> None:
-    if max_norm <= 0:
-        return
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads))
-    if total > max_norm:
-        scale = max_norm / total
-        for g in grads:
-            g *= scale
-
-
 def ppo_update(policy: GaussianPolicy, value_net: MlpNet, buf: RolloutBuffer,
                cfg: PpoConfig, policy_opt: OptimizerState,
                value_opt: OptimizerState, rng: np.random.Generator) -> PpoStats:
@@ -359,8 +351,9 @@ def ppo_update(policy: GaussianPolicy, value_net: MlpNet, buf: RolloutBuffer,
     adv_std = adv.std()
     adv_norm = (adv - adv.mean()) / (adv_std + 1e-8)
 
-    snapshot = ([p.copy() for p in policy.params()],
-                [p.copy() for p in value_net.params()])
+    snapshot = (policy.flat.copy(), value_net.flat.copy())
+    n_net = policy.net.flat.size
+    pol_grad = np.empty_like(policy.flat)
 
     kls, clip_fracs, pol_losses, val_losses = [], [], [], []
     aborted = False
@@ -402,18 +395,16 @@ def ppo_update(policy: GaussianPolicy, value_net: MlpNet, buf: RolloutBuffer,
             active = (unclipped <= clipped).astype(np.float64)
             dlogp = -(mb_adv * ratio * active) / n
             dmean = (dlogp[:, None] * zscore / std)
-            grads = policy.net.backward(cache, dmean)
-            dlog_std = (dlogp[:, None] * (zscore * zscore - 1.0)).sum(axis=0)
-            dlog_std -= cfg.entropy_coef  # entropy bonus, dH/dlog_std = 1
-            pol_grads = grads.as_list() + [dlog_std]
-            _clip_grad_norm(pol_grads, cfg.max_grad_norm)
-            optimizer_step(policy_opt, policy.params(), pol_grads)
+            policy.net.backward(cache, dmean, out=pol_grad[:n_net])
+            pol_grad[n_net:] = (dlogp[:, None] * (zscore * zscore - 1.0)).sum(axis=0)
+            pol_grad[n_net:] -= cfg.entropy_coef  # entropy bonus, dH/dlog_std = 1
+            clip_grad_norm(pol_grad, policy.shapes, cfg.max_grad_norm)
+            optimizer_step(policy_opt, policy.flat, pol_grad)
 
             dv = (2.0 * (v - mb_ret) / n)[:, None]
-            vgrads = value_net.backward(vcache, dv)
-            val_grads = vgrads.as_list()
-            _clip_grad_norm(val_grads, cfg.max_grad_norm)
-            optimizer_step(value_opt, value_net.params(), val_grads)
+            val_grad = value_net.backward(vcache, dv).flat
+            clip_grad_norm(val_grad, value_net.shapes, cfg.max_grad_norm)
+            optimizer_step(value_opt, value_net.flat, val_grad)
 
             epoch_kls.append(kl)
             kls.append(kl)
@@ -429,10 +420,8 @@ def ppo_update(policy: GaussianPolicy, value_net: MlpNet, buf: RolloutBuffer,
             value_opt.learning_rate = new_lr
 
     if aborted:
-        for p, saved in zip(policy.params(), snapshot[0]):
-            p[...] = saved
-        for p, saved in zip(value_net.params(), snapshot[1]):
-            p[...] = saved
+        policy.flat[...] = snapshot[0]
+        value_net.flat[...] = snapshot[1]
         return PpoStats(kl=float("nan"), clip_fraction=0.0, policy_loss=float("nan"),
                         value_loss=float("nan"), entropy=policy.entropy(),
                         learning_rate=policy_opt.learning_rate, aborted=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import OBS_DIM, SimState, phi_extract_arrays
+from .core import OBS_DIM, phi_extract_arrays
 
 MOTIONS = ("leap", "wave", "standup", "backflip")
 DEMO_FRAMES = {"leap": 130, "wave": 130, "standup": 100, "backflip": 60}
@@ -110,12 +110,6 @@ def check_termination_arrays(base_x, base_z, pitch, params: SimParams):
     lowest = base_z - (np.abs(s) * params.half_length
                        + np.abs(c) * params.half_height)
     return lowest <= 0.0
-
-
-def check_termination(state: SimState, params: SimParams) -> bool:
-    return bool(check_termination_arrays(
-        np.array([state.base_x]), np.array([state.base_z]),
-        np.array([state.pitch]), params)[0])
 
 
 def leg_kinematics(q, qd, params: SimParams, out=None):
@@ -538,26 +532,6 @@ class PlanarEnv:
         """Base-only observation features for every env, (E, 6)."""
         return phi_extract_arrays(self.vx, self.vz, self.pitch, self.om, self.z)
 
-    def get_state(self, i: int = 0) -> SimState:
-        return SimState(
-            base_x=float(self.x[i]), base_z=float(self.z[i]),
-            pitch=float(self.pitch[i]), base_vx=float(self.vx[i]),
-            base_vz=float(self.vz[i]), pitch_rate=float(self.om[i]),
-            joint_pos=self.q[i].copy(), joint_vel=self.qd[i].copy(),
-            time=float(self.time[i]), terminal=bool(self.terminal[i]))
-
-    def set_state(self, state: SimState, i: int = 0) -> None:
-        self.x[i] = state.base_x
-        self.z[i] = state.base_z
-        self.pitch[i] = state.pitch
-        self.vx[i] = state.base_vx
-        self.vz[i] = state.base_vz
-        self.om[i] = state.pitch_rate
-        self.q[i] = state.joint_pos
-        self.qd[i] = state.joint_vel
-        self.time[i] = state.time
-        self.terminal[i] = state.terminal
-
     def state_dict(self) -> dict:
         return {
             "arrays": {k: getattr(self, k).tolist()
@@ -577,19 +551,6 @@ class PlanarEnv:
         self.airborne[...] = np.array(d["airborne"], dtype=bool)
         for r, s in zip(self.rngs, d["rng_states"]):
             r.bit_generator.state = s
-
-
-def simulate_step(state: SimState, action: np.ndarray, params: SimParams):
-    """Functional single-environment step: (state, action) -> (state', StepBatch).
-
-    Pure in (state, action, params): reset noise never enters this path.
-    """
-    env = PlanarEnv(params, num_envs=1, seed=0)
-    env.set_state(state, 0)
-    feet_air = not env.foot_contacts()[0].any()
-    env.airborne[0] = feet_air and not check_termination(state, params)
-    result = env.step(np.asarray(action, dtype=np.float64).reshape(1, 4))
-    return env.get_state(0), result
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .rewards import (RunningStats, handcrafted_backflip_reward,
                       handcrafted_standup_reward)
 from .sim import PlanarEnv
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 # config keys that older checkpoints carry and nothing reads any more
 RETIRED_CONFIG_KEYS = ("demo_noise", "demo_height_offset")
 
@@ -97,11 +97,11 @@ class Trainer:
         self.disc = build_discriminator(cfg.disc, init_rng)
 
         self.policy_opt = OptimizerState.for_params(
-            self.policy.params(), "adam", cfg.ppo.learning_rate)
+            self.policy.flat, "adam", cfg.ppo.learning_rate)
         self.value_opt = OptimizerState.for_params(
-            self.value_net.params(), "adam", cfg.ppo.learning_rate)
+            self.value_net.flat, "adam", cfg.ppo.learning_rate)
         self.disc_opt = OptimizerState.for_params(
-            self.disc.params(), cfg.disc.optimizer_kind, cfg.disc.learning_rate,
+            self.disc.flat, cfg.disc.optimizer_kind, cfg.disc.learning_rate,
             weight_decay=cfg.disc.weight_decay, momentum=cfg.disc.momentum,
             rho=cfg.disc.rho)
 
@@ -132,8 +132,7 @@ class Trainer:
                 if cfg.disc.full_state:
                     ref_mb = pad_windows_full_state(ref_mb, cfg.disc.horizon)
                 res = discriminator_loss(self.disc, ref_mb, pol_mb, cfg.disc)
-                optimizer_step(self.disc_opt, self.disc.params(),
-                               res.grads.as_list())
+                optimizer_step(self.disc_opt, self.disc.flat, res.grads.flat)
                 disc_totals.append(res.total)
                 disc_mains.append(res.main_term)
                 disc_gps.append(res.gp_term)
@@ -179,22 +178,24 @@ class Trainer:
         run_path = out / "run.json"
         stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
 
-        if self.iteration == 0:
+        # a fresh run, or a resume into a new directory, starts the record
+        if self.iteration == 0 or not run_path.exists():
             save_config(self.cfg, out / "config.txt")
-            _write_atomic(run_path, json.dumps({
+            meta = {
                 "seed": self.cfg.seed,
                 "build": build_identifier(),
                 "task": self.cfg.task,
                 "loss": self.cfg.disc.loss_kind,
                 "started": stamp,
-            }, indent=2) + "\n")
+            }
         else:
-            meta = json.loads(run_path.read_text()) if run_path.exists() else {}
+            meta = json.loads(run_path.read_text())
+        if self.iteration > 0:
             meta.setdefault("resumes", []).append(
                 {"resumed_from": self.iteration, "at": stamp})
-            _write_atomic(run_path, json.dumps(meta, indent=2) + "\n")
             if metrics_path.exists():
                 _truncate_metrics(metrics_path, self.iteration)
+        _write_atomic(run_path, json.dumps(meta, indent=2) + "\n")
 
         with metrics_path.open("a") as metrics:
             while self.iteration < target:
@@ -238,12 +239,13 @@ class Trainer:
         return path
 
     def restore(self, ckpt: dict) -> None:
-        if ckpt.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+        # format 1 differs only in its optimizer slots (see optimizer_from_dict)
+        if ckpt.get("format_version") not in (1, CHECKPOINT_FORMAT_VERSION):
             raise ValueError(
                 f"unsupported checkpoint format {ckpt.get('format_version')!r}")
         self.iteration = ckpt["iteration"]
-        self.policy.net = net_from_dict(ckpt["policy_net"])
-        self.policy.log_std = np.array(ckpt["policy_log_std"], dtype=np.float64)
+        self.policy = GaussianPolicy(net_from_dict(ckpt["policy_net"]),
+                                     ckpt["policy_log_std"])
         self.value_net = net_from_dict(ckpt["value_net"])
         self.disc = net_from_dict(ckpt["discriminator"])
         self.policy_opt = optimizer_from_dict(ckpt["policy_opt"])

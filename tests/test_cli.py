@@ -150,8 +150,14 @@ class TestResumeOut:
         assert (second / "eval.json").exists()
         records = (second / "metrics.jsonl").read_text().splitlines()
         assert [json.loads(r)["iteration"] for r in records] == [2]
-        resumes = json.loads((second / "run.json").read_text())["resumes"]
-        assert [r["resumed_from"] for r in resumes] == [1]
+        meta = json.loads((second / "run.json").read_text())
+        assert [r["resumed_from"] for r in meta["resumes"]] == [1]
+        # the new directory carries the run's identity, as a fresh run's does
+        assert meta["seed"] == cfg.seed
+        assert meta["build"]
+        assert (meta["task"], meta["loss"]) == (cfg.task, cfg.disc.loss_kind)
         final = json.loads((second / "checkpoint_final.json").read_text())
         assert final["iteration"] == 2
         assert final["config"]["out_dir"] == str(second)
+        assert (second / "config.txt").read_text() == "".join(
+            f"{k} = {v}\n" for k, v in final["config"].items())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from planarmimic.discriminator import (DiscriminatorConfig, build_discriminator,
-                                       discriminator_loss, input_gradient_norm2,
+                                       discriminator_loss,
                                        lsgan_imitation_reward,
                                        pad_windows_full_state, raw_score)
 from planarmimic.nets import MlpNet, OptimizerState, optimizer_step
@@ -17,16 +17,23 @@ def small_cfg(**kwargs):
 
 
 def constant_net(input_dim, value):
-    net = MlpNet([input_dim, 1], activation="identity",
-                 weights=[np.zeros((1, input_dim))],
-                 biases=[np.array([float(value)])])
+    net = MlpNet([input_dim, 1], activation="identity")
+    net.biases[0][0] = value
     return net
 
 
 def linear_net(w):
     w = np.asarray(w, dtype=np.float64)
-    return MlpNet([w.size, 1], activation="identity",
-                  weights=[w[None, :]], biases=[np.zeros(1)])
+    net = MlpNet([w.size, 1], activation="identity")
+    net.weights[0][0] = w
+    return net
+
+
+def input_gradient_norm2(net, window):
+    """Squared norm of d(score)/d(input) at one window: the penalty value of
+    ``input_gradient_norm_grads`` at ``coef=1``."""
+    _, cache = net.forward(np.asarray(window, dtype=np.float64)[None, :])
+    return net.input_gradient_norm_grads(cache)[0]
 
 
 class TestLossArithmetic:
@@ -116,12 +123,11 @@ def separate_kind_loss(net, ref, pol, cfg):
         grads = net.backward(cache_ref, 2.0 * res_ref / ref.shape[0])
         grads.d_input = None
         grads.add_(net.backward(cache_pol, 2.0 * res_pol / pol.shape[0]))
-    gp_value = 0.0
+    gp_value, flat = 0.0, grads.flat
     if cfg.w_gp != 0.0:
         gp_value, gp = net.input_gradient_norm_grads(cache_ref, coef=cfg.w_gp / ref.shape[0])
-        grads.d_weights = [a + b for a, b in zip(grads.d_weights, gp.d_weights)]
-        grads.d_biases = [a + b for a, b in zip(grads.d_biases, gp.d_biases)]
-    return main + gp_value, main, gp_value, grads.flat()
+        flat = flat + gp.flat
+    return main + gp_value, main, gp_value, flat
 
 
 @pytest.mark.parametrize("loss_kind", ["wgan", "lsgan"])
@@ -135,7 +141,7 @@ def test_merged_loss_keeps_each_kind_bit_exact(loss_kind, w_gp):
     res = discriminator_loss(net, ref, pol, cfg)
     total, main, gp_value, flat = separate_kind_loss(net, ref, pol, cfg)
     assert (res.total, res.main_term, res.gp_term) == (total, main, gp_value)
-    assert np.array_equal(res.grads.flat(), flat)
+    assert np.array_equal(res.grads.flat, flat)
 
 
 class TestInputGradient:
@@ -174,7 +180,7 @@ class TestLossGradients:
                                       w_loss=0.5, w_gp=5.0)
             ref = rng.normal(size=(4, 4))
             pol = rng.normal(size=(4, 4))
-            analytic = discriminator_loss(net, ref, pol, cfg).grads.flat()
+            analytic = discriminator_loss(net, ref, pol, cfg).grads.flat
 
             def scalar():
                 return discriminator_loss(net, ref, pol, cfg).total
@@ -190,7 +196,7 @@ class TestLossGradients:
         net = rand_net(rng, [3, 7, 1], "elu")
         cfg = DiscriminatorConfig(horizon=1, w_loss=0.5, w_gp=2.0)
         batch = rng.normal(size=(5, 3))
-        analytic = discriminator_loss(net, batch, batch, cfg).grads.flat()
+        analytic = discriminator_loss(net, batch, batch, cfg).grads.flat
 
         def scalar():
             return discriminator_loss(net, batch, batch, cfg).total
@@ -267,7 +273,7 @@ class TestMonotoneSeparation:
         for seed in range(10):
             rng = np.random.default_rng(2000 + seed)
             net = build_discriminator(cfg, rng)
-            opt = OptimizerState.for_params(net.params(), "rmsprop",
+            opt = OptimizerState.for_params(net.flat, "rmsprop",
                                             cfg.learning_rate,
                                             weight_decay=cfg.weight_decay,
                                             momentum=cfg.momentum, rho=cfg.rho)
@@ -275,5 +281,5 @@ class TestMonotoneSeparation:
             pol = rng.normal(size=(64, cfg.input_dim)) - 2.0
             for _ in range(300):
                 res = discriminator_loss(net, ref, pol, cfg)
-                optimizer_step(opt, net.params(), res.grads.as_list())
+                optimizer_step(opt, net.flat, res.grads.flat)
             assert raw_score(net, ref).mean() > raw_score(net, pol).mean()

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from planarmimic.nets import (ACTIVATIONS, Grads, MlpNet, OptimizerState,
-                              net_from_dict, net_to_dict, optimizer_from_dict,
-                              optimizer_step, optimizer_to_dict,
-                              orthogonal_init)
+from planarmimic.nets import (ACTIVATIONS, MlpNet, OptimizerState,
+                              clip_grad_norm, net_from_dict, net_to_dict,
+                              optimizer_from_dict, optimizer_step,
+                              optimizer_to_dict, orthogonal_init, unflatten)
 
 FD_EPS = 1e-5
 FD_RTOL = 1e-4
@@ -25,18 +25,18 @@ def rand_net(rng, sizes=None, activation="elu"):
 
 def fd_param_gradient(fn, net, eps=FD_EPS):
     """Central finite differences of a scalar function of the parameters."""
-    flat = net.params_flat()
+    flat = net.flat.copy()
     grad = np.zeros_like(flat)
     for i in range(flat.size):
         bump = flat.copy()
         bump[i] += eps
-        net.set_params_flat(bump)
+        net.flat[...] = bump
         hi = fn()
         bump[i] -= 2 * eps
-        net.set_params_flat(bump)
+        net.flat[...] = bump
         lo = fn()
         grad[i] = (hi - lo) / (2 * eps)
-    net.set_params_flat(flat)
+    net.flat[...] = flat
     return grad
 
 
@@ -55,8 +55,8 @@ class TestForward:
         assert np.allclose(y, np.tile([1.5, -2.5], (7, 1)))
 
     def test_identity_single_layer(self):
-        net = MlpNet([4, 4], activation="identity",
-                     weights=[np.eye(4)], biases=[np.zeros(4)])
+        net = MlpNet([4, 4], activation="identity")
+        net.weights[0][...] = np.eye(4)
         x = np.random.default_rng(2).normal(size=4)
         y, _ = net.forward(x)
         assert np.allclose(y, x)
@@ -102,8 +102,7 @@ class TestForward:
 
 class TestBackward:
     def test_linear_net_weight_grad_is_input(self):
-        net = MlpNet([3, 1], activation="identity",
-                     weights=[np.zeros((1, 3))], biases=[np.zeros(1)])
+        net = MlpNet([3, 1], activation="identity")
         x = np.array([1.0, 2.0, 3.0])
         _, cache = net.forward(x)
         grads = net.backward(cache, np.ones((1, 1)))
@@ -130,7 +129,7 @@ class TestBackward:
             x = rng.normal(size=(3, sizes[0]))
             dy = rng.normal(size=(3, sizes[-1]))
             _, cache = net.forward(x)
-            analytic = net.backward(cache, dy).flat()
+            analytic = net.backward(cache, dy).flat
 
             def scalar():
                 y, _ = net.forward(x)
@@ -169,53 +168,90 @@ class TestEluSmoothness:
 
 class TestOptimizers:
     def test_sgd_step(self):
-        p = [np.array([1.0, 2.0])]
-        g = [np.array([10.0, -10.0])]
+        p = np.array([1.0, 2.0])
+        g = np.array([10.0, -10.0])
         opt = OptimizerState.for_params(p, "sgd", learning_rate=0.1)
         optimizer_step(opt, p, g)
-        assert np.allclose(p[0], [0.0, 3.0])
+        assert np.allclose(p, [0.0, 3.0])
 
     def test_weight_decay_as_l2_gradient(self):
-        p = [np.array([1.0, -4.0])]
+        p = np.array([1.0, -4.0])
         opt = OptimizerState.for_params(p, "sgd", learning_rate=1.0,
                                         weight_decay=0.001)
-        optimizer_step(opt, p, [np.zeros(2)])
-        assert np.allclose(p[0], [0.999, -3.996])
+        optimizer_step(opt, p, np.zeros(2))
+        assert np.allclose(p, [0.999, -3.996])
 
     def test_rmsprop_unit_normalized_fixed_point(self):
         # constant gradient: accumulator -> g^2, step magnitude -> lr
-        p = [np.array([0.0])]
-        g = [np.array([3.7])]
+        p = np.array([0.0])
+        g = np.array([3.7])
         opt = OptimizerState.for_params(p, "rmsprop", learning_rate=0.01, rho=0.9)
-        prev = p[0].copy()
+        prev = p.copy()
         for _ in range(2000):
-            prev = p[0].copy()
+            prev = p.copy()
             optimizer_step(opt, p, g)
-        assert abs(abs(float(p[0][0] - prev[0])) - 0.01) < 1e-6
+        assert abs(abs(float(p[0] - prev[0])) - 0.01) < 1e-6
 
     def test_adam_moves_against_gradient(self):
-        p = [np.array([0.0, 0.0])]
+        p = np.array([0.0, 0.0])
         opt = OptimizerState.for_params(p, "adam", learning_rate=0.1)
         for _ in range(10):
-            optimizer_step(opt, p, [np.array([1.0, -1.0])])
-        assert p[0][0] < 0 < p[0][1]
+            optimizer_step(opt, p, np.array([1.0, -1.0]))
+        assert p[0] < 0 < p[1]
 
     def test_non_finite_gradient_rejected(self):
-        p = [np.array([1.0])]
+        p = np.array([1.0])
         opt = OptimizerState.for_params(p, "sgd", learning_rate=0.1)
         with pytest.raises(ValueError, match="non-finite"):
-            optimizer_step(opt, p, [np.array([np.nan])])
-        assert p[0][0] == 1.0  # untouched
+            optimizer_step(opt, p, np.array([np.nan]))
+        assert p[0] == 1.0  # untouched
+
+    def test_mismatched_vectors_rejected(self):
+        p = np.array([1.0, 2.0])
+        opt = OptimizerState.for_params(p, "adam", learning_rate=0.1)
+        with pytest.raises(ValueError, match="does not match"):
+            optimizer_step(opt, p, np.ones(3))
+        with pytest.raises(ValueError, match="does not match"):
+            optimizer_step(opt, np.ones(3), np.ones(3))
+
+    @pytest.mark.parametrize("kind", ["sgd", "rmsprop", "adam"])
+    def test_one_step_equals_per_array_steps(self, kind):
+        # the same update applied array by array, as one optimizer per
+        # parameter array: an elementwise step must not care about the split
+        rng = np.random.default_rng(6)
+        net = MlpNet.create([5, 7, 3], rng=rng)
+        kw = dict(learning_rate=0.01, weight_decay=1e-3, momentum=0.5)
+        opt = OptimizerState.for_params(net.flat, kind, **kw)
+        arrays = [p.copy() for p in unflatten(net.flat, net.shapes)]
+        per_array = [OptimizerState.for_params(p, kind, **kw) for p in arrays]
+        for _ in range(3):
+            g = rng.normal(size=net.flat.size)
+            optimizer_step(opt, net.flat, g)
+            for p, o, gv in zip(arrays, per_array, unflatten(g, net.shapes)):
+                optimizer_step(o, p, gv)
+        assert net.flat.tobytes() == np.concatenate(
+            [p.reshape(-1) for p in arrays]).tobytes()
 
     def test_serialization_round_trip(self):
-        p = [np.array([1.0, 2.0]), np.array([[3.0]])]
+        p = np.array([1.0, 2.0, 3.0])
         opt = OptimizerState.for_params(p, "adam", learning_rate=0.01)
-        optimizer_step(opt, p, [np.ones(2), np.ones((1, 1))])
+        optimizer_step(opt, p, np.ones(3))
         restored = optimizer_from_dict(optimizer_to_dict(opt))
         assert restored.step_count == opt.step_count
-        for a, b in zip(restored.slots, opt.slots):
-            for k in a:
-                assert np.array_equal(a[k], b[k])
+        assert restored.slots.keys() == opt.slots.keys()
+        for k in opt.slots:
+            assert np.array_equal(restored.slots[k], opt.slots[k])
+
+    def test_reads_format_1_per_array_slots(self):
+        # format-1 checkpoints hold one slot dict per parameter array, in
+        # layout order; they are joined into one vector per slot
+        opt = OptimizerState.for_params(np.zeros(3), "rmsprop", learning_rate=0.1)
+        d = optimizer_to_dict(opt)
+        d["slots"] = [{"sq": [[1.0], [2.0]], "buf": [[4.0], [5.0]]},
+                      {"sq": [3.0], "buf": [6.0]}]
+        restored = optimizer_from_dict(d)
+        assert np.array_equal(restored.slots["sq"], [1.0, 2.0, 3.0])
+        assert np.array_equal(restored.slots["buf"], [4.0, 5.0, 6.0])
 
 
 class TestInit:
@@ -232,12 +268,12 @@ class TestInit:
     def test_param_count_matches_formula(self):
         net = MlpNet.create([7, 11, 3], rng=np.random.default_rng(0))
         assert net.num_params() == (7 + 1) * 11 + (11 + 1) * 3
-        assert net.params_flat().size == net.num_params()
+        assert net.flat.size == net.num_params()
 
     def test_deterministic_given_seed(self):
         a = MlpNet.create([4, 5, 2], rng=np.random.default_rng(9))
         b = MlpNet.create([4, 5, 2], rng=np.random.default_rng(9))
-        assert np.array_equal(a.params_flat(), b.params_flat())
+        assert np.array_equal(a.flat, b.flat)
 
     def test_weights_are_c_contiguous(self):
         # [8 -> 3] is wide (rows < cols), [3 -> 16] tall and [16 -> 16] square.
@@ -257,4 +293,99 @@ class TestSerialization:
         restored = net_from_dict(net_to_dict(net))
         assert restored.layer_sizes == net.layer_sizes
         assert restored.activation == net.activation
-        assert np.array_equal(restored.params_flat(), net.params_flat())
+        assert np.array_equal(restored.flat, net.flat)
+
+    def test_net_layout_mismatch_rejected(self):
+        d = net_to_dict(MlpNet.create([3, 5, 2], rng=np.random.default_rng(0)))
+        d["params"] = d["params"][:-1]
+        with pytest.raises(ValueError):
+            net_from_dict(d)
+
+
+def assert_views_of(vector, arrays):
+    """Each array is C-contiguous and lives in ``vector``'s memory."""
+    assert vector.flags.c_contiguous and vector.ndim == 1
+    for a in arrays:
+        assert a.flags.c_contiguous
+        assert np.shares_memory(a, vector)
+
+
+class TestLayout:
+    SIZES = [8, 3, 16, 16, 1]  # wide, tall and square layers
+
+    def test_weights_and_biases_are_views_of_the_vector(self):
+        net = MlpNet.create(self.SIZES, rng=np.random.default_rng(0))
+        assert_views_of(net.flat, net.weights + net.biases)
+        offsets = [w.__array_interface__["data"][0] for w in net.weights]
+        assert offsets == sorted(offsets)
+        # writing through the vector is seen by the views, and back
+        net.flat[:] = np.arange(net.flat.size)
+        assert net.weights[0][0, 1] == 1.0
+        assert net.biases[0][0] == 24.0  # after the 3 x 8 first weights
+        net.biases[-1][0] = -1.0
+        assert net.flat[-1] == -1.0
+
+    def test_gradient_views(self):
+        rng = np.random.default_rng(1)
+        net = MlpNet.create(self.SIZES, activation="relu", rng=rng)
+        _, cache = net.forward(rng.normal(size=(5, 8)))
+        grads = net.backward(cache, rng.normal(size=(5, 1)))
+        assert grads.flat.shape == net.flat.shape
+        assert_views_of(grads.flat, grads.d_weights + grads.d_biases)
+        _, gp = net.input_gradient_norm_grads(cache)
+        assert_views_of(gp.flat, gp.d_weights + gp.d_biases)
+
+    def test_backward_writes_into_out(self):
+        rng = np.random.default_rng(2)
+        net = MlpNet.create(self.SIZES, rng=rng)
+        _, cache = net.forward(rng.normal(size=(5, 8)))
+        dy = rng.normal(size=(5, 1))
+        host = np.zeros(net.flat.size + 2)
+        grads = net.backward(cache, dy, out=host[:-2])
+        assert np.shares_memory(grads.flat, host)
+        assert np.array_equal(host[:-2], net.backward(cache, dy).flat)
+        assert np.array_equal(host[-2:], [0.0, 0.0])
+
+    def test_slots_are_vectors_in_the_layout(self):
+        net = MlpNet.create(self.SIZES, rng=np.random.default_rng(3))
+        for kind in ("sgd", "rmsprop", "adam"):
+            opt = OptimizerState.for_params(net.flat, kind, learning_rate=0.1)
+            for slot in opt.slots.values():
+                assert slot.shape == net.flat.shape
+                assert slot.flags.c_contiguous
+                assert not np.shares_memory(slot, net.flat)
+
+    def test_foreign_vectors_rejected(self):
+        with pytest.raises(ValueError, match="vector"):
+            MlpNet([3, 2], flat=np.zeros(7))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            MlpNet([3, 2], flat=np.zeros(16)[::2])
+        with pytest.raises(ValueError, match="float64"):
+            MlpNet([3, 2], flat=np.zeros(8, dtype=np.float32))
+
+
+class TestClipGradNorm:
+    def test_sums_per_array_in_layout_order(self):
+        # oracle: the clip over a list of separate arrays; a pairwise sum
+        # over the whole vector rounds differently in some of these layouts
+        rng = np.random.default_rng(4)
+        whole_sum_differs = 0
+        for _ in range(60):
+            sizes = [int(n) for n in rng.integers(2, 80, size=rng.integers(2, 5))]
+            shapes = MlpNet(sizes).shapes + [(4,)]
+            g = rng.normal(size=sum(math.prod(s) for s in shapes)) * 10.0
+            arrays = [a.copy() for a in unflatten(g.copy(), shapes)]
+            total = math.sqrt(sum(float((a * a).sum()) for a in arrays))
+            whole_sum_differs += total != math.sqrt(float((g * g).sum()))
+            for a in arrays:
+                a *= 1.0 / total
+            clip_grad_norm(g, shapes, 1.0)
+            assert g.tobytes() == np.concatenate(
+                [a.reshape(-1) for a in arrays]).tobytes()
+        assert whole_sum_differs > 0
+
+    def test_small_norm_and_zero_bound_leave_it(self):
+        g = np.array([0.3, 0.4])
+        clip_grad_norm(g, [(2,)], 1.0)
+        clip_grad_norm(g, [(2,)], 0.0)
+        assert np.array_equal(g, [0.3, 0.4])

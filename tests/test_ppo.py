@@ -9,6 +9,8 @@ from planarmimic.ppo import (ACTION_DIM, GaussianPolicy, POLICY_OBS_DIM,
 from planarmimic.rewards import RewardWeights, RunningStats
 from planarmimic.sim import PlanarEnv, SimParams
 
+from test_nets import assert_views_of
+
 
 def gae_direct_sum(rewards, values, dones, bootstrap, gamma, lam):
     """Literal definition: A_t = sum_k (gamma lam)^k delta_{t+k}, with the
@@ -170,21 +172,19 @@ class TestPpoUpdate:
         return collector.collect(policy, value_net, disc)
 
     def _opts(self, policy, value_net, lr):
-        return (OptimizerState.for_params(policy.params(), "adam", lr),
-                OptimizerState.for_params(value_net.params(), "adam", lr))
+        return (OptimizerState.for_params(policy.flat, "adam", lr),
+                OptimizerState.for_params(value_net.flat, "adam", lr))
 
     def test_lr_zero_changes_nothing(self):
         collector, policy, value_net, disc, cfg = tiny_setup(seed=11)
         buf = self._buffer(collector, policy, value_net, disc)
         p_opt, v_opt = self._opts(policy, value_net, 0.0)
-        before_p = [p.copy() for p in policy.params()]
-        before_v = [p.copy() for p in value_net.params()]
+        before_p = policy.flat.copy()
+        before_v = value_net.flat.copy()
         ppo_update(policy, value_net, buf, cfg, p_opt, v_opt,
                    np.random.default_rng(0))
-        for a, b in zip(policy.params(), before_p):
-            assert np.array_equal(a, b)
-        for a, b in zip(value_net.params(), before_v):
-            assert np.array_equal(a, b)
+        assert np.array_equal(policy.flat, before_p)
+        assert np.array_equal(value_net.flat, before_v)
 
     def test_identical_policy_has_unit_ratio(self):
         collector, policy, value_net, disc, cfg = tiny_setup(seed=12)
@@ -239,12 +239,28 @@ class TestPpoUpdate:
         buf = self._buffer(collector, policy, value_net, disc)
         buf.rewards[0, 0] = np.nan
         p_opt, v_opt = self._opts(policy, value_net, cfg.learning_rate)
-        before = [p.copy() for p in policy.params()]
+        before = policy.flat.copy()
         stats = ppo_update(policy, value_net, buf, cfg, p_opt, v_opt,
                            np.random.default_rng(2))
         assert stats.aborted
-        for a, b in zip(policy.params(), before):
-            assert np.array_equal(a, b)
+        assert np.array_equal(policy.flat, before)
+
+    def test_abort_mid_update_restores_both_nets(self):
+        # a non-finite observation in the last minibatch of the first epoch:
+        # the earlier minibatches have stepped both nets, which must roll back
+        collector, policy, value_net, disc, cfg = tiny_setup(seed=16)
+        buf = self._buffer(collector, policy, value_net, disc)
+        order = np.random.default_rng(3).permutation(buf.size)
+        assert order[-1] not in np.array_split(order, cfg.minibatches)[0]
+        buf.obs.reshape(buf.size, -1)[order[-1], 0] = np.nan
+        p_opt, v_opt = self._opts(policy, value_net, cfg.learning_rate)
+        before_p, before_v = policy.flat.copy(), value_net.flat.copy()
+        stats = ppo_update(policy, value_net, buf, cfg, p_opt, v_opt,
+                           np.random.default_rng(3))
+        assert stats.aborted
+        assert p_opt.step_count == v_opt.step_count == cfg.minibatches - 1
+        assert np.array_equal(policy.flat, before_p)
+        assert np.array_equal(value_net.flat, before_v)
 
     def test_clipped_ratio_kills_gradient(self):
         # crafted single-sample check of the clip rule
@@ -277,6 +293,15 @@ class TestPolicyHead:
                                 init_log_std=0.5)
         expected = 2 * 0.5 + 0.5 * 2 * (np.log(2 * np.pi) + 1)
         assert policy.entropy() == pytest.approx(expected)
+
+    def test_one_vector_net_then_log_std(self):
+        net = MlpNet.create([3, 8, 2], rng=np.random.default_rng(3))
+        policy = GaussianPolicy(net, log_std=[0.1, -0.2])
+        assert np.array_equal(policy.flat, np.concatenate([net.flat, [0.1, -0.2]]))
+        assert policy.shapes == net.shapes + [(2,)]
+        assert_views_of(policy.flat, policy.net.weights + policy.net.biases
+                        + [policy.net.flat, policy.log_std])
+        assert not np.shares_memory(policy.flat, net.flat)
 
     def test_sample_uses_given_noise(self):
         rng = np.random.default_rng(2)

@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from planarmimic.core import SimState
 from planarmimic.sim import (DEMO_FRAMES, MOTIONS, NOMINAL_JOINT_POS, PlanarEnv,
-                             SimParams, StepBatch, check_termination,
-                             check_termination_arrays, generate_demo_set,
-                             generate_rough_demo, simulate_step)
+                             SimParams, StepBatch, check_termination_arrays,
+                             generate_demo_set, generate_rough_demo)
 
 
 def quiet_params(**kwargs):
@@ -16,21 +14,18 @@ def quiet_params(**kwargs):
     return SimParams(**defaults)
 
 
-def make_state(**kwargs):
-    defaults = dict(base_x=0.0, base_z=0.3, pitch=0.0, base_vx=0.0,
-                    base_vz=0.0, pitch_rate=0.0,
-                    joint_pos=NOMINAL_JOINT_POS.copy(), joint_vel=np.zeros(4))
-    defaults.update(kwargs)
-    return SimState(**defaults)
+def terminated(params, base_z, pitch=0.0):
+    """The termination test for one body at x = 0."""
+    return bool(check_termination_arrays(np.array([0.0]), np.array([base_z]),
+                                         np.array([pitch]), params)[0])
 
 
 class TestReset:
     def test_noise_free_reset_is_nominal(self):
         env = PlanarEnv(quiet_params(), num_envs=1, seed=0)
-        s = env.get_state(0)
-        assert s.base_z == pytest.approx(quiet_params().nominal_height())
-        assert np.array_equal(s.joint_pos, NOMINAL_JOINT_POS)
-        assert s.base_vx == s.base_vz == s.pitch_rate == 0.0
+        assert env.z[0] == pytest.approx(quiet_params().nominal_height())
+        assert np.array_equal(env.q[0], NOMINAL_JOINT_POS)
+        assert env.vx[0] == env.vz[0] == env.om[0] == 0.0
         # feet exactly on the ground at the nominal pose
         assert np.allclose(env.foot_heights(), 0.0, atol=1e-12)
 
@@ -108,28 +103,27 @@ class TestStandingEquilibrium:
 
 class TestTermination:
     def test_upright_high_is_fine(self):
-        assert not check_termination(make_state(base_z=0.3), quiet_params())
+        assert not terminated(quiet_params(), base_z=0.3)
 
     def test_touching_ground(self):
-        assert check_termination(make_state(base_z=0.0), quiet_params())
+        assert terminated(quiet_params(), base_z=0.0)
 
     def test_rotated_corner_below_ground(self):
         # rotated-rectangle oracle: corner offsets under a 90 degree pitch
         params = quiet_params()
-        state = make_state(base_z=0.12, pitch=math.pi / 2)
+        base_z, pitch = 0.12, math.pi / 2
         corners = []
         for cx in (-params.half_length, params.half_length):
             for cz in (-params.half_height, params.half_height):
-                c, s = math.cos(state.pitch), math.sin(state.pitch)
-                corners.append(state.base_z + s * cx + c * cz)
+                c, s = math.cos(pitch), math.sin(pitch)
+                corners.append(base_z + s * cx + c * cz)
         assert min(corners) <= 0.0
-        assert check_termination(state, params)
+        assert terminated(params, base_z, pitch)
 
     def test_boundary_height_upright(self):
         params = quiet_params()
-        assert check_termination(make_state(base_z=params.half_height), params)
-        assert not check_termination(make_state(base_z=params.half_height + 1e-6),
-                                     params)
+        assert terminated(params, base_z=params.half_height)
+        assert not terminated(params, base_z=params.half_height + 1e-6)
 
     def test_terminal_flag_set_by_step(self):
         params = quiet_params()
@@ -148,15 +142,23 @@ class TestTermination:
 
 class TestDeterminism:
     def test_step_is_pure(self):
+        # a step depends on the loaded state and the action alone: not on
+        # the env's own reset draws or on what it stepped before
         params = quiet_params()
-        state = make_state()
-        action = np.array([0.2, -0.1, 0.05, 0.3])
-        s1, r1 = simulate_step(state, action, params)
-        s2, r2 = simulate_step(state, action, params)
-        assert s1.base_z == s2.base_z
-        assert s1.base_vx == s2.base_vx
-        assert np.array_equal(s1.joint_pos, s2.joint_pos)
+        action = np.array([[0.2, -0.1, 0.05, 0.3]])
+        env = PlanarEnv(params, num_envs=1, seed=0)
+        start = env.state_dict()
+        r1 = env.step(action)
+        s1 = env.state_dict()
+        other = PlanarEnv(params, num_envs=1, seed=99)
+        other.step(-action)
+        other.load_state_dict(start)
+        r2 = other.step(action)
+        assert other.z[0] == env.z[0]
+        assert other.vx[0] == env.vx[0]
+        assert np.array_equal(other.q[0], env.q[0])
         assert np.array_equal(r1.joint_torques, r2.joint_torques)
+        assert other.state_dict() == s1
 
     def test_rollout_independent_of_batch_size(self):
         # env i is seeded by (seed, i), so the same index in any batch size

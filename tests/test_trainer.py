@@ -1,7 +1,12 @@
 import json
+import tempfile
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planarmimic.config import default_config
 from planarmimic.core import ReferenceDataset, save_reference_csv
@@ -10,8 +15,13 @@ from planarmimic.ppo import RolloutCollector
 from planarmimic.rewards import (RunningStats, handcrafted_backflip_reward,
                                  handcrafted_standup_reward)
 from planarmimic.sim import PlanarEnv, generate_demo_set
-from planarmimic.trainer import (Trainer, build_identifier, evaluate_policy,
+from planarmimic.trainer import (CHECKPOINT_FORMAT_VERSION, Trainer,
+                                 build_identifier, evaluate_policy,
                                  rollout_batch, rollout_observations)
+
+from test_nets import assert_views_of
+
+DATA = Path(__file__).parent / "data"
 
 
 def tiny_config(task="leap", loss="wgan", seed=3, tmp_path=None):
@@ -95,8 +105,19 @@ class TestTrainingLoop:
         assert np.isfinite(rec["disc_loss"])
 
 
-def _layout(a):
-    return a.flags.c_contiguous, a.flags.f_contiguous
+def assert_flat_layout(trainer):
+    """Every parameter array is a C-contiguous view of its learner's vector,
+    and every optimizer slot one vector of that learner's size."""
+    policy = trainer.policy
+    assert_views_of(policy.flat, [policy.net.flat, policy.log_std]
+                    + policy.net.weights + policy.net.biases)
+    for net in (trainer.value_net, trainer.disc):
+        assert_views_of(net.flat, net.weights + net.biases)
+    for opt, flat in ((trainer.policy_opt, policy.flat),
+                      (trainer.value_opt, trainer.value_net.flat),
+                      (trainer.disc_opt, trainer.disc.flat)):
+        for slot in opt.slots.values():
+            assert slot.shape == flat.shape and slot.flags.c_contiguous
 
 
 def assert_resume_is_bit_exact(tmp_path, loss):
@@ -133,29 +154,25 @@ class TestCheckpointResume:
         trainer.train_iteration()
         path = trainer.save_checkpoint(tmp_path / "c.json")
         restored = Trainer.from_checkpoint(path)
-        assert np.array_equal(restored.policy.net.params_flat(),
-                              trainer.policy.net.params_flat())
-        assert np.array_equal(restored.disc.params_flat(),
-                              trainer.disc.params_flat())
+        assert np.array_equal(restored.policy.flat, trainer.policy.flat)
+        assert np.array_equal(restored.value_net.flat, trainer.value_net.flat)
+        assert np.array_equal(restored.disc.flat, trainer.disc.flat)
         assert restored.stats.count == trainer.stats.count
         assert restored.iteration == trainer.iteration
         # memory layout too: BLAS rounds by layout, so a restored array that
         # is ordered differently from its original breaks bit-exact resume
-        for before, after in ((trainer.policy.net, restored.policy.net),
-                              (trainer.value_net, restored.value_net),
-                              (trainer.disc, restored.disc)):
-            for w in before.weights:
-                assert w.flags.c_contiguous
-            for a, b in zip(after.params(), before.params()):
-                assert _layout(a) == _layout(b)
+        assert_flat_layout(trainer)
+        assert_flat_layout(restored)
         for opt in ("policy_opt", "value_opt", "disc_opt"):
             before, after = getattr(trainer, opt), getattr(restored, opt)
             assert after.step_count == before.step_count
-            for slot_a, slot_b in zip(after.slots, before.slots):
-                assert slot_a.keys() == slot_b.keys()
-                for k in slot_a:
-                    assert np.array_equal(slot_a[k], slot_b[k])
-                    assert _layout(slot_a[k]) == _layout(slot_b[k])
+            assert after.slots.keys() == before.slots.keys()
+            for k in before.slots:
+                assert np.array_equal(after.slots[k], before.slots[k])
+
+    def test_fresh_trainer_layout(self):
+        cfg = tiny_config()
+        assert_flat_layout(Trainer(cfg, tiny_dataset(cfg)))
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path=tmp_path)
@@ -205,12 +222,48 @@ class TestCheckpointResume:
         trainer = Trainer(cfg, tiny_dataset(cfg))
         path = trainer.save_checkpoint(tmp_path / "c.json")
         blob = json.loads(path.read_text())
-        assert blob["format_version"] == 1
+        assert blob["format_version"] == CHECKPOINT_FORMAT_VERSION == 2
         blob["format_version"] = 999
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(blob))
         with pytest.raises(ValueError, match="format"):
             Trainer.from_checkpoint(bad)
+
+
+    def test_format_1_checkpoint_resumes_to_the_same_record(self):
+        # checkpoint_format1.json was written at iteration 2 by the last
+        # release of format 1 (tiny_config(seed=7) with one hidden layer of 8
+        # units per net), and the record next to it is what that release's
+        # iteration 3 produced from it
+        cfg = tiny_config(seed=7)
+        ckpt = DATA / "checkpoint_format1.json"
+        assert json.loads(ckpt.read_text())["format_version"] == 1
+        trainer = Trainer.from_checkpoint(ckpt, dataset=tiny_dataset(cfg))
+        assert trainer.iteration == 2
+        assert_flat_layout(trainer)
+        expected = json.loads((DATA / "checkpoint_format1_next_record.json").read_text())
+        assert trainer.train_iteration() == expected
+
+
+@cache
+def unbroken_records(loss):
+    cfg = tiny_config(loss=loss, seed=9)
+    trainer = Trainer(cfg, tiny_dataset(cfg))
+    return [trainer.train_iteration() for _ in range(4)]
+
+
+@settings(deadline=None, max_examples=8)
+@given(loss=st.sampled_from(["wgan", "lsgan"]), at=st.integers(0, 3))
+def test_checkpoint_round_trips_at_any_iteration(loss, at):
+    cfg = tiny_config(loss=loss, seed=9)
+    dataset = tiny_dataset(cfg)
+    trainer = Trainer(cfg, dataset)
+    for _ in range(at):
+        trainer.train_iteration()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = trainer.save_checkpoint(Path(tmp) / "c.json")
+        resumed = Trainer.from_checkpoint(path, dataset=dataset)
+    assert resumed.train_iteration() == unbroken_records(loss)[at]
 
 
 class TestEvaluation:
