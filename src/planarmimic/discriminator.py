@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import OBS_DIM
-from .nets import Grads, MlpNet
+from .nets import ForwardCache, Grads, MlpNet
 
 LOSS_KINDS = ("wgan", "lsgan")
 
@@ -97,21 +97,28 @@ def _as_batch(windows: np.ndarray, input_dim: int) -> np.ndarray:
     return w
 
 
-def raw_score(net: MlpNet, windows: np.ndarray) -> np.ndarray:
-    """Discriminator output for a window or a batch of windows."""
+def raw_score(net: MlpNet, windows: np.ndarray,
+              cache: ForwardCache | None = None) -> np.ndarray:
+    """Discriminator output for a window or a batch of windows. With a
+    ``cache`` the scores are a view of it."""
     w = _as_batch(windows, net.layer_sizes[0])
-    y, _ = net.forward(w)
+    y, _ = net.forward(w, cache)
     return y[:, 0]
 
 
 def discriminator_loss(net: MlpNet, ref_batch, pol_batch,
-                       cfg: DiscriminatorConfig) -> DiscLossResult:
+                       cfg: DiscriminatorConfig,
+                       ref_cache: ForwardCache | None = None,
+                       pol_cache: ForwardCache | None = None) -> DiscLossResult:
     """Discriminator objective of ``cfg.loss_kind`` with its parameter
     gradients, plus the reference gradient penalty shared by both kinds:
 
       wgan:   main = w_loss * (-mean D(ref) + mean D(pol))
       lsgan:  main = mean (D(ref) - 1)^2 + mean (D(pol) + 1)^2
       total = main + w_gp * mean_ref ||d D/d input||^2
+
+    Every array it writes belongs to the forward caches of the two batches,
+    new ones by default; kept ones overwrite the gradients when next used.
     """
     if cfg.loss_kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {cfg.loss_kind!r}")
@@ -120,8 +127,8 @@ def discriminator_loss(net: MlpNet, ref_batch, pol_batch,
     if ref.shape[0] == 0 or pol.shape[0] == 0:
         raise ValueError("batches must be non-empty")
 
-    y_ref, cache_ref = net.forward(ref)
-    y_pol, cache_pol = net.forward(pol)
+    y_ref, cache_ref = net.forward(ref, ref_cache)
+    y_pol, cache_pol = net.forward(pol, pol_cache)
     if cfg.loss_kind == "wgan":
         main = cfg.w_loss * (-float(y_ref.mean()) + float(y_pol.mean()))
         dy_ref = np.full_like(y_ref, -cfg.w_loss / ref.shape[0])
@@ -133,14 +140,15 @@ def discriminator_loss(net: MlpNet, ref_batch, pol_batch,
         dy_ref = 2.0 * res_ref / ref.shape[0]
         dy_pol = 2.0 * res_pol / pol.shape[0]
 
-    grads = net.backward(cache_ref, dy_ref)
-    grads.d_input = None  # parameter gradients only: batches differ in size
-    grads.add_(net.backward(cache_pol, dy_pol))
+    n = (net.num_params(),)
+    grads = net.backward(cache_ref, dy_ref, out=cache_ref.array("grads", n))
+    grads.add_(net.backward(cache_pol, dy_pol, out=cache_pol.array("grads", n)))
 
     gp_value = 0.0
     if cfg.w_gp != 0.0:
         gp_value, gp_grads = net.input_gradient_norm_grads(
-            cache_ref, coef=cfg.w_gp / ref.shape[0])
+            cache_ref, coef=cfg.w_gp / ref.shape[0],
+            out=cache_ref.array("gp_grads", n))
         grads.add_(gp_grads)
 
     return DiscLossResult(total=main + gp_value, main_term=main, gp_term=gp_value,

@@ -14,6 +14,16 @@ layout, which BLAS rounds by. A gradient and each optimizer slot is a vector
 of the same layout: a step, a snapshot or a restore is one array operation.
 ``clip_grad_norm`` still sums squares per array view, in layout order: numpy
 sums pairwise, so one sum over the whole vector would round differently.
+
+Kept arrays: a ``ForwardCache`` owns every array that ``forward``,
+``backward`` and the penalty write over it, gradients a caller asks for
+included, and an ``OptimizerState`` two scratch vectors for its step; kept
+from one minibatch to the next, they make a step allocate no large array.
+That saves page faults, not arithmetic: at the discriminator's desk shapes
+a (64, 256) activation is 128 KiB, glibc's mmap threshold, and a gradient
+vector 284 KiB, so each new one was mapped, faulted in and unmapped. A desk
+training iteration took about 6,550 minor faults, about 630 in each
+discriminator loss; with the discriminator's arrays kept, about 220.
 """
 
 from __future__ import annotations
@@ -28,46 +38,47 @@ import numpy as np
 # Activations
 # ---------------------------------------------------------------------------
 
-def _relu(z):
-    return np.maximum(z, 0.0)
+def _relu(z, out):
+    return np.maximum(z, 0.0, out=out)
 
 
-def _relu_d(z):
-    return (z > 0.0).astype(np.float64)
+def _relu_d(z, out):
+    return np.greater(z, 0.0, out=out)
 
 
-def _relu_dd(z):
-    return np.zeros_like(z)
+def _elu(z, out):
+    np.expm1(np.minimum(z, 0.0, out=out), out=out)
+    np.copyto(out, z, where=z > 0.0)
+    return out
 
 
-def _elu(z):
-    return np.where(z > 0.0, z, np.expm1(np.minimum(z, 0.0)))
-
-
-def _elu_d(z):
-    return np.where(z > 0.0, 1.0, np.exp(np.minimum(z, 0.0)))
+def _elu_d(z, out):
+    np.exp(np.minimum(z, 0.0, out=out), out=out)
+    np.copyto(out, 1.0, where=z > 0.0)
+    return out
 
 
 def _elu_dd(z):
     return np.where(z > 0.0, 0.0, np.exp(np.minimum(z, 0.0)))
 
 
-def _identity(z):
+def _identity(z, out):
     return z
 
 
-def _one(z):
-    return np.ones_like(z)
+def _one(z, out):
+    out.fill(1.0)
+    return out
 
 
-def _zero(z):
-    return np.zeros_like(z)
-
-
+# name: (activation, derivative, second derivative). The first two write
+# into ``out`` (the identity returns z itself). A second derivative of None
+# is identically zero, and the input-gradient penalty skips the pass that
+# would multiply by it.
 ACTIVATIONS = {
-    "relu": (_relu, _relu_d, _relu_dd),
+    "relu": (_relu, _relu_d, None),
     "elu": (_elu, _elu_d, _elu_dd),
-    "identity": (_identity, _one, _zero),
+    "identity": (_identity, _one, None),
 }
 
 
@@ -109,25 +120,44 @@ def unflatten(flat: np.ndarray, shapes) -> list:
     return views
 
 
-@dataclass
 class ForwardCache:
-    """Intermediates retained by ``forward`` for the backward passes."""
+    """What ``forward`` keeps for the backward passes: the input batch ``x``
+    (B, n0), the pre-activations ``zs`` and the hidden post-activations
+    ``activs``, (B, n_l) per layer. The cache owns these and every other
+    array the passes over it write (``array``), so a caller that passes it
+    back to ``forward`` for the next batch of the same shape allocates
+    nothing; a new batch shape or net layout drops them all."""
 
-    x: np.ndarray            # (B, n0)
-    zs: list                 # pre-activations per layer, (B, n_l)
-    activs: list             # post-activations per hidden layer, (B, n_l)
+    def __init__(self):
+        self.x = None
+        self.zs, self.activs = [], []
+        self._key = None
+        self._arrays = {}
+
+    def bind(self, x: np.ndarray, layer_sizes) -> None:
+        key = (x.shape, tuple(layer_sizes))
+        if key != self._key:
+            self._key, self._arrays = key, {}
+        self.x = x
+        self.zs, self.activs = [], []
+
+    def array(self, name, shape) -> np.ndarray:
+        """The array kept under ``name``, uninitialised when first made."""
+        a = self._arrays.get(name)
+        if a is None:
+            a = self._arrays[name] = np.empty(shape)
+        return a
 
 
 class Grads:
     """Parameter gradients as one vector in the net's layout, with a view per
-    weight and bias, plus the gradient w.r.t. the input batch."""
+    weight and bias."""
 
     def __init__(self, flat: np.ndarray, shapes):
         self.flat = flat
         views = unflatten(flat, shapes)
         self.d_weights = views[0::2]
         self.d_biases = views[1::2]
-        self.d_input = None
 
     def add_(self, other: "Grads") -> None:
         """Add ``other``'s parameter gradients in place."""
@@ -178,8 +208,10 @@ class MlpNet:
 
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, x: np.ndarray) -> tuple:
-        """Run the net on a batch (B, n0). Returns (output (B, nL), cache)."""
+    def forward(self, x: np.ndarray, cache: ForwardCache | None = None) -> tuple:
+        """Run the net on a batch (B, n0). Returns (output (B, nL), cache):
+        ``cache``, or a new one, holds the intermediates, and the output is a
+        view of it, overwritten when the cache is next used."""
         x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 1
         if squeeze:
@@ -188,24 +220,25 @@ class MlpNet:
             raise ValueError(
                 f"input has {x.shape[1]} features, net expects {self.layer_sizes[0]}")
         act, _, _ = ACTIVATIONS[self.activation]
-        zs, activs = [], []
+        cache = ForwardCache() if cache is None else cache
+        cache.bind(x, self.layer_sizes)
         a = x
         last = self.num_layers - 1
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T + b
-            zs.append(z)
+            z = np.matmul(a, w.T, out=cache.array(("z", l), (x.shape[0], w.shape[0])))
+            z += b
+            cache.zs.append(z)
             if l != last:
-                a = act(z)
-                activs.append(a)
-        y = zs[-1]
-        cache = ForwardCache(x=x, zs=zs, activs=activs)
+                a = act(z, cache.array(("a", l), z.shape))
+                cache.activs.append(a)
+        y = cache.zs[-1]
         return (y[0] if squeeze else y), cache
 
     def backward(self, cache: ForwardCache, output_grad: np.ndarray,
                  out: np.ndarray | None = None) -> Grads:
         """Exact VJP: gradients of sum_b <output_b, output_grad_b> w.r.t.
-        all parameters and the input batch. The parameter gradients go into
-        ``out``, a vector in this net's layout, or into a new one."""
+        all parameters. They go into ``out``, a vector in this net's layout,
+        or into a new one; the intermediates into arrays of ``cache``."""
         dy = np.asarray(output_grad, dtype=np.float64)
         if dy.ndim == 1:
             dy = dy[None, :]
@@ -220,9 +253,9 @@ class MlpNet:
             np.matmul(dz.T, a_prev, out=grads.d_weights[l])
             dz.sum(axis=0, out=grads.d_biases[l])
             if l > 0:
-                da = dz @ self.weights[l]
-                dz = da * dact(cache.zs[l - 1])
-        grads.d_input = dz @ self.weights[0]
+                z = cache.zs[l - 1]
+                dz = np.matmul(dz, self.weights[l], out=cache.array(("dz", l - 1), z.shape))
+                dz *= dact(z, cache.array(("dact", l - 1), z.shape))
         return grads
 
     # -- input gradients and their double-backward --------------------------
@@ -238,67 +271,77 @@ class MlpNet:
         if self.layer_sizes[-1] != 1:
             raise ValueError("input gradients require a scalar-output net")
         _, dact, _ = ACTIVATIONS[self.activation]
-        B = cache.x.shape[0]
         L = self.num_layers
         deltas = [None] * L
         cs = [None] * L
         ss = [None] * L
-        deltas[L - 1] = np.ones((B, 1))
+        deltas[L - 1] = np.ones((cache.x.shape[0], 1))
         for l in range(L - 2, -1, -1):
-            cs[l] = deltas[l + 1] @ self.weights[l + 1]
-            ss[l] = dact(cache.zs[l])
-            deltas[l] = cs[l] * ss[l]
-        g = deltas[0] @ self.weights[0]
+            z = cache.zs[l]
+            cs[l] = np.matmul(deltas[l + 1], self.weights[l + 1],
+                              out=cache.array(("c", l), z.shape))
+            ss[l] = dact(z, cache.array(("dact", l), z.shape))
+            deltas[l] = np.multiply(cs[l], ss[l], out=cache.array(("delta", l), z.shape))
+        g = np.matmul(deltas[0], self.weights[0], out=cache.array("g", cache.x.shape))
         return g, deltas, cs, ss
 
-    def input_gradient_norm_grads(self, cache: ForwardCache, coef: float = 1.0) -> tuple:
-        """Value and parameter gradients of  coef * sum_b ||d y_b / d x_b||^2.
+    def input_gradient_norm_grads(self, cache: ForwardCache, coef: float = 1.0,
+                                  out: np.ndarray | None = None) -> tuple:
+        """Value and parameter gradients of  coef * sum_b ||d y_b / d x_b||^2,
+        the gradients in ``out`` (a vector in this net's layout) or a new one.
 
         This is a double-backward: the penalty P depends on the parameters
         both through the reverse sweep (the chain of W^T and act'(z) factors)
-        and through the forward pass (the z_l entering act'). For ReLU the
-        second derivative act'' vanishes almost everywhere, so only the
-        cross terms  d delta_l / d W  survive; for ELU the act'' = exp(z)
-        branch contributes as well.
+        and through the forward pass (the z_l entering act'), a pass of
+        products with act''(z_l). That is exp(z) for ELU, and zero for ReLU
+        (almost everywhere) and the identity, whose pass is skipped: it
+        could change only the sign of a zero, and turn an infinite factor
+        into nan. Each of its factors also enters a product kept here or in
+        ``backward`` over this cache, which the discriminator loss takes too,
+        so a non-finite one still reaches the loss gradient and
+        ``optimizer_step`` rejects the step.
         """
-        _, dact, ddact = ACTIVATIONS[self.activation]
+        _, _, ddact = ACTIVATIONS[self.activation]
         g, deltas, cs, ss = self._input_grad_sweep(cache)
         L = self.num_layers
         value = coef * float((g * g).sum())
 
-        grads = Grads(np.zeros(self.num_params()), self.shapes)
+        grads = Grads(np.empty(self.num_params()) if out is None else out, self.shapes)
+        grads.flat.fill(0.0)
         d_weights, d_biases = grads.d_weights, grads.d_biases
+
+        def add_product(l, left, right):
+            """d_weights[l] += left.T @ right"""
+            d_weights[l] += np.matmul(left.T, right,
+                                      out=cache.array(("dw", l), d_weights[l].shape))
 
         g_bar = 2.0 * coef * g                       # dP/dg
         # g = deltas[0] @ W_0
-        d_weights[0] += deltas[0].T @ g_bar
-        delta_bar = g_bar @ self.weights[0].T        # dP/ddeltas[0]
+        add_product(0, deltas[0], g_bar)
 
         # z_bar_src[l] collects dP/dz_l arising from act'(z_l) in the sweep.
         z_bar_src = [None] * L
+        bar = g_bar
         for l in range(L - 1):
-            c_bar = delta_bar * ss[l]
-            s_bar = delta_bar * cs[l]
-            z_bar_src[l] = s_bar * ddact(cache.zs[l])
+            # dP/ddeltas[l], then in place dP/dcs[l]; deltas[L-1] is
+            # constant, so the chain ends before its product
+            bar = np.matmul(bar, self.weights[l].T, out=cache.array(("bar", l), ss[l].shape))
+            if ddact is not None:
+                z_bar_src[l] = bar * cs[l] * ddact(cache.zs[l])
+            bar *= ss[l]
             # cs[l] = deltas[l+1] @ W_{l+1}
-            d_weights[l + 1] += deltas[l + 1].T @ c_bar
-            delta_bar = c_bar @ self.weights[l + 1].T
-        # deltas[L-1] is constant: chain ends.
+            add_product(l + 1, deltas[l + 1], bar)
+        if ddact is None:
+            return value, grads
 
         # Propagate the z-sources back through the forward graph.
-        z_bar_total = None
+        z_bar = np.zeros_like(cache.zs[L - 1])
         for l in range(L - 1, -1, -1):
-            if l < L - 1 and z_bar_src[l] is not None:
-                z_bar = z_bar_src[l].copy()
-            else:
-                z_bar = np.zeros_like(cache.zs[l])
             if l < L - 1:
-                a_bar = z_bar_total @ self.weights[l + 1]
-                z_bar += a_bar * dact(cache.zs[l])
+                z_bar = z_bar_src[l] + (z_bar @ self.weights[l + 1]) * ss[l]
             a_prev = cache.x if l == 0 else cache.activs[l - 1]
             d_weights[l] += z_bar.T @ a_prev
             d_biases[l] += z_bar.sum(axis=0)
-            z_bar_total = z_bar
 
         return value, grads
 
@@ -346,6 +389,9 @@ class OptimizerState:
     eps: float = 1e-8
     step_count: int = 0
     slots: dict = field(default_factory=dict)
+    # two vectors a step writes its temporaries into; not optimizer state,
+    # and not in the checkpoint
+    scratch: tuple = field(default=(), repr=False, compare=False)
 
     @classmethod
     def for_params(cls, params: np.ndarray, kind: str, learning_rate: float,
@@ -369,10 +415,18 @@ def optimizer_step(state: OptimizerState, params: np.ndarray,
         raise ValueError("parameter vector does not match gradient or optimizer state")
     if not np.all(np.isfinite(grads)):
         raise ValueError("non-finite gradient: step rejected")
+    if not state.scratch or state.scratch[0].shape != params.shape:
+        state.scratch = (np.empty_like(params), np.empty_like(params))
+    # the temporaries go into the scratch; each is the same operation on the
+    # same operands, in the same order, as the expression in its comment
+    s1, s2 = state.scratch
     lr = state.learning_rate
     state.step_count += 1
     p, slot = params, state.slots
-    eff = grads if state.weight_decay == 0.0 else grads + state.weight_decay * p
+    if state.weight_decay == 0.0:
+        eff = grads
+    else:   # grads + weight_decay * p
+        eff = np.add(grads, np.multiply(state.weight_decay, p, out=s1), out=s1)
     if state.kind == "sgd":
         if state.momentum > 0.0:
             slot["buf"] *= state.momentum
@@ -380,25 +434,30 @@ def optimizer_step(state: OptimizerState, params: np.ndarray,
             step = slot["buf"]
         else:
             step = eff
-        p -= lr * step
+        p -= np.multiply(lr, step, out=s2)
     elif state.kind == "rmsprop":
         slot["sq"] *= state.rho
-        slot["sq"] += (1.0 - state.rho) * eff * eff
-        normed = eff / np.sqrt(slot["sq"] + state.eps)
+        # (1 - rho) * eff * eff
+        slot["sq"] += np.multiply(np.multiply(1.0 - state.rho, eff, out=s2), eff, out=s2)
+        # eff / sqrt(sq + eps)
+        normed = np.divide(eff, np.sqrt(np.add(slot["sq"], state.eps, out=s2), out=s2),
+                           out=s2)
         if state.momentum > 0.0:
             slot["buf"] *= state.momentum
             slot["buf"] += normed
-            p -= lr * slot["buf"]
+            p -= np.multiply(lr, slot["buf"], out=s2)
         else:
-            p -= lr * normed
+            p -= np.multiply(lr, normed, out=s2)
     else:  # adam
         slot["m"] *= state.beta1
-        slot["m"] += (1.0 - state.beta1) * eff
+        slot["m"] += np.multiply(1.0 - state.beta1, eff, out=s2)
         slot["v"] *= state.beta2
-        slot["v"] += (1.0 - state.beta2) * eff * eff
-        mhat = slot["m"] / (1.0 - state.beta1 ** state.step_count)
-        vhat = slot["v"] / (1.0 - state.beta2 ** state.step_count)
-        p -= lr * mhat / (np.sqrt(vhat) + state.eps)
+        slot["v"] += np.multiply(np.multiply(1.0 - state.beta2, eff, out=s2), eff, out=s2)
+        # lr * mhat / (sqrt(vhat) + eps); eff is not read again
+        vhat = np.divide(slot["v"], 1.0 - state.beta2 ** state.step_count, out=s2)
+        denom = np.add(np.sqrt(vhat, out=s2), state.eps, out=s2)
+        mhat = np.divide(slot["m"], 1.0 - state.beta1 ** state.step_count, out=s1)
+        p -= np.divide(np.multiply(lr, mhat, out=s1), denom, out=s1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ import numpy as np
 
 from .core import BatchWindowBuffer, OBS_DIM
 from .discriminator import DiscriminatorConfig, lsgan_imitation_reward, raw_score
-from .nets import MlpNet, OptimizerState, clip_grad_norm, optimizer_step
+from .nets import (ForwardCache, MlpNet, OptimizerState, clip_grad_norm,
+                   optimizer_step)
 from .rewards import (RewardWeights, RunningStats, imitation_reward,
                       regularization_reward, termination_penalty, total_reward)
 
@@ -354,6 +355,8 @@ def ppo_update(policy: GaussianPolicy, value_net: MlpNet, buf: RolloutBuffer,
     snapshot = (policy.flat.copy(), value_net.flat.copy())
     n_net = policy.net.flat.size
     pol_grad = np.empty_like(policy.flat)
+    # minibatches of one size reuse the arrays of their passes
+    pol_cache, val_cache = ForwardCache(), ForwardCache()
 
     kls, clip_fracs, pol_losses, val_losses = [], [], [], []
     aborted = False
@@ -368,7 +371,7 @@ def ppo_update(policy: GaussianPolicy, value_net: MlpNet, buf: RolloutBuffer,
             mb_logp_old = logp_old[chunk]
             n = chunk.shape[0]
 
-            mean, cache = policy.net.forward(mb_obs)
+            mean, cache = policy.net.forward(mb_obs, pol_cache)
             std = np.exp(policy.log_std)
             zscore = (mb_act - mean) / std
             logp = (-0.5 * (zscore * zscore).sum(axis=1)
@@ -381,7 +384,7 @@ def ppo_update(policy: GaussianPolicy, value_net: MlpNet, buf: RolloutBuffer,
             entropy = policy.entropy()
             kl = float(((ratio - 1.0) - log_ratio).mean())
 
-            v, vcache = value_net.forward(mb_obs)
+            v, vcache = value_net.forward(mb_obs, val_cache)
             v = v[:, 0]
             val_loss = float(((v - mb_ret) ** 2).mean())
 

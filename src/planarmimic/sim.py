@@ -102,13 +102,12 @@ class StepBatch:
     timeout: np.ndarray               # (E,) bool, episode clock expired
 
 
-def check_termination_arrays(base_x, base_z, pitch, params: SimParams):
-    """True where any corner of the body rectangle is at or below the ground."""
-    c = np.cos(pitch)
-    s = np.sin(pitch)
+def check_termination_arrays(base_z, cos_pitch, sin_pitch, params: SimParams):
+    """True where any corner of the body rectangle is at or below the ground,
+    for bodies at height ``base_z`` whose pitch has the given cos and sin."""
     # lowest corner height: z - (|s| * half_length + |c| * half_height)
-    lowest = base_z - (np.abs(s) * params.half_length
-                       + np.abs(c) * params.half_height)
+    lowest = base_z - (np.abs(sin_pitch) * params.half_length
+                       + np.abs(cos_pitch) * params.half_height)
     return lowest <= 0.0
 
 
@@ -352,7 +351,7 @@ class PlanarEnv:
         self._integrate_body(b)
 
         pos, vel = b.pos, b.vel
-        base = check_termination_arrays(pos[1:, _X], pos[1:, _Z], pos[1:, _PITCH], p)
+        base = check_termination_arrays(pos[1:, _Z], b.trig[1:, 1], b.trig[1:, 2], p)
         landing, angle_report = self._account_flight(b, base)
         # the last substep's legs, rotated by the final pitch
         trig, body = b.trig[K], b.body[K - 1]

@@ -19,8 +19,9 @@ from .discriminator import (build_discriminator, discriminator_loss,
                             lsgan_imitation_reward, pad_windows_full_state,
                             raw_score)
 from .dtw import DtwReport, dtw_distances, stand_still_rollout
-from .nets import (MlpNet, OptimizerState, net_from_dict, net_to_dict,
-                   optimizer_from_dict, optimizer_to_dict, optimizer_step)
+from .nets import (ForwardCache, MlpNet, OptimizerState, net_from_dict,
+                   net_to_dict, optimizer_from_dict, optimizer_to_dict,
+                   optimizer_step)
 from .ppo import (ACTION_DIM, GaussianPolicy, POLICY_OBS_DIM, RolloutCollector,
                   ppo_update)
 from .rewards import (RunningStats, handcrafted_backflip_reward,
@@ -95,6 +96,8 @@ class Trainer:
         self.value_net = MlpNet.create([POLICY_OBS_DIM, *cfg.ppo.hidden_sizes, 1],
                                        activation="elu", rng=init_rng)
         self.disc = build_discriminator(cfg.disc, init_rng)
+        # the discriminator step's arrays, kept from one minibatch to the next
+        self.disc_ref_cache, self.disc_pol_cache = ForwardCache(), ForwardCache()
 
         self.policy_opt = OptimizerState.for_params(
             self.policy.flat, "adam", cfg.ppo.learning_rate)
@@ -131,12 +134,15 @@ class Trainer:
                 ref_mb = ref_mb.reshape(mb_size, -1)
                 if cfg.disc.full_state:
                     ref_mb = pad_windows_full_state(ref_mb, cfg.disc.horizon)
-                res = discriminator_loss(self.disc, ref_mb, pol_mb, cfg.disc)
+                res = discriminator_loss(self.disc, ref_mb, pol_mb, cfg.disc,
+                                         self.disc_ref_cache, self.disc_pol_cache)
                 optimizer_step(self.disc_opt, self.disc.flat, res.grads.flat)
                 disc_totals.append(res.total)
                 disc_mains.append(res.main_term)
                 disc_gps.append(res.gp_term)
-                ref_scores.append(float(raw_score(self.disc, ref_mb).mean()))
+                # the loss is done with the reference cache, so this forward reuses it
+                ref_scores.append(float(
+                    raw_score(self.disc, ref_mb, self.disc_ref_cache).mean()))
 
         self.iteration += 1
         ep_len = (float(np.mean(buf.episode_lengths))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from planarmimic.discriminator import (DiscriminatorConfig, build_discriminator,
                                        discriminator_loss,
                                        lsgan_imitation_reward,
                                        pad_windows_full_state, raw_score)
-from planarmimic.nets import MlpNet, OptimizerState, optimizer_step
+from planarmimic.nets import ForwardCache, MlpNet, OptimizerState, optimizer_step
 
 from test_nets import fd_param_gradient, rand_net, rel_err, FD_RTOL
 
@@ -114,14 +116,12 @@ def separate_kind_loss(net, ref, pol, cfg):
     if cfg.loss_kind == "wgan":
         main = cfg.w_loss * (-float(y_ref.mean()) + float(y_pol.mean()))
         grads = net.backward(cache_ref, np.full_like(y_ref, -cfg.w_loss / ref.shape[0]))
-        grads.d_input = None
         grads.add_(net.backward(cache_pol, np.full_like(y_pol, cfg.w_loss / pol.shape[0])))
     else:
         res_ref = y_ref - 1.0
         res_pol = y_pol + 1.0
         main = float((res_ref ** 2).mean()) + float((res_pol ** 2).mean())
         grads = net.backward(cache_ref, 2.0 * res_ref / ref.shape[0])
-        grads.d_input = None
         grads.add_(net.backward(cache_pol, 2.0 * res_pol / pol.shape[0]))
     gp_value, flat = 0.0, grads.flat
     if cfg.w_gp != 0.0:
@@ -142,6 +142,98 @@ def test_merged_loss_keeps_each_kind_bit_exact(loss_kind, w_gp):
     total, main, gp_value, flat = separate_kind_loss(net, ref, pol, cfg)
     assert (res.total, res.main_term, res.gp_term) == (total, main, gp_value)
     assert np.array_equal(res.grads.flat, flat)
+
+
+def desk_setup(seed):
+    """The discriminator, its optimizer and a batch source at the desk
+    config's shapes: H=2, hidden (256, 128), minibatches of 64, rmsprop."""
+    cfg = DiscriminatorConfig(horizon=2)
+    assert (cfg.hidden_sizes, cfg.minibatch_size, cfg.optimizer_kind) == (
+        (256, 128), 64, "rmsprop")
+    rng = np.random.default_rng(seed)
+    net = build_discriminator(cfg, rng)
+
+    def optimizer(params):
+        return OptimizerState.for_params(
+            params, cfg.optimizer_kind, cfg.learning_rate,
+            weight_decay=cfg.weight_decay, momentum=cfg.momentum, rho=cfg.rho)
+
+    def batch(rows=cfg.minibatch_size):
+        return rng.normal(size=(rows, cfg.input_dim))
+
+    return cfg, net, optimizer, batch
+
+
+def disc_step(net, opt, cfg, caches, ref, pol):
+    """One discriminator step as the trainer takes it: loss, optimizer step,
+    then the post-step reference score, with the (reference, policy) forward
+    caches ``caches``."""
+    res = discriminator_loss(net, ref, pol, cfg, *caches)
+    optimizer_step(opt, net.flat, res.grads.flat)
+    return res, float(raw_score(net, ref, caches[0]).mean())
+
+
+class TestKeptBuffers:
+    def test_step_allocates_less_than_one_activation(self):
+        # a (64, 256) float64 activation is 128 KiB, the size from which
+        # malloc maps fresh pages for every array and unmaps them on free
+        cfg, net, optimizer, batch = desk_setup(21)
+        opt, caches = optimizer(net.flat), (ForwardCache(), ForwardCache())
+        disc_step(net, opt, cfg, caches, batch(), batch())
+        ref, pol = batch(), batch()
+        tracemalloc.start()
+        try:
+            disc_step(net, opt, cfg, caches, ref, pol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024
+
+    def test_kept_until_the_batch_size_changes(self):
+        # fewer policy windows than minibatch_size make smaller batches
+        cfg, net, optimizer, batch = desk_setup(22)
+        fresh_net = MlpNet(net.layer_sizes, net.activation, flat=net.flat.copy())
+        opt, fresh_opt = optimizer(net.flat), optimizer(fresh_net.flat)
+        ref_cache, pol_cache = ForwardCache(), ForwardCache()
+        kept = None
+        for rows in (64, 64, 10, 10, 64):
+            ref, pol = batch(rows), batch(rows)
+            res, score = disc_step(net, opt, cfg, (ref_cache, pol_cache), ref, pol)
+            want, want_score = disc_step(fresh_net, fresh_opt, cfg, (None, None),
+                                         ref, pol)
+            assert (res.total, res.main_term, res.gp_term, score) == (
+                want.total, want.main_term, want.gp_term, want_score)
+            assert net.flat.tobytes() == fresh_net.flat.tobytes()
+            arrays = [res.grads.flat, *opt.scratch, *ref_cache.zs,
+                      *ref_cache.activs, *pol_cache.zs, *pol_cache.activs]
+            assert pol_cache.zs[0].shape == (rows, 256)
+            if kept is not None:
+                same = [a is b for a, b in zip(arrays, kept[1])]
+                if rows == kept[0]:
+                    assert all(same)
+                else:   # the caches' arrays are rebuilt, the gradients with
+                    # them; the optimizer's scratch follows the parameters
+                    assert same[1:3] == [True, True]
+                    assert not same[0] and not any(same[3:])
+            kept = rows, arrays
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_reference_window_rejects_the_step(self, bad):
+        # the penalty's skipped second-order pass would turn an infinity into
+        # nan by a product with 0; the kept products carry it as well
+        cfg = small_cfg()
+        rng = np.random.default_rng(23)
+        net = build_discriminator(cfg, rng)
+        ref = rng.normal(size=(8, cfg.input_dim))
+        ref[3, 5] = bad
+        with np.errstate(invalid="ignore"):
+            res = discriminator_loss(net, ref, rng.normal(size=(8, cfg.input_dim)), cfg)
+        assert not np.all(np.isfinite(res.grads.flat))
+        opt = OptimizerState.for_params(net.flat, "rmsprop", learning_rate=0.1)
+        before = net.flat.copy()
+        with pytest.raises(ValueError, match="non-finite"):
+            optimizer_step(opt, net.flat, res.grads.flat)
+        assert net.flat.tobytes() == before.tobytes()
 
 
 class TestInputGradient:

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from planarmimic.nets import (ACTIVATIONS, MlpNet, OptimizerState,
+from planarmimic.nets import (ACTIVATIONS, ForwardCache, MlpNet, OptimizerState,
                               clip_grad_norm, net_from_dict, net_to_dict,
                               optimizer_from_dict, optimizer_step,
                               optimizer_to_dict, orthogonal_init, unflatten)
@@ -117,7 +119,7 @@ class TestBackward:
         grads = net.backward(cache, np.zeros((4, 1)))
         assert all(np.all(g == 0) for g in grads.d_weights)
         assert all(np.all(g == 0) for g in grads.d_biases)
-        assert np.all(grads.d_input == 0)
+        assert np.all(grads.flat == 0)
 
     @pytest.mark.parametrize("activation", ["elu", "relu", "identity"])
     def test_param_gradients_match_finite_differences(self, activation):
@@ -140,30 +142,127 @@ class TestBackward:
                 failures += 1
         assert failures == 0
 
-    def test_input_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(77)
-        net = rand_net(rng, [4, 7, 1], "elu")
-        x = rng.normal(size=(1, 4))
-        dy = np.ones((1, 1))
-        _, cache = net.forward(x)
-        analytic = net.backward(cache, dy).d_input[0]
-        fd = np.zeros(4)
-        for i in range(4):
-            hi = x.copy(); hi[0, i] += FD_EPS
-            lo = x.copy(); lo[0, i] -= FD_EPS
-            fd[i] = (net.forward(hi)[0].sum() - net.forward(lo)[0].sum()) / (2 * FD_EPS)
-        assert rel_err(analytic, fd) < FD_RTOL
-
 
 class TestEluSmoothness:
     def test_c1_at_zero(self):
-        _, delu, _ = ACTIVATIONS["elu"]
+        elu_fn, delu_fn, _ = ACTIVATIONS["elu"]
+
+        def elu(v):
+            return elu_fn(np.array([v]), np.empty(1)).item()
+
         h = 1e-7
-        elu = ACTIVATIONS["elu"][0]
-        left = (elu(np.array([0.0])) - elu(np.array([-h]))) / h
-        right = (elu(np.array([h])) - elu(np.array([0.0]))) / h
-        assert abs((left - right).item()) < 1e-6
-        assert delu(np.array([0.0]))[0] == pytest.approx(1.0)
+        left = (elu(0.0) - elu(-h)) / h
+        right = (elu(h) - elu(0.0)) / h
+        assert abs(left - right) < 1e-6
+        assert delu_fn(np.array([0.0]), np.empty(1))[0] == pytest.approx(1.0)
+
+
+# The forward pass, the activation derivatives and the full double-backward
+# of the input-gradient penalty as they were before the penalty skipped its
+# second-order pass for activations whose second derivative is zero, each
+# temporary a new array: the slow oracle of that skip and of the kept arrays.
+ORACLE_ACTIVATIONS = {
+    "relu": (lambda z: np.maximum(z, 0.0),
+             lambda z: (z > 0.0).astype(np.float64), np.zeros_like),
+    "elu": (lambda z: np.where(z > 0.0, z, np.expm1(np.minimum(z, 0.0))),
+            lambda z: np.where(z > 0.0, 1.0, np.exp(np.minimum(z, 0.0))),
+            lambda z: np.where(z > 0.0, 0.0, np.exp(np.minimum(z, 0.0)))),
+    "identity": (lambda z: z, np.ones_like, np.zeros_like),
+}
+
+
+def full_penalty_oracle(net, x, coef):
+    act, dact, ddact = ORACLE_ACTIVATIONS[net.activation]
+    L = net.num_layers
+    zs, activs, a = [], [], x
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        zs.append(a @ w.T + b)
+        if l != L - 1:
+            a = act(zs[-1])
+            activs.append(a)
+
+    deltas, cs, ss = [None] * L, [None] * L, [None] * L
+    deltas[L - 1] = np.ones((x.shape[0], 1))
+    for l in range(L - 2, -1, -1):
+        cs[l] = deltas[l + 1] @ net.weights[l + 1]
+        ss[l] = dact(zs[l])
+        deltas[l] = cs[l] * ss[l]
+    g = deltas[0] @ net.weights[0]
+    value = coef * float((g * g).sum())
+
+    d_weights = [np.zeros(w.shape) for w in net.weights]
+    d_biases = [np.zeros(b.shape) for b in net.biases]
+    g_bar = 2.0 * coef * g
+    d_weights[0] += deltas[0].T @ g_bar
+    delta_bar = g_bar @ net.weights[0].T
+    z_bar_src = [None] * L
+    for l in range(L - 1):
+        c_bar = delta_bar * ss[l]
+        s_bar = delta_bar * cs[l]
+        z_bar_src[l] = s_bar * ddact(zs[l])
+        d_weights[l + 1] += deltas[l + 1].T @ c_bar
+        delta_bar = c_bar @ net.weights[l + 1].T
+    z_bar_total = None
+    for l in range(L - 1, -1, -1):
+        if l < L - 1 and z_bar_src[l] is not None:
+            z_bar = z_bar_src[l].copy()
+        else:
+            z_bar = np.zeros_like(zs[l])
+        if l < L - 1:
+            a_bar = z_bar_total @ net.weights[l + 1]
+            z_bar += a_bar * dact(zs[l])
+        a_prev = x if l == 0 else activs[l - 1]
+        d_weights[l] += z_bar.T @ a_prev
+        d_biases[l] += z_bar.sum(axis=0)
+        z_bar_total = z_bar
+    flat = np.concatenate([p.reshape(-1) for pair in zip(d_weights, d_biases)
+                           for p in pair])
+    return value, flat
+
+
+@settings(deadline=None, max_examples=80)
+@given(activation=st.sampled_from(["relu", "identity", "elu"]),
+       hidden=st.lists(st.integers(1, 300), min_size=1, max_size=3),
+       batch=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
+@example(activation="relu", hidden=[256, 128], batch=64, seed=0)  # desk shapes
+def test_penalty_matches_the_full_double_backward(activation, hidden, batch, seed):
+    # a skipped term adds only products with a factor of exactly 0, so it
+    # can at most flip the sign of a zero; with ELU nothing is skipped
+    rng = np.random.default_rng(seed)
+    n_in = int(rng.integers(1, 13))
+    net = rand_net(rng, [n_in, *hidden, 1], activation)
+    x = rng.normal(size=(batch, n_in))
+    coef = float(rng.uniform(0.01, 10.0))
+    value, grads = net.input_gradient_norm_grads(net.forward(x)[1], coef)
+    want_value, want = full_penalty_oracle(net, x, coef)
+    assert value == want_value
+    assert np.array_equal(grads.flat, want)
+    nonzero = want != 0.0
+    assert grads.flat[nonzero].tobytes() == want[nonzero].tobytes()
+    if activation == "elu":
+        assert grads.flat.tobytes() == want.tobytes()
+
+
+class TestForwardCache:
+    @pytest.mark.parametrize("activation", ["relu", "elu", "identity"])
+    def test_kept_arrays_give_the_same_bytes(self, activation):
+        # one cache through batches of changing size against a new cache each
+        rng = np.random.default_rng(12)
+        net = rand_net(rng, [6, 9, 7, 1], activation)
+        cache = ForwardCache()
+        for batch in (5, 5, 3, 5):
+            x = rng.normal(size=(batch, 6))
+            dy = rng.normal(size=(batch, 1))
+            y, kept = net.forward(x, cache)
+            y_new, fresh = net.forward(x)
+            assert kept is cache
+            assert y.tobytes() == y_new.tobytes()
+            assert (net.backward(kept, dy).flat.tobytes()
+                    == net.backward(fresh, dy).flat.tobytes())
+            v_kept, g_kept = net.input_gradient_norm_grads(kept, 0.5)
+            v_new, g_new = net.input_gradient_norm_grads(fresh, 0.5)
+            assert v_kept == v_new
+            assert g_kept.flat.tobytes() == g_new.flat.tobytes()
 
 
 class TestOptimizers:
@@ -232,6 +331,27 @@ class TestOptimizers:
         assert net.flat.tobytes() == np.concatenate(
             [p.reshape(-1) for p in arrays]).tobytes()
 
+    @pytest.mark.parametrize("kind", ["sgd", "rmsprop", "adam"])
+    @pytest.mark.parametrize("weight_decay, momentum", [(0.0, 0.0), (1e-3, 0.05)])
+    def test_scratch_keeps_the_plain_arithmetic(self, kind, weight_decay, momentum):
+        rng = np.random.default_rng(8)
+        kw = dict(learning_rate=3e-4, weight_decay=weight_decay, momentum=momentum)
+        p = rng.normal(size=50)
+        q = p.copy()
+        opt = OptimizerState.for_params(p, kind, **kw)
+        oracle = OptimizerState.for_params(q, kind, **kw)
+        for _ in range(20):
+            g = rng.normal(size=50) * 10.0 ** rng.integers(-6, 3)
+            optimizer_step(opt, p, g)
+            plain_step(oracle, q, g)
+            assert p.tobytes() == q.tobytes()
+            for name, slot in opt.slots.items():
+                assert slot.tobytes() == oracle.slots[name].tobytes()
+        kept = opt.scratch
+        optimizer_step(opt, p, g)
+        assert len(kept) == 2 and all(a is b for a, b in zip(opt.scratch, kept))
+        assert "scratch" not in optimizer_to_dict(opt)
+
     def test_serialization_round_trip(self):
         p = np.array([1.0, 2.0, 3.0])
         opt = OptimizerState.for_params(p, "adam", learning_rate=0.01)
@@ -252,6 +372,41 @@ class TestOptimizers:
         restored = optimizer_from_dict(d)
         assert np.array_equal(restored.slots["sq"], [1.0, 2.0, 3.0])
         assert np.array_equal(restored.slots["buf"], [4.0, 5.0, 6.0])
+
+
+def plain_step(state, p, grads):
+    """``optimizer_step``'s arithmetic as plain expressions, each temporary a
+    new array: the oracle of its scratch vectors."""
+    lr = state.learning_rate
+    state.step_count += 1
+    slot = state.slots
+    eff = grads if state.weight_decay == 0.0 else grads + state.weight_decay * p
+    if state.kind == "sgd":
+        if state.momentum > 0.0:
+            slot["buf"] *= state.momentum
+            slot["buf"] += eff
+            step = slot["buf"]
+        else:
+            step = eff
+        p -= lr * step
+    elif state.kind == "rmsprop":
+        slot["sq"] *= state.rho
+        slot["sq"] += (1.0 - state.rho) * eff * eff
+        normed = eff / np.sqrt(slot["sq"] + state.eps)
+        if state.momentum > 0.0:
+            slot["buf"] *= state.momentum
+            slot["buf"] += normed
+            p -= lr * slot["buf"]
+        else:
+            p -= lr * normed
+    else:
+        slot["m"] *= state.beta1
+        slot["m"] += (1.0 - state.beta1) * eff
+        slot["v"] *= state.beta2
+        slot["v"] += (1.0 - state.beta2) * eff * eff
+        mhat = slot["m"] / (1.0 - state.beta1 ** state.step_count)
+        vhat = slot["v"] / (1.0 - state.beta2 ** state.step_count)
+        p -= lr * mhat / (np.sqrt(vhat) + state.eps)
 
 
 class TestInit:

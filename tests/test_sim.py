@@ -15,9 +15,9 @@ def quiet_params(**kwargs):
 
 
 def terminated(params, base_z, pitch=0.0):
-    """The termination test for one body at x = 0."""
-    return bool(check_termination_arrays(np.array([0.0]), np.array([base_z]),
-                                         np.array([pitch]), params)[0])
+    """The termination test for one body."""
+    return bool(check_termination_arrays(np.array([base_z]), np.cos([pitch]),
+                                         np.sin([pitch]), params)[0])
 
 
 class TestReset:
@@ -479,7 +479,8 @@ def oracle_step(env, actions):
         torque_accum += tau
 
         feet_air = ~active.any(axis=1)
-        body_air = ~check_termination_arrays(env.x, env.z, env.pitch, p)
+        body_air = ~check_termination_arrays(env.z, np.cos(env.pitch),
+                                             np.sin(env.pitch), p)
         in_flight = feet_air & body_air
         touched_down = env.airborne & ~feet_air
         if touched_down.any():
@@ -491,7 +492,8 @@ def oracle_step(env, actions):
 
     env.time += p.control_dt
     env.steps += 1
-    base_contact = check_termination_arrays(env.x, env.z, env.pitch, p)
+    base_contact = check_termination_arrays(env.z, np.cos(env.pitch),
+                                            np.sin(env.pitch), p)
     env.terminal = base_contact.copy()
     timeout = env.time >= p.max_episode_time - 1e-12
 
