@@ -140,15 +140,16 @@ def discriminator_loss(net: MlpNet, ref_batch, pol_batch,
         dy_ref = 2.0 * res_ref / ref.shape[0]
         dy_pol = 2.0 * res_pol / pol.shape[0]
 
+    # the policy batch's gradients, and then the penalty's, go into ``other``
     n = (net.num_params(),)
     grads = net.backward(cache_ref, dy_ref, out=cache_ref.array("grads", n))
-    grads.add_(net.backward(cache_pol, dy_pol, out=cache_pol.array("grads", n)))
+    other = cache_ref.array("other_grads", n)
+    grads.add_(net.backward(cache_pol, dy_pol, out=other))
 
     gp_value = 0.0
     if cfg.w_gp != 0.0:
         gp_value, gp_grads = net.input_gradient_norm_grads(
-            cache_ref, coef=cfg.w_gp / ref.shape[0],
-            out=cache_ref.array("gp_grads", n))
+            cache_ref, coef=cfg.w_gp / ref.shape[0], out=other)
         grads.add_(gp_grads)
 
     return DiscLossResult(total=main + gp_value, main_term=main, gp_term=gp_value,

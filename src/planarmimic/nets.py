@@ -125,8 +125,8 @@ class ForwardCache:
     (B, n0), the pre-activations ``zs`` and the hidden post-activations
     ``activs``, (B, n_l) per layer. The cache owns these and every other
     array the passes over it write (``array``), so a caller that passes it
-    back to ``forward`` for the next batch of the same shape allocates
-    nothing; a new batch shape or net layout drops them all."""
+    back to ``forward`` for the next batch of the same shape allocates none
+    of them again; a new batch shape or net layout drops them all."""
 
     def __init__(self):
         self.x = None
@@ -135,6 +135,7 @@ class ForwardCache:
         self._arrays = {}
 
     def bind(self, x: np.ndarray, layer_sizes) -> None:
+        """Start a forward pass of ``x`` through a net of ``layer_sizes``."""
         key = (x.shape, tuple(layer_sizes))
         if key != self._key:
             self._key, self._arrays = key, {}
@@ -323,9 +324,9 @@ class MlpNet:
         z_bar_src = [None] * L
         bar = g_bar
         for l in range(L - 1):
-            # dP/ddeltas[l], then in place dP/dcs[l]; deltas[L-1] is
-            # constant, so the chain ends before its product
-            bar = np.matmul(bar, self.weights[l].T, out=cache.array(("bar", l), ss[l].shape))
+            # dP/ddeltas[l], then in place dP/dcs[l], in backward's dz array;
+            # deltas[L-1] is constant, so the chain ends before its product
+            bar = np.matmul(bar, self.weights[l].T, out=cache.array(("dz", l), ss[l].shape))
             if ddact is not None:
                 z_bar_src[l] = bar * cs[l] * ddact(cache.zs[l])
             bar *= ss[l]
