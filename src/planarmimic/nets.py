@@ -48,13 +48,13 @@ def _relu_d(z, out):
 
 def _elu(z, out):
     np.expm1(np.minimum(z, 0.0, out=out), out=out)
-    np.copyto(out, z, where=z > 0.0)
+    np.putmask(out, z > 0.0, z)
     return out
 
 
 def _elu_d(z, out):
     np.exp(np.minimum(z, 0.0, out=out), out=out)
-    np.copyto(out, 1.0, where=z > 0.0)
+    np.putmask(out, z > 0.0, 1.0)
     return out
 
 
