@@ -22,8 +22,8 @@ from one minibatch to the next, they make a step allocate no large array.
 That saves page faults, not arithmetic: at the discriminator's desk shapes
 a (64, 256) activation is 128 KiB, glibc's mmap threshold, and a gradient
 vector 284 KiB, so each new one was mapped, faulted in and unmapped. A desk
-training iteration took about 6,550 minor faults, about 630 in each
-discriminator loss; with the discriminator's arrays kept, about 220.
+training iteration took about 6,700 minor faults, about 630 in each
+discriminator loss; with the discriminator's arrays kept, about 230.
 """
 
 from __future__ import annotations
