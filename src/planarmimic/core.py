@@ -94,6 +94,9 @@ class ReferenceDataset:
     trajectories: list = field(default_factory=list)
     motion_name: str = ""
     dt: float = 0.02
+    # window_index's result per horizon, with the trajectories it was made of
+    _window_index: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     @property
     def num_trajectories(self) -> int:
@@ -104,6 +107,27 @@ class ReferenceDataset:
 
     def feature_means(self) -> np.ndarray:
         return np.concatenate(self.trajectories, axis=0).mean(axis=0)
+
+    def window_index(self, horizon: int) -> tuple:
+        """``(frames, offsets)`` for drawing windows of ``horizon`` frames:
+        every trajectory's frames concatenated, and the cumulative counts of
+        window starts, trajectory by trajectory. Made once per horizon, and
+        again only if ``trajectories`` holds other arrays; the arrays
+        themselves are not to change in place."""
+        kept = self._window_index.get(horizon)
+        if kept is not None and len(kept[0]) == len(self.trajectories) and all(
+                a is b for a, b in zip(kept[0], self.trajectories)):
+            return kept[1]
+        lengths = np.array([t.shape[0] for t in self.trajectories])
+        short = np.flatnonzero(lengths < horizon)
+        if short.size:
+            k = int(short[0])
+            raise ValueError(
+                f"trajectory {k} shorter than horizon ({lengths[k]} < {horizon})")
+        offsets = np.concatenate([[0], np.cumsum(lengths - horizon + 1)])
+        index = (np.concatenate(self.trajectories), offsets)
+        self._window_index[horizon] = (tuple(self.trajectories), index)
+        return index
 
     def validate(self, horizon: int) -> None:
         if not self.trajectories:
@@ -261,18 +285,11 @@ def sample_reference_windows(dataset: ReferenceDataset, batch: int, horizon: int
     pairs, with replacement. Returns an array of shape (batch, H, 6)."""
     if batch <= 0:
         raise ValueError("batch must be positive")
-    lengths = np.array([t.shape[0] for t in dataset.trajectories])
-    short = np.flatnonzero(lengths < horizon)
-    if short.size:
-        k = int(short[0])
-        raise ValueError(
-            f"trajectory {k} shorter than horizon ({lengths[k]} < {horizon})")
-    offsets = np.concatenate([[0], np.cumsum(lengths - horizon + 1)])
+    frames, offsets = dataset.window_index(horizon)
     flat = rng.integers(0, int(offsets[-1]), size=batch)
     traj_idx = np.searchsorted(offsets, flat, side="right") - 1
     # each trajectory has horizon - 1 more frames than window starts, so in
     # the concatenated frames window ``flat`` of trajectory k starts at row
     # flat + k * (horizon - 1)
     first_rows = flat + traj_idx * (horizon - 1)
-    frames = np.concatenate(dataset.trajectories)
     return frames[first_rows[:, None] + np.arange(horizon)]

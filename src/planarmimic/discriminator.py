@@ -90,8 +90,6 @@ def _as_batch(windows: np.ndarray, input_dim: int) -> np.ndarray:
     w = np.asarray(windows, dtype=np.float64)
     if w.ndim == 1:
         w = w[None, :]
-    if w.ndim == 3:  # (B, H, F) stacks are accepted and flattened time-major
-        w = w.reshape(w.shape[0], -1)
     if w.shape[1] != input_dim:
         raise ValueError(f"window batch has {w.shape[1]} features, expected {input_dim}")
     return w
@@ -99,11 +97,16 @@ def _as_batch(windows: np.ndarray, input_dim: int) -> np.ndarray:
 
 def raw_score(net: MlpNet, windows: np.ndarray,
               cache: ForwardCache | None = None) -> np.ndarray:
-    """Discriminator output for a window or a batch of windows. With a
-    ``cache`` the scores are a view of it."""
-    w = _as_batch(windows, net.layer_sizes[0])
+    """Discriminator output for a window (D,), a batch (B, D), or a stack of
+    batches (..., B, D), such as a rollout's (T, E, D) windows; the scores
+    have the batch's leading shape, and each batch's are the bytes of its
+    own call (see ``MlpNet.forward``). With a ``cache`` the scores are a
+    view of it."""
+    w = np.asarray(windows, dtype=np.float64)
+    if w.ndim == 1:
+        w = w[None, :]
     y, _ = net.forward(w, cache)
-    return y[:, 0]
+    return y[..., 0]
 
 
 def discriminator_loss(net: MlpNet, ref_batch, pol_batch,

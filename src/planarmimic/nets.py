@@ -53,9 +53,8 @@ def _elu(z, out):
 
 
 def _elu_d(z, out):
-    np.exp(np.minimum(z, 0.0, out=out), out=out)
-    np.putmask(out, z > 0.0, 1.0)
-    return out
+    # exp(min(z, 0)) is exp(0) = 1 exactly where z > 0
+    return np.exp(np.minimum(z, 0.0, out=out), out=out)
 
 
 def _elu_dd(z):
@@ -210,23 +209,28 @@ class MlpNet:
     # -- forward / backward -------------------------------------------------
 
     def forward(self, x: np.ndarray, cache: ForwardCache | None = None) -> tuple:
-        """Run the net on a batch (B, n0). Returns (output (B, nL), cache):
-        ``cache``, or a new one, holds the intermediates, and the output is a
-        view of it, overwritten when the cache is next used."""
+        """Run the net on a batch (..., B, n0). Returns (output (..., B, nL),
+        cache): ``cache``, or a new one, holds the intermediates, and the
+        output is a view of it, overwritten when the cache is next used.
+
+        Leading axes stack batches: each (B, n0) slice goes through its own
+        matrix products, so a stacked forward gives the bytes of separate
+        forwards of its slices. A (T * B, n0) batch would not: BLAS blocks
+        a taller product differently and rounds its sums otherwise."""
         x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 1
         if squeeze:
             x = x[None, :]
-        if x.shape[1] != self.layer_sizes[0]:
+        if x.shape[-1] != self.layer_sizes[0]:
             raise ValueError(
-                f"input has {x.shape[1]} features, net expects {self.layer_sizes[0]}")
+                f"input has {x.shape[-1]} features, net expects {self.layer_sizes[0]}")
         act, _, _ = ACTIVATIONS[self.activation]
         cache = ForwardCache() if cache is None else cache
         cache.bind(x, self.layer_sizes)
         a = x
         last = self.num_layers - 1
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = np.matmul(a, w.T, out=cache.array(("z", l), (x.shape[0], w.shape[0])))
+            z = np.matmul(a, w.T, out=cache.array(("z", l), x.shape[:-1] + w.shape[:1]))
             z += b
             cache.zs.append(z)
             if l != last:

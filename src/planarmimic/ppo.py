@@ -1,7 +1,7 @@
 """On-policy learner: clipped-surrogate policy optimization with generalized
 advantage estimation, an entropy bonus, and a KL-targeted adaptive learning
-rate. Rollout collection builds the adversarial reward on the fly from
-discriminator scores, the termination penalty, and the regularization terms.
+rate. Rollout collection builds the adversarial reward from discriminator
+scores, the termination penalty, and the regularization terms.
 """
 
 from __future__ import annotations
@@ -188,13 +188,76 @@ class PpoStats:
     aborted: bool = False
 
 
+class PolicyHistory:
+    """What the policy observes of each row of a vectorized environment
+    beyond its current state: the previous policy frame and action, and the
+    joint rates before the last step, which the joint-acceleration penalty
+    reads. A policy frame is the base observation, the joint positions and
+    rates, and the previous action."""
+
+    def __init__(self, env):
+        self.env = env
+        E = env.num_envs
+        self.prev_frame = np.zeros((E, POLICY_FRAME_DIM))
+        self.cur_frame = np.zeros((E, POLICY_FRAME_DIM))
+        self.prev_action = np.zeros((E, ACTION_DIM))
+        self.prev_joint_vel = np.zeros((E, 4))
+        self.reset_rows(np.ones(E, dtype=bool))
+
+    def frame(self, feats: np.ndarray | None = None) -> np.ndarray:
+        """Every row's policy frame now; ``feats`` are the env's observation
+        features, when the caller has them."""
+        if feats is None:
+            feats = self.env.observation_features()
+        return np.concatenate([feats, self.env.q, self.env.qd, self.prev_action],
+                              axis=1)
+
+    def reset_rows(self, mask: np.ndarray) -> None:
+        """Start the ``mask`` rows' history over, after the env reset them."""
+        self.prev_action[mask] = 0.0
+        self.prev_joint_vel[mask] = self.env.qd[mask]
+        frame = self.frame()
+        self.cur_frame[mask] = frame[mask]
+        self.prev_frame[mask] = frame[mask]
+
+    def obs(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The policy's observation (E, POLICY_OBS_DIM): two frames."""
+        return np.concatenate([self.prev_frame, self.cur_frame], axis=1, out=out)
+
+    def advance(self, actions: np.ndarray, live: np.ndarray,
+                feats: np.ndarray | None = None) -> None:
+        """Shift the ``live`` rows' history by one control step, after
+        ``env.step(actions)``; ``feats`` as in ``frame``."""
+        rows = live[:, None]
+        np.copyto(self.prev_action, actions, where=rows)
+        np.copyto(self.prev_joint_vel, self.env.qd, where=rows)
+        np.copyto(self.prev_frame, self.cur_frame, where=rows)
+        np.copyto(self.cur_frame, self.frame(feats), where=rows)
+
+    def state_dict(self) -> dict:
+        return {name: getattr(self, name).tolist() for name in
+                ("prev_frame", "cur_frame", "prev_action", "prev_joint_vel")}
+
+    def load_state_dict(self, d: dict) -> None:
+        for name in ("prev_frame", "cur_frame", "prev_action", "prev_joint_vel"):
+            getattr(self, name)[...] = np.array(d[name], dtype=np.float64)
+
+
 class RolloutCollector:
     """Steps a vectorized environment with the current policy, assembles the
     observation windows the discriminator scores, and writes fully assembled
     rewards into a fresh buffer.
 
-    Reward normalization statistics are consulted before being updated with
-    the new scores, and only policy scores ever reach them.
+    The step loop does only what the next step reads: sample the policy,
+    step the env, push the windows, reset finished rows and advance the
+    policy history. It records the rest, and after the loop one stacked
+    forward each gives the values and the scores, and the rewards are
+    assembled over the whole (T, E) rollout. Every value is the one a
+    step-by-step collection computes, byte for byte (the tests keep that
+    loop as the oracle): a stacked forward runs each step's own products,
+    and the reward terms are elementwise. Reward normalization statistics
+    are consulted before being updated with each step's new scores, in step
+    order, and only policy scores ever reach them.
     """
 
     def __init__(self, env, disc_cfg: DiscriminatorConfig, ppo_cfg: PpoConfig,
@@ -208,126 +271,112 @@ class RolloutCollector:
         self.action_rngs = [np.random.default_rng(np.random.SeedSequence([seed, 1000 + i]))
                             for i in range(E)]
         self.window_buf = BatchWindowBuffer(E, disc_cfg.horizon, disc_cfg.frame_dim)
-        self.prev_frame = np.zeros((E, POLICY_FRAME_DIM))
-        self.cur_frame = np.zeros((E, POLICY_FRAME_DIM))
-        self.prev_action = np.zeros((E, ACTION_DIM))
-        self.prev_joint_vel = np.zeros((E, 4))
-        self._init_rows(np.ones(E, dtype=bool))
+        self.history = PolicyHistory(env)
+        self.window_buf.reset_rows(np.ones(E, dtype=bool), self._disc_frame())
+        # the forwards' arrays, kept from one step and one rollout to the next
+        self._policy_cache, self._value_cache, self._disc_cache = (
+            ForwardCache(), ForwardCache(), ForwardCache())
 
-    def _disc_frame(self) -> np.ndarray:
-        feats = self.env.observation_features()
+    def _disc_frame(self, feats: np.ndarray | None = None) -> np.ndarray:
+        if feats is None:
+            feats = self.env.observation_features()
         if self.disc_cfg.full_state:
             feats = np.concatenate([feats, self.env.q, self.env.qd], axis=1)
         return feats
 
-    def _policy_frame(self) -> np.ndarray:
-        return np.concatenate([self.env.observation_features(), self.env.q,
-                               self.env.qd, self.prev_action], axis=1)
-
-    def _init_rows(self, mask: np.ndarray) -> None:
-        self.prev_action[mask] = 0.0
-        self.prev_joint_vel[mask] = self.env.qd[mask]
-        frame = self._policy_frame()
-        self.cur_frame[mask] = frame[mask]
-        self.prev_frame[mask] = frame[mask]
-        self.window_buf.reset_rows(mask, self._disc_frame())
-
-    def policy_obs(self) -> np.ndarray:
-        return np.concatenate([self.prev_frame, self.cur_frame], axis=1)
-
-    def advance(self, actions: np.ndarray, live: np.ndarray) -> None:
-        """Shift the ``live`` rows' policy history by one control step, after
-        ``env.step(actions)``."""
-        self.prev_action[live] = actions[live]
-        self.prev_joint_vel[live] = self.env.qd[live]
-        self.prev_frame[live] = self.cur_frame[live]
-        self.cur_frame[live] = self._policy_frame()[live]
+    def _draw_noise(self, T: int) -> tuple:
+        """The standard normal draws of a T-step rollout, (T, E, n) each:
+        the observation noise (None when it is off) and the action noise.
+        Each row's generator draws all its steps at once, which gives the
+        values and the final state of drawing step by step, the observation
+        noise of a step before its action noise."""
+        obs_dim = POLICY_OBS_DIM if self.ppo_cfg.obs_noise > 0 else 0
+        eps = np.stack([rng.standard_normal((T, obs_dim + ACTION_DIM))
+                        for rng in self.action_rngs], axis=1)
+        if not obs_dim:
+            return None, eps
+        scale = self.ppo_cfg.obs_noise * np.tile(OBS_NOISE_TEMPLATE, POLICY_FRAMES)
+        return scale * eps[..., :obs_dim], eps[..., obs_dim:]
 
     def collect(self, policy: GaussianPolicy, value_net: MlpNet,
                 disc_net: MlpNet) -> RolloutBuffer:
-        cfg = self.ppo_cfg
-        E = self.env.num_envs
-        T = cfg.steps_per_iter
-        shp = (T, E)
-        buf = RolloutBuffer(
-            obs=np.zeros((T, E, POLICY_OBS_DIM)),
-            actions=np.zeros((T, E, ACTION_DIM)),
-            log_probs=np.zeros(shp), values=np.zeros(shp),
-            rewards=np.zeros(shp), dones=np.zeros(shp, dtype=bool),
-            windows=np.zeros((T, E, self.disc_cfg.input_dim)),
-            bootstrap_value=np.zeros(E),
-            scores=np.zeros(shp), r_imitation=np.zeros(shp),
-            r_regularization=np.zeros(shp), r_termination=np.zeros(shp))
+        env, hist = self.env, self.history
+        E = env.num_envs
+        T = self.ppo_cfg.steps_per_iter
+        obs_noise, action_noise = self._draw_noise(T)
+        obs = np.empty((T + 1, E, POLICY_OBS_DIM))   # the last row bootstraps
+        means = np.empty((T, E, ACTION_DIM))
+        actions = np.empty((T, E, ACTION_DIM))
+        windows = np.empty((T, E, self.disc_cfg.input_dim))
+        # what the rewards read of each step
+        prev_actions, prev_joint_vel, joint_vel, torques = (
+            np.empty((T, E, 4)) for _ in range(4))
+        pitch_rate = np.empty((T, E))
+        terminal = np.empty((T, E), dtype=bool)
+        dones = np.empty((T, E), dtype=bool)
+        episode_lengths = []
+        std = np.exp(policy.log_std)
 
-        dt = self.env.params.control_dt
-        use_lsgan = self.disc_cfg.loss_kind == "lsgan"
         for t in range(T):
-            obs = self.policy_obs()
-            if cfg.obs_noise > 0:
-                for i in range(E):
-                    eps = self.action_rngs[i].standard_normal(POLICY_FRAME_DIM * POLICY_FRAMES)
-                    obs[i] += cfg.obs_noise * np.tile(OBS_NOISE_TEMPLATE, POLICY_FRAMES) * eps
-            noise = np.stack([self.action_rngs[i].standard_normal(ACTION_DIM)
-                              for i in range(E)])
-            actions, logp = policy.sample(obs, noise)
-            values, _ = value_net.forward(obs)
+            hist.obs(out=obs[t])
+            if obs_noise is not None:
+                obs[t] += obs_noise[t]
+            mean, _ = policy.net.forward(obs[t], self._policy_cache)
+            means[t] = mean
+            np.add(mean, np.multiply(std, action_noise[t], out=actions[t]),
+                   out=actions[t])
+            prev_actions[t] = hist.prev_action
+            prev_joint_vel[t] = hist.prev_joint_vel
 
-            result = self.env.step(actions)
-            windows = self.window_buf.push(self._disc_frame())
-            scores = raw_score(disc_net, windows)
+            result = env.step(actions[t])
+            joint_vel[t] = env.qd
+            pitch_rate[t] = env.om
+            torques[t] = result.joint_torques
+            terminal[t] = result.terminal
+            feats = env.observation_features()
+            windows[t] = self.window_buf.push(self._disc_frame(feats))
 
-            if use_lsgan:
-                r_imit = lsgan_imitation_reward(scores)
-            else:
-                r_imit = imitation_reward(scores, self.stats)
-                self.stats.update_batch(scores)
-            r_term = termination_penalty(result.terminal, self.weights.gamma)
-            r_reg = regularization_reward(
-                actions, self.prev_action, self.env.qd, self.prev_joint_vel,
-                result.joint_torques, self.env.om, dt, self.weights)
-            rewards = total_reward(r_imit, r_term, r_reg, self.weights.w_imitation)
+            done = np.logical_or(result.terminal, result.timeout, out=dones[t])
+            if done.any():
+                for i in np.nonzero(done)[0]:
+                    episode_lengths.append(int(env.steps[i]))
+                env.reset_rows(done)
+                hist.reset_rows(done)
+                self.window_buf.reset_rows(done, self._disc_frame())
+            hist.advance(actions[t], ~done, feats)
+        hist.obs(out=obs[T])
 
-            dones = result.terminal | result.timeout
-            buf.obs[t] = obs
-            buf.actions[t] = actions
-            buf.log_probs[t] = logp
-            buf.values[t] = values[:, 0]
-            buf.rewards[t] = rewards
-            buf.dones[t] = dones
-            buf.windows[t] = windows
-            buf.scores[t] = scores
-            buf.r_imitation[t] = r_imit
-            buf.r_regularization[t] = r_reg
-            buf.r_termination[t] = r_term
-
-            buf.termination_count += int(result.terminal.sum())
-            if dones.any():
-                for i in np.nonzero(dones)[0]:
-                    buf.episode_lengths.append(int(self.env.steps[i]))
-                self.env.reset_rows(dones)
-                self._init_rows(dones)
-            self.advance(actions, ~dones)
-
-        final_values, _ = value_net.forward(self.policy_obs())
-        buf.bootstrap_value = final_values[:, 0]
-        return buf
+        values, _ = value_net.forward(obs, self._value_cache)
+        scores = raw_score(disc_net, windows, self._disc_cache).copy()
+        if self.disc_cfg.loss_kind == "lsgan":
+            r_imit = lsgan_imitation_reward(scores)
+        else:
+            r_imit = np.empty((T, E))
+            for t in range(T):
+                r_imit[t] = imitation_reward(scores[t], self.stats)
+                self.stats.update_batch(scores[t])
+        r_term = termination_penalty(terminal, self.weights.gamma)
+        r_reg = regularization_reward(actions, prev_actions, joint_vel, prev_joint_vel,
+                                      torques, pitch_rate, env.params.control_dt,
+                                      self.weights)
+        return RolloutBuffer(
+            obs=obs[:T], actions=actions,
+            log_probs=policy.log_prob(means, actions),
+            values=values[:T, :, 0].copy(),
+            rewards=total_reward(r_imit, r_term, r_reg, self.weights.w_imitation),
+            dones=dones, windows=windows, bootstrap_value=values[T, :, 0].copy(),
+            scores=scores, r_imitation=r_imit, r_regularization=r_reg,
+            r_termination=r_term, episode_lengths=episode_lengths,
+            termination_count=int(terminal.sum()))
 
     def state_dict(self) -> dict:
-        return {
-            "windows": self.window_buf.state().tolist(),
-            "prev_frame": self.prev_frame.tolist(),
-            "cur_frame": self.cur_frame.tolist(),
-            "prev_action": self.prev_action.tolist(),
-            "prev_joint_vel": self.prev_joint_vel.tolist(),
-            "action_rng_states": [r.bit_generator.state for r in self.action_rngs],
-        }
+        return {"windows": self.window_buf.state().tolist(),
+                **self.history.state_dict(),
+                "action_rng_states": [r.bit_generator.state for r in self.action_rngs]}
 
     def load_state_dict(self, d: dict) -> None:
         self.window_buf.load_state(np.array(d["windows"], dtype=np.float64))
-        self.prev_frame[...] = np.array(d["prev_frame"], dtype=np.float64)
-        self.cur_frame[...] = np.array(d["cur_frame"], dtype=np.float64)
-        self.prev_action[...] = np.array(d["prev_action"], dtype=np.float64)
-        self.prev_joint_vel[...] = np.array(d["prev_joint_vel"], dtype=np.float64)
+        self.history.load_state_dict(d)
         for r, s in zip(self.action_rngs, d["action_rng_states"]):
             r.bit_generator.state = s
 

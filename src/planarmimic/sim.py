@@ -15,6 +15,15 @@ the contact-and-body loop that alone must go substep by substep, then the
 torque proxy, termination and flight bookkeeping in batches over all
 substeps. Each value comes from the same IEEE operations, in the same order,
 as in a plain loop over the substeps, so the result is bit-identical to it.
+
+The contact-and-body loop runs about 30 numpy calls per substep, on arrays
+of a few rows of E values, so at small E its time is numpy's per-call cost.
+Its calls keep to numpy's fast path: every array operand has the shape of
+the output and is contiguous, and no operand needs a cast; other operands
+are 0-d. A broadcast operand, a strided view or a mixed dtype sends a call
+through numpy's general iterator, at about twice the cost of a small call.
+The buffers are laid out for this (see `_StepBuffers`), and a test checks
+every call of the loop.
 """
 
 from __future__ import annotations
@@ -80,6 +89,8 @@ class SimParams:
         if abs(self.control_dt - 0.02) > 1e-9:
             errors.append("sim.dt_physics * sim.control_decimation must equal 0.02 s "
                           f"(policy runs at 50 Hz), got {self.control_dt}")
+        if self.contact_stiffness < 1.0:
+            errors.append("sim.contact_stiffness must be >= 1 N/m")
         if self.body_mass <= 0 or self.body_inertia <= 0:
             errors.append("sim.body_mass and sim.body_inertia must be > 0")
         if any(h <= l for l, h in zip(self.joint_limits_low, self.joint_limits_high)):
@@ -118,7 +129,7 @@ def leg_kinematics(q, qd, params: SimParams, out=None):
     (hip, knee) of the front leg, then of the rear leg, for E environments
     after any leading shape. Returns ``(body, jac)``, each (..., 2, 2, 2, E):
 
-    - ``body[..., a, b, leg, :]``: coordinate a (x, z) of the foot's offset
+    - ``body[..., b, a, leg, :]``: coordinate a (x, z) of the foot's offset
       from the COM (b = 0) or of its velocity (b = 1);
     - ``jac[..., a, j, leg, :]``: coordinate a of the Jacobian column of
       joint j (hip, knee), the one the torque proxy maps contact forces by.
@@ -133,7 +144,7 @@ def leg_kinematics(q, qd, params: SimParams, out=None):
     if out is None:
         out = (np.empty(lead + (2, 2, 2, E)), np.empty(lead + (2, 2, 2, E)))
     body, jac = out
-    th = body[..., 1, :, :, :]               # scratch until fz is written
+    th = body[..., 1, :, :, :]               # scratch until the velocity is written
     th[..., 0, :, :] = q[..., 0, :]
     np.add(q[..., 0, :], q[..., 1, :], out=th[..., 1, :, :])
     np.cos(th, out=jac[..., 0, :, :, :])
@@ -143,54 +154,68 @@ def leg_kinematics(q, qd, params: SimParams, out=None):
     np.add(hip_x, jac[..., 1, 0, :, :], out=body[..., 0, 0, :, :])
     body[..., 0, 0, :, :] += jac[..., 1, 1, :, :]
     jac[..., 0, :, :] += jac[..., 1, :, :]       # the hip moves both links
-    np.negative(jac[..., 0, 0, :, :], out=body[..., 1, 0, :, :])
-    vel = body[..., 1, :, :]
+    np.negative(jac[..., 0, 0, :, :], out=body[..., 0, 1, :, :])
+    vel = body[..., 1, :, :, :]
     np.multiply(jac[..., 0, :, :], qd[..., None, :, 0, :], out=vel)
     vel += jac[..., 1, :, :] * qd[..., None, :, 1, :]
     return body, jac
 
 
-# Rows of the stacked body state in `PlanarEnv.step`. Leg sums of the
-# (normal, tangential) contact forces give (az, ax), so z leads.
-_Z, _X, _PITCH = 0, 1, 2
+# Rows of the body state of a substep in `PlanarEnv.step`: the position
+# (x, z, pitch), the velocity (vx, vz, om) in the same order, and the cosine
+# and sine of the pitch.
+_X, _Z, _PITCH, _VX, _VZ, _OM, _COS, _SIN = range(8)
+# Rows of a contact force: normal (z), tangential (x).
+_FN, _FT = 0, 1
 
 
 class _StepBuffers:
     """The arrays `PlanarEnv.step` writes, kept from one step to the next:
     fresh multi-megabyte arrays every step would cost more in page faults
     than the arithmetic at E >= 256. Component axes come first and E last,
-    so each batched phase reads runs of E contiguous values."""
+    so each batched phase reads runs of E contiguous values.
+
+    The contact loop's arrays are laid out for numpy's fast path: every
+    operand of its calls has the shape of the call's output and is
+    contiguous, or is 0-d. Per-leg arrays are (component, leg, E); the
+    per-env values a per-leg call reads are copied per leg first
+    (``per_leg``, ``per_product``), and the rotation operands are stacked
+    for all substeps before the loop (``rot_in``)."""
 
     def __init__(self, env: "PlanarEnv", substeps: int):
         K, E = substeps, env.num_envs
         self.substeps = K
         self.lo = np.repeat(env._lo[:, None], E, axis=1)
         self.hi = np.repeat(env._hi[:, None], E, axis=1)
-        # per substep; q, pos, vel and trig lead with the state before it
+        # per substep; q and state lead with the state before it
         self.q = np.empty((K + 1, 4, E))
         self.qd = np.empty((K, 4, E))
-        self.body = np.empty((K, 2, 2, 2, E))
+        # the operands of the rotation: each substep's foot offset and
+        # velocity in the body frame (u, w, du, dw) (`leg_kinematics`'s
+        # ``body``), then (-w, u, -dw, du)
+        self.rot_in = np.empty((K, 8, 2, E))
+        self.body = self.rot_in[:, :4].reshape(K, 2, 2, 2, E)
         self.jac = np.empty((K, 2, 2, 2, E))
-        self.pos = np.empty((K + 1, 3, E))        # (z, x, pitch)
-        self.vel = np.empty((K + 1, 3, E))        # (vz, vx, om)
-        self.trig = np.empty((K + 1, 3, E))       # (-sin, cos, sin) of pitch
-        self.force = np.empty((K, 2, 2, E))       # (normal, tangential) per leg
-        self.contact = np.empty((K, 2, E), dtype=bool)
+        self.state = np.empty((K + 1, 8, E))      # rows _X .. _SIN
+        self.force = np.empty((K, 2, 2, E))       # rows _FN, _FT per leg
+        self.contact = np.empty((K, 2, E))        # 1.0 where the foot is down
         # scratch of one substep
         self.cmd = np.empty((4, E))
         self.inv_mass = np.empty((2, E))
         self.gains = np.empty((3, 2, E))
-        self.friction = np.empty((2, 2, E))
-        self.rot = np.empty((2, 2, 2, E))
-        self.rot_tmp = np.empty((2, 2, 2, E))
+        # om, cos and sin of the pitch four times per leg, and z, pitch, vx
+        # and vz once per leg
+        self.per_product = np.empty((3, 4, 2, E))
+        self.per_leg = np.empty((4, 2, E))
+        self.prod = np.empty((8, 2, E))
+        self.rot = np.empty((4, 2, E))
         self.om_r = np.empty((2, 2, E))
         self.foot = np.empty((3, 2, E))           # (vfx, vfz, fz)
         self.gained = np.empty((3, 2, E))
         self.push = np.empty((2, E))
-        self.cap = np.empty((2, 2, E))
+        self.cap = np.empty((2, 2, E))            # (upper, lower) friction bound
         self.moment = np.empty((2, 2, E))
         self.leg_torque = np.empty((2, E))
-        self.force_sum = np.empty((2, E))
         self.acc = np.empty((3, E))
         # scratch of the torque proxy
         self.tau = np.empty((K, 4, E))
@@ -198,14 +223,13 @@ class _StepBuffers:
         self.load = np.empty((K, 2, 2, E))
         self.tmp = np.empty((K, 2, 2, E))
         # the views substep k of the contact loop reads and writes
-        pos, vel, trig, force = self.pos, self.vel, self.trig, self.force
+        state, force = self.state, self.force
         self.views = list(zip(
-            pos[:-1], pos[1:], vel[:-1], vel[1:],
-            pos[:-1, _Z], vel[:-1, _X], vel[:-1, _Z], vel[:-1, _PITCH],
-            trig[:-1, 1:, None, None], trig[:-1, :2, None, None],
-            self.body[:, 0], self.body[:, 1],
-            force, force[:, 0], force[:, 1], force[:, :, 0], force[:, :, 1],
-            self.contact, trig[1:, 1], trig[1:, 2], trig[1:, 0], pos[1:, _PITCH]))
+            state[:-1, :_PITCH + 1], state[1:, :_PITCH + 1],
+            state[:-1, _VX:_OM + 1], state[1:, _VX:_OM + 1],
+            state[:-1, _OM:, None, None, :], state[:-1, _Z:_VZ + 1, None, :],
+            self.rot_in, self.contact, force, force[:, _FN], force[:, _FT],
+            state[1:, _PITCH], state[1:, _COS], state[1:, _SIN]))
 
 
 class PlanarEnv:
@@ -297,7 +321,7 @@ class PlanarEnv:
     def foot_heights(self) -> np.ndarray:
         """World height of each foot, (E, 2) for (front, rear)."""
         body, _ = leg_kinematics(self.q.T, self.qd.T, self.params)
-        rz = np.sin(self.pitch) * body[0, 0] + np.cos(self.pitch) * body[1, 0]
+        rz = np.sin(self.pitch) * body[0, 0] + np.cos(self.pitch) * body[0, 1]
         return (self.z + rz).T
 
     def foot_contacts(self) -> np.ndarray:
@@ -327,9 +351,10 @@ class PlanarEnv:
         by substep (the tests keep that loop as an oracle). The phases only
         move work between values that do not depend on each other, and each
         value comes from the same IEEE operations in the same order, or from
-        an exact identity of them: ``c u - s w`` as ``c u + (-s) w``, a
-        contact mask as a product with 0 or 1, a skipped addition as the
-        addition of a zero. Sums over the two legs are written out as
+        an exact identity of them: ``c u - s w`` as ``c u + (-s) w`` or
+        ``c u + s (-w)``, a sum of two products in either order, a contact
+        mask as a product with 0 or 1, a skipped addition as the addition of
+        a zero. Sums over the two legs are written out as
         ``front + rear``, and the torque proxy is summed over the substeps
         with a sequential accumulate, never a reduction numpy may reassociate.
         """
@@ -350,17 +375,18 @@ class PlanarEnv:
         leg_kinematics(b.q[1:], b.qd, p, out=(b.body, b.jac))
         self._integrate_body(b)
 
-        pos, vel = b.pos, b.vel
-        base = check_termination_arrays(pos[1:, _Z], b.trig[1:, 1], b.trig[1:, 2], p)
+        state = b.state
+        base = check_termination_arrays(state[1:, _Z], state[1:, _COS],
+                                        state[1:, _SIN], p)
         landing, angle_report = self._account_flight(b, base)
         # the last substep's legs, rotated by the final pitch
-        trig, body = b.trig[K], b.body[K - 1]
-        fz = pos[K, _Z] + (trig[2] * body[0, 0] + trig[1] * body[1, 0])
+        end, body = state[K], b.body[K - 1]
+        fz = end[_Z] + (end[_SIN] * body[0, 0] + end[_COS] * body[0, 1])
 
         self.q[...] = b.q[K].T
         self.qd[...] = b.qd[K - 1].T
-        self.z[...], self.x[...], self.pitch[...] = pos[K]
-        self.vz[...], self.vx[...], self.om[...] = vel[K]
+        self.x[...], self.z[...], self.pitch[...] = end[:_PITCH + 1]
+        self.vx[...], self.vz[...], self.om[...] = end[_VX:_OM + 1]
         self.time += p.control_dt
         self.steps += 1
         base_contact = base[K - 1].copy()
@@ -384,90 +410,110 @@ class PlanarEnv:
                                                  p.dt_physics))
         nvmax = -vmax
         q, cmd, lo, hi = b.q, b.cmd, b.lo, b.hi
+        add, subtract, multiply, maximum, minimum = (
+            np.add, np.subtract, np.multiply, np.maximum, np.minimum)
         q[0] = self.q.T
         for cur, nxt in zip(q[:-1], q[1:]):
-            np.subtract(q_target, cur, out=cmd)
-            np.multiply(cmd, rate, out=cmd)
-            np.maximum(cmd, nvmax, out=cmd)
-            np.minimum(cmd, vmax, out=cmd)
-            np.multiply(cmd, dt, out=cmd)
-            np.add(cur, cmd, out=nxt)
-            np.maximum(nxt, lo, out=nxt)
-            np.minimum(nxt, hi, out=nxt)
+            subtract(q_target, cur, cmd)
+            multiply(cmd, rate, cmd)
+            maximum(cmd, nvmax, out=cmd)
+            minimum(cmd, vmax, out=cmd)
+            multiply(cmd, dt, cmd)
+            add(cur, cmd, nxt)
+            maximum(nxt, lo, out=nxt)
+            minimum(nxt, hi, out=nxt)
         np.subtract(q[1:], q[:-1], out=b.qd)
         b.qd /= dt
 
     def _integrate_body(self, b: "_StepBuffers") -> None:
         """Phase 3: contact forces and semi-implicit Euler integration of the
-        body, substep by substep, into ``b.pos``, ``b.vel``, ``b.trig``,
-        ``b.force`` and ``b.contact``.
+        body, substep by substep, into ``b.state``, ``b.force`` and
+        ``b.contact``.
 
         Ground contact is a one-sided spring-damper per foot; friction is
         tangential damping capped at ``friction`` times the normal force.
-        Rotations use the stacked (-sin, cos, sin) rows of ``b.trig``:
-        ``[c, s] * u + [-s, c] * w`` rotates (u, w) in one go, and is the
-        same IEEE result as ``c u - s w`` and ``s u + c w``.
+        The foot offset and velocity rotate into the world frame in one
+        product of the stacked (cos, sin) with ``b.rot_in`` and one sum:
+        (rx, rz, dx, dz) = ``c (u, w, du, dw) + s (-w, u, -dw, du)``, whose
+        rows ``c u - s w`` are ``c u + s (-w)``. A foot is down where its
+        spring term ``-k fz`` is positive (a float mask, ``np.heaviside``):
+        exactly where ``fz < 0``, since a stiffness of at least 1 cannot
+        round a nonzero product to zero.
+
+        The calls of the loop take numpy's fast path: each operand has the
+        shape of the output and is contiguous, or is 0-d (the tests check
+        this). So the ufuncs are bound to names once, and take ``out``
+        positionally where numpy allows it.
         """
         p = self.params
-        pos, vel, trig, force = b.pos, b.vel, b.trig, b.force
-        pos[0] = (self.z, self.x, self.pitch)
-        vel[0] = (self.vz, self.vx, self.om)
-        np.cos(self.pitch, out=trig[0, 1])
-        np.sin(self.pitch, out=trig[0, 2])
-        np.negative(trig[0, 2], out=trig[0, 0])
+        state, body, rot_in = b.state, b.body, b.rot_in
+        state[0, :_PITCH + 1] = (self.x, self.z, self.pitch)
+        state[0, _VX:_OM + 1] = (self.vx, self.vz, self.om)
+        np.cos(self.pitch, out=state[0, _COS])
+        np.sin(self.pitch, out=state[0, _SIN])
         np.divide(1.0, self.mass, out=b.inv_mass[0])
         b.inv_mass[1] = b.inv_mass[0]
         b.gains[...] = np.array([-p.tangential_damping, p.contact_damping,
                                  -p.contact_stiffness])[:, None, None]
-        b.friction[...] = np.array([p.friction, -p.friction])[:, None, None]
-        zero, inertia, gravity, dt = (np.array(v) for v in (
-            0.0, p.body_inertia, p.gravity, p.dt_physics))
-        rot, rot_tmp, om_r, foot, gained = b.rot, b.rot_tmp, b.om_r, b.foot, b.gained
-        push, cap, moment, leg_torque, force_sum, acc = (
-            b.push, b.cap, b.moment, b.leg_torque, b.force_sum, b.acc)
-        r, dr, rz = rot[:, 0], rot[:, 1], rot[1, 0]   # foot offset, foot velocity
+        np.negative(body[:, :, 1], out=rot_in[:, 4::2])   # -w, -dw
+        np.copyto(rot_in[:, 5::2], body[:, :, 0])         # u, du
+        zero, inertia, gravity, dt, mu, neg_mu = (np.array(v) for v in (
+            0.0, p.body_inertia, p.gravity, p.dt_physics, p.friction, -p.friction))
+        add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+        maximum, minimum, heaviside, cos, sin, copyto = (
+            np.maximum, np.minimum, np.heaviside, np.cos, np.sin, np.copyto)
+        per_product, per_leg, prod, rot, om_r, foot, gained = (
+            b.per_product, b.per_leg, b.prod, b.rot, b.om_r, b.foot, b.gained)
+        push, cap, moment, leg_torque, acc, inv_mass, gains = (
+            b.push, b.cap, b.moment, b.leg_torque, b.acc, b.inv_mass, b.gains)
+        om, trig = per_product[0, :2], per_product[1:].reshape(8, 2, -1)
+        z, vx, vz = per_leg[0], per_leg[2], per_leg[3]
+        prod_cos, prod_sin = prod[:4], prod[4:]
+        r, rz, drot = rot[:2], rot[1], rot[2:]      # r = (rx, rz)
         om_rx, om_rz = om_r
-        vfx, vfz, fz = foot
+        vf, vfx, vfz, fz = foot[:2], foot[0], foot[1], foot[2]
         ft_push, fz_push, fz_spring = gained
         cap_hi, cap_lo = cap
         moment_n, moment_t = moment
         torque_front, torque_rear = leg_torque
-        acc_zx, acc_z, alpha = acc[:2], acc[_Z], acc[_PITCH]
-        inv_mass, gains, friction = b.inv_mass, b.gains, b.friction
-        for (pk, pn, vk, vn, z, vx, vz, om, cs, ncs, bx, bz, fk, fn, ft, front, rear,
-             ck, cos_n, sin_n, nsin_n, pitch_n) in b.views:
-            np.multiply(cs, bx, out=rot)
-            np.multiply(ncs, bz, out=rot_tmp)
-            rot += rot_tmp
-            # world foot velocity (vx - om rz, vz + om rx) and height z + rz
-            np.multiply(om, r, out=om_r)
-            np.subtract(vx, om_rz, out=vfx)
-            np.add(vz, om_rx, out=vfz)
-            foot[:2] += dr
-            np.add(z, rz, out=fz)
-            np.less(fz, zero, out=ck)
-            np.multiply(gains, foot, out=gained)    # (-c_t vfx, c_d vfz, -k fz)
-            np.subtract(fz_spring, fz_push, out=push)
-            np.maximum(zero, push, out=push)
-            np.multiply(push, ck, out=fn)
+        acc_xz, acc_x, acc_z, alpha = acc[:_Z + 1], acc[_X], acc[_Z], acc[_PITCH]
+        for (pk, pn, vk, vn, per_product_k, per_leg_k, ops, ck, fk, fn, ft,
+             pitch_n, cos_n, sin_n) in b.views:
+            copyto(per_product, per_product_k)
+            copyto(per_leg, per_leg_k)
+            multiply(trig, ops, prod)
+            add(prod_cos, prod_sin, rot)            # (rx, rz, dx, dz)
+            # world foot velocity (vx - om rz, vz + om rx) + (dx, dz) and
+            # height z + rz
+            multiply(om, r, om_r)
+            subtract(vx, om_rz, vfx)
+            add(vz, om_rx, vfz)
+            add(vf, drot, vf)
+            add(z, rz, fz)
+            multiply(gains, foot, gained)           # (-c_t vfx, c_d vfz, -k fz)
+            heaviside(fz_spring, zero, ck)          # 1.0 where fz < 0
+            subtract(fz_spring, fz_push, push)
+            maximum(zero, push, out=push)
+            multiply(push, ck, fn)
             # an airborne foot has a zero cap, so its friction clamps to zero
-            np.multiply(friction, fn, out=cap)
-            np.maximum(ft_push, cap_lo, out=ft)
-            np.minimum(ft, cap_hi, out=ft)
-            np.multiply(r, fk, out=moment)          # (rx fn, rz ft)
-            np.subtract(moment_n, moment_t, out=leg_torque)
-            np.add(torque_front, torque_rear, out=alpha)
-            np.divide(alpha, inertia, out=alpha)
-            np.add(front, rear, out=force_sum)
-            np.multiply(force_sum, inv_mass, out=acc_zx)
-            np.subtract(acc_z, gravity, out=acc_z)
-            np.multiply(acc, dt, out=acc)
-            np.add(vk, acc, out=vn)
-            np.multiply(vn, dt, out=acc)
-            np.add(pk, acc, out=pn)
-            np.cos(pitch_n, out=cos_n)
-            np.sin(pitch_n, out=sin_n)
-            np.negative(sin_n, out=nsin_n)
+            multiply(fn, mu, cap_hi)
+            multiply(fn, neg_mu, cap_lo)
+            maximum(ft_push, cap_lo, out=ft)
+            minimum(ft, cap_hi, out=ft)
+            multiply(r, fk, moment)                 # (rx fn, rz ft)
+            subtract(moment_n, moment_t, leg_torque)
+            add(torque_front, torque_rear, alpha)
+            divide(alpha, inertia, alpha)
+            add(ft[0], ft[1], acc_x)
+            add(fn[0], fn[1], acc_z)
+            multiply(acc_xz, inv_mass, acc_xz)
+            subtract(acc_z, gravity, acc_z)
+            multiply(acc, dt, acc)
+            add(vk, acc, vn)
+            multiply(vn, dt, acc)
+            add(pk, acc, pn)
+            cos(pitch_n, cos_n)
+            sin(pitch_n, sin_n)
 
     def _torque_proxy(self, b: "_StepBuffers", q_target: np.ndarray) -> np.ndarray:
         """Phase 4: the substep-averaged PD effort plus Jacobian-transpose
@@ -479,17 +525,17 @@ class PlanarEnv:
         tau *= p.kp
         np.multiply(b.qd, p.kd, out=tmp.reshape(K, 4, E))
         tau -= tmp.reshape(K, 4, E)
-        c, s = b.trig[:K, 1, None, None], b.trig[:K, 2, None, None]
+        c, s = b.state[:K, _COS, None, None], b.state[:K, _SIN, None, None]
         jx, jz = b.jac[:, 0], b.jac[:, 1]     # (K, joint, leg, E)
         # (c jx - s jz) ft + (s jx + c jz) fn
         np.multiply(c, jx, out=term)
         np.multiply(s, jz, out=tmp)
         term -= tmp
-        term *= b.force[:, 1, None]
+        term *= b.force[:, _FT, None]
         np.multiply(s, jx, out=load)
         np.multiply(c, jz, out=tmp)
         load += tmp
-        load *= b.force[:, 0, None]
+        load *= b.force[:, _FN, None]
         term += load
         tau.reshape(K, 2, 2, E)[...] += term.transpose(0, 2, 1, 3)
         return np.add.accumulate(tau, axis=0)[K - 1] / K
@@ -504,7 +550,8 @@ class PlanarEnv:
         angle, the one at the last landing or else the running flight angle.
         """
         E, dt = self.num_envs, self.params.dt_physics
-        foot_down = b.contact[:, 0] | b.contact[:, 1]
+        contact = b.contact > 0.0
+        foot_down = contact[:, 0] | contact[:, 1]
         in_flight = ~(foot_down | base)
         touched = foot_down
         touched[0] &= self.airborne
@@ -513,7 +560,7 @@ class PlanarEnv:
         fa = self.flight_angle
         if self.airborne.any() or in_flight.any():
             # a zero increment off flight leaves the angle as it is
-            inc = b.vel[1:, _PITCH] * dt
+            inc = b.state[1:, _OM] * dt
             inc *= in_flight
             touched_any = touched.any(axis=1)
             for k in np.flatnonzero(touched_any | in_flight.any(axis=1)):

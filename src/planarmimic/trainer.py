@@ -22,8 +22,8 @@ from .dtw import DtwReport, dtw_distances, stand_still_rollout
 from .nets import (ForwardCache, MlpNet, OptimizerState, net_from_dict,
                    net_to_dict, optimizer_from_dict, optimizer_to_dict,
                    optimizer_step)
-from .ppo import (ACTION_DIM, GaussianPolicy, POLICY_OBS_DIM, RolloutCollector,
-                  ppo_update)
+from .ppo import (ACTION_DIM, GaussianPolicy, POLICY_OBS_DIM, PolicyHistory,
+                  RolloutCollector, ppo_update)
 from .rewards import (RunningStats, handcrafted_backflip_reward,
                       handcrafted_standup_reward)
 from .sim import PlanarEnv
@@ -348,27 +348,28 @@ def rollout_batch(cfg: TrainConfig, policy: GaussianPolicy, frames: int,
     """
     R = len(seeds)
     env = PlanarEnv(cfg.sim, num_envs=R, seed=list(seeds))
-    # mean actions draw no noise, so the collector's own generators stay unused
-    collector = RolloutCollector(env, cfg.disc, cfg.ppo, cfg.reward,
-                                 RunningStats())
+    history = PolicyHistory(env)
     seqs = np.zeros((R, frames, 6))
     seqs[:, 0] = env.observation_features()
     standup_terms = [[] for _ in range(R)]
     backflip_total = np.zeros(R)
     done = np.zeros(R, dtype=bool)
     action = np.zeros((R, ACTION_DIM))
+    obs = np.empty((R, 1, POLICY_OBS_DIM))
+    cache = ForwardCache()
     for t in range(1, frames):
-        obs = collector.policy_obs()
-        # one row per product: a many-row matrix product rounds differently
-        # from a one-row product, and a falling robot amplifies that ~1e-17
-        # to 1e-8 within 100 steps
-        for i in np.nonzero(~done)[0]:
-            action[i] = policy.mean_action(obs[i:i + 1])[0]
+        history.obs(out=obs[:, 0])
+        # each row is its own one-row product, stacked in one forward: a
+        # many-row matrix product rounds differently from a one-row product,
+        # and a falling robot amplifies that ~1e-17 to 1e-8 within 100 steps
+        live = np.flatnonzero(~done)
+        mean, _ = policy.net.forward(obs[live], cache)
+        action[live] = mean[:, 0]
         result = env.step(action)
         seqs[:, t] = np.where(done[:, None], seqs[:, t - 1],
                               env.observation_features())
         if collect_handcrafted:
-            for i in np.nonzero(~done)[0]:
+            for i in live:
                 standup_terms[i].append(handcrafted_standup_reward(
                     float(env.pitch[i]), float(env.z[i]),
                     bool(result.foot_contacts[i, 0])))
@@ -380,7 +381,7 @@ def rollout_batch(cfg: TrainConfig, policy: GaussianPolicy, frames: int,
         if done.all():
             seqs[:, t + 1:] = seqs[:, t, None]
             break
-        collector.advance(action, ~done)
+        history.advance(action, ~done)
     extras = [{"standup_mean": float(np.mean(terms)) if terms else 0.0,
                "backflip_total": float(total)}
               for terms, total in zip(standup_terms, backflip_total)]

@@ -95,11 +95,13 @@ class TestValidation:
         cfg.disc.horizon = 0
         cfg.reward.w_action_rate = +0.1
         cfg.dtw.step_pattern = "zigzag"
+        cfg.sim.contact_stiffness = 0.5
         errors = cfg.validate()
-        assert len(errors) >= 6
+        assert len(errors) >= 7
         joined = "\n".join(errors)
         for fragment in ("task", "iterations", "ppo.clip", "disc.horizon",
-                         "reward.w_action_rate", "dtw.step_pattern"):
+                         "reward.w_action_rate", "dtw.step_pattern",
+                         "sim.contact_stiffness"):
             assert fragment in joined
 
     def test_gamma_consistency_enforced(self):

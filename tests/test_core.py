@@ -263,6 +263,21 @@ class TestSampling:
             # one draw per call: both generators end in the same state
             assert rng_a.integers(2 ** 62) == rng_b.integers(2 ** 62)
 
+    def test_index_is_kept_and_follows_the_trajectories(self):
+        ds = self._dataset([9, 30, 4])
+        first = ds.window_index(4)
+        assert ds.window_index(4) is first
+        assert ds.window_index(2) is not first
+        # a replaced or added trajectory makes a new index, and the draws
+        # still match the oracle
+        ds.trajectories[1] = self._dataset([12]).trajectories[0]
+        ds.trajectories.append(self._dataset([7]).trajectories[0])
+        assert ds.window_index(4) is not first
+        for seed in range(3):
+            got = sample_reference_windows(ds, 50, 4, np.random.default_rng(seed))
+            want = loop_gather(ds, 50, 4, np.random.default_rng(seed))
+            assert np.array_equal(got, want)
+
     def test_trajectory_shorter_than_horizon_rejected(self):
         ds = self._dataset([30, 5])
         with pytest.raises(ValueError, match="trajectory 1 shorter than horizon"):

@@ -157,6 +157,19 @@ class TestEluSmoothness:
         assert delu_fn(np.array([0.0]), np.empty(1))[0] == pytest.approx(1.0)
 
 
+class TestEluDerivative:
+    def test_same_bytes_as_the_masked_form(self):
+        # exp(min(z, 0)) alone against exp(min(z, 0)) with 1 put where z > 0
+        tiny = np.finfo(np.float64).tiny
+        z = np.array([0.0, -0.0, tiny, -tiny, tiny / 4, -tiny / 4, 5e-324, -5e-324,
+                      np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0, 1e-300, -745.2,
+                      -800.0, -1e308, 1e308, 709.0, 3.5, -3.5])
+        masked = np.exp(np.minimum(z, 0.0))
+        np.putmask(masked, z > 0.0, 1.0)
+        _, delu_fn, _ = ACTIVATIONS["elu"]
+        assert delu_fn(z, np.empty_like(z)).tobytes() == masked.tobytes()
+
+
 # The forward pass, the activation derivatives and the full double-backward
 # of the input-gradient penalty as they were before the penalty skipped its
 # second-order pass for activations whose second derivative is zero, each
@@ -263,6 +276,27 @@ class TestForwardCache:
             v_new, g_new = net.input_gradient_norm_grads(fresh, 0.5)
             assert v_kept == v_new
             assert g_kept.flat.tobytes() == g_new.flat.tobytes()
+
+
+class TestStackedForward:
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("sizes,T,B", [([36, 64, 64, 4], 24, 16),
+                                           ([36, 64, 64, 1], 25, 16),
+                                           ([24, 256, 128, 1], 24, 16),
+                                           ([36, 64, 64, 4], 20, 1)])
+    def test_same_bytes_as_one_forward_per_batch(self, activation, sizes, T, B):
+        # a (T, B, n) stack against T forwards of (B, n); a (T * B, n) batch
+        # would round differently at these shapes
+        rng = np.random.default_rng(T * B)
+        net = rand_net(rng, sizes, activation)
+        x = rng.normal(size=(T, B, sizes[0]))
+        y, cache = net.forward(x)
+        assert y.shape == (T, B, sizes[-1])
+        for t in range(T):
+            assert y[t].tobytes() == net.forward(x[t])[0].tobytes()
+        # the output is a view of the cache: a kept cache gives the bytes again
+        first = y.copy()
+        assert net.forward(x, cache)[0].tobytes() == first.tobytes()
 
 
 class TestOptimizers:

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from planarmimic.discriminator import DiscriminatorConfig, build_discriminator
+from planarmimic.discriminator import (DiscriminatorConfig, build_discriminator,
+                                       lsgan_imitation_reward, raw_score)
 from planarmimic.nets import MlpNet, OptimizerState
-from planarmimic.ppo import (ACTION_DIM, GaussianPolicy, POLICY_OBS_DIM,
-                             PpoConfig, RolloutCollector, adaptive_lr,
-                             gae_advantages, ppo_update)
-from planarmimic.rewards import RewardWeights, RunningStats
+from planarmimic.ppo import (ACTION_DIM, GaussianPolicy, OBS_NOISE_TEMPLATE,
+                             POLICY_FRAME_DIM, POLICY_FRAMES, POLICY_OBS_DIM,
+                             PpoConfig, RolloutBuffer, RolloutCollector,
+                             adaptive_lr, gae_advantages, ppo_update)
+from planarmimic.rewards import (STATS_WARMUP, RewardWeights, RunningStats,
+                                 imitation_reward, regularization_reward,
+                                 termination_penalty, total_reward)
 from planarmimic.sim import PlanarEnv, SimParams
 
 from test_nets import assert_views_of
@@ -106,6 +110,143 @@ def tiny_setup(seed=0, loss="wgan", num_envs=4, steps=8, horizon=2):
     collector = RolloutCollector(env, disc_cfg, ppo_cfg, weights, stats,
                                  seed=seed)
     return collector, policy, value_net, disc, ppo_cfg
+
+
+def oracle_collect(collector, policy, value_net, disc_net):
+    """The step-by-step collection ``collect`` replaced, the slow oracle of
+    its batched passes: every noise draw, forward and reward term inside the
+    step loop, one step at a time. It reads and advances the collector's
+    state (env, history, windows, generators, statistics) as ``collect``
+    does."""
+    cfg, disc_cfg, weights = collector.ppo_cfg, collector.disc_cfg, collector.weights
+    env, hist, rngs = collector.env, collector.history, collector.action_rngs
+    E, T = env.num_envs, cfg.steps_per_iter
+    shp = (T, E)
+    buf = RolloutBuffer(
+        obs=np.zeros((T, E, POLICY_OBS_DIM)), actions=np.zeros((T, E, ACTION_DIM)),
+        log_probs=np.zeros(shp), values=np.zeros(shp), rewards=np.zeros(shp),
+        dones=np.zeros(shp, dtype=bool), windows=np.zeros((T, E, disc_cfg.input_dim)),
+        bootstrap_value=np.zeros(E), scores=np.zeros(shp), r_imitation=np.zeros(shp),
+        r_regularization=np.zeros(shp), r_termination=np.zeros(shp))
+
+    def disc_frame():
+        feats = env.observation_features()
+        if disc_cfg.full_state:
+            feats = np.concatenate([feats, env.q, env.qd], axis=1)
+        return feats
+
+    def policy_obs():
+        return np.concatenate([hist.prev_frame, hist.cur_frame], axis=1)
+
+    for t in range(T):
+        obs = policy_obs()
+        if cfg.obs_noise > 0:
+            for i in range(E):
+                eps = rngs[i].standard_normal(POLICY_FRAME_DIM * POLICY_FRAMES)
+                obs[i] += cfg.obs_noise * np.tile(OBS_NOISE_TEMPLATE, POLICY_FRAMES) * eps
+        noise = np.stack([rngs[i].standard_normal(ACTION_DIM) for i in range(E)])
+        actions, logp = policy.sample(obs, noise)
+        values, _ = value_net.forward(obs)
+
+        result = env.step(actions)
+        windows = collector.window_buf.push(disc_frame())
+        scores = raw_score(disc_net, windows)
+        if disc_cfg.loss_kind == "lsgan":
+            r_imit = lsgan_imitation_reward(scores)
+        else:
+            r_imit = imitation_reward(scores, collector.stats)
+            collector.stats.update_batch(scores)
+        r_term = termination_penalty(result.terminal, weights.gamma)
+        r_reg = regularization_reward(
+            actions, hist.prev_action, env.qd, hist.prev_joint_vel,
+            result.joint_torques, env.om, env.params.control_dt, weights)
+        rewards = total_reward(r_imit, r_term, r_reg, weights.w_imitation)
+
+        dones = result.terminal | result.timeout
+        buf.obs[t] = obs
+        buf.actions[t] = actions
+        buf.log_probs[t] = logp
+        buf.values[t] = values[:, 0]
+        buf.rewards[t] = rewards
+        buf.dones[t] = dones
+        buf.windows[t] = windows
+        buf.scores[t] = scores
+        buf.r_imitation[t] = r_imit
+        buf.r_regularization[t] = r_reg
+        buf.r_termination[t] = r_term
+
+        buf.termination_count += int(result.terminal.sum())
+        if dones.any():
+            for i in np.nonzero(dones)[0]:
+                buf.episode_lengths.append(int(env.steps[i]))
+            env.reset_rows(dones)
+            hist.reset_rows(dones)
+            collector.window_buf.reset_rows(dones, disc_frame())
+        live = ~dones
+        hist.prev_action[live] = actions[live]
+        hist.prev_joint_vel[live] = env.qd[live]
+        hist.prev_frame[live] = hist.cur_frame[live]
+        hist.cur_frame[live] = hist.frame()[live]
+
+    final_values, _ = value_net.forward(policy_obs())
+    buf.bootstrap_value = final_values[:, 0]
+    return buf
+
+
+BUFFER_ARRAYS = ("obs", "actions", "log_probs", "values", "rewards", "dones",
+                 "windows", "bootstrap_value", "scores", "r_imitation",
+                 "r_regularization", "r_termination")
+
+
+class TestCollectMatchesOracle:
+    @staticmethod
+    def setup(loss, obs_noise, full_state):
+        # the desk config's shapes, at which a product over all T * E rows at
+        # once would round differently from the per-step products
+        ppo_cfg = PpoConfig(num_envs=16, steps_per_iter=24, obs_noise=obs_noise)
+        disc_cfg = DiscriminatorConfig(loss_kind=loss, horizon=2,
+                                       full_state=full_state)
+        rng = np.random.default_rng(17)
+        # a flailing policy falls at row-dependent steps
+        policy = GaussianPolicy(MlpNet.create([POLICY_OBS_DIM, 64, 64, ACTION_DIM],
+                                              rng=rng, output_gain=0.3))
+        value_net = MlpNet.create([POLICY_OBS_DIM, 64, 64, 1], rng=rng)
+        disc = build_discriminator(disc_cfg, rng)
+        env = PlanarEnv(SimParams(), num_envs=16, seed=17)
+        collector = RolloutCollector(env, disc_cfg, ppo_cfg, RewardWeights(),
+                                     RunningStats(), seed=17)
+        # more resets in mid-rollout: row 2 starts in a crashing attitude,
+        # and row 1's episode clock runs out three steps in
+        env.pitch[2], env.z[2] = np.pi / 2 + 0.4, 0.25
+        env.time[1] = env.params.max_episode_time - 0.05
+        return collector, policy, value_net, disc
+
+    @pytest.mark.parametrize("loss", ["wgan", "lsgan"])
+    @pytest.mark.parametrize("obs_noise", [0.0, 0.5])
+    @pytest.mark.parametrize("full_state", [False, True])
+    def test_bytes_equal_to_step_by_step_collection(self, loss, obs_noise, full_state):
+        fast = self.setup(loss, obs_noise, full_state)
+        slow = self.setup(loss, obs_noise, full_state)
+        lengths, terminations = [], 0
+        # the first rollout's 384 windows take the wgan statistics past warmup
+        for _ in range(3):
+            got = fast[0].collect(*fast[1:])
+            want = oracle_collect(slow[0], *slow[1:])
+            for name in BUFFER_ARRAYS:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.shape == b.shape and a.dtype == b.dtype, name
+                assert a.tobytes() == b.tobytes(), name
+            assert got.episode_lengths == want.episode_lengths
+            assert got.termination_count == want.termination_count
+            lengths += got.episode_lengths
+            terminations += got.termination_count
+            assert fast[0].stats == slow[0].stats
+            assert fast[0].state_dict() == slow[0].state_dict()
+            assert fast[0].env.state_dict() == slow[0].env.state_dict()
+        assert 3 in lengths and len(lengths) >= 3 and terminations >= 2
+        if loss == "wgan":
+            assert fast[0].stats.count >= STATS_WARMUP
+            assert np.any(got.r_imitation != 0.0)
 
 
 class TestCollector:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from planarmimic import sim as sim_module
 from planarmimic.sim import (DEMO_FRAMES, MOTIONS, NOMINAL_JOINT_POS, PlanarEnv,
                              SimParams, StepBatch, check_termination_arrays,
                              generate_demo_set, generate_rough_demo)
@@ -566,3 +567,63 @@ class TestStepMatchesOracle:
         env.step(np.random.default_rng(0).normal(size=(5, 4)))
         assert_same_bits(env.foot_heights(), oracle_foot_kinematics(env)[4],
                          "foot_heights")
+
+
+class UfuncProbe:
+    """Stands in for numpy in the sim module and records, for every ufunc
+    call, whether it can take numpy's fast path: every array operand has
+    the output's shape and is C-contiguous, or is 0-d, and no operand needs
+    a cast. A broadcast, a strided view or a mixed dtype sends a call
+    through numpy's general iterator, which costs a small call about twice
+    as much."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not isinstance(attr, np.ufunc):
+            return attr
+
+        def call(*args, **kwargs):
+            result = attr(*args, **kwargs)
+            outs = args[attr.nin:] or (kwargs["out"],)
+            out = outs[0][0] if isinstance(outs[0], tuple) else outs[0]
+            self.calls.append((name, self.fast(attr, args[:attr.nin], out)))
+            return result
+        return call
+
+    @staticmethod
+    def fast(ufunc, inputs, out):
+        arrays = [x for x in inputs if np.ndim(x) > 0]
+        if not arrays or not out.flags.c_contiguous:
+            return False
+        dtype = arrays[0].dtype
+        loop = ufunc.resolve_dtypes((dtype,) * ufunc.nin + (None,) * ufunc.nout)
+        return out.dtype == loop[ufunc.nin] and all(
+            x.shape == out.shape and x.dtype == dtype and x.flags.c_contiguous
+            for x in arrays)
+
+
+class TestContactLoopFastPath:
+    @staticmethod
+    def loop_calls(monkeypatch, substeps, num_envs):
+        # the calls of one contact phase, at two substep counts: the
+        # difference is what the loop runs per substep
+        params = SimParams(dt_physics=0.02 / substeps, control_decimation=substeps)
+        env = PlanarEnv(params, num_envs=num_envs, seed=1)
+        env.step(np.zeros((num_envs, 4)))
+        probe = UfuncProbe()
+        monkeypatch.setattr(sim_module, "np", probe)
+        env._integrate_body(env._buffers)
+        monkeypatch.setattr(sim_module, "np", np)
+        return probe.calls
+
+    @pytest.mark.parametrize("num_envs", [1, 16])
+    def test_every_call_takes_the_fast_path(self, monkeypatch, num_envs):
+        long = self.loop_calls(monkeypatch, 20, num_envs)
+        short = self.loop_calls(monkeypatch, 10, num_envs)
+        per_substep = (len(long) - len(short)) / 10
+        assert per_substep == int(per_substep) and per_substep > 20
+        # the loop's calls are the last ones of the phase
+        assert all(fast for _, fast in long[-20 * int(per_substep):])

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from planarmimic.config import default_config
 from planarmimic.core import ReferenceDataset, save_reference_csv
 from planarmimic.dtw import dtw_distance
-from planarmimic.ppo import RolloutCollector
-from planarmimic.rewards import (RunningStats, handcrafted_backflip_reward,
+from planarmimic.ppo import PolicyHistory
+from planarmimic.rewards import (handcrafted_backflip_reward,
                                  handcrafted_standup_reward)
 from planarmimic.sim import PlanarEnv, generate_demo_set
 from planarmimic.trainer import (CHECKPOINT_FORMAT_VERSION, Trainer,
@@ -315,18 +315,17 @@ class TestEvaluation:
 
 def oracle_rollout(cfg, policy, frames, seed):
     """The slow reference: one E=1 environment per rollout, stepped until its
-    first terminal, with the collector bookkeeping written out by hand.
+    first terminal, with the policy-history bookkeeping written out by hand.
     Returns the sequence, the tallies and the terminal step (None if none)."""
     env = PlanarEnv(cfg.sim, num_envs=1, seed=seed)
-    collector = RolloutCollector(env, cfg.disc, cfg.ppo, cfg.reward,
-                                 RunningStats(), seed=seed)
+    history = PolicyHistory(env)
     seq = np.zeros((frames, 6))
     seq[0] = env.observation_features()[0]
     standup_terms = []
     backflip_total = 0.0
     end = None
     for t in range(1, frames):
-        obs = collector.policy_obs()
+        obs = np.concatenate([history.prev_frame, history.cur_frame], axis=1)
         action = policy.mean_action(obs)
         result = env.step(action)
         seq[t] = env.observation_features()[0]
@@ -339,10 +338,11 @@ def oracle_rollout(cfg, policy, frames, seed):
             seq[t + 1:] = seq[t]
             end = t
             break
-        collector.prev_action[0] = action[0]
-        collector.prev_joint_vel[0] = env.qd[0]
-        collector.prev_frame[0] = collector.cur_frame[0]
-        collector.cur_frame[0] = collector._policy_frame()[0]
+        history.prev_action[0] = action[0]
+        history.prev_joint_vel[0] = env.qd[0]
+        history.prev_frame[0] = history.cur_frame[0]
+        history.cur_frame[0] = np.concatenate(
+            [env.observation_features(), env.q, env.qd, history.prev_action], axis=1)[0]
     extras = {"standup_mean": float(np.mean(standup_terms)) if standup_terms else 0.0,
               "backflip_total": backflip_total}
     return seq, extras, end
