@@ -24,7 +24,7 @@ from .config import (ConfigError, TrainConfig, apply_overrides, default_config,
 from .core import load_reference_dataset, save_reference_csv
 from .dtw import dtw_distance, local_cost
 from .sim import DEMO_TRAJECTORIES, MOTIONS, SimParams, generate_demo_set
-from .trainer import Trainer, evaluate_policy
+from .trainer import Trainer, _write_atomic, evaluate_policy, load_checkpoint
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -165,7 +165,7 @@ def _train_and_evaluate(trainer: Trainer, out: Path, quiet: bool):
     trainer.cfg.out_dir = str(out)
     final = trainer.run(out, progress=_progress_printer(quiet))
     report = evaluate_policy(trainer.cfg, trainer.policy, trainer.dataset)
-    (out / "eval.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    _write_atomic(out / "eval.json", [json.dumps(report.to_dict(), indent=2), "\n"])
     return final, report
 
 
@@ -195,13 +195,19 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def _load_trainer(args) -> Trainer:
+    """The trainer of ``--checkpoint``, with the ``--refs`` dataset if given,
+    windowed at the checkpoint's horizon. The file is read once."""
+    ckpt = load_checkpoint(args.checkpoint)
     dataset = None
     if args.refs:
-        ckpt_cfg = json.loads(Path(args.checkpoint).read_text())["config"]
-        horizon = int(ckpt_cfg["disc.horizon"])
-        dataset = load_reference_dataset(args.refs, horizon)
-    trainer = Trainer.from_checkpoint(args.checkpoint, dataset=dataset)
+        dataset = load_reference_dataset(args.refs,
+                                         int(ckpt["config"]["disc.horizon"]))
+    return Trainer.from_checkpoint(ckpt, dataset=dataset)
+
+
+def cmd_eval(args) -> int:
+    trainer = _load_trainer(args)
     cfg = trainer.cfg
     if args.rollouts is not None:
         cfg.eval.rollouts = args.rollouts
@@ -230,7 +236,7 @@ def cmd_eval(args) -> int:
     }
     out = Path(args.out) if args.out else Path(args.checkpoint).with_name("eval.json")
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2) + "\n")
+    _write_atomic(out, [json.dumps(payload, indent=2), "\n"])
     print(f"dtw mean {payload['dtw_mean']:.3f} over {seeds} seed(s); report: {out}")
     return EXIT_OK
 
@@ -254,11 +260,7 @@ def _parse_range(text: str):
 
 
 def cmd_analyze(args) -> int:
-    dataset = None
-    if args.refs:
-        ckpt_cfg = json.loads(Path(args.checkpoint).read_text())["config"]
-        dataset = load_reference_dataset(args.refs, int(ckpt_cfg["disc.horizon"]))
-    trainer = Trainer.from_checkpoint(args.checkpoint, dataset=dataset)
+    trainer = _load_trainer(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -330,7 +332,7 @@ def cmd_ablate(args) -> int:
         writer.writerow(["loss", "horizon", "iteration", "reward_mean",
                          "imitation_mean", "disc_loss", "kl"])
         writer.writerows(curve_rows)
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    _write_atomic(out / "summary.json", [json.dumps(summary, indent=2), "\n"])
     print(f"ablation sweep complete: {len(summary)} runs, results in {out}")
     return EXIT_OK
 

@@ -468,12 +468,15 @@ def optimizer_step(state: OptimizerState, params: np.ndarray,
 # ---------------------------------------------------------------------------
 # Serialization (checkpoint building blocks)
 # ---------------------------------------------------------------------------
+# The dicts hold the live float64 arrays, views of the learner's vectors, not
+# copies: the checkpoint writer encodes them a slice at a time. The readers
+# take arrays or the nested lists a JSON parse gives.
 
 def net_to_dict(net: MlpNet) -> dict:
     return {
         "layer_sizes": net.layer_sizes,
         "activation": net.activation,
-        "params": [p.tolist() for p in unflatten(net.flat, net.shapes)],
+        "params": unflatten(net.flat, net.shapes),
     }
 
 
@@ -495,7 +498,7 @@ def optimizer_to_dict(state: OptimizerState) -> dict:
         "beta2": state.beta2,
         "eps": state.eps,
         "step_count": state.step_count,
-        "slots": {name: v.tolist() for name, v in state.slots.items()},
+        "slots": dict(state.slots),
     }
 
 

@@ -383,12 +383,20 @@ class RolloutCollector:
 
 def ppo_update(policy: GaussianPolicy, value_net: MlpNet, buf: RolloutBuffer,
                cfg: PpoConfig, policy_opt: OptimizerState,
-               value_opt: OptimizerState, rng: np.random.Generator) -> PpoStats:
+               value_opt: OptimizerState, rng: np.random.Generator,
+               pol_cache: ForwardCache | None = None,
+               val_cache: ForwardCache | None = None,
+               val_grad: np.ndarray | None = None) -> PpoStats:
     """Run the clipped-surrogate update over the buffer.
 
     Runs ``epochs`` passes of shuffled minibatches; the learning rate adapts
     toward the KL target after each epoch. A non-finite loss aborts the whole
     update and restores the pre-update parameters.
+
+    The passes write into the forward caches of the two nets and the value
+    gradient into ``val_grad`` (a vector in the value net's layout); new ones
+    by default. A caller that keeps them across updates saves their page
+    faults: freed between updates, their pages go back to the system.
     """
     B = buf.size
     obs = buf.obs.reshape(B, -1)
@@ -405,7 +413,10 @@ def ppo_update(policy: GaussianPolicy, value_net: MlpNet, buf: RolloutBuffer,
     n_net = policy.net.flat.size
     pol_grad = np.empty_like(policy.flat)
     # minibatches of one size reuse the arrays of their passes
-    pol_cache, val_cache = ForwardCache(), ForwardCache()
+    pol_cache = ForwardCache() if pol_cache is None else pol_cache
+    val_cache = ForwardCache() if val_cache is None else val_cache
+    if val_grad is None:
+        val_grad = np.empty_like(value_net.flat)
 
     kls, clip_fracs, pol_losses, val_losses = [], [], [], []
     aborted = False
@@ -454,7 +465,7 @@ def ppo_update(policy: GaussianPolicy, value_net: MlpNet, buf: RolloutBuffer,
             optimizer_step(policy_opt, policy.flat, pol_grad)
 
             dv = (2.0 * (v - mb_ret) / n)[:, None]
-            val_grad = value_net.backward(vcache, dv).flat
+            value_net.backward(vcache, dv, out=val_grad)
             clip_grad_norm(val_grad, value_net.shapes, cfg.max_grad_norm)
             optimizer_step(value_opt, value_net.flat, val_grad)
 

@@ -1,8 +1,23 @@
 """Experiment orchestration: the adversarial training loop, checkpointing,
-metrics logging, and policy evaluation."""
+metrics logging, and policy evaluation.
+
+Checkpoints are one JSON object per file. ``json_chunks`` writes it piece by
+piece: keys and scalars through ``json.dumps``, arrays a row at a time, and a
+long vector in slices of ``JSON_SLICE`` values, so a save holds one slice's
+text and floats at a time, not the whole checkpoint. The file is byte for
+byte ``json.dumps`` of the same dict with every array as nested lists.
+``load_checkpoint`` turns each net's parameters and each optimizer's slots
+into float64 arrays as soon as the parser closes their dict.
+
+Every file the program replaces goes through ``_write_atomic``: the chunks
+stream into a temp file beside the target, which is flushed, synced and
+renamed over it. A crash, or an error raised while the chunks are made,
+leaves the previous file as it was and no temp file behind.
+"""
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -29,6 +44,8 @@ from .rewards import (RunningStats, handcrafted_backflip_reward,
 from .sim import PlanarEnv
 
 CHECKPOINT_FORMAT_VERSION = 2
+# values per encoded slice of a vector: a few hundred KiB of floats and text
+JSON_SLICE = 4096
 # config keys that older checkpoints carry and nothing reads any more
 RETIRED_CONFIG_KEYS = ("demo_noise", "demo_height_offset")
 
@@ -46,14 +63,16 @@ def build_identifier() -> str:
     return f"planarmimic-{__version__}"
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Replace ``path`` with ``text`` in one step: the text goes to a temp
-    file in the same directory, is flushed to disk, and is renamed over
-    ``path``, so a crash mid-write leaves the previous file intact."""
+def _write_atomic(path: Path, chunks) -> None:
+    """Replace ``path`` with the concatenated text ``chunks`` in one step:
+    they go to a temp file in the same directory, which is flushed to disk
+    and renamed over ``path``. A crash mid-write, or an exception from the
+    chunks' iterator, leaves the previous file intact and removes the temp
+    file."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         with tmp.open("w") as f:
-            f.write(text)
+            f.writelines(chunks)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -73,7 +92,54 @@ def _truncate_metrics(path: Path, iteration: int) -> None:
                 kept.append(line)
         except json.JSONDecodeError:
             pass
-    _write_atomic(path, "".join(kept))
+    _write_atomic(path, kept)
+
+
+def json_chunks(obj):
+    """Yield the text of ``json.dumps(obj)`` in pieces, where ``obj`` may
+    hold float64 arrays: each is encoded as its nested lists would be, a row
+    at a time, and a 1-D run of values in slices of ``JSON_SLICE``. Dict
+    keys must be strings."""
+    if isinstance(obj, np.ndarray) and obj.ndim == 1:
+        yield "["
+        for i in range(0, obj.shape[0], JSON_SLICE):
+            yield (", " if i else "") + json.dumps(obj[i:i + JSON_SLICE].tolist())[1:-1]
+        yield "]"
+    elif isinstance(obj, (list, np.ndarray)):
+        yield "["
+        for i, item in enumerate(obj):
+            if i:
+                yield ", "
+            yield from json_chunks(item)
+        yield "]"
+    elif isinstance(obj, dict):
+        yield "{"
+        for i, (key, value) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"checkpoint keys must be strings, not {key!r}")
+            yield (", " if i else "") + json.dumps(key) + ": "
+            yield from json_chunks(value)
+        yield "}"
+    else:
+        yield json.dumps(obj)
+
+
+def _decode_arrays(d: dict) -> dict:
+    """``json`` object hook: a net's parameters and a format-2 optimizer's
+    slots become float64 arrays as soon as their dict is parsed, so the
+    parsed floats of one net or optimizer are alive at a time."""
+    if "layer_sizes" in d and "params" in d:
+        d["params"] = [np.array(p, dtype=np.float64) for p in d["params"]]
+    elif "kind" in d and isinstance(d.get("slots"), dict):
+        d["slots"] = {name: np.array(v, dtype=np.float64)
+                      for name, v in d["slots"].items()}
+    return d
+
+
+def load_checkpoint(path) -> dict:
+    """Parse a checkpoint file, its parameters and optimizer slots as arrays."""
+    with Path(path).open() as f:
+        return json.load(f, object_hook=_decode_arrays)
 
 
 class Trainer:
@@ -96,8 +162,11 @@ class Trainer:
         self.value_net = MlpNet.create([POLICY_OBS_DIM, *cfg.ppo.hidden_sizes, 1],
                                        activation="elu", rng=init_rng)
         self.disc = build_discriminator(cfg.disc, init_rng)
-        # the discriminator step's arrays, kept from one minibatch to the next
+        # the discriminator step's and the PPO update's arrays, kept from one
+        # minibatch and one iteration to the next
         self.disc_ref_cache, self.disc_pol_cache = ForwardCache(), ForwardCache()
+        self.ppo_pol_cache, self.ppo_val_cache = ForwardCache(), ForwardCache()
+        self.ppo_val_grad = np.empty_like(self.value_net.flat)
 
         self.policy_opt = OptimizerState.for_params(
             self.policy.flat, "adam", cfg.ppo.learning_rate)
@@ -120,7 +189,9 @@ class Trainer:
         cfg = self.cfg
         buf = self.collector.collect(self.policy, self.value_net, self.disc)
         stats = ppo_update(self.policy, self.value_net, buf, cfg.ppo,
-                           self.policy_opt, self.value_opt, self.rng)
+                           self.policy_opt, self.value_opt, self.rng,
+                           self.ppo_pol_cache, self.ppo_val_cache,
+                           self.ppo_val_grad)
 
         pol_windows = buf.flat_windows()
         mb_size = min(cfg.disc.minibatch_size, pol_windows.shape[0])
@@ -201,7 +272,7 @@ class Trainer:
                 {"resumed_from": self.iteration, "at": stamp})
             if metrics_path.exists():
                 _truncate_metrics(metrics_path, self.iteration)
-        _write_atomic(run_path, json.dumps(meta, indent=2) + "\n")
+        _write_atomic(run_path, [json.dumps(meta, indent=2), "\n"])
 
         with metrics_path.open("a") as metrics:
             while self.iteration < target:
@@ -226,7 +297,7 @@ class Trainer:
             "iteration": self.iteration,
             "config": config_to_mapping(self.cfg),
             "policy_net": net_to_dict(self.policy.net),
-            "policy_log_std": self.policy.log_std.tolist(),
+            "policy_log_std": self.policy.log_std,
             "value_net": net_to_dict(self.value_net),
             "discriminator": net_to_dict(self.disc),
             "policy_opt": optimizer_to_dict(self.policy_opt),
@@ -241,7 +312,7 @@ class Trainer:
     def save_checkpoint(self, path) -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        _write_atomic(path, json.dumps(self.checkpoint_dict()) + "\n")
+        _write_atomic(path, itertools.chain(json_chunks(self.checkpoint_dict()), ("\n",)))
         return path
 
     def restore(self, ckpt: dict) -> None:
@@ -264,9 +335,11 @@ class Trainer:
         self.collector.load_state_dict(ckpt["collector"])
 
     @classmethod
-    def from_checkpoint(cls, path, dataset: ReferenceDataset | None = None,
+    def from_checkpoint(cls, checkpoint, dataset: ReferenceDataset | None = None,
                         cfg: TrainConfig | None = None) -> "Trainer":
-        ckpt = json.loads(Path(path).read_text())
+        """A trainer restored from ``checkpoint``: a file's path, or the dict
+        ``load_checkpoint`` parsed from one."""
+        ckpt = checkpoint if isinstance(checkpoint, dict) else load_checkpoint(checkpoint)
         if cfg is None:
             lines = [f"{k} = {v}" for k, v in ckpt["config"].items()
                      if k not in RETIRED_CONFIG_KEYS]

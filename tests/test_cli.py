@@ -1,5 +1,8 @@
+import builtins
 import csv
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +55,28 @@ class TestEvalSeeds:
                      flag, "0"])
         assert code == EXIT_CONFIG
         assert not out.exists()
+
+
+class TestCheckpointReadOnce:
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_refs_flag_opens_the_checkpoint_once(self, checkpoint, tmp_path,
+                                                 monkeypatch, command):
+        refs = json.loads(checkpoint.read_text())["config"]["refs"]
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, Path)) and Path(file) == checkpoint:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        extra = ["--rollouts", "1", "--seeds", "1"] if command == "eval" else ["--grid", "3"]
+        code = main([command, "--checkpoint", str(checkpoint), "--refs", refs,
+                     "--out", str(tmp_path / "out"), *extra])
+        assert code == EXIT_OK
+        assert len(opened) == 1
 
 
 class TestRetiredConfigKeys:

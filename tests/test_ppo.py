@@ -3,7 +3,7 @@ import pytest
 
 from planarmimic.discriminator import (DiscriminatorConfig, build_discriminator,
                                        lsgan_imitation_reward, raw_score)
-from planarmimic.nets import MlpNet, OptimizerState
+from planarmimic.nets import ForwardCache, MlpNet, OptimizerState
 from planarmimic.ppo import (ACTION_DIM, GaussianPolicy, OBS_NOISE_TEMPLATE,
                              POLICY_FRAME_DIM, POLICY_FRAMES, POLICY_OBS_DIM,
                              PpoConfig, RolloutBuffer, RolloutCollector,
@@ -402,6 +402,26 @@ class TestPpoUpdate:
         assert p_opt.step_count == v_opt.step_count == cfg.minibatches - 1
         assert np.array_equal(policy.flat, before_p)
         assert np.array_equal(value_net.flat, before_v)
+
+    def test_kept_arrays_give_the_fresh_arrays_update(self):
+        # two updates with the caches and value gradient kept across them
+        # step both nets as two updates with new ones do, byte for byte
+        runs = []
+        for keep in (False, True):
+            collector, policy, value_net, disc, cfg = tiny_setup(seed=17)
+            p_opt, v_opt = self._opts(policy, value_net, cfg.learning_rate)
+            rng = np.random.default_rng(4)
+            kept = (ForwardCache(), ForwardCache(), np.empty_like(value_net.flat))
+            for _ in range(2):
+                buf = self._buffer(collector, policy, value_net, disc)
+                ppo_update(policy, value_net, buf, cfg, p_opt, v_opt, rng,
+                           *(kept if keep else ()))
+            runs.append((policy.flat.tobytes(), value_net.flat.tobytes()))
+        assert runs[0] == runs[1]
+        pol_cache, val_cache, val_grad = kept
+        # the kept vector holds the last minibatch's value gradient
+        assert np.any(val_grad != 0.0)
+        assert pol_cache.x is not None and val_cache.x is not None
 
     def test_clipped_ratio_kills_gradient(self):
         # crafted single-sample check of the clip rule

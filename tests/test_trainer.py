@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from functools import cache
 from pathlib import Path
 
@@ -17,7 +18,8 @@ from planarmimic.rewards import (handcrafted_backflip_reward,
 from planarmimic.sim import PlanarEnv, generate_demo_set
 from planarmimic.trainer import (CHECKPOINT_FORMAT_VERSION, Trainer,
                                  build_identifier, evaluate_policy,
-                                 rollout_batch, rollout_observations)
+                                 json_chunks, load_checkpoint, rollout_batch,
+                                 rollout_observations)
 
 from test_nets import assert_views_of
 
@@ -243,6 +245,134 @@ class TestCheckpointResume:
         assert_flat_layout(trainer)
         expected = json.loads((DATA / "checkpoint_format1_next_record.json").read_text())
         assert trainer.train_iteration() == expected
+
+
+def listed(obj):
+    """``obj`` with every array as the nested lists the checkpoint held
+    before it was written a slice at a time."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: listed(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [listed(v) for v in obj]
+    return obj
+
+
+def mismatch(text, expected):
+    """None if the strings are equal, else where they first differ: cheap to
+    report for megabyte checkpoints, unlike pytest's diff of two strings."""
+    if text == expected:
+        return None
+    i = next((k for k, (a, b) in enumerate(zip(text, expected)) if a != b),
+             min(len(text), len(expected)))
+    return i, text[max(0, i - 40):i + 40], expected[max(0, i - 40):i + 40]
+
+
+def desk_trainer(loss="wgan"):
+    """A trainer at the shipped desk shapes, one iteration in."""
+    cfg = default_config("leap", loss)
+    trainer = Trainer(cfg, tiny_dataset(cfg))
+    trainer.train_iteration()
+    return trainer
+
+
+class TestStreamedCheckpoint:
+    @pytest.mark.parametrize("slice_len", [4096, 5])
+    @pytest.mark.parametrize("loss,full_state", [("wgan", False), ("lsgan", True)])
+    def test_file_is_json_dumps_of_the_list_form(self, tmp_path, monkeypatch,
+                                                 loss, full_state, slice_len):
+        cfg = tiny_config(loss=loss, tmp_path=tmp_path)
+        cfg.disc.full_state = full_state
+        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer.train_iteration()
+        # non-finite and signed-zero values encode as json.dumps writes them
+        trainer.disc_opt.slots[next(iter(trainer.disc_opt.slots))][:5] = [
+            np.nan, np.inf, -np.inf, -0.0, 1e-310]
+        monkeypatch.setattr("planarmimic.trainer.JSON_SLICE", slice_len)
+        path = trainer.save_checkpoint(tmp_path / "c.json")
+        expected = json.dumps(listed(trainer.checkpoint_dict())) + "\n"
+        assert mismatch(path.read_text(), expected) is None
+        assert "NaN, Infinity, -Infinity, -0.0, 1e-310" in expected
+
+    def test_desk_file_is_json_dumps_of_the_list_form(self, tmp_path):
+        # the desk discriminator's slots span several slices
+        trainer = desk_trainer()
+        assert trainer.disc_opt.slots["buf"].size > 4096
+        path = trainer.save_checkpoint(tmp_path / "c.json")
+        expected = json.dumps(listed(trainer.checkpoint_dict())) + "\n"
+        assert mismatch(path.read_text(), expected) is None
+
+    @pytest.mark.parametrize("a", [
+        np.zeros(0), np.zeros((0, 3)), np.zeros((2, 0)),
+        np.arange(12.0), np.arange(24.0).reshape(2, 3, 4),
+        np.arange(10.0)[::3], np.arange(12.0).reshape(3, 4).T])
+    @pytest.mark.parametrize("slice_len", [1, 3, 4096])
+    def test_arrays_encode_as_their_lists(self, monkeypatch, a, slice_len):
+        monkeypatch.setattr("planarmimic.trainer.JSON_SLICE", slice_len)
+        obj = {"a": a, "b": [a, {"c": (1, None, True)}], "d": "x"}
+        assert "".join(json_chunks(obj)) == json.dumps(listed(obj))
+
+    def test_save_peak_is_one_slice_not_the_checkpoint(self, tmp_path):
+        # the list form and its text took 11.8 MiB at these shapes
+        trainer = desk_trainer()
+        trainer.save_checkpoint(tmp_path / "warm.json")
+        tracemalloc.start()
+        try:
+            path = trainer.save_checkpoint(tmp_path / "c.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 3 * 2 ** 20
+        assert peak < 2 * 2 ** 20
+
+    def test_encoder_failing_midway_keeps_previous_checkpoint(self, tmp_path,
+                                                             monkeypatch):
+        cfg = tiny_config(tmp_path=tmp_path)
+        trainer = Trainer(cfg, tiny_dataset(cfg))
+        path = trainer.save_checkpoint(tmp_path / "c.json")
+        before = path.read_bytes()
+        trainer.train_iteration()
+        n_chunks = len(list(json_chunks(trainer.checkpoint_dict())))
+        tmp = tmp_path / "c.json.tmp"
+        seen = []
+
+        def failing(obj):
+            for i, chunk in enumerate(json_chunks(obj)):
+                if i == n_chunks // 2:
+                    seen.append(tmp.exists())
+                    raise RuntimeError("encoder failed")
+                yield chunk
+
+        monkeypatch.setattr("planarmimic.trainer.json_chunks", failing)
+        with pytest.raises(RuntimeError, match="encoder failed"):
+            trainer.save_checkpoint(path)
+        monkeypatch.undo()
+        assert seen == [True]
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "refs"]
+        assert Trainer.from_checkpoint(path).iteration == 0
+
+    def test_load_decodes_parameters_and_slots_to_arrays(self, tmp_path):
+        cfg = tiny_config(tmp_path=tmp_path)
+        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer.train_iteration()
+        ckpt = load_checkpoint(trainer.save_checkpoint(tmp_path / "c.json"))
+        for key, net in (("policy_net", trainer.policy.net),
+                         ("value_net", trainer.value_net),
+                         ("discriminator", trainer.disc)):
+            params = ckpt[key]["params"]
+            assert [p.shape for p in params] == net.shapes
+            assert all(p.dtype == np.float64 for p in params)
+        for key in ("policy_opt", "value_opt", "disc_opt"):
+            for name, slot in ckpt[key]["slots"].items():
+                assert slot.dtype == np.float64
+                assert slot.tobytes() == getattr(trainer, key).slots[name].tobytes()
+        restored = Trainer.from_checkpoint(ckpt)
+        assert restored.disc.flat.tobytes() == trainer.disc.flat.tobytes()
+        # the restored optimizer owns its slots
+        for name, slot in restored.disc_opt.slots.items():
+            assert not np.shares_memory(slot, ckpt["disc_opt"]["slots"][name])
 
 
 @cache
