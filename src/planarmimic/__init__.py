@@ -7,14 +7,13 @@ from .core import (BatchWindowBuffer, ReferenceDataset, load_reference_dataset,
                    phi_extract_arrays, sample_reference_windows,
                    save_reference_csv)
 from .discriminator import (DiscriminatorConfig, build_discriminator,
-                            discriminator_loss, lsgan_imitation_reward,
-                            raw_score)
+                            discriminator_loss, raw_score)
 from .dtw import DtwConfig, dtw_brute_force, dtw_distance, dtw_distances
 from .nets import MlpNet, OptimizerState, optimizer_step
 from .ppo import (GaussianPolicy, PpoConfig, RolloutBuffer, RolloutCollector,
                   adaptive_lr, gae_advantages, ppo_update)
-from .rewards import (RewardWeights, RunningStats, handcrafted_backflip_reward,
-                      handcrafted_standup_reward, imitation_reward,
+from .rewards import (ImitationReward, RewardWeights, RunningStats,
+                      handcrafted_backflip_reward, handcrafted_standup_reward,
                       regularization_reward, termination_penalty,
                       total_reward)
 from .sim import PlanarEnv, SimParams, generate_demo_set, generate_rough_demo

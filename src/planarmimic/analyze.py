@@ -1,11 +1,13 @@
 """Post-hoc analysis exports: imitation-reward surfaces over (pitch rate,
-height) and reward histograms over a rollout batch. Everything is written as
-CSV so any external plotter can render the figures."""
+height) and reward histograms over a rollout batch. Every reward is the
+trainer's ``imitation`` map at its checkpoint's statistics, the map training
+pays with (so a wgan trainer still in warm-up exports zeros). Everything is
+written as CSV so any external plotter can render the figures."""
 
 from __future__ import annotations
 
+import copy
 import csv
-import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +41,7 @@ def reward_surface(trainer, grid_n: int = 101,
         if cfg.disc.full_state:
             flat = pad_windows_full_state(flat, H)
         scores = raw_score(trainer.disc, flat)
-        rewards = trainer.imitation_reward_of_scores(scores)
+        rewards = trainer.imitation(scores)
         rows[k:k + grid_n, 0] = pr
         rows[k:k + grid_n, 1] = h_values
         rows[k:k + grid_n, 2] = rewards
@@ -58,23 +60,19 @@ def reference_window_rewards(trainer, n_samples: int = 512,
     flat = windows.reshape(n_samples, -1)
     if cfg.disc.full_state:
         flat = pad_windows_full_state(flat, cfg.disc.horizon)
-    return trainer.imitation_reward_of_scores(raw_score(trainer.disc, flat))
+    return trainer.imitation(raw_score(trainer.disc, flat))
 
 
 def rollout_reward_histogram(trainer) -> np.ndarray:
     """Per-sample imitation rewards over one fresh rollout batch.
 
-    The batch is collected against a copy of the trainer's running
-    statistics, so its scores never reach ``trainer.stats``: every reward
-    this module exports is normalized with the same statistics.
+    The batch pays its rewards with a copy of the trainer's imitation map, so
+    its scores never reach the trainer's statistics: every reward this module
+    exports is normalized with the same statistics.
     """
-    collector = trainer.collector
-    collector.stats = dataclasses.replace(trainer.stats)
-    try:
-        buf = collector.collect(trainer.policy, trainer.value_net, trainer.disc)
-    finally:
-        collector.stats = trainer.stats
-    return trainer.imitation_reward_of_scores(buf.scores.reshape(-1))
+    buf = trainer.collector.collect(trainer.policy, trainer.value_net, trainer.disc,
+                                    copy.deepcopy(trainer.imitation))
+    return trainer.imitation(buf.scores.reshape(-1))
 
 
 def write_surface_csv(path, rows: np.ndarray) -> None:

@@ -3,7 +3,6 @@ nesting, full-field validation, and per-task defaults."""
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -234,7 +233,3 @@ def apply_overrides(cfg: TrainConfig, overrides) -> TrainConfig:
     if errors:
         raise ConfigError(errors)
     return cfg
-
-
-def configs_equal(a: TrainConfig, b: TrainConfig) -> bool:
-    return dataclasses.asdict(a) == dataclasses.asdict(b)

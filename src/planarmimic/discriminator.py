@@ -159,16 +159,6 @@ def discriminator_loss(net: MlpNet, ref_batch, pol_batch,
                           grads=grads)
 
 
-def lsgan_imitation_reward(score):
-    """Bounded reward mapping for the least-squares discriminator:
-    max[0, 1 - 0.25 (score - 1)^2]. Scores at or below -1 (and at or above 3)
-    land exactly on the 0 floor, which is where the least-squares variant
-    stops carrying distance information."""
-    score = np.asarray(score, dtype=np.float64)
-    value = np.maximum(0.0, 1.0 - 0.25 * (score - 1.0) ** 2)
-    return float(value) if value.ndim == 0 else value
-
-
 def pad_windows_full_state(windows: np.ndarray, horizon: int) -> np.ndarray:
     """Zero-fill joint features of base-only reference windows so they can be
     fed to a full-state discriminator. (Demonstrations never carry joints.)"""

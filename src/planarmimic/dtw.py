@@ -14,9 +14,10 @@ Open-end matching lets the path finish at any reference index, absorbing the
 time shift between a rollout and a demonstration. A brute-force path
 enumerator over the same step sets serves as the correctness oracle.
 
-``dtw_distance`` scores one pair and backtracks its alignment;
-``dtw_distances`` scores every (query, reference) pair of two lists at once,
-with the same arithmetic, and returns distances only.
+There is one accumulated-cost recurrence, ``_accumulated_rows``: it runs
+over query rows, each for every (query, reference) pair at once.
+``dtw_distances`` reads every pair's distance off it, and ``dtw_distance``
+keeps one pair's rows to backtrack its alignment.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 STEP_PATTERNS = ("symmetric1", "mori_asymmetric")
+# each pattern's steps as (query, reference) index advances, in the order an
+# alignment's backtrack prefers them among equal predecessors
+STEPS = {"symmetric1": ((1, 1), (1, 0), (0, 1)),
+         "mori_asymmetric": ((1, 0), (1, 1), (1, 2))}
 
 _INF = float("inf")
 
@@ -72,109 +77,49 @@ def dtw_distance(query, reference, cfg: DtwConfig):
     """Minimum accumulated cost and the minimizing alignment.
 
     Returns (distance, alignment) where alignment is a list of
-    (query_index, reference_index) pairs along the optimal path.
+    (query_index, reference_index) pairs along the optimal path. The
+    accumulated costs are ``dtw_distances``' recurrence for this one pair;
+    the path steps back from its end to the first minimal predecessor, in
+    the order ``STEPS`` lists the pattern's steps.
     """
-    cost = local_cost(query, reference)
-    n, m = cost.shape
-    if cfg.step_pattern == "symmetric1":
-        dist, path = _dtw_symmetric1(cost, cfg.open_end)
-    elif cfg.step_pattern == "mori_asymmetric":
-        dist, path = _dtw_asymmetric(cost, cfg.open_end)
-    else:
+    q, r = _as_sequence(query), _as_sequence(reference)
+    _check_dims(q, r)
+    if cfg.step_pattern not in STEP_PATTERNS:
         raise ValueError(f"unknown step pattern {cfg.step_pattern!r}")
+    n, m = q.shape[0], r.shape[0]
+    acc = np.empty((n, m))
+    for i, row in enumerate(_accumulated_rows([q], [r], cfg.step_pattern)):
+        acc[i] = row[0, 0]
+    end_j = int(np.argmin(acc[n - 1])) if cfg.open_end else m - 1
+    dist = float(acc[n - 1, end_j])
     if not np.isfinite(dist):
         raise ValueError(
             f"no admissible alignment for lengths ({n}, {m}) under "
             f"{cfg.step_pattern} (sequences too short for the step constraints)")
-    return dist, path
-
-
-def _dtw_symmetric1(cost: np.ndarray, open_end: bool):
-    n, m = cost.shape
-    acc = np.full((n, m), _INF)
-    acc[0, 0] = cost[0, 0]
-    for j in range(1, m):
-        acc[0, j] = acc[0, j - 1] + cost[0, j]
-    for i in range(1, n):
-        acc[i, 0] = acc[i - 1, 0] + cost[i, 0]
-        for j in range(1, m):
-            acc[i, j] = cost[i, j] + min(acc[i - 1, j - 1], acc[i - 1, j],
-                                         acc[i, j - 1])
-    end_j = int(np.argmin(acc[n - 1])) if open_end else m - 1
-    dist = float(acc[n - 1, end_j])
-    # backtrack
+    steps = STEPS[cfg.step_pattern]
     path = [(n - 1, end_j)]
     i, j = n - 1, end_j
     while (i, j) != (0, 0):
-        candidates = []
-        if i > 0 and j > 0:
-            candidates.append((acc[i - 1, j - 1], (i - 1, j - 1)))
-        if i > 0:
-            candidates.append((acc[i - 1, j], (i - 1, j)))
-        if j > 0:
-            candidates.append((acc[i, j - 1], (i, j - 1)))
-        _, (i, j) = min(candidates, key=lambda c: c[0])
+        i, j = min(((i - di, j - dj) for di, dj in steps if di <= i and dj <= j),
+                   key=lambda cell: acc[cell])
         path.append((i, j))
     path.reverse()
     return dist, path
 
 
-def _dtw_asymmetric(cost: np.ndarray, open_end: bool):
-    n, m = cost.shape
-    acc = np.full((n, m), _INF)
-    came_from = np.full((n, m), -1, dtype=np.int64)
-    acc[0, 0] = cost[0, 0]
-    for i in range(1, n):
-        for j in range(m):
-            best = acc[i - 1, j]
-            step = 0
-            if j >= 1 and acc[i - 1, j - 1] < best:
-                best = acc[i - 1, j - 1]
-                step = 1
-            if j >= 2 and acc[i - 1, j - 2] < best:
-                best = acc[i - 1, j - 2]
-                step = 2
-            if best < _INF:
-                acc[i, j] = best + cost[i, j]
-                came_from[i, j] = step
-    end_j = int(np.argmin(acc[n - 1])) if open_end else m - 1
-    dist = float(acc[n - 1, end_j])
-    if not np.isfinite(dist):
-        return dist, []
-    path = [(n - 1, end_j)]
-    i, j = n - 1, end_j
-    while i > 0:
-        j -= int(came_from[i, j])
-        i -= 1
-        path.append((i, j))
-    path.reverse()
-    return dist, path
+def _accumulated_rows(qs: list, rs: list, step_pattern: str):
+    """Yield the accumulated-cost row of every query index in turn, (A, B, m)
+    for every (query, reference) pair and reference index at once. The same
+    array is yielded each time, updated in place.
 
-
-def dtw_distances(queries, references, cfg: DtwConfig) -> np.ndarray:
-    """Distance of every (query, reference) pair, shape (A, B); each equals
-    ``dtw_distance(queries[a], references[b], cfg)[0]`` bit for bit.
-
-    The accumulated-cost recurrences read only the previous query row, so the
-    loop runs over query rows and each row is computed for all pairs and all
-    reference indices at once; only one row of local costs is held. Sequences
-    of unequal length are padded on the right: a padded reference index costs
-    +inf, and since every step moves right or stays, no admissible path
-    reaches a real index through one. A query's distance is read at its own
-    last row, a closed end at each reference's own last index.
+    The recurrences read only the previous query row, and only one row of
+    local costs is held. Sequences of unequal length are padded on the
+    right: a padded reference index costs +inf, and since every step moves
+    right or stays, no admissible path reaches a real index through one.
     """
-    if cfg.step_pattern not in STEP_PATTERNS:
-        raise ValueError(f"unknown step pattern {cfg.step_pattern!r}")
-    qs = [_as_sequence(q) for q in queries]
-    rs = [_as_sequence(r) for r in references]
-    if not qs or not rs:
-        raise ValueError("need at least one query and one reference")
-    for seq in qs[1:] + rs:
-        _check_dims(qs[0], seq)
-    q_len = np.array([q.shape[0] for q in qs])
     r_len = np.array([r.shape[0] for r in rs])
     A, B = len(qs), len(rs)
-    n, m, d = int(q_len.max()), int(r_len.max()), qs[0].shape[1]
+    n, m, d = max(q.shape[0] for q in qs), int(r_len.max()), qs[0].shape[1]
 
     # queries as (n, d, A) and references as (d, B, m): one feature of one
     # query row, or of every reference, is a contiguous block
@@ -204,8 +149,7 @@ def dtw_distances(queries, references, cfg: DtwConfig) -> np.ndarray:
             cost[:, padded] = _INF
         return cost
 
-    final = np.empty((A, B, m))
-    if cfg.step_pattern == "mori_asymmetric":
+    if step_pattern == "mori_asymmetric":
         acc = np.full((A, B, m), _INF)
         acc[..., 0] = cost_row(0)[..., 0]
         best = np.empty_like(acc)
@@ -215,8 +159,7 @@ def dtw_distances(queries, references, cfg: DtwConfig) -> np.ndarray:
                 np.minimum(acc[..., 1:], acc[..., :-1], out=best[..., 1:])
                 np.minimum(best[..., 2:], acc[..., :-2], out=best[..., 2:])
                 np.add(best, cost_row(i), out=acc)
-            ends = q_len == i + 1
-            final[ends] = acc[ends]
+            yield acc
     else:
         acc = np.cumsum(cost_row(0), axis=2)
         diag_up = np.empty((A, B, m - 1))
@@ -228,13 +171,37 @@ def dtw_distances(queries, references, cfg: DtwConfig) -> np.ndarray:
                 for j in range(1, m):
                     acc[..., j] = row[..., j] + np.minimum(diag_up[..., j - 1],
                                                            acc[..., j - 1])
-            ends = q_len == i + 1
-            final[ends] = acc[ends]
+            yield acc
+
+
+def dtw_distances(queries, references, cfg: DtwConfig) -> np.ndarray:
+    """Distance of every (query, reference) pair, shape (A, B); each equals
+    ``dtw_distance(queries[a], references[b], cfg)[0]`` bit for bit.
+
+    The loop runs over query rows of ``_accumulated_rows``, each computed for
+    all pairs and all reference indices at once. A query's distance is read
+    at its own last row, a closed end at each reference's own last index.
+    """
+    if cfg.step_pattern not in STEP_PATTERNS:
+        raise ValueError(f"unknown step pattern {cfg.step_pattern!r}")
+    qs = [_as_sequence(q) for q in queries]
+    rs = [_as_sequence(r) for r in references]
+    if not qs or not rs:
+        raise ValueError("need at least one query and one reference")
+    for seq in qs[1:] + rs:
+        _check_dims(qs[0], seq)
+    q_len = np.array([q.shape[0] for q in qs])
+    r_len = np.array([r.shape[0] for r in rs])
+
+    final = np.empty((len(qs), len(rs), int(r_len.max())))
+    for i, acc in enumerate(_accumulated_rows(qs, rs, cfg.step_pattern)):
+        ends = q_len == i + 1
+        final[ends] = acc[ends]
 
     if cfg.open_end:
         dist = final.min(axis=2)
     else:
-        dist = final[:, np.arange(B), r_len - 1]
+        dist = final[:, np.arange(len(rs)), r_len - 1]
     bad = np.argwhere(~np.isfinite(dist))
     if bad.size:
         a, b = bad[0]
@@ -252,11 +219,7 @@ def dtw_brute_force(query, reference, cfg: DtwConfig) -> float:
     if n > 8 or m > 8:
         raise ValueError("brute force limited to sequences of length <= 8")
 
-    if cfg.step_pattern == "symmetric1":
-        steps = ((1, 1), (1, 0), (0, 1))
-    else:
-        steps = ((1, 0), (1, 1), (1, 2))
-
+    steps = STEPS[cfg.step_pattern]
     best = [_INF]
 
     def walk(i, j, total):

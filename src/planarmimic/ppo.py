@@ -1,7 +1,8 @@
 """On-policy learner: clipped-surrogate policy optimization with generalized
 advantage estimation, an entropy bonus, and a KL-targeted adaptive learning
 rate. Rollout collection builds the adversarial reward from discriminator
-scores, the termination penalty, and the regularization terms.
+scores (through the trainer's ``rewards.ImitationReward``), the termination
+penalty, and the regularization terms.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import BatchWindowBuffer, OBS_DIM
-from .discriminator import DiscriminatorConfig, lsgan_imitation_reward, raw_score
+from .discriminator import DiscriminatorConfig, raw_score
 from .nets import (ForwardCache, MlpNet, OptimizerState, clip_grad_norm,
                    optimizer_step)
-from .rewards import (RewardWeights, RunningStats, imitation_reward,
-                      regularization_reward, termination_penalty, total_reward)
+from .rewards import (ImitationReward, RewardWeights, regularization_reward,
+                      termination_penalty, total_reward)
 
 ACTION_DIM = 4
 # per-frame policy features: base observation, joint pos/vel, previous action
@@ -255,18 +256,17 @@ class RolloutCollector:
     assembled over the whole (T, E) rollout. Every value is the one a
     step-by-step collection computes, byte for byte (the tests keep that
     loop as the oracle): a stacked forward runs each step's own products,
-    and the reward terms are elementwise. Reward normalization statistics
-    are consulted before being updated with each step's new scores, in step
-    order, and only policy scores ever reach them.
+    and the reward terms are elementwise. The imitation rewards come from
+    ``imitation.pay``, so only policy scores reach its statistics, each
+    step's after that step's rewards are read.
     """
 
     def __init__(self, env, disc_cfg: DiscriminatorConfig, ppo_cfg: PpoConfig,
-                 weights: RewardWeights, stats: RunningStats, seed: int = 0):
+                 weights: RewardWeights, seed: int = 0):
         self.env = env
         self.disc_cfg = disc_cfg
         self.ppo_cfg = ppo_cfg
         self.weights = weights
-        self.stats = stats
         E = env.num_envs
         self.action_rngs = [np.random.default_rng(np.random.SeedSequence([seed, 1000 + i]))
                             for i in range(E)]
@@ -299,7 +299,7 @@ class RolloutCollector:
         return scale * eps[..., :obs_dim], eps[..., obs_dim:]
 
     def collect(self, policy: GaussianPolicy, value_net: MlpNet,
-                disc_net: MlpNet) -> RolloutBuffer:
+                disc_net: MlpNet, imitation: ImitationReward) -> RolloutBuffer:
         env, hist = self.env, self.history
         E = env.num_envs
         T = self.ppo_cfg.steps_per_iter
@@ -348,13 +348,7 @@ class RolloutCollector:
 
         values, _ = value_net.forward(obs, self._value_cache)
         scores = raw_score(disc_net, windows, self._disc_cache).copy()
-        if self.disc_cfg.loss_kind == "lsgan":
-            r_imit = lsgan_imitation_reward(scores)
-        else:
-            r_imit = np.empty((T, E))
-            for t in range(T):
-                r_imit[t] = imitation_reward(scores[t], self.stats)
-                self.stats.update_batch(scores[t])
+        r_imit = imitation.pay(scores)
         r_term = termination_penalty(terminal, self.weights.gamma)
         r_reg = regularization_reward(actions, prev_actions, joint_vel, prev_joint_vel,
                                       torques, pitch_rate, env.params.control_dt,

@@ -1,5 +1,10 @@
-"""Reward assembly: normalized imitation reward, termination penalty,
-regularization penalties, and the handcrafted baseline task rewards."""
+"""Reward assembly: the imitation reward, termination penalty,
+regularization penalties, and the handcrafted baseline task rewards.
+
+``ImitationReward`` is the one place a discriminator score becomes an
+imitation reward: the least-squares critic's bounded map, or the Wasserstein
+critic's score normalized by running statistics of the policy scores. Every
+function here is elementwise over arrays of any shape."""
 
 from __future__ import annotations
 
@@ -59,15 +64,43 @@ class RunningStats:
         return cls(count=d["count"], mean=d["mean"], m2=d["m2"], epsilon=d["epsilon"])
 
 
-def imitation_reward(score, stats: RunningStats, warmup: int = STATS_WARMUP):
-    """Discriminator score normalized to zero mean / unit variance by the
-    running statistics. Returns 0 until the stats have seen ``warmup`` scores."""
-    if stats.count < warmup:
-        score = np.asarray(score, dtype=np.float64)
-        zero = np.zeros_like(score)
-        return float(zero) if zero.ndim == 0 else zero
-    value = stats.normalize(score)
-    return float(value) if value.ndim == 0 else value
+class ImitationReward:
+    """Maps discriminator scores to imitation rewards, by the loss kind.
+
+    * ``lsgan``: the bounded map max[0, 1 - 0.25 (score - 1)^2] (AMP). Scores
+      at or below -1 (and at or above 3) land exactly on the 0 floor, where
+      the least-squares critic stops carrying distance information.
+    * ``wgan``: the score normalized to zero mean and unit variance by
+      ``stats``, the running statistics of every policy score paid so far.
+      The reward is 0 until they have seen ``STATS_WARMUP`` scores.
+
+    Calling it only reads the statistics; ``pay`` is the one path that
+    updates them.
+    """
+
+    def __init__(self, loss_kind: str, stats: RunningStats):
+        self.loss_kind = loss_kind
+        self.stats = stats
+
+    def __call__(self, scores) -> np.ndarray:
+        scores = np.asarray(scores, dtype=np.float64)
+        if self.loss_kind == "lsgan":
+            return np.maximum(0.0, 1.0 - 0.25 * (scores - 1.0) ** 2)
+        if self.stats.count < STATS_WARMUP:
+            return np.zeros_like(scores)
+        return self.stats.normalize(scores)
+
+    def pay(self, scores: np.ndarray) -> np.ndarray:
+        """Rewards of a (T, E) rollout's policy scores. Row by row, each
+        row's rewards are read from the statistics first, then its scores
+        are folded into them (wgan; the lsgan map has no statistics)."""
+        if self.loss_kind == "lsgan":
+            return self(scores)
+        rewards = np.empty_like(scores)
+        for t, row in enumerate(scores):
+            rewards[t] = self(row)
+            self.stats.update_batch(row)
+        return rewards
 
 
 def termination_penalty(is_early_termination, gamma: float):
@@ -77,15 +110,13 @@ def termination_penalty(is_early_termination, gamma: float):
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must be in (0, 1)")
     flag = np.asarray(is_early_termination, dtype=np.float64)
-    value = flag * (-5.0 / (1.0 - gamma))
-    return float(value) if value.ndim == 0 else value
+    return flag * (-5.0 / (1.0 - gamma))
 
 
 def total_reward(r_imitation, r_termination, r_regularization, w_imitation: float):
     value = w_imitation * (np.asarray(r_imitation, dtype=np.float64)
                            + np.asarray(r_termination, dtype=np.float64))
-    value = value + np.asarray(r_regularization, dtype=np.float64)
-    return float(value) if value.ndim == 0 else value
+    return value + np.asarray(r_regularization, dtype=np.float64)
 
 
 @dataclass
@@ -130,9 +161,8 @@ def regularization_reward(action, prev_action, joint_vel, prev_joint_vel,
     qa = (((joint_vel - prev_joint_vel) / dt) ** 2).sum(axis=-1)
     qt = (torques ** 2).sum(axis=-1)
     pr = pitch_rate ** 2
-    value = (weights.w_action_rate * ar + weights.w_joint_accel * qa
-             + weights.w_joint_torque * qt + weights.w_pitch_rate * pr)
-    return float(value) if value.ndim == 0 else value
+    return (weights.w_action_rate * ar + weights.w_joint_accel * qa
+            + weights.w_joint_torque * qt + weights.w_pitch_rate * pr)
 
 
 # -- handcrafted baseline task rewards ---------------------------------------
@@ -141,21 +171,18 @@ STANDUP_WEIGHTS = (1.0, 3.0, 2.0)  # (pitch, height, front-feet-off-ground)
 BACKFLIP_ANGLE_WEIGHT = 5.0
 
 
-def handcrafted_standup_reward(pitch: float, height: float,
-                               front_feet_contact: bool,
-                               weights=STANDUP_WEIGHTS) -> float:
+def handcrafted_standup_reward(pitch, height, front_feet_contact,
+                               weights=STANDUP_WEIGHTS) -> np.ndarray:
     """Stand-up shaping: reward nose-up pitch, height, and lifting the front
     feet off the ground."""
     w_pitch, w_height, w_clear = weights
-    clear = 0.0 if front_feet_contact else 1.0
+    clear = np.where(front_feet_contact, 0.0, 1.0)
     return w_pitch * pitch + w_height * height + w_clear * clear
 
 
-def handcrafted_backflip_reward(flight_traversed_angle: float, landed: bool,
-                                weight: float = BACKFLIP_ANGLE_WEIGHT) -> float:
+def handcrafted_backflip_reward(flight_traversed_angle, landed,
+                                weight: float = BACKFLIP_ANGLE_WEIGHT) -> np.ndarray:
     """Flip shaping: the angle traversed while airborne, paid out only on the
     landing event. Callers pass the angle measured positive in the flip
     direction (backward rotation for this robot)."""
-    if not landed:
-        return 0.0
-    return weight * flight_traversed_angle
+    return np.where(landed, weight * flight_traversed_angle, 0.0)

@@ -104,12 +104,11 @@ class SimParams:
 class StepBatch:
     """Outcome of one control step for every environment."""
 
-    base_contact: np.ndarray          # (E,) bool, body polygon touched ground
     foot_contacts: np.ndarray         # (E, 2) bool at end of step
     joint_torques: np.ndarray         # (E, 4) substep-averaged torque proxy
     landing_event: np.ndarray         # (E,) bool, air -> ground this step
     flight_traversed_angle: np.ndarray  # (E,) rad, signed pitch integral in flight
-    terminal: np.ndarray              # (E,) bool (== base_contact)
+    terminal: np.ndarray              # (E,) bool, body polygon touched ground
     timeout: np.ndarray               # (E,) bool, episode clock expired
 
 
@@ -389,15 +388,15 @@ class PlanarEnv:
         self.vx[...], self.vz[...], self.om[...] = end[_VX:_OM + 1]
         self.time += p.control_dt
         self.steps += 1
-        base_contact = base[K - 1].copy()
-        self.terminal = base_contact.copy()
+        terminal = base[K - 1].copy()
+        # reset_rows clears the env's flags in place; the result keeps its own
+        self.terminal = terminal.copy()
         return StepBatch(
-            base_contact=base_contact,
             foot_contacts=np.ascontiguousarray((fz < 0.0).T),
             joint_torques=np.ascontiguousarray(self._torque_proxy(b, q_target).T),
             landing_event=landing,
             flight_traversed_angle=angle_report,
-            terminal=base_contact.copy(),
+            terminal=terminal,
             timeout=self.time >= p.max_episode_time - 1e-12,
         )
 

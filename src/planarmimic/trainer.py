@@ -31,16 +31,15 @@ from . import __version__
 from .config import TrainConfig, config_to_mapping, parse_config_text, save_config
 from .core import ReferenceDataset, load_reference_dataset, sample_reference_windows
 from .discriminator import (build_discriminator, discriminator_loss,
-                            lsgan_imitation_reward, pad_windows_full_state,
-                            raw_score)
+                            pad_windows_full_state, raw_score)
 from .dtw import DtwReport, dtw_distances, stand_still_rollout
 from .nets import (ForwardCache, MlpNet, OptimizerState, net_from_dict,
                    net_to_dict, optimizer_from_dict, optimizer_to_dict,
                    optimizer_step)
 from .ppo import (ACTION_DIM, GaussianPolicy, POLICY_OBS_DIM, PolicyHistory,
                   RolloutCollector, ppo_update)
-from .rewards import (RunningStats, handcrafted_backflip_reward,
-                      handcrafted_standup_reward)
+from .rewards import (ImitationReward, RunningStats,
+                      handcrafted_backflip_reward, handcrafted_standup_reward)
 from .sim import PlanarEnv
 
 CHECKPOINT_FORMAT_VERSION = 2
@@ -177,17 +176,18 @@ class Trainer:
             weight_decay=cfg.disc.weight_decay, momentum=cfg.disc.momentum,
             rho=cfg.disc.rho)
 
-        self.stats = RunningStats()
+        self.imitation = ImitationReward(cfg.disc.loss_kind, RunningStats())
         self.env = PlanarEnv(cfg.sim, cfg.ppo.num_envs, seed=seed)
         self.collector = RolloutCollector(self.env, cfg.disc, cfg.ppo,
-                                          cfg.reward, self.stats, seed=seed)
+                                          cfg.reward, seed=seed)
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
 
     # -- one iteration ---------------------------------------------------------
 
     def train_iteration(self) -> dict:
         cfg = self.cfg
-        buf = self.collector.collect(self.policy, self.value_net, self.disc)
+        buf = self.collector.collect(self.policy, self.value_net, self.disc,
+                                     self.imitation)
         stats = ppo_update(self.policy, self.value_net, buf, cfg.ppo,
                            self.policy_opt, self.value_opt, self.rng,
                            self.ppo_pol_cache, self.ppo_val_cache,
@@ -303,7 +303,7 @@ class Trainer:
             "policy_opt": optimizer_to_dict(self.policy_opt),
             "value_opt": optimizer_to_dict(self.value_opt),
             "disc_opt": optimizer_to_dict(self.disc_opt),
-            "running_stats": self.stats.to_dict(),
+            "running_stats": self.imitation.stats.to_dict(),
             "trainer_rng": self.rng.bit_generator.state,
             "env": self.env.state_dict(),
             "collector": self.collector.state_dict(),
@@ -328,8 +328,7 @@ class Trainer:
         self.policy_opt = optimizer_from_dict(ckpt["policy_opt"])
         self.value_opt = optimizer_from_dict(ckpt["value_opt"])
         self.disc_opt = optimizer_from_dict(ckpt["disc_opt"])
-        self.stats = RunningStats.from_dict(ckpt["running_stats"])
-        self.collector.stats = self.stats
+        self.imitation.stats = RunningStats.from_dict(ckpt["running_stats"])
         self.rng.bit_generator.state = ckpt["trainer_rng"]
         self.env.load_state_dict(ckpt["env"])
         self.collector.load_state_dict(ckpt["collector"])
@@ -352,13 +351,6 @@ class Trainer:
         trainer = cls(cfg, dataset)
         trainer.restore(ckpt)
         return trainer
-
-    # -- reward views -------------------------------------------------------------
-
-    def imitation_reward_of_scores(self, scores: np.ndarray) -> np.ndarray:
-        if self.cfg.disc.loss_kind == "lsgan":
-            return lsgan_imitation_reward(scores)
-        return self.stats.normalize(scores)
 
 
 # ---------------------------------------------------------------------------
@@ -416,15 +408,18 @@ def rollout_batch(cfg: TrainConfig, policy: GaussianPolicy, frames: int,
 
     Once a row's body hits the ground its remaining frames hold its last
     observation: the motion is over, and a frozen tail keeps the sequence
-    comparable to full-length references. Its tallies stop at that step.
-    Frozen rows repeat their last action until every row is done.
+    comparable to full-length references. Its tallies stop at that step: the
+    stand-up mean is taken over the row's live steps only, and a backflip
+    landing counts only while the row is live. Frozen rows repeat their last
+    action until every row is done.
     """
     R = len(seeds)
     env = PlanarEnv(cfg.sim, num_envs=R, seed=list(seeds))
     history = PolicyHistory(env)
     seqs = np.zeros((R, frames, 6))
     seqs[:, 0] = env.observation_features()
-    standup_terms = [[] for _ in range(R)]
+    standup_terms = np.zeros((R, frames - 1))
+    live_steps = np.zeros(R, dtype=np.int64)
     backflip_total = np.zeros(R)
     done = np.zeros(R, dtype=bool)
     action = np.zeros((R, ACTION_DIM))
@@ -442,22 +437,23 @@ def rollout_batch(cfg: TrainConfig, policy: GaussianPolicy, frames: int,
         seqs[:, t] = np.where(done[:, None], seqs[:, t - 1],
                               env.observation_features())
         if collect_handcrafted:
-            for i in live:
-                standup_terms[i].append(handcrafted_standup_reward(
-                    float(env.pitch[i]), float(env.z[i]),
-                    bool(result.foot_contacts[i, 0])))
-                if result.landing_event[i]:
-                    # backward rotation counts positive for the flip reward
-                    backflip_total[i] += handcrafted_backflip_reward(
-                        -float(result.flight_traversed_angle[i]), True)
+            standup_terms[:, t - 1] = handcrafted_standup_reward(
+                env.pitch, env.z, result.foot_contacts[:, 0])
+            # backward rotation counts positive for the flip reward
+            np.add(backflip_total, handcrafted_backflip_reward(
+                -result.flight_traversed_angle, True), out=backflip_total,
+                where=result.landing_event & ~done)
+            live_steps += ~done
         done |= result.terminal
         if done.all():
             seqs[:, t + 1:] = seqs[:, t, None]
             break
         history.advance(action, ~done)
-    extras = [{"standup_mean": float(np.mean(terms)) if terms else 0.0,
+    # a row's live steps are a prefix of its terms: np.mean sums that slice
+    # pairwise, as it summed the list of them
+    extras = [{"standup_mean": float(np.mean(terms[:n])) if n else 0.0,
                "backflip_total": float(total)}
-              for terms, total in zip(standup_terms, backflip_total)]
+              for terms, n, total in zip(standup_terms, live_steps, backflip_total)]
     return seqs, extras
 
 

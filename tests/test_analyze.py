@@ -13,13 +13,27 @@ def test_histogram_leaves_the_reward_statistics_alone():
     # the exported rewards must all use the checkpoint's statistics
     cfg = tiny_config(loss="wgan")
     trainer = Trainer(cfg, tiny_dataset(cfg))
-    while trainer.stats.count <= STATS_WARMUP:
+    while trainer.imitation.stats.count <= STATS_WARMUP:
         trainer.train_iteration()
-    stats = trainer.stats.to_dict()
+    stats = trainer.imitation.stats.to_dict()
     ref_rewards = reference_window_rewards(trainer)
     surface = reward_surface(trainer, grid_n=5)
     rollout_reward_histogram(trainer)
-    assert trainer.stats.to_dict() == stats
-    assert trainer.collector.stats is trainer.stats
+    assert trainer.imitation.stats.to_dict() == stats
     assert np.array_equal(reference_window_rewards(trainer), ref_rewards)
     assert np.array_equal(reward_surface(trainer, grid_n=5), surface)
+
+
+def test_exports_pay_zero_before_warmup():
+    # a wgan trainer whose statistics have not warmed up pays 0 for every
+    # score in training, and the exports show that same map
+    cfg = tiny_config(loss="wgan")
+    trainer = Trainer(cfg, tiny_dataset(cfg))
+    assert trainer.imitation.stats.count < STATS_WARMUP
+    assert np.all(reference_window_rewards(trainer) == 0.0)
+    assert np.all(reward_surface(trainer, grid_n=5)[:, 2] == 0.0)
+    histogram = rollout_reward_histogram(trainer)
+    assert trainer.imitation.stats.count == 0
+    assert np.all(histogram == 0.0)
+    record = trainer.train_iteration()
+    assert record["imitation_mean"] == 0.0

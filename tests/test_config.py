@@ -1,15 +1,16 @@
+from dataclasses import asdict
+
 import pytest
 
 from planarmimic.config import (ConfigError, TrainConfig, apply_overrides,
-                                config_to_mapping, configs_equal,
-                                default_config, load_config, parse_config_text,
-                                save_config)
+                                config_to_mapping, default_config, load_config,
+                                parse_config_text, save_config)
 
 
 class TestParsing:
     def test_empty_text_gives_defaults(self):
         cfg = parse_config_text("")
-        assert configs_equal(cfg, TrainConfig())
+        assert asdict(cfg) == asdict(TrainConfig())
 
     def test_dotted_keys_reach_nested_sections(self):
         cfg = parse_config_text("""
@@ -73,7 +74,7 @@ class TestRoundTrip:
         path = tmp_path / "config.txt"
         save_config(cfg, path)
         loaded = load_config(path)
-        assert configs_equal(cfg, loaded)
+        assert asdict(cfg) == asdict(loaded)
 
     def test_mapping_covers_every_field(self):
         mapping = config_to_mapping(TrainConfig())
@@ -142,4 +143,4 @@ class TestTaskDefaults:
         a = default_config("wave", "wgan")
         b = default_config("wave", "lsgan")
         a.disc.loss_kind = "lsgan"
-        assert configs_equal(a, b)
+        assert asdict(a) == asdict(b)

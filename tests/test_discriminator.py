@@ -5,9 +5,9 @@ import pytest
 
 from planarmimic.discriminator import (DiscriminatorConfig, build_discriminator,
                                        discriminator_loss,
-                                       lsgan_imitation_reward,
                                        pad_windows_full_state, raw_score)
 from planarmimic.nets import ForwardCache, MlpNet, OptimizerState, optimizer_step
+from planarmimic.rewards import ImitationReward, RunningStats
 
 from test_nets import fd_param_gradient, rand_net, rel_err, FD_RTOL
 
@@ -338,14 +338,16 @@ class TestRawScore:
 
 
 class TestLsganImitationReward:
+    reward = ImitationReward("lsgan", RunningStats())
+
     def test_paper_mapping_points(self):
-        assert lsgan_imitation_reward(1.0) == pytest.approx(1.0)
-        assert lsgan_imitation_reward(-1.0) == pytest.approx(0.0)
-        assert lsgan_imitation_reward(5.0) == pytest.approx(0.0)
+        assert self.reward(1.0) == pytest.approx(1.0)
+        assert self.reward(-1.0) == pytest.approx(0.0)
+        assert self.reward(5.0) == pytest.approx(0.0)
 
     def test_range_and_floor(self):
         scores = np.linspace(-6, 8, 2001)
-        rewards = lsgan_imitation_reward(scores)
+        rewards = self.reward(scores)
         assert np.all(rewards >= 0.0)
         assert np.all(rewards <= 1.0)
         assert np.all(rewards[scores <= -1.0] == 0.0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,56 @@ from hypothesis import strategies as st
 
 from planarmimic.core import ReferenceDataset
 from planarmimic.dtw import (DtwConfig, DtwReport, dtw_brute_force,
-                             dtw_distance, dtw_distances, stand_still_rollout)
+                             dtw_distance, dtw_distances, local_cost,
+                             stand_still_rollout)
 from planarmimic.sim import SimParams, generate_demo_set
+
+INF = float("inf")
+
+
+def cell_dtw(query, reference, cfg):
+    """The per-cell dynamic program, the oracle of ``dtw_distance``: one
+    accumulated cost at a time, each step's predecessor recorded as it is
+    chosen (the first minimal one, in the pattern's step order), then the
+    path read back from the end. Same return and errors as ``dtw_distance``."""
+    cost = local_cost(query, reference)
+    n, m = cost.shape
+    acc = np.full((n, m), INF)
+    came_from = {}
+    acc[0, 0] = cost[0, 0]
+    if cfg.step_pattern == "symmetric1":
+        for j in range(1, m):
+            acc[0, j] = acc[0, j - 1] + cost[0, j]
+            came_from[0, j] = (0, j - 1)
+        for i in range(1, n):
+            for j in range(m):
+                preds = [(i - 1, j - 1), (i - 1, j), (i, j - 1)]
+                preds = [(a, b) for a, b in preds if b >= 0]
+                best = min(preds, key=lambda c: acc[c])
+                acc[i, j] = cost[i, j] + acc[best]
+                came_from[i, j] = best
+    else:
+        for i in range(1, n):
+            for j in range(m):
+                best, step = acc[i - 1, j], 0
+                if j >= 1 and acc[i - 1, j - 1] < best:
+                    best, step = acc[i - 1, j - 1], 1
+                if j >= 2 and acc[i - 1, j - 2] < best:
+                    best, step = acc[i - 1, j - 2], 2
+                if best < INF:
+                    acc[i, j] = best + cost[i, j]
+                    came_from[i, j] = (i - 1, j - step)
+    end_j = int(np.argmin(acc[n - 1])) if cfg.open_end else m - 1
+    dist = float(acc[n - 1, end_j])
+    if not np.isfinite(dist):
+        raise ValueError(
+            f"no admissible alignment for lengths ({n}, {m}) under "
+            f"{cfg.step_pattern} (sequences too short for the step constraints)")
+    path = [(n - 1, end_j)]
+    while path[-1] != (0, 0):
+        path.append(came_from[path[-1]])
+    path.reverse()
+    return dist, path
 
 
 def cfgs():
@@ -155,7 +205,10 @@ class TestBatched:
         got = dtw_distances(queries, refs, cfg)
         for a, q in enumerate(queries):
             for b, r in enumerate(refs):
-                assert got[a, b] == dtw_distance(q, r, cfg)[0]
+                want, want_path = cell_dtw(q, r, cfg)
+                dist, path = dtw_distance(q, r, cfg)
+                assert got[a, b] == dist == want
+                assert path == want_path
 
     def test_same_errors_as_single_pair(self):
         cfg = DtwConfig()
@@ -168,6 +221,28 @@ class TestBatched:
                           DtwConfig("mori_asymmetric", False))
         with pytest.raises(ValueError, match="unknown step pattern"):
             dtw_distances([np.zeros(3)], [np.zeros(3)], DtwConfig("itakura"))
+
+
+class TestCellOracle:
+    @pytest.mark.parametrize("cfg", cfgs(), ids=lambda c: f"{c.step_pattern}-open{c.open_end}")
+    def test_ties_take_the_oracle_path(self, cfg):
+        # small-integer sequences make equal accumulated costs common, so the
+        # backtrack's order among equal predecessors is exercised
+        rng = np.random.default_rng(61)
+        raised = 0
+        for _ in range(600):
+            q = rng.integers(0, 3, size=(rng.integers(1, 12), 1)).astype(float)
+            r = rng.integers(0, 3, size=(rng.integers(1, 12), 1)).astype(float)
+            try:
+                want = cell_dtw(q, r, cfg)
+            except ValueError as e:
+                with pytest.raises(ValueError, match=re.escape(str(e))):
+                    dtw_distance(q, r, cfg)
+                raised += 1
+                continue
+            assert dtw_distance(q, r, cfg) == want
+        closed_asymmetric = cfg == DtwConfig("mori_asymmetric", False)
+        assert (raised > 0) == closed_asymmetric
 
 
 class TestProperties:

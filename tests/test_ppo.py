@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from planarmimic.discriminator import (DiscriminatorConfig, build_discriminator,
-                                       lsgan_imitation_reward, raw_score)
+                                       raw_score)
 from planarmimic.nets import ForwardCache, MlpNet, OptimizerState
 from planarmimic.ppo import (ACTION_DIM, GaussianPolicy, OBS_NOISE_TEMPLATE,
                              POLICY_FRAME_DIM, POLICY_FRAMES, POLICY_OBS_DIM,
                              PpoConfig, RolloutBuffer, RolloutCollector,
                              adaptive_lr, gae_advantages, ppo_update)
-from planarmimic.rewards import (STATS_WARMUP, RewardWeights, RunningStats,
-                                 imitation_reward, regularization_reward,
+from planarmimic.rewards import (STATS_WARMUP, ImitationReward, RewardWeights,
+                                 RunningStats, regularization_reward,
                                  termination_penalty, total_reward)
 from planarmimic.sim import PlanarEnv, SimParams
 
@@ -106,18 +106,17 @@ def tiny_setup(seed=0, loss="wgan", num_envs=4, steps=8, horizon=2):
                               rng=rng)
     disc = build_discriminator(disc_cfg, rng)
     env = PlanarEnv(sim, num_envs=num_envs, seed=seed)
-    stats = RunningStats()
-    collector = RolloutCollector(env, disc_cfg, ppo_cfg, weights, stats,
-                                 seed=seed)
-    return collector, policy, value_net, disc, ppo_cfg
+    collector = RolloutCollector(env, disc_cfg, ppo_cfg, weights, seed=seed)
+    imitation = ImitationReward(loss, RunningStats())
+    return collector, policy, value_net, disc, imitation, ppo_cfg
 
 
-def oracle_collect(collector, policy, value_net, disc_net):
+def oracle_collect(collector, policy, value_net, disc_net, imitation):
     """The step-by-step collection ``collect`` replaced, the slow oracle of
     its batched passes: every noise draw, forward and reward term inside the
-    step loop, one step at a time. It reads and advances the collector's
-    state (env, history, windows, generators, statistics) as ``collect``
-    does."""
+    step loop, one step at a time, with the imitation reward written out. It
+    reads and advances the collector's state (env, history, windows,
+    generators) and the statistics of ``imitation`` as ``collect`` does."""
     cfg, disc_cfg, weights = collector.ppo_cfg, collector.disc_cfg, collector.weights
     env, hist, rngs = collector.env, collector.history, collector.action_rngs
     E, T = env.num_envs, cfg.steps_per_iter
@@ -151,11 +150,14 @@ def oracle_collect(collector, policy, value_net, disc_net):
         result = env.step(actions)
         windows = collector.window_buf.push(disc_frame())
         scores = raw_score(disc_net, windows)
+        stats = imitation.stats
         if disc_cfg.loss_kind == "lsgan":
-            r_imit = lsgan_imitation_reward(scores)
+            r_imit = np.maximum(0.0, 1.0 - 0.25 * (scores - 1.0) ** 2)
         else:
-            r_imit = imitation_reward(scores, collector.stats)
-            collector.stats.update_batch(scores)
+            r_imit = (np.zeros(E) if stats.count < STATS_WARMUP
+                      else (scores - stats.mean) / stats.std)
+            for v in scores:
+                stats.update(v)
         r_term = termination_penalty(result.terminal, weights.gamma)
         r_reg = regularization_reward(
             actions, hist.prev_action, env.qd, hist.prev_joint_vel,
@@ -213,13 +215,12 @@ class TestCollectMatchesOracle:
         value_net = MlpNet.create([POLICY_OBS_DIM, 64, 64, 1], rng=rng)
         disc = build_discriminator(disc_cfg, rng)
         env = PlanarEnv(SimParams(), num_envs=16, seed=17)
-        collector = RolloutCollector(env, disc_cfg, ppo_cfg, RewardWeights(),
-                                     RunningStats(), seed=17)
+        collector = RolloutCollector(env, disc_cfg, ppo_cfg, RewardWeights(), seed=17)
         # more resets in mid-rollout: row 2 starts in a crashing attitude,
         # and row 1's episode clock runs out three steps in
         env.pitch[2], env.z[2] = np.pi / 2 + 0.4, 0.25
         env.time[1] = env.params.max_episode_time - 0.05
-        return collector, policy, value_net, disc
+        return collector, policy, value_net, disc, ImitationReward(loss, RunningStats())
 
     @pytest.mark.parametrize("loss", ["wgan", "lsgan"])
     @pytest.mark.parametrize("obs_noise", [0.0, 0.5])
@@ -240,12 +241,12 @@ class TestCollectMatchesOracle:
             assert got.termination_count == want.termination_count
             lengths += got.episode_lengths
             terminations += got.termination_count
-            assert fast[0].stats == slow[0].stats
+            assert fast[4].stats == slow[4].stats
             assert fast[0].state_dict() == slow[0].state_dict()
             assert fast[0].env.state_dict() == slow[0].env.state_dict()
         assert 3 in lengths and len(lengths) >= 3 and terminations >= 2
         if loss == "wgan":
-            assert fast[0].stats.count >= STATS_WARMUP
+            assert fast[4].stats.count >= STATS_WARMUP
             assert np.any(got.r_imitation != 0.0)
 
 
@@ -253,27 +254,27 @@ class TestCollector:
     def test_fixed_seed_bit_identical(self):
         a = tiny_setup(seed=3)
         b = tiny_setup(seed=3)
-        buf_a = a[0].collect(a[1], a[2], a[3])
-        buf_b = b[0].collect(b[1], b[2], b[3])
+        buf_a = a[0].collect(*a[1:5])
+        buf_b = b[0].collect(*b[1:5])
         assert np.array_equal(buf_a.obs, buf_b.obs)
         assert np.array_equal(buf_a.actions, buf_b.actions)
         assert np.array_equal(buf_a.rewards, buf_b.rewards)
         assert np.array_equal(buf_a.windows, buf_b.windows)
 
     def test_zero_imitation_weight_leaves_regularization(self):
-        collector, policy, value_net, disc, _ = tiny_setup(seed=5)
+        collector, policy, value_net, disc, imitation, _ = tiny_setup(seed=5)
         collector.weights = RewardWeights(w_imitation=0.0)
-        buf = collector.collect(policy, value_net, disc)
+        buf = collector.collect(policy, value_net, disc, imitation)
         assert np.allclose(buf.rewards, buf.r_regularization)
 
     def test_termination_penalty_scaled_by_imitation_weight(self):
-        collector, policy, value_net, disc, _ = tiny_setup(seed=6)
+        collector, policy, value_net, disc, imitation, _ = tiny_setup(seed=6)
         w = RewardWeights(w_imitation=2.0)
         collector.weights = w
         # Drop every env into a crashing attitude so terminations occur.
         collector.env.pitch[:] = np.pi / 2 + 0.4
         collector.env.z[:] = 0.25
-        buf = collector.collect(policy, value_net, disc)
+        buf = collector.collect(policy, value_net, disc, imitation)
         assert buf.termination_count > 0
         t, e = np.nonzero(buf.r_termination < 0)
         expected = -5.0 / (1.0 - w.gamma)
@@ -283,42 +284,42 @@ class TestCollector:
                            w.w_imitation * (buf.r_imitation[t, e] + expected))
 
     def test_buffer_shapes(self):
-        collector, policy, value_net, disc, cfg = tiny_setup(steps=8, num_envs=4)
-        buf = collector.collect(policy, value_net, disc)
+        collector, policy, value_net, disc, imitation, cfg = tiny_setup(steps=8, num_envs=4)
+        buf = collector.collect(policy, value_net, disc, imitation)
         assert buf.obs.shape == (8, 4, POLICY_OBS_DIM)
         assert buf.windows.shape == (8, 4, collector.disc_cfg.input_dim)
         assert buf.size == 32
         assert buf.bootstrap_value.shape == (4,)
 
     def test_lsgan_rewards_bounded(self):
-        collector, policy, value_net, disc, _ = tiny_setup(seed=8, loss="lsgan")
-        buf = collector.collect(policy, value_net, disc)
+        collector, policy, value_net, disc, imitation, _ = tiny_setup(seed=8, loss="lsgan")
+        buf = collector.collect(policy, value_net, disc, imitation)
         assert np.all(buf.r_imitation >= 0.0)
         assert np.all(buf.r_imitation <= 1.0)
 
     def test_wgan_stats_updated_from_policy_scores_only(self):
-        collector, policy, value_net, disc, _ = tiny_setup(seed=9)
-        buf = collector.collect(policy, value_net, disc)
-        assert collector.stats.count == buf.size
+        collector, policy, value_net, disc, imitation, _ = tiny_setup(seed=9)
+        buf = collector.collect(policy, value_net, disc, imitation)
+        assert imitation.stats.count == buf.size
 
     def test_windows_prefilled_after_reset(self):
-        collector, policy, value_net, disc, _ = tiny_setup(horizon=4)
+        collector, policy, value_net, disc, imitation, _ = tiny_setup(horizon=4)
         win = collector.window_buf.state()
         for k in range(1, 4):
             assert np.array_equal(win[:, 0], win[:, k])
 
 
 class TestPpoUpdate:
-    def _buffer(self, collector, policy, value_net, disc):
-        return collector.collect(policy, value_net, disc)
+    def _buffer(self, collector, policy, value_net, disc, imitation):
+        return collector.collect(policy, value_net, disc, imitation)
 
     def _opts(self, policy, value_net, lr):
         return (OptimizerState.for_params(policy.flat, "adam", lr),
                 OptimizerState.for_params(value_net.flat, "adam", lr))
 
     def test_lr_zero_changes_nothing(self):
-        collector, policy, value_net, disc, cfg = tiny_setup(seed=11)
-        buf = self._buffer(collector, policy, value_net, disc)
+        collector, policy, value_net, disc, imitation, cfg = tiny_setup(seed=11)
+        buf = self._buffer(collector, policy, value_net, disc, imitation)
         p_opt, v_opt = self._opts(policy, value_net, 0.0)
         before_p = policy.flat.copy()
         before_v = value_net.flat.copy()
@@ -328,16 +329,16 @@ class TestPpoUpdate:
         assert np.array_equal(value_net.flat, before_v)
 
     def test_identical_policy_has_unit_ratio(self):
-        collector, policy, value_net, disc, cfg = tiny_setup(seed=12)
-        buf = self._buffer(collector, policy, value_net, disc)
+        collector, policy, value_net, disc, imitation, cfg = tiny_setup(seed=12)
+        buf = self._buffer(collector, policy, value_net, disc, imitation)
         # ratio of fresh logp to stored logp is exactly 1 before any step
         mean, _ = policy.net.forward(buf.obs.reshape(buf.size, -1))
         logp = policy.log_prob(mean, buf.actions.reshape(buf.size, -1))
         assert np.allclose(logp, buf.log_probs.reshape(-1), atol=1e-12)
 
     def test_update_reports_finite_stats(self):
-        collector, policy, value_net, disc, cfg = tiny_setup(seed=13)
-        buf = self._buffer(collector, policy, value_net, disc)
+        collector, policy, value_net, disc, imitation, cfg = tiny_setup(seed=13)
+        buf = self._buffer(collector, policy, value_net, disc, imitation)
         p_opt, v_opt = self._opts(policy, value_net, cfg.learning_rate)
         stats = ppo_update(policy, value_net, buf, cfg, p_opt, v_opt,
                            np.random.default_rng(1))
@@ -349,8 +350,8 @@ class TestPpoUpdate:
         # health check over 5 seeds: one update at the default rate keeps
         # the measured divergence under 5x the target
         for seed in range(5):
-            collector, policy, value_net, disc, cfg = tiny_setup(seed=20 + seed)
-            buf = self._buffer(collector, policy, value_net, disc)
+            collector, policy, value_net, disc, imitation, cfg = tiny_setup(seed=20 + seed)
+            buf = self._buffer(collector, policy, value_net, disc, imitation)
             p_opt, v_opt = self._opts(policy, value_net, cfg.learning_rate)
             stats = ppo_update(policy, value_net, buf, cfg, p_opt, v_opt,
                                np.random.default_rng(seed))
@@ -360,8 +361,8 @@ class TestPpoUpdate:
         # adding a constant to all rewards shifts advantages by a constant;
         # per-batch normalization makes the resulting update identical up to
         # the value-function branch, so freeze it by comparing policy grads
-        collector, policy, value_net, disc, cfg = tiny_setup(seed=14)
-        buf = self._buffer(collector, policy, value_net, disc)
+        collector, policy, value_net, disc, imitation, cfg = tiny_setup(seed=14)
+        buf = self._buffer(collector, policy, value_net, disc, imitation)
 
         import copy
         buf2 = copy.deepcopy(buf)
@@ -376,8 +377,8 @@ class TestPpoUpdate:
         assert np.allclose(n1, n2, atol=1e-9)
 
     def test_aborts_on_nonfinite_rewards(self):
-        collector, policy, value_net, disc, cfg = tiny_setup(seed=15)
-        buf = self._buffer(collector, policy, value_net, disc)
+        collector, policy, value_net, disc, imitation, cfg = tiny_setup(seed=15)
+        buf = self._buffer(collector, policy, value_net, disc, imitation)
         buf.rewards[0, 0] = np.nan
         p_opt, v_opt = self._opts(policy, value_net, cfg.learning_rate)
         before = policy.flat.copy()
@@ -389,8 +390,8 @@ class TestPpoUpdate:
     def test_abort_mid_update_restores_both_nets(self):
         # a non-finite observation in the last minibatch of the first epoch:
         # the earlier minibatches have stepped both nets, which must roll back
-        collector, policy, value_net, disc, cfg = tiny_setup(seed=16)
-        buf = self._buffer(collector, policy, value_net, disc)
+        collector, policy, value_net, disc, imitation, cfg = tiny_setup(seed=16)
+        buf = self._buffer(collector, policy, value_net, disc, imitation)
         order = np.random.default_rng(3).permutation(buf.size)
         assert order[-1] not in np.array_split(order, cfg.minibatches)[0]
         buf.obs.reshape(buf.size, -1)[order[-1], 0] = np.nan
@@ -408,12 +409,12 @@ class TestPpoUpdate:
         # step both nets as two updates with new ones do, byte for byte
         runs = []
         for keep in (False, True):
-            collector, policy, value_net, disc, cfg = tiny_setup(seed=17)
+            collector, policy, value_net, disc, imitation, cfg = tiny_setup(seed=17)
             p_opt, v_opt = self._opts(policy, value_net, cfg.learning_rate)
             rng = np.random.default_rng(4)
             kept = (ForwardCache(), ForwardCache(), np.empty_like(value_net.flat))
             for _ in range(2):
-                buf = self._buffer(collector, policy, value_net, disc)
+                buf = self._buffer(collector, policy, value_net, disc, imitation)
                 ppo_update(policy, value_net, buf, cfg, p_opt, v_opt, rng,
                            *(kept if keep else ()))
             runs.append((policy.flat.tobytes(), value_net.flat.tobytes()))

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from planarmimic.rewards import (RewardWeights, RunningStats,
-                                 handcrafted_backflip_reward,
-                                 handcrafted_standup_reward, imitation_reward,
-                                 regularization_reward,
-                                 termination_penalty, total_reward)
+from planarmimic.rewards import (STATS_WARMUP, ImitationReward, RewardWeights,
+                                 RunningStats, handcrafted_backflip_reward,
+                                 handcrafted_standup_reward,
+                                 regularization_reward, termination_penalty,
+                                 total_reward)
 
 
 class TestRunningStats:
@@ -53,41 +53,69 @@ class TestRunningStats:
 
 
 class TestImitationReward:
-    def _warm_stats(self, mean=5.0, std=1.0, n=5000, seed=0):
+    def _warm(self, mean=5.0, std=1.0, n=5000, seed=0):
         s = RunningStats()
         s.update_batch(np.random.default_rng(seed).normal(mean, std, size=n))
-        return s
+        return ImitationReward("wgan", s)
 
     def test_score_at_mean_is_zero(self):
-        s = self._warm_stats()
-        assert imitation_reward(s.mean, s) == pytest.approx(0.0)
+        r = self._warm()
+        assert r(r.stats.mean) == pytest.approx(0.0)
 
     def test_score_one_sigma_above(self):
-        s = self._warm_stats()
-        assert imitation_reward(s.mean + s.std, s) == pytest.approx(1.0)
+        r = self._warm()
+        assert r(r.stats.mean + r.stats.std) == pytest.approx(1.0)
 
     def test_monte_carlo_center(self):
-        s = self._warm_stats(mean=5.0, std=1.0)
-        assert abs(imitation_reward(5.0, s)) < 0.05
+        r = self._warm(mean=5.0, std=1.0)
+        assert abs(r(5.0)) < 0.05
 
     def test_warmup_returns_zero(self):
-        s = RunningStats()
+        r = ImitationReward("wgan", RunningStats())
         for _ in range(99):
-            s.update(7.0)
-        assert imitation_reward(100.0, s) == 0.0
-        s.update(7.0)
-        assert imitation_reward(100.0, s) != 0.0
+            r.stats.update(7.0)
+        assert r(100.0) == 0.0
+        r.stats.update(7.0)
+        assert r(100.0) != 0.0
 
     def test_normalization_contract(self):
         # after many updates, fresh samples from the stream normalize to
         # zero mean / unit std
         rng = np.random.default_rng(2718)
-        s = RunningStats()
-        s.update_batch(rng.normal(-4.0, 3.0, size=20_000))
+        r = ImitationReward("wgan", RunningStats())
+        r.stats.update_batch(rng.normal(-4.0, 3.0, size=20_000))
         fresh = rng.normal(-4.0, 3.0, size=20_000)
-        out = imitation_reward(fresh, s)
+        out = r(fresh)
         assert abs(out.mean()) < 0.1
         assert 0.9 < out.std() < 1.1
+
+    def test_call_reads_the_statistics_only(self):
+        r = self._warm()
+        before = r.stats.to_dict()
+        r(np.arange(12.0).reshape(3, 4))
+        assert r.stats.to_dict() == before
+
+    def test_pay_reads_each_row_before_folding_it_in(self):
+        # a row crosses the warm-up: the rewards of every row are read from
+        # the statistics of the rows before it
+        rng = np.random.default_rng(4)
+        scores = rng.normal(size=(5, 30))
+        paid = ImitationReward("wgan", RunningStats())
+        rewards = paid.pay(scores)
+        step = ImitationReward("wgan", RunningStats())
+        for t in range(5):
+            assert rewards[t].tobytes() == step(scores[t]).tobytes()
+            for v in scores[t]:
+                step.stats.update(v)
+        assert paid.stats == step.stats
+        assert np.all(rewards[:4] == 0.0) and np.all(rewards[4] != 0.0)
+        assert 4 * 30 >= STATS_WARMUP > 3 * 30
+
+    def test_lsgan_pay_is_the_map_and_keeps_no_statistics(self):
+        scores = np.random.default_rng(5).normal(size=(6, 7))
+        r = ImitationReward("lsgan", RunningStats())
+        assert r.pay(scores).tobytes() == r(scores).tobytes()
+        assert r.stats == RunningStats()
 
 
 class TestTerminationPenalty:

@@ -493,19 +493,18 @@ def oracle_step(env, actions):
 
     env.time += p.control_dt
     env.steps += 1
-    base_contact = check_termination_arrays(env.z, np.cos(env.pitch),
-                                            np.sin(env.pitch), p)
-    env.terminal = base_contact.copy()
+    terminal = check_termination_arrays(env.z, np.cos(env.pitch),
+                                        np.sin(env.pitch), p)
+    env.terminal = terminal.copy()
     timeout = env.time >= p.max_episode_time - 1e-12
 
     angle_report = np.where(landing, landing_angle, env.flight_angle)
     return StepBatch(
-        base_contact=base_contact,
         foot_contacts=oracle_foot_kinematics(env)[4] < 0.0,
         joint_torques=torque_accum / p.control_decimation,
         landing_event=landing,
         flight_traversed_angle=angle_report,
-        terminal=base_contact.copy(),
+        terminal=terminal,
         timeout=timeout,
     )
 

@@ -159,7 +159,7 @@ class TestCheckpointResume:
         assert np.array_equal(restored.policy.flat, trainer.policy.flat)
         assert np.array_equal(restored.value_net.flat, trainer.value_net.flat)
         assert np.array_equal(restored.disc.flat, trainer.disc.flat)
-        assert restored.stats.count == trainer.stats.count
+        assert restored.imitation.stats == trainer.imitation.stats
         assert restored.iteration == trainer.iteration
         # memory layout too: BLAS rounds by layout, so a restored array that
         # is ordered differently from its original breaks bit-exact resume
