@@ -34,6 +34,8 @@ class EvalConfig:
             errors.append("eval.rollouts must be >= 1")
         if self.seeds < 1:
             errors.append("eval.seeds must be >= 1")
+        if self.episode_frames < 0:
+            errors.append("eval.episode_frames must be >= 0")
         return errors
 
 

@@ -92,7 +92,6 @@ class ReferenceDataset:
     """
 
     trajectories: list = field(default_factory=list)
-    motion_name: str = ""
     dt: float = 0.02
     # window_index's result per horizon, with the trajectories it was made of
     _window_index: dict = field(default_factory=dict, init=False, repr=False,
@@ -233,7 +232,7 @@ def _check_time_column(raw: np.ndarray, origin: str) -> float:
     return dt
 
 
-def load_reference_dataset(path, horizon: int, motion_name: str = "") -> ReferenceDataset:
+def load_reference_dataset(path, horizon: int) -> ReferenceDataset:
     """Load a reference dataset from a CSV file or a directory of CSV files.
 
     Gravity columns are validated to be unit vectors within ``GRAVITY_LOAD_TOL``
@@ -273,8 +272,7 @@ def load_reference_dataset(path, horizon: int, motion_name: str = "") -> Referen
 
     if not trajectories:
         raise ValueError("no trajectories")
-    name = motion_name or (path.stem if path.is_file() else path.name)
-    dataset = ReferenceDataset(trajectories=trajectories, motion_name=name, dt=dt)
+    dataset = ReferenceDataset(trajectories=trajectories, dt=dt)
     dataset.validate(horizon)
     return dataset
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import OBS_DIM
-from .nets import ForwardCache, Grads, MlpNet
+from .nets import ForwardCache, MlpNet
 
 LOSS_KINDS = ("wgan", "lsgan")
 
@@ -83,29 +83,23 @@ class DiscLossResult:
     total: float
     main_term: float   # mean-separation (wgan) or least-squares (lsgan) part
     gp_term: float
-    grads: Grads = field(repr=False, default=None)
+    grads: np.ndarray = field(repr=False, default=None)
 
 
 def _as_batch(windows: np.ndarray, input_dim: int) -> np.ndarray:
     w = np.asarray(windows, dtype=np.float64)
-    if w.ndim == 1:
-        w = w[None, :]
-    if w.shape[1] != input_dim:
-        raise ValueError(f"window batch has {w.shape[1]} features, expected {input_dim}")
+    if w.ndim != 2 or w.shape[1] != input_dim:
+        raise ValueError(f"window batch has shape {w.shape}, expected (B, {input_dim})")
     return w
 
 
 def raw_score(net: MlpNet, windows: np.ndarray,
               cache: ForwardCache | None = None) -> np.ndarray:
-    """Discriminator output for a window (D,), a batch (B, D), or a stack of
-    batches (..., B, D), such as a rollout's (T, E, D) windows; the scores
-    have the batch's leading shape, and each batch's are the bytes of its
-    own call (see ``MlpNet.forward``). With a ``cache`` the scores are a
-    view of it."""
-    w = np.asarray(windows, dtype=np.float64)
-    if w.ndim == 1:
-        w = w[None, :]
-    y, _ = net.forward(w, cache)
+    """Discriminator output for a batch (B, D) or a stack of batches
+    (..., B, D), such as a rollout's (T, E, D) windows; the scores have the
+    batch's leading shape, and each batch's are the bytes of its own call
+    (see ``MlpNet.forward``). With a ``cache`` the scores are a view of it."""
+    y, _ = net.forward(windows, cache)
     return y[..., 0]
 
 
@@ -147,13 +141,13 @@ def discriminator_loss(net: MlpNet, ref_batch, pol_batch,
     n = (net.num_params(),)
     grads = net.backward(cache_ref, dy_ref, out=cache_ref.array("grads", n))
     other = cache_ref.array("other_grads", n)
-    grads.add_(net.backward(cache_pol, dy_pol, out=other))
+    grads += net.backward(cache_pol, dy_pol, out=other)
 
     gp_value = 0.0
     if cfg.w_gp != 0.0:
         gp_value, gp_grads = net.input_gradient_norm_grads(
             cache_ref, coef=cfg.w_gp / ref.shape[0], out=other)
-        grads.add_(gp_grads)
+        grads += gp_grads
 
     return DiscLossResult(total=main + gp_value, main_term=main, gp_term=gp_value,
                           grads=grads)

@@ -57,27 +57,11 @@ def _elu_d(z, out):
     return np.exp(np.minimum(z, 0.0, out=out), out=out)
 
 
-def _elu_dd(z):
-    return np.where(z > 0.0, 0.0, np.exp(np.minimum(z, 0.0)))
-
-
-def _identity(z, out):
-    return z
-
-
-def _one(z, out):
-    out.fill(1.0)
-    return out
-
-
-# name: (activation, derivative, second derivative). The first two write
-# into ``out`` (the identity returns z itself). A second derivative of None
-# is identically zero, and the input-gradient penalty skips the pass that
-# would multiply by it.
+# name: (activation, derivative); both write into ``out``. The input-gradient
+# penalty takes only ReLU nets, whose second derivative is zero.
 ACTIVATIONS = {
-    "relu": (_relu, _relu_d, None),
-    "elu": (_elu, _elu_d, _elu_dd),
-    "identity": (_identity, _one, None),
+    "relu": (_relu, _relu_d),
+    "elu": (_elu, _elu_d),
 }
 
 
@@ -149,21 +133,6 @@ class ForwardCache:
         return a
 
 
-class Grads:
-    """Parameter gradients as one vector in the net's layout, with a view per
-    weight and bias."""
-
-    def __init__(self, flat: np.ndarray, shapes):
-        self.flat = flat
-        views = unflatten(flat, shapes)
-        self.d_weights = views[0::2]
-        self.d_biases = views[1::2]
-
-    def add_(self, other: "Grads") -> None:
-        """Add ``other``'s parameter gradients in place."""
-        self.flat += other.flat
-
-
 class MlpNet:
     """Fully connected net: affine layers with an elementwise hidden
     activation and a linear output layer. Its parameters are the vector
@@ -187,13 +156,12 @@ class MlpNet:
     @classmethod
     def create(cls, layer_sizes, activation: str = "elu",
                rng: np.random.Generator | None = None,
-               hidden_gain: float = math.sqrt(2.0),
                output_gain: float = 1.0) -> "MlpNet":
         rng = rng or np.random.default_rng(0)
         net = cls(layer_sizes, activation)
         last = net.num_layers - 1
         for l, w in enumerate(net.weights):
-            gain = output_gain if l == last else hidden_gain
+            gain = output_gain if l == last else math.sqrt(2.0)
             w[...] = orthogonal_init(*w.shape, gain, rng)
         return net
 
@@ -218,13 +186,10 @@ class MlpNet:
         forwards of its slices. A (T * B, n0) batch would not: BLAS blocks
         a taller product differently and rounds its sums otherwise."""
         x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.shape[-1] != self.layer_sizes[0]:
-            raise ValueError(
-                f"input has {x.shape[-1]} features, net expects {self.layer_sizes[0]}")
-        act, _, _ = ACTIVATIONS[self.activation]
+        if x.ndim < 2 or x.shape[-1] != self.layer_sizes[0]:
+            raise ValueError(f"input has shape {x.shape}, net expects a batch "
+                             f"(..., B, {self.layer_sizes[0]})")
+        act, _ = ACTIVATIONS[self.activation]
         cache = ForwardCache() if cache is None else cache
         cache.bind(x, self.layer_sizes)
         a = x
@@ -236,27 +201,23 @@ class MlpNet:
             if l != last:
                 a = act(z, cache.array(("a", l), z.shape))
                 cache.activs.append(a)
-        y = cache.zs[-1]
-        return (y[0] if squeeze else y), cache
+        return cache.zs[-1], cache
 
     def backward(self, cache: ForwardCache, output_grad: np.ndarray,
-                 out: np.ndarray | None = None) -> Grads:
+                 out: np.ndarray | None = None) -> np.ndarray:
         """Exact VJP: gradients of sum_b <output_b, output_grad_b> w.r.t.
-        all parameters. They go into ``out``, a vector in this net's layout,
-        or into a new one; the intermediates into arrays of ``cache``."""
-        dy = np.asarray(output_grad, dtype=np.float64)
-        if dy.ndim == 1:
-            dy = dy[None, :]
-        if dy.shape != cache.zs[-1].shape:
+        all parameters, as a vector in this net's layout: ``out``, or a new
+        one. The intermediates go into arrays of ``cache``."""
+        dz = np.asarray(output_grad, dtype=np.float64)
+        if dz.shape != cache.zs[-1].shape:
             raise ValueError("output_grad shape does not match cached forward")
-        _, dact, _ = ACTIVATIONS[self.activation]
-        grads = Grads(np.empty(self.num_params()) if out is None else out,
-                      self.shapes)
-        dz = dy
+        _, dact = ACTIVATIONS[self.activation]
+        grads = np.empty(self.num_params()) if out is None else out
+        views = unflatten(grads, self.shapes)
         for l in range(self.num_layers - 1, -1, -1):
             a_prev = cache.x if l == 0 else cache.activs[l - 1]
-            np.matmul(dz.T, a_prev, out=grads.d_weights[l])
-            dz.sum(axis=0, out=grads.d_biases[l])
+            np.matmul(dz.T, a_prev, out=views[2 * l])
+            dz.sum(axis=0, out=views[2 * l + 1])
             if l > 0:
                 z = cache.zs[l - 1]
                 dz = np.matmul(dz, self.weights[l], out=cache.array(("dz", l - 1), z.shape))
@@ -268,52 +229,51 @@ class MlpNet:
     def _input_grad_sweep(self, cache: ForwardCache):
         """Reverse sweep for the scalar-output input gradient.
 
-        Returns (g, deltas, cs, ss) where for the scalar output y:
-          deltas[l] = dy/dz_l (B, n_l), ss[l] = act'(z_l),
-          cs[l] = deltas[l+1] @ W_{l+1}  (the pre-gating backprop signal), and
+        Returns (g, deltas, ss) where for the scalar output y:
+          deltas[l] = dy/dz_l (B, n_l), ss[l] = act'(z_l), and
           g = dy/dx (B, n0).
         """
         if self.layer_sizes[-1] != 1:
             raise ValueError("input gradients require a scalar-output net")
-        _, dact, _ = ACTIVATIONS[self.activation]
+        _, dact = ACTIVATIONS[self.activation]
         L = self.num_layers
         deltas = [None] * L
-        cs = [None] * L
         ss = [None] * L
         deltas[L - 1] = np.ones((cache.x.shape[0], 1))
         for l in range(L - 2, -1, -1):
             z = cache.zs[l]
-            cs[l] = np.matmul(deltas[l + 1], self.weights[l + 1],
-                              out=cache.array(("c", l), z.shape))
+            c = np.matmul(deltas[l + 1], self.weights[l + 1],
+                          out=cache.array(("c", l), z.shape))
             ss[l] = dact(z, cache.array(("dact", l), z.shape))
-            deltas[l] = np.multiply(cs[l], ss[l], out=cache.array(("delta", l), z.shape))
+            deltas[l] = np.multiply(c, ss[l], out=cache.array(("delta", l), z.shape))
         g = np.matmul(deltas[0], self.weights[0], out=cache.array("g", cache.x.shape))
-        return g, deltas, cs, ss
+        return g, deltas, ss
 
     def input_gradient_norm_grads(self, cache: ForwardCache, coef: float = 1.0,
                                   out: np.ndarray | None = None) -> tuple:
-        """Value and parameter gradients of  coef * sum_b ||d y_b / d x_b||^2,
-        the gradients in ``out`` (a vector in this net's layout) or a new one.
+        """Value and parameter gradients of  coef * sum_b ||d y_b / d x_b||^2
+        for a ReLU net, the gradients as a vector in this net's layout:
+        ``out``, or a new one.
 
-        This is a double-backward: the penalty P depends on the parameters
-        both through the reverse sweep (the chain of W^T and act'(z) factors)
-        and through the forward pass (the z_l entering act'), a pass of
-        products with act''(z_l). That is exp(z) for ELU, and zero for ReLU
-        (almost everywhere) and the identity, whose pass is skipped: it
-        could change only the sign of a zero, and turn an infinite factor
-        into nan. Each of its factors also enters a product kept here or in
-        ``backward`` over this cache, which the discriminator loss takes too,
-        so a non-finite one still reaches the loss gradient and
+        The penalty P depends on the parameters through the reverse sweep,
+        the chain of W^T and relu'(z) factors. It also depends on them
+        through the z_l entering relu', but relu'' is zero almost
+        everywhere, so that term vanishes; for any other activation it
+        would not, and this raises rather than return a wrong gradient.
+        Each factor of the sweep also enters a product kept here or in
+        ``backward`` over this cache, which the discriminator loss takes
+        too, so a non-finite one still reaches the loss gradient and
         ``optimizer_step`` rejects the step.
         """
-        _, _, ddact = ACTIVATIONS[self.activation]
-        g, deltas, cs, ss = self._input_grad_sweep(cache)
-        L = self.num_layers
+        if self.activation != "relu":
+            raise ValueError(
+                f"the input-gradient penalty needs a relu net, not {self.activation!r}")
+        g, deltas, ss = self._input_grad_sweep(cache)
         value = coef * float((g * g).sum())
 
-        grads = Grads(np.empty(self.num_params()) if out is None else out, self.shapes)
-        grads.flat.fill(0.0)
-        d_weights, d_biases = grads.d_weights, grads.d_biases
+        grads = np.empty(self.num_params()) if out is None else out
+        grads.fill(0.0)
+        d_weights = unflatten(grads, self.shapes)[0::2]
 
         def add_product(l, left, right):
             """d_weights[l] += left.T @ right"""
@@ -323,31 +283,14 @@ class MlpNet:
         g_bar = 2.0 * coef * g                       # dP/dg
         # g = deltas[0] @ W_0
         add_product(0, deltas[0], g_bar)
-
-        # z_bar_src[l] collects dP/dz_l arising from act'(z_l) in the sweep.
-        z_bar_src = [None] * L
         bar = g_bar
-        for l in range(L - 1):
-            # dP/ddeltas[l], then in place dP/dcs[l], in backward's dz array;
+        for l in range(self.num_layers - 1):
+            # dP/ddeltas[l], then in place dP/dc_l, in backward's dz array;
             # deltas[L-1] is constant, so the chain ends before its product
             bar = np.matmul(bar, self.weights[l].T, out=cache.array(("dz", l), ss[l].shape))
-            if ddact is not None:
-                z_bar_src[l] = bar * cs[l] * ddact(cache.zs[l])
             bar *= ss[l]
-            # cs[l] = deltas[l+1] @ W_{l+1}
+            # c_l = deltas[l+1] @ W_{l+1}
             add_product(l + 1, deltas[l + 1], bar)
-        if ddact is None:
-            return value, grads
-
-        # Propagate the z-sources back through the forward graph.
-        z_bar = np.zeros_like(cache.zs[L - 1])
-        for l in range(L - 1, -1, -1):
-            if l < L - 1:
-                z_bar = z_bar_src[l] + (z_bar @ self.weights[l + 1]) * ss[l]
-            a_prev = cache.x if l == 0 else cache.activs[l - 1]
-            d_weights[l] += z_bar.T @ a_prev
-            d_biases[l] += z_bar.sum(axis=0)
-
         return value, grads
 
 

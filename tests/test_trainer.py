@@ -50,8 +50,7 @@ def tiny_config(task="leap", loss="wgan", seed=3, tmp_path=None):
 def tiny_dataset(cfg, task="leap"):
     demos = generate_demo_set(task, cfg.sim, np.random.default_rng(0),
                               n_trajectories=4)
-    return ReferenceDataset(trajectories=demos, motion_name=task,
-                            dt=cfg.sim.control_dt)
+    return ReferenceDataset(trajectories=demos, dt=cfg.sim.control_dt)
 
 
 class TestTrainingLoop:
@@ -456,7 +455,7 @@ def oracle_rollout(cfg, policy, frames, seed):
     end = None
     for t in range(1, frames):
         obs = np.concatenate([history.prev_frame, history.cur_frame], axis=1)
-        action = policy.mean_action(obs)
+        action, _ = policy.net.forward(obs)
         result = env.step(action)
         seq[t] = env.observation_features()[0]
         standup_terms.append(handcrafted_standup_reward(
