@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ReferenceDataset, sample_reference_windows
-from .discriminator import pad_windows_full_state, raw_score
+from .discriminator import raw_score, reference_input
 
 
 def reward_surface(trainer, grid_n: int = 101,
@@ -37,10 +37,7 @@ def reward_surface(trainer, grid_n: int = 101,
     for pr in pr_values:
         windows[:, :, 2] = pr
         windows[:, :, 5] = h_values[:, None]
-        flat = windows.reshape(grid_n, -1)
-        if cfg.disc.full_state:
-            flat = pad_windows_full_state(flat, H)
-        scores = raw_score(trainer.disc, flat)
+        scores = raw_score(trainer.disc, reference_input(windows, cfg.disc.full_state))
         rewards = trainer.imitation(scores)
         rows[k:k + grid_n, 0] = pr
         rows[k:k + grid_n, 1] = h_values
@@ -57,10 +54,8 @@ def reference_window_rewards(trainer, n_samples: int = 512,
     n_samples = min(n_samples, trainer.dataset.total_frames())
     windows = sample_reference_windows(trainer.dataset, n_samples,
                                        cfg.disc.horizon, rng)
-    flat = windows.reshape(n_samples, -1)
-    if cfg.disc.full_state:
-        flat = pad_windows_full_state(flat, cfg.disc.horizon)
-    return trainer.imitation(raw_score(trainer.disc, flat))
+    return trainer.imitation(raw_score(trainer.disc,
+                                       reference_input(windows, cfg.disc.full_state)))
 
 
 def rollout_reward_histogram(trainer) -> np.ndarray:

@@ -120,16 +120,12 @@ def _progress_printer(quiet: bool):
 
 
 def _build_train_config(args) -> TrainConfig:
-    from .config import TASK_DEFAULTS
-
     if args.config:
         cfg = load_config(args.config, base=default_config())
     else:
         cfg = default_config(args.task or "leap", args.loss or "wgan")
     if args.task:
-        cfg.task = args.task
-        apply_overrides(cfg, [f"{k}={v}" for k, v in
-                              TASK_DEFAULTS.get(args.task, {}).items()])
+        apply_overrides(cfg, [f"task={args.task}"])
     if args.loss:
         cfg.disc.loss_kind = args.loss
     if args.seed is not None:

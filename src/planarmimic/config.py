@@ -191,29 +191,33 @@ def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig
             errors.append(f"line {lineno}: expected 'key = value', got {line!r}")
             continue
         key, _, value = line.partition("=")
-        staged.append((lineno, key.strip(), value.strip()))
+        staged.append((f"line {lineno}: ", key.strip(), value.strip()))
+    _apply_staged(cfg, staged, errors)
+    return cfg
 
-    # task is applied first so per-task defaults can be overridden by
-    # explicit keys in the same file regardless of line order
-    for lineno, key, value in staged:
+
+def _apply_staged(cfg: TrainConfig, staged, errors: list) -> None:
+    """Set ``(where, key, value)`` entries on ``cfg``. A ``task`` entry and its
+    per-task defaults go first, so explicit keys override the defaults
+    whatever their order. Raises ``ConfigError`` with ``errors`` and every
+    error of its own, each after its ``where`` prefix."""
+    for where, key, value in staged:
         if key == "task":
             try:
                 _set_dotted(cfg, key, value)
             except ValueError as e:
-                errors.append(f"line {lineno}: {e}")
-            if cfg.task in TASK_DEFAULTS:
-                for dkey, dval in TASK_DEFAULTS[cfg.task].items():
-                    _set_dotted(cfg, dkey, dval)
-    for lineno, key, value in staged:
+                errors.append(f"{where}{e}")
+            for dkey, dval in TASK_DEFAULTS.get(cfg.task, {}).items():
+                _set_dotted(cfg, dkey, dval)
+    for where, key, value in staged:
         if key == "task":
             continue
         try:
             _set_dotted(cfg, key, value)
         except ValueError as e:
-            errors.append(f"line {lineno}: {e}")
+            errors.append(f"{where}{e}")
     if errors:
         raise ConfigError(errors)
-    return cfg
 
 
 def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
@@ -221,17 +225,14 @@ def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
 
 
 def apply_overrides(cfg: TrainConfig, overrides) -> TrainConfig:
-    """Apply ``key=value`` strings from the command line."""
-    errors = []
+    """Apply ``key=value`` strings from the command line the way
+    ``parse_config_text`` applies a file: ``task`` and its defaults first."""
+    errors, staged = [], []
     for item in overrides:
         if "=" not in item:
             errors.append(f"override {item!r} must look like key=value")
             continue
         key, _, value = item.partition("=")
-        try:
-            _set_dotted(cfg, key.strip(), value.strip())
-        except ValueError as e:
-            errors.append(str(e))
-    if errors:
-        raise ConfigError(errors)
+        staged.append(("", key.strip(), value.strip()))
+    _apply_staged(cfg, staged, errors)
     return cfg

@@ -1,5 +1,5 @@
-"""Core domain types: the base-only observation map, the batched
-observation-window buffer, and reference-trajectory datasets.
+"""Core domain types: the base-only observation map, the rolling frame
+buffer of a vectorized rollout, and reference-trajectory datasets.
 
 The observation is deliberately partial: it carries only what can be measured
 on a hand-held robot base (body-frame velocities, attitude via the projected
@@ -52,36 +52,28 @@ def phi_extract_arrays(base_vx: np.ndarray, base_vz: np.ndarray,
 
 
 class BatchWindowBuffer:
-    """Rolling buffers of the last H feature frames, one per environment.
+    """The last L frames of every row of a vectorized environment, oldest
+    first, as one (E, L, F) array. Readers take views of it with ``last``.
 
-    ``reset_rows`` fills all H slots of the masked rows with their first
+    ``reset_rows`` fills all L slots of the masked rows with their first
     frame, so a full window is available from the very first step of an
     episode.
     """
 
-    def __init__(self, num_envs: int, horizon: int, feat_dim: int = OBS_DIM):
-        self.num_envs = num_envs
-        self.horizon = horizon
-        self.feat_dim = feat_dim
-        self._buf = np.zeros((num_envs, horizon, feat_dim), dtype=np.float64)
+    def __init__(self, num_envs: int, length: int, feat_dim: int):
+        self._buf = np.zeros((num_envs, length, feat_dim), dtype=np.float64)
 
     def reset_rows(self, mask: np.ndarray, frames: np.ndarray) -> None:
         self._buf[mask] = frames[mask, None, :]
 
-    def push(self, frames: np.ndarray) -> np.ndarray:
+    def push(self, frames: np.ndarray) -> None:
         self._buf[:, :-1] = self._buf[:, 1:]
         self._buf[:, -1] = frames
-        return self.flat()
 
-    def flat(self) -> np.ndarray:
-        """Current windows flattened time-major, shape (num_envs, H*F)."""
-        return self._buf.reshape(self.num_envs, -1).copy()
-
-    def state(self) -> np.ndarray:
-        return self._buf.copy()
-
-    def load_state(self, buf: np.ndarray) -> None:
-        self._buf[:] = buf
+    def last(self, n: int, cols: int | None = None) -> np.ndarray:
+        """A view of every row's last ``n`` frames, oldest first, cut to
+        their first ``cols`` columns (all by default): (E, n, cols)."""
+        return self._buf[:, -n:, :cols]
 
 
 @dataclass

@@ -153,13 +153,13 @@ def discriminator_loss(net: MlpNet, ref_batch, pol_batch,
                           grads=grads)
 
 
-def pad_windows_full_state(windows: np.ndarray, horizon: int) -> np.ndarray:
-    """Zero-fill joint features of base-only reference windows so they can be
-    fed to a full-state discriminator. (Demonstrations never carry joints.)"""
-    w = np.asarray(windows, dtype=np.float64)
-    if w.ndim == 2:
-        w = w.reshape(w.shape[0], horizon, -1)
-    b, h, f = w.shape
+def reference_input(windows: np.ndarray, full_state: bool) -> np.ndarray:
+    """Discriminator input (B, H * frame_dim) of base-only reference windows
+    (B, H, 6). A full-state discriminator sees their joint features as
+    zeros: demonstrations never carry joints."""
+    b, h, f = windows.shape
+    if not full_state:
+        return windows.reshape(b, -1)
     out = np.zeros((b, h, f + FULL_STATE_EXTRA), dtype=np.float64)
-    out[:, :, :f] = w
+    out[:, :, :f] = windows
     return out.reshape(b, -1)

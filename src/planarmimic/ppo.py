@@ -20,8 +20,11 @@ from .rewards import (ImitationReward, RewardWeights, regularization_reward,
                       termination_penalty, total_reward)
 
 ACTION_DIM = 4
-# per-frame policy features: base observation, joint pos/vel, previous action
+# per-frame policy features: base observation, joint pos/vel, the action that
+# led to the frame; a discriminator frame is a column prefix of it
 POLICY_FRAME_DIM = OBS_DIM + 4 + 4 + ACTION_DIM
+JOINT_VEL = slice(OBS_DIM + 4, OBS_DIM + 8)
+ACTION = slice(OBS_DIM + 8, POLICY_FRAME_DIM)
 POLICY_FRAMES = 2
 POLICY_OBS_DIM = POLICY_FRAMES * POLICY_FRAME_DIM
 
@@ -177,75 +180,59 @@ class PpoStats:
 
 
 class PolicyHistory:
-    """What the policy observes of each row of a vectorized environment
-    beyond its current state: the previous policy frame and action, and the
-    joint rates before the last step, which the joint-acceleration penalty
-    reads. A policy frame is the base observation, the joint positions and
-    rates, and the previous action."""
+    """The frames each row of a vectorized environment has seen, newest
+    last: one ``BatchWindowBuffer`` of ``max(horizon, POLICY_FRAMES)``
+    policy frames. A policy frame is the base observation, the joint
+    positions and rates, and the action that led to it (zero after a
+    reset). Every reader takes a slice of it: the policy observation is the
+    last ``POLICY_FRAMES`` frames, a critic window is the first
+    ``frame_dim`` columns of the last ``horizon`` frames, and the previous
+    action and joint rates the regularizer reads are columns of the last
+    frame."""
 
-    def __init__(self, env):
+    def __init__(self, env, horizon: int = 1):
         self.env = env
-        E = env.num_envs
-        self.prev_frame = np.zeros((E, POLICY_FRAME_DIM))
-        self.cur_frame = np.zeros((E, POLICY_FRAME_DIM))
-        self.prev_action = np.zeros((E, ACTION_DIM))
-        self.prev_joint_vel = np.zeros((E, 4))
-        self.reset_rows(np.ones(E, dtype=bool))
+        self.frames = BatchWindowBuffer(env.num_envs, max(horizon, POLICY_FRAMES),
+                                        POLICY_FRAME_DIM)
+        self.reset_rows(np.ones(env.num_envs, dtype=bool))
 
-    def frame(self, feats: np.ndarray | None = None) -> np.ndarray:
-        """Every row's policy frame now; ``feats`` are the env's observation
-        features, when the caller has them."""
-        if feats is None:
-            feats = self.env.observation_features()
-        return np.concatenate([feats, self.env.q, self.env.qd, self.prev_action],
+    def _frame(self, actions: np.ndarray) -> np.ndarray:
+        env = self.env
+        return np.concatenate([env.observation_features(), env.q, env.qd, actions],
                               axis=1)
 
     def reset_rows(self, mask: np.ndarray) -> None:
         """Start the ``mask`` rows' history over, after the env reset them."""
-        self.prev_action[mask] = 0.0
-        self.prev_joint_vel[mask] = self.env.qd[mask]
-        frame = self.frame()
-        self.cur_frame[mask] = frame[mask]
-        self.prev_frame[mask] = frame[mask]
+        self.frames.reset_rows(
+            mask, self._frame(np.zeros((self.env.num_envs, ACTION_DIM))))
+
+    def advance(self, actions: np.ndarray) -> None:
+        """Push every row's frame after ``env.step(actions)``."""
+        self.frames.push(self._frame(actions))
 
     def obs(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The policy's observation (E, POLICY_OBS_DIM): two frames."""
-        return np.concatenate([self.prev_frame, self.cur_frame], axis=1, out=out)
-
-    def advance(self, actions: np.ndarray, live: np.ndarray,
-                feats: np.ndarray | None = None) -> None:
-        """Shift the ``live`` rows' history by one control step, after
-        ``env.step(actions)``; ``feats`` as in ``frame``."""
-        rows = live[:, None]
-        np.copyto(self.prev_action, actions, where=rows)
-        np.copyto(self.prev_joint_vel, self.env.qd, where=rows)
-        np.copyto(self.prev_frame, self.cur_frame, where=rows)
-        np.copyto(self.cur_frame, self.frame(feats), where=rows)
-
-    def state_dict(self) -> dict:
-        return {name: getattr(self, name).tolist() for name in
-                ("prev_frame", "cur_frame", "prev_action", "prev_joint_vel")}
-
-    def load_state_dict(self, d: dict) -> None:
-        for name in ("prev_frame", "cur_frame", "prev_action", "prev_joint_vel"):
-            getattr(self, name)[...] = np.array(d[name], dtype=np.float64)
+        """The policy's observation (E, POLICY_OBS_DIM): the last
+        ``POLICY_FRAMES`` frames, oldest first."""
+        last = self.frames.last(POLICY_FRAMES)
+        return np.concatenate([last[:, k] for k in range(POLICY_FRAMES)], axis=1,
+                              out=out)
 
 
 class RolloutCollector:
-    """Steps a vectorized environment with the current policy, assembles the
-    observation windows the discriminator scores, and writes fully assembled
-    rewards into a fresh buffer.
+    """Steps a vectorized environment with the current policy, cuts the
+    observation windows the discriminator scores from the policy history,
+    and writes fully assembled rewards into a fresh buffer.
 
     The step loop does only what the next step reads: sample the policy,
-    step the env, push the windows, reset finished rows and advance the
-    policy history. It records the rest, and after the loop one stacked
-    forward each gives the values and the scores, and the rewards are
-    assembled over the whole (T, E) rollout. Every value is the one a
-    step-by-step collection computes, byte for byte (the tests keep that
-    loop as the oracle): a stacked forward runs each step's own products,
-    and the reward terms are elementwise. The imitation rewards come from
-    ``imitation.pay``, so only policy scores reach its statistics, each
-    step's after that step's rewards are read.
+    step the env, advance the history of every row, and then reset the
+    finished rows, whose history starts over in every slot. It records the
+    rest, and after the loop one stacked forward each gives the values and
+    the scores, and the rewards are assembled over the whole (T, E) rollout.
+    Every value is the one a step-by-step collection computes, byte for byte
+    (the tests keep that loop as the oracle): a stacked forward runs each
+    step's own products, and the reward terms are elementwise. The imitation
+    rewards come from ``imitation.pay``, so only policy scores reach its
+    statistics, each step's after that step's rewards are read.
     """
 
     def __init__(self, env, disc_cfg: DiscriminatorConfig, ppo_cfg: PpoConfig,
@@ -254,22 +241,16 @@ class RolloutCollector:
         self.disc_cfg = disc_cfg
         self.ppo_cfg = ppo_cfg
         self.weights = weights
-        E = env.num_envs
         self.action_rngs = [np.random.default_rng(np.random.SeedSequence([seed, 1000 + i]))
-                            for i in range(E)]
-        self.window_buf = BatchWindowBuffer(E, disc_cfg.horizon, disc_cfg.frame_dim)
-        self.history = PolicyHistory(env)
-        self.window_buf.reset_rows(np.ones(E, dtype=bool), self._disc_frame())
+                            for i in range(env.num_envs)]
+        self.history = PolicyHistory(env, disc_cfg.horizon)
         # the forwards' arrays, kept from one step and one rollout to the next
         self._policy_cache, self._value_cache, self._disc_cache = (
             ForwardCache(), ForwardCache(), ForwardCache())
 
-    def _disc_frame(self, feats: np.ndarray | None = None) -> np.ndarray:
-        if feats is None:
-            feats = self.env.observation_features()
-        if self.disc_cfg.full_state:
-            feats = np.concatenate([feats, self.env.q, self.env.qd], axis=1)
-        return feats
+    def _window(self) -> np.ndarray:
+        """A view of every row's critic window, (E, horizon, frame_dim)."""
+        return self.history.frames.last(self.disc_cfg.horizon, self.disc_cfg.frame_dim)
 
     def _draw_noise(self, T: int) -> tuple:
         """The standard normal draws of a T-step rollout, (T, E, n) each:
@@ -294,7 +275,7 @@ class RolloutCollector:
         obs = np.empty((T + 1, E, POLICY_OBS_DIM))   # the last row bootstraps
         means = np.empty((T, E, ACTION_DIM))
         actions = np.empty((T, E, ACTION_DIM))
-        windows = np.empty((T, E, self.disc_cfg.input_dim))
+        windows = np.empty((T, E, self.disc_cfg.horizon, self.disc_cfg.frame_dim))
         # what the rewards read of each step
         prev_actions, prev_joint_vel, joint_vel, torques = (
             np.empty((T, E, 4)) for _ in range(4))
@@ -312,26 +293,25 @@ class RolloutCollector:
             means[t] = mean
             np.add(mean, np.multiply(std, action_noise[t], out=actions[t]),
                    out=actions[t])
-            prev_actions[t] = hist.prev_action
-            prev_joint_vel[t] = hist.prev_joint_vel
+            last = hist.frames.last(1)[:, 0]
+            prev_actions[t] = last[:, ACTION]
+            prev_joint_vel[t] = last[:, JOINT_VEL]
 
             result = env.step(actions[t])
             joint_vel[t] = env.qd
             pitch_rate[t] = env.om
             torques[t] = result.joint_torques
             terminal[t] = result.terminal
-            feats = env.observation_features()
-            windows[t] = self.window_buf.push(self._disc_frame(feats))
+            hist.advance(actions[t])
+            windows[t] = self._window()
 
             done = np.logical_or(result.terminal, result.timeout, out=dones[t])
             if done.any():
-                for i in np.nonzero(done)[0]:
-                    episode_lengths.append(int(env.steps[i]))
+                episode_lengths.extend(env.steps[done].tolist())
                 env.reset_rows(done)
                 hist.reset_rows(done)
-                self.window_buf.reset_rows(done, self._disc_frame())
-            hist.advance(actions[t], ~done, feats)
         hist.obs(out=obs[T])
+        windows = windows.reshape(T, E, -1)
 
         values, _ = value_net.forward(obs, self._value_cache)
         scores = raw_score(disc_net, windows, self._disc_cache).copy()
@@ -351,13 +331,31 @@ class RolloutCollector:
             termination_count=int(terminal.sum()))
 
     def state_dict(self) -> dict:
-        return {"windows": self.window_buf.state().tolist(),
-                **self.history.state_dict(),
+        """The checkpoint's collector keys, each a slice of the history: the
+        critic windows, the last two policy frames and the last frame's
+        action and joint rates."""
+        prev, cur = self.history.frames.last(2).swapaxes(0, 1)
+        return {"windows": self._window().tolist(),
+                "prev_frame": prev.tolist(), "cur_frame": cur.tolist(),
+                "prev_action": cur[:, ACTION].tolist(),
+                "prev_joint_vel": cur[:, JOINT_VEL].tolist(),
                 "action_rng_states": [r.bit_generator.state for r in self.action_rngs]}
 
     def load_state_dict(self, d: dict) -> None:
-        self.window_buf.load_state(np.array(d["windows"], dtype=np.float64))
-        self.history.load_state_dict(d)
+        """Restore ``state_dict``: the windows, and then the two frames over
+        them. Raises ``ValueError`` where the keys that repeat part of the
+        frames disagree with them."""
+        window = self._window()
+        window[...] = np.array(d["windows"], dtype=np.float64)
+        self.history.frames.last(2)[...] = np.stack(
+            [d["prev_frame"], d["cur_frame"]], axis=1)
+        cur = self.history.frames.last(1)[:, 0]
+        for key, have in (("windows", window), ("prev_action", cur[:, ACTION]),
+                          ("prev_joint_vel", cur[:, JOINT_VEL])):
+            if not np.array_equal(np.array(d[key], dtype=np.float64), have,
+                                  equal_nan=True):
+                raise ValueError(f"collector state: {key} disagrees with the "
+                                 "policy frames")
         for r, s in zip(self.action_rngs, d["action_rng_states"]):
             r.bit_generator.state = s
 

@@ -279,37 +279,29 @@ class PlanarEnv:
     # -- resets ---------------------------------------------------------------
 
     def reset_rows(self, mask: np.ndarray) -> None:
+        """Start the ``mask`` rows' episodes over. Each row's generator makes
+        its draws in the order a reset of that row alone makes them."""
         p = self.params
-        z0 = p.nominal_height()
-        for i in np.nonzero(mask)[0]:
+        rows = np.flatnonzero(mask)
+        jn = np.zeros((rows.size, 4))
+        hn = np.zeros(rows.size)
+        dm = np.full(rows.size, p.mass_perturb_low)
+        for k, i in enumerate(rows):
             rng = self.rngs[i]
             if p.reset_noise_joint > 0:
-                jn = rng.uniform(-p.reset_noise_joint, p.reset_noise_joint, size=4)
-            else:
-                jn = np.zeros(4)
+                jn[k] = rng.uniform(-p.reset_noise_joint, p.reset_noise_joint, size=4)
             if p.reset_noise_height > 0:
-                hn = rng.uniform(-p.reset_noise_height, p.reset_noise_height)
-            else:
-                hn = 0.0
+                hn[k] = rng.uniform(-p.reset_noise_height, p.reset_noise_height)
             if p.mass_perturb_high > p.mass_perturb_low:
-                dm = rng.uniform(p.mass_perturb_low, p.mass_perturb_high)
-            else:
-                dm = p.mass_perturb_low
-            self.x[i] = 0.0
-            self.z[i] = z0 + hn
-            self.pitch[i] = 0.0
-            self.vx[i] = 0.0
-            self.vz[i] = 0.0
-            self.om[i] = 0.0
-            self.q[i] = np.clip(NOMINAL_JOINT_POS + jn,
-                                p.joint_limits_low, p.joint_limits_high)
-            self.qd[i] = 0.0
-            self.time[i] = 0.0
-            self.steps[i] = 0
-            self.mass[i] = p.body_mass + dm
-            self.terminal[i] = False
-            self.flight_angle[i] = 0.0
-            self.airborne[i] = False
+                dm[k] = rng.uniform(p.mass_perturb_low, p.mass_perturb_high)
+        for a in (self.x, self.pitch, self.vx, self.vz, self.om, self.qd,
+                  self.time, self.steps, self.flight_angle):
+            a[rows] = 0
+        self.z[rows] = p.nominal_height() + hn
+        self.q[rows] = np.clip(NOMINAL_JOINT_POS + jn, self._lo, self._hi)
+        self.mass[rows] = p.body_mass + dm
+        self.terminal[rows] = False
+        self.airborne[rows] = False
 
     # -- stepping ---------------------------------------------------------------
 

@@ -30,8 +30,8 @@ import numpy as np
 from . import __version__
 from .config import TrainConfig, config_to_mapping, parse_config_text, save_config
 from .core import ReferenceDataset, load_reference_dataset, sample_reference_windows
-from .discriminator import (build_discriminator, discriminator_loss,
-                            pad_windows_full_state, raw_score)
+from .discriminator import (build_discriminator, discriminator_loss, raw_score,
+                            reference_input)
 from .dtw import DtwReport, dtw_distances, stand_still_rollout
 from .nets import (ForwardCache, MlpNet, OptimizerState, net_from_dict,
                    net_to_dict, optimizer_from_dict, optimizer_to_dict,
@@ -200,11 +200,9 @@ class Trainer:
             for _ in range(cfg.disc.minibatches):
                 idx = self.rng.integers(0, pol_windows.shape[0], size=mb_size)
                 pol_mb = pol_windows[idx]
-                ref_mb = sample_reference_windows(self.dataset, mb_size,
-                                                  cfg.disc.horizon, self.rng)
-                ref_mb = ref_mb.reshape(mb_size, -1)
-                if cfg.disc.full_state:
-                    ref_mb = pad_windows_full_state(ref_mb, cfg.disc.horizon)
+                ref_mb = reference_input(sample_reference_windows(
+                    self.dataset, mb_size, cfg.disc.horizon, self.rng),
+                    cfg.disc.full_state)
                 res = discriminator_loss(self.disc, ref_mb, pol_mb, cfg.disc,
                                          self.disc_ref_cache, self.disc_pol_cache)
                 optimizer_step(self.disc_opt, self.disc.flat, res.grads)
@@ -334,15 +332,14 @@ class Trainer:
         self.collector.load_state_dict(ckpt["collector"])
 
     @classmethod
-    def from_checkpoint(cls, checkpoint, dataset: ReferenceDataset | None = None,
-                        cfg: TrainConfig | None = None) -> "Trainer":
+    def from_checkpoint(cls, checkpoint,
+                        dataset: ReferenceDataset | None = None) -> "Trainer":
         """A trainer restored from ``checkpoint``: a file's path, or the dict
         ``load_checkpoint`` parsed from one."""
         ckpt = checkpoint if isinstance(checkpoint, dict) else load_checkpoint(checkpoint)
-        if cfg is None:
-            lines = [f"{k} = {v}" for k, v in ckpt["config"].items()
-                     if k not in RETIRED_CONFIG_KEYS]
-            cfg = parse_config_text("\n".join(lines))
+        lines = [f"{k} = {v}" for k, v in ckpt["config"].items()
+                 if k not in RETIRED_CONFIG_KEYS]
+        cfg = parse_config_text("\n".join(lines))
         if dataset is None:
             if not cfg.refs:
                 raise ValueError("checkpoint config has no reference path; "
@@ -411,7 +408,7 @@ def rollout_batch(cfg: TrainConfig, policy: GaussianPolicy, frames: int,
     comparable to full-length references. Its tallies stop at that step: the
     stand-up mean is taken over the row's live steps only, and a backflip
     landing counts only while the row is live. Frozen rows repeat their last
-    action until every row is done.
+    action until every row is done; their history still advances, unread.
     """
     R = len(seeds)
     env = PlanarEnv(cfg.sim, num_envs=R, seed=list(seeds))
@@ -448,7 +445,7 @@ def rollout_batch(cfg: TrainConfig, policy: GaussianPolicy, frames: int,
         if done.all():
             seqs[:, t + 1:] = seqs[:, t, None]
             break
-        history.advance(action, ~done)
+        history.advance(action)
     # a row's live steps are a prefix of its terms: np.mean sums that slice
     # pairwise, as it summed the list of them
     extras = [{"standup_mean": float(np.mean(terms[:n])) if n else 0.0,

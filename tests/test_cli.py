@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from planarmimic.cli import EXIT_CONFIG, EXIT_OK, main
+from planarmimic.cli import (EXIT_CONFIG, EXIT_OK, _build_train_config,
+                             build_parser, main)
 from planarmimic.config import save_config
 from planarmimic.dtw import local_cost
 from planarmimic.trainer import Trainer, evaluate_policy
@@ -55,6 +56,22 @@ class TestEvalSeeds:
                      flag, "0"])
         assert code == EXIT_CONFIG
         assert not out.exists()
+
+
+class TestTrainConfigFromFlags:
+    @staticmethod
+    def config(*argv):
+        return _build_train_config(build_parser().parse_args(["train", *argv]))
+
+    def test_set_task_gives_the_task_defaults(self):
+        assert self.config("--set", "task=backflip").disc.horizon == 8
+        assert self.config("--task", "backflip").disc.horizon == 8
+
+    def test_explicit_key_beats_the_task_default_in_any_order(self):
+        cfg = self.config("--set", "disc.horizon=4", "--set", "task=backflip")
+        assert (cfg.task, cfg.disc.horizon) == ("backflip", 4)
+        assert self.config("--task", "backflip", "--set",
+                           "disc.horizon=4").disc.horizon == 4
 
 
 class TestCheckpointReadOnce:

@@ -149,6 +149,11 @@ class TestOverrides:
         with pytest.raises(ConfigError):
             apply_overrides(default_config(), ["ppo.warp_speed=9"])
 
+    def test_task_override_brings_its_defaults_before_explicit_keys(self):
+        assert apply_overrides(default_config(), ["task=backflip"]).disc.horizon == 8
+        cfg = apply_overrides(default_config(), ["disc.horizon=4", "task=backflip"])
+        assert (cfg.task, cfg.disc.horizon) == ("backflip", 4)
+
 
 class TestTaskDefaults:
     def test_per_task_values(self):

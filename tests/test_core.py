@@ -80,37 +80,54 @@ class TestPhiExtract:
 
 class TestWindowBuffer:
     def test_horizon_one(self):
-        buf = BatchWindowBuffer(2, 1)
+        buf = BatchWindowBuffer(2, 1, OBS_DIM)
         buf.reset_rows(np.ones(2, dtype=bool), np.zeros((2, OBS_DIM)))
         frames = np.arange(12.0).reshape(2, OBS_DIM)
-        assert np.array_equal(buf.push(frames), frames)
+        buf.push(frames)
+        assert np.array_equal(buf.last(1)[:, 0], frames)
 
     def test_reset_pads_with_first(self):
-        buf = BatchWindowBuffer(3, 3)
+        buf = BatchWindowBuffer(3, 3, OBS_DIM)
         buf.reset_rows(np.ones(3, dtype=bool), np.zeros((3, OBS_DIM)))
         buf.push(np.ones((3, OBS_DIM)))
         first = np.arange(18.0).reshape(3, OBS_DIM)
         buf.reset_rows(np.array([False, True, False]), first)
-        state = buf.state()
+        state = buf.last(3)
         assert np.array_equal(state[1], np.tile(first[1], (3, 1)))
         for row in (0, 2):  # rows outside the mask keep their history
             assert np.array_equal(state[row, :2], np.zeros((2, OBS_DIM)))
             assert np.array_equal(state[row, 2], np.ones(OBS_DIM))
 
     def test_push_drops_oldest(self):
-        buf = BatchWindowBuffer(1, 2)
+        buf = BatchWindowBuffer(1, 2, OBS_DIM)
         a, b, c = (np.full((1, OBS_DIM), v) for v in (1.0, 2.0, 3.0))
         buf.reset_rows(np.ones(1, dtype=bool), a)
         buf.push(b)
         buf.push(c)
-        assert np.array_equal(buf.state()[0], np.concatenate([b, c]))
+        assert np.array_equal(buf.last(2)[0], np.concatenate([b, c]))
 
     def test_flattening_is_time_major(self):
-        buf = BatchWindowBuffer(1, 2)
+        buf = BatchWindowBuffer(1, 2, OBS_DIM)
         buf.reset_rows(np.ones(1, dtype=bool), np.zeros((1, OBS_DIM)))
-        flat = buf.push(np.arange(6.0)[None, :])[0]
+        buf.push(np.arange(6.0)[None, :])
+        flat = buf.last(2).reshape(1, -1)[0]
         assert np.array_equal(flat[:6], np.zeros(6))
         assert np.array_equal(flat[6:], np.arange(6.0))
+
+    def test_last_is_a_view_of_the_newest_frames_and_leading_columns(self):
+        buf = BatchWindowBuffer(2, 4, feat_dim=5)
+        frames = np.arange(10.0).reshape(2, 5)
+        buf.reset_rows(np.ones(2, dtype=bool), np.zeros((2, 5)))
+        buf.push(frames)
+        buf.push(frames + 100.0)
+        window = buf.last(3, 2)
+        assert window.shape == (2, 3, 2)
+        assert np.array_equal(window[:, 0], np.zeros((2, 2)))
+        assert np.array_equal(window[:, 1], frames[:, :2])
+        assert np.array_equal(window[:, 2], frames[:, :2] + 100.0)
+        # a view: the next push shows through it
+        buf.push(frames + 200.0)
+        assert np.array_equal(window[:, 2], frames[:, :2] + 200.0)
 
 
 def _write_dataset(tmp_path, n_traj=3, length=30, dt=0.02, seed=0, multi=False):

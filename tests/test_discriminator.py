@@ -5,7 +5,7 @@ import pytest
 
 from planarmimic.discriminator import (DiscriminatorConfig, build_discriminator,
                                        discriminator_loss,
-                                       pad_windows_full_state, raw_score)
+                                       raw_score, reference_input)
 from planarmimic.nets import ForwardCache, MlpNet, OptimizerState, optimizer_step
 from planarmimic.rewards import ImitationReward, RunningStats
 
@@ -340,8 +340,12 @@ class TestRawScore:
         assert full.input_dim == 2 * (6 + 8)
         net = build_discriminator(full, rng)
         windows = rng.normal(size=(3, 2, 6))
-        padded = pad_windows_full_state(windows, horizon=2)
+        padded = reference_input(windows, full_state=True)
         assert padded.shape == (3, full.input_dim)
+        assert np.array_equal(padded.reshape(3, 2, 14)[:, :, :6], windows)
+        assert not padded.reshape(3, 2, 14)[:, :, 6:].any()
+        assert np.array_equal(reference_input(windows, full_state=False),
+                              windows.reshape(3, base.input_dim))
         scores = raw_score(net, padded)
         assert scores.shape == (3,)
 

@@ -1,3 +1,6 @@
+import copy
+import json
+
 import numpy as np
 import pytest
 
@@ -116,10 +119,17 @@ def oracle_collect(collector, policy, value_net, disc_net, imitation):
     its batched passes: every noise draw, forward and reward term inside the
     step loop, one step at a time, with the imitation reward written out. It
     reads and advances the collector's state (env, history, windows,
-    generators) and the statistics of ``imitation`` as ``collect`` does."""
+    generators) and the statistics of ``imitation`` as ``collect`` does.
+
+    The history is its own plain arrays, shifted row by row: taken from the
+    collector's ``state_dict`` and handed back through ``load_state_dict``."""
     cfg, disc_cfg, weights = collector.ppo_cfg, collector.disc_cfg, collector.weights
-    env, hist, rngs = collector.env, collector.history, collector.action_rngs
+    env, rngs = collector.env, collector.action_rngs
     E, T = env.num_envs, cfg.steps_per_iter
+    state = collector.state_dict()
+    prev_frame, cur_frame, prev_action, prev_joint_vel, window = (
+        np.array(state[k]) for k in ("prev_frame", "cur_frame", "prev_action",
+                                     "prev_joint_vel", "windows"))
     shp = (T, E)
     buf = RolloutBuffer(
         obs=np.zeros((T, E, POLICY_OBS_DIM)), actions=np.zeros((T, E, ACTION_DIM)),
@@ -134,8 +144,12 @@ def oracle_collect(collector, policy, value_net, disc_net, imitation):
             feats = np.concatenate([feats, env.q, env.qd], axis=1)
         return feats
 
+    def policy_frame():
+        return np.concatenate([env.observation_features(), env.q, env.qd,
+                               prev_action], axis=1)
+
     def policy_obs():
-        return np.concatenate([hist.prev_frame, hist.cur_frame], axis=1)
+        return np.concatenate([prev_frame, cur_frame], axis=1)
 
     for t in range(T):
         obs = policy_obs()
@@ -150,7 +164,9 @@ def oracle_collect(collector, policy, value_net, disc_net, imitation):
         values, _ = value_net.forward(obs)
 
         result = env.step(actions)
-        windows = collector.window_buf.push(disc_frame())
+        window[:, :-1] = window[:, 1:]
+        window[:, -1] = disc_frame()
+        windows = window.reshape(E, -1).copy()
         scores = raw_score(disc_net, windows)
         stats = imitation.stats
         if disc_cfg.loss_kind == "lsgan":
@@ -162,7 +178,7 @@ def oracle_collect(collector, policy, value_net, disc_net, imitation):
                 stats.update(v)
         r_term = termination_penalty(result.terminal, weights.gamma)
         r_reg = regularization_reward(
-            actions, hist.prev_action, env.qd, hist.prev_joint_vel,
+            actions, prev_action, env.qd, prev_joint_vel,
             result.joint_torques, env.om, env.params.control_dt, weights)
         rewards = total_reward(r_imit, r_term, r_reg, weights.w_imitation)
 
@@ -184,16 +200,23 @@ def oracle_collect(collector, policy, value_net, disc_net, imitation):
             for i in np.nonzero(dones)[0]:
                 buf.episode_lengths.append(int(env.steps[i]))
             env.reset_rows(dones)
-            hist.reset_rows(dones)
-            collector.window_buf.reset_rows(dones, disc_frame())
+            prev_action[dones] = 0.0
+            prev_joint_vel[dones] = env.qd[dones]
+            cur_frame[dones] = prev_frame[dones] = policy_frame()[dones]
+            window[dones] = disc_frame()[dones, None, :]
         live = ~dones
-        hist.prev_action[live] = actions[live]
-        hist.prev_joint_vel[live] = env.qd[live]
-        hist.prev_frame[live] = hist.cur_frame[live]
-        hist.cur_frame[live] = hist.frame()[live]
+        prev_action[live] = actions[live]
+        prev_joint_vel[live] = env.qd[live]
+        prev_frame[live] = cur_frame[live]
+        cur_frame[live] = policy_frame()[live]
 
     final_values, _ = value_net.forward(policy_obs())
     buf.bootstrap_value = final_values[:, 0]
+    state.update(prev_frame=prev_frame.tolist(), cur_frame=cur_frame.tolist(),
+                 prev_action=prev_action.tolist(),
+                 prev_joint_vel=prev_joint_vel.tolist(), windows=window.tolist(),
+                 action_rng_states=[r.bit_generator.state for r in rngs])
+    collector.load_state_dict(state)
     return buf
 
 
@@ -204,11 +227,11 @@ BUFFER_ARRAYS = ("obs", "actions", "log_probs", "values", "rewards", "dones",
 
 class TestCollectMatchesOracle:
     @staticmethod
-    def setup(loss, obs_noise, full_state):
+    def setup(loss, obs_noise, full_state, horizon=2):
         # the desk config's shapes, at which a product over all T * E rows at
         # once would round differently from the per-step products
         ppo_cfg = PpoConfig(num_envs=16, steps_per_iter=24, obs_noise=obs_noise)
-        disc_cfg = DiscriminatorConfig(loss_kind=loss, horizon=2,
+        disc_cfg = DiscriminatorConfig(loss_kind=loss, horizon=horizon,
                                        full_state=full_state)
         rng = np.random.default_rng(17)
         # a flailing policy falls at row-dependent steps
@@ -250,6 +273,58 @@ class TestCollectMatchesOracle:
         if loss == "wgan":
             assert fast[4].stats.count >= STATS_WARMUP
             assert np.any(got.r_imitation != 0.0)
+
+
+def assert_buffers_equal(got, want):
+    for name in BUFFER_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.episode_lengths == want.episode_lengths
+    assert got.termination_count == want.termination_count
+
+
+class TestCollectorState:
+    """The collector's state is one frame buffer of max(H, POLICY_FRAMES)
+    slots; H = 1, 2 and 8 are the edges of that maximum."""
+
+    @pytest.mark.parametrize("horizon", [1, 2, 8])
+    @pytest.mark.parametrize("full_state", [False, True])
+    def test_state_dict_round_trip_continues_the_rollout(self, horizon, full_state):
+        first, policy, value_net, disc, imitation = TestCollectMatchesOracle.setup(
+            "wgan", 0.0, full_state, horizon)
+        first.collect(policy, value_net, disc, imitation)
+        state = json.loads(json.dumps(first.state_dict()))
+        assert np.array(state["windows"]).shape == (16, horizon, 14 if full_state else 6)
+
+        def restored():
+            env = PlanarEnv(SimParams(), num_envs=16, seed=5)
+            env.load_state_dict(first.env.state_dict())
+            fresh = RolloutCollector(env, first.disc_cfg, first.ppo_cfg,
+                                     RewardWeights(), seed=5)
+            fresh.load_state_dict(state)
+            return fresh
+
+        fresh, slow = restored(), restored()
+        assert json.dumps(fresh.state_dict()) == json.dumps(first.state_dict())
+        want = first.collect(policy, value_net, disc, copy.deepcopy(imitation))
+        assert_buffers_equal(fresh.collect(policy, value_net, disc,
+                                           copy.deepcopy(imitation)), want)
+        assert_buffers_equal(oracle_collect(slow, policy, value_net, disc,
+                                            copy.deepcopy(imitation)), want)
+        assert want.episode_lengths
+        for other in (fresh, slow):
+            assert json.dumps(other.state_dict()) == json.dumps(first.state_dict())
+
+    @pytest.mark.parametrize("key", ["prev_action", "prev_joint_vel", "windows"])
+    def test_state_that_disagrees_with_its_frames_raises(self, key):
+        collector = tiny_setup(seed=4, horizon=4)[0]
+        state = collector.state_dict()
+        entry = np.array(state[key])
+        entry.reshape(-1)[-1] += 1.0
+        state[key] = entry.tolist()
+        with pytest.raises(ValueError, match=key):
+            collector.load_state_dict(state)
 
 
 class TestCollector:
@@ -306,7 +381,8 @@ class TestCollector:
 
     def test_windows_prefilled_after_reset(self):
         collector, policy, value_net, disc, imitation, _ = tiny_setup(horizon=4)
-        win = collector.window_buf.state()
+        win = np.array(collector.state_dict()["windows"])
+        assert win.shape == (4, 4, 6)
         for k in range(1, 4):
             assert np.array_equal(win[:, 0], win[:, k])
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from planarmimic.config import default_config
 from planarmimic.core import ReferenceDataset, save_reference_csv
 from planarmimic.dtw import dtw_distance
-from planarmimic.ppo import PolicyHistory
+from planarmimic.ppo import ACTION_DIM
 from planarmimic.rewards import (handcrafted_backflip_reward,
                                  handcrafted_standup_reward)
 from planarmimic.sim import PlanarEnv, generate_demo_set
@@ -246,6 +246,19 @@ class TestCheckpointResume:
         assert trainer.train_iteration() == expected
 
 
+    @pytest.mark.parametrize("key", ["prev_action", "prev_joint_vel"])
+    def test_checkpoint_whose_history_disagrees_with_its_frames_raises(
+            self, tmp_path, key):
+        cfg = tiny_config(tmp_path=tmp_path)
+        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer.train_iteration()
+        ckpt = load_checkpoint(trainer.save_checkpoint(tmp_path / "c.json"))
+        assert Trainer.from_checkpoint(ckpt).iteration == 1
+        ckpt["collector"][key][2][1] += 0.5
+        with pytest.raises(ValueError, match=key):
+            Trainer.from_checkpoint(ckpt)
+
+
 def listed(obj):
     """``obj`` with every array as the nested lists the checkpoint held
     before it was written a slice at a time."""
@@ -447,14 +460,20 @@ def oracle_rollout(cfg, policy, frames, seed):
     first terminal, with the policy-history bookkeeping written out by hand.
     Returns the sequence, the tallies and the terminal step (None if none)."""
     env = PlanarEnv(cfg.sim, num_envs=1, seed=seed)
-    history = PolicyHistory(env)
+
+    def policy_frame(prev_action):
+        return np.concatenate([env.observation_features(), env.q, env.qd,
+                               prev_action], axis=1)
+
+    cur_frame = policy_frame(np.zeros((1, ACTION_DIM)))
+    prev_frame = cur_frame
     seq = np.zeros((frames, 6))
     seq[0] = env.observation_features()[0]
     standup_terms = []
     backflip_total = 0.0
     end = None
     for t in range(1, frames):
-        obs = np.concatenate([history.prev_frame, history.cur_frame], axis=1)
+        obs = np.concatenate([prev_frame, cur_frame], axis=1)
         action, _ = policy.net.forward(obs)
         result = env.step(action)
         seq[t] = env.observation_features()[0]
@@ -467,11 +486,7 @@ def oracle_rollout(cfg, policy, frames, seed):
             seq[t + 1:] = seq[t]
             end = t
             break
-        history.prev_action[0] = action[0]
-        history.prev_joint_vel[0] = env.qd[0]
-        history.prev_frame[0] = history.cur_frame[0]
-        history.cur_frame[0] = np.concatenate(
-            [env.observation_features(), env.q, env.qd, history.prev_action], axis=1)[0]
+        prev_frame, cur_frame = cur_frame, policy_frame(action)
     extras = {"standup_mean": float(np.mean(standup_terms)) if standup_terms else 0.0,
               "backflip_total": backflip_total}
     return seq, extras, end
