@@ -3,6 +3,33 @@
 Exit codes: 0 success, 1 usage error, 2 config validation error, 3 runtime
 failure. The output root defaults to ``./runs`` and can be moved with the
 ``PLANARMIMIC_OUT_ROOT`` environment variable.
+
+Every command builds its config in one pass of ``config.build_config``, the
+only place that decides precedence. Each step beats the ones before it:
+
+1. the task (the last ``task`` any step gives, else leap) and its defaults;
+2. the ``--config`` file, or the checkpoint's config for ``train --resume``,
+   ``eval`` and ``analyze``;
+3. the flags ``--task``, ``--loss`` (``disc.loss_kind``), ``--seed``,
+   ``--iterations``, ``--refs``, train's ``--out`` (``out_dir``), eval's
+   ``--rollouts`` and ``--seeds`` (``eval.*``), and an ``ablate`` grid
+   point's ``disc.loss_kind`` and ``disc.horizon`` (with ``task = standup``
+   when it has no ``--config``);
+4. ``--set KEY=VALUE``.
+
+A resume takes only ``--iterations`` and ``--out``.
+
+``train``, ``eval`` and each ``ablate`` run write one ``eval.json`` schema,
+over the eval seeds ``k < eval.seeds``: ``config`` (``task``, ``loss``,
+``horizon``, ``seed``, ``step_pattern``, ``open_end``, ``rollouts``),
+``seeds``, ``dtw_mean`` and ``dtw_std_across_seeds`` (over the seeds'
+``dtw.mean``), and ``per_seed``, seed k's ``EvalReport.to_dict()``
+(``dtw``, ``stand_still``, ``handcrafted``, ``n_rollouts``,
+``n_references``). ``eval`` on a run's ``checkpoint_final.json``, without
+flags, rewrites its ``eval.json`` byte for byte. ``ablate``'s
+``summary.json`` has per run ``loss``, ``horizon``, ``dtw_mean``,
+``dtw_std`` (the seeds' mean ``dtw.std``) and ``stand_still``
+(``per_seed[0]``'s; no seed changes it).
 """
 
 from __future__ import annotations
@@ -19,8 +46,7 @@ import numpy as np
 from .analyze import (reference_window_rewards, reward_surface,
                       rollout_reward_histogram, write_alignment_csv,
                       write_histogram_csv, write_surface_csv)
-from .config import (ConfigError, TrainConfig, apply_overrides, default_config,
-                     load_config, save_config)
+from .config import ConfigError, TrainConfig, build_config
 from .core import load_reference_dataset, save_reference_csv
 from .dtw import dtw_distance, local_cost
 from .sim import DEMO_TRAJECTORIES, MOTIONS, SimParams, generate_demo_set
@@ -41,6 +67,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
+    return value
+
+
+def _range(text: str):
+    try:
+        low, high = (float(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not 'low,high'") from None
+    return low, high
+
+
 def out_root() -> Path:
     return Path(os.environ.get("PLANARMIMIC_OUT_ROOT", "runs"))
 
@@ -55,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--motion", required=True, choices=MOTIONS)
     p.add_argument("--out", required=True, help="output directory (or file with --single-file)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trajectories", type=int, default=DEMO_TRAJECTORIES)
+    p.add_argument("--trajectories", type=_count, default=DEMO_TRAJECTORIES)
     p.add_argument("--noise-scale", type=float, default=1.0)
     p.add_argument("--height-offset", type=float, default=0.0)
     p.add_argument("--single-file", action="store_true",
@@ -90,9 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--refs", help="reference data (defaults to the checkpoint's)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--grid", type=int, default=101)
-    p.add_argument("--pitch-rate-range", default="-12,12")
-    p.add_argument("--height-range", default="0,0.8")
+    p.add_argument("--grid", type=_count, default=101)
+    p.add_argument("--pitch-rate-range", type=_range, default="-12,12")
+    p.add_argument("--height-range", type=_range, default="0,0.8")
 
     p = sub.add_parser("ablate", help="sweep discriminator horizons and losses")
     p.add_argument("--config", help="base config file")
@@ -119,25 +160,16 @@ def _progress_printer(quiet: bool):
     return show
 
 
-def _build_train_config(args) -> TrainConfig:
-    if args.config:
-        cfg = load_config(args.config, base=default_config())
-    else:
-        cfg = default_config(args.task or "leap", args.loss or "wgan")
-    if args.task:
-        apply_overrides(cfg, [f"task={args.task}"])
-    if args.loss:
-        cfg.disc.loss_kind = args.loss
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.iterations is not None:
-        cfg.iterations = args.iterations
-    if args.refs:
-        cfg.refs = args.refs
-    if args.out:
-        cfg.out_dir = args.out
-    apply_overrides(cfg, args.set)
-    return cfg
+# the config key each flag sets in the commands that pass it to the config
+FLAG_KEYS = {"task": "task", "loss": "disc.loss_kind", "seed": "seed",
+             "iterations": "iterations", "refs": "refs", "out": "out_dir",
+             "rollouts": "eval.rollouts", "seeds": "eval.seeds"}
+
+
+def _flag_keys(args, names) -> list:
+    """``(config key, value)`` for each flag of ``names`` on the command line."""
+    return [(FLAG_KEYS[name], getattr(args, name)) for name in names
+            if getattr(args, name) is not None]
 
 
 def cmd_demo_gen(args) -> int:
@@ -154,69 +186,70 @@ def cmd_demo_gen(args) -> int:
     return EXIT_OK
 
 
-def _train_and_evaluate(trainer: Trainer, out: Path, quiet: bool):
-    """Train in ``out`` up to the configured iteration count, then evaluate
-    the final policy into ``out/eval.json``. Returns (final checkpoint,
-    evaluation report)."""
-    trainer.cfg.out_dir = str(out)
+def _new_trainer(cfg: TrainConfig) -> Trainer:
+    if not cfg.refs:
+        raise ConfigError(["refs must point at reference data "
+                           "(--refs or the refs config key)"])
+    cfg.require_valid()
+    return Trainer(cfg, load_reference_dataset(cfg.refs, cfg.disc.horizon))
+
+
+def _train_and_evaluate(trainer: Trainer, quiet: bool):
+    """Train in the config's ``out_dir`` (by default a directory named after
+    the run under the output root) up to the configured iteration count,
+    then write the final policy's report to ``eval.json`` there. Returns
+    (final checkpoint, report)."""
+    cfg = trainer.cfg
+    out = Path(cfg.out_dir) if cfg.out_dir else (
+        out_root() / f"{cfg.task}_{cfg.disc.loss_kind}_s{cfg.seed}")
+    cfg.out_dir = str(out)
     final = trainer.run(out, progress=_progress_printer(quiet))
-    report = evaluate_policy(trainer.cfg, trainer.policy, trainer.dataset)
-    _write_atomic(out / "eval.json", [json.dumps(report.to_dict(), indent=2), "\n"])
-    return final, report
+    return final, _write_eval(trainer, out / "eval.json")
 
 
 def cmd_train(args) -> int:
     if args.resume:
-        trainer = Trainer.from_checkpoint(args.resume)
-        cfg = trainer.cfg
-        if args.iterations is not None:
-            cfg.iterations = args.iterations
-        if args.out:
-            cfg.out_dir = args.out
+        given = [f"--{name}" for name in ("config", "task", "loss", "refs", "seed", "set")
+                 if getattr(args, name) not in (None, [])]
+        if given:
+            raise UsageError(f"{', '.join(given)} cannot change a resumed run; "
+                             f"only --iterations and --out apply to --resume")
+        trainer = Trainer.from_checkpoint(args.resume,
+                                          keys=_flag_keys(args, ("iterations", "out")))
+        trainer.cfg.require_valid()
     else:
-        cfg = _build_train_config(args)
-        if not cfg.refs:
-            raise ConfigError(["refs must point at reference data "
-                               "(--refs or the refs config key)"])
-        cfg.require_valid()
-        dataset = load_reference_dataset(cfg.refs, cfg.disc.horizon)
-        trainer = Trainer(cfg, dataset)
-
-    out = Path(cfg.out_dir) if cfg.out_dir else (
-        out_root() / f"{cfg.task}_{cfg.disc.loss_kind}_s{cfg.seed}")
-    final, report = _train_and_evaluate(trainer, out, args.quiet)
+        keys = _flag_keys(args, ("task", "loss", "seed", "iterations", "refs", "out"))
+        trainer = _new_trainer(build_config(args.config, keys, args.set))
+    final, report = _train_and_evaluate(trainer, args.quiet)
     if not args.quiet:
         print(f"final checkpoint: {final}")
-        print(f"dtw mean {report.dtw.mean:.3f} (stand-still {report.stand_still.mean:.3f})")
+        print(f"dtw mean {report['dtw_mean']:.3f} over {report['seeds']} seed(s) "
+              f"(stand-still {report['per_seed'][0]['stand_still']['mean']:.3f})")
     return EXIT_OK
 
 
-def _load_trainer(args) -> Trainer:
-    """The trainer of ``--checkpoint``, with the ``--refs`` dataset if given,
-    windowed at the checkpoint's horizon. The file is read once."""
+def _load_trainer(args, keys=()) -> Trainer:
+    """The trainer of ``--checkpoint`` with ``keys`` over its config, and the
+    ``--refs`` dataset if given, windowed at the checkpoint's horizon. The
+    file is read once."""
     ckpt = load_checkpoint(args.checkpoint)
     dataset = None
     if args.refs:
         dataset = load_reference_dataset(args.refs,
                                          int(ckpt["config"]["disc.horizon"]))
-    return Trainer.from_checkpoint(ckpt, dataset=dataset)
+    return Trainer.from_checkpoint(ckpt, dataset=dataset, keys=keys)
 
 
-def cmd_eval(args) -> int:
-    trainer = _load_trainer(args)
+def _write_eval(trainer: Trainer, path: Path, alignments=None) -> dict:
+    """Evaluate the policy at each eval seed and write the report (schema in
+    the module docstring) to ``path``; with ``alignments``, also write each
+    rollout's alignment CSVs into that directory. Returns the report."""
     cfg = trainer.cfg
-    if args.rollouts is not None:
-        cfg.eval.rollouts = args.rollouts
-    if args.seeds is not None:
-        cfg.eval.seeds = args.seeds
-    cfg.require_valid()
-    seeds = cfg.eval.seeds
-
     reports = []
-    for k in range(seeds):
+    for k in range(cfg.eval.seeds):
         reports.append(evaluate_policy(cfg, trainer.policy, trainer.dataset, seed=k))
-        if args.alignments:
-            _write_alignments(Path(args.alignments), k, reports[-1],
+        if alignments:
+            _write_alignments(Path(alignments), k, reports[-1],
                               trainer.dataset, cfg)
     means = [r.dtw.mean for r in reports]
     payload = {
@@ -225,15 +258,23 @@ def cmd_eval(args) -> int:
                    "step_pattern": cfg.dtw.step_pattern,
                    "open_end": cfg.dtw.open_end,
                    "rollouts": cfg.eval.rollouts},
-        "seeds": seeds,
+        "seeds": cfg.eval.seeds,
         "dtw_mean": float(np.mean(means)),
         "dtw_std_across_seeds": float(np.std(means)),
         "per_seed": [r.to_dict() for r in reports],
     }
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _write_atomic(path, [json.dumps(payload, indent=2), "\n"])
+    return payload
+
+
+def cmd_eval(args) -> int:
+    trainer = _load_trainer(args, _flag_keys(args, ("rollouts", "seeds")))
+    trainer.cfg.require_valid()
     out = Path(args.out) if args.out else Path(args.checkpoint).with_name("eval.json")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out, [json.dumps(payload, indent=2), "\n"])
-    print(f"dtw mean {payload['dtw_mean']:.3f} over {seeds} seed(s); report: {out}")
+    report = _write_eval(trainer, out, args.alignments)
+    print(f"dtw mean {report['dtw_mean']:.3f} over {report['seeds']} seed(s); "
+          f"report: {out}")
     return EXIT_OK
 
 
@@ -248,21 +289,14 @@ def _write_alignments(out: Path, seed: int, report, dataset, cfg) -> None:
                             seq, ref, path, local_cost(seq, ref))
 
 
-def _parse_range(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"range {text!r} must be 'low,high'")
-    return float(parts[0]), float(parts[1])
-
-
 def cmd_analyze(args) -> int:
     trainer = _load_trainer(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = reward_surface(trainer, grid_n=args.grid,
-                          pitch_rate_range=_parse_range(args.pitch_rate_range),
-                          height_range=_parse_range(args.height_range))
+                          pitch_rate_range=args.pitch_rate_range,
+                          height_range=args.height_range)
     write_surface_csv(out / "reward_surface.csv", rows)
 
     policy_rewards = rollout_reward_histogram(trainer)
@@ -291,28 +325,18 @@ def cmd_ablate(args) -> int:
     summary = []
     for loss in losses:
         for horizon in horizons:
-            if args.config:
-                cfg = load_config(args.config, base=default_config())
-            else:
-                cfg = default_config("standup", loss)
-            cfg.disc.loss_kind = loss
-            cfg.disc.horizon = horizon
-            if args.refs:
-                cfg.refs = args.refs
-            if args.iterations is not None:
-                cfg.iterations = args.iterations
-            if args.seed is not None:
-                cfg.seed = args.seed
-            if not cfg.refs:
-                raise ConfigError(["refs must point at reference data"])
-            cfg.require_valid()
             run_dir = out / f"h{horizon}_{loss}"
-            trainer = Trainer(cfg, load_reference_dataset(cfg.refs, horizon))
-            _, report = _train_and_evaluate(trainer, run_dir, args.quiet)
+            keys = [*([] if args.config else [("task", "standup")]),
+                    ("disc.loss_kind", loss), ("disc.horizon", horizon),
+                    ("out_dir", str(run_dir)),
+                    *_flag_keys(args, ("refs", "iterations", "seed"))]
+            _, report = _train_and_evaluate(
+                _new_trainer(build_config(args.config, keys)), args.quiet)
             summary.append({"loss": loss, "horizon": horizon,
-                            "dtw_mean": report.dtw.mean,
-                            "dtw_std": report.dtw.std,
-                            "stand_still": report.stand_still.mean})
+                            "dtw_mean": report["dtw_mean"],
+                            "dtw_std": float(np.mean([s["dtw"]["std"]
+                                                      for s in report["per_seed"]])),
+                            "stand_still": report["per_seed"][0]["stand_still"]["mean"]})
             with (run_dir / "metrics.jsonl").open() as f:
                 for line in f:
                     rec = json.loads(line)
@@ -321,7 +345,7 @@ def cmd_ablate(args) -> int:
                                        rec["disc_loss"], rec["kl"]])
             if not args.quiet:
                 print(f"[ablate] loss={loss} H={horizon} "
-                      f"dtw={report.dtw.mean:.3f}")
+                      f"dtw={report['dtw_mean']:.3f}")
 
     with (out / "learning_curves.csv").open("w", newline="") as f:
         writer = csv.writer(f)

@@ -98,11 +98,7 @@ TASK_DEFAULTS = {
 
 
 def default_config(task: str = "leap", loss: str = "wgan") -> TrainConfig:
-    cfg = TrainConfig(task=task)
-    cfg.disc.loss_kind = loss
-    for key, value in TASK_DEFAULTS.get(task, {}).items():
-        _set_dotted(cfg, key, value)
-    return cfg
+    return build_config(keys=[("task", task), ("disc.loss_kind", loss)])
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +127,6 @@ def _coerce(value: str, target_type) -> object:
     return value
 
 
-def _field_map(obj) -> dict:
-    return {f.name: f for f in fields(obj)}
-
-
 def _set_dotted(cfg: TrainConfig, key: str, value) -> None:
     parts = key.split(".")
     target = cfg
@@ -143,12 +135,10 @@ def _set_dotted(cfg: TrainConfig, key: str, value) -> None:
             raise ValueError(f"unknown config section {part!r} in key {key!r}")
         target = getattr(target, part)
     name = parts[-1]
-    fmap = _field_map(target)
-    if name not in fmap:
+    if name not in {f.name for f in fields(target)}:
         raise ValueError(f"unknown config key {key!r}")
     if isinstance(value, str):
-        ftype = type(getattr(target, name))
-        value = _coerce(value, ftype)
+        value = _coerce(value, type(getattr(target, name)))
     setattr(target, name, value)
 
 
@@ -179,60 +169,44 @@ def save_config(cfg: TrainConfig, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig:
-    cfg = base if base is not None else TrainConfig()
+def build_config(path=None, keys=(), overrides=()) -> TrainConfig:
+    """The config of a run, in one pass from ``TrainConfig()``: the last
+    ``task`` given anywhere (``leap`` if none) and its ``TASK_DEFAULTS``,
+    then the keys of the config file at ``path``, then ``keys`` (``(key,
+    value)`` pairs: flags, or a checkpoint's config mapping), then
+    ``overrides`` (``key=value`` strings). A later key beats an earlier one,
+    and any key beats a task default. Raises ``ConfigError`` listing every
+    bad line, key and value."""
     errors = []
-    staged = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            errors.append(f"line {lineno}: expected 'key = value', got {line!r}")
-            continue
-        key, _, value = line.partition("=")
-        staged.append((f"line {lineno}: ", key.strip(), value.strip()))
-    _apply_staged(cfg, staged, errors)
-    return cfg
-
-
-def _apply_staged(cfg: TrainConfig, staged, errors: list) -> None:
-    """Set ``(where, key, value)`` entries on ``cfg``. A ``task`` entry and its
-    per-task defaults go first, so explicit keys override the defaults
-    whatever their order. Raises ``ConfigError`` with ``errors`` and every
-    error of its own, each after its ``where`` prefix."""
-    for where, key, value in staged:
-        if key == "task":
-            try:
-                _set_dotted(cfg, key, value)
-            except ValueError as e:
-                errors.append(f"{where}{e}")
-            for dkey, dval in TASK_DEFAULTS.get(cfg.task, {}).items():
-                _set_dotted(cfg, dkey, dval)
-    for where, key, value in staged:
-        if key == "task":
-            continue
-        try:
-            _set_dotted(cfg, key, value)
-        except ValueError as e:
-            errors.append(f"{where}{e}")
-    if errors:
-        raise ConfigError(errors)
-
-
-def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
-    return parse_config_text(Path(path).read_text(), base=base)
-
-
-def apply_overrides(cfg: TrainConfig, overrides) -> TrainConfig:
-    """Apply ``key=value`` strings from the command line the way
-    ``parse_config_text`` applies a file: ``task`` and its defaults first."""
-    errors, staged = [], []
+    staged = [("", "task", "leap")]
+    if path is not None:
+        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                errors.append(f"line {lineno}: expected 'key = value', got {line!r}")
+                continue
+            key, _, value = line.partition("=")
+            staged.append((f"line {lineno}: ", key.strip(), value.strip()))
+    staged += [("", key, value) for key, value in keys]
     for item in overrides:
         if "=" not in item:
             errors.append(f"override {item!r} must look like key=value")
             continue
         key, _, value = item.partition("=")
         staged.append(("", key.strip(), value.strip()))
-    _apply_staged(cfg, staged, errors)
+
+    cfg = TrainConfig()
+    # the sort is stable: the task entries go first, in their order
+    for where, key, value in sorted(staged, key=lambda entry: entry[1] != "task"):
+        try:
+            _set_dotted(cfg, key, value)
+        except ValueError as e:
+            errors.append(f"{where}{e}")
+        if key == "task":
+            for dkey, dval in TASK_DEFAULTS.get(cfg.task, {}).items():
+                _set_dotted(cfg, dkey, dval)
+    if errors:
+        raise ConfigError(errors)
     return cfg

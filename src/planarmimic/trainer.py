@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import TrainConfig, config_to_mapping, parse_config_text, save_config
+from .config import TrainConfig, build_config, config_to_mapping, save_config
 from .core import ReferenceDataset, load_reference_dataset, sample_reference_windows
 from .discriminator import (build_discriminator, discriminator_loss, raw_score,
                             reference_input)
@@ -332,14 +332,14 @@ class Trainer:
         self.collector.load_state_dict(ckpt["collector"])
 
     @classmethod
-    def from_checkpoint(cls, checkpoint,
-                        dataset: ReferenceDataset | None = None) -> "Trainer":
+    def from_checkpoint(cls, checkpoint, dataset: ReferenceDataset | None = None,
+                        keys=()) -> "Trainer":
         """A trainer restored from ``checkpoint``: a file's path, or the dict
-        ``load_checkpoint`` parsed from one."""
+        ``load_checkpoint`` parsed from one. ``keys``, ``(key, value)`` pairs,
+        override the checkpoint's config."""
         ckpt = checkpoint if isinstance(checkpoint, dict) else load_checkpoint(checkpoint)
-        lines = [f"{k} = {v}" for k, v in ckpt["config"].items()
-                 if k not in RETIRED_CONFIG_KEYS]
-        cfg = parse_config_text("\n".join(lines))
+        cfg = build_config(keys=[*((k, v) for k, v in ckpt["config"].items()
+                                   if k not in RETIRED_CONFIG_KEYS), *keys])
         if dataset is None:
             if not cfg.refs:
                 raise ValueError("checkpoint config has no reference path; "

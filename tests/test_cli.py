@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from planarmimic.cli import (EXIT_CONFIG, EXIT_OK, _build_train_config,
-                             build_parser, main)
+from planarmimic import cli
+from planarmimic.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from planarmimic.config import save_config
 from planarmimic.dtw import local_cost
 from planarmimic.trainer import Trainer, evaluate_policy
@@ -60,18 +60,94 @@ class TestEvalSeeds:
 
 class TestTrainConfigFromFlags:
     @staticmethod
-    def config(*argv):
-        return _build_train_config(build_parser().parse_args(["train", *argv]))
+    def config(monkeypatch, *argv):
+        """The config ``train`` builds from ``argv``, caught before it trains."""
+        built = []
 
-    def test_set_task_gives_the_task_defaults(self):
-        assert self.config("--set", "task=backflip").disc.horizon == 8
-        assert self.config("--task", "backflip").disc.horizon == 8
+        def capture(cfg):
+            built.append(cfg)
+            raise RuntimeError("stop before training")
 
-    def test_explicit_key_beats_the_task_default_in_any_order(self):
-        cfg = self.config("--set", "disc.horizon=4", "--set", "task=backflip")
+        monkeypatch.setattr(cli, "_new_trainer", capture)
+        assert main(["train", *argv]) == EXIT_RUNTIME
+        return built[0]
+
+    def test_set_task_gives_the_task_defaults(self, monkeypatch):
+        assert self.config(monkeypatch, "--set", "task=backflip").disc.horizon == 8
+        assert self.config(monkeypatch, "--task", "backflip").disc.horizon == 8
+
+    def test_explicit_key_beats_the_task_default_in_any_order(self, monkeypatch):
+        cfg = self.config(monkeypatch, "--set", "disc.horizon=4", "--set", "task=backflip")
         assert (cfg.task, cfg.disc.horizon) == ("backflip", 4)
-        assert self.config("--task", "backflip", "--set",
+        assert self.config(monkeypatch, "--task", "backflip", "--set",
                            "disc.horizon=4").disc.horizon == 4
+
+    @pytest.mark.parametrize("task_argv", [["--task", "backflip"], ["--set", "task=backflip"]])
+    def test_the_task_keeps_the_file_keys(self, monkeypatch, tmp_path, task_argv):
+        path = tmp_path / "config.txt"
+        path.write_text("task = wave\ndisc.horizon = 3\n")
+        cfg = self.config(monkeypatch, "--config", str(path), *task_argv)
+        assert (cfg.task, cfg.disc.horizon, cfg.reward.w_imitation) == ("backflip", 3, 2.0)
+
+    def test_flags_map_to_their_keys(self, monkeypatch):
+        cfg = self.config(monkeypatch, "--loss", "lsgan", "--seed", "9",
+                          "--iterations", "5", "--refs", "r", "--out", "o",
+                          "--set", "seed=10")
+        assert (cfg.disc.loss_kind, cfg.seed, cfg.iterations, cfg.refs,
+                cfg.out_dir) == ("lsgan", 10, 5, "r", "o")
+
+
+class TestTrainEvalReport:
+    def test_train_writes_the_eval_schema_that_eval_rewrites(self, tmp_path):
+        save_config(tiny_config(tmp_path=tmp_path), tmp_path / "base.txt")
+        run = tmp_path / "run"
+        code = main(["train", "--config", str(tmp_path / "base.txt"), "--out", str(run),
+                     "--iterations", "1", "--set", "eval.seeds=2", "--quiet"])
+        assert code == EXIT_OK
+        written = (run / "eval.json").read_bytes()
+        report = json.loads(written)
+        assert report["seeds"] == 2
+        trainer = Trainer.from_checkpoint(run / "checkpoint_final.json")
+        assert report["per_seed"] == [
+            json.loads(json.dumps(evaluate_policy(trainer.cfg, trainer.policy,
+                                                  trainer.dataset, seed=k).to_dict()))
+            for k in range(2)]
+        (run / "eval.json").unlink()
+        assert main(["eval", "--checkpoint", str(run / "checkpoint_final.json")]) == EXIT_OK
+        assert (run / "eval.json").read_bytes() == written
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("flags", [
+        ["--config", "c.txt"], ["--task", "leap"], ["--loss", "wgan"],
+        ["--refs", "refs"], ["--seed", "9"], ["--set", "ppo.learning_rate=0.5"]])
+    def test_resume_rejects_what_it_cannot_apply(self, tmp_path, flags):
+        # they used to be dropped: the run went on with the checkpoint's values
+        cfg = tiny_config(tmp_path=tmp_path)
+        ckpt = Trainer(cfg, tiny_dataset(cfg)).save_checkpoint(tmp_path / "ckpt.json")
+        before = sorted(tmp_path.rglob("*"))
+        code = main(["train", "--resume", str(ckpt), "--out", str(tmp_path / "run"),
+                     *flags, "--quiet"])
+        assert code == EXIT_USAGE
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("flags", [
+        ["--pitch-rate-range=-12,x"], ["--height-range", "0"],
+        ["--height-range", "0,0.4,0.8"], ["--grid", "0"], ["--grid", "-1"]])
+    def test_analyze_ranges_and_grid(self, checkpoint, tmp_path, flags):
+        # they used to fail at run time with exit 3
+        out = tmp_path / "analyze"
+        assert main(["analyze", "--checkpoint", str(checkpoint), "--out", str(out),
+                     *flags]) == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_demo_gen_needs_a_trajectory(self, tmp_path, count):
+        # zero wrote an empty reference set and exited 0
+        out = tmp_path / "refs"
+        assert main(["demo-gen", "--motion", "leap", "--out", str(out),
+                     "--trajectories", count]) == EXIT_USAGE
+        assert not out.exists()
 
 
 class TestCheckpointReadOnce:
@@ -148,8 +224,10 @@ class TestAblate:
         summary = json.loads((out / "summary.json").read_text())
         run_eval = json.loads((out / "h2_wgan" / "eval.json").read_text())
         assert [(r["loss"], r["horizon"]) for r in summary] == [("wgan", 2)]
-        assert summary[0]["dtw_mean"] == run_eval["dtw"]["mean"]
-        assert summary[0]["stand_still"] == run_eval["stand_still"]["mean"]
+        assert run_eval["seeds"] == 1
+        assert summary[0]["dtw_mean"] == run_eval["dtw_mean"]
+        assert summary[0]["dtw_std"] == run_eval["per_seed"][0]["dtw"]["std"]
+        assert summary[0]["stand_still"] == run_eval["per_seed"][0]["stand_still"]["mean"]
 
 
 class TestEvalAlignments:

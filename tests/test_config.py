@@ -2,18 +2,25 @@ from dataclasses import asdict
 
 import pytest
 
-from planarmimic.config import (ConfigError, TrainConfig, apply_overrides,
-                                config_to_mapping, default_config, load_config,
-                                parse_config_text, save_config)
+from planarmimic.config import (TASK_DEFAULTS, ConfigError, TrainConfig,
+                                _set_dotted, build_config, config_to_mapping,
+                                default_config, save_config)
+
+
+def build_from_text(tmp_path, text):
+    path = tmp_path / "config.txt"
+    path.write_text(text)
+    return build_config(path)
 
 
 class TestParsing:
-    def test_empty_text_gives_defaults(self):
-        cfg = parse_config_text("")
-        assert asdict(cfg) == asdict(TrainConfig())
+    def test_empty_text_gives_defaults(self, tmp_path):
+        # with no task given the task is leap, with its defaults
+        cfg = build_from_text(tmp_path, "")
+        assert asdict(cfg) == asdict(default_config())
 
-    def test_dotted_keys_reach_nested_sections(self):
-        cfg = parse_config_text("""
+    def test_dotted_keys_reach_nested_sections(self, tmp_path):
+        cfg = build_from_text(tmp_path, """
             # comment line
             task = backflip
             seed = 9
@@ -34,32 +41,32 @@ class TestParsing:
         assert cfg.sim.body_mass == 3.0
         assert cfg.dtw.open_end is False
 
-    def test_task_defaults_apply_regardless_of_order(self):
-        a = parse_config_text("disc.horizon = 3\ntask = backflip\n")
-        b = parse_config_text("task = backflip\ndisc.horizon = 3\n")
+    def test_task_defaults_apply_regardless_of_order(self, tmp_path):
+        a = build_from_text(tmp_path, "disc.horizon = 3\ntask = backflip\n")
+        b = build_from_text(tmp_path, "task = backflip\ndisc.horizon = 3\n")
         assert a.disc.horizon == 3
         assert b.disc.horizon == 3
         # unoverridden per-task default survives
-        c = parse_config_text("task = backflip\n")
+        c = build_from_text(tmp_path, "task = backflip\n")
         assert c.disc.horizon == 8
 
-    def test_unknown_key_collected(self):
+    def test_unknown_key_collected(self, tmp_path):
         with pytest.raises(ConfigError) as err:
-            parse_config_text("bogus_key = 1\nppo.nonsense = 2\n")
+            build_from_text(tmp_path, "bogus_key = 1\nppo.nonsense = 2\n")
         text = str(err.value)
         assert "bogus_key" in text
         assert "nonsense" in text
 
-    def test_malformed_line(self):
+    def test_malformed_line(self, tmp_path):
         with pytest.raises(ConfigError, match="key = value"):
-            parse_config_text("just some words\n")
+            build_from_text(tmp_path, "just some words\n")
 
-    def test_tuple_field(self):
-        cfg = parse_config_text("ppo.hidden_sizes = 32,32\n")
+    def test_tuple_field(self, tmp_path):
+        cfg = build_from_text(tmp_path, "ppo.hidden_sizes = 32,32\n")
         assert cfg.ppo.hidden_sizes == (32, 32)
 
-    def test_bool_coercion(self):
-        cfg = parse_config_text("disc.full_state = true\nppo.adaptive_lr = off\n")
+    def test_bool_coercion(self, tmp_path):
+        cfg = build_from_text(tmp_path, "disc.full_state = true\nppo.adaptive_lr = off\n")
         assert cfg.disc.full_state is True
         assert cfg.ppo.adaptive_lr is False
 
@@ -73,7 +80,7 @@ class TestRoundTrip:
         cfg.refs = "some/path"
         path = tmp_path / "config.txt"
         save_config(cfg, path)
-        loaded = load_config(path)
+        loaded = build_config(path)
         assert asdict(cfg) == asdict(loaded)
 
     def test_mapping_covers_every_field(self):
@@ -136,23 +143,48 @@ class TestValidation:
 
 class TestOverrides:
     def test_cli_style_overrides(self):
-        cfg = default_config()
-        apply_overrides(cfg, ["ppo.num_envs=3", "disc.learning_rate=1e-5"])
+        cfg = build_config(overrides=["ppo.num_envs=3", "disc.learning_rate=1e-5"])
         assert cfg.ppo.num_envs == 3
         assert cfg.disc.learning_rate == 1e-5
 
     def test_bad_override_format(self):
         with pytest.raises(ConfigError):
-            apply_overrides(default_config(), ["ppo.num_envs"])
+            build_config(overrides=["ppo.num_envs"])
 
     def test_unknown_override_key(self):
         with pytest.raises(ConfigError):
-            apply_overrides(default_config(), ["ppo.warp_speed=9"])
+            build_config(overrides=["ppo.warp_speed=9"])
 
     def test_task_override_brings_its_defaults_before_explicit_keys(self):
-        assert apply_overrides(default_config(), ["task=backflip"]).disc.horizon == 8
-        cfg = apply_overrides(default_config(), ["disc.horizon=4", "task=backflip"])
+        assert build_config(overrides=["task=backflip"]).disc.horizon == 8
+        cfg = build_config(overrides=["disc.horizon=4", "task=backflip"])
         assert (cfg.task, cfg.disc.horizon) == ("backflip", 4)
+
+
+class TestPrecedence:
+    def test_a_later_task_keeps_the_file_keys(self, tmp_path):
+        path = tmp_path / "config.txt"
+        path.write_text("task = wave\ndisc.horizon = 3\n")
+        for cfg in (build_config(path, keys=[("task", "backflip")]),
+                    build_config(path, overrides=["task=backflip"])):
+            # the file's horizon stays, backflip's other default applies
+            assert (cfg.task, cfg.disc.horizon, cfg.reward.w_imitation) == ("backflip", 3, 2.0)
+
+    def test_each_source_beats_the_ones_before(self, tmp_path):
+        path = tmp_path / "config.txt"
+        path.write_text("disc.horizon = 3\nseed = 5\niterations = 7\n")
+        cfg = build_config(path, keys=[("seed", 6), ("iterations", 8)],
+                           overrides=["iterations=9"])
+        assert (cfg.disc.horizon, cfg.seed, cfg.iterations) == (3, 6, 9)
+
+    @pytest.mark.parametrize("task", sorted(TASK_DEFAULTS))
+    @pytest.mark.parametrize("loss", ["wgan", "lsgan"])
+    def test_default_config_sets_the_task_loss_and_task_defaults(self, task, loss):
+        expected = TrainConfig(task=task)
+        expected.disc.loss_kind = loss
+        for key, value in TASK_DEFAULTS[task].items():
+            _set_dotted(expected, key, value)
+        assert config_to_mapping(default_config(task, loss)) == config_to_mapping(expected)
 
 
 class TestTaskDefaults:
