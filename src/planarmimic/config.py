@@ -57,9 +57,12 @@ class TrainConfig:
     checkpoint_interval: int = 500
     log_interval: int = 1
     sim: SimParams = field(default_factory=SimParams)
-    disc: DiscriminatorConfig = field(default_factory=DiscriminatorConfig)
+    # leap's horizon and imitation weight: the default config is leap's
+    disc: DiscriminatorConfig = field(
+        default_factory=lambda: DiscriminatorConfig(horizon=2))
     ppo: PpoConfig = field(default_factory=PpoConfig)
-    reward: RewardWeights = field(default_factory=RewardWeights)
+    reward: RewardWeights = field(
+        default_factory=lambda: RewardWeights(w_imitation=2.0))
     dtw: DtwConfig = field(default_factory=DtwConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
 
@@ -88,9 +91,9 @@ class TrainConfig:
         return self
 
 
-# imitation-weight and horizon defaults per task (desk-scale starting points)
+# imitation-weight and horizon defaults per task (desk-scale starting
+# points) where they differ from leap's, which are ``TrainConfig()``'s
 TASK_DEFAULTS = {
-    "leap": {"reward.w_imitation": 2.0, "disc.horizon": 2},
     "wave": {"reward.w_imitation": 1.0, "disc.horizon": 4},
     "standup": {"reward.w_imitation": 2.0, "disc.horizon": 4},
     "backflip": {"reward.w_imitation": 2.0, "disc.horizon": 8},
@@ -170,15 +173,15 @@ def save_config(cfg: TrainConfig, path) -> None:
 
 
 def build_config(path=None, keys=(), overrides=()) -> TrainConfig:
-    """The config of a run, in one pass from ``TrainConfig()``: the last
-    ``task`` given anywhere (``leap`` if none) and its ``TASK_DEFAULTS``,
+    """The config of a run, in one pass from ``TrainConfig()`` (leap's):
+    the last ``task`` given anywhere and its ``TASK_DEFAULTS``,
     then the keys of the config file at ``path``, then ``keys`` (``(key,
     value)`` pairs: flags, or a checkpoint's config mapping), then
     ``overrides`` (``key=value`` strings). A later key beats an earlier one,
     and any key beats a task default. Raises ``ConfigError`` listing every
     bad line, key and value."""
     errors = []
-    staged = [("", "task", "leap")]
+    staged = []
     if path is not None:
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
             line = raw.strip()
@@ -198,15 +201,15 @@ def build_config(path=None, keys=(), overrides=()) -> TrainConfig:
         staged.append(("", key.strip(), value.strip()))
 
     cfg = TrainConfig()
-    # the sort is stable: the task entries go first, in their order
-    for where, key, value in sorted(staged, key=lambda entry: entry[1] != "task"):
+    # the last task's defaults go first, so any key given beats them
+    task = next((value for _, key, value in reversed(staged) if key == "task"),
+                cfg.task)
+    defaults = [("", key, value) for key, value in TASK_DEFAULTS.get(task, {}).items()]
+    for where, key, value in defaults + staged:
         try:
             _set_dotted(cfg, key, value)
         except ValueError as e:
             errors.append(f"{where}{e}")
-        if key == "task":
-            for dkey, dval in TASK_DEFAULTS.get(cfg.task, {}).items():
-                _set_dotted(cfg, dkey, dval)
     if errors:
         raise ConfigError(errors)
     return cfg

@@ -6,8 +6,22 @@ piece: keys and scalars through ``json.dumps``, arrays a row at a time, and a
 long vector in slices of ``JSON_SLICE`` values, so a save holds one slice's
 text and floats at a time, not the whole checkpoint. The file is byte for
 byte ``json.dumps`` of the same dict with every array as nested lists.
-``load_checkpoint`` turns each net's parameters and each optimizer's slots
-into float64 arrays as soon as the parser closes their dict.
+
+``load_checkpoint`` is its mirror. It reads the file in blocks of
+``READ_BLOCK`` (64 Ki) characters and walks its objects key by key. The
+value of a ``params`` key (a net's parameters) and of a ``slots`` key that
+holds an object (a format-2 optimizer's slots) become float64 arrays: the
+complete float literals of each block, or a block's worth of a matrix's
+complete rows, go to ``np.fromstring`` in one call, and an array's pieces
+are joined when its closing ``]`` arrives. Every other value goes to
+``json`` whole. So a load holds about two blocks of text and the pieces of
+one array and their join, besides the arrays it returns: its transient
+memory is set by the block size and the largest array, not by the file.
+``np.fromstring`` reads an empty literal as -1.0 without a word
+(``np.fromstring("1.0, 2.0, ", sep=",")`` is ``[1., 2., -1.]``), so it is
+never handed text that ends in a separator, and the values it returns are
+checked against the literals in the text. A file that ends early, or is
+not JSON, raises ``ValueError``.
 
 Every file the program replaces goes through ``_write_atomic``: the chunks
 stream into a temp file beside the target, which is flushed, synced and
@@ -20,6 +34,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
 import subprocess
 import time
 from dataclasses import dataclass
@@ -45,6 +60,8 @@ from .sim import PlanarEnv
 CHECKPOINT_FORMAT_VERSION = 2
 # values per encoded slice of a vector: a few hundred KiB of floats and text
 JSON_SLICE = 4096
+# characters read from a checkpoint file at a time
+READ_BLOCK = 64 * 1024
 # config keys that older checkpoints carry and nothing reads any more
 RETIRED_CONFIG_KEYS = ("demo_noise", "demo_height_offset")
 
@@ -123,22 +140,166 @@ def json_chunks(obj):
         yield json.dumps(obj)
 
 
-def _decode_arrays(d: dict) -> dict:
-    """``json`` object hook: a net's parameters and a format-2 optimizer's
-    slots become float64 arrays as soon as their dict is parsed, so the
-    parsed floats of one net or optimizer are alive at a time."""
-    if "layer_sizes" in d and "params" in d:
-        d["params"] = [np.array(p, dtype=np.float64) for p in d["params"]]
-    elif "kind" in d and isinstance(d.get("slots"), dict):
-        d["slots"] = {name: np.array(v, dtype=np.float64)
-                      for name, v in d["slots"].items()}
-    return d
+_BLANK = re.compile(r"[ \t\n\r]*")
+_EMPTY_LITERAL = re.compile(r",[ \t\n\r]*(?:,|$)")
+_decode = json.JSONDecoder().raw_decode
+
+
+def _floats(text: str) -> np.ndarray:
+    """The values of ``text``, float literals with commas between them,
+    checked against the literal count and for an empty literal, which
+    np.fromstring reads as -1.0: the text is searched for one only where a
+    value is -1.0."""
+    values = np.fromstring(text, sep=",")
+    if values.size != text.count(",") + 1 or (
+            (values == -1.0).any() and _EMPTY_LITERAL.search("," + text)):
+        raise ValueError(f"malformed number list in checkpoint near {text[:40]!r}")
+    return values
+
+
+class _Reader:
+    """The text of a checkpoint file, read a block at a time: ``buf[pos:]``
+    is what is read and not yet parsed."""
+
+    def __init__(self, f):
+        self.f, self.buf, self.pos, self.eof = f, "", 0, False
+
+    def more(self) -> bool:
+        """Append the next block; False at the end of the file."""
+        block = self.f.read(READ_BLOCK)
+        self.buf, self.pos = self.buf[self.pos:] + block, 0
+        self.eof = not block
+        return not self.eof
+
+    def peek(self) -> str:
+        """The next non-blank character, not consumed; "" at the end."""
+        while True:
+            self.pos = _BLANK.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or not self.more():
+                return self.buf[self.pos:self.pos + 1]
+
+    def expect(self, chars: str) -> str:
+        c = self.peek()
+        if not c or c not in chars:
+            raise ValueError(f"checkpoint: expected one of {chars!r}, found {c!r}")
+        self.pos += 1
+        return c
+
+    def json(self):
+        """The next value, parsed by ``json`` whole."""
+        self.peek()
+        while True:
+            try:
+                value, end = _decode(self.buf, self.pos)
+            except json.JSONDecodeError:
+                if self.eof:
+                    raise
+            else:
+                # a number may go on past the text read so far, as "0." goes
+                # on into "0.5"; the slice is "" at its end, which `in` finds
+                if self.eof or self.buf[end:end + 1] not in "0123456789.eE+-":
+                    self.pos = end
+                    return value
+            # read until the held text doubles, so a value of n blocks is
+            # decoded about log2(n) times, not n times
+            held = len(self.buf) - self.pos
+            while len(self.buf) - self.pos < 2 * held and self.more():
+                pass
+
+    def items(self, close: str, read) -> list:
+        """``read()`` for each item up to ``close``, the opening bracket
+        consumed."""
+        items = []
+        if self.peek() == close:
+            self.pos += 1
+            return items
+        while True:
+            items.append(read())
+            if self.expect("," + close) == close:
+                return items
+
+    def object(self, member) -> dict:
+        """An object whose value under each key ``member(key)`` reads."""
+        def pair():
+            key = self.json()
+            if not isinstance(key, str):
+                raise ValueError(f"checkpoint: key {key!r} is not a string")
+            self.expect(":")
+            return key, member(key)
+
+        self.expect("{")
+        return dict(self.items("}", pair))
+
+    def value(self, key: str):
+        """The value under ``key``: a net's ``params`` as a list of arrays, a
+        format-2 optimizer's ``slots`` as arrays by name, any other object
+        member by member, and anything else by ``json``."""
+        c = self.peek()
+        if key == "params":
+            self.expect("[")
+            return self.items("]", self.array)
+        if key == "slots" and c == "{":
+            return self.object(lambda name: self.array())
+        if c == "{":
+            return self.object(self.value)
+        return self.json()
+
+    def array(self) -> np.ndarray:
+        """A list of numbers, or of rows of numbers, as a float64 array."""
+        self.expect("[")
+        return self.rows() if self.peek() == "[" else self.run()
+
+    def rows(self) -> np.ndarray:
+        """Rows of numbers up to the "]" that closes them, as one 2-D array.
+        Rows are joined into one call to numpy per block's worth of text."""
+        pieces, texts, held, widths = [], [], 0, set()
+        while True:
+            self.expect("[")
+            while (end := self.buf.find("]", self.pos)) < 0:
+                if not self.more():
+                    raise ValueError("checkpoint ends inside a number list")
+            texts.append(self.buf[self.pos:end])
+            held += end - self.pos
+            self.pos = end + 1
+            done = self.expect(",]") == "]"
+            if done or held >= READ_BLOCK:
+                widths.update(text.count(",") + 1 for text in texts)
+                pieces.append(_floats(", ".join(texts)))
+                texts, held = [], 0
+            if done:
+                if len(widths) != 1:
+                    raise ValueError("checkpoint: rows of different lengths")
+                return np.concatenate(pieces).reshape(-1, widths.pop())
+
+    def run(self) -> np.ndarray:
+        """The numbers up to the next "]", which is consumed. The complete
+        literals read so far are parsed block by block."""
+        pieces = []
+        while True:
+            end = self.buf.find("]", self.pos)
+            if end >= 0:
+                text, self.pos = self.buf[self.pos:end], end + 1
+                if not pieces and not text.strip():
+                    return np.zeros(0)
+                pieces.append(_floats(text))
+                return np.concatenate(pieces)
+            cut = self.buf.rfind(",", self.pos)
+            if cut >= 0:
+                pieces.append(_floats(self.buf[self.pos:cut]))
+                self.pos = cut + 1
+            if not self.more():
+                raise ValueError("checkpoint ends inside a number list")
 
 
 def load_checkpoint(path) -> dict:
-    """Parse a checkpoint file, its parameters and optimizer slots as arrays."""
+    """Parse a checkpoint file, its parameters and optimizer slots as arrays
+    (see the module docstring)."""
     with Path(path).open() as f:
-        return json.load(f, object_hook=_decode_arrays)
+        reader = _Reader(f)
+        ckpt = reader.object(reader.value)
+        if reader.peek():
+            raise ValueError("checkpoint: extra data after the object")
+    return ckpt
 
 
 class Trainer:

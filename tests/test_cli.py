@@ -141,6 +141,23 @@ class TestUsageErrors:
                      *flags]) == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("spelling", [
+        ["--pitch-rate-range", "-12,12", "--height-range", "-0.1,0.8"],
+        ["--pitch-rate-range=-12,12", "--height-range=-0.1,0.8"]])
+    def test_analyze_range_with_a_negative_low(self, spelling):
+        # with a space, "-12,12" was taken for an option: "expected one argument"
+        args = cli.build_parser().parse_args(
+            ["analyze", "--checkpoint", "c.json", "--out", "out", *spelling])
+        assert args.pitch_rate_range == (-12.0, 12.0)
+        assert args.height_range == (-0.1, 0.8)
+
+    def test_analyze_runs_with_a_spaced_negative_range(self, checkpoint, tmp_path):
+        out = tmp_path / "analyze"
+        assert main(["analyze", "--checkpoint", str(checkpoint), "--out", str(out),
+                     "--grid", "3", "--pitch-rate-range", "-12,12",
+                     "--height-range", "0,0.8"]) == EXIT_OK
+        assert out.is_dir()
+
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_demo_gen_needs_a_trajectory(self, tmp_path, count):
         # zero wrote an empty reference set and exited 0
@@ -170,6 +187,21 @@ class TestCheckpointReadOnce:
                      "--out", str(tmp_path / "out"), *extra])
         assert code == EXIT_OK
         assert len(opened) == 1
+
+
+class TestTornCheckpoint:
+    @pytest.mark.parametrize("command", [
+        ["eval", "--checkpoint", "{torn}", "--out", "{out}"],
+        ["analyze", "--checkpoint", "{torn}", "--out", "{out}"],
+        ["train", "--resume", "{torn}", "--out", "{out}", "--quiet"]])
+    def test_is_a_runtime_failure(self, checkpoint, tmp_path, command):
+        # as a crash mid-copy leaves it: the file stops inside a number list
+        torn, out = tmp_path / "torn.json", tmp_path / "out"
+        text = checkpoint.read_bytes()
+        torn.write_bytes(text[:len(text) // 2])
+        argv = [word.format(torn=torn, out=out) for word in command]
+        assert main(argv) == EXIT_RUNTIME
+        assert not out.exists()
 
 
 class TestRetiredConfigKeys:

@@ -5,6 +5,7 @@ import pytest
 from planarmimic.config import (TASK_DEFAULTS, ConfigError, TrainConfig,
                                 _set_dotted, build_config, config_to_mapping,
                                 default_config, save_config)
+from planarmimic.sim import MOTIONS
 
 
 def build_from_text(tmp_path, text):
@@ -177,17 +178,28 @@ class TestPrecedence:
                            overrides=["iterations=9"])
         assert (cfg.disc.horizon, cfg.seed, cfg.iterations) == (3, 6, 9)
 
-    @pytest.mark.parametrize("task", sorted(TASK_DEFAULTS))
+    @pytest.mark.parametrize("task", sorted(MOTIONS))
     @pytest.mark.parametrize("loss", ["wgan", "lsgan"])
     def test_default_config_sets_the_task_loss_and_task_defaults(self, task, loss):
         expected = TrainConfig(task=task)
         expected.disc.loss_kind = loss
-        for key, value in TASK_DEFAULTS[task].items():
+        for key, value in TASK_DEFAULTS.get(task, {}).items():
             _set_dotted(expected, key, value)
         assert config_to_mapping(default_config(task, loss)) == config_to_mapping(expected)
 
 
 class TestTaskDefaults:
+    def test_the_default_config_is_leaps(self):
+        # it had horizon 4 and imitation weight 1.0, a config no command built
+        assert asdict(TrainConfig()) == asdict(default_config())
+
+    def test_a_later_leap_drops_an_earlier_tasks_defaults(self, tmp_path):
+        path = tmp_path / "config.txt"
+        path.write_text("task = backflip\n")
+        for cfg in (build_config(path, keys=[("task", "leap")]),
+                    build_config(path, overrides=["task=leap"])):
+            assert asdict(cfg) == asdict(default_config())
+
     def test_per_task_values(self):
         assert default_config("leap").disc.horizon == 2
         assert default_config("backflip").disc.horizon == 8

@@ -1,4 +1,6 @@
 import json
+import re
+import struct
 import tempfile
 import tracemalloc
 from functools import cache
@@ -18,8 +20,8 @@ from planarmimic.rewards import (handcrafted_backflip_reward,
 from planarmimic.sim import PlanarEnv, generate_demo_set
 from planarmimic.trainer import (CHECKPOINT_FORMAT_VERSION, Trainer,
                                  build_identifier, evaluate_policy,
-                                 json_chunks, load_checkpoint, rollout_batch,
-                                 rollout_observations)
+                                 READ_BLOCK, json_chunks, load_checkpoint,
+                                 rollout_batch, rollout_observations)
 
 from test_nets import assert_views_of
 
@@ -385,6 +387,201 @@ class TestStreamedCheckpoint:
         # the restored optimizer owns its slots
         for name, slot in restored.disc_opt.slots.items():
             assert not np.shares_memory(slot, ckpt["disc_opt"]["slots"][name])
+
+
+def decode_arrays(d: dict) -> dict:
+    """The object hook checkpoints were read with before the block reader,
+    kept as its oracle: a net's parameters and a format-2 optimizer's slots
+    become float64 arrays."""
+    if "layer_sizes" in d and "params" in d:
+        d["params"] = [np.array(p, dtype=np.float64) for p in d["params"]]
+    elif "kind" in d and isinstance(d.get("slots"), dict):
+        d["slots"] = {name: np.array(v, dtype=np.float64)
+                      for name, v in d["slots"].items()}
+    return d
+
+
+def oracle_load(path) -> dict:
+    with Path(path).open() as f:
+        return json.load(f, object_hook=decode_arrays)
+
+
+def assert_same(got, expected, where="checkpoint"):
+    """The same keys in the same order, the same Python types, and the same
+    float64 bytes, NaN included."""
+    assert type(got) is type(expected), where
+    if isinstance(expected, np.ndarray):
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape), where
+        assert got.flags.c_contiguous, where
+        assert got.tobytes() == expected.tobytes(), where
+    elif isinstance(expected, dict):
+        assert list(got) == list(expected), where
+        for key in expected:
+            assert_same(got[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert len(got) == len(expected), where
+        for i, (a, b) in enumerate(zip(got, expected)):
+            assert_same(a, b, f"{where}[{i}]")
+    elif isinstance(expected, float):
+        assert struct.pack("<d", got) == struct.pack("<d", expected), where
+    else:
+        assert got == expected, where
+
+
+def array_bytes(obj) -> int:
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        return sum(array_bytes(v) for v in obj.values())
+    if isinstance(obj, list):
+        return sum(array_bytes(v) for v in obj)
+    return 0
+
+
+def reader_case(name):
+    """A trainer whose checkpoint the reader is checked on."""
+    if name == "desk fresh":
+        cfg = default_config()
+        return Trainer(cfg, tiny_dataset(cfg))
+    if name == "desk trained":
+        return desk_trainer()
+    cfg = tiny_config(loss="lsgan" if name == "lsgan sgd" else "wgan")
+    if name.startswith("E="):
+        cfg.ppo.num_envs = int(name[2:])
+    trainer = Trainer(cfg, tiny_dataset(cfg))
+    trainer.train_iteration()
+    if name == "lsgan sgd":
+        assert trainer.disc_opt.kind == "sgd"
+    if name == "nan window":
+        trainer.collector.history.frames.last(1)[1, 0, :] = np.nan
+    return trainer
+
+
+def block_ends(text, block):
+    """Where the ends of ``block``-character reads fall in ``text``."""
+    keys = [m.span() for m in re.finditer(r'"[^"]*": ', text)]
+    kinds = set()
+    for p in range(block, len(text), block):
+        if text[p - 1].isdigit() and text[p].isdigit():
+            kinds.add("inside a number")
+        if any(text.startswith("], [", s) for s in range(p - 3, p)):
+            kinds.add("between a row's brackets")
+    for start, end in keys:
+        # the quotes are at start and end - 3
+        if (start // block) != ((end - 3) // block):
+            kinds.add("inside a key")
+    return kinds
+
+
+# the places a torn checkpoint is cut: the text it keeps ends there
+TORN_CUTS = {
+    "after a comma in a slot run": lambda t: t.index(", ", t.index('"slots": {')) + 1,
+    "after a separator in a slot run": lambda t: t.index(", ", t.index('"slots": {')) + 2,
+    "inside a number in a slot run": lambda t: t.index(", ", t.index('"slots": {')) + 5,
+    "inside a number in a row": lambda t: t.index('"params": [[') + 15,
+    "between a row's brackets": lambda t: t.index("], [") + 2,
+    "inside a key": lambda t: t.index('"disc_opt"') + 5,
+    "before the last brace": lambda t: t.rindex("}"),
+    "empty": lambda t: 0,
+}
+
+
+class TestCheckpointReader:
+    @pytest.mark.parametrize("case", ["desk fresh", "desk trained", "E=1", "E=256",
+                                      "lsgan sgd", "nan window"])
+    def test_matches_the_json_oracle(self, tmp_path, case):
+        path = reader_case(case).save_checkpoint(tmp_path / "c.json")
+        if case == "nan window":
+            assert "NaN" in json.dumps(json.loads(path.read_text())["collector"]["windows"])
+        assert_same(load_checkpoint(path), oracle_load(path))
+
+    @pytest.mark.parametrize("case", ["desk trained", "nan window"])
+    def test_a_loaded_checkpoint_saves_byte_identical(self, tmp_path, case):
+        path = reader_case(case).save_checkpoint(tmp_path / "c.json")
+        again = Trainer.from_checkpoint(path, dataset=tiny_dataset(default_config()))
+        assert again.save_checkpoint(tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("block", [1, 5, 97])
+    def test_matches_the_oracle_at_any_block_end(self, tmp_path, monkeypatch, block):
+        path = reader_case("lsgan sgd").save_checkpoint(tmp_path / "c.json")
+        assert block_ends(path.read_text(), block) == {
+            "inside a number", "inside a key", "between a row's brackets"}
+        format1 = DATA / "checkpoint_format1.json"
+        monkeypatch.setattr("planarmimic.trainer.READ_BLOCK", block)
+        assert_same(load_checkpoint(path), oracle_load(path))
+        assert_same(load_checkpoint(format1), oracle_load(format1))
+
+    @pytest.mark.parametrize("block,slice_len", [(READ_BLOCK, 4096), (7, 3)])
+    def test_random_bit_patterns_round_trip(self, tmp_path, monkeypatch,
+                                            block, slice_len):
+        rng = np.random.default_rng(5)
+        values = np.concatenate([
+            rng.integers(0, 2 ** 64, size=3000, dtype=np.uint64).view(np.float64),
+            # subnormals, signed zeros, the extremes, and -1.0, which the
+            # empty-literal check looks twice at
+            [5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+             0.0, -0.0, 1.7976931348623157e308, -1.7976931348623157e308,
+             1e-300, -1e300, -1.0, np.nan, np.inf, -np.inf]])
+        values = rng.permutation(values)
+        obj = {"net": {"layer_sizes": [4, 5], "activation": "relu",
+                       "params": [values[:1000].reshape(50, 20), values[1000:1050]]},
+               "opt": {"kind": "adam", "slots": {"m": values, "v": values[::-1]}}}
+        monkeypatch.setattr("planarmimic.trainer.JSON_SLICE", slice_len)
+        path = tmp_path / "bits.json"
+        path.write_text("".join(json_chunks(obj)) + "\n")
+        monkeypatch.setattr("planarmimic.trainer.READ_BLOCK", block)
+        got = load_checkpoint(path)
+        assert_same(got, oracle_load(path))
+        # every value but NaN keeps its bits; json has one NaN
+        kept = ~np.isnan(values)
+        assert got["opt"]["slots"]["m"][kept].tobytes() == values[kept].tobytes()
+
+    @pytest.mark.parametrize("cut", sorted(TORN_CUTS))
+    @pytest.mark.parametrize("block", [READ_BLOCK, 3])
+    def test_torn_file_raises(self, tmp_path, monkeypatch, cut, block):
+        text = reader_case("lsgan sgd").save_checkpoint(tmp_path / "c.json").read_text()
+        torn = tmp_path / "torn.json"
+        torn.write_text(text[:TORN_CUTS[cut](text)])
+        monkeypatch.setattr("planarmimic.trainer.READ_BLOCK", block)
+        with pytest.raises(ValueError):
+            load_checkpoint(torn)
+
+    @pytest.mark.parametrize("text", [
+        # np.fromstring reads these empty literals as -1.0 without a word,
+        # and "1.0," as [1.0]
+        *('{"opt": {"kind": "sgd", "slots": {"m": [%s]}}}' % run for run in
+          ["1.0, , 2.0", "1.0, 2.0, ", " , 1.0", "1.0,", "1.0,, 2.0", "1.0 2.0",
+           "1.0, x"]),
+        '{"net": {"params": [[[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]]]}}',
+        '{"net": {"params": [[[1.0, 2.0], [3.0, ]]]}}',
+        '{"iteration": 1} {"iteration": 2}'])
+    def test_malformed_file_raises(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    def test_load_peak_is_a_block_and_an_array_not_the_file(self, tmp_path):
+        # json.load peaked at 4.94 and 6.60 MiB on checkpoints like these
+        cfg = default_config()
+        trainer = Trainer(cfg, tiny_dataset(cfg))
+        transient = []
+        for name in ("fresh", "trained"):
+            if name == "trained":
+                trainer.train_iteration()
+            path = trainer.save_checkpoint(tmp_path / f"{name}.json")
+            load_checkpoint(path)
+            tracemalloc.start()
+            try:
+                ckpt = load_checkpoint(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            transient.append(peak - array_bytes(ckpt))
+        assert path.stat().st_size > 3 * 2 ** 20
+        assert max(transient) < 2 ** 20
+        # the trained file is twice the fresh one, the transient no larger
+        assert abs(transient[1] - transient[0]) < 2 ** 18
 
 
 @cache
