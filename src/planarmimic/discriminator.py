@@ -70,6 +70,8 @@ class DiscriminatorConfig:
             errors.append("disc.epochs_per_iter must be >= 1")
         if self.minibatches < 1:
             errors.append("disc.minibatches must be >= 1")
+        if self.minibatch_size < 1:
+            errors.append("disc.minibatch_size must be >= 1")
         return errors
 
 
@@ -95,10 +97,8 @@ def _as_batch(windows: np.ndarray, input_dim: int) -> np.ndarray:
 
 def raw_score(net: MlpNet, windows: np.ndarray,
               cache: ForwardCache | None = None) -> np.ndarray:
-    """Discriminator output for a batch (B, D) or a stack of batches
-    (..., B, D), such as a rollout's (T, E, D) windows; the scores have the
-    batch's leading shape, and each batch's are the bytes of its own call
-    (see ``MlpNet.forward``). With a ``cache`` the scores are a view of it."""
+    """Discriminator output (B,) for a batch of windows (B, D), such as one
+    rollout step's (E, D). With a ``cache`` the scores are a view of it."""
     y, _ = net.forward(windows, cache)
     return y[..., 0]
 

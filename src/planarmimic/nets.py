@@ -24,6 +24,10 @@ a (64, 256) activation is 128 KiB, glibc's mmap threshold, and a gradient
 vector 284 KiB, so each new one was mapped, faulted in and unmapped. A desk
 training iteration took about 6,700 minor faults, about 630 in each
 discriminator loss; with the discriminator's arrays kept, about 230.
+A kept array is sized by one step's batch or one minibatch, never by a
+rollout: the collector runs its value and critic forwards one step's
+(E, n) batch at a time, since caches of a stacked (T, E, n) forward would
+hold T times the memory from one iteration to the next.
 """
 
 from __future__ import annotations
@@ -424,8 +428,15 @@ def net_to_dict(net: MlpNet) -> dict:
 
 
 def net_from_dict(d: dict) -> MlpNet:
+    """Rebuild a net from ``net_to_dict``'s output. Raises ``ValueError``
+    where a parameter's shape is not its layer's: assigning it would
+    broadcast a (1, n) row into every row of an (m, n) weight."""
     net = MlpNet(d["layer_sizes"], d["activation"])
     for view, p in zip(unflatten(net.flat, net.shapes), d["params"], strict=True):
+        p = np.asarray(p, dtype=np.float64)
+        if p.shape != view.shape:
+            raise ValueError(f"parameter of shape {p.shape} for a layer of "
+                             f"shape {view.shape}")
         view[...] = p
     return net
 

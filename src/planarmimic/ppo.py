@@ -71,6 +71,9 @@ class PpoConfig:
             errors.append("ppo.steps_per_iter must be >= 1")
         if self.num_envs < 1:
             errors.append("ppo.num_envs must be >= 1")
+        if self.minibatches > self.num_envs * self.steps_per_iter:
+            # an empty minibatch has a NaN loss, which aborts every update
+            errors.append("ppo.minibatches must be <= ppo.num_envs * ppo.steps_per_iter")
         if self.learning_rate < 0:
             errors.append("ppo.learning_rate must be >= 0")
         return errors
@@ -226,13 +229,16 @@ class RolloutCollector:
     The step loop does only what the next step reads: sample the policy,
     step the env, advance the history of every row, and then reset the
     finished rows, whose history starts over in every slot. It records the
-    rest, and after the loop one stacked forward each gives the values and
-    the scores, and the rewards are assembled over the whole (T, E) rollout.
-    Every value is the one a step-by-step collection computes, byte for byte
-    (the tests keep that loop as the oracle): a stacked forward runs each
-    step's own products, and the reward terms are elementwise. The imitation
-    rewards come from ``imitation.pay``, so only policy scores reach its
-    statistics, each step's after that step's rewards are read.
+    rest, and after the loop the values and the scores come from one forward
+    of each step's (E, ·) batch, and the rewards are assembled over the whole
+    (T, E) rollout. Every value is the one a step-by-step collection
+    computes, byte for byte (the tests keep that loop as the oracle): each
+    forward is its step's own, and the reward terms are elementwise. The
+    forward caches, kept from one rollout to the next, hold E-row arrays
+    only; a stacked (T, E, ·) forward gives the same bytes but keeps T
+    times the memory. The imitation rewards come from ``imitation.pay``, so
+    only policy scores reach its statistics, each step's after that step's
+    rewards are read.
     """
 
     def __init__(self, env, disc_cfg: DiscriminatorConfig, ppo_cfg: PpoConfig,
@@ -313,8 +319,12 @@ class RolloutCollector:
         hist.obs(out=obs[T])
         windows = windows.reshape(T, E, -1)
 
-        values, _ = value_net.forward(obs, self._value_cache)
-        scores = raw_score(disc_net, windows, self._disc_cache).copy()
+        # one step's batch per forward, so the kept caches hold E rows
+        values, scores = np.empty((T + 1, E)), np.empty((T, E))
+        for t in range(T + 1):
+            values[t] = value_net.forward(obs[t], self._value_cache)[0][:, 0]
+        for t in range(T):
+            scores[t] = raw_score(disc_net, windows[t], self._disc_cache)
         r_imit = imitation.pay(scores)
         r_term = termination_penalty(terminal, self.weights.gamma)
         r_reg = regularization_reward(actions, prev_actions, joint_vel, prev_joint_vel,
@@ -323,9 +333,9 @@ class RolloutCollector:
         return RolloutBuffer(
             obs=obs[:T], actions=actions,
             log_probs=policy.log_prob(means, actions),
-            values=values[:T, :, 0].copy(),
+            values=values[:T],
             rewards=total_reward(r_imit, r_term, r_reg, self.weights.w_imitation),
-            dones=dones, windows=windows, bootstrap_value=values[T, :, 0].copy(),
+            dones=dones, windows=windows, bootstrap_value=values[T],
             scores=scores, r_imitation=r_imit, r_regularization=r_reg,
             r_termination=r_term, episode_lengths=episode_lengths,
             termination_count=int(terminal.sum()))

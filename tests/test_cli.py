@@ -244,6 +244,16 @@ class TestTrainConfigErrors:
         assert code == EXIT_CONFIG
         assert not (out / "metrics.jsonl").exists()
 
+    @pytest.mark.parametrize("setting", ["disc.minibatch_size=0",
+                                         "ppo.minibatches=1000"])
+    def test_bad_minibatch_setting_fails_before_training(self, tmp_path, setting):
+        save_config(tiny_config(tmp_path=tmp_path), tmp_path / "base.txt")
+        out = tmp_path / "run"
+        code = main(["train", "--config", str(tmp_path / "base.txt"),
+                     "--out", str(out), "--set", setting, "--quiet"])
+        assert code == EXIT_CONFIG
+        assert not (out / "metrics.jsonl").exists()
+
 
 class TestAblate:
     def test_summary_carries_each_run_eval(self, tmp_path):

@@ -130,6 +130,26 @@ class TestValidation:
         cfg.sim.mass_perturb_low, cfg.sim.mass_perturb_high = low, high
         assert cfg.validate() == [fragment]
 
+    @pytest.mark.parametrize("key, value, fragment", [
+        # 500 minibatches of 384 samples: every update aborted on an empty one
+        ("ppo.minibatches", 500,
+         "ppo.minibatches must be <= ppo.num_envs * ppo.steps_per_iter"),
+        # these used to raise after the first rollout, with exit 3
+        ("disc.minibatch_size", 0, "disc.minibatch_size must be >= 1"),
+        ("disc.minibatch_size", -3, "disc.minibatch_size must be >= 1"),
+    ])
+    def test_minibatch_settings(self, key, value, fragment):
+        cfg = default_config()
+        section, name = key.split(".")
+        setattr(getattr(cfg, section), name, value)
+        assert cfg.validate() == [fragment]
+
+    def test_one_sample_per_minibatch_is_valid(self):
+        cfg = default_config()
+        cfg.ppo.minibatches = cfg.ppo.num_envs * cfg.ppo.steps_per_iter
+        cfg.disc.minibatch_size = 1
+        assert cfg.validate() == []
+
     def test_gamma_consistency_enforced(self):
         cfg = default_config()
         cfg.ppo.gamma = 0.95

@@ -494,6 +494,23 @@ class TestSerialization:
         with pytest.raises(ValueError):
             net_from_dict(d)
 
+    @pytest.mark.parametrize("index, shape", [(0, (1, 3)), (1, (1,))])
+    def test_parameter_of_another_shape_rejected(self, index, shape):
+        # a (1, 3) weight or a length-1 bias used to broadcast into the
+        # (4, 3) layer's every row or entry
+        d = net_to_dict(MlpNet.create([3, 4, 2], rng=np.random.default_rng(0)))
+        params = list(d["params"])
+        params[index] = np.ones(shape)
+        d["params"] = params
+        with pytest.raises(ValueError, match=r"shape \(4"):
+            net_from_dict(d)
+
+    def test_parameters_as_nested_lists_load(self):
+        net = MlpNet.create([3, 4, 2], rng=np.random.default_rng(1))
+        d = net_to_dict(net)
+        d["params"] = [p.tolist() for p in d["params"]]
+        assert net_from_dict(d).flat.tobytes() == net.flat.tobytes()
+
 
 def assert_views_of(vector, arrays):
     """Each array is C-contiguous and lives in ``vector``'s memory."""

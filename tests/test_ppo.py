@@ -328,6 +328,20 @@ class TestCollectorState:
 
 
 class TestCollector:
+    def test_kept_forward_arrays_hold_one_step(self):
+        # the value and critic forwards run one step's (E, n) batch at a
+        # time, so what the collector keeps between rollouts has no T axis
+        E, T = 4, 7
+        collector, policy, value_net, disc, imitation, _ = tiny_setup(
+            seed=2, num_envs=E, steps=T)
+        buf = collector.collect(policy, value_net, disc, imitation)
+        assert buf.values.shape == buf.scores.shape == (T, E)
+        for cache in (collector._value_cache, collector._disc_cache):
+            arrays = [cache.x, *cache.zs, *cache.activs, *cache._arrays.values()]
+            assert len(arrays) >= 5
+            for a in arrays:
+                assert a.ndim == 2 and a.shape[0] == E, a.shape
+
     def test_fixed_seed_bit_identical(self):
         a = tiny_setup(seed=3)
         b = tiny_setup(seed=3)
