@@ -19,13 +19,20 @@ only place that decides precedence. Each step beats the ones before it:
 
 A resume takes only ``--iterations`` and ``--out``.
 
+``train`` writes a checkpoint (format 3, see ``trainer``) every
+``checkpoint_interval`` iterations as ``checkpoint_<n>.npz``, the iteration
+in six digits (``checkpoint_000500.npz``), and at the end as
+``checkpoint_final.npz``. ``eval``, ``analyze`` and ``train --resume`` tell
+a checkpoint by its content, not its name, and exit 3 on one that is torn
+or damaged, or a JSON checkpoint of format 1 or 2.
+
 ``train``, ``eval`` and each ``ablate`` run write one ``eval.json`` schema,
 over the eval seeds ``k < eval.seeds``: ``config`` (``task``, ``loss``,
 ``horizon``, ``seed``, ``step_pattern``, ``open_end``, ``rollouts``),
 ``seeds``, ``dtw_mean`` and ``dtw_std_across_seeds`` (over the seeds'
 ``dtw.mean``), and ``per_seed``, seed k's ``EvalReport.to_dict()``
 (``dtw``, ``stand_still``, ``handcrafted``, ``n_rollouts``,
-``n_references``). ``eval`` on a run's ``checkpoint_final.json``, without
+``n_references``). ``eval`` on a run's ``checkpoint_final.npz``, without
 flags, rewrites its ``eval.json`` byte for byte. ``ablate``'s
 ``summary.json`` has per run ``loss``, ``horizon``, ``dtw_mean``,
 ``dtw_std`` (the seeds' mean ``dtw.std``) and ``stand_still``
@@ -271,7 +278,7 @@ def _write_eval(trainer: Trainer, path: Path, alignments=None) -> dict:
         "per_seed": [r.to_dict() for r in reports],
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    _write_atomic(path, [json.dumps(payload, indent=2), "\n"])
+    _write_atomic(path, (json.dumps(payload, indent=2) + "\n").encode())
     return payload
 
 
@@ -359,7 +366,8 @@ def cmd_ablate(args) -> int:
         writer.writerow(["loss", "horizon", "iteration", "reward_mean",
                          "imitation_mean", "disc_loss", "kl"])
         writer.writerows(curve_rows)
-    _write_atomic(out / "summary.json", [json.dumps(summary, indent=2), "\n"])
+    _write_atomic(out / "summary.json",
+                  (json.dumps(summary, indent=2) + "\n").encode())
     print(f"ablation sweep complete: {len(summary)} runs, results in {out}")
     return EXIT_OK
 

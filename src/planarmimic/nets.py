@@ -416,8 +416,7 @@ def optimizer_step(state: OptimizerState, params: np.ndarray,
 # Serialization (checkpoint building blocks)
 # ---------------------------------------------------------------------------
 # The dicts hold the live float64 arrays, views of the learner's vectors, not
-# copies: the checkpoint writer encodes them a slice at a time. The readers
-# take arrays or the nested lists a JSON parse gives.
+# copies: the checkpoint writer writes them from their memory.
 
 def net_to_dict(net: MlpNet) -> dict:
     return {
@@ -456,18 +455,24 @@ def optimizer_to_dict(state: OptimizerState) -> dict:
     }
 
 
-def optimizer_from_dict(d: dict) -> OptimizerState:
-    """Rebuild an optimizer from ``optimizer_to_dict``'s output. Checkpoints
-    of format 1 hold one slot dict per parameter array; their slots are
-    joined in layout order."""
+def optimizer_from_dict(d: dict, params: np.ndarray) -> OptimizerState:
+    """Rebuild the optimizer of the vector ``params`` from
+    ``optimizer_to_dict``'s output; it adopts the dict's slot vectors.
+    Raises ``ValueError`` where the slots are not its kind's, or a slot is
+    not a C-contiguous float64 vector of ``params``' shape: one of another
+    length would fail only at the first step."""
+    kind = d["kind"]
+    if kind not in SLOT_NAMES or sorted(d["slots"]) != sorted(SLOT_NAMES[kind]):
+        raise ValueError(f"optimizer of kind {kind!r} with slots {sorted(d['slots'])}")
+    for name, slot in d["slots"].items():
+        if not (isinstance(slot, np.ndarray) and slot.dtype == np.float64
+                and slot.shape == params.shape and slot.flags.c_contiguous):
+            raise ValueError(f"{kind} slot {name!r} of shape {np.shape(slot)} for "
+                             f"parameters of shape {params.shape}")
     state = OptimizerState(
-        kind=d["kind"], learning_rate=d["learning_rate"],
+        kind=kind, learning_rate=d["learning_rate"],
         weight_decay=d["weight_decay"], momentum=d["momentum"], rho=d["rho"],
         beta1=d["beta1"], beta2=d["beta2"], eps=d["eps"],
         step_count=d["step_count"])
-    slots = d["slots"]
-    if isinstance(slots, list):
-        slots = {name: np.concatenate([np.ravel(s[name]) for s in slots])
-                 for name in slots[0]}
-    state.slots = {name: np.array(v, dtype=np.float64) for name, v in slots.items()}
+    state.slots = {name: d["slots"][name] for name in SLOT_NAMES[kind]}
     return state

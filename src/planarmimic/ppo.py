@@ -116,17 +116,31 @@ class GaussianPolicy:
     """Diagonal-Gaussian action head: the network emits the mean, a learnable
     state-independent log-std sets the exploration scale.
 
-    The parameters are one vector ``flat`` in the layout ``shapes``: a copy
-    of ``net``'s parameters, then ``log_std``. ``self.net`` and
-    ``self.log_std`` are views into it."""
+    The parameters are one vector ``flat`` in the layout ``shapes``: the
+    net's parameters, then ``log_std``. ``self.net`` and ``self.log_std``
+    are views into it."""
 
     def __init__(self, net: MlpNet, log_std=None, init_log_std: float = 0.0):
+        """A policy over a copy of ``net``'s parameters."""
         n = net.num_params()
-        self.flat = np.empty(n + net.layer_sizes[-1])
-        self.flat[:n] = net.flat
-        self.flat[n:] = init_log_std if log_std is None else log_std
-        self.net = MlpNet(net.layer_sizes, net.activation, self.flat[:n])
-        self.log_std = self.flat[n:]
+        flat = np.empty(n + net.layer_sizes[-1])
+        flat[:n] = net.flat
+        flat[n:] = init_log_std if log_std is None else log_std
+        self._adopt(net.layer_sizes, net.activation, flat)
+
+    @classmethod
+    def from_flat(cls, layer_sizes, activation: str,
+                  flat: np.ndarray) -> "GaussianPolicy":
+        """A policy whose parameters are ``flat`` itself, not a copy."""
+        policy = cls.__new__(cls)
+        policy._adopt(layer_sizes, activation, flat)
+        return policy
+
+    def _adopt(self, layer_sizes, activation, flat) -> None:
+        # the net's layout checks the length, as the log-std takes the rest
+        self.flat = flat
+        self.net = MlpNet(layer_sizes, activation, flat[:-layer_sizes[-1]])
+        self.log_std = flat[-layer_sizes[-1]:]
         self.shapes = self.net.shapes + [self.log_std.shape]
 
     @property
@@ -341,29 +355,41 @@ class RolloutCollector:
             termination_count=int(terminal.sum()))
 
     def state_dict(self) -> dict:
-        """The checkpoint's collector keys, each a slice of the history: the
-        critic windows, the last two policy frames and the last frame's
-        action and joint rates."""
+        """The checkpoint's collector keys, each a copy of a slice of the
+        history: the critic windows, the last two policy frames and the last
+        frame's action and joint rates; and the action generators' states."""
         prev, cur = self.history.frames.last(2).swapaxes(0, 1)
-        return {"windows": self._window().tolist(),
-                "prev_frame": prev.tolist(), "cur_frame": cur.tolist(),
-                "prev_action": cur[:, ACTION].tolist(),
-                "prev_joint_vel": cur[:, JOINT_VEL].tolist(),
+        return {"windows": self._window().copy(),
+                "prev_frame": prev.copy(), "cur_frame": cur.copy(),
+                "prev_action": cur[:, ACTION].copy(),
+                "prev_joint_vel": cur[:, JOINT_VEL].copy(),
                 "action_rng_states": [r.bit_generator.state for r in self.action_rngs]}
 
     def load_state_dict(self, d: dict) -> None:
         """Restore ``state_dict``: the windows, and then the two frames over
-        them. Raises ``ValueError`` where the keys that repeat part of the
+        them. Raises ``ValueError``, before anything is written, where an
+        array's shape or the number of generator states is not this
+        collector's, and after, where the keys that repeat part of the
         frames disagree with them."""
+        shapes = {key: value.shape for key, value in self.state_dict().items()
+                  if key != "action_rng_states"}
+        arrays = {key: np.asarray(d[key], dtype=np.float64) for key in shapes}
+        for key, shape in shapes.items():
+            if arrays[key].shape != shape:
+                raise ValueError(f"collector state: {key} has shape "
+                                 f"{arrays[key].shape}, this collector {shape}")
+        E = self.env.num_envs
+        if len(d["action_rng_states"]) != E:
+            raise ValueError(f"collector state: action_rng_states has "
+                             f"{len(d['action_rng_states'])} states for {E} envs")
         window = self._window()
-        window[...] = np.array(d["windows"], dtype=np.float64)
+        window[...] = arrays["windows"]
         self.history.frames.last(2)[...] = np.stack(
-            [d["prev_frame"], d["cur_frame"]], axis=1)
+            [arrays["prev_frame"], arrays["cur_frame"]], axis=1)
         cur = self.history.frames.last(1)[:, 0]
         for key, have in (("windows", window), ("prev_action", cur[:, ACTION]),
                           ("prev_joint_vel", cur[:, JOINT_VEL])):
-            if not np.array_equal(np.array(d[key], dtype=np.float64), have,
-                                  equal_nan=True):
+            if not np.array_equal(arrays[key], have, equal_nan=True):
                 raise ValueError(f"collector state: {key} disagrees with the "
                                  "policy frames")
         for r, s in zip(self.action_rngs, d["action_rng_states"]):

@@ -1,42 +1,41 @@
 """Experiment orchestration: the adversarial training loop, checkpointing,
 metrics logging, and policy evaluation.
 
-Checkpoints are one JSON object per file. ``json_chunks`` writes it piece by
-piece: keys and scalars through ``json.dumps``, arrays a row at a time, and a
-long vector in slices of ``JSON_SLICE`` values, so a save holds one slice's
-text and floats at a time, not the whole checkpoint. The file is byte for
-byte ``json.dumps`` of the same dict with every array as nested lists.
+A checkpoint (format 3) is one uncompressed zip in numpy's ``.npz`` layout,
+so ``np.load`` opens it too. Its first member, ``meta.json``, is a JSON
+object of everything but the arrays: the format version, the iteration, the
+config mapping, each optimizer's hyperparameters and step count, the running
+statistics, the generator states, and under ``members`` the names of the
+array members in file order. Every other member is one array in ``.npy``
+form, named by its key path in the checkpoint dict (``policy_opt/slots/m``):
+each net's parameter vector, each optimizer slot, and the env's and
+collector's state arrays.
 
-``load_checkpoint`` is its mirror. It reads the file in blocks of
-``READ_BLOCK`` (64 Ki) characters and walks its objects key by key. The
-value of a ``params`` key (a net's parameters) and of a ``slots`` key that
-holds an object (a format-2 optimizer's slots) become float64 arrays: the
-complete float literals of each block, or a block's worth of a matrix's
-complete rows, go to ``np.fromstring`` in one call, and an array's pieces
-are joined when its closing ``]`` arrives. Every other value goes to
-``json`` whole. So a load holds about two blocks of text and the pieces of
-one array and their join, besides the arrays it returns: its transient
-memory is set by the block size and the largest array, not by the file.
-``np.fromstring`` reads an empty literal as -1.0 without a word
-(``np.fromstring("1.0, 2.0, ", sep=",")`` is ``[1., 2., -1.]``), so it is
-never handed text that ends in a separator, and the values it returns are
-checked against the literals in the text. A file that ends early, or is
-not JSON, raises ``ValueError``.
+``write_checkpoint`` writes each array's bytes straight from its memory, not
+from a copy, and every member carries the zip format's fixed earliest date,
+so the same state always gives the same bytes. ``load_checkpoint`` decides
+the format by the file's first bytes, never by its name, and reads each
+array a block of ``MEMBER_BLOCK`` bytes at a time into the array it returns,
+checking the zip's CRC; nothing is unpickled. A torn or damaged file, a
+missing, extra or renamed member, a member of another dtype, and a JSON
+checkpoint of format 1 or 2 (named by its format) each raise ``ValueError``.
 
-Every file the program replaces goes through ``_write_atomic``: the chunks
-stream into a temp file beside the target, which is flushed, synced and
-renamed over it. A crash, or an error raised while the chunks are made,
-leaves the previous file as it was and no temp file behind.
+Every file the program replaces goes through ``_write_atomic``: the content
+goes to a temp file beside the target, which is flushed, synced and renamed
+over it. A crash, or an error raised while the content is written, leaves
+the previous file as it was and no temp file behind.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 import os
 import re
 import subprocess
 import time
+import zipfile
+from tokenize import TokenError
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,25 +44,22 @@ import numpy as np
 from . import __version__
 from .config import TrainConfig, build_config, config_to_mapping, save_config
 from .core import ReferenceDataset, load_reference_dataset, sample_reference_windows
-from .discriminator import (build_discriminator, discriminator_loss, raw_score,
-                            reference_input)
+from .discriminator import discriminator_loss, raw_score, reference_input
 from .dtw import DtwReport, dtw_distances, stand_still_rollout
-from .nets import (ForwardCache, MlpNet, OptimizerState, net_from_dict,
-                   net_to_dict, optimizer_from_dict, optimizer_to_dict,
-                   optimizer_step)
+from .nets import (ForwardCache, MlpNet, OptimizerState, optimizer_from_dict,
+                   optimizer_step, optimizer_to_dict)
 from .ppo import (ACTION_DIM, GaussianPolicy, POLICY_OBS_DIM, PolicyHistory,
                   RolloutCollector, ppo_update)
 from .rewards import (ImitationReward, RunningStats,
                       handcrafted_backflip_reward, handcrafted_standup_reward)
 from .sim import PlanarEnv
 
-CHECKPOINT_FORMAT_VERSION = 2
-# values per encoded slice of a vector: a few hundred KiB of floats and text
-JSON_SLICE = 4096
-# characters read from a checkpoint file at a time
-READ_BLOCK = 64 * 1024
-# config keys that older checkpoints carry and nothing reads any more
-RETIRED_CONFIG_KEYS = ("demo_noise", "demo_height_offset")
+CHECKPOINT_FORMAT_VERSION = 3
+META_MEMBER = "meta.json"
+# bytes of an array member read at a time
+MEMBER_BLOCK = 64 * 1024
+# the dtypes an array member may have
+MEMBER_DTYPES = (np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.bool_))
 
 
 def build_identifier() -> str:
@@ -79,16 +75,19 @@ def build_identifier() -> str:
     return f"planarmimic-{__version__}"
 
 
-def _write_atomic(path: Path, chunks) -> None:
-    """Replace ``path`` with the concatenated text ``chunks`` in one step:
-    they go to a temp file in the same directory, which is flushed to disk
-    and renamed over ``path``. A crash mid-write, or an exception from the
-    chunks' iterator, leaves the previous file intact and removes the temp
-    file."""
+def _write_atomic(path: Path, content) -> None:
+    """Replace ``path`` in one step with ``content``: bytes, or a function
+    that writes to the binary file it is given. It goes to a temp file in
+    the same directory, which is flushed to disk and renamed over ``path``.
+    A crash mid-write, or an exception from ``content``, leaves the previous
+    file intact and removes the temp file."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with tmp.open("w") as f:
-            f.writelines(chunks)
+        with tmp.open("wb") as f:
+            if callable(content):
+                content(f)
+            else:
+                f.write(content)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -108,240 +107,177 @@ def _truncate_metrics(path: Path, iteration: int) -> None:
                 kept.append(line)
         except json.JSONDecodeError:
             pass
-    _write_atomic(path, kept)
+    _write_atomic(path, "".join(kept).encode())
 
 
-def json_chunks(obj):
-    """Yield the text of ``json.dumps(obj)`` in pieces, where ``obj`` may
-    hold float64 arrays: each is encoded as its nested lists would be, a row
-    at a time, and a 1-D run of values in slices of ``JSON_SLICE``. Dict
-    keys must be strings."""
-    if isinstance(obj, np.ndarray) and obj.ndim == 1:
-        yield "["
-        for i in range(0, obj.shape[0], JSON_SLICE):
-            yield (", " if i else "") + json.dumps(obj[i:i + JSON_SLICE].tolist())[1:-1]
-        yield "]"
-    elif isinstance(obj, (list, np.ndarray)):
-        yield "["
-        for i, item in enumerate(obj):
-            if i:
-                yield ", "
-            yield from json_chunks(item)
-        yield "]"
-    elif isinstance(obj, dict):
-        yield "{"
-        for i, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"checkpoint keys must be strings, not {key!r}")
-            yield (", " if i else "") + json.dumps(key) + ": "
-            yield from json_chunks(value)
-        yield "}"
-    else:
-        yield json.dumps(obj)
+def _split(tree: dict, prefix: str = "") -> tuple:
+    """``tree`` without its arrays, and its arrays by key path."""
+    rest, arrays = {}, {}
+    for key, value in tree.items():
+        if isinstance(value, np.ndarray):
+            arrays[prefix + key] = value
+        elif isinstance(value, dict):
+            rest[key], inner = _split(value, f"{prefix}{key}/")
+            arrays.update(inner)
+        else:
+            rest[key] = value
+    return rest, arrays
 
 
-_BLANK = re.compile(r"[ \t\n\r]*")
-_EMPTY_LITERAL = re.compile(r",[ \t\n\r]*(?:,|$)")
-_decode = json.JSONDecoder().raw_decode
+def write_checkpoint(path, ckpt: dict) -> Path:
+    """Write the checkpoint dict ``ckpt`` to ``path`` in one step (see the
+    module docstring). Its arrays must be C-contiguous, of a member dtype."""
+    meta, arrays = _split(ckpt)
+    meta["members"] = list(arrays)
+
+    def write(f):
+        # ZipFile.open dates a member it is given by name 1980-01-01, not by
+        # the clock, so the same state gives the same bytes
+        with zipfile.ZipFile(f, "w") as zf:
+            with zf.open(META_MEMBER, "w") as member:
+                member.write(json.dumps(meta).encode())
+            for name, a in arrays.items():
+                if a.dtype not in MEMBER_DTYPES or not a.flags.c_contiguous:
+                    raise ValueError(f"checkpoint array {name} is not a "
+                                     "C-contiguous array of a member dtype")
+                with zf.open(name + ".npy", "w") as member:
+                    np.lib.format.write_array_header_1_0(
+                        member, np.lib.format.header_data_from_array_1_0(a))
+                    member.write(a.data)
+
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _write_atomic(path, write)
+    return path
 
 
-def _floats(text: str) -> np.ndarray:
-    """The values of ``text``, float literals with commas between them,
-    checked against the literal count and for an empty literal, which
-    np.fromstring reads as -1.0: the text is searched for one only where a
-    value is -1.0."""
-    values = np.fromstring(text, sep=",")
-    if values.size != text.count(",") + 1 or (
-            (values == -1.0).any() and _EMPTY_LITERAL.search("," + text)):
-        raise ValueError(f"malformed number list in checkpoint near {text[:40]!r}")
-    return values
+def _read_member(f, size: int) -> np.ndarray:
+    """The array of one ``.npy`` member of ``size`` bytes, read
+    ``MEMBER_BLOCK`` bytes at a time into it."""
+    if np.lib.format.read_magic(f) != (1, 0):
+        raise ValueError("checkpoint array member is not .npy version 1.0")
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(f)
+    if dtype not in MEMBER_DTYPES or fortran_order:
+        raise ValueError(f"checkpoint array member of dtype {dtype}"
+                         f"{' in Fortran order' if fortran_order else ''}")
+    if math.prod(shape) * dtype.itemsize != size - f.tell():
+        raise ValueError("checkpoint array member's size does not match its header")
+    array = np.empty(shape, dtype)
+    # a flat view: memoryview casts no empty array of more than one axis
+    view = memoryview(array.reshape(-1)).cast("B")
+    for start in range(0, view.nbytes, MEMBER_BLOCK):
+        block = f.read(MEMBER_BLOCK)
+        if len(block) < min(MEMBER_BLOCK, view.nbytes - start):
+            raise ValueError("checkpoint array member ends early")
+        view[start:start + len(block)] = block
+    return array
 
 
-class _Reader:
-    """The text of a checkpoint file, read a block at a time: ``buf[pos:]``
-    is what is read and not yet parsed."""
-
-    def __init__(self, f):
-        self.f, self.buf, self.pos, self.eof = f, "", 0, False
-
-    def more(self) -> bool:
-        """Append the next block; False at the end of the file."""
-        block = self.f.read(READ_BLOCK)
-        self.buf, self.pos = self.buf[self.pos:] + block, 0
-        self.eof = not block
-        return not self.eof
-
-    def peek(self) -> str:
-        """The next non-blank character, not consumed; "" at the end."""
-        while True:
-            self.pos = _BLANK.match(self.buf, self.pos).end()
-            if self.pos < len(self.buf) or not self.more():
-                return self.buf[self.pos:self.pos + 1]
-
-    def expect(self, chars: str) -> str:
-        c = self.peek()
-        if not c or c not in chars:
-            raise ValueError(f"checkpoint: expected one of {chars!r}, found {c!r}")
-        self.pos += 1
-        return c
-
-    def json(self):
-        """The next value, parsed by ``json`` whole."""
-        self.peek()
-        while True:
-            try:
-                value, end = _decode(self.buf, self.pos)
-            except json.JSONDecodeError:
-                if self.eof:
-                    raise
-            else:
-                # a number may go on past the text read so far, as "0." goes
-                # on into "0.5"; the slice is "" at its end, which `in` finds
-                if self.eof or self.buf[end:end + 1] not in "0123456789.eE+-":
-                    self.pos = end
-                    return value
-            # read until the held text doubles, so a value of n blocks is
-            # decoded about log2(n) times, not n times
-            held = len(self.buf) - self.pos
-            while len(self.buf) - self.pos < 2 * held and self.more():
-                pass
-
-    def items(self, close: str, read) -> list:
-        """``read()`` for each item up to ``close``, the opening bracket
-        consumed."""
-        items = []
-        if self.peek() == close:
-            self.pos += 1
-            return items
-        while True:
-            items.append(read())
-            if self.expect("," + close) == close:
-                return items
-
-    def object(self, member) -> dict:
-        """An object whose value under each key ``member(key)`` reads."""
-        def pair():
-            key = self.json()
-            if not isinstance(key, str):
-                raise ValueError(f"checkpoint: key {key!r} is not a string")
-            self.expect(":")
-            return key, member(key)
-
-        self.expect("{")
-        return dict(self.items("}", pair))
-
-    def value(self, key: str):
-        """The value under ``key``: a net's ``params`` as a list of arrays, a
-        format-2 optimizer's ``slots`` as arrays by name, any other object
-        member by member, and anything else by ``json``."""
-        c = self.peek()
-        if key == "params":
-            self.expect("[")
-            return self.items("]", self.array)
-        if key == "slots" and c == "{":
-            return self.object(lambda name: self.array())
-        if c == "{":
-            return self.object(self.value)
-        return self.json()
-
-    def array(self) -> np.ndarray:
-        """A list of numbers, or of rows of numbers, as a float64 array."""
-        self.expect("[")
-        return self.rows() if self.peek() == "[" else self.run()
-
-    def rows(self) -> np.ndarray:
-        """Rows of numbers up to the "]" that closes them, as one 2-D array.
-        Rows are joined into one call to numpy per block's worth of text."""
-        pieces, texts, held, widths = [], [], 0, set()
-        while True:
-            self.expect("[")
-            while (end := self.buf.find("]", self.pos)) < 0:
-                if not self.more():
-                    raise ValueError("checkpoint ends inside a number list")
-            texts.append(self.buf[self.pos:end])
-            held += end - self.pos
-            self.pos = end + 1
-            done = self.expect(",]") == "]"
-            if done or held >= READ_BLOCK:
-                widths.update(text.count(",") + 1 for text in texts)
-                pieces.append(_floats(", ".join(texts)))
-                texts, held = [], 0
-            if done:
-                if len(widths) != 1:
-                    raise ValueError("checkpoint: rows of different lengths")
-                return np.concatenate(pieces).reshape(-1, widths.pop())
-
-    def run(self) -> np.ndarray:
-        """The numbers up to the next "]", which is consumed. The complete
-        literals read so far are parsed block by block."""
-        pieces = []
-        while True:
-            end = self.buf.find("]", self.pos)
-            if end >= 0:
-                text, self.pos = self.buf[self.pos:end], end + 1
-                if not pieces and not text.strip():
-                    return np.zeros(0)
-                pieces.append(_floats(text))
-                return np.concatenate(pieces)
-            cut = self.buf.rfind(",", self.pos)
-            if cut >= 0:
-                pieces.append(_floats(self.buf[self.pos:cut]))
-                self.pos = cut + 1
-            if not self.more():
-                raise ValueError("checkpoint ends inside a number list")
+def _read_zip(zf: zipfile.ZipFile) -> dict:
+    infos = zf.infolist()
+    if not infos or infos[0].filename != META_MEMBER:
+        raise ValueError(f"checkpoint does not start with {META_MEMBER}")
+    ckpt = json.loads(zf.read(infos[0]))
+    version = ckpt.get("format_version") if isinstance(ckpt, dict) else None
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise ValueError(f"unsupported checkpoint format {version!r}")
+    names = ckpt.pop("members", None)
+    if not isinstance(names, list) or (
+            [info.filename for info in infos[1:]] != [f"{name}.npy" for name in names]):
+        raise ValueError(f"checkpoint members do not match those {META_MEMBER} lists")
+    for info, name in zip(infos[1:], names):
+        with zf.open(info) as f:
+            array = _read_member(f, info.file_size)
+        *parents, key = name.split("/")
+        node = ckpt
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        node[key] = array
+    return ckpt
 
 
 def load_checkpoint(path) -> dict:
-    """Parse a checkpoint file, its parameters and optimizer slots as arrays
-    (see the module docstring)."""
-    with Path(path).open() as f:
-        reader = _Reader(f)
-        ckpt = reader.object(reader.value)
-        if reader.peek():
-            raise ValueError("checkpoint: extra data after the object")
-    return ckpt
+    """The checkpoint dict of a format-3 file: ``meta.json``'s object with
+    each array member at its key path (see the module docstring)."""
+    with Path(path).open("rb") as f:
+        head = f.read(64)
+        if not head.startswith(b"PK\x03\x04"):
+            old = re.match(rb'\s*\{\s*"format_version"\s*:\s*(\d+)', head)
+            raise ValueError(
+                f"{path} is a JSON checkpoint of format {int(old[1])}, which this "
+                f"version no longer reads (it reads format {CHECKPOINT_FORMAT_VERSION})"
+                if old else f"{path} is not a checkpoint")
+        f.seek(0)
+        # numpy tokenizes an npy header it cannot parse as it stands
+        try:
+            with zipfile.ZipFile(f) as zf:
+                return _read_zip(zf)
+        except (zipfile.BadZipFile, EOFError, NotImplementedError, TokenError) as e:
+            raise ValueError(f"damaged checkpoint {path}: {e}") from None
 
 
 class Trainer:
     """Owns every piece of training state. One writer; rollout collection and
     the two learners run strictly in sequence inside an iteration."""
 
-    def __init__(self, cfg: TrainConfig, dataset: ReferenceDataset):
+    def __init__(self, cfg: TrainConfig, dataset: ReferenceDataset,
+                 ckpt: dict | None = None):
+        """A fresh trainer at ``cfg.seed``, or with ``ckpt``, a checkpoint
+        dict (``load_checkpoint``), the trainer it holds. Its nets and
+        optimizers then adopt the dict's vectors, not copies, so a dict
+        restores one trainer; the env, collector and generator are built
+        from ``cfg`` and load their state. Raises ``ValueError`` where an
+        array or list of ``ckpt`` is not of the shape ``cfg`` builds."""
         cfg.require_valid()
         dataset.validate(cfg.disc.horizon)
         self.cfg = cfg
         self.dataset = dataset
-        self.iteration = 0
 
         seed = cfg.seed
-        init_rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
-        self.policy = GaussianPolicy(
-            MlpNet.create([POLICY_OBS_DIM, *cfg.ppo.hidden_sizes, ACTION_DIM],
-                          activation="elu", rng=init_rng, output_gain=0.01),
-            init_log_std=cfg.ppo.init_log_std)
-        self.value_net = MlpNet.create([POLICY_OBS_DIM, *cfg.ppo.hidden_sizes, 1],
-                                       activation="elu", rng=init_rng)
-        self.disc = build_discriminator(cfg.disc, init_rng)
+        policy_sizes = [POLICY_OBS_DIM, *cfg.ppo.hidden_sizes, ACTION_DIM]
+        value_sizes = [POLICY_OBS_DIM, *cfg.ppo.hidden_sizes, 1]
+        disc_sizes = [cfg.disc.input_dim, *cfg.disc.hidden_sizes, 1]
+        if ckpt is None:
+            self.iteration = 0
+            init_rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
+            self.policy = GaussianPolicy(
+                MlpNet.create(policy_sizes, "elu", rng=init_rng, output_gain=0.01),
+                init_log_std=cfg.ppo.init_log_std)
+            self.value_net = MlpNet.create(value_sizes, "elu", rng=init_rng)
+            self.disc = MlpNet.create(disc_sizes, "relu", rng=init_rng)
+            self.policy_opt = OptimizerState.for_params(
+                self.policy.flat, "adam", cfg.ppo.learning_rate)
+            self.value_opt = OptimizerState.for_params(
+                self.value_net.flat, "adam", cfg.ppo.learning_rate)
+            self.disc_opt = OptimizerState.for_params(
+                self.disc.flat, cfg.disc.optimizer_kind, cfg.disc.learning_rate,
+                weight_decay=cfg.disc.weight_decay, momentum=cfg.disc.momentum,
+                rho=cfg.disc.rho)
+            stats = RunningStats()
+        else:
+            self.iteration = ckpt["iteration"]
+            self.policy = GaussianPolicy.from_flat(policy_sizes, "elu", ckpt["policy"])
+            self.value_net = MlpNet(value_sizes, "elu", ckpt["value_net"])
+            self.disc = MlpNet(disc_sizes, "relu", ckpt["discriminator"])
+            self.policy_opt = optimizer_from_dict(ckpt["policy_opt"], self.policy.flat)
+            self.value_opt = optimizer_from_dict(ckpt["value_opt"], self.value_net.flat)
+            self.disc_opt = optimizer_from_dict(ckpt["disc_opt"], self.disc.flat)
+            stats = RunningStats.from_dict(ckpt["running_stats"])
         # the discriminator step's and the PPO update's arrays, kept from one
         # minibatch and one iteration to the next
         self.disc_ref_cache, self.disc_pol_cache = ForwardCache(), ForwardCache()
         self.ppo_pol_cache, self.ppo_val_cache = ForwardCache(), ForwardCache()
         self.ppo_val_grad = np.empty_like(self.value_net.flat)
 
-        self.policy_opt = OptimizerState.for_params(
-            self.policy.flat, "adam", cfg.ppo.learning_rate)
-        self.value_opt = OptimizerState.for_params(
-            self.value_net.flat, "adam", cfg.ppo.learning_rate)
-        self.disc_opt = OptimizerState.for_params(
-            self.disc.flat, cfg.disc.optimizer_kind, cfg.disc.learning_rate,
-            weight_decay=cfg.disc.weight_decay, momentum=cfg.disc.momentum,
-            rho=cfg.disc.rho)
-
-        self.imitation = ImitationReward(cfg.disc.loss_kind, RunningStats())
+        self.imitation = ImitationReward(cfg.disc.loss_kind, stats)
         self.env = PlanarEnv(cfg.sim, cfg.ppo.num_envs, seed=seed)
         self.collector = RolloutCollector(self.env, cfg.disc, cfg.ppo,
                                           cfg.reward, seed=seed)
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
+        if ckpt is not None:
+            self.env.load_state_dict(ckpt["env"])
+            self.collector.load_state_dict(ckpt["collector"])
+            self.rng.bit_generator.state = ckpt["trainer_rng"]
 
     # -- one iteration ---------------------------------------------------------
 
@@ -431,7 +367,7 @@ class Trainer:
                 {"resumed_from": self.iteration, "at": stamp})
             if metrics_path.exists():
                 _truncate_metrics(metrics_path, self.iteration)
-        _write_atomic(run_path, [json.dumps(meta, indent=2), "\n"])
+        _write_atomic(run_path, (json.dumps(meta, indent=2) + "\n").encode())
 
         with metrics_path.open("a") as metrics:
             while self.iteration < target:
@@ -440,25 +376,26 @@ class Trainer:
                 if self.iteration % self.cfg.checkpoint_interval == 0:
                     # a checkpoint never gets ahead of the records on disk
                     metrics.flush()
-                    self.save_checkpoint(out / f"checkpoint_{self.iteration:06d}.json")
+                    self.save_checkpoint(out / f"checkpoint_{self.iteration:06d}.npz")
                 if progress is not None and (
                         self.iteration % max(1, self.cfg.log_interval) == 0):
                     progress(record)
-        final = out / "checkpoint_final.json"
+        final = out / "checkpoint_final.npz"
         self.save_checkpoint(final)
         return final
 
     # -- checkpointing -------------------------------------------------------------
 
     def checkpoint_dict(self) -> dict:
+        """The trainer's state as a checkpoint dict; its vectors are the
+        learners' own, not copies."""
         return {
             "format_version": CHECKPOINT_FORMAT_VERSION,
             "iteration": self.iteration,
             "config": config_to_mapping(self.cfg),
-            "policy_net": net_to_dict(self.policy.net),
-            "policy_log_std": self.policy.log_std,
-            "value_net": net_to_dict(self.value_net),
-            "discriminator": net_to_dict(self.disc),
+            "policy": self.policy.flat,
+            "value_net": self.value_net.flat,
+            "discriminator": self.disc.flat,
             "policy_opt": optimizer_to_dict(self.policy_opt),
             "value_opt": optimizer_to_dict(self.value_opt),
             "disc_opt": optimizer_to_dict(self.disc_opt),
@@ -469,46 +406,25 @@ class Trainer:
         }
 
     def save_checkpoint(self, path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _write_atomic(path, itertools.chain(json_chunks(self.checkpoint_dict()), ("\n",)))
-        return path
-
-    def restore(self, ckpt: dict) -> None:
-        # format 1 differs only in its optimizer slots (see optimizer_from_dict)
-        if ckpt.get("format_version") not in (1, CHECKPOINT_FORMAT_VERSION):
-            raise ValueError(
-                f"unsupported checkpoint format {ckpt.get('format_version')!r}")
-        self.iteration = ckpt["iteration"]
-        self.policy = GaussianPolicy(net_from_dict(ckpt["policy_net"]),
-                                     ckpt["policy_log_std"])
-        self.value_net = net_from_dict(ckpt["value_net"])
-        self.disc = net_from_dict(ckpt["discriminator"])
-        self.policy_opt = optimizer_from_dict(ckpt["policy_opt"])
-        self.value_opt = optimizer_from_dict(ckpt["value_opt"])
-        self.disc_opt = optimizer_from_dict(ckpt["disc_opt"])
-        self.imitation.stats = RunningStats.from_dict(ckpt["running_stats"])
-        self.rng.bit_generator.state = ckpt["trainer_rng"]
-        self.env.load_state_dict(ckpt["env"])
-        self.collector.load_state_dict(ckpt["collector"])
+        return write_checkpoint(path, self.checkpoint_dict())
 
     @classmethod
     def from_checkpoint(cls, checkpoint, dataset: ReferenceDataset | None = None,
                         keys=()) -> "Trainer":
         """A trainer restored from ``checkpoint``: a file's path, or the dict
-        ``load_checkpoint`` parsed from one. ``keys``, ``(key, value)`` pairs,
-        override the checkpoint's config."""
+        ``load_checkpoint`` read from one, whose arrays the trainer adopts.
+        ``keys``, ``(key, value)`` pairs, override the checkpoint's config."""
         ckpt = checkpoint if isinstance(checkpoint, dict) else load_checkpoint(checkpoint)
-        cfg = build_config(keys=[*((k, v) for k, v in ckpt["config"].items()
-                                   if k not in RETIRED_CONFIG_KEYS), *keys])
+        cfg = build_config(keys=[*ckpt["config"].items(), *keys])
         if dataset is None:
             if not cfg.refs:
                 raise ValueError("checkpoint config has no reference path; "
                                  "pass a dataset explicitly")
             dataset = load_reference_dataset(cfg.refs, cfg.disc.horizon)
-        trainer = cls(cfg, dataset)
-        trainer.restore(ckpt)
-        return trainer
+        try:
+            return cls(cfg, dataset, ckpt)
+        except KeyError as e:
+            raise ValueError(f"checkpoint has no {e}") from None
 
 
 # ---------------------------------------------------------------------------

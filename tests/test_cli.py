@@ -11,7 +11,8 @@ from planarmimic import cli
 from planarmimic.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from planarmimic.config import save_config
 from planarmimic.dtw import local_cost
-from planarmimic.trainer import Trainer, evaluate_policy
+from planarmimic.trainer import (Trainer, evaluate_policy, load_checkpoint,
+                                 write_checkpoint)
 
 from test_trainer import tiny_config, tiny_dataset
 
@@ -21,7 +22,7 @@ def checkpoint(tmp_path):
     cfg = tiny_config(tmp_path=tmp_path)
     cfg.eval.seeds = 2
     cfg.eval.episode_frames = 30
-    return Trainer(cfg, tiny_dataset(cfg)).save_checkpoint(tmp_path / "ckpt.json")
+    return Trainer(cfg, tiny_dataset(cfg)).save_checkpoint(tmp_path / "ckpt.npz")
 
 
 def run_eval(checkpoint, out, *extra):
@@ -42,10 +43,9 @@ class TestEvalSeeds:
         assert len(payload["per_seed"]) == 1
 
     def test_checkpoint_without_the_field_uses_one_seed(self, checkpoint, tmp_path):
-        blob = json.loads(checkpoint.read_text())
-        del blob["config"]["eval.seeds"]
-        old = tmp_path / "old.json"
-        old.write_text(json.dumps(blob))
+        ckpt = load_checkpoint(checkpoint)
+        del ckpt["config"]["eval.seeds"]
+        old = write_checkpoint(tmp_path / "old.npz", ckpt)
         assert run_eval(old, tmp_path / "eval.json")["seeds"] == 1
 
     @pytest.mark.parametrize("flag", ["--seeds", "--rollouts"])
@@ -107,13 +107,13 @@ class TestTrainEvalReport:
         written = (run / "eval.json").read_bytes()
         report = json.loads(written)
         assert report["seeds"] == 2
-        trainer = Trainer.from_checkpoint(run / "checkpoint_final.json")
+        trainer = Trainer.from_checkpoint(run / "checkpoint_final.npz")
         assert report["per_seed"] == [
             json.loads(json.dumps(evaluate_policy(trainer.cfg, trainer.policy,
                                                   trainer.dataset, seed=k).to_dict()))
             for k in range(2)]
         (run / "eval.json").unlink()
-        assert main(["eval", "--checkpoint", str(run / "checkpoint_final.json")]) == EXIT_OK
+        assert main(["eval", "--checkpoint", str(run / "checkpoint_final.npz")]) == EXIT_OK
         assert (run / "eval.json").read_bytes() == written
 
 
@@ -124,7 +124,7 @@ class TestUsageErrors:
     def test_resume_rejects_what_it_cannot_apply(self, tmp_path, flags):
         # they used to be dropped: the run went on with the checkpoint's values
         cfg = tiny_config(tmp_path=tmp_path)
-        ckpt = Trainer(cfg, tiny_dataset(cfg)).save_checkpoint(tmp_path / "ckpt.json")
+        ckpt = Trainer(cfg, tiny_dataset(cfg)).save_checkpoint(tmp_path / "ckpt.npz")
         before = sorted(tmp_path.rglob("*"))
         code = main(["train", "--resume", str(ckpt), "--out", str(tmp_path / "run"),
                      *flags, "--quiet"])
@@ -171,7 +171,7 @@ class TestCheckpointReadOnce:
     @pytest.mark.parametrize("command", ["eval", "analyze"])
     def test_refs_flag_opens_the_checkpoint_once(self, checkpoint, tmp_path,
                                                  monkeypatch, command):
-        refs = json.loads(checkpoint.read_text())["config"]["refs"]
+        refs = load_checkpoint(checkpoint)["config"]["refs"]
         opened = []
         real_open = io.open
 
@@ -195,8 +195,8 @@ class TestTornCheckpoint:
         ["analyze", "--checkpoint", "{torn}", "--out", "{out}"],
         ["train", "--resume", "{torn}", "--out", "{out}", "--quiet"]])
     def test_is_a_runtime_failure(self, checkpoint, tmp_path, command):
-        # as a crash mid-copy leaves it: the file stops inside a number list
-        torn, out = tmp_path / "torn.json", tmp_path / "out"
+        # as a crash mid-copy leaves it: the file stops inside an array
+        torn, out = tmp_path / "torn.npz", tmp_path / "out"
         text = checkpoint.read_bytes()
         torn.write_bytes(text[:len(text) // 2])
         argv = [word.format(torn=torn, out=out) for word in command]
@@ -210,27 +210,46 @@ class TestRetiredConfigKeys:
         cfg.out_dir = str(tmp_path / "run")
         trainer = Trainer(cfg, tiny_dataset(cfg))
         trainer.train_iteration()
-        blob = json.loads(trainer.save_checkpoint(tmp_path / "ckpt.json").read_text())
-        # written before demo_noise and demo_height_offset left TrainConfig
-        blob["config"].update({"demo_noise": "1.0", "demo_height_offset": "0.0"},
-                              **extra)
-        old = tmp_path / "old.json"
-        old.write_text(json.dumps(blob))
-        return old
+        ckpt = load_checkpoint(trainer.save_checkpoint(tmp_path / "ckpt.npz"))
+        ckpt["config"].update(extra)
+        return write_checkpoint(tmp_path / "old.npz", ckpt)
 
-    def test_checkpoint_with_the_retired_keys_loads(self, tmp_path):
-        old = self._old_checkpoint(tmp_path)
-        assert run_eval(old, tmp_path / "eval.json")["seeds"] == 1
-        code = main(["train", "--resume", str(old), "--iterations", "2", "--quiet"])
-        assert code == EXIT_OK
-        records = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
-        assert [json.loads(r)["iteration"] for r in records] == [2]
+    def test_retired_keys_fail_as_any_unknown_key(self, tmp_path):
+        # demo_noise and demo_height_offset left TrainConfig before format 3,
+        # so no checkpoint that this version reads carries them
+        old = self._old_checkpoint(tmp_path, demo_noise="1.0", demo_height_offset="0.0")
+        code = main(["eval", "--checkpoint", str(old), "--out",
+                     str(tmp_path / "eval.json")])
+        assert code == EXIT_CONFIG
 
     def test_other_unknown_keys_still_fail(self, tmp_path):
         old = self._old_checkpoint(tmp_path, demo_speed="1.0")
         code = main(["eval", "--checkpoint", str(old), "--out",
                      str(tmp_path / "eval.json")])
         assert code == EXIT_CONFIG
+
+
+class TestCheckpointFormat:
+    def test_json_checkpoint_is_a_runtime_failure(self, tmp_path, capsys):
+        old, out = tmp_path / "old.json", tmp_path / "eval.json"
+        old.write_text('{"format_version": 2}\n')
+        assert main(["eval", "--checkpoint", str(old), "--out", str(out)]) == EXIT_RUNTIME
+        assert "format 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resume_with_a_slot_of_another_length_writes_nothing(self, tmp_path):
+        # a short optimizer slot used to fail only at the first step, after
+        # the resume was logged in run.json
+        cfg = tiny_config(tmp_path=tmp_path)
+        run = tmp_path / "run"
+        cfg.out_dir = str(run)
+        ckpt = load_checkpoint(Trainer(cfg, tiny_dataset(cfg)).run(run, iterations=1))
+        ckpt["disc_opt"]["slots"]["buf"] = ckpt["disc_opt"]["slots"]["buf"][:-1].copy()
+        bad = write_checkpoint(tmp_path / "bad.npz", ckpt)
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        code = main(["train", "--resume", str(bad), "--iterations", "2", "--quiet"])
+        assert code == EXIT_RUNTIME
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
 class TestTrainConfigErrors:
@@ -320,7 +339,7 @@ class TestResumeOut:
                      "--out", str(second), "--quiet"])
         assert code == EXIT_OK
         assert {p.name: p.read_bytes() for p in first.iterdir()} == before
-        assert (second / "checkpoint_final.json").exists()
+        assert (second / "checkpoint_final.npz").exists()
         assert (second / "eval.json").exists()
         records = (second / "metrics.jsonl").read_text().splitlines()
         assert [json.loads(r)["iteration"] for r in records] == [2]
@@ -330,7 +349,7 @@ class TestResumeOut:
         assert meta["seed"] == cfg.seed
         assert meta["build"]
         assert (meta["task"], meta["loss"]) == (cfg.task, cfg.disc.loss_kind)
-        final = json.loads((second / "checkpoint_final.json").read_text())
+        final = load_checkpoint(second / "checkpoint_final.npz")
         assert final["iteration"] == 2
         assert final["config"]["out_dir"] == str(second)
         assert (second / "config.txt").read_text() == "".join(

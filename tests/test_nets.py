@@ -394,22 +394,27 @@ class TestOptimizers:
         p = np.array([1.0, 2.0, 3.0])
         opt = OptimizerState.for_params(p, "adam", learning_rate=0.01)
         optimizer_step(opt, p, np.ones(3))
-        restored = optimizer_from_dict(optimizer_to_dict(opt))
+        restored = optimizer_from_dict(optimizer_to_dict(opt), p)
         assert restored.step_count == opt.step_count
         assert restored.slots.keys() == opt.slots.keys()
         for k in opt.slots:
             assert np.array_equal(restored.slots[k], opt.slots[k])
 
-    def test_reads_format_1_per_array_slots(self):
-        # format-1 checkpoints hold one slot dict per parameter array, in
-        # layout order; they are joined into one vector per slot
-        opt = OptimizerState.for_params(np.zeros(3), "rmsprop", learning_rate=0.1)
-        d = optimizer_to_dict(opt)
-        d["slots"] = [{"sq": [[1.0], [2.0]], "buf": [[4.0], [5.0]]},
-                      {"sq": [3.0], "buf": [6.0]}]
-        restored = optimizer_from_dict(d)
-        assert np.array_equal(restored.slots["sq"], [1.0, 2.0, 3.0])
-        assert np.array_equal(restored.slots["buf"], [4.0, 5.0, 6.0])
+    @pytest.mark.parametrize("kind", ["sgd", "rmsprop", "adam"])
+    def test_slot_of_another_length_is_rejected(self, kind):
+        # it used to be caught only at the first step
+        p = np.zeros(4)
+        d = optimizer_to_dict(OptimizerState.for_params(p, kind, learning_rate=0.1))
+        d["slots"]["buf" if kind != "adam" else "v"] = np.zeros(3)
+        with pytest.raises(ValueError, match=r"shape \(3,\) for parameters of shape \(4,\)"):
+            optimizer_from_dict(d, p)
+
+    def test_slots_of_another_kind_are_rejected(self):
+        p = np.zeros(4)
+        d = optimizer_to_dict(OptimizerState.for_params(p, "adam", learning_rate=0.1))
+        d["kind"] = "rmsprop"
+        with pytest.raises(ValueError, match="slots"):
+            optimizer_from_dict(d, p)
 
 
 def plain_step(state, p, grads):

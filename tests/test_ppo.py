@@ -1,5 +1,4 @@
 import copy
-import json
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from planarmimic.rewards import (STATS_WARMUP, ImitationReward, RewardWeights,
 from planarmimic.sim import PlanarEnv, SimParams
 
 from test_nets import assert_views_of
+from test_sim import assert_same_state
 
 
 def gae_direct_sum(rewards, values, dones, bootstrap, gamma, lam):
@@ -212,9 +212,9 @@ def oracle_collect(collector, policy, value_net, disc_net, imitation):
 
     final_values, _ = value_net.forward(policy_obs())
     buf.bootstrap_value = final_values[:, 0]
-    state.update(prev_frame=prev_frame.tolist(), cur_frame=cur_frame.tolist(),
-                 prev_action=prev_action.tolist(),
-                 prev_joint_vel=prev_joint_vel.tolist(), windows=window.tolist(),
+    state.update(prev_frame=prev_frame, cur_frame=cur_frame,
+                 prev_action=prev_action, prev_joint_vel=prev_joint_vel,
+                 windows=window,
                  action_rng_states=[r.bit_generator.state for r in rngs])
     collector.load_state_dict(state)
     return buf
@@ -267,8 +267,8 @@ class TestCollectMatchesOracle:
             lengths += got.episode_lengths
             terminations += got.termination_count
             assert fast[4].stats == slow[4].stats
-            assert fast[0].state_dict() == slow[0].state_dict()
-            assert fast[0].env.state_dict() == slow[0].env.state_dict()
+            assert_same_state(fast[0].state_dict(), slow[0].state_dict())
+            assert_same_state(fast[0].env.state_dict(), slow[0].env.state_dict())
         assert 3 in lengths and len(lengths) >= 3 and terminations >= 2
         if loss == "wgan":
             assert fast[4].stats.count >= STATS_WARMUP
@@ -294,8 +294,8 @@ class TestCollectorState:
         first, policy, value_net, disc, imitation = TestCollectMatchesOracle.setup(
             "wgan", 0.0, full_state, horizon)
         first.collect(policy, value_net, disc, imitation)
-        state = json.loads(json.dumps(first.state_dict()))
-        assert np.array(state["windows"]).shape == (16, horizon, 14 if full_state else 6)
+        state = first.state_dict()
+        assert state["windows"].shape == (16, horizon, 14 if full_state else 6)
 
         def restored():
             env = PlanarEnv(SimParams(), num_envs=16, seed=5)
@@ -306,7 +306,7 @@ class TestCollectorState:
             return fresh
 
         fresh, slow = restored(), restored()
-        assert json.dumps(fresh.state_dict()) == json.dumps(first.state_dict())
+        assert_same_state(fresh.state_dict(), first.state_dict())
         want = first.collect(policy, value_net, disc, copy.deepcopy(imitation))
         assert_buffers_equal(fresh.collect(policy, value_net, disc,
                                            copy.deepcopy(imitation)), want)
@@ -314,17 +314,27 @@ class TestCollectorState:
                                             copy.deepcopy(imitation)), want)
         assert want.episode_lengths
         for other in (fresh, slow):
-            assert json.dumps(other.state_dict()) == json.dumps(first.state_dict())
+            assert_same_state(other.state_dict(), first.state_dict())
 
     @pytest.mark.parametrize("key", ["prev_action", "prev_joint_vel", "windows"])
     def test_state_that_disagrees_with_its_frames_raises(self, key):
         collector = tiny_setup(seed=4, horizon=4)[0]
         state = collector.state_dict()
-        entry = np.array(state[key])
-        entry.reshape(-1)[-1] += 1.0
-        state[key] = entry.tolist()
+        state[key].reshape(-1)[-1] += 1.0
         with pytest.raises(ValueError, match=key):
             collector.load_state_dict(state)
+
+    @pytest.mark.parametrize("key", ["windows", "prev_frame", "prev_action",
+                                     "action_rng_states"])
+    def test_state_of_another_row_count_is_rejected(self, key):
+        # a one-row frame used to broadcast into every row, and one action
+        # generator state restored only the first row's generator
+        collector = tiny_setup(seed=4, horizon=4)[0]
+        state, before = collector.state_dict(), collector.state_dict()
+        state[key] = state[key][:1]
+        with pytest.raises(ValueError, match=key):
+            collector.load_state_dict(state)
+        assert_same_state(collector.state_dict(), before)
 
 
 class TestCollector:
@@ -395,7 +405,7 @@ class TestCollector:
 
     def test_windows_prefilled_after_reset(self):
         collector, policy, value_net, disc, imitation, _ = tiny_setup(horizon=4)
-        win = np.array(collector.state_dict()["windows"])
+        win = collector.state_dict()["windows"]
         assert win.shape == (4, 4, 6)
         for k in range(1, 4):
             assert np.array_equal(win[:, 0], win[:, k])

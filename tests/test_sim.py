@@ -159,7 +159,7 @@ class TestDeterminism:
         assert other.vx[0] == env.vx[0]
         assert np.array_equal(other.q[0], env.q[0])
         assert np.array_equal(r1.joint_torques, r2.joint_torques)
-        assert other.state_dict() == s1
+        assert_same_state(other.state_dict(), s1)
 
     def test_rollout_independent_of_batch_size(self):
         # env i is seeded by (seed, i), so the same index in any batch size
@@ -389,6 +389,47 @@ class TestStateViews:
         b = other.step(np.zeros((3, 4)))
         assert np.array_equal(env.z, other.z)
         assert np.array_equal(a.joint_torques, b.joint_torques)
+
+    def test_state_of_another_row_count_is_rejected(self):
+        # a one-row state used to broadcast into all four rows, and only the
+        # first row's generator was restored
+        one = PlanarEnv(SimParams(), num_envs=1, seed=1)
+        four = PlanarEnv(SimParams(), num_envs=4, seed=2)
+        one.step(np.full((1, 4), 0.3))
+        before = four.state_dict()
+        with pytest.raises(ValueError, match=r"\(1,\) for an env's float64 \(4,\)"):
+            four.load_state_dict(one.state_dict())
+        assert_same_state(four.state_dict(), before)
+
+    def test_state_of_another_dtype_or_key_is_rejected(self):
+        env = PlanarEnv(SimParams(), num_envs=2, seed=1)
+        state = env.state_dict()
+        state["arrays"]["steps"] = state["arrays"]["steps"].astype(np.float64)
+        with pytest.raises(ValueError, match="steps"):
+            env.load_state_dict(state)
+        state = env.state_dict()
+        del state["arrays"]["airborne"]
+        with pytest.raises(ValueError, match="airborne"):
+            env.load_state_dict(state)
+        state = env.state_dict()
+        state["rng_states"].pop()
+        with pytest.raises(ValueError, match="rng_states has 1 states for 2 rows"):
+            env.load_state_dict(state)
+
+
+def assert_same_state(got, expected):
+    """Two ``state_dict`` results hold the same keys, the same array bytes
+    and dtypes, and the same generator states."""
+    assert type(got) is type(expected)
+    if isinstance(expected, dict):
+        assert list(got) == list(expected)
+        for key in expected:
+            assert_same_state(got[key], expected[key])
+    elif isinstance(expected, np.ndarray):
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+        assert got.tobytes() == expected.tobytes()
+    else:
+        assert got == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
+import io
 import json
-import re
+import pickle
 import struct
 import tempfile
+import time
 import tracemalloc
+import zipfile
 from functools import cache
 from pathlib import Path
 
@@ -14,18 +17,17 @@ from hypothesis import strategies as st
 from planarmimic.config import default_config
 from planarmimic.core import ReferenceDataset, save_reference_csv
 from planarmimic.dtw import dtw_distance
+from planarmimic.nets import net_to_dict
 from planarmimic.ppo import ACTION_DIM
 from planarmimic.rewards import (handcrafted_backflip_reward,
                                  handcrafted_standup_reward)
 from planarmimic.sim import PlanarEnv, generate_demo_set
-from planarmimic.trainer import (CHECKPOINT_FORMAT_VERSION, Trainer,
-                                 build_identifier, evaluate_policy,
-                                 READ_BLOCK, json_chunks, load_checkpoint,
-                                 rollout_batch, rollout_observations)
+from planarmimic.trainer import (CHECKPOINT_FORMAT_VERSION, MEMBER_BLOCK,
+                                 Trainer, build_identifier, evaluate_policy,
+                                 load_checkpoint, rollout_batch,
+                                 rollout_observations, write_checkpoint)
 
 from test_nets import assert_views_of
-
-DATA = Path(__file__).parent / "data"
 
 
 def tiny_config(task="leap", loss="wgan", seed=3, tmp_path=None):
@@ -74,7 +76,7 @@ class TestTrainingLoop:
         assert (out / "config.txt").exists()
         assert (out / "run.json").exists()
         assert (out / "metrics.jsonl").exists()
-        assert (out / "checkpoint_000002.json").exists()
+        assert (out / "checkpoint_000002.npz").exists()
         assert final.exists()
         lines = (out / "metrics.jsonl").read_text().splitlines()
         assert len(lines) == cfg.iterations
@@ -137,7 +139,7 @@ def assert_resume_is_bit_exact(tmp_path, loss):
                    tiny_dataset(cfg))
     for _ in range(3):
         part.train_iteration()
-    ckpt = part.save_checkpoint(tmp_path / "ckpt.json")
+    ckpt = part.save_checkpoint(tmp_path / "ckpt.npz")
     resumed = Trainer.from_checkpoint(ckpt)
     records_resumed = [resumed.train_iteration() for _ in range(3)]
 
@@ -155,7 +157,7 @@ class TestCheckpointResume:
         cfg = tiny_config(tmp_path=tmp_path)
         trainer = Trainer(cfg, tiny_dataset(cfg))
         trainer.train_iteration()
-        path = trainer.save_checkpoint(tmp_path / "c.json")
+        path = trainer.save_checkpoint(tmp_path / "c.npz")
         restored = Trainer.from_checkpoint(path)
         assert np.array_equal(restored.policy.flat, trainer.policy.flat)
         assert np.array_equal(restored.value_net.flat, trainer.value_net.flat)
@@ -180,7 +182,7 @@ class TestCheckpointResume:
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path=tmp_path)
         trainer = Trainer(cfg, tiny_dataset(cfg))
-        path = trainer.save_checkpoint(tmp_path / "c.json")
+        path = trainer.save_checkpoint(tmp_path / "c.npz")
         before = path.read_bytes()
         trainer.train_iteration()
 
@@ -193,7 +195,7 @@ class TestCheckpointResume:
             trainer.save_checkpoint(path)
         monkeypatch.undo()
         assert path.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "refs"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.npz", "refs"]
         assert Trainer.from_checkpoint(path).iteration == 0
 
     def test_resume_keeps_each_record_once(self, tmp_path):
@@ -207,7 +209,7 @@ class TestCheckpointResume:
             run_dir, iterations=3)
         with (run_dir / "metrics.jsonl").open("a") as f:
             f.write('{"iteration": 4, "rew')
-        resumed = Trainer.from_checkpoint(run_dir / "checkpoint_000002.json")
+        resumed = Trainer.from_checkpoint(run_dir / "checkpoint_000002.npz")
         resumed.run(run_dir, iterations=4)
 
         lines = (run_dir / "metrics.jsonl").read_text().splitlines()
@@ -223,30 +225,12 @@ class TestCheckpointResume:
     def test_checkpoint_format_versioned(self, tmp_path):
         cfg = tiny_config(tmp_path=tmp_path)
         trainer = Trainer(cfg, tiny_dataset(cfg))
-        path = trainer.save_checkpoint(tmp_path / "c.json")
-        blob = json.loads(path.read_text())
-        assert blob["format_version"] == CHECKPOINT_FORMAT_VERSION == 2
-        blob["format_version"] = 999
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(blob))
-        with pytest.raises(ValueError, match="format"):
+        ckpt = load_checkpoint(trainer.save_checkpoint(tmp_path / "c.npz"))
+        assert ckpt["format_version"] == CHECKPOINT_FORMAT_VERSION == 3
+        ckpt["format_version"] = 999
+        bad = write_checkpoint(tmp_path / "bad.npz", ckpt)
+        with pytest.raises(ValueError, match="format 999"):
             Trainer.from_checkpoint(bad)
-
-
-    def test_format_1_checkpoint_resumes_to_the_same_record(self):
-        # checkpoint_format1.json was written at iteration 2 by the last
-        # release of format 1 (tiny_config(seed=7) with one hidden layer of 8
-        # units per net), and the record next to it is what that release's
-        # iteration 3 produced from it
-        cfg = tiny_config(seed=7)
-        ckpt = DATA / "checkpoint_format1.json"
-        assert json.loads(ckpt.read_text())["format_version"] == 1
-        trainer = Trainer.from_checkpoint(ckpt, dataset=tiny_dataset(cfg))
-        assert trainer.iteration == 2
-        assert_flat_layout(trainer)
-        expected = json.loads((DATA / "checkpoint_format1_next_record.json").read_text())
-        assert trainer.train_iteration() == expected
-
 
     @pytest.mark.parametrize("key", ["prev_action", "prev_joint_vel"])
     def test_checkpoint_whose_history_disagrees_with_its_frames_raises(
@@ -254,33 +238,12 @@ class TestCheckpointResume:
         cfg = tiny_config(tmp_path=tmp_path)
         trainer = Trainer(cfg, tiny_dataset(cfg))
         trainer.train_iteration()
-        ckpt = load_checkpoint(trainer.save_checkpoint(tmp_path / "c.json"))
-        assert Trainer.from_checkpoint(ckpt).iteration == 1
-        ckpt["collector"][key][2][1] += 0.5
+        path = trainer.save_checkpoint(tmp_path / "c.npz")
+        assert Trainer.from_checkpoint(path).iteration == 1
+        ckpt = load_checkpoint(path)
+        ckpt["collector"][key][2, 1] += 0.5
         with pytest.raises(ValueError, match=key):
             Trainer.from_checkpoint(ckpt)
-
-
-def listed(obj):
-    """``obj`` with every array as the nested lists the checkpoint held
-    before it was written a slice at a time."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, dict):
-        return {k: listed(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [listed(v) for v in obj]
-    return obj
-
-
-def mismatch(text, expected):
-    """None if the strings are equal, else where they first differ: cheap to
-    report for megabyte checkpoints, unlike pytest's diff of two strings."""
-    if text == expected:
-        return None
-    i = next((k for k, (a, b) in enumerate(zip(text, expected)) if a != b),
-             min(len(text), len(expected)))
-    return i, text[max(0, i - 40):i + 40], expected[max(0, i - 40):i + 40]
 
 
 def desk_trainer(loss="wgan"):
@@ -291,124 +254,130 @@ def desk_trainer(loss="wgan"):
     return trainer
 
 
+def array_bytes(obj) -> int:
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        return sum(array_bytes(v) for v in obj.values())
+    if isinstance(obj, list):
+        return sum(array_bytes(v) for v in obj)
+    return 0
+
+
 class TestStreamedCheckpoint:
-    @pytest.mark.parametrize("slice_len", [4096, 5])
-    @pytest.mark.parametrize("loss,full_state", [("wgan", False), ("lsgan", True)])
-    def test_file_is_json_dumps_of_the_list_form(self, tmp_path, monkeypatch,
-                                                 loss, full_state, slice_len):
-        cfg = tiny_config(loss=loss, tmp_path=tmp_path)
-        cfg.disc.full_state = full_state
-        trainer = Trainer(cfg, tiny_dataset(cfg))
-        trainer.train_iteration()
-        # non-finite and signed-zero values encode as json.dumps writes them
-        trainer.disc_opt.slots[next(iter(trainer.disc_opt.slots))][:5] = [
-            np.nan, np.inf, -np.inf, -0.0, 1e-310]
-        monkeypatch.setattr("planarmimic.trainer.JSON_SLICE", slice_len)
-        path = trainer.save_checkpoint(tmp_path / "c.json")
-        expected = json.dumps(listed(trainer.checkpoint_dict())) + "\n"
-        assert mismatch(path.read_text(), expected) is None
-        assert "NaN, Infinity, -Infinity, -0.0, 1e-310" in expected
-
-    def test_desk_file_is_json_dumps_of_the_list_form(self, tmp_path):
-        # the desk discriminator's slots span several slices
-        trainer = desk_trainer()
-        assert trainer.disc_opt.slots["buf"].size > 4096
-        path = trainer.save_checkpoint(tmp_path / "c.json")
-        expected = json.dumps(listed(trainer.checkpoint_dict())) + "\n"
-        assert mismatch(path.read_text(), expected) is None
-
-    @pytest.mark.parametrize("a", [
-        np.zeros(0), np.zeros((0, 3)), np.zeros((2, 0)),
-        np.arange(12.0), np.arange(24.0).reshape(2, 3, 4),
-        np.arange(10.0)[::3], np.arange(12.0).reshape(3, 4).T])
-    @pytest.mark.parametrize("slice_len", [1, 3, 4096])
-    def test_arrays_encode_as_their_lists(self, monkeypatch, a, slice_len):
-        monkeypatch.setattr("planarmimic.trainer.JSON_SLICE", slice_len)
-        obj = {"a": a, "b": [a, {"c": (1, None, True)}], "d": "x"}
-        assert "".join(json_chunks(obj)) == json.dumps(listed(obj))
-
     def test_save_peak_is_one_slice_not_the_checkpoint(self, tmp_path):
-        # the list form and its text took 11.8 MiB at these shapes
+        # the list form and its text took 11.8 MiB at these shapes; the
+        # arrays now go to the file from their own memory
         trainer = desk_trainer()
-        trainer.save_checkpoint(tmp_path / "warm.json")
+        trainer.save_checkpoint(tmp_path / "warm.npz")
         tracemalloc.start()
         try:
-            path = trainer.save_checkpoint(tmp_path / "c.json")
+            path = trainer.save_checkpoint(tmp_path / "c.npz")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert path.stat().st_size > 3 * 2 ** 20
-        assert peak < 2 * 2 ** 20
+        assert path.stat().st_size > 2 ** 20
+        assert peak < 2 ** 18
 
     def test_encoder_failing_midway_keeps_previous_checkpoint(self, tmp_path,
                                                              monkeypatch):
         cfg = tiny_config(tmp_path=tmp_path)
         trainer = Trainer(cfg, tiny_dataset(cfg))
-        path = trainer.save_checkpoint(tmp_path / "c.json")
+        path = trainer.save_checkpoint(tmp_path / "c.npz")
         before = path.read_bytes()
         trainer.train_iteration()
-        n_chunks = len(list(json_chunks(trainer.checkpoint_dict())))
-        tmp = tmp_path / "c.json.tmp"
+        with zipfile.ZipFile(path) as zf:
+            n_members = len(zf.namelist())
+        tmp = tmp_path / "c.npz.tmp"
+        header = np.lib.format.header_data_from_array_1_0
         seen = []
 
-        def failing(obj):
-            for i, chunk in enumerate(json_chunks(obj)):
-                if i == n_chunks // 2:
-                    seen.append(tmp.exists())
-                    raise RuntimeError("encoder failed")
-                yield chunk
+        def failing(a):
+            seen.append(tmp.exists())
+            if len(seen) == n_members // 2:
+                raise RuntimeError("encoder failed")
+            return header(a)
 
-        monkeypatch.setattr("planarmimic.trainer.json_chunks", failing)
+        monkeypatch.setattr(np.lib.format, "header_data_from_array_1_0", failing)
         with pytest.raises(RuntimeError, match="encoder failed"):
             trainer.save_checkpoint(path)
         monkeypatch.undo()
-        assert seen == [True]
+        assert seen == [True] * (n_members // 2)
         assert path.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "refs"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.npz", "refs"]
         assert Trainer.from_checkpoint(path).iteration == 0
+
+    @pytest.mark.parametrize("a", [
+        np.zeros(0), np.zeros((0, 3)), np.zeros((2, 0)),
+        np.arange(12.0), np.arange(24.0).reshape(2, 3, 4),
+        np.arange(10.0)[::3], np.arange(12.0).reshape(3, 4).T])
+    @pytest.mark.parametrize("block", [1, 3, 4096])
+    def test_arrays_encode_as_their_lists(self, tmp_path, monkeypatch, a, block):
+        # an array member holds its array's values in C order, whatever the
+        # shape, and reads back as the same list at blocks that end inside a
+        # float; the writer copies no array, so it refuses a strided view
+        def ckpt(a):
+            return {"format_version": CHECKPOINT_FORMAT_VERSION, "a": a,
+                    "b": {"a": a, "c": [1, None, True]}, "d": "x"}
+
+        path = tmp_path / "c.npz"
+        if not a.flags.c_contiguous:
+            with pytest.raises(ValueError, match="C-contiguous"):
+                write_checkpoint(path, ckpt(a))
+            assert list(tmp_path.iterdir()) == []
+            a = np.ascontiguousarray(a)
+        write_checkpoint(path, ckpt(a))
+        monkeypatch.setattr("planarmimic.trainer.MEMBER_BLOCK", block)
+        got = load_checkpoint(path)
+        assert got["a"].shape == got["b"]["a"].shape == a.shape
+        assert got["a"].tolist() == got["b"]["a"].tolist() == a.tolist()
+        assert (got["b"]["c"], got["d"]) == ([1, None, True], "x")
 
     def test_load_decodes_parameters_and_slots_to_arrays(self, tmp_path):
         cfg = tiny_config(tmp_path=tmp_path)
         trainer = Trainer(cfg, tiny_dataset(cfg))
         trainer.train_iteration()
-        ckpt = load_checkpoint(trainer.save_checkpoint(tmp_path / "c.json"))
-        for key, net in (("policy_net", trainer.policy.net),
-                         ("value_net", trainer.value_net),
-                         ("discriminator", trainer.disc)):
-            params = ckpt[key]["params"]
-            assert [p.shape for p in params] == net.shapes
-            assert all(p.dtype == np.float64 for p in params)
+        ckpt = load_checkpoint(trainer.save_checkpoint(tmp_path / "c.npz"))
+        for key, flat in (("policy", trainer.policy.flat),
+                          ("value_net", trainer.value_net.flat),
+                          ("discriminator", trainer.disc.flat)):
+            assert ckpt[key].dtype == np.float64
+            assert ckpt[key].tobytes() == flat.tobytes()
         for key in ("policy_opt", "value_opt", "disc_opt"):
             for name, slot in ckpt[key]["slots"].items():
                 assert slot.dtype == np.float64
                 assert slot.tobytes() == getattr(trainer, key).slots[name].tobytes()
         restored = Trainer.from_checkpoint(ckpt)
         assert restored.disc.flat.tobytes() == trainer.disc.flat.tobytes()
-        # the restored optimizer owns its slots
-        for name, slot in restored.disc_opt.slots.items():
-            assert not np.shares_memory(slot, ckpt["disc_opt"]["slots"][name])
-
-
-def decode_arrays(d: dict) -> dict:
-    """The object hook checkpoints were read with before the block reader,
-    kept as its oracle: a net's parameters and a format-2 optimizer's slots
-    become float64 arrays."""
-    if "layer_sizes" in d and "params" in d:
-        d["params"] = [np.array(p, dtype=np.float64) for p in d["params"]]
-    elif "kind" in d and isinstance(d.get("slots"), dict):
-        d["slots"] = {name: np.array(v, dtype=np.float64)
-                      for name, v in d["slots"].items()}
-    return d
+        assert_flat_layout(restored)
+        # the restored learners adopt the loaded vectors: the checkpoint's
+        # arrays are held once
+        assert restored.policy.flat is ckpt["policy"]
+        assert restored.value_net.flat is ckpt["value_net"]
+        assert restored.disc.flat is ckpt["discriminator"]
+        for key in ("policy_opt", "value_opt", "disc_opt"):
+            for name, slot in getattr(restored, key).slots.items():
+                assert slot is ckpt[key]["slots"][name]
 
 
 def oracle_load(path) -> dict:
-    with Path(path).open() as f:
-        return json.load(f, object_hook=decode_arrays)
+    """The checkpoint as numpy's own npz reader and ``json`` read it, the
+    oracle of ``load_checkpoint``: meta.json's object with each array member
+    at its key path."""
+    with np.load(path, allow_pickle=False) as npz:
+        ckpt = json.loads(npz["meta.json"])
+        for name in ckpt.pop("members"):
+            *parents, key = name.split("/")
+            node = ckpt
+            for parent in parents:
+                node = node.setdefault(parent, {})
+            node[key] = npz[name]
+    return ckpt
 
 
 def assert_same(got, expected, where="checkpoint"):
     """The same keys in the same order, the same Python types, and the same
-    float64 bytes, NaN included."""
+    array bytes, NaN included."""
     assert type(got) is type(expected), where
     if isinstance(expected, np.ndarray):
         assert (got.dtype, got.shape) == (expected.dtype, expected.shape), where
@@ -426,16 +395,6 @@ def assert_same(got, expected, where="checkpoint"):
         assert struct.pack("<d", got) == struct.pack("<d", expected), where
     else:
         assert got == expected, where
-
-
-def array_bytes(obj) -> int:
-    if isinstance(obj, np.ndarray):
-        return obj.nbytes
-    if isinstance(obj, dict):
-        return sum(array_bytes(v) for v in obj.values())
-    if isinstance(obj, list):
-        return sum(array_bytes(v) for v in obj)
-    return 0
 
 
 def reader_case(name):
@@ -457,24 +416,44 @@ def reader_case(name):
     return trainer
 
 
-def block_ends(text, block):
-    """Where the ends of ``block``-character reads fall in ``text``."""
-    keys = [m.span() for m in re.finditer(r'"[^"]*": ', text)]
-    kinds = set()
-    for p in range(block, len(text), block):
-        if text[p - 1].isdigit() and text[p].isdigit():
-            kinds.add("inside a number")
-        if any(text.startswith("], [", s) for s in range(p - 3, p)):
-            kinds.add("between a row's brackets")
-    for start, end in keys:
-        # the quotes are at start and end - 3
-        if (start // block) != ((end - 3) // block):
-            kinds.add("inside a key")
-    return kinds
+def member_spans(path) -> dict:
+    """Each member's ``(header start, data start, data end)`` in the file,
+    and the central directory's start under ``"directory"``."""
+    spans = {}
+    with zipfile.ZipFile(path) as zf:
+        for info in zf.infolist():
+            start = info.header_offset + 30 + len(info.filename) + len(info.extra)
+            spans[info.filename] = (info.header_offset, start, start + info.file_size)
+        spans["directory"] = zf.start_dir
+    return spans
 
 
-# the places a torn checkpoint is cut: the text it keeps ends there
+def rewrite_members(path, out, edit):
+    """Copy the zip ``path`` to ``out`` with ``edit(name, data)`` for each
+    member: a ``(name, data)`` pair to write, or None to leave it out."""
+    with zipfile.ZipFile(path) as src, zipfile.ZipFile(out, "w") as dst:
+        for name in src.namelist():
+            kept = edit(name, src.read(name))
+            if kept is not None:
+                dst.writestr(zipfile.ZipInfo(kept[0]), kept[1])
+    return out
+
+
+# the places a torn checkpoint is cut: the bytes it keeps end there
 TORN_CUTS = {
+    "empty": lambda spans, n: 0,
+    "inside the zip signature": lambda spans, n: 2,
+    "inside the meta member": lambda spans, n: spans["meta.json"][1] + 10,
+    "inside an array's header": lambda spans, n: spans["disc_opt/slots/buf.npy"][1] + 20,
+    "inside an array's data": lambda spans, n: spans["disc_opt/slots/buf.npy"][2] - 100,
+    "between two members": lambda spans, n: spans["value_net.npy"][0],
+    "inside the central directory": lambda spans, n: spans["directory"] + 50,
+    "before the end record": lambda spans, n: n - 22,
+}
+
+# the places a torn JSON checkpoint of format 2 is cut: the text it keeps
+# ends there
+TORN_JSON_CUTS = {
     "after a comma in a slot run": lambda t: t.index(", ", t.index('"slots": {')) + 1,
     "after a separator in a slot run": lambda t: t.index(", ", t.index('"slots": {')) + 2,
     "inside a number in a slot run": lambda t: t.index(", ", t.index('"slots": {')) + 5,
@@ -482,73 +461,168 @@ TORN_CUTS = {
     "between a row's brackets": lambda t: t.index("], [") + 2,
     "inside a key": lambda t: t.index('"disc_opt"') + 5,
     "before the last brace": lambda t: t.rindex("}"),
-    "empty": lambda t: 0,
 }
+
+
+def listed(obj):
+    """``obj`` with each array as its nested lists."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: listed(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [listed(value) for value in obj]
+    return obj
+
+
+def format2_text(trainer) -> str:
+    """The text of ``trainer``'s checkpoint in format 2, the last JSON one:
+    every array as its nested lists, each net as its layer sizes, activation
+    and parameter arrays, and the policy's log std apart from its net."""
+    ckpt = dict(trainer.checkpoint_dict(), format_version=2,
+                value_net=net_to_dict(trainer.value_net),
+                discriminator=net_to_dict(trainer.disc),
+                policy_net=net_to_dict(trainer.policy.net),
+                policy_log_std=trainer.policy.log_std)
+    del ckpt["policy"]
+    return json.dumps(listed(ckpt)) + "\n"
 
 
 class TestCheckpointReader:
     @pytest.mark.parametrize("case", ["desk fresh", "desk trained", "E=1", "E=256",
                                       "lsgan sgd", "nan window"])
     def test_matches_the_json_oracle(self, tmp_path, case):
-        path = reader_case(case).save_checkpoint(tmp_path / "c.json")
+        path = reader_case(case).save_checkpoint(tmp_path / "c.npz")
+        got = load_checkpoint(path)
         if case == "nan window":
-            assert "NaN" in json.dumps(json.loads(path.read_text())["collector"]["windows"])
-        assert_same(load_checkpoint(path), oracle_load(path))
+            assert np.isnan(got["collector"]["windows"]).any()
+        assert_same(got, oracle_load(path))
 
     @pytest.mark.parametrize("case", ["desk trained", "nan window"])
     def test_a_loaded_checkpoint_saves_byte_identical(self, tmp_path, case):
-        path = reader_case(case).save_checkpoint(tmp_path / "c.json")
+        path = reader_case(case).save_checkpoint(tmp_path / "c.npz")
         again = Trainer.from_checkpoint(path, dataset=tiny_dataset(default_config()))
-        assert again.save_checkpoint(tmp_path / "again.json").read_bytes() == path.read_bytes()
+        assert again.save_checkpoint(tmp_path / "again.npz").read_bytes() == path.read_bytes()
+
+    def test_the_same_state_saves_the_same_bytes(self, tmp_path):
+        trainer = reader_case("lsgan sgd")
+        first = trainer.save_checkpoint(tmp_path / "a" / "c.npz").read_bytes()
+        # a member's date is fixed, not the time of the save
+        time.sleep(2.1)
+        assert trainer.save_checkpoint(tmp_path / "b.npz").read_bytes() == first
 
     @pytest.mark.parametrize("block", [1, 5, 97])
     def test_matches_the_oracle_at_any_block_end(self, tmp_path, monkeypatch, block):
-        path = reader_case("lsgan sgd").save_checkpoint(tmp_path / "c.json")
-        assert block_ends(path.read_text(), block) == {
-            "inside a number", "inside a key", "between a row's brackets"}
-        format1 = DATA / "checkpoint_format1.json"
-        monkeypatch.setattr("planarmimic.trainer.READ_BLOCK", block)
+        # blocks that end inside a value, in the header's place and the data's
+        path = reader_case("lsgan sgd").save_checkpoint(tmp_path / "c.npz")
+        monkeypatch.setattr("planarmimic.trainer.MEMBER_BLOCK", block)
         assert_same(load_checkpoint(path), oracle_load(path))
-        assert_same(load_checkpoint(format1), oracle_load(format1))
 
-    @pytest.mark.parametrize("block,slice_len", [(READ_BLOCK, 4096), (7, 3)])
+    @pytest.mark.parametrize("block,n_random", [(MEMBER_BLOCK, 4096), (7, 3)])
     def test_random_bit_patterns_round_trip(self, tmp_path, monkeypatch,
-                                            block, slice_len):
+                                            block, n_random):
         rng = np.random.default_rng(5)
         values = np.concatenate([
-            rng.integers(0, 2 ** 64, size=3000, dtype=np.uint64).view(np.float64),
-            # subnormals, signed zeros, the extremes, and -1.0, which the
-            # empty-literal check looks twice at
+            rng.integers(0, 2 ** 64, size=n_random, dtype=np.uint64).view(np.float64),
+            # subnormals, signed zeros, the extremes, infinities, and NaNs
+            # of either sign with their payloads
             [5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
              0.0, -0.0, 1.7976931348623157e308, -1.7976931348623157e308,
-             1e-300, -1e300, -1.0, np.nan, np.inf, -np.inf]])
+             np.inf, -np.inf],
+            np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                      0xFFF4000000000123, 0x7FFFFFFFFFFFFFFF],
+                     dtype=np.uint64).view(np.float64)])
         values = rng.permutation(values)
-        obj = {"net": {"layer_sizes": [4, 5], "activation": "relu",
-                       "params": [values[:1000].reshape(50, 20), values[1000:1050]]},
-               "opt": {"kind": "adam", "slots": {"m": values, "v": values[::-1]}}}
-        monkeypatch.setattr("planarmimic.trainer.JSON_SLICE", slice_len)
-        path = tmp_path / "bits.json"
-        path.write_text("".join(json_chunks(obj)) + "\n")
-        monkeypatch.setattr("planarmimic.trainer.READ_BLOCK", block)
+        ckpt = {"format_version": CHECKPOINT_FORMAT_VERSION,
+                "opt": {"kind": "adam", "slots": {"m": values, "v": values[::-1].copy()}},
+                "steps": rng.integers(-2 ** 63, 2 ** 63 - 1, size=50, dtype=np.int64),
+                "flags": rng.random((5, 3)) < 0.5}
+        path = write_checkpoint(tmp_path / "bits.npz", ckpt)
+        monkeypatch.setattr("planarmimic.trainer.MEMBER_BLOCK", block)
         got = load_checkpoint(path)
+        assert_same(got, ckpt)
         assert_same(got, oracle_load(path))
-        # every value but NaN keeps its bits; json has one NaN
-        kept = ~np.isnan(values)
-        assert got["opt"]["slots"]["m"][kept].tobytes() == values[kept].tobytes()
 
-    @pytest.mark.parametrize("cut", sorted(TORN_CUTS))
-    @pytest.mark.parametrize("block", [READ_BLOCK, 3])
+    @pytest.mark.parametrize("cut", sorted([*TORN_CUTS, *TORN_JSON_CUTS]))
+    @pytest.mark.parametrize("block", [MEMBER_BLOCK, 3])
     def test_torn_file_raises(self, tmp_path, monkeypatch, cut, block):
-        text = reader_case("lsgan sgd").save_checkpoint(tmp_path / "c.json").read_text()
-        torn = tmp_path / "torn.json"
-        torn.write_text(text[:TORN_CUTS[cut](text)])
-        monkeypatch.setattr("planarmimic.trainer.READ_BLOCK", block)
-        with pytest.raises(ValueError):
+        trainer = reader_case("lsgan sgd")
+        torn = tmp_path / "torn.npz"
+        if cut in TORN_CUTS:
+            path = trainer.save_checkpoint(tmp_path / "c.npz")
+            data = path.read_bytes()
+            torn.write_bytes(data[:TORN_CUTS[cut](member_spans(path), len(data))])
+            match = None
+        else:
+            # a torn JSON checkpoint is still named by its format
+            text = format2_text(trainer)
+            torn.write_text(text[:TORN_JSON_CUTS[cut](text)])
+            match = "JSON checkpoint of format 2"
+        monkeypatch.setattr("planarmimic.trainer.MEMBER_BLOCK", block)
+        with pytest.raises(ValueError, match=match):
             load_checkpoint(torn)
 
+    @pytest.mark.parametrize("member", ["meta.json", "disc_opt/slots/buf.npy",
+                                        "env/arrays/steps.npy"])
+    @pytest.mark.parametrize("where", ["header", "data"])
+    def test_flipped_byte_raises(self, tmp_path, member, where):
+        path = reader_case("lsgan sgd").save_checkpoint(tmp_path / "c.npz")
+        _, start, end = member_spans(path)[member]
+        at = start + 5 if where == "header" else (start + 128 + end) // 2
+        data = bytearray(path.read_bytes())
+        data[at] ^= 0x10
+        path.write_bytes(data)
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda name, data: None if name == "value_opt/slots/v.npy" else (name, data),
+        lambda name, data: ("value_opt/slots/w.npy" if name == "value_opt/slots/v.npy"
+                            else name, data),
+        lambda name, data: None if name == "meta.json" else (name, data)],
+        ids=["missing", "renamed", "no meta"])
+    def test_member_missing_or_renamed_raises(self, tmp_path, edit):
+        path = reader_case("lsgan sgd").save_checkpoint(tmp_path / "c.npz")
+        bad = rewrite_members(path, tmp_path / "bad.npz", edit)
+        with pytest.raises(ValueError, match="member|meta.json"):
+            load_checkpoint(bad)
+
+    @pytest.mark.parametrize("kind", ["object dtype", "pickle", "float32",
+                                      "big-endian", "fortran order"])
+    def test_member_of_another_kind_raises(self, tmp_path, kind):
+        path = reader_case("lsgan sgd").save_checkpoint(tmp_path / "c.npz")
+        v = load_checkpoint(path)["value_opt"]["slots"]["v"]
+        replacement = {
+            "object dtype": np.array([{"x": 1}] * v.size, dtype=object),
+            "pickle": None,
+            "float32": v.astype(np.float32),
+            "big-endian": v.astype(">f8"),
+            "fortran order": np.asfortranarray(np.stack([v, v], axis=1)),
+        }[kind]
+
+        def edit(name, data):
+            if name != "value_opt/slots/v.npy":
+                return name, data
+            if replacement is None:
+                return name, pickle.dumps(v)
+            out = io.BytesIO()
+            np.lib.format.write_array(out, replacement, allow_pickle=True)
+            return name, out.getvalue()
+
+        bad = rewrite_members(path, tmp_path / "bad.npz", edit)
+        with pytest.raises(ValueError):
+            load_checkpoint(bad)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_json_checkpoint_is_refused_by_its_format(self, tmp_path, version):
+        old = tmp_path / "old.npz"
+        old.write_text('{"format_version": %d, "iteration": 4}\n' % version)
+        with pytest.raises(ValueError, match=f"JSON checkpoint of format {version}"):
+            load_checkpoint(old)
+
     @pytest.mark.parametrize("text", [
-        # np.fromstring reads these empty literals as -1.0 without a word,
-        # and "1.0," as [1.0]
+        # checkpoints of format 2 and earlier were JSON; none of these texts
+        # starts as one did, so each is no checkpoint at all
         *('{"opt": {"kind": "sgd", "slots": {"m": [%s]}}}' % run for run in
           ["1.0, , 2.0", "1.0, 2.0, ", " , 1.0", "1.0,", "1.0,, 2.0", "1.0 2.0",
            "1.0, x"]),
@@ -558,18 +632,19 @@ class TestCheckpointReader:
     def test_malformed_file_raises(self, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a checkpoint"):
             load_checkpoint(path)
 
     def test_load_peak_is_a_block_and_an_array_not_the_file(self, tmp_path):
-        # json.load peaked at 4.94 and 6.60 MiB on checkpoints like these
+        # json.load peaked at 4.94 and 6.60 MiB on checkpoints like these,
+        # the block reader of format 2 at about 1.5 MiB
         cfg = default_config()
         trainer = Trainer(cfg, tiny_dataset(cfg))
         transient = []
         for name in ("fresh", "trained"):
             if name == "trained":
                 trainer.train_iteration()
-            path = trainer.save_checkpoint(tmp_path / f"{name}.json")
+            path = trainer.save_checkpoint(tmp_path / f"{name}.npz")
             load_checkpoint(path)
             tracemalloc.start()
             try:
@@ -578,9 +653,8 @@ class TestCheckpointReader:
             finally:
                 tracemalloc.stop()
             transient.append(peak - array_bytes(ckpt))
-        assert path.stat().st_size > 3 * 2 ** 20
-        assert max(transient) < 2 ** 20
-        # the trained file is twice the fresh one, the transient no larger
+        assert path.stat().st_size > 2 ** 20
+        assert max(transient) < 2 ** 19
         assert abs(transient[1] - transient[0]) < 2 ** 18
 
 
@@ -600,7 +674,7 @@ def test_checkpoint_round_trips_at_any_iteration(loss, at):
     for _ in range(at):
         trainer.train_iteration()
     with tempfile.TemporaryDirectory() as tmp:
-        path = trainer.save_checkpoint(Path(tmp) / "c.json")
+        path = trainer.save_checkpoint(Path(tmp) / "c.npz")
         resumed = Trainer.from_checkpoint(path, dataset=dataset)
     assert resumed.train_iteration() == unbroken_records(loss)[at]
 
