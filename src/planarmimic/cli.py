@@ -19,7 +19,7 @@ only place that decides precedence. Each step beats the ones before it:
 
 A resume takes only ``--iterations`` and ``--out``.
 
-``train`` writes a checkpoint (format 3, see ``trainer``) every
+``train`` writes a checkpoint (format 4, see ``trainer``) every
 ``checkpoint_interval`` iterations as ``checkpoint_<n>.npz``, the iteration
 in six digits (``checkpoint_000500.npz``), and at the end as
 ``checkpoint_final.npz``. ``eval``, ``analyze`` and ``train --resume`` tell

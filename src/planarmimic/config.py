@@ -80,8 +80,6 @@ class TrainConfig:
         errors += self.reward.validate()
         errors += self.dtw.validate()
         errors += self.eval.validate()
-        if self.reward.gamma != self.ppo.gamma:
-            errors.append("reward.gamma must equal ppo.gamma")
         return errors
 
     def require_valid(self) -> "TrainConfig":

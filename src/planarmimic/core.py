@@ -53,7 +53,8 @@ def phi_extract_arrays(base_vx: np.ndarray, base_vz: np.ndarray,
 
 class BatchWindowBuffer:
     """The last L frames of every row of a vectorized environment, oldest
-    first, as one (E, L, F) array. Readers take views of it with ``last``.
+    first, as one (E, L, F) array ``buf``. Readers take views of it with
+    ``last``.
 
     ``reset_rows`` fills all L slots of the masked rows with their first
     frame, so a full window is available from the very first step of an
@@ -61,19 +62,19 @@ class BatchWindowBuffer:
     """
 
     def __init__(self, num_envs: int, length: int, feat_dim: int):
-        self._buf = np.zeros((num_envs, length, feat_dim), dtype=np.float64)
+        self.buf = np.zeros((num_envs, length, feat_dim), dtype=np.float64)
 
     def reset_rows(self, mask: np.ndarray, frames: np.ndarray) -> None:
-        self._buf[mask] = frames[mask, None, :]
+        self.buf[mask] = frames[mask, None, :]
 
     def push(self, frames: np.ndarray) -> None:
-        self._buf[:, :-1] = self._buf[:, 1:]
-        self._buf[:, -1] = frames
+        self.buf[:, :-1] = self.buf[:, 1:]
+        self.buf[:, -1] = frames
 
     def last(self, n: int, cols: int | None = None) -> np.ndarray:
         """A view of every row's last ``n`` frames, oldest first, cut to
         their first ``cols`` columns (all by default): (E, n, cols)."""
-        return self._buf[:, -n:, :cols]
+        return self.buf[:, -n:, :cols]
 
 
 @dataclass

@@ -31,7 +31,6 @@ class DiscriminatorConfig:
     w_gp: float = 5.0            # weight on the reference input-gradient penalty
     weight_decay: float = 1e-3
     learning_rate: float = 3e-4
-    epochs_per_iter: int = 1
     minibatches: int = 10
     minibatch_size: int = 64
     momentum: float = 0.05
@@ -66,8 +65,6 @@ class DiscriminatorConfig:
             errors.append("disc.w_gp must be >= 0")
         if self.learning_rate <= 0:
             errors.append("disc.learning_rate must be > 0")
-        if self.epochs_per_iter < 1:
-            errors.append("disc.epochs_per_iter must be >= 1")
         if self.minibatches < 1:
             errors.append("disc.minibatches must be >= 1")
         if self.minibatch_size < 1:

@@ -410,69 +410,3 @@ def optimizer_step(state: OptimizerState, params: np.ndarray,
         denom = np.add(np.sqrt(vhat, out=s2), state.eps, out=s2)
         mhat = np.divide(slot["m"], 1.0 - state.beta1 ** state.step_count, out=s1)
         p -= np.divide(np.multiply(lr, mhat, out=s1), denom, out=s1)
-
-
-# ---------------------------------------------------------------------------
-# Serialization (checkpoint building blocks)
-# ---------------------------------------------------------------------------
-# The dicts hold the live float64 arrays, views of the learner's vectors, not
-# copies: the checkpoint writer writes them from their memory.
-
-def net_to_dict(net: MlpNet) -> dict:
-    return {
-        "layer_sizes": net.layer_sizes,
-        "activation": net.activation,
-        "params": unflatten(net.flat, net.shapes),
-    }
-
-
-def net_from_dict(d: dict) -> MlpNet:
-    """Rebuild a net from ``net_to_dict``'s output. Raises ``ValueError``
-    where a parameter's shape is not its layer's: assigning it would
-    broadcast a (1, n) row into every row of an (m, n) weight."""
-    net = MlpNet(d["layer_sizes"], d["activation"])
-    for view, p in zip(unflatten(net.flat, net.shapes), d["params"], strict=True):
-        p = np.asarray(p, dtype=np.float64)
-        if p.shape != view.shape:
-            raise ValueError(f"parameter of shape {p.shape} for a layer of "
-                             f"shape {view.shape}")
-        view[...] = p
-    return net
-
-
-def optimizer_to_dict(state: OptimizerState) -> dict:
-    return {
-        "kind": state.kind,
-        "learning_rate": state.learning_rate,
-        "weight_decay": state.weight_decay,
-        "momentum": state.momentum,
-        "rho": state.rho,
-        "beta1": state.beta1,
-        "beta2": state.beta2,
-        "eps": state.eps,
-        "step_count": state.step_count,
-        "slots": dict(state.slots),
-    }
-
-
-def optimizer_from_dict(d: dict, params: np.ndarray) -> OptimizerState:
-    """Rebuild the optimizer of the vector ``params`` from
-    ``optimizer_to_dict``'s output; it adopts the dict's slot vectors.
-    Raises ``ValueError`` where the slots are not its kind's, or a slot is
-    not a C-contiguous float64 vector of ``params``' shape: one of another
-    length would fail only at the first step."""
-    kind = d["kind"]
-    if kind not in SLOT_NAMES or sorted(d["slots"]) != sorted(SLOT_NAMES[kind]):
-        raise ValueError(f"optimizer of kind {kind!r} with slots {sorted(d['slots'])}")
-    for name, slot in d["slots"].items():
-        if not (isinstance(slot, np.ndarray) and slot.dtype == np.float64
-                and slot.shape == params.shape and slot.flags.c_contiguous):
-            raise ValueError(f"{kind} slot {name!r} of shape {np.shape(slot)} for "
-                             f"parameters of shape {params.shape}")
-    state = OptimizerState(
-        kind=kind, learning_rate=d["learning_rate"],
-        weight_decay=d["weight_decay"], momentum=d["momentum"], rho=d["rho"],
-        beta1=d["beta1"], beta2=d["beta2"], eps=d["eps"],
-        step_count=d["step_count"])
-    state.slots = {name: d["slots"][name] for name in SLOT_NAMES[kind]}
-    return state

@@ -340,7 +340,7 @@ class RolloutCollector:
         for t in range(T):
             scores[t] = raw_score(disc_net, windows[t], self._disc_cache)
         r_imit = imitation.pay(scores)
-        r_term = termination_penalty(terminal, self.weights.gamma)
+        r_term = termination_penalty(terminal, self.ppo_cfg.gamma)
         r_reg = regularization_reward(actions, prev_actions, joint_vel, prev_joint_vel,
                                       torques, pitch_rate, env.params.control_dt,
                                       self.weights)
@@ -353,47 +353,6 @@ class RolloutCollector:
             scores=scores, r_imitation=r_imit, r_regularization=r_reg,
             r_termination=r_term, episode_lengths=episode_lengths,
             termination_count=int(terminal.sum()))
-
-    def state_dict(self) -> dict:
-        """The checkpoint's collector keys, each a copy of a slice of the
-        history: the critic windows, the last two policy frames and the last
-        frame's action and joint rates; and the action generators' states."""
-        prev, cur = self.history.frames.last(2).swapaxes(0, 1)
-        return {"windows": self._window().copy(),
-                "prev_frame": prev.copy(), "cur_frame": cur.copy(),
-                "prev_action": cur[:, ACTION].copy(),
-                "prev_joint_vel": cur[:, JOINT_VEL].copy(),
-                "action_rng_states": [r.bit_generator.state for r in self.action_rngs]}
-
-    def load_state_dict(self, d: dict) -> None:
-        """Restore ``state_dict``: the windows, and then the two frames over
-        them. Raises ``ValueError``, before anything is written, where an
-        array's shape or the number of generator states is not this
-        collector's, and after, where the keys that repeat part of the
-        frames disagree with them."""
-        shapes = {key: value.shape for key, value in self.state_dict().items()
-                  if key != "action_rng_states"}
-        arrays = {key: np.asarray(d[key], dtype=np.float64) for key in shapes}
-        for key, shape in shapes.items():
-            if arrays[key].shape != shape:
-                raise ValueError(f"collector state: {key} has shape "
-                                 f"{arrays[key].shape}, this collector {shape}")
-        E = self.env.num_envs
-        if len(d["action_rng_states"]) != E:
-            raise ValueError(f"collector state: action_rng_states has "
-                             f"{len(d['action_rng_states'])} states for {E} envs")
-        window = self._window()
-        window[...] = arrays["windows"]
-        self.history.frames.last(2)[...] = np.stack(
-            [arrays["prev_frame"], arrays["cur_frame"]], axis=1)
-        cur = self.history.frames.last(1)[:, 0]
-        for key, have in (("windows", window), ("prev_action", cur[:, ACTION]),
-                          ("prev_joint_vel", cur[:, JOINT_VEL])):
-            if not np.array_equal(arrays[key], have, equal_nan=True):
-                raise ValueError(f"collector state: {key} disagrees with the "
-                                 "policy frames")
-        for r, s in zip(self.action_rngs, d["action_rng_states"]):
-            r.bit_generator.state = s
 
 
 def ppo_update(policy: GaussianPolicy, value_net: MlpNet, buf: RolloutBuffer,

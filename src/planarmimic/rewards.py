@@ -55,14 +55,6 @@ class RunningStats:
     def normalize(self, score):
         return (np.asarray(score, dtype=np.float64) - self.mean) / self.std
 
-    def to_dict(self) -> dict:
-        return {"count": self.count, "mean": self.mean, "m2": self.m2,
-                "epsilon": self.epsilon}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunningStats":
-        return cls(count=d["count"], mean=d["mean"], m2=d["m2"], epsilon=d["epsilon"])
-
 
 class ImitationReward:
     """Maps discriminator scores to imitation rewards, by the loss kind.
@@ -131,12 +123,9 @@ class RewardWeights:
     w_joint_accel: float = -1.25e-8
     w_joint_torque: float = -1.25e-6
     w_pitch_rate: float = 0.0
-    gamma: float = 0.99
 
     def validate(self) -> list:
         errors = []
-        if not 0.0 < self.gamma < 1.0:
-            errors.append("reward.gamma must be in (0, 1)")
         for name in ("w_action_rate", "w_joint_accel", "w_joint_torque", "w_pitch_rate"):
             if getattr(self, name) > 0:
                 errors.append(f"reward.{name} must be <= 0 (penalty weight)")

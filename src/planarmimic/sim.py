@@ -233,7 +233,8 @@ class _StepBuffers:
             state[1:, _PITCH], state[1:, _COS], state[1:, _SIN]))
 
 
-# the arrays of an env's checkpoint state, each with a row per env
+# the arrays of an env's state, each with a row per env: with the rows'
+# generators, what a checkpoint keeps of an env
 STATE_ARRAYS = ("x", "z", "pitch", "vx", "vz", "om", "q", "qd", "time", "mass",
                 "flight_angle", "steps", "terminal", "airborne")
 
@@ -558,33 +559,6 @@ class PlanarEnv:
     def observation_features(self) -> np.ndarray:
         """Base-only observation features for every env, (E, 6)."""
         return phi_extract_arrays(self.vx, self.vz, self.pitch, self.om, self.z)
-
-    def state_dict(self) -> dict:
-        """Copies of the env's state arrays, and its rows' generator states."""
-        return {"arrays": {k: getattr(self, k).copy() for k in STATE_ARRAYS},
-                "rng_states": [r.bit_generator.state for r in self.rngs]}
-
-    def load_state_dict(self, d: dict) -> None:
-        """Restore ``state_dict``. Raises ``ValueError``, before anything is
-        written, where its arrays are not this env's in name, shape or
-        dtype, or it has not one generator state per row: a one-row state
-        would otherwise broadcast into every row."""
-        arrays = {k: np.asarray(v) for k, v in d["arrays"].items()}
-        if sorted(arrays) != sorted(STATE_ARRAYS):
-            raise ValueError(f"env state arrays {sorted(arrays)}, "
-                             f"not {sorted(STATE_ARRAYS)}")
-        for k, v in arrays.items():
-            have = getattr(self, k)
-            if (v.shape, v.dtype) != (have.shape, have.dtype):
-                raise ValueError(f"env state {k}: {v.dtype} {v.shape} for an env's "
-                                 f"{have.dtype} {have.shape}")
-        if len(d["rng_states"]) != self.num_envs:
-            raise ValueError(f"env state: rng_states has {len(d['rng_states'])} "
-                             f"states for {self.num_envs} rows")
-        for k, v in arrays.items():
-            getattr(self, k)[...] = v
-        for r, s in zip(self.rngs, d["rng_states"]):
-            r.bit_generator.state = s
 
 
 # ---------------------------------------------------------------------------

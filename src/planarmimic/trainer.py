@@ -1,15 +1,25 @@
 """Experiment orchestration: the adversarial training loop, checkpointing,
 metrics logging, and policy evaluation.
 
-A checkpoint (format 3) is one uncompressed zip in numpy's ``.npz`` layout,
+A checkpoint (format 4) is one uncompressed zip in numpy's ``.npz`` layout,
 so ``np.load`` opens it too. Its first member, ``meta.json``, is a JSON
 object of everything but the arrays: the format version, the iteration, the
-config mapping, each optimizer's hyperparameters and step count, the running
-statistics, the generator states, and under ``members`` the names of the
-array members in file order. Every other member is one array in ``.npy``
-form, named by its key path in the checkpoint dict (``policy_opt/slots/m``):
-each net's parameter vector, each optimizer slot, and the env's and
-collector's state arrays.
+config mapping, each optimizer's ``learning_rate`` and ``step_count``, the
+running statistics' ``count``, ``mean`` and ``m2``, and last the generator
+states of the trainer (``trainer_rng``), the env rows (``env_rngs``) and the
+action rows (``action_rngs``); under ``members`` it names the array members
+in file order. Every other member is one array in ``.npy`` form, named by
+its key path in the checkpoint dict (``policy_opt/slots/m``): each net's
+parameter vector (``policy``, ``value_net``, ``discriminator``), each
+optimizer's slots, the env's ``sim.STATE_ARRAYS`` (``env/arrays/x``), and
+the collector's whole frame buffer, (E, max(H, 2), 18), as
+``collector/frames``.
+
+Only ``Trainer`` knows this layout: ``checkpoint_dict`` lists the live
+arrays, and ``restore`` walks a loaded dict against it, checking every key,
+every array's shape and dtype and every generator list's length before it
+writes anything (see ``restore``). Optimizer hyperparameters come from the
+config.
 
 ``write_checkpoint`` writes each array's bytes straight from its memory, not
 from a copy, and every member carries the zip format's fixed earliest date,
@@ -17,8 +27,9 @@ so the same state always gives the same bytes. ``load_checkpoint`` decides
 the format by the file's first bytes, never by its name, and reads each
 array a block of ``MEMBER_BLOCK`` bytes at a time into the array it returns,
 checking the zip's CRC; nothing is unpickled. A torn or damaged file, a
-missing, extra or renamed member, a member of another dtype, and a JSON
-checkpoint of format 1 or 2 (named by its format) each raise ``ValueError``.
+missing, extra or renamed member, a member of another dtype, a zip of
+another format (format 3 included) and a JSON checkpoint of format 1 or 2
+(named by its format) each raise ``ValueError``.
 
 Every file the program replaces goes through ``_write_atomic``: the content
 goes to a temp file beside the target, which is flushed, synced and renamed
@@ -46,15 +57,14 @@ from .config import TrainConfig, build_config, config_to_mapping, save_config
 from .core import ReferenceDataset, load_reference_dataset, sample_reference_windows
 from .discriminator import discriminator_loss, raw_score, reference_input
 from .dtw import DtwReport, dtw_distances, stand_still_rollout
-from .nets import (ForwardCache, MlpNet, OptimizerState, optimizer_from_dict,
-                   optimizer_step, optimizer_to_dict)
+from .nets import ForwardCache, MlpNet, OptimizerState, optimizer_step
 from .ppo import (ACTION_DIM, GaussianPolicy, POLICY_OBS_DIM, PolicyHistory,
                   RolloutCollector, ppo_update)
 from .rewards import (ImitationReward, RunningStats,
                       handcrafted_backflip_reward, handcrafted_standup_reward)
-from .sim import PlanarEnv
+from .sim import STATE_ARRAYS, PlanarEnv
 
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 META_MEMBER = "meta.json"
 # bytes of an array member read at a time
 MEMBER_BLOCK = 64 * 1024
@@ -197,7 +207,7 @@ def _read_zip(zf: zipfile.ZipFile) -> dict:
 
 
 def load_checkpoint(path) -> dict:
-    """The checkpoint dict of a format-3 file: ``meta.json``'s object with
+    """The checkpoint dict of a format-4 file: ``meta.json``'s object with
     each array member at its key path (see the module docstring)."""
     with Path(path).open("rb") as f:
         head = f.read(64)
@@ -223,11 +233,9 @@ class Trainer:
     def __init__(self, cfg: TrainConfig, dataset: ReferenceDataset,
                  ckpt: dict | None = None):
         """A fresh trainer at ``cfg.seed``, or with ``ckpt``, a checkpoint
-        dict (``load_checkpoint``), the trainer it holds. Its nets and
-        optimizers then adopt the dict's vectors, not copies, so a dict
-        restores one trainer; the env, collector and generator are built
-        from ``cfg`` and load their state. Raises ``ValueError`` where an
-        array or list of ``ckpt`` is not of the shape ``cfg`` builds."""
+        dict (``load_checkpoint``), the trainer it holds: its nets adopt the
+        dict's vectors, not copies, so a dict restores one trainer, and
+        ``restore`` writes the rest of the dict over the fresh state."""
         cfg.require_valid()
         dataset.validate(cfg.disc.horizon)
         self.cfg = cfg
@@ -238,46 +246,38 @@ class Trainer:
         value_sizes = [POLICY_OBS_DIM, *cfg.ppo.hidden_sizes, 1]
         disc_sizes = [cfg.disc.input_dim, *cfg.disc.hidden_sizes, 1]
         if ckpt is None:
-            self.iteration = 0
             init_rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
             self.policy = GaussianPolicy(
                 MlpNet.create(policy_sizes, "elu", rng=init_rng, output_gain=0.01),
                 init_log_std=cfg.ppo.init_log_std)
             self.value_net = MlpNet.create(value_sizes, "elu", rng=init_rng)
             self.disc = MlpNet.create(disc_sizes, "relu", rng=init_rng)
-            self.policy_opt = OptimizerState.for_params(
-                self.policy.flat, "adam", cfg.ppo.learning_rate)
-            self.value_opt = OptimizerState.for_params(
-                self.value_net.flat, "adam", cfg.ppo.learning_rate)
-            self.disc_opt = OptimizerState.for_params(
-                self.disc.flat, cfg.disc.optimizer_kind, cfg.disc.learning_rate,
-                weight_decay=cfg.disc.weight_decay, momentum=cfg.disc.momentum,
-                rho=cfg.disc.rho)
-            stats = RunningStats()
         else:
-            self.iteration = ckpt["iteration"]
             self.policy = GaussianPolicy.from_flat(policy_sizes, "elu", ckpt["policy"])
             self.value_net = MlpNet(value_sizes, "elu", ckpt["value_net"])
             self.disc = MlpNet(disc_sizes, "relu", ckpt["discriminator"])
-            self.policy_opt = optimizer_from_dict(ckpt["policy_opt"], self.policy.flat)
-            self.value_opt = optimizer_from_dict(ckpt["value_opt"], self.value_net.flat)
-            self.disc_opt = optimizer_from_dict(ckpt["disc_opt"], self.disc.flat)
-            stats = RunningStats.from_dict(ckpt["running_stats"])
+        self.iteration = 0
+        self.policy_opt = OptimizerState.for_params(
+            self.policy.flat, "adam", cfg.ppo.learning_rate)
+        self.value_opt = OptimizerState.for_params(
+            self.value_net.flat, "adam", cfg.ppo.learning_rate)
+        self.disc_opt = OptimizerState.for_params(
+            self.disc.flat, cfg.disc.optimizer_kind, cfg.disc.learning_rate,
+            weight_decay=cfg.disc.weight_decay, momentum=cfg.disc.momentum,
+            rho=cfg.disc.rho)
         # the discriminator step's and the PPO update's arrays, kept from one
         # minibatch and one iteration to the next
         self.disc_ref_cache, self.disc_pol_cache = ForwardCache(), ForwardCache()
         self.ppo_pol_cache, self.ppo_val_cache = ForwardCache(), ForwardCache()
         self.ppo_val_grad = np.empty_like(self.value_net.flat)
 
-        self.imitation = ImitationReward(cfg.disc.loss_kind, stats)
+        self.imitation = ImitationReward(cfg.disc.loss_kind, RunningStats())
         self.env = PlanarEnv(cfg.sim, cfg.ppo.num_envs, seed=seed)
         self.collector = RolloutCollector(self.env, cfg.disc, cfg.ppo,
                                           cfg.reward, seed=seed)
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
         if ckpt is not None:
-            self.env.load_state_dict(ckpt["env"])
-            self.collector.load_state_dict(ckpt["collector"])
-            self.rng.bit_generator.state = ckpt["trainer_rng"]
+            self.restore(ckpt)
 
     # -- one iteration ---------------------------------------------------------
 
@@ -293,22 +293,21 @@ class Trainer:
         pol_windows = buf.flat_windows()
         mb_size = min(cfg.disc.minibatch_size, pol_windows.shape[0])
         disc_totals, disc_mains, disc_gps, ref_scores = [], [], [], []
-        for _ in range(cfg.disc.epochs_per_iter):
-            for _ in range(cfg.disc.minibatches):
-                idx = self.rng.integers(0, pol_windows.shape[0], size=mb_size)
-                pol_mb = pol_windows[idx]
-                ref_mb = reference_input(sample_reference_windows(
-                    self.dataset, mb_size, cfg.disc.horizon, self.rng),
-                    cfg.disc.full_state)
-                res = discriminator_loss(self.disc, ref_mb, pol_mb, cfg.disc,
-                                         self.disc_ref_cache, self.disc_pol_cache)
-                optimizer_step(self.disc_opt, self.disc.flat, res.grads)
-                disc_totals.append(res.total)
-                disc_mains.append(res.main_term)
-                disc_gps.append(res.gp_term)
-                # the loss is done with the reference cache, so this forward reuses it
-                ref_scores.append(float(
-                    raw_score(self.disc, ref_mb, self.disc_ref_cache).mean()))
+        for _ in range(cfg.disc.minibatches):
+            idx = self.rng.integers(0, pol_windows.shape[0], size=mb_size)
+            pol_mb = pol_windows[idx]
+            ref_mb = reference_input(sample_reference_windows(
+                self.dataset, mb_size, cfg.disc.horizon, self.rng),
+                cfg.disc.full_state)
+            res = discriminator_loss(self.disc, ref_mb, pol_mb, cfg.disc,
+                                     self.disc_ref_cache, self.disc_pol_cache)
+            optimizer_step(self.disc_opt, self.disc.flat, res.grads)
+            disc_totals.append(res.total)
+            disc_mains.append(res.main_term)
+            disc_gps.append(res.gp_term)
+            # the loss is done with the reference cache, so this forward reuses it
+            ref_scores.append(float(
+                raw_score(self.disc, ref_mb, self.disc_ref_cache).mean()))
 
         self.iteration += 1
         ep_len = (float(np.mean(buf.episode_lengths))
@@ -387,8 +386,9 @@ class Trainer:
     # -- checkpointing -------------------------------------------------------------
 
     def checkpoint_dict(self) -> dict:
-        """The trainer's state as a checkpoint dict; its vectors are the
-        learners' own, not copies."""
+        """The trainer's state as a checkpoint dict (see the module
+        docstring); its arrays are the live ones, not copies."""
+        stats = self.imitation.stats
         return {
             "format_version": CHECKPOINT_FORMAT_VERSION,
             "iteration": self.iteration,
@@ -396,14 +396,53 @@ class Trainer:
             "policy": self.policy.flat,
             "value_net": self.value_net.flat,
             "discriminator": self.disc.flat,
-            "policy_opt": optimizer_to_dict(self.policy_opt),
-            "value_opt": optimizer_to_dict(self.value_opt),
-            "disc_opt": optimizer_to_dict(self.disc_opt),
-            "running_stats": self.imitation.stats.to_dict(),
+            **{name: {"learning_rate": opt.learning_rate,
+                      "step_count": opt.step_count, "slots": dict(opt.slots)}
+               for name, opt in self._optimizers()},
+            "running_stats": {"count": stats.count, "mean": stats.mean, "m2": stats.m2},
+            "env": {"arrays": {key: getattr(self.env, key) for key in STATE_ARRAYS}},
+            "collector": {"frames": self.collector.history.frames.buf},
             "trainer_rng": self.rng.bit_generator.state,
-            "env": self.env.state_dict(),
-            "collector": self.collector.state_dict(),
+            "env_rngs": [r.bit_generator.state for r in self.env.rngs],
+            "action_rngs": [r.bit_generator.state for r in self.collector.action_rngs],
         }
+
+    def _optimizers(self) -> tuple:
+        return (("policy_opt", self.policy_opt), ("value_opt", self.value_opt),
+                ("disc_opt", self.disc_opt))
+
+    def restore(self, ckpt: dict) -> None:
+        """Write the checkpoint dict ``ckpt`` over this trainer's state: its
+        generator states, its arrays in place, then its scalars. Raises
+        ``ValueError``, with nothing written, unless ``ckpt`` has
+        ``checkpoint_dict``'s keys at every level, each array the live
+        array's shape and dtype, each list the live list's length and each
+        generator state one its generator takes: a one-row array would
+        otherwise broadcast into every row, and a short list restore only
+        its first rows' generators. The config stays this trainer's
+        (``from_checkpoint`` builds it from the dict's), so its keys are not
+        compared: a key the dict lacks takes its default."""
+        live = self.checkpoint_dict()
+        del live["config"]
+        saved = {key: value for key, value in ckpt.items() if key != "config"}
+        _check_layout(saved, live)
+        # a generator checks a state only as it is set: set them first, and
+        # put back the ones already set if one is refused
+        rngs = [self.rng, *self.env.rngs, *self.collector.action_rngs]
+        try:
+            for rng, state in zip(rngs, _generator_states(saved)):
+                rng.bit_generator.state = state
+        except (TypeError, ValueError, KeyError) as e:
+            for rng, state in zip(rngs, _generator_states(live)):
+                rng.bit_generator.state = state
+            raise ValueError(f"checkpoint generator state: {e}") from None
+        _copy_arrays(saved, live)
+        self.iteration = ckpt["iteration"]
+        for name, opt in self._optimizers():
+            opt.learning_rate = ckpt[name]["learning_rate"]
+            opt.step_count = ckpt[name]["step_count"]
+        stats, kept = self.imitation.stats, ckpt["running_stats"]
+        stats.count, stats.mean, stats.m2 = kept["count"], kept["mean"], kept["m2"]
 
     def save_checkpoint(self, path) -> Path:
         return write_checkpoint(path, self.checkpoint_dict())
@@ -412,8 +451,10 @@ class Trainer:
     def from_checkpoint(cls, checkpoint, dataset: ReferenceDataset | None = None,
                         keys=()) -> "Trainer":
         """A trainer restored from ``checkpoint``: a file's path, or the dict
-        ``load_checkpoint`` read from one, whose arrays the trainer adopts.
-        ``keys``, ``(key, value)`` pairs, override the checkpoint's config."""
+        ``load_checkpoint`` read from one, whose net vectors the trainer
+        adopts. ``keys``, ``(key, value)`` pairs, override the checkpoint's
+        config. Raises ``ValueError`` where the dict is not the layout of
+        the trainer its config builds."""
         ckpt = checkpoint if isinstance(checkpoint, dict) else load_checkpoint(checkpoint)
         cfg = build_config(keys=[*ckpt["config"].items(), *keys])
         if dataset is None:
@@ -425,6 +466,45 @@ class Trainer:
             return cls(cfg, dataset, ckpt)
         except KeyError as e:
             raise ValueError(f"checkpoint has no {e}") from None
+
+
+def _check_layout(got, live, path: str = "checkpoint") -> None:
+    """Raise ``ValueError`` unless ``got`` has the layout of ``live``: the
+    same keys at every level, each array of the live array's shape and
+    dtype, and each list of the live list's length."""
+    if isinstance(live, dict):
+        if not isinstance(got, dict) or got.keys() != live.keys():
+            have = sorted(got) if isinstance(got, dict) else type(got).__name__
+            raise ValueError(f"{path} has {have}, this trainer {sorted(live)}")
+        for key, value in live.items():
+            _check_layout(got[key], value, f"{path}/{key}")
+    elif isinstance(live, np.ndarray):
+        if not isinstance(got, np.ndarray) or (got.dtype, got.shape) != (
+                live.dtype, live.shape):
+            have = (f"{got.dtype} {got.shape}" if isinstance(got, np.ndarray)
+                    else type(got).__name__)
+            raise ValueError(f"{path} is {have}, this trainer's {live.dtype} {live.shape}")
+    elif isinstance(live, list):
+        if not isinstance(got, list) or len(got) != len(live):
+            have = len(got) if isinstance(got, list) else type(got).__name__
+            raise ValueError(f"{path} has {have} entries, this trainer {len(live)}")
+        for i, (item, value) in enumerate(zip(got, live)):
+            _check_layout(item, value, f"{path}[{i}]")
+
+
+def _generator_states(ckpt: dict) -> list:
+    """A checkpoint dict's generator states: the trainer's, then the env
+    rows', then the action rows'."""
+    return [ckpt["trainer_rng"], *ckpt["env_rngs"], *ckpt["action_rngs"]]
+
+
+def _copy_arrays(got, live) -> None:
+    """Copy each array of ``got`` into ``live``'s at its key path."""
+    if isinstance(live, dict):
+        for key, value in live.items():
+            _copy_arrays(got[key], value)
+    elif isinstance(live, np.ndarray) and got is not live:
+        np.copyto(live, got)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 
 from planarmimic.analyze import (reference_window_rewards, reward_surface,
@@ -15,11 +17,11 @@ def test_histogram_leaves_the_reward_statistics_alone():
     trainer = Trainer(cfg, tiny_dataset(cfg))
     while trainer.imitation.stats.count <= STATS_WARMUP:
         trainer.train_iteration()
-    stats = trainer.imitation.stats.to_dict()
+    stats = asdict(trainer.imitation.stats)
     ref_rewards = reference_window_rewards(trainer)
     surface = reward_surface(trainer, grid_n=5)
     rollout_reward_histogram(trainer)
-    assert trainer.imitation.stats.to_dict() == stats
+    assert asdict(trainer.imitation.stats) == stats
     assert np.array_equal(reference_window_rewards(trainer), ref_rewards)
     assert np.array_equal(reward_surface(trainer, grid_n=5), surface)
 

@@ -228,6 +228,19 @@ class TestRetiredConfigKeys:
                      str(tmp_path / "eval.json")])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("line", ["reward.gamma = 0.99",
+                                      "disc.epochs_per_iter = 1"])
+    def test_folded_keys_fail_as_any_unknown_key(self, tmp_path, line):
+        # reward.gamma had one legal value, ppo.gamma's, and
+        # disc.epochs_per_iter only multiplied disc.minibatches
+        base, out = tmp_path / "base.txt", tmp_path / "run"
+        save_config(tiny_config(tmp_path=tmp_path), base)
+        with base.open("a") as f:
+            f.write(line + "\n")
+        code = main(["train", "--config", str(base), "--out", str(out), "--quiet"])
+        assert code == EXIT_CONFIG
+        assert not (out / "metrics.jsonl").exists()
+
 
 class TestCheckpointFormat:
     def test_json_checkpoint_is_a_runtime_failure(self, tmp_path, capsys):
@@ -235,6 +248,15 @@ class TestCheckpointFormat:
         old.write_text('{"format_version": 2}\n')
         assert main(["eval", "--checkpoint", str(old), "--out", str(out)]) == EXIT_RUNTIME
         assert "format 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_format_3_checkpoint_is_a_runtime_failure(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path=tmp_path)
+        ckpt = dict(Trainer(cfg, tiny_dataset(cfg)).checkpoint_dict(), format_version=3)
+        old = write_checkpoint(tmp_path / "old.npz", ckpt)
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--checkpoint", str(old), "--out", str(out)]) == EXIT_RUNTIME
+        assert "format 3" in capsys.readouterr().err
         assert not out.exists()
 
     def test_resume_with_a_slot_of_another_length_writes_nothing(self, tmp_path):

@@ -28,7 +28,6 @@ class TestParsing:
             disc.loss_kind = lsgan
             disc.horizon = 16
             ppo.gamma = 0.95
-            reward.gamma = 0.95
             reward.w_imitation = 0.8
             sim.body_mass = 3.0
             dtw.open_end = false
@@ -151,9 +150,10 @@ class TestValidation:
         assert cfg.validate() == []
 
     def test_gamma_consistency_enforced(self):
-        cfg = default_config()
-        cfg.ppo.gamma = 0.95
-        assert any("gamma" in e for e in cfg.validate())
+        # the termination penalty discounts by ppo.gamma: there is no second
+        # gamma to disagree with it
+        with pytest.raises(ConfigError, match="unknown config key 'reward.gamma'"):
+            build_config(keys=[("reward.gamma", "0.99")])
 
     def test_require_valid_raises(self):
         cfg = default_config()

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -6,9 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planarmimic.nets import (ACTIVATIONS, ForwardCache, MlpNet, OptimizerState,
-                              clip_grad_norm, net_from_dict, net_to_dict,
-                              optimizer_from_dict, optimizer_step,
-                              optimizer_to_dict, orthogonal_init, unflatten)
+                              clip_grad_norm, optimizer_step, orthogonal_init,
+                              unflatten)
 
 FD_EPS = 1e-5
 FD_RTOL = 1e-4
@@ -388,33 +388,28 @@ class TestOptimizers:
         kept = opt.scratch
         optimizer_step(opt, p, g)
         assert len(kept) == 2 and all(a is b for a, b in zip(opt.scratch, kept))
-        assert "scratch" not in optimizer_to_dict(opt)
-
-    def test_serialization_round_trip(self):
-        p = np.array([1.0, 2.0, 3.0])
-        opt = OptimizerState.for_params(p, "adam", learning_rate=0.01)
-        optimizer_step(opt, p, np.ones(3))
-        restored = optimizer_from_dict(optimizer_to_dict(opt), p)
-        assert restored.step_count == opt.step_count
-        assert restored.slots.keys() == opt.slots.keys()
-        for k in opt.slots:
-            assert np.array_equal(restored.slots[k], opt.slots[k])
 
     @pytest.mark.parametrize("kind", ["sgd", "rmsprop", "adam"])
     def test_slot_of_another_length_is_rejected(self, kind):
-        # it used to be caught only at the first step
-        p = np.zeros(4)
-        d = optimizer_to_dict(OptimizerState.for_params(p, kind, learning_rate=0.1))
-        d["slots"]["buf" if kind != "adam" else "v"] = np.zeros(3)
-        with pytest.raises(ValueError, match=r"shape \(3,\) for parameters of shape \(4,\)"):
-            optimizer_from_dict(d, p)
+        # a short slot used to be caught only at the first step; a restore
+        # now refuses it whatever the kind, and writes nothing
+        # imported here: test_trainer imports this module
+        from planarmimic.trainer import Trainer
+        from test_trainer import assert_same, tiny_config, tiny_dataset
 
-    def test_slots_of_another_kind_are_rejected(self):
-        p = np.zeros(4)
-        d = optimizer_to_dict(OptimizerState.for_params(p, "adam", learning_rate=0.1))
-        d["kind"] = "rmsprop"
-        with pytest.raises(ValueError, match="slots"):
-            optimizer_from_dict(d, p)
+        cfg = tiny_config()
+        cfg.disc.optimizer = kind
+        trainer = Trainer(cfg, tiny_dataset(cfg))
+        ckpt = copy.deepcopy(trainer.checkpoint_dict())
+        slot = "buf" if kind != "adam" else "v"
+        n = trainer.disc.flat.size
+        ckpt["disc_opt"]["slots"][slot] = np.zeros(n - 1)
+        before = copy.deepcopy(trainer.checkpoint_dict())
+        with pytest.raises(ValueError, match=(
+                rf"disc_opt/slots/{slot} is float64 \({n - 1},\), "
+                rf"this trainer's float64 \({n},\)")):
+            trainer.restore(ckpt)
+        assert_same(trainer.checkpoint_dict(), before)
 
 
 def plain_step(state, p, grads):
@@ -482,39 +477,6 @@ class TestInit:
         assert any(w.shape[0] > w.shape[1] for w in net.weights)
         for w in net.weights:
             assert w.flags.c_contiguous
-
-
-class TestSerialization:
-    def test_net_round_trip(self):
-        rng = np.random.default_rng(4)
-        net = rand_net(rng, [3, 5, 2], "relu")
-        restored = net_from_dict(net_to_dict(net))
-        assert restored.layer_sizes == net.layer_sizes
-        assert restored.activation == net.activation
-        assert np.array_equal(restored.flat, net.flat)
-
-    def test_net_layout_mismatch_rejected(self):
-        d = net_to_dict(MlpNet.create([3, 5, 2], rng=np.random.default_rng(0)))
-        d["params"] = d["params"][:-1]
-        with pytest.raises(ValueError):
-            net_from_dict(d)
-
-    @pytest.mark.parametrize("index, shape", [(0, (1, 3)), (1, (1,))])
-    def test_parameter_of_another_shape_rejected(self, index, shape):
-        # a (1, 3) weight or a length-1 bias used to broadcast into the
-        # (4, 3) layer's every row or entry
-        d = net_to_dict(MlpNet.create([3, 4, 2], rng=np.random.default_rng(0)))
-        params = list(d["params"])
-        params[index] = np.ones(shape)
-        d["params"] = params
-        with pytest.raises(ValueError, match=r"shape \(4"):
-            net_from_dict(d)
-
-    def test_parameters_as_nested_lists_load(self):
-        net = MlpNet.create([3, 4, 2], rng=np.random.default_rng(1))
-        d = net_to_dict(net)
-        d["params"] = [p.tolist() for p in d["params"]]
-        assert net_from_dict(d).flat.tobytes() == net.flat.tobytes()
 
 
 def assert_views_of(vector, arrays):

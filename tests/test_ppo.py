@@ -6,17 +6,20 @@ import pytest
 from planarmimic.discriminator import (DiscriminatorConfig, build_discriminator,
                                        raw_score)
 from planarmimic.nets import ForwardCache, MlpNet, OptimizerState
-from planarmimic.ppo import (ACTION_DIM, GaussianPolicy, OBS_NOISE_TEMPLATE,
-                             POLICY_FRAME_DIM, POLICY_FRAMES, POLICY_OBS_DIM,
-                             PpoConfig, RolloutBuffer, RolloutCollector,
-                             adaptive_lr, gae_advantages, ppo_update)
+from planarmimic.ppo import (ACTION, ACTION_DIM, JOINT_VEL, GaussianPolicy,
+                             OBS_NOISE_TEMPLATE, POLICY_FRAME_DIM, POLICY_FRAMES,
+                             POLICY_OBS_DIM, PpoConfig, RolloutBuffer,
+                             RolloutCollector, adaptive_lr, gae_advantages,
+                             ppo_update)
 from planarmimic.rewards import (STATS_WARMUP, ImitationReward, RewardWeights,
                                  RunningStats, regularization_reward,
                                  termination_penalty, total_reward)
 from planarmimic.sim import PlanarEnv, SimParams
+from planarmimic.trainer import Trainer
 
 from test_nets import assert_views_of
-from test_sim import assert_same_state
+from test_sim import assert_same_state, env_state
+from test_trainer import tiny_config, tiny_dataset
 
 
 def gae_direct_sum(rewards, values, dones, bootstrap, gamma, lam):
@@ -121,15 +124,16 @@ def oracle_collect(collector, policy, value_net, disc_net, imitation):
     reads and advances the collector's state (env, history, windows,
     generators) and the statistics of ``imitation`` as ``collect`` does.
 
-    The history is its own plain arrays, shifted row by row: taken from the
-    collector's ``state_dict`` and handed back through ``load_state_dict``."""
+    The history is its own plain arrays, shifted row by row: the last two
+    policy frames, the last frame's action and joint rates, and the critic
+    windows, copied from the collector's frame buffer and written back."""
     cfg, disc_cfg, weights = collector.ppo_cfg, collector.disc_cfg, collector.weights
     env, rngs = collector.env, collector.action_rngs
     E, T = env.num_envs, cfg.steps_per_iter
-    state = collector.state_dict()
-    prev_frame, cur_frame, prev_action, prev_joint_vel, window = (
-        np.array(state[k]) for k in ("prev_frame", "cur_frame", "prev_action",
-                                     "prev_joint_vel", "windows"))
+    frames, H, D = collector.history.frames.buf, disc_cfg.horizon, disc_cfg.frame_dim
+    prev_frame, cur_frame = frames[:, -2].copy(), frames[:, -1].copy()
+    prev_action, prev_joint_vel = cur_frame[:, ACTION].copy(), cur_frame[:, JOINT_VEL].copy()
+    window = frames[:, -H:, :D].copy()
     shp = (T, E)
     buf = RolloutBuffer(
         obs=np.zeros((T, E, POLICY_OBS_DIM)), actions=np.zeros((T, E, ACTION_DIM)),
@@ -176,7 +180,7 @@ def oracle_collect(collector, policy, value_net, disc_net, imitation):
                       else (scores - stats.mean) / stats.std)
             for v in scores:
                 stats.update(v)
-        r_term = termination_penalty(result.terminal, weights.gamma)
+        r_term = termination_penalty(result.terminal, cfg.gamma)
         r_reg = regularization_reward(
             actions, prev_action, env.qd, prev_joint_vel,
             result.joint_torques, env.om, env.params.control_dt, weights)
@@ -212,12 +216,21 @@ def oracle_collect(collector, policy, value_net, disc_net, imitation):
 
     final_values, _ = value_net.forward(policy_obs())
     buf.bootstrap_value = final_values[:, 0]
-    state.update(prev_frame=prev_frame, cur_frame=cur_frame,
-                 prev_action=prev_action, prev_joint_vel=prev_joint_vel,
-                 windows=window,
-                 action_rng_states=[r.bit_generator.state for r in rngs])
-    collector.load_state_dict(state)
+    # the plain arrays overlap in the frame buffer, and must agree there
+    assert np.array_equal(prev_action, cur_frame[:, ACTION])
+    assert np.array_equal(prev_joint_vel, cur_frame[:, JOINT_VEL])
+    frames[:, -H:, :D] = window
+    frames[:, -2:] = np.stack([prev_frame, cur_frame], axis=1)
+    assert np.array_equal(frames[:, -H:, :D], window)
     return buf
+
+
+def collector_state(collector) -> dict:
+    """Copies of what ``collector`` reads of its history, the critic windows
+    and the last two policy frames, and its action generators' states."""
+    return {"windows": collector._window().copy(),
+            "frames": collector.history.frames.last(POLICY_FRAMES).copy(),
+            "action_rng_states": [r.bit_generator.state for r in collector.action_rngs]}
 
 
 BUFFER_ARRAYS = ("obs", "actions", "log_probs", "values", "rewards", "dones",
@@ -267,8 +280,8 @@ class TestCollectMatchesOracle:
             lengths += got.episode_lengths
             terminations += got.termination_count
             assert fast[4].stats == slow[4].stats
-            assert_same_state(fast[0].state_dict(), slow[0].state_dict())
-            assert_same_state(fast[0].env.state_dict(), slow[0].env.state_dict())
+            assert_same_state(collector_state(fast[0]), collector_state(slow[0]))
+            assert_same_state(env_state(fast[0].env), env_state(slow[0].env))
         assert 3 in lengths and len(lengths) >= 3 and terminations >= 2
         if loss == "wgan":
             assert fast[4].stats.count >= STATS_WARMUP
@@ -290,51 +303,62 @@ class TestCollectorState:
 
     @pytest.mark.parametrize("horizon", [1, 2, 8])
     @pytest.mark.parametrize("full_state", [False, True])
-    def test_state_dict_round_trip_continues_the_rollout(self, horizon, full_state):
-        first, policy, value_net, disc, imitation = TestCollectMatchesOracle.setup(
-            "wgan", 0.0, full_state, horizon)
-        first.collect(policy, value_net, disc, imitation)
-        state = first.state_dict()
-        assert state["windows"].shape == (16, horizon, 14 if full_state else 6)
+    def test_state_dict_round_trip_continues_the_rollout(self, tmp_path, horizon,
+                                                         full_state):
+        # the collector's part of the trainer's checkpoint dict, its frame
+        # buffer and action generators, continues the rollout once restored
+        cfg = tiny_config(seed=5)
+        cfg.disc.horizon, cfg.disc.full_state = horizon, full_state
+        dataset = tiny_dataset(cfg)
+        first = Trainer(cfg, dataset)
+        first.train_iteration()
+        # resets in mid-rollout: row 2 starts in a crashing attitude, and
+        # row 1's episode clock runs out three steps in
+        env = first.env
+        env.pitch[2], env.z[2] = np.pi / 2 + 0.4, 0.25
+        env.time[1] = env.params.max_episode_time - 0.05
+        path = first.save_checkpoint(tmp_path / "c.npz")
+        fresh, slow = (Trainer.from_checkpoint(path, dataset) for _ in range(2))
+        assert fresh.collector.history.frames.buf.shape == (
+            4, max(horizon, POLICY_FRAMES), POLICY_FRAME_DIM)
+        assert_same_state(collector_state(fresh.collector),
+                          collector_state(first.collector))
 
-        def restored():
-            env = PlanarEnv(SimParams(), num_envs=16, seed=5)
-            env.load_state_dict(first.env.state_dict())
-            fresh = RolloutCollector(env, first.disc_cfg, first.ppo_cfg,
-                                     RewardWeights(), seed=5)
-            fresh.load_state_dict(state)
-            return fresh
+        def learners(trainer):
+            return trainer.policy, trainer.value_net, trainer.disc, trainer.imitation
 
-        fresh, slow = restored(), restored()
-        assert_same_state(fresh.state_dict(), first.state_dict())
-        want = first.collect(policy, value_net, disc, copy.deepcopy(imitation))
-        assert_buffers_equal(fresh.collect(policy, value_net, disc,
-                                           copy.deepcopy(imitation)), want)
-        assert_buffers_equal(oracle_collect(slow, policy, value_net, disc,
-                                            copy.deepcopy(imitation)), want)
+        want = first.collector.collect(*learners(first))
+        assert_buffers_equal(fresh.collector.collect(*learners(fresh)), want)
+        assert_buffers_equal(oracle_collect(slow.collector, *learners(slow)), want)
         assert want.episode_lengths
         for other in (fresh, slow):
-            assert_same_state(other.state_dict(), first.state_dict())
+            assert_same_state(collector_state(other.collector),
+                              collector_state(first.collector))
 
-    @pytest.mark.parametrize("key", ["prev_action", "prev_joint_vel", "windows"])
-    def test_state_that_disagrees_with_its_frames_raises(self, key):
-        collector = tiny_setup(seed=4, horizon=4)[0]
-        state = collector.state_dict()
-        state[key].reshape(-1)[-1] += 1.0
-        with pytest.raises(ValueError, match=key):
-            collector.load_state_dict(state)
-
+    # keyed by what the collector reads of its state (see ``collector_state``):
+    # the critic windows, the last policy frame and the previous action are
+    # views of its one frame buffer, so each is cut by cutting that buffer
     @pytest.mark.parametrize("key", ["windows", "prev_frame", "prev_action",
                                      "action_rng_states"])
     def test_state_of_another_row_count_is_rejected(self, key):
         # a one-row frame used to broadcast into every row, and one action
         # generator state restored only the first row's generator
-        collector = tiny_setup(seed=4, horizon=4)[0]
-        state, before = collector.state_dict(), collector.state_dict()
-        state[key] = state[key][:1]
-        with pytest.raises(ValueError, match=key):
-            collector.load_state_dict(state)
-        assert_same_state(collector.state_dict(), before)
+        cfg = tiny_config(seed=4)
+        cfg.disc.horizon = 4
+        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer.train_iteration()
+        collector = trainer.collector
+        ckpt = copy.deepcopy(trainer.checkpoint_dict())
+        if key == "action_rng_states":
+            ckpt["action_rngs"] = ckpt["action_rngs"][:1]
+            match = "checkpoint/action_rngs has 1 entries, this trainer 4"
+        else:
+            ckpt["collector"]["frames"] = ckpt["collector"]["frames"][:1].copy()
+            match = r"checkpoint/collector/frames is float64 \(1,"
+        before = collector_state(collector)
+        with pytest.raises(ValueError, match=match):
+            trainer.restore(ckpt)
+        assert_same_state(collector_state(collector), before)
 
 
 class TestCollector:
@@ -378,7 +402,7 @@ class TestCollector:
         buf = collector.collect(policy, value_net, disc, imitation)
         assert buf.termination_count > 0
         t, e = np.nonzero(buf.r_termination < 0)
-        expected = -5.0 / (1.0 - w.gamma)
+        expected = -5.0 / (1.0 - collector.ppo_cfg.gamma)
         assert np.allclose(buf.r_termination[t, e], expected)
         contribution = buf.rewards[t, e] - buf.r_regularization[t, e]
         assert np.allclose(contribution,
@@ -405,8 +429,8 @@ class TestCollector:
 
     def test_windows_prefilled_after_reset(self):
         collector, policy, value_net, disc, imitation, _ = tiny_setup(horizon=4)
-        win = collector.state_dict()["windows"]
-        assert win.shape == (4, 4, 6)
+        win = collector.history.frames.buf
+        assert win.shape == (4, 4, POLICY_FRAME_DIM)
         for k in range(1, 4):
             assert np.array_equal(win[:, 0], win[:, k])
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -91,9 +92,9 @@ class TestImitationReward:
 
     def test_call_reads_the_statistics_only(self):
         r = self._warm()
-        before = r.stats.to_dict()
+        before = asdict(r.stats)
         r(np.arange(12.0).reshape(3, 4))
-        assert r.stats.to_dict() == before
+        assert asdict(r.stats) == before
 
     def test_pay_reads_each_row_before_folding_it_in(self):
         # a row crosses the warm-up: the rewards of every row are read from

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from planarmimic import sim as sim_module
-from planarmimic.sim import (DEMO_FRAMES, MOTIONS, NOMINAL_JOINT_POS, PlanarEnv,
-                             SimParams, StepBatch, check_termination_arrays,
-                             generate_demo_set, generate_rough_demo)
+from planarmimic.sim import (DEMO_FRAMES, MOTIONS, NOMINAL_JOINT_POS, STATE_ARRAYS,
+                             PlanarEnv, SimParams, StepBatch,
+                             check_termination_arrays, generate_demo_set,
+                             generate_rough_demo)
 
 
 def quiet_params(**kwargs):
@@ -148,18 +149,18 @@ class TestDeterminism:
         params = quiet_params()
         action = np.array([[0.2, -0.1, 0.05, 0.3]])
         env = PlanarEnv(params, num_envs=1, seed=0)
-        start = env.state_dict()
+        start = env_state(env)
         r1 = env.step(action)
-        s1 = env.state_dict()
+        s1 = env_state(env)
         other = PlanarEnv(params, num_envs=1, seed=99)
         other.step(-action)
-        other.load_state_dict(start)
+        load_env_state(other, start)
         r2 = other.step(action)
         assert other.z[0] == env.z[0]
         assert other.vx[0] == env.vx[0]
         assert np.array_equal(other.q[0], env.q[0])
         assert np.array_equal(r1.joint_torques, r2.joint_torques)
-        assert_same_state(other.state_dict(), s1)
+        assert_same_state(env_state(other), s1)
 
     def test_rollout_independent_of_batch_size(self):
         # env i is seeded by (seed, i), so the same index in any batch size
@@ -379,47 +380,38 @@ class TestRoughDemos:
 
 class TestStateViews:
     def test_state_dict_round_trip(self):
+        # an env's part of a checkpoint dict, its STATE_ARRAYS and its rows'
+        # generators, is its whole state: another env given it steps the same
         params = SimParams()
         env = PlanarEnv(params, num_envs=3, seed=1)
         env.step(np.random.default_rng(0).normal(size=(3, 4)) * 0.2)
-        saved = env.state_dict()
         other = PlanarEnv(params, num_envs=3, seed=999)
-        other.load_state_dict(saved)
+        load_env_state(other, env_state(env))
         a = env.step(np.zeros((3, 4)))
         b = other.step(np.zeros((3, 4)))
         assert np.array_equal(env.z, other.z)
         assert np.array_equal(a.joint_torques, b.joint_torques)
+        assert_same_state(env_state(other), env_state(env))
 
-    def test_state_of_another_row_count_is_rejected(self):
-        # a one-row state used to broadcast into all four rows, and only the
-        # first row's generator was restored
-        one = PlanarEnv(SimParams(), num_envs=1, seed=1)
-        four = PlanarEnv(SimParams(), num_envs=4, seed=2)
-        one.step(np.full((1, 4), 0.3))
-        before = four.state_dict()
-        with pytest.raises(ValueError, match=r"\(1,\) for an env's float64 \(4,\)"):
-            four.load_state_dict(one.state_dict())
-        assert_same_state(four.state_dict(), before)
 
-    def test_state_of_another_dtype_or_key_is_rejected(self):
-        env = PlanarEnv(SimParams(), num_envs=2, seed=1)
-        state = env.state_dict()
-        state["arrays"]["steps"] = state["arrays"]["steps"].astype(np.float64)
-        with pytest.raises(ValueError, match="steps"):
-            env.load_state_dict(state)
-        state = env.state_dict()
-        del state["arrays"]["airborne"]
-        with pytest.raises(ValueError, match="airborne"):
-            env.load_state_dict(state)
-        state = env.state_dict()
-        state["rng_states"].pop()
-        with pytest.raises(ValueError, match="rng_states has 1 states for 2 rows"):
-            env.load_state_dict(state)
+def env_state(env) -> dict:
+    """Copies of what a checkpoint keeps of ``env``: its ``STATE_ARRAYS``
+    and its rows' generator states."""
+    return {"arrays": {k: getattr(env, k).copy() for k in STATE_ARRAYS},
+            "rng_states": [r.bit_generator.state for r in env.rngs]}
+
+
+def load_env_state(env, state: dict) -> None:
+    """Write ``env_state``'s result over ``env``, as a restore does."""
+    for k, v in state["arrays"].items():
+        getattr(env, k)[...] = v
+    for r, s in zip(env.rngs, state["rng_states"]):
+        r.bit_generator.state = s
 
 
 def assert_same_state(got, expected):
-    """Two ``state_dict`` results hold the same keys, the same array bytes
-    and dtypes, and the same generator states."""
+    """Two state dicts (``env_state``'s, say) hold the same keys, the same
+    array bytes and dtypes, and the same generator states."""
     assert type(got) is type(expected)
     if isinstance(expected, dict):
         assert list(got) == list(expected)

@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import pickle
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from planarmimic.config import default_config
 from planarmimic.core import ReferenceDataset, save_reference_csv
 from planarmimic.dtw import dtw_distance
-from planarmimic.nets import net_to_dict
+from planarmimic.nets import unflatten
 from planarmimic.ppo import ACTION_DIM
 from planarmimic.rewards import (handcrafted_backflip_reward,
                                  handcrafted_standup_reward)
@@ -125,6 +126,50 @@ def assert_flat_layout(trainer):
             assert slot.shape == flat.shape and slot.flags.c_contiguous
 
 
+# each fault a restore refuses, as (key path, the new value made from the
+# old one or None to delete the key, the message), on the checkpoint dict of
+# ``tiny_config``'s trainer: four rows, adam for the policy and rmsprop for
+# the discriminator
+RESTORE_FAULTS = {
+    "one-row env array": (
+        "env/arrays/x", lambda a: a[:1].copy(),
+        r"checkpoint/env/arrays/x is float64 \(1,\), this trainer's float64 \(4,\)"),
+    "one-row frame buffer": ("collector/frames", lambda a: a[:1].copy(),
+                             r"checkpoint/collector/frames is float64 \(1,"),
+    "another dtype": ("env/arrays/steps", lambda a: a.astype(np.float64),
+                      "checkpoint/env/arrays/steps is float64"),
+    "missing member": ("env/arrays/airborne", None, "checkpoint/env/arrays has"),
+    "extra member": ("collector/windows", lambda _: np.zeros((4, 2, 6)),
+                     "checkpoint/collector has"),
+    "slots of another kind": (
+        "disc_opt/slots", lambda s: {"m": s["sq"], "v": s["buf"]},
+        r"checkpoint/disc_opt/slots has \['m', 'v'\], this trainer \['buf', 'sq'\]"),
+    "short slot": ("policy_opt/slots/v", lambda a: a[:-1].copy(),
+                   "checkpoint/policy_opt/slots/v is float64"),
+    "short env generator list": ("env_rngs", lambda s: s[:-1],
+                                 "checkpoint/env_rngs has 3 entries, this trainer 4"),
+    "one action generator": ("action_rngs", lambda s: s[:1],
+                             "checkpoint/action_rngs has 1 entries, this trainer 4"),
+    "generator of another kind": (
+        "action_rngs", lambda s: [*s[:3], dict(s[3], bit_generator="MT19937")],
+        "checkpoint generator state: state must be for a PCG64"),
+}
+
+
+def apply_fault(ckpt: dict, fault: str) -> str:
+    """Put ``fault`` into ``ckpt``; returns the message it raises."""
+    path, change, match = RESTORE_FAULTS[fault]
+    *parents, key = path.split("/")
+    node = ckpt
+    for parent in parents:
+        node = node[parent]
+    if change is None:
+        del node[key]
+    else:
+        node[key] = change(node.get(key))
+    return match
+
+
 def assert_resume_is_bit_exact(tmp_path, loss):
     cfg = tiny_config(loss=loss, tmp_path=tmp_path, seed=21)
     cfg.iterations = 6
@@ -226,24 +271,36 @@ class TestCheckpointResume:
         cfg = tiny_config(tmp_path=tmp_path)
         trainer = Trainer(cfg, tiny_dataset(cfg))
         ckpt = load_checkpoint(trainer.save_checkpoint(tmp_path / "c.npz"))
-        assert ckpt["format_version"] == CHECKPOINT_FORMAT_VERSION == 3
+        assert ckpt["format_version"] == CHECKPOINT_FORMAT_VERSION == 4
         ckpt["format_version"] = 999
         bad = write_checkpoint(tmp_path / "bad.npz", ckpt)
         with pytest.raises(ValueError, match="format 999"):
             Trainer.from_checkpoint(bad)
 
-    @pytest.mark.parametrize("key", ["prev_action", "prev_joint_vel"])
-    def test_checkpoint_whose_history_disagrees_with_its_frames_raises(
-            self, tmp_path, key):
+    @pytest.mark.parametrize("fault", RESTORE_FAULTS)
+    def test_restore_refuses_a_fault_and_writes_nothing(self, tmp_path, fault):
         cfg = tiny_config(tmp_path=tmp_path)
         trainer = Trainer(cfg, tiny_dataset(cfg))
         trainer.train_iteration()
-        path = trainer.save_checkpoint(tmp_path / "c.npz")
-        assert Trainer.from_checkpoint(path).iteration == 1
-        ckpt = load_checkpoint(path)
-        ckpt["collector"][key][2, 1] += 0.5
-        with pytest.raises(ValueError, match=key):
-            Trainer.from_checkpoint(ckpt)
+        ckpt = copy.deepcopy(trainer.checkpoint_dict())
+        match = apply_fault(ckpt, fault)
+        # a state the checkpoint's differs from everywhere, so that any write
+        # would show
+        trainer.train_iteration()
+        before = copy.deepcopy(trainer.checkpoint_dict())
+        with pytest.raises(ValueError, match=match):
+            trainer.restore(ckpt)
+        assert_same(trainer.checkpoint_dict(), before)
+        bad = write_checkpoint(tmp_path / "bad.npz", ckpt)
+        with pytest.raises(ValueError, match=match):
+            Trainer.from_checkpoint(bad)
+
+    def test_format_3_is_refused_by_its_format(self, tmp_path):
+        cfg = tiny_config(tmp_path=tmp_path)
+        ckpt = dict(Trainer(cfg, tiny_dataset(cfg)).checkpoint_dict(), format_version=3)
+        old = write_checkpoint(tmp_path / "old.npz", ckpt)
+        with pytest.raises(ValueError, match="unsupported checkpoint format 3"):
+            load_checkpoint(old)
 
 
 def desk_trainer(loss="wgan"):
@@ -350,14 +407,15 @@ class TestStreamedCheckpoint:
         restored = Trainer.from_checkpoint(ckpt)
         assert restored.disc.flat.tobytes() == trainer.disc.flat.tobytes()
         assert_flat_layout(restored)
-        # the restored learners adopt the loaded vectors: the checkpoint's
-        # arrays are held once
+        # the restored nets adopt the loaded vectors, so a restore makes no
+        # orthogonal init; the optimizer slots are copied into the fresh ones
         assert restored.policy.flat is ckpt["policy"]
         assert restored.value_net.flat is ckpt["value_net"]
         assert restored.disc.flat is ckpt["discriminator"]
         for key in ("policy_opt", "value_opt", "disc_opt"):
             for name, slot in getattr(restored, key).slots.items():
-                assert slot is ckpt[key]["slots"][name]
+                assert slot is not ckpt[key]["slots"][name]
+                assert slot.tobytes() == ckpt[key]["slots"][name].tobytes()
 
 
 def oracle_load(path) -> dict:
@@ -479,10 +537,14 @@ def format2_text(trainer) -> str:
     """The text of ``trainer``'s checkpoint in format 2, the last JSON one:
     every array as its nested lists, each net as its layer sizes, activation
     and parameter arrays, and the policy's log std apart from its net."""
+    def layers(net):
+        return {"layer_sizes": net.layer_sizes, "activation": net.activation,
+                "params": unflatten(net.flat, net.shapes)}
+
     ckpt = dict(trainer.checkpoint_dict(), format_version=2,
-                value_net=net_to_dict(trainer.value_net),
-                discriminator=net_to_dict(trainer.disc),
-                policy_net=net_to_dict(trainer.policy.net),
+                value_net=layers(trainer.value_net),
+                discriminator=layers(trainer.disc),
+                policy_net=layers(trainer.policy.net),
                 policy_log_std=trainer.policy.log_std)
     del ckpt["policy"]
     return json.dumps(listed(ckpt)) + "\n"
@@ -495,7 +557,7 @@ class TestCheckpointReader:
         path = reader_case(case).save_checkpoint(tmp_path / "c.npz")
         got = load_checkpoint(path)
         if case == "nan window":
-            assert np.isnan(got["collector"]["windows"]).any()
+            assert np.isnan(got["collector"]["frames"]).any()
         assert_same(got, oracle_load(path))
 
     @pytest.mark.parametrize("case", ["desk trained", "nan window"])
