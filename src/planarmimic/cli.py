@@ -12,9 +12,8 @@ only place that decides precedence. Each step beats the ones before it:
    ``eval`` and ``analyze``;
 3. the flags ``--task``, ``--loss`` (``disc.loss_kind``), ``--seed``,
    ``--iterations``, ``--refs``, train's ``--out`` (``out_dir``), eval's
-   ``--rollouts`` and ``--seeds`` (``eval.*``), and an ``ablate`` grid
-   point's ``disc.loss_kind`` and ``disc.horizon`` (with ``task = standup``
-   when it has no ``--config``);
+   ``--rollouts`` and ``--seeds`` (``eval.*``), and a ``sweep`` grid
+   point's ``--grid KEY=VALUE`` entries;
 4. ``--set KEY=VALUE``.
 
 A resume takes only ``--iterations`` and ``--out``.
@@ -26,23 +25,31 @@ in six digits (``checkpoint_000500.npz``), and at the end as
 a checkpoint by its content, not its name, and exit 3 on one that is torn
 or damaged, or a JSON checkpoint of format 1 or 2.
 
-``train``, ``eval`` and each ``ablate`` run write one ``eval.json`` schema,
+``train``, ``eval`` and each ``sweep`` run write one ``eval.json`` schema,
 over the eval seeds ``k < eval.seeds``: ``config`` (``task``, ``loss``,
 ``horizon``, ``seed``, ``step_pattern``, ``open_end``, ``rollouts``),
 ``seeds``, ``dtw_mean`` and ``dtw_std_across_seeds`` (over the seeds'
 ``dtw.mean``), and ``per_seed``, seed k's ``EvalReport.to_dict()``
 (``dtw``, ``stand_still``, ``handcrafted``, ``n_rollouts``,
 ``n_references``). ``eval`` on a run's ``checkpoint_final.npz``, without
-flags, rewrites its ``eval.json`` byte for byte. ``ablate``'s
-``summary.json`` has per run ``loss``, ``horizon``, ``dtw_mean``,
-``dtw_std`` (the seeds' mean ``dtw.std``) and ``stand_still``
-(``per_seed[0]``'s; no seed changes it).
+flags, rewrites its ``eval.json`` byte for byte.
+
+``sweep`` trains one run per point of its grid, in ``<out>/run_<i>`` (three
+digits), after it has checked every point's config. A key given once is a
+constant; the values given for one key are its axis, in the order given, and
+the points are the product of the axes in the order the keys first appear.
+A value is not split on commas. The run of a point writes the records and
+``eval.json`` of ``train --config BASE`` with that point's entries as
+``--set`` keys, byte for byte. ``summary.json`` lists the runs in that order,
+each with ``run`` (its directory name), ``point`` (its ``{key: value}`` grid
+entries), ``dtw_mean``, ``dtw_std`` (the seeds' mean ``dtw.std``) and
+``stand_still`` (``per_seed[0]``'s; no seed changes it).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
 import os
 import re
@@ -149,14 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pitch-rate-range", type=_range, default="-12,12")
     p.add_argument("--height-range", type=_range, default="0,0.8")
 
-    p = sub.add_parser("ablate", help="sweep discriminator horizons and losses")
+    p = sub.add_parser("sweep", help="train and evaluate one run per point "
+                                     "of a grid of config values")
     p.add_argument("--config", help="base config file")
-    p.add_argument("--horizons", required=True, help="comma-separated list, e.g. 2,4,8")
-    p.add_argument("--losses", default="wgan,lsgan")
-    p.add_argument("--refs")
+    p.add_argument("--grid", action="append", default=[], metavar="KEY=VALUE",
+                   help="one value of a config key; a key's values, in the "
+                        "order given, are its axis, and the runs are every "
+                        "combination of the axes")
     p.add_argument("--out", help="sweep directory")
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--quiet", action="store_true")
 
     return parser
@@ -200,12 +207,18 @@ def cmd_demo_gen(args) -> int:
     return EXIT_OK
 
 
-def _new_trainer(cfg: TrainConfig) -> Trainer:
+def _require_runnable(cfg: TrainConfig) -> TrainConfig:
+    """``cfg`` once it names reference data and validates, so that a config
+    error (exit 2) comes before any reference data is read."""
     if not cfg.refs:
         raise ConfigError(["refs must point at reference data "
                            "(--refs or the refs config key)"])
-    cfg.require_valid()
-    return Trainer(cfg, load_reference_dataset(cfg.refs, cfg.disc.horizon))
+    return cfg.require_valid()
+
+
+def _new_trainer(cfg: TrainConfig) -> Trainer:
+    return Trainer(_require_runnable(cfg),
+                   load_reference_dataset(cfg.refs, cfg.disc.horizon))
 
 
 def _train_and_evaluate(trainer: Trainer, quiet: bool):
@@ -230,7 +243,6 @@ def cmd_train(args) -> int:
                              f"only --iterations and --out apply to --resume")
         trainer = Trainer.from_checkpoint(args.resume,
                                           keys=_flag_keys(args, ("iterations", "out")))
-        trainer.cfg.require_valid()
     else:
         keys = _flag_keys(args, ("task", "loss", "seed", "iterations", "refs", "out"))
         trainer = _new_trainer(build_config(args.config, keys, args.set))
@@ -284,7 +296,6 @@ def _write_eval(trainer: Trainer, path: Path, alignments=None) -> dict:
 
 def cmd_eval(args) -> int:
     trainer = _load_trainer(args, _flag_keys(args, ("rollouts", "seeds")))
-    trainer.cfg.require_valid()
     out = Path(args.out) if args.out else Path(args.checkpoint).with_name("eval.json")
     report = _write_eval(trainer, out, args.alignments)
     print(f"dtw mean {report['dtw_mean']:.3f} over {report['seeds']} seed(s); "
@@ -322,53 +333,45 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def cmd_ablate(args) -> int:
-    try:
-        horizons = [int(h) for h in args.horizons.split(",") if h.strip()]
-    except ValueError:
-        raise UsageError(f"bad horizon list {args.horizons!r}")
-    if not horizons:
-        raise UsageError("horizon list is empty")
-    losses = [l.strip() for l in args.losses.split(",") if l.strip()]
-    if not losses or any(l not in ("wgan", "lsgan") for l in losses):
-        raise UsageError(f"bad loss list {args.losses!r}")
+def _grid_points(entries) -> list:
+    """The runs of ``sweep --grid`` ``entries``, each a list of ``(key,
+    value)`` pairs: the product of the keys' axes, in the order the keys
+    first appear, each axis its key's values in the order given."""
+    axes = {}
+    for entry in entries:
+        if "=" not in entry:
+            raise UsageError(f"grid entry {entry!r} must look like key=value")
+        key, _, value = entry.partition("=")
+        key = key.strip()
+        if key == "out_dir":
+            raise UsageError("out_dir cannot be a grid key: "
+                             "each run trains in <out>/run_<i>")
+        axes.setdefault(key, []).append(value.strip())
+    return [list(zip(axes, values)) for values in itertools.product(*axes.values())]
 
-    out = Path(args.out) if args.out else out_root() / "ablate"
-    out.mkdir(parents=True, exist_ok=True)
-    curve_rows = []
+
+def cmd_sweep(args) -> int:
+    out = Path(args.out) if args.out else out_root() / "sweep"
+    points = _grid_points(args.grid)
+    runs = [f"run_{i:03d}" for i in range(len(points))]
+    # every point's config is checked before the first run trains
+    cfgs = [_require_runnable(build_config(args.config,
+                                           [*point, ("out_dir", str(out / run))]))
+            for run, point in zip(runs, points)]
     summary = []
-    for loss in losses:
-        for horizon in horizons:
-            run_dir = out / f"h{horizon}_{loss}"
-            keys = [*([] if args.config else [("task", "standup")]),
-                    ("disc.loss_kind", loss), ("disc.horizon", horizon),
-                    ("out_dir", str(run_dir)),
-                    *_flag_keys(args, ("refs", "iterations", "seed"))]
-            _, report = _train_and_evaluate(
-                _new_trainer(build_config(args.config, keys)), args.quiet)
-            summary.append({"loss": loss, "horizon": horizon,
-                            "dtw_mean": report["dtw_mean"],
-                            "dtw_std": float(np.mean([s["dtw"]["std"]
-                                                      for s in report["per_seed"]])),
-                            "stand_still": report["per_seed"][0]["stand_still"]["mean"]})
-            with (run_dir / "metrics.jsonl").open() as f:
-                for line in f:
-                    rec = json.loads(line)
-                    curve_rows.append([loss, horizon, rec["iteration"],
-                                       rec["reward_mean"], rec["imitation_mean"],
-                                       rec["disc_loss"], rec["kl"]])
-            if not args.quiet:
-                print(f"[ablate] loss={loss} H={horizon} "
-                      f"dtw={report['dtw_mean']:.3f}")
-
-    with (out / "learning_curves.csv").open("w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["loss", "horizon", "iteration", "reward_mean",
-                         "imitation_mean", "disc_loss", "kl"])
-        writer.writerows(curve_rows)
+    for run, point, cfg in zip(runs, points, cfgs):
+        _, report = _train_and_evaluate(_new_trainer(cfg), args.quiet)
+        summary.append({"run": run, "point": dict(point),
+                        "dtw_mean": report["dtw_mean"],
+                        "dtw_std": float(np.mean([s["dtw"]["std"]
+                                                  for s in report["per_seed"]])),
+                        "stand_still": report["per_seed"][0]["stand_still"]["mean"]})
+        if not args.quiet:
+            print(f"[sweep] {run} {' '.join(f'{k}={v}' for k, v in point)} "
+                  f"dtw={report['dtw_mean']:.3f}")
     _write_atomic(out / "summary.json",
                   (json.dumps(summary, indent=2) + "\n").encode())
-    print(f"ablation sweep complete: {len(summary)} runs, results in {out}")
+    print(f"sweep complete: {len(summary)} runs, results in {out}")
     return EXIT_OK
 
 
@@ -377,7 +380,7 @@ COMMANDS = {
     "train": cmd_train,
     "eval": cmd_eval,
     "analyze": cmd_analyze,
-    "ablate": cmd_ablate,
+    "sweep": cmd_sweep,
 }
 
 

@@ -1,14 +1,11 @@
 """Dynamic time warping between observation sequences.
 
-Two step patterns are provided:
-
-* ``symmetric1``: steps (1,1), (1,0), (0,1), unit weight on the landed cell.
-* ``mori_asymmetric``: the early-recognition asymmetric pattern. The query
-  index advances by exactly one per step while the reference index advances
-  by 0, 1 or 2, each step paying the landed cell's cost once. Every query
-  frame is matched exactly once, reference frames may be skipped, and the
-  accumulated cost is normalizable by the query length (the raw accumulated
-  cost is what ``dtw_distance`` returns).
+The step pattern is ``mori_asymmetric``, the early-recognition asymmetric
+pattern. The query index advances by exactly one per step while the
+reference index advances by 0, 1 or 2, each step paying the landed cell's
+cost once. Every query frame is matched exactly once, reference frames may be
+skipped, and the accumulated cost is normalizable by the query length (the
+raw accumulated cost is what ``dtw_distance`` returns).
 
 Open-end matching lets the path finish at any reference index, absorbing the
 time shift between a rollout and a demonstration. A brute-force path
@@ -26,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-STEP_PATTERNS = ("symmetric1", "mori_asymmetric")
+STEP_PATTERNS = ("mori_asymmetric",)
 # each pattern's steps as (query, reference) index advances, in the order an
 # alignment's backtrack prefers them among equal predecessors
-STEPS = {"symmetric1": ((1, 1), (1, 0), (0, 1)),
-         "mori_asymmetric": ((1, 0), (1, 1), (1, 2))}
+STEPS = {"mori_asymmetric": ((1, 0), (1, 1), (1, 2))}
 
 _INF = float("inf")
 
@@ -88,7 +84,7 @@ def dtw_distance(query, reference, cfg: DtwConfig):
         raise ValueError(f"unknown step pattern {cfg.step_pattern!r}")
     n, m = q.shape[0], r.shape[0]
     acc = np.empty((n, m))
-    for i, row in enumerate(_accumulated_rows([q], [r], cfg.step_pattern)):
+    for i, row in enumerate(_accumulated_rows([q], [r])):
         acc[i] = row[0, 0]
     end_j = int(np.argmin(acc[n - 1])) if cfg.open_end else m - 1
     dist = float(acc[n - 1, end_j])
@@ -107,12 +103,12 @@ def dtw_distance(query, reference, cfg: DtwConfig):
     return dist, path
 
 
-def _accumulated_rows(qs: list, rs: list, step_pattern: str):
+def _accumulated_rows(qs: list, rs: list):
     """Yield the accumulated-cost row of every query index in turn, (A, B, m)
     for every (query, reference) pair and reference index at once. The same
     array is yielded each time, updated in place.
 
-    The recurrences read only the previous query row, and only one row of
+    The recurrence reads only the previous query row, and only one row of
     local costs is held. Sequences of unequal length are padded on the
     right: a padded reference index costs +inf, and since every step moves
     right or stays, no admissible path reaches a real index through one.
@@ -149,29 +145,16 @@ def _accumulated_rows(qs: list, rs: list, step_pattern: str):
             cost[:, padded] = _INF
         return cost
 
-    if step_pattern == "mori_asymmetric":
-        acc = np.full((A, B, m), _INF)
-        acc[..., 0] = cost_row(0)[..., 0]
-        best = np.empty_like(acc)
-        for i in range(n):
-            if i > 0:
-                best[..., 0] = acc[..., 0]
-                np.minimum(acc[..., 1:], acc[..., :-1], out=best[..., 1:])
-                np.minimum(best[..., 2:], acc[..., :-2], out=best[..., 2:])
-                np.add(best, cost_row(i), out=acc)
-            yield acc
-    else:
-        acc = np.cumsum(cost_row(0), axis=2)
-        diag_up = np.empty((A, B, m - 1))
-        for i in range(n):
-            if i > 0:
-                np.minimum(acc[..., :-1], acc[..., 1:], out=diag_up)
-                row = cost_row(i)
-                acc[..., 0] += row[..., 0]
-                for j in range(1, m):
-                    acc[..., j] = row[..., j] + np.minimum(diag_up[..., j - 1],
-                                                           acc[..., j - 1])
-            yield acc
+    acc = np.full((A, B, m), _INF)
+    acc[..., 0] = cost_row(0)[..., 0]
+    best = np.empty_like(acc)
+    for i in range(n):
+        if i > 0:
+            best[..., 0] = acc[..., 0]
+            np.minimum(acc[..., 1:], acc[..., :-1], out=best[..., 1:])
+            np.minimum(best[..., 2:], acc[..., :-2], out=best[..., 2:])
+            np.add(best, cost_row(i), out=acc)
+        yield acc
 
 
 def dtw_distances(queries, references, cfg: DtwConfig) -> np.ndarray:
@@ -194,7 +177,7 @@ def dtw_distances(queries, references, cfg: DtwConfig) -> np.ndarray:
     r_len = np.array([r.shape[0] for r in rs])
 
     final = np.empty((len(qs), len(rs), int(r_len.max())))
-    for i, acc in enumerate(_accumulated_rows(qs, rs, cfg.step_pattern)):
+    for i, acc in enumerate(_accumulated_rows(qs, rs)):
         ends = q_len == i + 1
         final[ends] = acc[ends]
 
@@ -227,8 +210,6 @@ def dtw_brute_force(query, reference, cfg: DtwConfig) -> float:
             return
         if i == n - 1 and (cfg.open_end or j == m - 1):
             best[0] = total
-            # symmetric paths may still extend along the reference axis when
-            # the end is closed; handled by continuing below
         for di, dj in steps:
             ni, nj = i + di, j + dj
             if ni < n and nj < m:

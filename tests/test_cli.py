@@ -296,21 +296,66 @@ class TestTrainConfigErrors:
         assert not (out / "metrics.jsonl").exists()
 
 
-class TestAblate:
-    def test_summary_carries_each_run_eval(self, tmp_path):
+# the keys interleaved: the axes go in the order the keys first appear, and
+# a key given once, such as the tuple ppo.hidden_sizes, is a constant
+GRID = ["disc.loss_kind=wgan", "seed=3", "ppo.hidden_sizes=16,16",
+        "disc.loss_kind=lsgan", "seed=4", "iterations=2"]
+POINTS = [("wgan", "3"), ("wgan", "4"), ("lsgan", "3"), ("lsgan", "4")]
+
+
+@pytest.fixture(scope="class")
+def sweep(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sweep")
+    save_config(tiny_config(tmp_path=root), root / "base.txt")
+    argv = ["sweep", "--config", str(root / "base.txt"), "--out", str(root / "out"),
+            "--quiet"]
+    for entry in GRID:
+        argv += ["--grid", entry]
+    assert main(argv) == EXIT_OK
+    return root
+
+
+class TestSweep:
+    def test_rows_follow_the_product_and_carry_each_run_eval(self, sweep):
+        summary = json.loads((sweep / "out" / "summary.json").read_text())
+        assert [r["run"] for r in summary] == [f"run_{i:03d}" for i in range(len(POINTS))]
+        assert [r["point"] for r in summary] == [
+            {"disc.loss_kind": loss, "seed": seed, "ppo.hidden_sizes": "16,16",
+             "iterations": "2"} for loss, seed in POINTS]
+        for row in summary:
+            run_eval = json.loads((sweep / "out" / row["run"] / "eval.json").read_text())
+            assert run_eval["config"]["loss"] == row["point"]["disc.loss_kind"]
+            assert run_eval["config"]["seed"] == int(row["point"]["seed"])
+            assert row["dtw_mean"] == run_eval["dtw_mean"]
+            assert row["dtw_std"] == run_eval["per_seed"][0]["dtw"]["std"]
+            assert row["stand_still"] == run_eval["per_seed"][0]["stand_still"]["mean"]
+
+    @pytest.mark.parametrize("run", range(len(POINTS)))
+    def test_each_run_is_its_solo_train(self, sweep, tmp_path, run):
+        loss, seed = POINTS[run]
+        solo = tmp_path / "solo"
+        assert main(["train", "--config", str(sweep / "base.txt"), "--out", str(solo),
+                     "--set", f"disc.loss_kind={loss}", "--set", f"seed={seed}",
+                     "--set", "ppo.hidden_sizes=16,16", "--set", "iterations=2",
+                     "--quiet"]) == EXIT_OK
+        for name in ("metrics.jsonl", "eval.json"):
+            got = (sweep / "out" / f"run_{run:03d}" / name).read_bytes()
+            assert got == (solo / name).read_bytes()
+
+    def test_bad_last_point_fails_before_any_run(self, tmp_path):
         save_config(tiny_config(tmp_path=tmp_path), tmp_path / "base.txt")
-        out = tmp_path / "sweep"
-        code = main(["ablate", "--config", str(tmp_path / "base.txt"),
-                     "--horizons", "2", "--losses", "wgan", "--iterations", "1",
-                     "--out", str(out), "--quiet"])
-        assert code == EXIT_OK
-        summary = json.loads((out / "summary.json").read_text())
-        run_eval = json.loads((out / "h2_wgan" / "eval.json").read_text())
-        assert [(r["loss"], r["horizon"]) for r in summary] == [("wgan", 2)]
-        assert run_eval["seeds"] == 1
-        assert summary[0]["dtw_mean"] == run_eval["dtw_mean"]
-        assert summary[0]["dtw_std"] == run_eval["per_seed"][0]["dtw"]["std"]
-        assert summary[0]["stand_still"] == run_eval["per_seed"][0]["stand_still"]["mean"]
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(tmp_path / "base.txt"), "--out", str(out),
+                     "--grid", "dtw.step_pattern=mori_asymmetric",
+                     "--grid", "dtw.step_pattern=symmetric1", "--quiet"])
+        assert code == EXIT_CONFIG
+        assert not list(out.glob("run_*/metrics.jsonl"))
+
+    @pytest.mark.parametrize("entry", ["disc.loss_kind", "out_dir=elsewhere"])
+    def test_bad_grid_entry_is_a_usage_error(self, tmp_path, entry):
+        out = tmp_path / "out"
+        assert main(["sweep", "--out", str(out), "--grid", entry]) == EXIT_USAGE
+        assert not out.exists()
 
 
 class TestEvalAlignments:

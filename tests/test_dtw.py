@@ -24,28 +24,16 @@ def cell_dtw(query, reference, cfg):
     acc = np.full((n, m), INF)
     came_from = {}
     acc[0, 0] = cost[0, 0]
-    if cfg.step_pattern == "symmetric1":
-        for j in range(1, m):
-            acc[0, j] = acc[0, j - 1] + cost[0, j]
-            came_from[0, j] = (0, j - 1)
-        for i in range(1, n):
-            for j in range(m):
-                preds = [(i - 1, j - 1), (i - 1, j), (i, j - 1)]
-                preds = [(a, b) for a, b in preds if b >= 0]
-                best = min(preds, key=lambda c: acc[c])
-                acc[i, j] = cost[i, j] + acc[best]
-                came_from[i, j] = best
-    else:
-        for i in range(1, n):
-            for j in range(m):
-                best, step = acc[i - 1, j], 0
-                if j >= 1 and acc[i - 1, j - 1] < best:
-                    best, step = acc[i - 1, j - 1], 1
-                if j >= 2 and acc[i - 1, j - 2] < best:
-                    best, step = acc[i - 1, j - 2], 2
-                if best < INF:
-                    acc[i, j] = best + cost[i, j]
-                    came_from[i, j] = (i - 1, j - step)
+    for i in range(1, n):
+        for j in range(m):
+            best, step = acc[i - 1, j], 0
+            if j >= 1 and acc[i - 1, j - 1] < best:
+                best, step = acc[i - 1, j - 1], 1
+            if j >= 2 and acc[i - 1, j - 2] < best:
+                best, step = acc[i - 1, j - 2], 2
+            if best < INF:
+                acc[i, j] = best + cost[i, j]
+                came_from[i, j] = (i - 1, j - step)
     end_j = int(np.argmin(acc[n - 1])) if cfg.open_end else m - 1
     dist = float(acc[n - 1, end_j])
     if not np.isfinite(dist):
@@ -60,15 +48,11 @@ def cell_dtw(query, reference, cfg):
 
 
 def cfgs():
-    out = []
-    for pattern in ("symmetric1", "mori_asymmetric"):
-        for open_end in (False, True):
-            out.append(DtwConfig(step_pattern=pattern, open_end=open_end))
-    return out
+    return [DtwConfig(open_end=open_end) for open_end in (False, True)]
 
 
 class TestBasics:
-    @pytest.mark.parametrize("pattern", ["symmetric1", "mori_asymmetric"])
+    @pytest.mark.parametrize("pattern", ["mori_asymmetric"])
     def test_identical_sequences_zero(self, pattern):
         rng = np.random.default_rng(0)
         seq = rng.normal(size=(6, 3))
@@ -77,12 +61,6 @@ class TestBasics:
         assert dist == pytest.approx(0.0, abs=1e-12)
         assert path[0] == (0, 0)
         assert path[-1] == (5, 5)
-
-    def test_identical_symmetric_alignment_is_diagonal(self):
-        rng = np.random.default_rng(1)
-        seq = rng.normal(size=(5, 2))
-        _, path = dtw_distance(seq, seq, DtwConfig("symmetric1", False))
-        assert path == [(k, k) for k in range(5)]
 
     def test_open_end_single_query(self):
         # query [0] vs reference [0, 5]: open end matches the first element
@@ -132,9 +110,7 @@ class TestOracleEquivalence:
             m = int(rng.integers(1, 7))
             a = rng.normal(size=(n, 2))
             b = rng.normal(size=(m, 2))
-            cfg = DtwConfig(
-                step_pattern=("symmetric1", "mori_asymmetric")[rng.integers(2)],
-                open_end=bool(rng.integers(2)))
+            cfg = DtwConfig(open_end=bool(rng.integers(2)))
             oracle = dtw_brute_force(a, b, cfg)
             if not np.isfinite(oracle):
                 with pytest.raises(ValueError):
@@ -178,11 +154,10 @@ def _sequences(max_count):
 class TestBatched:
     @settings(max_examples=150, deadline=None)
     @given(queries=_sequences(3), references=_sequences(3),
-           pattern=st.sampled_from(["symmetric1", "mori_asymmetric"]),
            open_end=st.booleans())
-    def test_matches_brute_force(self, queries, references, pattern, open_end):
+    def test_matches_brute_force(self, queries, references, open_end):
         # ragged queries and references of up to 8 frames
-        cfg = DtwConfig(step_pattern=pattern, open_end=open_end)
+        cfg = DtwConfig(open_end=open_end)
         oracle = np.array([[dtw_brute_force(q, r, cfg) for r in references]
                            for q in queries])
         if not np.isfinite(oracle).all():
