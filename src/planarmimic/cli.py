@@ -11,12 +11,14 @@ only place that decides precedence. Each step beats the ones before it:
 2. the ``--config`` file, or the checkpoint's config for ``train --resume``,
    ``eval`` and ``analyze``;
 3. the flags ``--task``, ``--loss`` (``disc.loss_kind``), ``--seed``,
-   ``--iterations``, ``--refs``, train's ``--out`` (``out_dir``), eval's
-   ``--rollouts`` and ``--seeds`` (``eval.*``), and a ``sweep`` grid
-   point's ``--grid KEY=VALUE`` entries;
+   ``--iterations``, ``--refs`` (the ``refs`` key, in ``eval`` and
+   ``analyze`` too), train's ``--out`` (``out_dir``), eval's ``--rollouts``
+   and ``--seeds`` (``eval.*``), and a ``sweep`` grid point's
+   ``--grid KEY=VALUE`` entries;
 4. ``--set KEY=VALUE``.
 
-A resume takes only ``--iterations`` and ``--out``.
+A resume takes only ``--iterations`` and ``--out``. ``eval`` reads only its
+checkpoint's config and policy, and builds no trainer.
 
 ``train`` writes a checkpoint (format 4, see ``trainer``) every
 ``checkpoint_interval`` iterations as ``checkpoint_<n>.npz``, the iteration
@@ -65,7 +67,8 @@ from .config import ConfigError, TrainConfig, build_config
 from .core import load_reference_dataset, save_reference_csv
 from .dtw import dtw_distance, local_cost
 from .sim import DEMO_TRAJECTORIES, MOTIONS, SimParams, generate_demo_set
-from .trainer import Trainer, _write_atomic, evaluate_policy, load_checkpoint
+from .trainer import (Trainer, _write_atomic, checkpoint_policy, evaluate_policy,
+                      open_checkpoint)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -208,11 +211,11 @@ def cmd_demo_gen(args) -> int:
 
 
 def _require_runnable(cfg: TrainConfig) -> TrainConfig:
-    """``cfg`` once it names reference data and validates, so that a config
-    error (exit 2) comes before any reference data is read."""
-    if not cfg.refs:
-        raise ConfigError(["refs must point at reference data "
-                           "(--refs or the refs config key)"])
+    """``cfg`` once it names reference data that exists and validates, so
+    that a config error (exit 2) comes before any run reads or trains."""
+    if not cfg.refs or not Path(cfg.refs).exists():
+        raise ConfigError([f"refs must point at reference data that exists "
+                           f"(--refs or the refs config key), not {cfg.refs!r}"])
     return cfg.require_valid()
 
 
@@ -231,7 +234,8 @@ def _train_and_evaluate(trainer: Trainer, quiet: bool):
         out_root() / f"{cfg.task}_{cfg.disc.loss_kind}_s{cfg.seed}")
     cfg.out_dir = str(out)
     final = trainer.run(out, progress=_progress_printer(quiet))
-    return final, _write_eval(trainer, out / "eval.json")
+    return final, _write_eval(cfg, trainer.policy, trainer.dataset,
+                              out / "eval.json")
 
 
 def cmd_train(args) -> int:
@@ -254,29 +258,17 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_trainer(args, keys=()) -> Trainer:
-    """The trainer of ``--checkpoint`` with ``keys`` over its config, and the
-    ``--refs`` dataset if given, windowed at the checkpoint's horizon. The
-    file is read once."""
-    ckpt = load_checkpoint(args.checkpoint)
-    dataset = None
-    if args.refs:
-        dataset = load_reference_dataset(args.refs,
-                                         int(ckpt["config"]["disc.horizon"]))
-    return Trainer.from_checkpoint(ckpt, dataset=dataset, keys=keys)
-
-
-def _write_eval(trainer: Trainer, path: Path, alignments=None) -> dict:
-    """Evaluate the policy at each eval seed and write the report (schema in
-    the module docstring) to ``path``; with ``alignments``, also write each
-    rollout's alignment CSVs into that directory. Returns the report."""
-    cfg = trainer.cfg
+def _write_eval(cfg: TrainConfig, policy, dataset, path: Path,
+                alignments=None) -> dict:
+    """Evaluate ``policy`` against ``dataset`` at each eval seed of ``cfg``
+    and write the report (schema in the module docstring) to ``path``; with
+    ``alignments``, also write each rollout's alignment CSVs into that
+    directory. Returns the report."""
     reports = []
     for k in range(cfg.eval.seeds):
-        reports.append(evaluate_policy(cfg, trainer.policy, trainer.dataset, seed=k))
+        reports.append(evaluate_policy(cfg, policy, dataset, seed=k))
         if alignments:
-            _write_alignments(Path(alignments), k, reports[-1],
-                              trainer.dataset, cfg)
+            _write_alignments(Path(alignments), k, reports[-1], dataset, cfg)
     means = [r.dtw.mean for r in reports]
     payload = {
         "config": {"task": cfg.task, "loss": cfg.disc.loss_kind,
@@ -295,9 +287,11 @@ def _write_eval(trainer: Trainer, path: Path, alignments=None) -> dict:
 
 
 def cmd_eval(args) -> int:
-    trainer = _load_trainer(args, _flag_keys(args, ("rollouts", "seeds")))
+    ckpt, cfg, dataset = open_checkpoint(
+        args.checkpoint, _flag_keys(args, ("refs", "rollouts", "seeds")))
     out = Path(args.out) if args.out else Path(args.checkpoint).with_name("eval.json")
-    report = _write_eval(trainer, out, args.alignments)
+    report = _write_eval(cfg, checkpoint_policy(cfg, ckpt), dataset, out,
+                         args.alignments)
     print(f"dtw mean {report['dtw_mean']:.3f} over {report['seeds']} seed(s); "
           f"report: {out}")
     return EXIT_OK
@@ -315,7 +309,7 @@ def _write_alignments(out: Path, seed: int, report, dataset, cfg) -> None:
 
 
 def cmd_analyze(args) -> int:
-    trainer = _load_trainer(args)
+    trainer = Trainer.from_checkpoint(args.checkpoint, _flag_keys(args, ("refs",)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

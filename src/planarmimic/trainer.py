@@ -21,6 +21,9 @@ every array's shape and dtype and every generator list's length before it
 writes anything (see ``restore``). Optimizer hyperparameters come from the
 config.
 
+``open_checkpoint`` is the one reader of a checkpoint into a run: the dict,
+its config with overrides, validated, and the data its ``refs`` names.
+
 ``write_checkpoint`` writes each array's bytes straight from its memory, not
 from a copy, and every member carries the zip format's fixed earliest date,
 so the same state always gives the same bytes. ``load_checkpoint`` decides
@@ -226,6 +229,30 @@ def load_checkpoint(path) -> dict:
             raise ValueError(f"damaged checkpoint {path}: {e}") from None
 
 
+def open_checkpoint(checkpoint, keys=()) -> tuple:
+    """``(ckpt, cfg, dataset)`` of ``checkpoint``, a file's path or the dict
+    ``load_checkpoint`` read from one: the dict, its config with ``keys``,
+    ``(key, value)`` pairs, over it, validated, and the reference data that
+    the config's ``refs`` names, windowed at its horizon."""
+    ckpt = checkpoint if isinstance(checkpoint, dict) else load_checkpoint(checkpoint)
+    cfg = build_config(keys=[*ckpt["config"].items(), *keys]).require_valid()
+    if not cfg.refs:
+        raise ValueError("checkpoint config has no reference path (the refs key)")
+    return ckpt, cfg, load_reference_dataset(cfg.refs, cfg.disc.horizon)
+
+
+def _policy_sizes(cfg: TrainConfig) -> list:
+    return [POLICY_OBS_DIM, *cfg.ppo.hidden_sizes, ACTION_DIM]
+
+
+def checkpoint_policy(cfg: TrainConfig, ckpt: dict) -> GaussianPolicy:
+    """The policy of the checkpoint dict ``ckpt`` under its config ``cfg``;
+    it adopts the dict's vector, not a copy."""
+    if "policy" not in ckpt:
+        raise ValueError("checkpoint has no 'policy'")
+    return GaussianPolicy.from_flat(_policy_sizes(cfg), "elu", ckpt["policy"])
+
+
 class Trainer:
     """Owns every piece of training state. One writer; rollout collection and
     the two learners run strictly in sequence inside an iteration."""
@@ -242,18 +269,18 @@ class Trainer:
         self.dataset = dataset
 
         seed = cfg.seed
-        policy_sizes = [POLICY_OBS_DIM, *cfg.ppo.hidden_sizes, ACTION_DIM]
         value_sizes = [POLICY_OBS_DIM, *cfg.ppo.hidden_sizes, 1]
         disc_sizes = [cfg.disc.input_dim, *cfg.disc.hidden_sizes, 1]
         if ckpt is None:
             init_rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
             self.policy = GaussianPolicy(
-                MlpNet.create(policy_sizes, "elu", rng=init_rng, output_gain=0.01),
+                MlpNet.create(_policy_sizes(cfg), "elu", rng=init_rng,
+                              output_gain=0.01),
                 init_log_std=cfg.ppo.init_log_std)
             self.value_net = MlpNet.create(value_sizes, "elu", rng=init_rng)
             self.disc = MlpNet.create(disc_sizes, "relu", rng=init_rng)
         else:
-            self.policy = GaussianPolicy.from_flat(policy_sizes, "elu", ckpt["policy"])
+            self.policy = checkpoint_policy(cfg, ckpt)
             self.value_net = MlpNet(value_sizes, "elu", ckpt["value_net"])
             self.disc = MlpNet(disc_sizes, "relu", ckpt["discriminator"])
         self.iteration = 0
@@ -338,10 +365,11 @@ class Trainer:
         appending one JSONL metrics record per iteration and checkpointing
         periodically. Returns the final checkpoint path.
 
-        A run that starts past iteration 0 (a resume) first drops the metrics
-        records after its iteration, which an interrupted run may have
-        written past its last checkpoint, and logs itself under ``resumes``
-        in ``run.json``; every iteration then has exactly one record."""
+        The run first drops the metrics records after its iteration: all of
+        them on a fresh run, and on a resume those an interrupted run wrote
+        past its last checkpoint. So every iteration has exactly one record.
+        A run that starts past iteration 0 (a resume) logs itself under
+        ``resumes`` in ``run.json``."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         target = iterations if iterations is not None else self.cfg.iterations
@@ -364,8 +392,8 @@ class Trainer:
         if self.iteration > 0:
             meta.setdefault("resumes", []).append(
                 {"resumed_from": self.iteration, "at": stamp})
-            if metrics_path.exists():
-                _truncate_metrics(metrics_path, self.iteration)
+        if metrics_path.exists():
+            _truncate_metrics(metrics_path, self.iteration)
         _write_atomic(run_path, (json.dumps(meta, indent=2) + "\n").encode())
 
         with metrics_path.open("a") as metrics:
@@ -448,20 +476,11 @@ class Trainer:
         return write_checkpoint(path, self.checkpoint_dict())
 
     @classmethod
-    def from_checkpoint(cls, checkpoint, dataset: ReferenceDataset | None = None,
-                        keys=()) -> "Trainer":
-        """A trainer restored from ``checkpoint``: a file's path, or the dict
-        ``load_checkpoint`` read from one, whose net vectors the trainer
-        adopts. ``keys``, ``(key, value)`` pairs, override the checkpoint's
-        config. Raises ``ValueError`` where the dict is not the layout of
-        the trainer its config builds."""
-        ckpt = checkpoint if isinstance(checkpoint, dict) else load_checkpoint(checkpoint)
-        cfg = build_config(keys=[*ckpt["config"].items(), *keys])
-        if dataset is None:
-            if not cfg.refs:
-                raise ValueError("checkpoint config has no reference path; "
-                                 "pass a dataset explicitly")
-            dataset = load_reference_dataset(cfg.refs, cfg.disc.horizon)
+    def from_checkpoint(cls, checkpoint, keys=()) -> "Trainer":
+        """The trainer restored from ``checkpoint`` (see ``open_checkpoint``),
+        whose net vectors it adopts. Raises ``ValueError`` where the dict is
+        not the layout of the trainer its config builds."""
+        ckpt, cfg, dataset = open_checkpoint(checkpoint, keys)
         try:
             return cls(cfg, dataset, ckpt)
         except KeyError as e:
@@ -512,18 +531,10 @@ def _copy_arrays(got, live) -> None:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class HandcraftedReport:
-    kind: str
-    mean: float
-    std: float
-    per_rollout: list
-
-
-@dataclass
 class EvalReport:
     dtw: DtwReport
     stand_still: DtwReport
-    handcrafted: HandcraftedReport | None
+    handcrafted: dict | None  # kind, mean, std, per_rollout
     n_rollouts: int
     n_references: int
     rollouts: np.ndarray  # (n_rollouts, frames, 6); not part of the report file
@@ -532,12 +543,7 @@ class EvalReport:
         return {
             "dtw": self.dtw.to_dict(),
             "stand_still": self.stand_still.to_dict(),
-            "handcrafted": None if self.handcrafted is None else {
-                "kind": self.handcrafted.kind,
-                "mean": self.handcrafted.mean,
-                "std": self.handcrafted.std,
-                "per_rollout": self.handcrafted.per_rollout,
-            },
+            "handcrafted": self.handcrafted,
             "n_rollouts": self.n_rollouts,
             "n_references": self.n_references,
         }
@@ -632,10 +638,8 @@ def evaluate_policy(cfg: TrainConfig, policy: GaussianPolicy,
     if handcrafted_kind:
         key = "standup_mean" if handcrafted_kind == "standup" else "backflip_total"
         values = [e[key] for e in extras_log]
-        handcrafted = HandcraftedReport(kind=handcrafted_kind,
-                                        mean=float(np.mean(values)),
-                                        std=float(np.std(values)),
-                                        per_rollout=values)
+        handcrafted = {"kind": handcrafted_kind, "mean": float(np.mean(values)),
+                       "std": float(np.std(values)), "per_rollout": values}
     return EvalReport(dtw=dtw_report, stand_still=still_report,
                       handcrafted=handcrafted, n_rollouts=cfg.eval.rollouts,
                       n_references=dataset.num_trajectories, rollouts=seqs)

@@ -117,6 +117,83 @@ class TestTrainEvalReport:
         assert (run / "eval.json").read_bytes() == written
 
 
+@pytest.fixture(scope="class")
+def trained(tmp_path_factory):
+    """A two-iteration ``train`` run: its base config and run directory."""
+    root = tmp_path_factory.mktemp("trained")
+    save_config(tiny_config(tmp_path=root), root / "base.txt")
+    run = root / "run"
+    assert main(["train", "--config", str(root / "base.txt"), "--out", str(run),
+                 "--iterations", "2", "--set", "eval.seeds=2", "--quiet"]) == EXIT_OK
+    return root / "base.txt", run
+
+
+class TestEvalReadsThePolicy:
+    def test_eval_builds_no_trainer(self, trained, tmp_path, monkeypatch):
+        _, run = trained
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eval built a trainer")
+
+        monkeypatch.setattr(Trainer, "__init__", refuse)
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--checkpoint", str(run / "checkpoint_final.npz"),
+                     "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == (run / "eval.json").read_bytes()
+
+    def test_refs_flag_naming_the_checkpoint_refs_changes_nothing(self, trained,
+                                                                  tmp_path):
+        _, run = trained
+        checkpoint = run / "checkpoint_final.npz"
+        refs = load_checkpoint(checkpoint)["config"]["refs"]
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--checkpoint", str(checkpoint), "--refs", refs,
+                     "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == (run / "eval.json").read_bytes()
+
+    @pytest.mark.parametrize("edit", ["short", "missing"])
+    def test_bad_policy_is_a_runtime_failure(self, trained, tmp_path, capsys, edit):
+        _, run = trained
+        ckpt = load_checkpoint(run / "checkpoint_final.npz")
+        if edit == "short":
+            ckpt["policy"] = ckpt["policy"][:-1].copy()
+        else:
+            del ckpt["policy"]
+        bad = write_checkpoint(tmp_path / "bad.npz", ckpt)
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--checkpoint", str(bad), "--out", str(out)]) == EXIT_RUNTIME
+        assert ("entries" if edit == "short" else "no 'policy'") in capsys.readouterr().err
+        assert not out.exists()
+
+
+def iterations_logged(run: Path) -> list:
+    return [json.loads(line)["iteration"]
+            for line in (run / "metrics.jsonl").read_text().splitlines()]
+
+
+class TestRunAgainIntoTheSameOut:
+    def test_second_train_logs_each_iteration_once(self, trained):
+        base, run = trained
+        before = (run / "metrics.jsonl").read_bytes()
+        assert main(["train", "--config", str(base), "--out", str(run),
+                     "--iterations", "2", "--set", "eval.seeds=2", "--quiet"]) == EXIT_OK
+        assert iterations_logged(run) == [1, 2]
+        assert (run / "metrics.jsonl").read_bytes() == before
+
+    def test_second_sweep_logs_each_iteration_once(self, tmp_path):
+        save_config(tiny_config(tmp_path=tmp_path), tmp_path / "base.txt")
+        argv = ["sweep", "--config", str(tmp_path / "base.txt"),
+                "--out", str(tmp_path / "out"), "--grid", "iterations=2",
+                "--grid", "seed=3", "--grid", "seed=4", "--quiet"]
+        assert main(argv) == EXIT_OK
+        first = {run.name: run.joinpath("metrics.jsonl").read_bytes()
+                 for run in (tmp_path / "out").glob("run_*")}
+        assert main(argv) == EXIT_OK
+        for name, records in first.items():
+            assert iterations_logged(tmp_path / "out" / name) == [1, 2]
+            assert (tmp_path / "out" / name / "metrics.jsonl").read_bytes() == records
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("flags", [
         ["--config", "c.txt"], ["--task", "leap"], ["--loss", "wgan"],
@@ -285,6 +362,14 @@ class TestTrainConfigErrors:
         assert code == EXIT_CONFIG
         assert not (out / "metrics.jsonl").exists()
 
+    def test_missing_refs_path_fails_before_training(self, tmp_path):
+        # it used to fail as the references were read, with exit 3
+        out = tmp_path / "run"
+        code = main(["train", "--refs", str(tmp_path / "missing"), "--out", str(out),
+                     "--quiet"])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+
     @pytest.mark.parametrize("setting", ["disc.minibatch_size=0",
                                          "ppo.minibatches=1000"])
     def test_bad_minibatch_setting_fails_before_training(self, tmp_path, setting):
@@ -348,6 +433,18 @@ class TestSweep:
         code = main(["sweep", "--config", str(tmp_path / "base.txt"), "--out", str(out),
                      "--grid", "dtw.step_pattern=mori_asymmetric",
                      "--grid", "dtw.step_pattern=symmetric1", "--quiet"])
+        assert code == EXIT_CONFIG
+        assert not list(out.glob("run_*/metrics.jsonl"))
+
+    def test_missing_refs_path_fails_before_any_run(self, tmp_path):
+        # run_000 used to train, then run_001 failed reading its refs (exit 3)
+        base = tmp_path / "base.txt"
+        cfg = tiny_config(tmp_path=tmp_path)
+        save_config(cfg, base)
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(base), "--out", str(out),
+                     "--grid", f"refs={cfg.refs}", "--grid", f"refs={tmp_path / 'missing'}",
+                     "--grid", "iterations=1", "--quiet"])
         assert code == EXIT_CONFIG
         assert not list(out.glob("run_*/metrics.jsonl"))
 

@@ -15,7 +15,7 @@ from planarmimic.rewards import (STATS_WARMUP, ImitationReward, RewardWeights,
                                  RunningStats, regularization_reward,
                                  termination_penalty, total_reward)
 from planarmimic.sim import PlanarEnv, SimParams
-from planarmimic.trainer import Trainer
+from planarmimic.trainer import Trainer, load_checkpoint
 
 from test_nets import assert_views_of
 from test_sim import assert_same_state, env_state
@@ -318,7 +318,7 @@ class TestCollectorState:
         env.pitch[2], env.z[2] = np.pi / 2 + 0.4, 0.25
         env.time[1] = env.params.max_episode_time - 0.05
         path = first.save_checkpoint(tmp_path / "c.npz")
-        fresh, slow = (Trainer.from_checkpoint(path, dataset) for _ in range(2))
+        fresh, slow = (Trainer(cfg, dataset, load_checkpoint(path)) for _ in range(2))
         assert fresh.collector.history.frames.buf.shape == (
             4, max(horizon, POLICY_FRAMES), POLICY_FRAME_DIM)
         assert_same_state(collector_state(fresh.collector),
