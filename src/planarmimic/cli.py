@@ -212,10 +212,13 @@ def cmd_demo_gen(args) -> int:
 
 def _require_runnable(cfg: TrainConfig) -> TrainConfig:
     """``cfg`` once it names reference data that exists and validates, so
-    that a config error (exit 2) comes before any run reads or trains."""
+    that a config error (exit 2) comes before any run reads or trains. The
+    refs path becomes absolute, so the run's checkpoints name its reference
+    data from any working directory."""
     if not cfg.refs or not Path(cfg.refs).exists():
         raise ConfigError([f"refs must point at reference data that exists "
                            f"(--refs or the refs config key), not {cfg.refs!r}"])
+    cfg.refs = str(Path(cfg.refs).absolute())
     return cfg.require_valid()
 
 

@@ -14,7 +14,11 @@ enumerator over the same step sets serves as the correctness oracle.
 There is one accumulated-cost recurrence, ``_accumulated_rows``: it runs
 over query rows, each for every (query, reference) pair at once.
 ``dtw_distances`` reads every pair's distance off it, and ``dtw_distance``
-keeps one pair's rows to backtrack its alignment.
+keeps one pair's rows to backtrack its alignment. A query row equal to the
+one before it in every query has the same local costs, so the recurrence
+reuses that cost row instead of computing it again: the stand-still
+baseline is one frame repeated, and rollouts that have all fallen end in
+frozen frames.
 """
 
 from __future__ import annotations
@@ -109,9 +113,12 @@ def _accumulated_rows(qs: list, rs: list):
     array is yielded each time, updated in place.
 
     The recurrence reads only the previous query row, and only one row of
-    local costs is held. Sequences of unequal length are padded on the
-    right: a padded reference index costs +inf, and since every step moves
-    right or stays, no admissible path reaches a real index through one.
+    local costs is held; a query row equal to the previous one in every
+    query (``==``, so a NaN never matches, and -0 matches +0, whose squared
+    differences are equal) keeps it. Sequences of unequal length are padded
+    on the right: a padded reference index costs +inf, and since every step
+    moves right or stays, no admissible path reaches a real index through
+    one.
     """
     r_len = np.array([r.shape[0] for r in rs])
     A, B = len(qs), len(rs)
@@ -127,6 +134,8 @@ def _accumulated_rows(qs: list, rs: list):
         r_feat[:, b, :r.shape[0]] = r.T
     padded = np.arange(m) >= r_len[:, None]          # (B, m)
     ragged = bool(padded.any())
+    repeated = np.zeros(n, dtype=bool)
+    repeated[1:] = (q_rows[1:] == q_rows[:-1]).all(axis=(1, 2))
 
     cost = np.empty((A, B, m))
     sq = np.empty((A, B, m))
@@ -153,7 +162,7 @@ def _accumulated_rows(qs: list, rs: list):
             best[..., 0] = acc[..., 0]
             np.minimum(acc[..., 1:], acc[..., :-1], out=best[..., 1:])
             np.minimum(best[..., 2:], acc[..., :-2], out=best[..., 2:])
-            np.add(best, cost_row(i), out=acc)
+            np.add(best, cost if repeated[i] else cost_row(i), out=acc)
         yield acc
 
 
@@ -163,7 +172,8 @@ def dtw_distances(queries, references, cfg: DtwConfig) -> np.ndarray:
 
     The loop runs over query rows of ``_accumulated_rows``, each computed for
     all pairs and all reference indices at once. A query's distance is read
-    at its own last row, a closed end at each reference's own last index.
+    at its own last row, so only rows where some query ends are kept; a
+    closed end is read at each reference's own last index.
     """
     if cfg.step_pattern not in STEP_PATTERNS:
         raise ValueError(f"unknown step pattern {cfg.step_pattern!r}")
@@ -177,9 +187,10 @@ def dtw_distances(queries, references, cfg: DtwConfig) -> np.ndarray:
     r_len = np.array([r.shape[0] for r in rs])
 
     final = np.empty((len(qs), len(rs), int(r_len.max())))
+    ends = {i: q_len == i + 1 for i in np.unique(q_len - 1).tolist()}
     for i, acc in enumerate(_accumulated_rows(qs, rs)):
-        ends = q_len == i + 1
-        final[ends] = acc[ends]
+        if i in ends:
+            final[ends[i]] = acc[ends[i]]
 
     if cfg.open_end:
         dist = final.min(axis=2)

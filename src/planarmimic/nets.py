@@ -51,9 +51,11 @@ def _relu_d(z, out):
 
 
 def _elu(z, out):
+    # expm1(min(z, 0)) is 0 where z > 0 and above z where z < 0 (or equal
+    # to it, where expm1 rounds to its argument), so the maximum picks z
+    # where z > 0 and the exponential elsewhere, as a mask would
     np.expm1(np.minimum(z, 0.0, out=out), out=out)
-    np.putmask(out, z > 0.0, z)
-    return out
+    return np.maximum(z, out, out=out)
 
 
 def _elu_d(z, out):

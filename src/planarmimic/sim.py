@@ -16,14 +16,20 @@ torque proxy, termination and flight bookkeeping in batches over all
 substeps. Each value comes from the same IEEE operations, in the same order,
 as in a plain loop over the substeps, so the result is bit-identical to it.
 
-The contact-and-body loop runs about 30 numpy calls per substep, on arrays
-of a few rows of E values, so at small E its time is numpy's per-call cost.
-Its calls keep to numpy's fast path: every array operand has the shape of
-the output and is contiguous, and no operand needs a cast; other operands
-are 0-d. A broadcast operand, a strided view or a mixed dtype sends a call
-through numpy's general iterator, at about twice the cost of a small call.
-The buffers are laid out for this (see `_StepBuffers`), and a test checks
-every call of the loop.
+At small E a step's time is numpy's per-call cost: its calls work on
+arrays of a few rows of E values. A step at the default 20 substeps makes
+about 711 numpy calls: 28 per substep in the contact-and-body loop, 6 per
+substep in joint tracking, and about 30 others, plus one for each substep
+in which a foot lands. Rows are stacked so that one call serves several
+terms (see `PlanarEnv._integrate_body`). The loop's calls keep to numpy's
+fast path: every array operand has the shape of the output and is
+contiguous, and no operand needs a cast; other operands are 0-d. A
+broadcast operand, a strided view or a mixed dtype sends a call through
+numpy's general iterator, at about twice the cost of a small call. The
+buffers are laid out for this (see `_StepBuffers`), and tests check every
+call of the loop and the count of a step's calls. At E >= 256 the stacked
+rows cost more arithmetic than the saved calls: a step there is slower than
+with one call per term.
 """
 
 from __future__ import annotations
@@ -91,6 +97,9 @@ class SimParams:
                           f"(policy runs at 50 Hz), got {self.control_dt}")
         if self.contact_stiffness < 1.0:
             errors.append("sim.contact_stiffness must be >= 1 N/m")
+        if self.tracking_rate * self.dt_physics > 0.5:
+            errors.append("sim.tracking_rate * sim.dt_physics must be <= 0.5, so a "
+                          "substep moves a joint at most half way to its target")
         if self.body_mass <= 0 or self.body_inertia <= 0:
             errors.append("sim.body_mass and sim.body_inertia must be > 0")
         if self.mass_perturb_high < self.mass_perturb_low:
@@ -162,12 +171,30 @@ def leg_kinematics(q, qd, params: SimParams, out):
     return body, jac
 
 
-# Rows of the body state of a substep in `PlanarEnv.step`: the position
-# (x, z, pitch), the velocity (vx, vz, om) in the same order, and the cosine
-# and sine of the pitch.
-_X, _Z, _PITCH, _VX, _VZ, _OM, _COS, _SIN = range(8)
-# Rows of a contact force: normal (z), tangential (x).
-_FN, _FT = 0, 1
+# Rows of the body state of a substep in `PlanarEnv.step`: the cosine and
+# sine of the pitch, then the velocity (om, -, vz, -, vx) and the position
+# (pitch, -, z, -, x) in the same order. The rows marked - pad the blocks to
+# the shape of the accelerations, whose leg sums leave a row between each
+# two (see `_integrate_body`); the integration fills them and nothing reads
+# them. So (cos, sin, om) and (vz, -, vx, pitch, -, z) are each one block of
+# rows, the two blocks the contact loop copies per leg.
+_COS, _SIN, _OM, _VZ, _VX, _PITCH, _Z, _X = 0, 1, 2, 4, 6, 7, 9, 11
+_VEL, _POS = slice(_OM, _VX + 1), slice(_PITCH, _X + 1)
+# the velocity and position rows without the padding
+_VEL_ROWS, _POS_ROWS = slice(_OM, _VX + 1, 2), slice(_PITCH, _X + 1, 2)
+# Rows of a contact force: the leg's torque about the COM, normal (z) and
+# tangential (x) force.
+_LT, _FN, _FT = 0, 1, 2
+# The rotation operands of a substep, ``_ROT_C`` times the cosine plus
+# ``_ROT_S`` times the sine, as rows of ``_StepBuffers.legs``: (u, w, du, dw)
+# from `leg_kinematics`, then their negations. The rotated rows are rz, rx,
+# rz, -rz, dz, dx, dx, where (rx, rz) = (c u - s w, s u + c w) and (dx, dz)
+# likewise from (du, dw).
+_U, _W, _DU, _DW = range(4)
+_NU, _NW, _NDW = _U + 4, _W + 4, _DW + 4
+_ROT_C = (_W, _U, _W, _NW, _DW, _DU, _DU)
+_ROT_S = (_U, _NW, _U, _NU, _DU, _NDW, _NDW)
+_ROT_ROWS = len(_ROT_C)
 
 
 class _StepBuffers:
@@ -179,57 +206,60 @@ class _StepBuffers:
     The contact loop's arrays are laid out for numpy's fast path: every
     operand of its calls has the shape of the call's output and is
     contiguous, or is 0-d. Per-leg arrays are (component, leg, E); the
-    per-env values a per-leg call reads are copied per leg first
-    (``per_leg``, ``per_product``), and the rotation operands are stacked
-    for all substeps before the loop (``rot_in``)."""
+    per-env rows a per-leg call reads are copied per leg first, in two
+    blocks (``trig``, ``env``), and the rotation operands are stacked for
+    all substeps before the loop (``ops``)."""
 
     def __init__(self, env: "PlanarEnv", substeps: int):
         K, E = substeps, env.num_envs
         self.substeps = K
-        self.lo = np.repeat(env._lo[:, None], E, axis=1)
-        self.hi = np.repeat(env._hi[:, None], E, axis=1)
         # per substep; q and state lead with the state before it
         self.q = np.empty((K + 1, 4, E))
         self.qd = np.empty((K, 4, E))
-        # the operands of the rotation: each substep's foot offset and
-        # velocity in the body frame (u, w, du, dw) (`leg_kinematics`'s
-        # ``body``), then (-w, u, -dw, du)
-        self.rot_in = np.empty((K, 8, 2, E))
-        self.body = self.rot_in[:, :4].reshape(K, 2, 2, 2, E)
+        self.cmd = np.empty((4, E))               # scratch of joint tracking
+        # each substep's foot offset and velocity in the body frame,
+        # (u, w, du, dw) (`leg_kinematics`' ``body``) and their negations,
+        # and the rotation operands taken from them: the cosine's, then the
+        # sine's
+        self.legs = np.empty((K, 8, 2, E))
+        self.body = self.legs[:, :4].reshape(K, 2, 2, 2, E)
         self.jac = np.empty((K, 2, 2, 2, E))
-        self.state = np.empty((K + 1, 8, E))      # rows _X .. _SIN
-        self.force = np.empty((K, 2, 2, E))       # rows _FN, _FT per leg
+        self.ops = np.empty((K, 2 * _ROT_ROWS, 2, E))
+        # rows _COS .. _X; the padding rows of the first substep stay zero
+        self.state = np.zeros((K + 1, _X + 1, E))
+        self.force = np.empty((K, 3, 2, E))       # rows _LT, _FN, _FT per leg
         self.contact = np.empty((K, 2, E))        # 1.0 where the foot is down
-        # scratch of one substep
-        self.cmd = np.empty((4, E))
-        self.inv_mass = np.empty((2, E))
-        self.gains = np.empty((3, 2, E))
-        # om, cos and sin of the pitch four times per leg, and z, pitch, vx
-        # and vz once per leg
-        self.per_product = np.empty((3, 4, 2, E))
-        self.per_leg = np.empty((4, 2, E))
-        self.prod = np.empty((8, 2, E))
-        self.rot = np.empty((4, 2, E))
-        self.om_r = np.empty((2, 2, E))
-        self.foot = np.empty((3, 2, E))           # (vfx, vfz, fz)
-        self.gained = np.empty((3, 2, E))
+        # scratch of one substep: (cos, sin, om) once per rotated row, and
+        # (vz, -, vx, pitch, -, z), per leg
+        self.trig = np.empty((3, _ROT_ROWS, 2, E))
+        self.env = np.empty((6, 2, E))
+        self.prod = np.empty((2 * _ROT_ROWS, 2, E))
+        # om times (rx, rz, -rz), two rows that stay zero, then the rotated
+        # rows
+        self.rot = np.zeros((5 + _ROT_ROWS, 2, E))
+        self.foot = np.empty((6, 2, E))           # (vfz, -, vfx, -, -, fz)
+        self.gained = np.empty((6, 2, E))         # c_d vfz, -c_t vfx, -k fz
+        self.gains = np.empty((6, 2, E))
         self.push = np.empty((2, E))
         self.cap = np.empty((2, 2, E))            # (upper, lower) friction bound
         self.moment = np.empty((2, 2, E))
-        self.leg_torque = np.empty((2, E))
-        self.acc = np.empty((3, E))
+        self.acc = np.empty((5, E))               # (alpha, -, az, -, ax)
+        self.inv_mass = np.empty((5, E))          # (1, -, 1/m, -, 1/m)
+        # scratch of the flight bookkeeping: the landing angle, the flight
+        # angle, zeros
+        self.held = np.zeros((3, E))
         # scratch of the torque proxy
         self.tau = np.empty((K, 4, E))
-        self.term = np.empty((K, 2, 2, E))
-        self.load = np.empty((K, 2, 2, E))
-        self.tmp = np.empty((K, 2, 2, E))
+        self.straight = np.empty((K, 2, 2, 2, E))   # (c jx, s jz)
+        self.crossed = np.empty((K, 2, 2, 2, E))    # (c jz, s jx)
         # the views substep k of the contact loop reads and writes
         state, force = self.state, self.force
+        force_rows = force.reshape(K, 6, E)
         self.views = list(zip(
-            state[:-1, :_PITCH + 1], state[1:, :_PITCH + 1],
-            state[:-1, _VX:_OM + 1], state[1:, _VX:_OM + 1],
-            state[:-1, _OM:, None, None, :], state[:-1, _Z:_VZ + 1, None, :],
-            self.rot_in, self.contact, force, force[:, _FN], force[:, _FT],
+            state[:-1, _COS:_OM + 1, None, None, :], state[:-1, _VZ:_Z + 1, None, :],
+            self.ops, self.contact, force[:, _FN:], force[:, _LT], force[:, _FN],
+            force[:, _FT], force_rows[:, :5], force_rows[:, 1:],
+            state[:-1, _VEL], state[1:, _VEL], state[:-1, _POS], state[1:, _POS],
             state[1:, _PITCH], state[1:, _COS], state[1:, _SIN]))
 
 
@@ -334,9 +364,10 @@ class PlanarEnv:
         move work between values that do not depend on each other, and each
         value comes from the same IEEE operations in the same order, or from
         an exact identity of them: ``c u - s w`` as ``c u + (-s) w`` or
-        ``c u + s (-w)``, a sum of two products in either order, a contact
-        mask as a product with 0 or 1, a skipped addition as the addition of
-        a zero. Sums over the two legs are written out as
+        ``c u + s (-w)``, ``x - y`` as ``x + (-y)``, a sum of two products
+        in either order, a contact mask as a product with 0 or 1, a product
+        with 1, a skipped addition as the addition of a zero, a clamp that
+        cannot bind as no clamp. Sums over the two legs are written out as
         ``front + rear``, and the torque proxy is summed over the substeps
         with a sequential accumulate, never a reduction numpy may reassociate.
         """
@@ -344,7 +375,7 @@ class PlanarEnv:
         a = np.asarray(actions, dtype=np.float64)
         if a.shape != (self.num_envs, 4):
             raise ValueError(f"actions must have shape ({self.num_envs}, 4)")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError("non-finite action")
         K = p.control_decimation
         if self._buffers is None or self._buffers.substeps != K:
@@ -367,8 +398,8 @@ class PlanarEnv:
 
         self.q[...] = b.q[K].T
         self.qd[...] = b.qd[K - 1].T
-        self.x[...], self.z[...], self.pitch[...] = end[:_PITCH + 1]
-        self.vx[...], self.vz[...], self.om[...] = end[_VX:_OM + 1]
+        self.pitch[...], self.z[...], self.x[...] = end[_POS_ROWS]
+        self.om[...], self.vz[...], self.vx[...] = end[_VEL_ROWS]
         self.time += p.control_dt
         self.steps += 1
         terminal = base[K - 1].copy()
@@ -386,12 +417,22 @@ class PlanarEnv:
     def _track_joints(self, b: "_StepBuffers", q_target: np.ndarray) -> None:
         """Phase 1: first-order, velocity-limited joint tracking of every
         substep into ``b.q`` (K + 1 rows, the first the current joints) and
-        ``b.qd`` (K rows)."""
+        ``b.qd`` (K rows).
+
+        A plain loop would clamp each new joint to its limits, as the
+        target is. That clamp never binds, so it is left out: the joints
+        start inside the limits, the target is clipped to them, and a
+        substep moves a joint by at most ``tracking_rate * dt_physics``
+        times its distance to the target, which ``SimParams.validate``
+        holds at 0.5 or less. The step is then strictly shorter than that
+        distance, so the rounded sum lands between the joint and its
+        target, inside the limits, and a clamp would return it unchanged.
+        """
         p = self.params
-        rate, vmax, dt = (np.array(v) for v in (p.tracking_rate, p.max_joint_vel,
-                                                 p.dt_physics))
-        nvmax = -vmax
-        q, cmd, lo, hi = b.q, b.cmd, b.lo, b.hi
+        consts = np.array([p.tracking_rate, p.max_joint_vel, -p.max_joint_vel,
+                           p.dt_physics])
+        rate, vmax, nvmax, dt = (consts[i, ...] for i in range(4))
+        q, cmd = b.q, b.cmd
         add, subtract, multiply, maximum, minimum = (
             np.add, np.subtract, np.multiply, np.maximum, np.minimum)
         q[0] = self.q.T
@@ -402,8 +443,6 @@ class PlanarEnv:
             minimum(cmd, vmax, out=cmd)
             multiply(cmd, dt, cmd)
             add(cur, cmd, nxt)
-            maximum(nxt, lo, out=nxt)
-            minimum(nxt, hi, out=nxt)
         np.subtract(q[1:], q[:-1], out=b.qd)
         b.qd /= dt
 
@@ -415,12 +454,28 @@ class PlanarEnv:
         Ground contact is a one-sided spring-damper per foot; friction is
         tangential damping capped at ``friction`` times the normal force.
         The foot offset and velocity rotate into the world frame in one
-        product of the stacked (cos, sin) with ``b.rot_in`` and one sum:
-        (rx, rz, dx, dz) = ``c (u, w, du, dw) + s (-w, u, -dw, du)``, whose
-        rows ``c u - s w`` are ``c u + s (-w)``. A foot is down where its
-        spring term ``-k fz`` is positive (a float mask, ``np.heaviside``):
-        exactly where ``fz < 0``, since a stiffness of at least 1 cannot
-        round a nonzero product to zero.
+        product of the per-leg (cos, sin) with ``b.ops`` and one sum of its
+        halves, giving the rows of ``_ROT_C``: rz, rx, rz, -rz, dz, dx,
+        dx. ``c u - s w`` is ``c u + s (-w)``, and ``-rz`` is
+        ``c (-w) + s (-u)``, since negation is exact. A foot is down where
+        its spring term ``-k fz`` is positive (a float mask,
+        ``np.heaviside``): exactly where ``fz < 0``, since a stiffness of at
+        least 1 cannot round a nonzero product to zero.
+
+        Rows are stacked so that one call serves several terms; the rows
+        marked - are by-products that nothing reads:
+
+        - ``om (rx, rz, -rz)`` in one product, and the world foot velocity
+          and height ``(vz, -, vx, pitch, -, z) + (om rx, om rz, om (-rz),
+          0, 0, rz)`` in one sum, as ``(vfz, -, vfx, -, -, fz)``: ``vx - om
+          rz`` is ``vx + om (-rz)``;
+        - the leg sums of the torques about the COM and of the normal and
+          tangential forces in one sum of the force rows ``(lt_f, lt_r,
+          fn_f, fn_r, ft_f, ft_r)`` with themselves shifted by one row,
+          which gives the accelerations' rows ``(alpha, -, az, -, ax)``,
+          the order of the state's velocity rows;
+        - the mass as one product with ``(1, -, 1/m, -, 1/m)`` (a product
+          with 1 is exact) before the division by the inertia.
 
         The calls of the loop take numpy's fast path: each operand has the
         shape of the output and is contiguous, or is 0-d (the tests check
@@ -428,53 +483,49 @@ class PlanarEnv:
         positionally where numpy allows it.
         """
         p = self.params
-        state, body, rot_in = b.state, b.body, b.rot_in
-        state[0, :_PITCH + 1] = (self.x, self.z, self.pitch)
-        state[0, _VX:_OM + 1] = (self.vx, self.vz, self.om)
+        state, legs, inv_mass = b.state, b.legs, b.inv_mass
+        state[0, _VEL_ROWS] = (self.om, self.vz, self.vx)
+        state[0, _POS_ROWS] = (self.pitch, self.z, self.x)
         np.cos(self.pitch, out=state[0, _COS])
         np.sin(self.pitch, out=state[0, _SIN])
-        np.divide(1.0, self.mass, out=b.inv_mass[0])
-        b.inv_mass[1] = b.inv_mass[0]
-        b.gains[...] = np.array([-p.tangential_damping, p.contact_damping,
-                                 -p.contact_stiffness])[:, None, None]
-        np.negative(body[:, :, 1], out=rot_in[:, 4::2])   # -w, -dw
-        np.copyto(rot_in[:, 5::2], body[:, :, 0])         # u, du
-        zero, inertia, gravity, dt, mu, neg_mu = (np.array(v) for v in (
-            0.0, p.body_inertia, p.gravity, p.dt_physics, p.friction, -p.friction))
+        np.divide(1.0, self.mass, out=inv_mass[2])
+        inv_mass[:2] = 1.0
+        inv_mass[3:] = inv_mass[2]
+        b.gains[...] = np.array([p.contact_damping, 1.0, -p.tangential_damping, 1.0,
+                                 1.0, -p.contact_stiffness])[:, None, None]
+        np.negative(legs[:, :4], out=legs[:, 4:])
+        np.take(legs, _ROT_C + _ROT_S, axis=1, out=b.ops, mode="clip")
+        consts = np.array([0.0, p.body_inertia, p.gravity, p.dt_physics,
+                           p.friction, -p.friction])
+        zero, inertia, gravity, dt, mu, neg_mu = (consts[i, ...] for i in range(6))
         add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
         maximum, minimum, heaviside, cos, sin, copyto = (
             np.maximum, np.minimum, np.heaviside, np.cos, np.sin, np.copyto)
-        per_product, per_leg, prod, rot, om_r, foot, gained = (
-            b.per_product, b.per_leg, b.prod, b.rot, b.om_r, b.foot, b.gained)
-        push, cap, moment, leg_torque, acc, inv_mass, gains = (
-            b.push, b.cap, b.moment, b.leg_torque, b.acc, b.inv_mass, b.gains)
-        om, trig = per_product[0, :2], per_product[1:].reshape(8, 2, -1)
-        z, vx, vz = per_leg[0], per_leg[2], per_leg[3]
-        prod_cos, prod_sin = prod[:4], prod[4:]
-        r, rz, drot = rot[:2], rot[1], rot[2:]      # r = (rx, rz)
-        om_rx, om_rz = om_r
-        vf, vfx, vfz, fz = foot[:2], foot[0], foot[1], foot[2]
-        ft_push, fz_push, fz_spring = gained
+        trig, env, prod, rot, foot, gained, gains = (
+            b.trig, b.env, b.prod, b.rot, b.foot, b.gained, b.gains)
+        push, cap, moment, acc = b.push, b.cap, b.moment, b.acc
+        cs, om = trig[:2].reshape(2 * _ROT_ROWS, 2, -1), trig[2, :3]
+        prod_c, prod_s = prod[:_ROT_ROWS], prod[_ROT_ROWS:]
+        rotated, om_in, om_out = rot[5:], rot[6:9], rot[:3]
+        v_term, d_term, r_moment = rot[:6], rot[9:], rot[6:8]
+        vf, damp, ft_push, spring = foot[:3], gained[0], gained[2], gained[5]
         cap_hi, cap_lo = cap
         moment_n, moment_t = moment
-        torque_front, torque_rear = leg_torque
-        acc_xz, acc_x, acc_z, alpha = acc[:_Z + 1], acc[_X], acc[_Z], acc[_PITCH]
-        for (pk, pn, vk, vn, per_product_k, per_leg_k, ops, ck, fk, fn, ft,
-             pitch_n, cos_n, sin_n) in b.views:
-            copyto(per_product, per_product_k)
-            copyto(per_leg, per_leg_k)
-            multiply(trig, ops, prod)
-            add(prod_cos, prod_sin, rot)            # (rx, rz, dx, dz)
-            # world foot velocity (vx - om rz, vz + om rx) + (dx, dz) and
+        alpha, az = acc[0], acc[2]
+        for (trig_k, env_k, ops_k, ck, fk, lt, fn, ft, fk_head, fk_tail, vk, vn,
+             pk, pn, pitch_n, cos_n, sin_n) in b.views:
+            copyto(trig, trig_k)
+            copyto(env, env_k)
+            multiply(cs, ops_k, prod)
+            add(prod_c, prod_s, rotated)            # rz, rx, rz, -rz, dz, dx, dx
+            multiply(om, om_in, om_out)             # om (rx, rz, -rz)
+            # world foot velocity (vz + om rx, vx - om rz) + (dz, dx) and
             # height z + rz
-            multiply(om, r, om_r)
-            subtract(vx, om_rz, vfx)
-            add(vz, om_rx, vfz)
-            add(vf, drot, vf)
-            add(z, rz, fz)
-            multiply(gains, foot, gained)           # (-c_t vfx, c_d vfz, -k fz)
-            heaviside(fz_spring, zero, ck)          # 1.0 where fz < 0
-            subtract(fz_spring, fz_push, push)
+            add(env, v_term, foot)
+            add(vf, d_term, vf)
+            multiply(gains, foot, gained)           # c_d vfz, -c_t vfx, -k fz
+            heaviside(spring, zero, ck)             # 1.0 where fz < 0
+            subtract(spring, damp, push)
             maximum(zero, push, out=push)
             multiply(push, ck, fn)
             # an airborne foot has a zero cap, so its friction clamps to zero
@@ -482,14 +533,12 @@ class PlanarEnv:
             multiply(fn, neg_mu, cap_lo)
             maximum(ft_push, cap_lo, out=ft)
             minimum(ft, cap_hi, out=ft)
-            multiply(r, fk, moment)                 # (rx fn, rz ft)
-            subtract(moment_n, moment_t, leg_torque)
-            add(torque_front, torque_rear, alpha)
+            multiply(r_moment, fk, moment)          # (rx fn, rz ft)
+            subtract(moment_n, moment_t, lt)
+            add(fk_head, fk_tail, acc)              # leg sums (lt, -, fn, -, ft)
+            multiply(acc, inv_mass, acc)
             divide(alpha, inertia, alpha)
-            add(ft[0], ft[1], acc_x)
-            add(fn[0], fn[1], acc_z)
-            multiply(acc_xz, inv_mass, acc_xz)
-            subtract(acc_z, gravity, acc_z)
+            subtract(az, gravity, az)
             multiply(acc, dt, acc)
             add(vk, acc, vn)
             multiply(vn, dt, acc)
@@ -502,21 +551,21 @@ class PlanarEnv:
         contact load, (4, E), summed in substep order."""
         p = self.params
         K, E = p.control_decimation, self.num_envs
-        tau, term, load, tmp = b.tau, b.term, b.load, b.tmp
+        tau, straight, crossed = b.tau, b.straight, b.crossed
         np.subtract(q_target, b.q[1:], out=tau)
         tau *= p.kp
-        np.multiply(b.qd, p.kd, out=tmp.reshape(K, 4, E))
-        tau -= tmp.reshape(K, 4, E)
-        c, s = b.state[:K, _COS, None, None], b.state[:K, _SIN, None, None]
-        jx, jz = b.jac[:, 0], b.jac[:, 1]     # (K, joint, leg, E)
-        # (c jx - s jz) ft + (s jx + c jz) fn
-        np.multiply(c, jx, out=term)
-        np.multiply(s, jz, out=tmp)
-        term -= tmp
+        damping = straight.reshape(K, 8, E)[:, :4]     # scratch until below
+        np.multiply(b.qd, p.kd, out=damping)
+        tau -= damping
+        # (c jx - s jz) ft + (s jx + c jz) fn, from the products of (c, s)
+        # with (jx, jz) and with (jz, jx)
+        cs = b.state[:K, _COS:_SIN + 1, None, None]
+        np.multiply(cs, b.jac, out=straight)
+        np.multiply(cs, b.jac[:, ::-1], out=crossed)
+        term, load = straight[:, 0], crossed[:, 1]
+        term -= straight[:, 1]
         term *= b.force[:, _FT, None]
-        np.multiply(s, jx, out=load)
-        np.multiply(c, jz, out=tmp)
-        load += tmp
+        load += crossed[:, 0]
         load *= b.force[:, _FN, None]
         term += load
         tau.reshape(K, 2, 2, E)[...] += term.transpose(0, 2, 1, 3)
@@ -531,25 +580,30 @@ class PlanarEnv:
         count. Returns (landing, angle): the landing flag and the reported
         angle, the one at the last landing or else the running flight angle.
         """
-        E, dt = self.num_envs, self.params.dt_physics
+        dt = self.params.dt_physics
         contact = b.contact > 0.0
         foot_down = contact[:, 0] | contact[:, 1]
         in_flight = ~(foot_down | base)
         touched = foot_down
         touched[0] &= self.airborne
         touched[1:] &= in_flight[:-1]
-        landing_angle = np.zeros(E)
-        fa = self.flight_angle
+        # the angle at the last landing, the running flight angle and a row
+        # of zeros: a landing copies the last two rows over the first two
+        held = b.held
+        landing_angle, fa = held[0], held[1]
+        landing_angle[...] = 0.0
+        fa[...] = self.flight_angle
         if self.airborne.any() or in_flight.any():
             # a zero increment off flight leaves the angle as it is
             inc = b.state[1:, _OM] * dt
             inc *= in_flight
             touched_any = touched.any(axis=1)
+            landed, kept = held[:2], held[1:]
             for k in np.flatnonzero(touched_any | in_flight.any(axis=1)):
                 if touched_any[k]:
-                    np.copyto(landing_angle, fa, where=touched[k])
-                    np.copyto(fa, 0.0, where=touched[k])
+                    np.copyto(landed, kept, where=touched[k])
                 fa += inc[k]
+            self.flight_angle[...] = fa
         self.airborne = in_flight[-1].copy()
         landing = touched.any(axis=0)
         return landing, np.where(landing, landing_angle, fa)

@@ -117,6 +117,27 @@ class TestTrainEvalReport:
         assert (run / "eval.json").read_bytes() == written
 
 
+class TestRefsPath:
+    def test_eval_from_another_directory_rewrites_the_report(self, tmp_path,
+                                                               monkeypatch):
+        # train with refs relative to the working directory, then eval the
+        # checkpoint from elsewhere: the run recorded where its refs are
+        monkeypatch.chdir(tmp_path)
+        cfg = tiny_config(tmp_path=tmp_path)
+        cfg.refs = "refs"
+        save_config(cfg, tmp_path / "base.txt")
+        assert main(["train", "--config", "base.txt", "--out", "run",
+                     "--iterations", "1", "--quiet"]) == EXIT_OK
+        written = (tmp_path / "run" / "eval.json").read_bytes()
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        (tmp_path / "run" / "eval.json").unlink()
+        assert main(["eval", "--checkpoint",
+                     str(tmp_path / "run" / "checkpoint_final.npz")]) == EXIT_OK
+        assert (tmp_path / "run" / "eval.json").read_bytes() == written
+
+
 @pytest.fixture(scope="class")
 def trained(tmp_path_factory):
     """A two-iteration ``train`` run: its base config and run directory."""

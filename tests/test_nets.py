@@ -161,6 +161,28 @@ class TestEluSmoothness:
         assert delu_fn(np.array([0.0]), np.empty(1))[0] == pytest.approx(1.0)
 
 
+class TestEluForward:
+    def test_same_bytes_as_the_masked_form(self):
+        # max(z, expm1(min(z, 0))) against expm1(min(z, 0)) with z put where
+        # z > 0: signed zeros, infinities, NaNs of both signs, subnormals,
+        # every power of two and its neighbours, and dense random values
+        tiny = np.finfo(np.float64).tiny
+        special = np.array([0.0, -0.0, tiny, -tiny, tiny / 4, -tiny / 4, 5e-324,
+                            -5e-324, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0,
+                            1e-300, -745.2, -800.0, -1e308, 1e308, 709.0, 3.5, -3.5])
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        neighbours = np.concatenate([powers, np.nextafter(powers, 0.0),
+                                     np.nextafter(powers, np.inf)])
+        rng = np.random.default_rng(0)
+        dense = np.concatenate([rng.standard_normal(200_000) * scale
+                                for scale in (1e-8, 1e-3, 1.0, 30.0)])
+        z = np.concatenate([special, neighbours, -neighbours, dense])
+        masked = np.expm1(np.minimum(z, 0.0))
+        np.putmask(masked, z > 0.0, z)
+        elu_fn, _ = ACTIVATIONS["elu"]
+        assert elu_fn(z, np.empty_like(z)).tobytes() == masked.tobytes()
+
+
 class TestEluDerivative:
     def test_same_bytes_as_the_masked_form(self):
         # exp(min(z, 0)) alone against exp(min(z, 0)) with 1 put where z > 0

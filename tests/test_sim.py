@@ -593,6 +593,15 @@ class TestStepMatchesOracle:
         assert landings > 0
         assert terminations > 0
 
+    def test_bit_identical_at_the_fastest_tracking(self):
+        # joint tracking without its clamp to the limits, at the highest
+        # rate SimParams.validate allows and with targets clipped hard
+        params = SimParams(tracking_rate=0.5 / SimParams.dt_physics,
+                           max_joint_vel=1e3)
+        assert params.validate() == []
+        _, terminations = run_against_oracle(params, 16, 300, 30.0, seed=4)
+        assert terminations > 0
+
     def test_foot_heights_match_oracle(self):
         # the step's end-of-step foot heights, seen through its contacts,
         # against the oracle kinematics of the state it ends in
@@ -609,28 +618,42 @@ class TestStepMatchesOracle:
 
 
 class UfuncProbe:
-    """Stands in for numpy in the sim module and records, for every ufunc
-    call, whether it can take numpy's fast path: every array operand has
-    the output's shape and is C-contiguous, or is 0-d, and no operand needs
-    a cast. A broadcast, a strided view or a mixed dtype sends a call
-    through numpy's general iterator, which costs a small call about twice
-    as much."""
+    """Stands in for numpy in the sim module and records every call of a
+    numpy function, ufunc or ufunc method. A ufunc call also records
+    whether it can take numpy's fast path: every array operand has the
+    output's shape and is C-contiguous, or is 0-d, and no operand needs a
+    cast. A broadcast, a strided view or a mixed dtype sends a call through
+    numpy's general iterator, which costs a small call about twice as much.
+    Other calls record None."""
 
     def __init__(self):
         self.calls = []
 
     def __getattr__(self, name):
         attr = getattr(np, name)
-        if not isinstance(attr, np.ufunc):
+        if isinstance(attr, type) or not callable(attr):
             return attr
+        probe = self
 
-        def call(*args, **kwargs):
-            result = attr(*args, **kwargs)
-            outs = args[attr.nin:] or (kwargs["out"],)
-            out = outs[0][0] if isinstance(outs[0], tuple) else outs[0]
-            self.calls.append((name, self.fast(attr, args[:attr.nin], out)))
-            return result
-        return call
+        class Call:
+            def __call__(self, *args, **kwargs):
+                result = attr(*args, **kwargs)
+                fast = None
+                if isinstance(attr, np.ufunc):
+                    outs = args[attr.nin:] or (kwargs.get("out", result),)
+                    out = outs[0][0] if isinstance(outs[0], tuple) else outs[0]
+                    fast = probe.fast(attr, args[:attr.nin], out)
+                probe.calls.append((name, fast))
+                return result
+
+            def __getattr__(self, method):
+                bound = getattr(attr, method)
+
+                def call(*args, **kwargs):
+                    probe.calls.append((f"{name}.{method}", None))
+                    return bound(*args, **kwargs)
+                return call
+        return Call()
 
     @staticmethod
     def fast(ufunc, inputs, out):
@@ -644,25 +667,63 @@ class UfuncProbe:
             for x in arrays)
 
 
-class TestContactLoopFastPath:
-    @staticmethod
-    def loop_calls(monkeypatch, substeps, num_envs):
-        # the calls of one contact phase, at two substep counts: the
-        # difference is what the loop runs per substep
-        params = SimParams(dt_physics=0.02 / substeps, control_decimation=substeps)
-        env = PlanarEnv(params, num_envs=num_envs, seed=1)
-        env.step(np.zeros((num_envs, 4)))
-        probe = UfuncProbe()
-        monkeypatch.setattr(sim_module, "np", probe)
-        env._integrate_body(env._buffers)
+def probed(monkeypatch, call):
+    """The numpy calls the sim module makes in ``call()``."""
+    probe = UfuncProbe()
+    monkeypatch.setattr(sim_module, "np", probe)
+    try:
+        call()
+    finally:
         monkeypatch.setattr(sim_module, "np", np)
-        return probe.calls
+    return probe.calls
 
+
+def phase_calls(monkeypatch, phase, substeps, num_envs):
+    """The calls of one run of a step phase (a method taking the step's
+    buffers and, for joint tracking, a target) at ``substeps`` substeps."""
+    params = SimParams(dt_physics=0.02 / substeps, control_decimation=substeps)
+    env = PlanarEnv(params, num_envs=num_envs, seed=1)
+    env.step(np.zeros((num_envs, 4)))
+    b = env._buffers
+    extra = (b.q[0].copy(),) if phase == "_track_joints" else ()
+    return probed(monkeypatch, lambda: getattr(env, phase)(b, *extra))
+
+
+def per_substep(monkeypatch, phase, num_envs):
+    # the calls at two substep counts: the difference is what the loop
+    # runs per substep
+    long = phase_calls(monkeypatch, phase, 20, num_envs)
+    short = phase_calls(monkeypatch, phase, 10, num_envs)
+    count = (len(long) - len(short)) / 10
+    assert count == int(count)
+    return int(count), long
+
+
+class TestContactLoopFastPath:
     @pytest.mark.parametrize("num_envs", [1, 16])
     def test_every_call_takes_the_fast_path(self, monkeypatch, num_envs):
-        long = self.loop_calls(monkeypatch, 20, num_envs)
-        short = self.loop_calls(monkeypatch, 10, num_envs)
-        per_substep = (len(long) - len(short)) / 10
-        assert per_substep == int(per_substep) and per_substep > 20
-        # the loop's calls are the last ones of the phase
-        assert all(fast for _, fast in long[-20 * int(per_substep):])
+        count, long = per_substep(monkeypatch, "_integrate_body", num_envs)
+        assert 20 < count <= 28
+        # the loop's calls are the last ones of the phase; every ufunc
+        # among them takes the fast path
+        loop = long[-20 * count:]
+        assert all(fast for _, fast in loop if fast is not None)
+        assert sum(fast is None for _, fast in loop) == 20 * 2   # the copies
+
+
+class TestCallBudget:
+    @pytest.mark.parametrize("num_envs", [1, 16])
+    def test_a_step_makes_at_most_720_numpy_calls(self, monkeypatch, num_envs):
+        # steps after the first, which builds the step's buffers
+        env = PlanarEnv(SimParams(), num_envs=num_envs, seed=1)
+        env.step(np.zeros((num_envs, 4)))
+        rng = np.random.default_rng(0)
+        for t in range(20):
+            actions = rng.standard_normal((num_envs, 4))
+            results = []
+            calls = probed(monkeypatch, lambda: results.append(env.step(actions)))
+            assert len(calls) <= 720, t
+            env.reset_rows(results[0].terminal | results[0].timeout)
+
+    def test_joint_tracking_makes_6_calls_per_substep(self, monkeypatch):
+        assert per_substep(monkeypatch, "_track_joints", 4)[0] == 6
