@@ -17,19 +17,19 @@ substeps. Each value comes from the same IEEE operations, in the same order,
 as in a plain loop over the substeps, so the result is bit-identical to it.
 
 At small E a step's time is numpy's per-call cost: its calls work on
-arrays of a few rows of E values. A step at the default 20 substeps makes
-about 711 numpy calls: 28 per substep in the contact-and-body loop, 6 per
-substep in joint tracking, and about 30 others, plus one for each substep
-in which a foot lands. Rows are stacked so that one call serves several
-terms (see `PlanarEnv._integrate_body`). The loop's calls keep to numpy's
-fast path: every array operand has the shape of the output and is
-contiguous, and no operand needs a cast; other operands are 0-d. A
-broadcast operand, a strided view or a mixed dtype sends a call through
-numpy's general iterator, at about twice the cost of a small call. The
-buffers are laid out for this (see `_StepBuffers`), and tests check every
-call of the loop and the count of a step's calls. At E >= 256 the stacked
-rows cost more arithmetic than the saved calls: a step there is slower than
-with one call per term.
+arrays of a few rows of E values. Below ``WIDE_ENVS`` envs a step at the
+default 20 substeps makes about 712 numpy calls: 28 per substep in the
+contact-and-body loop, 6 per substep in joint tracking, and about 32 others,
+plus one for each substep in which a foot lands. Rows are stacked so that
+one call serves several terms (see `PlanarEnv._integrate_body`). The loop's
+calls keep to numpy's fast path: every array operand has the shape of the
+output and is contiguous, and no operand needs a cast; other operands are
+0-d. A broadcast operand, a strided view or a mixed dtype sends a call
+through numpy's general iterator, at about twice the cost of a small call.
+The buffers are laid out for this (see `_StepBuffers`), and tests check
+every call of the loop and the count of a step's calls. From ``WIDE_ENVS``
+envs on, a call's time is mostly its arithmetic, and the loop stacks fewer
+rows at 30 calls per substep, still on the fast path.
 """
 
 from __future__ import annotations
@@ -97,9 +97,11 @@ class SimParams:
                           f"(policy runs at 50 Hz), got {self.control_dt}")
         if self.contact_stiffness < 1.0:
             errors.append("sim.contact_stiffness must be >= 1 N/m")
-        if self.tracking_rate * self.dt_physics > 0.5:
-            errors.append("sim.tracking_rate * sim.dt_physics must be <= 0.5, so a "
-                          "substep moves a joint at most half way to its target")
+        if not 0.0 <= self.tracking_rate * self.dt_physics <= 0.5:
+            errors.append("sim.tracking_rate * sim.dt_physics must be in [0, 0.5], so "
+                          "a substep moves a joint at most half way to its target")
+        if not self.max_joint_vel >= 0.0:
+            errors.append("sim.max_joint_vel must be >= 0")
         if self.body_mass <= 0 or self.body_inertia <= 0:
             errors.append("sim.body_mass and sim.body_inertia must be > 0")
         if self.mass_perturb_high < self.mass_perturb_low:
@@ -159,8 +161,9 @@ def leg_kinematics(q, qd, params: SimParams, out):
     np.add(q[..., 0, :], q[..., 1, :], out=th[..., 1, :, :])
     np.cos(th, out=jac[..., 0, :, :, :])
     np.sin(th, out=jac[..., 1, :, :, :])
-    jac *= np.array([l1, l2])[:, None, None]     # (l c, l s) of each link
-    hip_x = np.array([params.half_length, -params.half_length])[:, None]
+    lengths = np.array([l1, l2, params.half_length, -params.half_length])
+    jac *= lengths[:2, None, None]               # (l c, l s) of each link
+    hip_x = lengths[2:, None]
     np.add(hip_x, jac[..., 1, 0, :, :], out=body[..., 0, 0, :, :])
     body[..., 0, 0, :, :] += jac[..., 1, 1, :, :]
     jac[..., 0, :, :] += jac[..., 1, :, :]       # the hip moves both links
@@ -185,16 +188,25 @@ _VEL_ROWS, _POS_ROWS = slice(_OM, _VX + 1, 2), slice(_PITCH, _X + 1, 2)
 # Rows of a contact force: the leg's torque about the COM, normal (z) and
 # tangential (x) force.
 _LT, _FN, _FT = 0, 1, 2
-# The rotation operands of a substep, ``_ROT_C`` times the cosine plus
-# ``_ROT_S`` times the sine, as rows of ``_StepBuffers.legs``: (u, w, du, dw)
-# from `leg_kinematics`, then their negations. The rotated rows are rz, rx,
-# rz, -rz, dz, dx, dx, where (rx, rz) = (c u - s w, s u + c w) and (dx, dz)
-# likewise from (du, dw).
+# The rotation operands of a substep of the stacked contact loop, ``_ROT_C``
+# times the cosine plus ``_ROT_S`` times the sine, as rows of
+# ``_StepBuffers.legs``: (u, w, du, dw) from `leg_kinematics`, then their
+# negations. The rotated rows are rz, rx, rz, -rz, dz, dx, dx, where
+# (rx, rz) = (c u - s w, s u + c w) and (dx, dz) likewise from (du, dw).
 _U, _W, _DU, _DW = range(4)
 _NU, _NW, _NDW = _U + 4, _W + 4, _DW + 4
 _ROT_C = (_W, _U, _W, _NW, _DW, _DU, _DU)
 _ROT_S = (_U, _NW, _U, _NU, _DU, _NDW, _NDW)
 _ROT_ROWS = len(_ROT_C)
+# From this many envs on, the contact loop rotates four rows, not the
+# stacked seven, and forms the foot's velocity and height one term per call
+# (see `PlanarEnv._integrate_body`): there a call's time is mostly its
+# arithmetic, and the stacked rows, which repeat values and pad blocks, cost
+# more than the two calls per substep they save. On a 2-vCPU Xeon a whole
+# step took the same time either way at 16 envs, 3% less with four rows at
+# 24 and 32, and 10% less at 256; at 1 and 2 envs the stacked loop was 3%
+# faster.
+WIDE_ENVS = 32
 
 
 class _StepBuffers:
@@ -208,7 +220,9 @@ class _StepBuffers:
     contiguous, or is 0-d. Per-leg arrays are (component, leg, E); the
     per-env rows a per-leg call reads are copied per leg first, in two
     blocks (``trig``, ``env``), and the rotation operands are stacked for
-    all substeps before the loop (``ops``)."""
+    all substeps before the loop (``ops``). Below ``WIDE_ENVS`` envs the
+    loop is ``stacked``: it rotates seven rows and forms the foot's velocity
+    and height in padded blocks (see `PlanarEnv._integrate_body`)."""
 
     def __init__(self, env: "PlanarEnv", substeps: int):
         K, E = substeps, env.num_envs
@@ -218,40 +232,49 @@ class _StepBuffers:
         self.qd = np.empty((K, 4, E))
         self.cmd = np.empty((4, E))               # scratch of joint tracking
         # each substep's foot offset and velocity in the body frame,
-        # (u, w, du, dw) (`leg_kinematics`' ``body``) and their negations,
-        # and the rotation operands taken from them: the cosine's, then the
-        # sine's
+        # (u, w, du, dw) (`leg_kinematics`' ``body``), then their negations
+        # (stacked) or the sine's rotation operands (-w, u, -dw, du)
         self.legs = np.empty((K, 8, 2, E))
         self.body = self.legs[:, :4].reshape(K, 2, 2, 2, E)
         self.jac = np.empty((K, 2, 2, 2, E))
-        self.ops = np.empty((K, 2 * _ROT_ROWS, 2, E))
         # rows _COS .. _X; the padding rows of the first substep stay zero
         self.state = np.zeros((K + 1, _X + 1, E))
         self.force = np.empty((K, 3, 2, E))       # rows _LT, _FN, _FT per leg
         self.contact = np.empty((K, 2, E))        # 1.0 where the foot is down
-        # scratch of one substep: (cos, sin, om) once per rotated row, and
-        # (vz, -, vx, pitch, -, z), per leg
-        self.trig = np.empty((3, _ROT_ROWS, 2, E))
-        self.env = np.empty((6, 2, E))
-        self.prod = np.empty((2 * _ROT_ROWS, 2, E))
-        # om times (rx, rz, -rz), two rows that stay zero, then the rotated
-        # rows
-        self.rot = np.zeros((5 + _ROT_ROWS, 2, E))
-        self.foot = np.empty((6, 2, E))           # (vfz, -, vfx, -, -, fz)
-        self.gained = np.empty((6, 2, E))         # c_d vfz, -c_t vfx, -k fz
-        self.gains = np.empty((6, 2, E))
-        self.push = np.empty((2, E))
-        self.cap = np.empty((2, 2, E))            # (upper, lower) friction bound
-        self.moment = np.empty((2, 2, E))
-        self.acc = np.empty((5, E))               # (alpha, -, az, -, ax)
-        self.inv_mass = np.empty((5, E))          # (1, -, 1/m, -, 1/m)
         # scratch of the flight bookkeeping: the landing angle, the flight
         # angle, zeros
         self.held = np.zeros((3, E))
         # scratch of the torque proxy
         self.tau = np.empty((K, 4, E))
-        self.straight = np.empty((K, 2, 2, 2, E))   # (c jx, s jz)
-        self.crossed = np.empty((K, 2, 2, 2, E))    # (c jz, s jx)
+        self.term = np.empty((K, 2, 2, E))
+        self.load = np.empty((K, 2, 2, E))
+        self.tmp = np.empty((K, 2, 2, E))
+        # scratch of one substep of the contact loop: per leg, (cos, sin,
+        # om) once per rotated row, (vz, -, vx, pitch, -, z), and the
+        # products of (cos, sin) with the rotation operands
+        self.stacked = E < WIDE_ENVS
+        rows = _ROT_ROWS if self.stacked else 4
+        self.trig = np.empty((3, rows, 2, E))
+        self.env = np.empty((6, 2, E))
+        self.prod = np.empty((2 * rows, 2, E))
+        if self.stacked:
+            self.ops = np.empty((K, 2 * rows, 2, E))
+            # om times (rx, rz, -rz), two rows that stay zero, then the
+            # rotated rows
+            self.rot = np.zeros((5 + rows, 2, E))
+            self.foot = np.empty((6, 2, E))       # (vfz, -, vfx, -, -, fz)
+        else:
+            self.ops = self.legs
+            # om times (rx, rz), then the rotated rows (rx, rz, dx, dz)
+            self.rot = np.empty((2 + rows, 2, E))
+            self.foot = np.empty((3, 2, E))       # (vfx, vfz, fz)
+        self.gains = np.empty_like(self.foot)
+        self.gained = np.empty_like(self.foot)
+        self.push = np.empty((2, E))
+        self.cap = np.empty((2, 2, E))            # (upper, lower) friction bound
+        self.moment = np.empty((2, 2, E))
+        self.acc = np.empty((5, E))               # (alpha, -, az, -, ax)
+        self.inv_mass = np.empty((5, E))          # (1, -, 1/m, -, 1/m)
         # the views substep k of the contact loop reads and writes
         state, force = self.state, self.force
         force_rows = force.reshape(K, 6, E)
@@ -424,9 +447,11 @@ class PlanarEnv:
         start inside the limits, the target is clipped to them, and a
         substep moves a joint by at most ``tracking_rate * dt_physics``
         times its distance to the target, which ``SimParams.validate``
-        holds at 0.5 or less. The step is then strictly shorter than that
-        distance, so the rounded sum lands between the joint and its
-        target, inside the limits, and a clamp would return it unchanged.
+        holds in [0, 0.5], toward the target, as a non-negative
+        ``max_joint_vel`` keeps the velocity cap around zero. The step is
+        then strictly shorter than that distance, so the rounded sum lands
+        between the joint and its target, inside the limits, and a clamp
+        would return it unchanged.
         """
         p = self.params
         consts = np.array([p.tracking_rate, p.max_joint_vel, -p.max_joint_vel,
@@ -455,16 +480,17 @@ class PlanarEnv:
         tangential damping capped at ``friction`` times the normal force.
         The foot offset and velocity rotate into the world frame in one
         product of the per-leg (cos, sin) with ``b.ops`` and one sum of its
-        halves, giving the rows of ``_ROT_C``: rz, rx, rz, -rz, dz, dx,
-        dx. ``c u - s w`` is ``c u + s (-w)``, and ``-rz`` is
-        ``c (-w) + s (-u)``, since negation is exact. A foot is down where
-        its spring term ``-k fz`` is positive (a float mask,
-        ``np.heaviside``): exactly where ``fz < 0``, since a stiffness of at
-        least 1 cannot round a nonzero product to zero.
+        halves. ``c u - s w`` is ``c u + s (-w)``, since negation is exact.
+        A foot is down where its spring term ``-k fz`` is positive (a float
+        mask, ``np.heaviside``): exactly where ``fz < 0``, since a stiffness
+        of at least 1 cannot round a nonzero product to zero.
 
-        Rows are stacked so that one call serves several terms; the rows
-        marked - are by-products that nothing reads:
+        Below ``WIDE_ENVS`` envs (``b.stacked``) rows are stacked so that
+        one call serves several terms; the rows marked - are by-products
+        that nothing reads:
 
+        - the rotation gives the rows of ``_ROT_C``: rz, rx, rz, -rz, dz,
+          dx, dx, where ``-rz`` is ``c (-w) + s (-u)``;
         - ``om (rx, rz, -rz)`` in one product, and the world foot velocity
           and height ``(vz, -, vx, pitch, -, z) + (om rx, om rz, om (-rz),
           0, 0, rz)`` in one sum, as ``(vfz, -, vfx, -, -, fz)``: ``vx - om
@@ -476,6 +502,12 @@ class PlanarEnv:
           the order of the state's velocity rows;
         - the mass as one product with ``(1, -, 1/m, -, 1/m)`` (a product
           with 1 is exact) before the division by the inertia.
+
+        From ``WIDE_ENVS`` envs on, where the repeated and padding rows cost
+        more than the calls they save, the rotation gives (rx, rz, dx, dz)
+        from ``(u, w, du, dw)`` and ``(-w, u, -dw, du)``, and the foot's
+        velocity and height take one call per term. The leg sums and the
+        mass are stacked as above.
 
         The calls of the loop take numpy's fast path: each operand has the
         shape of the output and is contiguous, or is 0-d (the tests check
@@ -491,24 +523,40 @@ class PlanarEnv:
         np.divide(1.0, self.mass, out=inv_mass[2])
         inv_mass[:2] = 1.0
         inv_mass[3:] = inv_mass[2]
-        b.gains[...] = np.array([p.contact_damping, 1.0, -p.tangential_damping, 1.0,
-                                 1.0, -p.contact_stiffness])[:, None, None]
-        np.negative(legs[:, :4], out=legs[:, 4:])
-        np.take(legs, _ROT_C + _ROT_S, axis=1, out=b.ops, mode="clip")
         consts = np.array([0.0, p.body_inertia, p.gravity, p.dt_physics,
                            p.friction, -p.friction])
         zero, inertia, gravity, dt, mu, neg_mu = (consts[i, ...] for i in range(6))
+        stacked = b.stacked
+        if stacked:
+            b.gains[...] = np.array([p.contact_damping, 1.0, -p.tangential_damping,
+                                     1.0, 1.0, -p.contact_stiffness])[:, None, None]
+            np.negative(legs[:, :4], out=legs[:, 4:])
+            np.take(legs, _ROT_C + _ROT_S, axis=1, out=b.ops, mode="clip")
+        else:
+            b.gains[...] = np.array([-p.tangential_damping, p.contact_damping,
+                                     -p.contact_stiffness])[:, None, None]
+            np.negative(legs[:, 1:4:2], out=legs[:, 4::2])    # -w, -dw
+            np.copyto(legs[:, 5::2], legs[:, :4:2])           # u, du
         add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
         maximum, minimum, heaviside, cos, sin, copyto = (
             np.maximum, np.minimum, np.heaviside, np.cos, np.sin, np.copyto)
         trig, env, prod, rot, foot, gained, gains = (
             b.trig, b.env, b.prod, b.rot, b.foot, b.gained, b.gains)
         push, cap, moment, acc = b.push, b.cap, b.moment, b.acc
-        cs, om = trig[:2].reshape(2 * _ROT_ROWS, 2, -1), trig[2, :3]
-        prod_c, prod_s = prod[:_ROT_ROWS], prod[_ROT_ROWS:]
-        rotated, om_in, om_out = rot[5:], rot[6:9], rot[:3]
-        v_term, d_term, r_moment = rot[:6], rot[9:], rot[6:8]
-        vf, damp, ft_push, spring = foot[:3], gained[0], gained[2], gained[5]
+        rows = trig.shape[1]
+        cs = trig[:2].reshape(2 * rows, 2, -1)
+        prod_c, prod_s = prod[:rows], prod[rows:]
+        if stacked:
+            om = trig[2, :3]
+            rotated, om_in, om_out = rot[5:], rot[6:9], rot[:3]
+            v_term, d_term, r_moment = rot[:6], rot[9:], rot[6:8]
+            vf, damp, ft_push, spring = foot[:3], gained[0], gained[2], gained[5]
+        else:
+            om, vz, vx, z = trig[2, :2], env[0], env[2], env[5]
+            om_r, rotated, r_moment, rz, drot = rot[:2], rot[2:], rot[2:4], rot[3], rot[4:]
+            om_rx, om_rz = om_r
+            vf, vfx, vfz, fz = foot[:2], foot[0], foot[1], foot[2]
+            ft_push, damp, spring = gained
         cap_hi, cap_lo = cap
         moment_n, moment_t = moment
         alpha, az = acc[0], acc[2]
@@ -517,13 +565,21 @@ class PlanarEnv:
             copyto(trig, trig_k)
             copyto(env, env_k)
             multiply(cs, ops_k, prod)
-            add(prod_c, prod_s, rotated)            # rz, rx, rz, -rz, dz, dx, dx
-            multiply(om, om_in, om_out)             # om (rx, rz, -rz)
+            # stacked: rz, rx, rz, -rz, dz, dx, dx; else rx, rz, dx, dz
+            add(prod_c, prod_s, rotated)
             # world foot velocity (vz + om rx, vx - om rz) + (dz, dx) and
             # height z + rz
-            add(env, v_term, foot)
-            add(vf, d_term, vf)
-            multiply(gains, foot, gained)           # c_d vfz, -c_t vfx, -k fz
+            if stacked:
+                multiply(om, om_in, om_out)         # om (rx, rz, -rz)
+                add(env, v_term, foot)
+                add(vf, d_term, vf)
+            else:
+                multiply(om, r_moment, om_r)        # om (rx, rz)
+                subtract(vx, om_rz, vfx)
+                add(vz, om_rx, vfz)
+                add(vf, drot, vf)
+                add(z, rz, fz)
+            multiply(gains, foot, gained)           # damping, friction, spring
             heaviside(spring, zero, ck)             # 1.0 where fz < 0
             subtract(spring, damp, push)
             maximum(zero, push, out=push)
@@ -551,21 +607,21 @@ class PlanarEnv:
         contact load, (4, E), summed in substep order."""
         p = self.params
         K, E = p.control_decimation, self.num_envs
-        tau, straight, crossed = b.tau, b.straight, b.crossed
+        tau, term, load, tmp = b.tau, b.term, b.load, b.tmp
         np.subtract(q_target, b.q[1:], out=tau)
         tau *= p.kp
-        damping = straight.reshape(K, 8, E)[:, :4]     # scratch until below
-        np.multiply(b.qd, p.kd, out=damping)
-        tau -= damping
-        # (c jx - s jz) ft + (s jx + c jz) fn, from the products of (c, s)
-        # with (jx, jz) and with (jz, jx)
-        cs = b.state[:K, _COS:_SIN + 1, None, None]
-        np.multiply(cs, b.jac, out=straight)
-        np.multiply(cs, b.jac[:, ::-1], out=crossed)
-        term, load = straight[:, 0], crossed[:, 1]
-        term -= straight[:, 1]
+        np.multiply(b.qd, p.kd, out=tmp.reshape(K, 4, E))
+        tau -= tmp.reshape(K, 4, E)
+        c, s = b.state[:K, _COS, None, None], b.state[:K, _SIN, None, None]
+        jx, jz = b.jac[:, 0], b.jac[:, 1]     # (K, joint, leg, E)
+        # (c jx - s jz) ft + (s jx + c jz) fn
+        np.multiply(c, jx, out=term)
+        np.multiply(s, jz, out=tmp)
+        term -= tmp
         term *= b.force[:, _FT, None]
-        load += crossed[:, 0]
+        np.multiply(s, jx, out=load)
+        np.multiply(c, jz, out=tmp)
+        load += tmp
         load *= b.force[:, _FN, None]
         term += load
         tau.reshape(K, 2, 2, E)[...] += term.transpose(0, 2, 1, 3)
@@ -588,7 +644,10 @@ class PlanarEnv:
         touched[0] &= self.airborne
         touched[1:] &= in_flight[:-1]
         # the angle at the last landing, the running flight angle and a row
-        # of zeros: a landing copies the last two rows over the first two
+        # of zeros. A landing copies the last two rows over the first two:
+        # the flight angle becomes the landing angle and restarts at zero in
+        # one call (numpy reads an overlapping source as if it were copied
+        # first), so a landing adds one call to the step, not two.
         held = b.held
         landing_angle, fa = held[0], held[1]
         landing_angle[...] = 0.0

@@ -107,14 +107,16 @@ class TestValidation:
         cfg.sim.mass_perturb_low = -3.0
         cfg.sim.mass_perturb_high = -4.0
         cfg.sim.tracking_rate = 501.0
+        cfg.sim.max_joint_vel = -1.0
         cfg.eval.episode_frames = -1
         errors = cfg.validate()
-        assert len(errors) >= 11
+        assert len(errors) >= 12
         joined = "\n".join(errors)
         for fragment in ("task", "iterations", "ppo.clip", "disc.horizon",
                          "reward.w_action_rate", "dtw.step_pattern",
                          "sim.contact_stiffness",
-                         "sim.tracking_rate * sim.dt_physics must be <= 0.5",
+                         "sim.tracking_rate * sim.dt_physics must be in [0, 0.5]",
+                         "sim.max_joint_vel must be >= 0",
                          "sim.mass_perturb_high must be >= sim.mass_perturb_low",
                          "sim.body_mass + sim.mass_perturb_low must be > 0",
                          "eval.episode_frames"):

@@ -5,7 +5,7 @@ import pytest
 
 from planarmimic import sim as sim_module
 from planarmimic.sim import (DEMO_FRAMES, MOTIONS, NOMINAL_JOINT_POS, STATE_ARRAYS,
-                             PlanarEnv, SimParams, StepBatch,
+                             WIDE_ENVS, PlanarEnv, SimParams, StepBatch,
                              check_termination_arrays, generate_demo_set,
                              generate_rough_demo)
 
@@ -593,14 +593,36 @@ class TestStepMatchesOracle:
         assert landings > 0
         assert terminations > 0
 
-    def test_bit_identical_at_the_fastest_tracking(self):
+    @pytest.mark.parametrize("num_envs", [16, WIDE_ENVS])
+    def test_bit_identical_at_the_fastest_tracking(self, num_envs):
         # joint tracking without its clamp to the limits, at the highest
         # rate SimParams.validate allows and with targets clipped hard
         params = SimParams(tracking_rate=0.5 / SimParams.dt_physics,
                            max_joint_vel=1e3)
         assert params.validate() == []
-        _, terminations = run_against_oracle(params, 16, 300, 30.0, seed=4)
+        _, terminations = run_against_oracle(params, num_envs, 300, 30.0, seed=4)
         assert terminations > 0
+
+    @pytest.mark.parametrize("field, value, fragment", [
+        ("tracking_rate", -5.0, "sim.tracking_rate * sim.dt_physics must be in [0, 0.5]"),
+        ("max_joint_vel", -1.0, "sim.max_joint_vel must be >= 0"),
+    ], ids=["tracking_rate", "max_joint_vel"])
+    def test_a_negative_tracking_value_is_rejected(self, field, value, fragment):
+        # Either value drives the joints away from their targets. The
+        # oracle's clamp holds them inside the limits; the step, which
+        # leaves the clamp out, would carry them past, so validate refuses
+        # such a value rather than let it run.
+        params = SimParams(**{field: value})
+        errors = params.validate()
+        assert len(errors) == 1 and fragment in errors[0]
+        fast = PlanarEnv(params, num_envs=4, seed=0)
+        slow = PlanarEnv(params, num_envs=4, seed=0)
+        for _ in range(100):
+            fast.step(np.zeros((4, 4)))
+            oracle_step(slow, np.zeros((4, 4)))
+        lo, hi = np.array(params.joint_limits_low), np.array(params.joint_limits_high)
+        assert np.all((lo <= slow.q) & (slow.q <= hi))
+        assert not np.all((lo <= fast.q) & (fast.q <= hi))
 
     def test_foot_heights_match_oracle(self):
         # the step's end-of-step foot heights, seen through its contacts,
@@ -700,10 +722,12 @@ def per_substep(monkeypatch, phase, num_envs):
 
 
 class TestContactLoopFastPath:
-    @pytest.mark.parametrize("num_envs", [1, 16])
+    @pytest.mark.parametrize("num_envs", [1, 16, WIDE_ENVS - 1, WIDE_ENVS])
     def test_every_call_takes_the_fast_path(self, monkeypatch, num_envs):
         count, long = per_substep(monkeypatch, "_integrate_body", num_envs)
-        assert 20 < count <= 28
+        # the stacked loop below WIDE_ENVS envs, the four-row loop from there on
+        most = 28 if num_envs < WIDE_ENVS else 30
+        assert most - 8 < count <= most
         # the loop's calls are the last ones of the phase; every ufunc
         # among them takes the fast path
         loop = long[-20 * count:]
