@@ -350,12 +350,16 @@ class OptimizerState:
     @classmethod
     def for_params(cls, params: np.ndarray, kind: str, learning_rate: float,
                    weight_decay: float = 0.0, momentum: float = 0.0,
-                   rho: float = 0.99) -> "OptimizerState":
+                   rho: float = 0.99, slots: dict | None = None) -> "OptimizerState":
+        """A state for the vector ``params`` with zeroed slots, or with
+        ``slots``, a dict of ``kind``'s slot vectors in ``params``' layout
+        (the caller checks them), which it adopts, not copies."""
         if kind not in SLOT_NAMES:
             raise ValueError(f"unknown optimizer kind {kind!r}")
         state = cls(kind=kind, learning_rate=learning_rate,
                     weight_decay=weight_decay, momentum=momentum, rho=rho)
-        state.slots = {name: np.zeros_like(params) for name in SLOT_NAMES[kind]}
+        state.slots = {name: np.zeros_like(params) if slots is None else slots[name]
+                       for name in SLOT_NAMES[kind]}
         return state
 
 

@@ -16,20 +16,18 @@ torque proxy, termination and flight bookkeeping in batches over all
 substeps. Each value comes from the same IEEE operations, in the same order,
 as in a plain loop over the substeps, so the result is bit-identical to it.
 
-At small E a step's time is numpy's per-call cost: its calls work on
-arrays of a few rows of E values. Below ``WIDE_ENVS`` envs a step at the
-default 20 substeps makes about 712 numpy calls: 28 per substep in the
-contact-and-body loop, 6 per substep in joint tracking, and about 32 others,
-plus one for each substep in which a foot lands. Rows are stacked so that
-one call serves several terms (see `PlanarEnv._integrate_body`). The loop's
-calls keep to numpy's fast path: every array operand has the shape of the
-output and is contiguous, and no operand needs a cast; other operands are
-0-d. A broadcast operand, a strided view or a mixed dtype sends a call
-through numpy's general iterator, at about twice the cost of a small call.
-The buffers are laid out for this (see `_StepBuffers`), and tests check
-every call of the loop and the count of a step's calls. From ``WIDE_ENVS``
-envs on, a call's time is mostly its arithmetic, and the loop stacks fewer
-rows at 30 calls per substep, still on the fast path.
+At small E a step's time is numpy's per-call cost: its calls work on arrays of
+a few rows of E values. A step at the default 20 substeps makes about 712
+numpy calls: 28 per substep in the contact-and-body loop, 6 per substep in
+joint tracking, and about 32 others, plus one for each substep in which a foot
+lands. Rows are stacked so that one call serves several terms (see
+`PlanarEnv._integrate_body`). The loop's calls keep to numpy's fast path:
+every array operand has the shape of the output and is contiguous, and no
+operand needs a cast; other operands are 0-d. A broadcast operand, a strided
+view or a mixed dtype sends a call through numpy's general iterator, at about
+twice the cost of a small call. The buffers are laid out for this (see
+`_StepBuffers`), and tests check every call of the loop and the count of a
+step's calls.
 """
 
 from __future__ import annotations
@@ -188,7 +186,7 @@ _VEL_ROWS, _POS_ROWS = slice(_OM, _VX + 1, 2), slice(_PITCH, _X + 1, 2)
 # Rows of a contact force: the leg's torque about the COM, normal (z) and
 # tangential (x) force.
 _LT, _FN, _FT = 0, 1, 2
-# The rotation operands of a substep of the stacked contact loop, ``_ROT_C``
+# The rotation operands of a substep of the contact loop, ``_ROT_C``
 # times the cosine plus ``_ROT_S`` times the sine, as rows of
 # ``_StepBuffers.legs``: (u, w, du, dw) from `leg_kinematics`, then their
 # negations. The rotated rows are rz, rx, rz, -rz, dz, dx, dx, where
@@ -198,15 +196,6 @@ _NU, _NW, _NDW = _U + 4, _W + 4, _DW + 4
 _ROT_C = (_W, _U, _W, _NW, _DW, _DU, _DU)
 _ROT_S = (_U, _NW, _U, _NU, _DU, _NDW, _NDW)
 _ROT_ROWS = len(_ROT_C)
-# From this many envs on, the contact loop rotates four rows, not the
-# stacked seven, and forms the foot's velocity and height one term per call
-# (see `PlanarEnv._integrate_body`): there a call's time is mostly its
-# arithmetic, and the stacked rows, which repeat values and pad blocks, cost
-# more than the two calls per substep they save. On a 2-vCPU Xeon a whole
-# step took the same time either way at 16 envs, 3% less with four rows at
-# 24 and 32, and 10% less at 256; at 1 and 2 envs the stacked loop was 3%
-# faster.
-WIDE_ENVS = 32
 
 
 class _StepBuffers:
@@ -220,9 +209,9 @@ class _StepBuffers:
     contiguous, or is 0-d. Per-leg arrays are (component, leg, E); the
     per-env rows a per-leg call reads are copied per leg first, in two
     blocks (``trig``, ``env``), and the rotation operands are stacked for
-    all substeps before the loop (``ops``). Below ``WIDE_ENVS`` envs the
-    loop is ``stacked``: it rotates seven rows and forms the foot's velocity
-    and height in padded blocks (see `PlanarEnv._integrate_body`)."""
+    all substeps before the loop (``ops``). The loop rotates seven rows and
+    forms the foot's velocity and height in padded blocks (see
+    `PlanarEnv._integrate_body`)."""
 
     def __init__(self, env: "PlanarEnv", substeps: int):
         K, E = substeps, env.num_envs
@@ -233,7 +222,6 @@ class _StepBuffers:
         self.cmd = np.empty((4, E))               # scratch of joint tracking
         # each substep's foot offset and velocity in the body frame,
         # (u, w, du, dw) (`leg_kinematics`' ``body``), then their negations
-        # (stacked) or the sine's rotation operands (-w, u, -dw, du)
         self.legs = np.empty((K, 8, 2, E))
         self.body = self.legs[:, :4].reshape(K, 2, 2, 2, E)
         self.jac = np.empty((K, 2, 2, 2, E))
@@ -252,22 +240,14 @@ class _StepBuffers:
         # scratch of one substep of the contact loop: per leg, (cos, sin,
         # om) once per rotated row, (vz, -, vx, pitch, -, z), and the
         # products of (cos, sin) with the rotation operands
-        self.stacked = E < WIDE_ENVS
-        rows = _ROT_ROWS if self.stacked else 4
-        self.trig = np.empty((3, rows, 2, E))
+        self.trig = np.empty((3, _ROT_ROWS, 2, E))
         self.env = np.empty((6, 2, E))
-        self.prod = np.empty((2 * rows, 2, E))
-        if self.stacked:
-            self.ops = np.empty((K, 2 * rows, 2, E))
-            # om times (rx, rz, -rz), two rows that stay zero, then the
-            # rotated rows
-            self.rot = np.zeros((5 + rows, 2, E))
-            self.foot = np.empty((6, 2, E))       # (vfz, -, vfx, -, -, fz)
-        else:
-            self.ops = self.legs
-            # om times (rx, rz), then the rotated rows (rx, rz, dx, dz)
-            self.rot = np.empty((2 + rows, 2, E))
-            self.foot = np.empty((3, 2, E))       # (vfx, vfz, fz)
+        self.prod = np.empty((2 * _ROT_ROWS, 2, E))
+        self.ops = np.empty((K, 2 * _ROT_ROWS, 2, E))
+        # om times (rx, rz, -rz), two rows that stay zero, then the rotated
+        # rows
+        self.rot = np.zeros((5 + _ROT_ROWS, 2, E))
+        self.foot = np.empty((6, 2, E))           # (vfz, -, vfx, -, -, fz)
         self.gains = np.empty_like(self.foot)
         self.gained = np.empty_like(self.foot)
         self.push = np.empty((2, E))
@@ -485,9 +465,8 @@ class PlanarEnv:
         mask, ``np.heaviside``): exactly where ``fz < 0``, since a stiffness
         of at least 1 cannot round a nonzero product to zero.
 
-        Below ``WIDE_ENVS`` envs (``b.stacked``) rows are stacked so that
-        one call serves several terms; the rows marked - are by-products
-        that nothing reads:
+        Rows are stacked so that one call serves several terms; the rows
+        marked - are by-products that nothing reads:
 
         - the rotation gives the rows of ``_ROT_C``: rz, rx, rz, -rz, dz,
           dx, dx, where ``-rz`` is ``c (-w) + s (-u)``;
@@ -502,12 +481,6 @@ class PlanarEnv:
           the order of the state's velocity rows;
         - the mass as one product with ``(1, -, 1/m, -, 1/m)`` (a product
           with 1 is exact) before the division by the inertia.
-
-        From ``WIDE_ENVS`` envs on, where the repeated and padding rows cost
-        more than the calls they save, the rotation gives (rx, rz, dx, dz)
-        from ``(u, w, du, dw)`` and ``(-w, u, -dw, du)``, and the foot's
-        velocity and height take one call per term. The leg sums and the
-        mass are stacked as above.
 
         The calls of the loop take numpy's fast path: each operand has the
         shape of the output and is contiguous, or is 0-d (the tests check
@@ -526,37 +499,22 @@ class PlanarEnv:
         consts = np.array([0.0, p.body_inertia, p.gravity, p.dt_physics,
                            p.friction, -p.friction])
         zero, inertia, gravity, dt, mu, neg_mu = (consts[i, ...] for i in range(6))
-        stacked = b.stacked
-        if stacked:
-            b.gains[...] = np.array([p.contact_damping, 1.0, -p.tangential_damping,
-                                     1.0, 1.0, -p.contact_stiffness])[:, None, None]
-            np.negative(legs[:, :4], out=legs[:, 4:])
-            np.take(legs, _ROT_C + _ROT_S, axis=1, out=b.ops, mode="clip")
-        else:
-            b.gains[...] = np.array([-p.tangential_damping, p.contact_damping,
-                                     -p.contact_stiffness])[:, None, None]
-            np.negative(legs[:, 1:4:2], out=legs[:, 4::2])    # -w, -dw
-            np.copyto(legs[:, 5::2], legs[:, :4:2])           # u, du
+        b.gains[...] = np.array([p.contact_damping, 1.0, -p.tangential_damping,
+                                 1.0, 1.0, -p.contact_stiffness])[:, None, None]
+        np.negative(legs[:, :4], out=legs[:, 4:])
+        np.take(legs, _ROT_C + _ROT_S, axis=1, out=b.ops, mode="clip")
         add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
         maximum, minimum, heaviside, cos, sin, copyto = (
             np.maximum, np.minimum, np.heaviside, np.cos, np.sin, np.copyto)
         trig, env, prod, rot, foot, gained, gains = (
             b.trig, b.env, b.prod, b.rot, b.foot, b.gained, b.gains)
         push, cap, moment, acc = b.push, b.cap, b.moment, b.acc
-        rows = trig.shape[1]
-        cs = trig[:2].reshape(2 * rows, 2, -1)
-        prod_c, prod_s = prod[:rows], prod[rows:]
-        if stacked:
-            om = trig[2, :3]
-            rotated, om_in, om_out = rot[5:], rot[6:9], rot[:3]
-            v_term, d_term, r_moment = rot[:6], rot[9:], rot[6:8]
-            vf, damp, ft_push, spring = foot[:3], gained[0], gained[2], gained[5]
-        else:
-            om, vz, vx, z = trig[2, :2], env[0], env[2], env[5]
-            om_r, rotated, r_moment, rz, drot = rot[:2], rot[2:], rot[2:4], rot[3], rot[4:]
-            om_rx, om_rz = om_r
-            vf, vfx, vfz, fz = foot[:2], foot[0], foot[1], foot[2]
-            ft_push, damp, spring = gained
+        cs = trig[:2].reshape(2 * _ROT_ROWS, 2, -1)
+        prod_c, prod_s = prod[:_ROT_ROWS], prod[_ROT_ROWS:]
+        om = trig[2, :3]
+        rotated, om_in, om_out = rot[5:], rot[6:9], rot[:3]
+        v_term, d_term, r_moment = rot[:6], rot[9:], rot[6:8]
+        vf, damp, ft_push, spring = foot[:3], gained[0], gained[2], gained[5]
         cap_hi, cap_lo = cap
         moment_n, moment_t = moment
         alpha, az = acc[0], acc[2]
@@ -565,20 +523,12 @@ class PlanarEnv:
             copyto(trig, trig_k)
             copyto(env, env_k)
             multiply(cs, ops_k, prod)
-            # stacked: rz, rx, rz, -rz, dz, dx, dx; else rx, rz, dx, dz
-            add(prod_c, prod_s, rotated)
+            add(prod_c, prod_s, rotated)            # rz, rx, rz, -rz, dz, dx, dx
             # world foot velocity (vz + om rx, vx - om rz) + (dz, dx) and
             # height z + rz
-            if stacked:
-                multiply(om, om_in, om_out)         # om (rx, rz, -rz)
-                add(env, v_term, foot)
-                add(vf, d_term, vf)
-            else:
-                multiply(om, r_moment, om_r)        # om (rx, rz)
-                subtract(vx, om_rz, vfx)
-                add(vz, om_rx, vfz)
-                add(vf, drot, vf)
-                add(z, rz, fz)
+            multiply(om, om_in, om_out)             # om (rx, rz, -rz)
+            add(env, v_term, foot)
+            add(vf, d_term, vf)
             multiply(gains, foot, gained)           # damping, friction, spring
             heaviside(spring, zero, ck)             # 1.0 where fz < 0
             subtract(spring, damp, push)

@@ -60,7 +60,7 @@ from .config import TrainConfig, build_config, config_to_mapping, save_config
 from .core import ReferenceDataset, load_reference_dataset, sample_reference_windows
 from .discriminator import discriminator_loss, raw_score, reference_input
 from .dtw import DtwReport, dtw_distances, stand_still_rollout
-from .nets import ForwardCache, MlpNet, OptimizerState, optimizer_step
+from .nets import SLOT_NAMES, ForwardCache, MlpNet, OptimizerState, optimizer_step
 from .ppo import (ACTION_DIM, GaussianPolicy, POLICY_OBS_DIM, PolicyHistory,
                   RolloutCollector, ppo_update)
 from .rewards import (ImitationReward, RunningStats,
@@ -261,8 +261,9 @@ class Trainer:
                  ckpt: dict | None = None):
         """A fresh trainer at ``cfg.seed``, or with ``ckpt``, a checkpoint
         dict (``load_checkpoint``), the trainer it holds: its nets adopt the
-        dict's vectors, not copies, so a dict restores one trainer, and
-        ``restore`` writes the rest of the dict over the fresh state."""
+        dict's vectors and its optimizers the dict's slots, not copies, so a
+        dict restores one trainer, and ``restore`` writes the rest of the
+        dict over the fresh state."""
         cfg.require_valid()
         dataset.validate(cfg.disc.horizon)
         self.cfg = cfg
@@ -285,13 +286,17 @@ class Trainer:
             self.disc = MlpNet(disc_sizes, "relu", ckpt["discriminator"])
         self.iteration = 0
         self.policy_opt = OptimizerState.for_params(
-            self.policy.flat, "adam", cfg.ppo.learning_rate)
+            self.policy.flat, "adam", cfg.ppo.learning_rate,
+            slots=_kept_slots(ckpt, "policy_opt", self.policy.flat, "adam"))
         self.value_opt = OptimizerState.for_params(
-            self.value_net.flat, "adam", cfg.ppo.learning_rate)
+            self.value_net.flat, "adam", cfg.ppo.learning_rate,
+            slots=_kept_slots(ckpt, "value_opt", self.value_net.flat, "adam"))
+        disc_kind = cfg.disc.optimizer_kind
         self.disc_opt = OptimizerState.for_params(
-            self.disc.flat, cfg.disc.optimizer_kind, cfg.disc.learning_rate,
+            self.disc.flat, disc_kind, cfg.disc.learning_rate,
             weight_decay=cfg.disc.weight_decay, momentum=cfg.disc.momentum,
-            rho=cfg.disc.rho)
+            rho=cfg.disc.rho,
+            slots=_kept_slots(ckpt, "disc_opt", self.disc.flat, disc_kind))
         # the discriminator step's and the PPO update's arrays, kept from one
         # minibatch and one iteration to the next
         self.disc_ref_cache, self.disc_pol_cache = ForwardCache(), ForwardCache()
@@ -509,6 +514,20 @@ def _check_layout(got, live, path: str = "checkpoint") -> None:
             raise ValueError(f"{path} has {have} entries, this trainer {len(live)}")
         for i, (item, value) in enumerate(zip(got, live)):
             _check_layout(item, value, f"{path}[{i}]")
+
+
+def _kept_slots(ckpt, name: str, flat: np.ndarray, kind: str):
+    """The slots that the checkpoint dict ``ckpt`` keeps for the optimizer
+    ``name`` of the vector ``flat``, or None without a dict. Raises
+    ``ValueError`` unless they are ``kind``'s slots, each of ``flat``'s
+    shape and dtype: an optimizer adopts them, and ``restore`` would then
+    compare them with themselves."""
+    if ckpt is None:
+        return None
+    slots = ckpt[name]["slots"]
+    _check_layout(slots, dict.fromkeys(SLOT_NAMES[kind], flat),
+                  f"checkpoint/{name}/slots")
+    return slots
 
 
 def _generator_states(ckpt: dict) -> list:

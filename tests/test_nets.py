@@ -412,14 +412,16 @@ class TestOptimizers:
         assert len(kept) == 2 and all(a is b for a, b in zip(opt.scratch, kept))
 
     @pytest.mark.parametrize("kind", ["sgd", "rmsprop", "adam"])
-    def test_slot_of_another_length_is_rejected(self, kind):
+    def test_slot_of_another_length_is_rejected(self, kind, tmp_path):
         # a short slot used to be caught only at the first step; a restore
-        # now refuses it whatever the kind, and writes nothing
+        # now refuses it whatever the kind, and writes nothing, and a
+        # trainer built from the dict, whose optimizers adopt its slots,
+        # refuses it before it adopts them
         # imported here: test_trainer imports this module
         from planarmimic.trainer import Trainer
         from test_trainer import assert_same, tiny_config, tiny_dataset
 
-        cfg = tiny_config()
+        cfg = tiny_config(tmp_path=tmp_path)
         cfg.disc.optimizer = kind
         trainer = Trainer(cfg, tiny_dataset(cfg))
         ckpt = copy.deepcopy(trainer.checkpoint_dict())
@@ -427,11 +429,15 @@ class TestOptimizers:
         n = trainer.disc.flat.size
         ckpt["disc_opt"]["slots"][slot] = np.zeros(n - 1)
         before = copy.deepcopy(trainer.checkpoint_dict())
-        with pytest.raises(ValueError, match=(
-                rf"disc_opt/slots/{slot} is float64 \({n - 1},\), "
-                rf"this trainer's float64 \({n},\)")):
+        message = (rf"disc_opt/slots/{slot} is float64 \({n - 1},\), "
+                   rf"this trainer's float64 \({n},\)")
+        with pytest.raises(ValueError, match=message):
             trainer.restore(ckpt)
         assert_same(trainer.checkpoint_dict(), before)
+        kept = copy.deepcopy(ckpt)
+        with pytest.raises(ValueError, match=message):
+            Trainer.from_checkpoint(ckpt)
+        assert_same(ckpt, kept)
 
 
 def plain_step(state, p, grads):
