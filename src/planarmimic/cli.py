@@ -1,6 +1,7 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 1 usage error, 2 config validation error, 3 runtime
+Exit codes: 0 success, 1 usage error, 2 config validation error (a
+``disc.horizon`` longer than a reference trajectory included), 3 runtime
 failure. The output root defaults to ``./runs`` and can be moved with the
 ``PLANARMIMIC_OUT_ROOT`` environment variable.
 
@@ -210,21 +211,27 @@ def cmd_demo_gen(args) -> int:
     return EXIT_OK
 
 
-def _require_runnable(cfg: TrainConfig) -> TrainConfig:
-    """``cfg`` once it names reference data that exists and validates, so
-    that a config error (exit 2) comes before any run reads or trains. The
-    refs path becomes absolute, so the run's checkpoints name its reference
-    data from any working directory."""
+def _require_runnable(cfg: TrainConfig) -> tuple:
+    """``(cfg, dataset)``, the reference data ``cfg`` names, once ``cfg``
+    validates, names reference data that exists, and its horizon fits in
+    every trajectory of that data, so that a config error (exit 2) comes
+    before any run trains. The refs path becomes absolute, so the run's
+    checkpoints name its reference data from any working directory."""
     if not cfg.refs or not Path(cfg.refs).exists():
         raise ConfigError([f"refs must point at reference data that exists "
                            f"(--refs or the refs config key), not {cfg.refs!r}"])
     cfg.refs = str(Path(cfg.refs).absolute())
-    return cfg.require_valid()
+    cfg.require_valid()
+    dataset = load_reference_dataset(cfg.refs, 1)
+    shortest = min(t.shape[0] for t in dataset.trajectories)
+    if shortest < cfg.disc.horizon:
+        raise ConfigError([f"disc.horizon ({cfg.disc.horizon}) must not exceed the "
+                           f"shortest reference trajectory ({shortest} frames)"])
+    return cfg, dataset
 
 
 def _new_trainer(cfg: TrainConfig) -> Trainer:
-    return Trainer(_require_runnable(cfg),
-                   load_reference_dataset(cfg.refs, cfg.disc.horizon))
+    return Trainer(*_require_runnable(cfg))
 
 
 def _train_and_evaluate(trainer: Trainer, quiet: bool):
@@ -351,13 +358,14 @@ def cmd_sweep(args) -> int:
     out = Path(args.out) if args.out else out_root() / "sweep"
     points = _grid_points(args.grid)
     runs = [f"run_{i:03d}" for i in range(len(points))]
-    # every point's config is checked before the first run trains
-    cfgs = [_require_runnable(build_config(args.config,
-                                           [*point, ("out_dir", str(out / run))]))
-            for run, point in zip(runs, points)]
+    # every point's config and reference data are checked before the first
+    # run trains, and each run trains on the data read for its check
+    runnable = [_require_runnable(build_config(args.config,
+                                               [*point, ("out_dir", str(out / run))]))
+                for run, point in zip(runs, points)]
     summary = []
-    for run, point, cfg in zip(runs, points, cfgs):
-        _, report = _train_and_evaluate(_new_trainer(cfg), args.quiet)
+    for run, point, (cfg, dataset) in zip(runs, points, runnable):
+        _, report = _train_and_evaluate(Trainer(cfg, dataset), args.quiet)
         summary.append({"run": run, "point": dict(point),
                         "dtw_mean": report["dtw_mean"],
                         "dtw_std": float(np.mean([s["dtw"]["std"]

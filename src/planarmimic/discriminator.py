@@ -69,6 +69,8 @@ class DiscriminatorConfig:
             errors.append("disc.minibatches must be >= 1")
         if self.minibatch_size < 1:
             errors.append("disc.minibatch_size must be >= 1")
+        if not all(isinstance(n, int) and n >= 1 for n in self.hidden_sizes):
+            errors.append("disc.hidden_sizes must be integers >= 1")
         return errors
 
 

@@ -76,6 +76,8 @@ class PpoConfig:
             errors.append("ppo.minibatches must be <= ppo.num_envs * ppo.steps_per_iter")
         if self.learning_rate < 0:
             errors.append("ppo.learning_rate must be >= 0")
+        if not all(isinstance(n, int) and n >= 1 for n in self.hidden_sizes):
+            errors.append("ppo.hidden_sizes must be integers >= 1")
         return errors
 
 

@@ -39,18 +39,18 @@ class RunningStats:
     def std(self) -> float:
         return max(math.sqrt(self.variance), self.epsilon)
 
-    def update(self, value: float) -> None:
-        value = float(value)
-        if not math.isfinite(value):
+    def update(self, values) -> None:
+        """Fold ``values``, a scalar or an array, into the statistics in
+        order, one Welford step each. A batch holding a non-finite value is
+        rejected whole, before any of it is folded."""
+        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        if not np.isfinite(values).all():
             raise ValueError("non-finite value rejected by running stats")
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (value - self.mean)
-
-    def update_batch(self, values) -> None:
-        for v in np.asarray(values, dtype=np.float64).reshape(-1):
-            self.update(float(v))
+        for value in values.tolist():
+            self.count += 1
+            delta = value - self.mean
+            self.mean += delta / self.count
+            self.m2 += delta * (value - self.mean)
 
     def normalize(self, score):
         return (np.asarray(score, dtype=np.float64) - self.mean) / self.std
@@ -91,7 +91,7 @@ class ImitationReward:
         rewards = np.empty_like(scores)
         for t, row in enumerate(scores):
             rewards[t] = self(row)
-            self.stats.update_batch(row)
+            self.stats.update(row)
         return rewards
 
 

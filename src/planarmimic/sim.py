@@ -106,7 +106,12 @@ class SimParams:
             errors.append("sim.mass_perturb_high must be >= sim.mass_perturb_low")
         if self.body_mass + self.mass_perturb_low <= 0:
             errors.append("sim.body_mass + sim.mass_perturb_low must be > 0")
-        if any(h <= l for l, h in zip(self.joint_limits_low, self.joint_limits_high)):
+        if len(self.link_lengths) != 2:
+            errors.append("sim.link_lengths must have 2 entries (thigh, shank)")
+        if len(self.joint_limits_low) != 4 or len(self.joint_limits_high) != 4:
+            errors.append("sim.joint_limits_low and sim.joint_limits_high must have "
+                          "4 entries each, one per joint")
+        elif any(h <= l for l, h in zip(self.joint_limits_low, self.joint_limits_high)):
             errors.append("sim.joint_limits_high must exceed joint_limits_low")
         if self.max_episode_time <= 0:
             errors.append("sim.max_episode_time must be > 0")

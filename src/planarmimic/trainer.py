@@ -16,10 +16,10 @@ the collector's whole frame buffer, (E, max(H, 2), 18), as
 ``collector/frames``.
 
 Only ``Trainer`` knows this layout: ``checkpoint_dict`` lists the live
-arrays, and ``restore`` walks a loaded dict against it, checking every key,
-every array's shape and dtype and every generator list's length before it
-writes anything (see ``restore``). Optimizer hyperparameters come from the
-config.
+arrays, and a loaded dict restores only a new trainer, ``Trainer(cfg,
+dataset, ckpt)``, which checks the whole dict against that list before it
+adopts any of its arrays, as they are (see ``Trainer.__init__``). Optimizer
+hyperparameters come from the config.
 
 ``open_checkpoint`` is the one reader of a checkpoint into a run: the dict,
 its config with overrides, validated, and the data its ``refs`` names.
@@ -260,10 +260,10 @@ class Trainer:
     def __init__(self, cfg: TrainConfig, dataset: ReferenceDataset,
                  ckpt: dict | None = None):
         """A fresh trainer at ``cfg.seed``, or with ``ckpt``, a checkpoint
-        dict (``load_checkpoint``), the trainer it holds: its nets adopt the
-        dict's vectors and its optimizers the dict's slots, not copies, so a
-        dict restores one trainer, and ``restore`` writes the rest of the
-        dict over the fresh state."""
+        dict (``load_checkpoint``), the trainer it holds. It adopts every
+        array of the dict, not a copy: the nets and optimizers as they are
+        built, and the rest in one last pass, ``_adopt``. So a dict restores
+        one trainer, and its arrays are then that trainer's."""
         cfg.require_valid()
         dataset.validate(cfg.disc.horizon)
         self.cfg = cfg
@@ -309,7 +309,7 @@ class Trainer:
                                           cfg.reward, seed=seed)
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
         if ckpt is not None:
-            self.restore(ckpt)
+            self._adopt(ckpt)
 
     # -- one iteration ---------------------------------------------------------
 
@@ -444,32 +444,28 @@ class Trainer:
         return (("policy_opt", self.policy_opt), ("value_opt", self.value_opt),
                 ("disc_opt", self.disc_opt))
 
-    def restore(self, ckpt: dict) -> None:
-        """Write the checkpoint dict ``ckpt`` over this trainer's state: its
-        generator states, its arrays in place, then its scalars. Raises
-        ``ValueError``, with nothing written, unless ``ckpt`` has
-        ``checkpoint_dict``'s keys at every level, each array the live
-        array's shape and dtype, each list the live list's length and each
-        generator state one its generator takes: a one-row array would
-        otherwise broadcast into every row, and a short list restore only
-        its first rows' generators. The config stays this trainer's
-        (``from_checkpoint`` builds it from the dict's), so its keys are not
-        compared: a key the dict lacks takes its default."""
+    def _adopt(self, ckpt: dict) -> None:
+        """Raise ``ValueError``, the dict left as it was, unless ``ckpt`` has
+        ``checkpoint_dict``'s layout (``_check_layout``) and each generator
+        state is one its generator takes; then set the generator states,
+        make the dict's env state arrays and frame buffer the env's and the
+        collector's, and set the scalars. The config is this trainer's, so
+        it is not compared: a key the dict's config lacks takes its default."""
         live = self.checkpoint_dict()
         del live["config"]
-        saved = {key: value for key, value in ckpt.items() if key != "config"}
-        _check_layout(saved, live)
-        # a generator checks a state only as it is set: set them first, and
-        # put back the ones already set if one is refused
+        _check_layout({key: value for key, value in ckpt.items() if key != "config"},
+                      live)
         rngs = [self.rng, *self.env.rngs, *self.collector.action_rngs]
+        states = [ckpt["trainer_rng"], *ckpt["env_rngs"], *ckpt["action_rngs"]]
+        # a generator checks a state only as it is set
         try:
-            for rng, state in zip(rngs, _generator_states(saved)):
+            for rng, state in zip(rngs, states):
                 rng.bit_generator.state = state
         except (TypeError, ValueError, KeyError) as e:
-            for rng, state in zip(rngs, _generator_states(live)):
-                rng.bit_generator.state = state
             raise ValueError(f"checkpoint generator state: {e}") from None
-        _copy_arrays(saved, live)
+        for key, array in ckpt["env"]["arrays"].items():
+            setattr(self.env, key, array)
+        self.collector.history.frames.buf = ckpt["collector"]["frames"]
         self.iteration = ckpt["iteration"]
         for name, opt in self._optimizers():
             opt.learning_rate = ckpt[name]["learning_rate"]
@@ -520,7 +516,7 @@ def _kept_slots(ckpt, name: str, flat: np.ndarray, kind: str):
     """The slots that the checkpoint dict ``ckpt`` keeps for the optimizer
     ``name`` of the vector ``flat``, or None without a dict. Raises
     ``ValueError`` unless they are ``kind``'s slots, each of ``flat``'s
-    shape and dtype: an optimizer adopts them, and ``restore`` would then
+    shape and dtype: an optimizer adopts them, and ``_adopt`` would then
     compare them with themselves."""
     if ckpt is None:
         return None
@@ -528,21 +524,6 @@ def _kept_slots(ckpt, name: str, flat: np.ndarray, kind: str):
     _check_layout(slots, dict.fromkeys(SLOT_NAMES[kind], flat),
                   f"checkpoint/{name}/slots")
     return slots
-
-
-def _generator_states(ckpt: dict) -> list:
-    """A checkpoint dict's generator states: the trainer's, then the env
-    rows', then the action rows'."""
-    return [ckpt["trainer_rng"], *ckpt["env_rngs"], *ckpt["action_rngs"]]
-
-
-def _copy_arrays(got, live) -> None:
-    """Copy each array of ``got`` into ``live``'s at its key path."""
-    if isinstance(live, dict):
-        for key, value in live.items():
-            _copy_arrays(got[key], value)
-    elif isinstance(live, np.ndarray) and got is not live:
-        np.copyto(live, got)
 
 
 # ---------------------------------------------------------------------------

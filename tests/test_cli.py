@@ -391,15 +391,32 @@ class TestTrainConfigErrors:
         assert code == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting", [
+        "sim.link_lengths=0.16", "sim.joint_limits_low=-1.3,-2.2",
+        "sim.joint_limits_high=1.3,2.2,1.3,2.2,1.0", "ppo.hidden_sizes=-5",
+        "disc.hidden_sizes=0",
+        # longer than the references' 130 frames
+        "disc.horizon=200"])
+    def test_setting_a_run_cannot_build_fails_before_training(self, tmp_path, setting):
+        # each used to fail at run time, with exit 3, or train a critic
+        # without hidden units
+        assert_fails_before_training(tmp_path, setting)
+
     @pytest.mark.parametrize("setting", ["disc.minibatch_size=0",
                                          "ppo.minibatches=1000"])
     def test_bad_minibatch_setting_fails_before_training(self, tmp_path, setting):
-        save_config(tiny_config(tmp_path=tmp_path), tmp_path / "base.txt")
-        out = tmp_path / "run"
-        code = main(["train", "--config", str(tmp_path / "base.txt"),
-                     "--out", str(out), "--set", setting, "--quiet"])
-        assert code == EXIT_CONFIG
-        assert not (out / "metrics.jsonl").exists()
+        assert_fails_before_training(tmp_path, setting)
+
+
+def assert_fails_before_training(tmp_path, setting):
+    """``train`` of a tiny config with ``--set setting`` exits 2 and writes
+    no metrics."""
+    save_config(tiny_config(tmp_path=tmp_path), tmp_path / "base.txt")
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(tmp_path / "base.txt"),
+                 "--out", str(out), "--set", setting, "--quiet"])
+    assert code == EXIT_CONFIG
+    assert not (out / "metrics.jsonl").exists()
 
 
 # the keys interleaved: the axes go in the order the keys first appear, and
@@ -466,6 +483,18 @@ class TestSweep:
         code = main(["sweep", "--config", str(base), "--out", str(out),
                      "--grid", f"refs={cfg.refs}", "--grid", f"refs={tmp_path / 'missing'}",
                      "--grid", "iterations=1", "--quiet"])
+        assert code == EXIT_CONFIG
+        assert not list(out.glob("run_*/metrics.jsonl"))
+
+    def test_horizon_longer_than_the_refs_fails_before_any_run(self, tmp_path):
+        # run_000 used to train and evaluate, then run_001 failed reading
+        # its refs at a horizon of 200 frames, longer than any (exit 3)
+        base = tmp_path / "base.txt"
+        save_config(tiny_config(tmp_path=tmp_path), base)
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(base), "--out", str(out),
+                     "--grid", "iterations=1", "--grid", "disc.horizon=2",
+                     "--grid", "disc.horizon=200", "--quiet"])
         assert code == EXIT_CONFIG
         assert not list(out.glob("run_*/metrics.jsonl"))
 

@@ -109,8 +109,12 @@ class TestValidation:
         cfg.sim.tracking_rate = 501.0
         cfg.sim.max_joint_vel = -1.0
         cfg.eval.episode_frames = -1
+        cfg.sim.link_lengths = (0.16,)
+        cfg.sim.joint_limits_low = (-1.3, -2.2)
+        cfg.ppo.hidden_sizes = (-5,)
+        cfg.disc.hidden_sizes = (0,)
         errors = cfg.validate()
-        assert len(errors) >= 12
+        assert len(errors) >= 16
         joined = "\n".join(errors)
         for fragment in ("task", "iterations", "ppo.clip", "disc.horizon",
                          "reward.w_action_rate", "dtw.step_pattern",
@@ -119,8 +123,25 @@ class TestValidation:
                          "sim.max_joint_vel must be >= 0",
                          "sim.mass_perturb_high must be >= sim.mass_perturb_low",
                          "sim.body_mass + sim.mass_perturb_low must be > 0",
-                         "eval.episode_frames"):
+                         "eval.episode_frames", "sim.link_lengths must have 2",
+                         "sim.joint_limits_high must have 4",
+                         "ppo.hidden_sizes must be integers >= 1",
+                         "disc.hidden_sizes must be integers >= 1"):
             assert fragment in joined
+
+    @pytest.mark.parametrize("setting, fragment", [
+        # these used to pass validation, then fail at run time with exit 3
+        # (the last trained a critic without hidden units)
+        ("sim.link_lengths=0.16", "sim.link_lengths must have 2 entries"),
+        ("sim.joint_limits_low=-1.3,-2.2", "must have 4 entries each"),
+        ("sim.joint_limits_high=1.3,2.2,1.3,2.2,1.0", "must have 4 entries each"),
+        ("ppo.hidden_sizes=-5", "ppo.hidden_sizes must be integers >= 1"),
+        ("ppo.hidden_sizes=16.5", "ppo.hidden_sizes must be integers >= 1"),
+        ("disc.hidden_sizes=0", "disc.hidden_sizes must be integers >= 1"),
+    ])
+    def test_shape_settings(self, setting, fragment):
+        errors = build_config(overrides=[setting]).validate()
+        assert len(errors) == 1 and fragment in errors[0]
 
     @pytest.mark.parametrize("low, high, fragment", [
         # a reversed range used to pay a constant +low

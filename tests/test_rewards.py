@@ -29,7 +29,7 @@ class TestRunningStats:
     def test_monte_carlo_normal_stream(self):
         rng = np.random.default_rng(314)
         s = RunningStats()
-        s.update_batch(rng.normal(3.0, 2.0, size=100_000))
+        s.update(rng.normal(3.0, 2.0, size=100_000))
         assert abs(s.mean - 3.0) < 0.05
         assert abs(s.std - 2.0) < 0.05
 
@@ -37,7 +37,7 @@ class TestRunningStats:
         rng = np.random.default_rng(1)
         values = rng.normal(size=1000) * 5 + 1
         s = RunningStats()
-        s.update_batch(values)
+        s.update(values)
         assert s.mean == pytest.approx(values.mean(), rel=1e-12)
         assert s.variance == pytest.approx(values.var(), rel=1e-10)
 
@@ -45,6 +45,23 @@ class TestRunningStats:
         s = RunningStats()
         with pytest.raises(ValueError):
             s.update(math.inf)
+
+    def test_non_finite_mid_batch_folds_nothing(self):
+        # the values before the NaN used to be folded in before it raised
+        s = RunningStats()
+        s.update([1.0, 2.5])
+        before = asdict(s)
+        with pytest.raises(ValueError, match="non-finite"):
+            s.update(np.array([3.0, -1.0, np.nan, 4.0]))
+        assert asdict(s) == before
+
+    def test_batch_folds_each_value_in_order(self):
+        values = np.random.default_rng(6).normal(2.0, 3.0, size=(24, 16))
+        batch, single = RunningStats(), RunningStats()
+        batch.update(values)
+        for value in values.reshape(-1):
+            single.update(float(value))
+        assert asdict(batch) == asdict(single)
 
     def test_count_monotone(self):
         s = RunningStats()
@@ -56,7 +73,7 @@ class TestRunningStats:
 class TestImitationReward:
     def _warm(self, mean=5.0, std=1.0, n=5000, seed=0):
         s = RunningStats()
-        s.update_batch(np.random.default_rng(seed).normal(mean, std, size=n))
+        s.update(np.random.default_rng(seed).normal(mean, std, size=n))
         return ImitationReward("wgan", s)
 
     def test_score_at_mean_is_zero(self):
@@ -84,7 +101,7 @@ class TestImitationReward:
         # zero mean / unit std
         rng = np.random.default_rng(2718)
         r = ImitationReward("wgan", RunningStats())
-        r.stats.update_batch(rng.normal(-4.0, 3.0, size=20_000))
+        r.stats.update(rng.normal(-4.0, 3.0, size=20_000))
         fresh = rng.normal(-4.0, 3.0, size=20_000)
         out = r(fresh)
         assert abs(out.mean()) < 0.1

@@ -402,7 +402,7 @@ def env_state(env) -> dict:
 
 
 def load_env_state(env, state: dict) -> None:
-    """Write ``env_state``'s result over ``env``, as a restore does."""
+    """Write ``env_state``'s result over ``env``."""
     for k, v in state["arrays"].items():
         getattr(env, k)[...] = v
     for r, s in zip(env.rngs, state["rng_states"]):

@@ -284,13 +284,10 @@ class TestCheckpointResume:
         trainer.train_iteration()
         ckpt = copy.deepcopy(trainer.checkpoint_dict())
         match = apply_fault(ckpt, fault)
-        # a state the checkpoint's differs from everywhere, so that any write
-        # would show
-        trainer.train_iteration()
-        before = copy.deepcopy(trainer.checkpoint_dict())
+        kept = copy.deepcopy(ckpt)
         with pytest.raises(ValueError, match=match):
-            trainer.restore(ckpt)
-        assert_same(trainer.checkpoint_dict(), before)
+            Trainer(cfg, tiny_dataset(cfg), ckpt)
+        assert_same(ckpt, kept)
         bad = write_checkpoint(tmp_path / "bad.npz", ckpt)
         with pytest.raises(ValueError, match=match):
             Trainer.from_checkpoint(bad)
@@ -418,6 +415,21 @@ class TestStreamedCheckpoint:
             assert slots.keys() == ckpt[key]["slots"].keys()
             for name, slot in slots.items():
                 assert slot is ckpt[key]["slots"][name]
+
+    def test_new_trainer_adopts_the_loaded_state_arrays(self, tmp_path):
+        # the env's state arrays and the collector's frame buffer used to be
+        # copied into the fresh trainer's arrays, as a live restore did
+        cfg = tiny_config(tmp_path=tmp_path)
+        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer.train_iteration()
+        path = trainer.save_checkpoint(tmp_path / "c.npz")
+        ckpt = load_checkpoint(path)
+        restored = Trainer(cfg, tiny_dataset(cfg), ckpt)
+        for key, array in ckpt["env"]["arrays"].items():
+            assert getattr(restored.env, key) is array
+        assert restored.collector.history.frames.buf is ckpt["collector"]["frames"]
+        twin = Trainer(cfg, tiny_dataset(cfg), load_checkpoint(path))
+        assert restored.train_iteration() == twin.train_iteration()
 
 
 def oracle_load(path) -> dict:
