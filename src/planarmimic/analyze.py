@@ -7,12 +7,10 @@ written as CSV so any external plotter can render the figures."""
 from __future__ import annotations
 
 import copy
-import csv
-from pathlib import Path
 
 import numpy as np
 
-from .core import ReferenceDataset, sample_reference_windows
+from .core import sample_reference_windows
 from .discriminator import raw_score, reference_input
 
 
@@ -69,33 +67,3 @@ def rollout_reward_histogram(trainer) -> np.ndarray:
                                     copy.deepcopy(trainer.imitation))
     return trainer.imitation(buf.scores.reshape(-1))
 
-
-def write_surface_csv(path, rows: np.ndarray) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["pitch_rate", "height", "reward"])
-        for pr, h, r in rows:
-            writer.writerow([repr(float(pr)), repr(float(h)), repr(float(r))])
-
-
-def write_histogram_csv(path, values: np.ndarray, label: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["source", "reward"])
-        for v in np.asarray(values).reshape(-1):
-            writer.writerow([label, repr(float(v))])
-
-
-def write_alignment_csv(path, query, reference, alignment, local_costs) -> None:
-    """Alignment export: one row per matched (query, reference) index pair."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["query_index", "reference_index", "local_cost"])
-        for qi, ri in alignment:
-            writer.writerow([qi, ri, repr(float(local_costs[qi, ri]))])

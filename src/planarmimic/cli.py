@@ -1,9 +1,11 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 1 usage error, 2 config validation error (a
-``disc.horizon`` longer than a reference trajectory included), 3 runtime
-failure. The output root defaults to ``./runs`` and can be moved with the
-``PLANARMIMIC_OUT_ROOT`` environment variable.
+Exit codes: 0 success, 1 usage error, 2 config validation error, 3 runtime
+failure. Exit 2 also covers refs that are unset or name nothing and, in each
+command that reads critic windows (``train``, ``sweep``, ``train --resume``,
+``analyze``), a ``disc.horizon`` longer than a reference trajectory; ``eval``
+takes refs of any length. The output root defaults to ``./runs`` and can be
+moved with the ``PLANARMIMIC_OUT_ROOT`` environment variable.
 
 Every command builds its config in one pass of ``config.build_config``, the
 only place that decides precedence. Each step beats the ones before it:
@@ -21,7 +23,7 @@ only place that decides precedence. Each step beats the ones before it:
 A resume takes only ``--iterations`` and ``--out``. ``eval`` reads only its
 checkpoint's config and policy, and builds no trainer.
 
-``train`` writes a checkpoint (format 4, see ``trainer``) every
+``train`` writes a checkpoint (format 5, see ``trainer``) every
 ``checkpoint_interval`` iterations as ``checkpoint_<n>.npz``, the iteration
 in six digits (``checkpoint_000500.npz``), and at the end as
 ``checkpoint_final.npz``. ``eval``, ``analyze`` and ``train --resume`` tell
@@ -61,15 +63,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .analyze import (reference_window_rewards, reward_surface,
-                      rollout_reward_histogram, write_alignment_csv,
-                      write_histogram_csv, write_surface_csv)
+from .analyze import reference_window_rewards, reward_surface, rollout_reward_histogram
 from .config import ConfigError, TrainConfig, build_config
-from .core import load_reference_dataset, save_reference_csv
+from .core import _write_atomic, save_reference_csv, write_csv
 from .dtw import dtw_distance, local_cost
 from .sim import DEMO_TRAJECTORIES, MOTIONS, SimParams, generate_demo_set
-from .trainer import (Trainer, _write_atomic, checkpoint_policy, evaluate_policy,
-                      open_checkpoint)
+from .trainer import (Trainer, checkpoint_policy, evaluate_policy, open_checkpoint,
+                      run_inputs)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -211,27 +211,8 @@ def cmd_demo_gen(args) -> int:
     return EXIT_OK
 
 
-def _require_runnable(cfg: TrainConfig) -> tuple:
-    """``(cfg, dataset)``, the reference data ``cfg`` names, once ``cfg``
-    validates, names reference data that exists, and its horizon fits in
-    every trajectory of that data, so that a config error (exit 2) comes
-    before any run trains. The refs path becomes absolute, so the run's
-    checkpoints name its reference data from any working directory."""
-    if not cfg.refs or not Path(cfg.refs).exists():
-        raise ConfigError([f"refs must point at reference data that exists "
-                           f"(--refs or the refs config key), not {cfg.refs!r}"])
-    cfg.refs = str(Path(cfg.refs).absolute())
-    cfg.require_valid()
-    dataset = load_reference_dataset(cfg.refs, 1)
-    shortest = min(t.shape[0] for t in dataset.trajectories)
-    if shortest < cfg.disc.horizon:
-        raise ConfigError([f"disc.horizon ({cfg.disc.horizon}) must not exceed the "
-                           f"shortest reference trajectory ({shortest} frames)"])
-    return cfg, dataset
-
-
 def _new_trainer(cfg: TrainConfig) -> Trainer:
-    return Trainer(*_require_runnable(cfg))
+    return Trainer(*run_inputs(cfg))
 
 
 def _train_and_evaluate(trainer: Trainer, quiet: bool):
@@ -291,14 +272,15 @@ def _write_eval(cfg: TrainConfig, policy, dataset, path: Path,
         "dtw_std_across_seeds": float(np.std(means)),
         "per_seed": [r.to_dict() for r in reports],
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
     _write_atomic(path, (json.dumps(payload, indent=2) + "\n").encode())
     return payload
 
 
 def cmd_eval(args) -> int:
+    # its DTW reads whole trajectories, no critic windows
     ckpt, cfg, dataset = open_checkpoint(
-        args.checkpoint, _flag_keys(args, ("refs", "rollouts", "seeds")))
+        args.checkpoint, _flag_keys(args, ("refs", "rollouts", "seeds")),
+        windowed=False)
     out = Path(args.out) if args.out else Path(args.checkpoint).with_name("eval.json")
     report = _write_eval(cfg, checkpoint_policy(cfg, ckpt), dataset, out,
                          args.alignments)
@@ -314,24 +296,25 @@ def _write_alignments(out: Path, seed: int, report, dataset, cfg) -> None:
         b = int(np.argmin(report.dtw.distances[a]))
         ref = dataset.trajectories[b]
         _, path = dtw_distance(seq, ref, cfg.dtw)
-        write_alignment_csv(out / f"seed{seed}_rollout{a:03d}_ref{b:03d}.csv",
-                            seq, ref, path, local_cost(seq, ref))
+        cost = local_cost(seq, ref)
+        write_csv(out / f"seed{seed}_rollout{a:03d}_ref{b:03d}.csv",
+                  ["query_index", "reference_index", "local_cost"],
+                  ((qi, ri, cost[qi, ri]) for qi, ri in path))
 
 
 def cmd_analyze(args) -> int:
     trainer = Trainer.from_checkpoint(args.checkpoint, _flag_keys(args, ("refs",)))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     rows = reward_surface(trainer, grid_n=args.grid,
                           pitch_rate_range=args.pitch_rate_range,
                           height_range=args.height_range)
-    write_surface_csv(out / "reward_surface.csv", rows)
+    write_csv(out / "reward_surface.csv", ["pitch_rate", "height", "reward"], rows)
 
     policy_rewards = rollout_reward_histogram(trainer)
     ref_rewards = reference_window_rewards(trainer)
-    write_histogram_csv(out / "reward_hist_policy.csv", policy_rewards, "policy")
-    write_histogram_csv(out / "reward_hist_reference.csv", ref_rewards, "reference")
+    for label, rewards in (("policy", policy_rewards), ("reference", ref_rewards)):
+        write_csv(out / f"reward_hist_{label}.csv", ["source", "reward"],
+                  ((label, v) for v in rewards))
     print(f"wrote {len(rows)} surface rows and "
           f"{policy_rewards.size + ref_rewards.size} histogram rows to {out}")
     return EXIT_OK
@@ -360,8 +343,8 @@ def cmd_sweep(args) -> int:
     runs = [f"run_{i:03d}" for i in range(len(points))]
     # every point's config and reference data are checked before the first
     # run trains, and each run trains on the data read for its check
-    runnable = [_require_runnable(build_config(args.config,
-                                               [*point, ("out_dir", str(out / run))]))
+    runnable = [run_inputs(build_config(args.config,
+                                        [*point, ("out_dir", str(out / run))]))
                 for run, point in zip(runs, points)]
     summary = []
     for run, point, (cfg, dataset) in zip(runs, points, runnable):

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .core import _write_atomic
 from .discriminator import DiscriminatorConfig
 from .dtw import DtwConfig
 from .ppo import PpoConfig
@@ -167,7 +168,7 @@ def config_to_mapping(cfg: TrainConfig) -> dict:
 
 def save_config(cfg: TrainConfig, path) -> None:
     lines = [f"{k} = {v}" for k, v in config_to_mapping(cfg).items()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def build_config(path=None, keys=(), overrides=()) -> TrainConfig:

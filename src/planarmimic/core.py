@@ -8,7 +8,10 @@ gravity direction, and height). Joint information never enters it.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -144,6 +147,42 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_atomic(path, content) -> None:
+    """Replace ``path`` in one step with ``content``: bytes, or a function
+    that writes to the binary file it is given. It goes to a temp file in
+    the same directory, made with its parents if need be, which is flushed
+    to disk and renamed over ``path``. A crash mid-write, or an exception
+    from ``content``, leaves the previous file intact and removes the temp
+    file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as f:
+            if callable(content):
+                content(f)
+            else:
+                f.write(content)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows``, each a sequence of cells, as
+    ``csv`` module lines (ended by CR LF) to ``path`` in one step. A float
+    cell is written as its ``repr``, which round-trips it."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
+                     for row in rows)
+    _write_atomic(path, text.getvalue().encode())
+
+
 def save_reference_csv(path, trajectories, dt: float, multi: bool = False) -> list:
     """Write trajectories in the reference CSV format.
 
@@ -152,30 +191,20 @@ def save_reference_csv(path, trajectories, dt: float, multi: bool = False) -> li
     trajectory is written into the directory ``path``. Returns written paths.
     """
     path = Path(path)
-    written = []
 
-    def rows(traj):
-        lines = [CSV_HEADER]
-        for i, row in enumerate(traj):
-            t = i * dt
-            lines.append(",".join([format_float(t)] + [format_float(v) for v in row]))
-        return lines
+    def text(traj):
+        rows = (",".join(map(format_float, (i * dt, *row))) for i, row in enumerate(traj))
+        return "\n".join([CSV_HEADER, *rows]) + "\n"
 
     if multi:
-        lines = []
-        for n, traj in enumerate(trajectories):
-            lines.append(f"# trajectory {n}")
-            lines.extend(rows(traj))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
+        files = {path: "".join(f"# trajectory {n}\n" + text(traj)
+                               for n, traj in enumerate(trajectories))}
     else:
-        path.mkdir(parents=True, exist_ok=True)
-        for n, traj in enumerate(trajectories):
-            f = path / f"trajectory_{n:02d}.csv"
-            f.write_text("\n".join(rows(traj)) + "\n")
-            written.append(f)
-    return written
+        files = {path / f"trajectory_{n:02d}.csv": text(traj)
+                 for n, traj in enumerate(trajectories)}
+    for f, content in files.items():
+        _write_atomic(f, content.encode())
+    return list(files)
 
 
 def _parse_csv_text(text: str, origin: str) -> list:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import OBS_DIM
-from .nets import ForwardCache, MlpNet
+from .nets import SLOT_NAMES, ForwardCache, MlpNet
 
 LOSS_KINDS = ("wgan", "lsgan")
 
@@ -71,6 +71,13 @@ class DiscriminatorConfig:
             errors.append("disc.minibatch_size must be >= 1")
         if not all(isinstance(n, int) and n >= 1 for n in self.hidden_sizes):
             errors.append("disc.hidden_sizes must be integers >= 1")
+        if self.optimizer not in ("", *SLOT_NAMES):
+            errors.append(f"disc.optimizer must be one of {('', *SLOT_NAMES)}, "
+                          f"got {self.optimizer!r}")
+        if not (0 <= self.rho < 1 and 0 <= self.momentum < 1):
+            errors.append("disc.rho and disc.momentum must be in [0, 1)")
+        if not self.weight_decay >= 0:
+            errors.append("disc.weight_decay must be >= 0")
         return errors
 
 

@@ -79,6 +79,11 @@ class SimParams:
     def control_dt(self) -> float:
         return self.dt_physics * self.control_decimation
 
+    @property
+    def episode_steps(self) -> int:
+        """Control steps per episode (``validate`` requires a whole number)."""
+        return round(self.max_episode_time / self.control_dt)
+
     def nominal_height(self) -> float:
         l1, l2 = self.link_lengths
         return l1 * math.cos(NOMINAL_JOINT_POS[0]) + l2 * math.cos(
@@ -108,13 +113,24 @@ class SimParams:
             errors.append("sim.body_mass + sim.mass_perturb_low must be > 0")
         if len(self.link_lengths) != 2:
             errors.append("sim.link_lengths must have 2 entries (thigh, shank)")
+        if any(not length > 0 for length in self.link_lengths):
+            errors.append("sim.link_lengths must be > 0")
+        if not (self.half_length > 0 and self.half_height > 0):
+            errors.append("sim.half_length and sim.half_height must be > 0")
+        if not min(self.friction, self.contact_damping, self.tangential_damping) >= 0:
+            errors.append("sim.friction, sim.contact_damping and sim.tangential_damping "
+                          "must be >= 0")
         if len(self.joint_limits_low) != 4 or len(self.joint_limits_high) != 4:
             errors.append("sim.joint_limits_low and sim.joint_limits_high must have "
                           "4 entries each, one per joint")
         elif any(h <= l for l, h in zip(self.joint_limits_low, self.joint_limits_high)):
             errors.append("sim.joint_limits_high must exceed joint_limits_low")
-        if self.max_episode_time <= 0:
-            errors.append("sim.max_episode_time must be > 0")
+        if not 0 < self.max_episode_time < math.inf:
+            errors.append("sim.max_episode_time must be > 0 and finite")
+        elif self.control_dt > 0 and not math.isclose(
+                self.max_episode_time / self.control_dt, self.episode_steps, rel_tol=1e-9):
+            errors.append("sim.max_episode_time must be a whole number of control "
+                          f"periods ({self.control_dt} s)")
         return errors
 
 
@@ -273,8 +289,8 @@ class _StepBuffers:
 
 # the arrays of an env's state, each with a row per env: with the rows'
 # generators, what a checkpoint keeps of an env
-STATE_ARRAYS = ("x", "z", "pitch", "vx", "vz", "om", "q", "qd", "time", "mass",
-                "flight_angle", "steps", "terminal", "airborne")
+STATE_ARRAYS = ("x", "z", "pitch", "vx", "vz", "om", "q", "qd", "mass",
+                "flight_angle", "steps", "airborne")
 
 
 class PlanarEnv:
@@ -311,10 +327,8 @@ class PlanarEnv:
         self.om = np.zeros(E)
         self.q = np.zeros((E, 4))
         self.qd = np.zeros((E, 4))
-        self.time = np.zeros(E)
         self.steps = np.zeros(E, dtype=np.int64)
         self.mass = np.full(E, params.body_mass)
-        self.terminal = np.zeros(E, dtype=bool)
         self.flight_angle = np.zeros(E)
         self.airborne = np.zeros(E, dtype=bool)
         self._buffers = None
@@ -339,12 +353,11 @@ class PlanarEnv:
             if p.mass_perturb_high > p.mass_perturb_low:
                 dm[k] = rng.uniform(p.mass_perturb_low, p.mass_perturb_high)
         for a in (self.x, self.pitch, self.vx, self.vz, self.om, self.qd,
-                  self.time, self.steps, self.flight_angle):
+                  self.steps, self.flight_angle):
             a[rows] = 0
         self.z[rows] = p.nominal_height() + hn
         self.q[rows] = np.clip(NOMINAL_JOINT_POS + jn, self._lo, self._hi)
         self.mass[rows] = p.body_mass + dm
-        self.terminal[rows] = False
         self.airborne[rows] = False
 
     # -- stepping ---------------------------------------------------------------
@@ -408,18 +421,14 @@ class PlanarEnv:
         self.qd[...] = b.qd[K - 1].T
         self.pitch[...], self.z[...], self.x[...] = end[_POS_ROWS]
         self.om[...], self.vz[...], self.vx[...] = end[_VEL_ROWS]
-        self.time += p.control_dt
         self.steps += 1
-        terminal = base[K - 1].copy()
-        # reset_rows clears the env's flags in place; the result keeps its own
-        self.terminal = terminal.copy()
         return StepBatch(
             foot_contacts=np.ascontiguousarray((fz < 0.0).T),
             joint_torques=np.ascontiguousarray(self._torque_proxy(b, q_target).T),
             landing_event=landing,
             flight_traversed_angle=angle_report,
-            terminal=terminal,
-            timeout=self.time >= p.max_episode_time - 1e-12,
+            terminal=base[K - 1],
+            timeout=self.steps >= p.episode_steps,
         )
 
     def _track_joints(self, b: "_StepBuffers", q_target: np.ndarray) -> None:

@@ -1,7 +1,7 @@
 """Experiment orchestration: the adversarial training loop, checkpointing,
 metrics logging, and policy evaluation.
 
-A checkpoint (format 4) is one uncompressed zip in numpy's ``.npz`` layout,
+A checkpoint (format 5) is one uncompressed zip in numpy's ``.npz`` layout,
 so ``np.load`` opens it too. Its first member, ``meta.json``, is a JSON
 object of everything but the arrays: the format version, the iteration, the
 config mapping, each optimizer's ``learning_rate`` and ``step_count``, the
@@ -11,9 +11,10 @@ action rows (``action_rngs``); under ``members`` it names the array members
 in file order. Every other member is one array in ``.npy`` form, named by
 its key path in the checkpoint dict (``policy_opt/slots/m``): each net's
 parameter vector (``policy``, ``value_net``, ``discriminator``), each
-optimizer's slots, the env's ``sim.STATE_ARRAYS`` (``env/arrays/x``), and
-the collector's whole frame buffer, (E, max(H, 2), 18), as
-``collector/frames``.
+optimizer's slots, the env's ``sim.STATE_ARRAYS`` (``env/arrays/x``, ``z``,
+``pitch``, ``vx``, ``vz``, ``om``, ``q``, ``qd``, ``mass``, ``flight_angle``,
+``steps`` and ``airborne``), and the collector's whole frame buffer, (E,
+max(H, 2), 18), as ``collector/frames``.
 
 Only ``Trainer`` knows this layout: ``checkpoint_dict`` lists the live
 arrays, and a loaded dict restores only a new trainer, ``Trainer(cfg,
@@ -21,8 +22,10 @@ dataset, ckpt)``, which checks the whole dict against that list before it
 adopts any of its arrays, as they are (see ``Trainer.__init__``). Optimizer
 hyperparameters come from the config.
 
-``open_checkpoint`` is the one reader of a checkpoint into a run: the dict,
-its config with overrides, validated, and the data its ``refs`` names.
+``run_inputs`` is the one place a command's config and reference data are
+checked and read: ``train`` and ``sweep`` call it, and ``open_checkpoint``,
+the one reader of a checkpoint into a run (``train --resume``, ``analyze``
+and ``eval``), calls it on the checkpoint's config with overrides.
 
 ``write_checkpoint`` writes each array's bytes straight from its memory, not
 from a copy, and every member carries the zip format's fixed earliest date,
@@ -31,13 +34,14 @@ the format by the file's first bytes, never by its name, and reads each
 array a block of ``MEMBER_BLOCK`` bytes at a time into the array it returns,
 checking the zip's CRC; nothing is unpickled. A torn or damaged file, a
 missing, extra or renamed member, a member of another dtype, a zip of
-another format (format 3 included) and a JSON checkpoint of format 1 or 2
-(named by its format) each raise ``ValueError``.
+another format (formats 3 and 4 included) and a JSON checkpoint of format 1
+or 2 (named by its format) each raise ``ValueError``.
 
-Every file the program replaces goes through ``_write_atomic``: the content
-goes to a temp file beside the target, which is flushed, synced and renamed
-over it. A crash, or an error raised while the content is written, leaves
-the previous file as it was and no temp file behind.
+Every file the program writes but the appended ``metrics.jsonl`` goes
+through ``core._write_atomic``: the content goes to a temp file beside the
+target, which is flushed, synced and renamed over it. A crash, or an error
+raised while the content is written, leaves the previous file as it was and
+no temp file behind.
 """
 
 from __future__ import annotations
@@ -56,8 +60,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import TrainConfig, build_config, config_to_mapping, save_config
-from .core import ReferenceDataset, load_reference_dataset, sample_reference_windows
+from .config import (ConfigError, TrainConfig, build_config, config_to_mapping,
+                     save_config)
+from .core import (ReferenceDataset, _write_atomic, load_reference_dataset,
+                   sample_reference_windows)
 from .discriminator import discriminator_loss, raw_score, reference_input
 from .dtw import DtwReport, dtw_distances, stand_still_rollout
 from .nets import SLOT_NAMES, ForwardCache, MlpNet, OptimizerState, optimizer_step
@@ -67,7 +73,7 @@ from .rewards import (ImitationReward, RunningStats,
                       handcrafted_backflip_reward, handcrafted_standup_reward)
 from .sim import STATE_ARRAYS, PlanarEnv
 
-CHECKPOINT_FORMAT_VERSION = 4
+CHECKPOINT_FORMAT_VERSION = 5
 META_MEMBER = "meta.json"
 # bytes of an array member read at a time
 MEMBER_BLOCK = 64 * 1024
@@ -86,27 +92,6 @@ def build_identifier() -> str:
     except (OSError, subprocess.SubprocessError):
         pass
     return f"planarmimic-{__version__}"
-
-
-def _write_atomic(path: Path, content) -> None:
-    """Replace ``path`` in one step with ``content``: bytes, or a function
-    that writes to the binary file it is given. It goes to a temp file in
-    the same directory, which is flushed to disk and renamed over ``path``.
-    A crash mid-write, or an exception from ``content``, leaves the previous
-    file intact and removes the temp file."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("wb") as f:
-            if callable(content):
-                content(f)
-            else:
-                f.write(content)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _truncate_metrics(path: Path, iteration: int) -> None:
@@ -159,7 +144,6 @@ def write_checkpoint(path, ckpt: dict) -> Path:
                     member.write(a.data)
 
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     _write_atomic(path, write)
     return path
 
@@ -210,7 +194,7 @@ def _read_zip(zf: zipfile.ZipFile) -> dict:
 
 
 def load_checkpoint(path) -> dict:
-    """The checkpoint dict of a format-4 file: ``meta.json``'s object with
+    """The checkpoint dict of a format-5 file: ``meta.json``'s object with
     each array member at its key path (see the module docstring)."""
     with Path(path).open("rb") as f:
         head = f.read(64)
@@ -229,16 +213,35 @@ def load_checkpoint(path) -> dict:
             raise ValueError(f"damaged checkpoint {path}: {e}") from None
 
 
-def open_checkpoint(checkpoint, keys=()) -> tuple:
+def run_inputs(cfg: TrainConfig, windowed: bool = True) -> tuple:
+    """``(cfg, dataset)``: ``cfg`` with its ``refs`` made absolute, so a
+    run's checkpoints name its data from any working directory, and the data
+    ``refs`` names. Raises ``ConfigError`` unless ``cfg`` validates, names
+    data that exists and, if ``windowed`` (the caller reads critic windows),
+    has a ``disc.horizon`` that fits in every trajectory; data that does not
+    parse raises ``ValueError``."""
+    errors = cfg.validate()
+    if not cfg.refs or not Path(cfg.refs).exists():
+        errors.append(f"refs must point at reference data that exists "
+                      f"(--refs or the refs config key), not {cfg.refs!r}")
+    if errors:
+        raise ConfigError(errors)
+    cfg.refs = str(Path(cfg.refs).absolute())
+    dataset = load_reference_dataset(cfg.refs, 1)
+    shortest = min(t.shape[0] for t in dataset.trajectories)
+    if windowed and shortest < cfg.disc.horizon:
+        raise ConfigError([f"disc.horizon ({cfg.disc.horizon}) must not exceed the "
+                           f"shortest reference trajectory ({shortest} frames)"])
+    return cfg, dataset
+
+
+def open_checkpoint(checkpoint, keys=(), windowed: bool = True) -> tuple:
     """``(ckpt, cfg, dataset)`` of ``checkpoint``, a file's path or the dict
-    ``load_checkpoint`` read from one: the dict, its config with ``keys``,
-    ``(key, value)`` pairs, over it, validated, and the reference data that
-    the config's ``refs`` names, windowed at its horizon."""
+    ``load_checkpoint`` read from one: the dict, and ``run_inputs`` of its
+    config with ``keys``, ``(key, value)`` pairs, over it."""
     ckpt = checkpoint if isinstance(checkpoint, dict) else load_checkpoint(checkpoint)
-    cfg = build_config(keys=[*ckpt["config"].items(), *keys]).require_valid()
-    if not cfg.refs:
-        raise ValueError("checkpoint config has no reference path (the refs key)")
-    return ckpt, cfg, load_reference_dataset(cfg.refs, cfg.disc.horizon)
+    cfg = build_config(keys=[*ckpt["config"].items(), *keys])
+    return (ckpt, *run_inputs(cfg, windowed))
 
 
 def _policy_sizes(cfg: TrainConfig) -> list:
@@ -376,7 +379,6 @@ class Trainer:
         A run that starts past iteration 0 (a resume) logs itself under
         ``resumes`` in ``run.json``."""
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         target = iterations if iterations is not None else self.cfg.iterations
         metrics_path = out / "metrics.jsonl"
         run_path = out / "run.json"

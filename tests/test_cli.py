@@ -10,6 +10,7 @@ import pytest
 from planarmimic import cli
 from planarmimic.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from planarmimic.config import save_config
+from planarmimic.core import save_reference_csv
 from planarmimic.dtw import local_cost
 from planarmimic.trainer import (Trainer, evaluate_policy, load_checkpoint,
                                  write_checkpoint)
@@ -396,16 +397,50 @@ class TestTrainConfigErrors:
         "sim.joint_limits_high=1.3,2.2,1.3,2.2,1.0", "ppo.hidden_sizes=-5",
         "disc.hidden_sizes=0",
         # longer than the references' 130 frames
-        "disc.horizon=200"])
+        "disc.horizon=200",
+        "disc.optimizer=foo", "sim.link_lengths=-0.16,0.16"])
     def test_setting_a_run_cannot_build_fails_before_training(self, tmp_path, setting):
         # each used to fail at run time, with exit 3, or train a critic
-        # without hidden units
+        # without hidden units, or (the last) a robot without legs
         assert_fails_before_training(tmp_path, setting)
 
     @pytest.mark.parametrize("setting", ["disc.minibatch_size=0",
                                          "ppo.minibatches=1000"])
     def test_bad_minibatch_setting_fails_before_training(self, tmp_path, setting):
         assert_fails_before_training(tmp_path, setting)
+
+
+class TestRefsExitCodes:
+    """Refs that name nothing are a config error in every command that reads
+    them; refs shorter than the horizon are one in each command that reads
+    critic windows, and ``eval``, whose DTW reads none, takes them."""
+
+    @pytest.mark.parametrize("refs, command, code", [
+        ("missing", "eval", EXIT_CONFIG), ("missing", "analyze", EXIT_CONFIG),
+        ("missing", "resume", EXIT_CONFIG), ("short", "analyze", EXIT_CONFIG),
+        ("short", "resume", EXIT_CONFIG), ("short", "eval", EXIT_OK)])
+    def test_exit_code(self, tmp_path, refs, command, code):
+        # each used to exit 3
+        cfg = tiny_config(tmp_path=tmp_path)
+        cfg.disc.horizon = 8
+        dataset = tiny_dataset(cfg)
+        save_reference_csv(tmp_path / "short", [t[:5] for t in dataset.trajectories],
+                           cfg.sim.control_dt)
+        checkpoint = Trainer(cfg, dataset).save_checkpoint(tmp_path / "ckpt.npz")
+        out = tmp_path / "out"
+        if command == "resume":
+            # a resume takes its refs from the checkpoint only
+            ckpt = load_checkpoint(checkpoint)
+            ckpt["config"]["refs"] = str(tmp_path / refs)
+            argv = ["train", "--resume", str(write_checkpoint(checkpoint, ckpt)),
+                    "--out", str(out), "--quiet"]
+        else:
+            argv = [command, "--checkpoint", str(checkpoint), "--refs",
+                    str(tmp_path / refs), "--out", str(out)]
+        assert main(argv) == code
+        assert out.exists() == (code == EXIT_OK)
+        if code == EXIT_OK:
+            assert json.loads(out.read_text())["per_seed"][0]["n_references"] == 4
 
 
 def assert_fails_before_training(tmp_path, setting):

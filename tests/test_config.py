@@ -113,8 +113,16 @@ class TestValidation:
         cfg.sim.joint_limits_low = (-1.3, -2.2)
         cfg.ppo.hidden_sizes = (-5,)
         cfg.disc.hidden_sizes = (0,)
+        cfg.disc.optimizer = "foo"
+        cfg.disc.rho = 1.5
+        cfg.disc.momentum = -2.0
+        cfg.disc.weight_decay = -1.0
+        cfg.sim.half_length = -0.2
+        cfg.sim.friction = -1.0
+        cfg.sim.contact_damping = -80.0
+        cfg.sim.max_episode_time = 0.05
         errors = cfg.validate()
-        assert len(errors) >= 16
+        assert len(errors) >= 22
         joined = "\n".join(errors)
         for fragment in ("task", "iterations", "ppo.clip", "disc.horizon",
                          "reward.w_action_rate", "dtw.step_pattern",
@@ -126,7 +134,13 @@ class TestValidation:
                          "eval.episode_frames", "sim.link_lengths must have 2",
                          "sim.joint_limits_high must have 4",
                          "ppo.hidden_sizes must be integers >= 1",
-                         "disc.hidden_sizes must be integers >= 1"):
+                         "disc.hidden_sizes must be integers >= 1",
+                         "disc.optimizer must be one of",
+                         "disc.rho and disc.momentum must be in [0, 1)",
+                         "disc.weight_decay must be >= 0",
+                         "sim.half_length and sim.half_height must be > 0",
+                         "sim.friction, sim.contact_damping and sim.tangential_damping",
+                         "sim.max_episode_time must be a whole number"):
             assert fragment in joined
 
     @pytest.mark.parametrize("setting, fragment", [
@@ -138,10 +152,28 @@ class TestValidation:
         ("ppo.hidden_sizes=-5", "ppo.hidden_sizes must be integers >= 1"),
         ("ppo.hidden_sizes=16.5", "ppo.hidden_sizes must be integers >= 1"),
         ("disc.hidden_sizes=0", "disc.hidden_sizes must be integers >= 1"),
+        # the next two also failed at run time, and the others after them
+        # trained without an error
+        ("disc.optimizer=foo", "disc.optimizer must be one of"),
+        ("disc.rho=1.5", "disc.rho and disc.momentum must be in [0, 1)"),
+        ("disc.weight_decay=-1", "disc.weight_decay must be >= 0"),
+        ("disc.momentum=-2", "disc.rho and disc.momentum must be in [0, 1)"),
+        ("sim.link_lengths=-0.16,0.16", "sim.link_lengths must be > 0"),
+        ("sim.link_lengths=0,0.16", "sim.link_lengths must be > 0"),
+        ("sim.half_length=-0.2", "sim.half_length and sim.half_height must be > 0"),
+        ("sim.friction=-1", "sim.friction, sim.contact_damping and sim.tangential"),
+        ("sim.contact_damping=-80", "sim.friction, sim.contact_damping and sim.tang"),
+        ("sim.tangential_damping=-1", "sim.friction, sim.contact_damping and sim.tang"),
+        # an episode clock of whole control periods
+        ("sim.max_episode_time=0.05", "sim.max_episode_time must be a whole number"),
     ])
     def test_shape_settings(self, setting, fragment):
         errors = build_config(overrides=[setting]).validate()
         assert len(errors) == 1 and fragment in errors[0]
+
+    @pytest.mark.parametrize("optimizer", ["", "sgd", "rmsprop", "adam"])
+    def test_each_optimizer_kind_is_valid(self, optimizer):
+        assert build_config(overrides=[f"disc.optimizer={optimizer}"]).validate() == []
 
     @pytest.mark.parametrize("low, high, fragment", [
         # a reversed range used to pay a constant +low

@@ -1,12 +1,14 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from planarmimic.config import default_config, save_config
 from planarmimic.core import (GRAVITY_UNIT_TOL, OBS_DIM, BatchWindowBuffer,
                               ReferenceDataset, load_reference_dataset,
                               phi_extract_arrays, sample_reference_windows,
-                              save_reference_csv)
+                              save_reference_csv, write_csv)
 from planarmimic.sim import PlanarEnv, SimParams
 
 
@@ -214,6 +216,65 @@ class TestReferenceDataset:
         ds = load_reference_dataset(target, horizon=16)
         assert ds.num_trajectories == 20
         assert all(t.shape == (60, 6) for t in ds.trajectories)
+
+
+def _write(kind, target, version):
+    """Write the ``version`` (0 or 1) of a file of ``kind`` to ``target``."""
+    if kind == "config":
+        cfg = default_config()
+        cfg.seed = version
+        save_config(cfg, target)
+    elif kind == "csv":
+        write_csv(target, ["a", "b"], [[version, 0.1], [2, 0.5 + version]])
+    else:
+        trajectories = [np.full((4, OBS_DIM), n + version / 2) for n in range(3)]
+        save_reference_csv(target, trajectories, 0.02, multi=kind == "refs file")
+
+
+def _files(root) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestAtomicWrites:
+    """A write that raises midway leaves the previous files as they were,
+    byte for byte, and no temp file."""
+
+    @pytest.mark.parametrize("kind", ["config", "csv", "refs file", "refs dir"])
+    def test_a_failed_sync_keeps_the_previous_file(self, tmp_path, monkeypatch, kind):
+        # the content is all in the temp file when the sync fails
+        target = tmp_path / "out" / {"config": "config.txt", "csv": "t.csv",
+                                     "refs file": "refs.csv", "refs dir": "refs"}[kind]
+        _write(kind, target, 0)
+        before = _files(tmp_path / "out")
+
+        def fail(fd):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "fsync", fail)
+        with pytest.raises(OSError, match="no space"):
+            _write(kind, target, 1)
+        assert _files(tmp_path / "out") == before
+
+    def test_a_row_that_raises_keeps_the_previous_csv(self, tmp_path):
+        target = tmp_path / "t.csv"
+        _write("csv", target, 0)
+        before = target.read_bytes()
+
+        def rows():
+            yield [1, 2.0]
+            raise RuntimeError("row 2")
+
+        with pytest.raises(RuntimeError, match="row 2"):
+            write_csv(target, ["a", "b"], rows())
+        assert _files(tmp_path) == {target.relative_to(tmp_path): before}
+
+    def test_csv_cells(self, tmp_path):
+        # floats as their repr, other cells as str, lines ended by CR LF
+        target = tmp_path / "deep" / "t.csv"
+        write_csv(target, ["source", "value"], [("policy", np.float64(0.1)),
+                                                 (np.int64(3), 1 / 3)])
+        assert target.read_bytes() == (b"source,value\r\npolicy,0.1\r\n"
+                                       b"3,0.3333333333333333\r\n")
 
 
 class TestSampling:

@@ -257,7 +257,7 @@ class TestCollectMatchesOracle:
         # more resets in mid-rollout: row 2 starts in a crashing attitude,
         # and row 1's episode clock runs out three steps in
         env.pitch[2], env.z[2] = np.pi / 2 + 0.4, 0.25
-        env.time[1] = env.params.max_episode_time - 0.05
+        env.steps[1] = env.params.episode_steps - 3
         return collector, policy, value_net, disc, ImitationReward(loss, RunningStats())
 
     @pytest.mark.parametrize("loss", ["wgan", "lsgan"])
@@ -282,7 +282,9 @@ class TestCollectMatchesOracle:
             assert fast[4].stats == slow[4].stats
             assert_same_state(collector_state(fast[0]), collector_state(slow[0]))
             assert_same_state(env_state(fast[0].env), env_state(slow[0].env))
-        assert 3 in lengths and len(lengths) >= 3 and terminations >= 2
+        # row 1's timed-out episode counts every step of its clock
+        assert (fast[0].env.params.episode_steps in lengths and len(lengths) >= 3
+                and terminations >= 2)
         if loss == "wgan":
             assert fast[4].stats.count >= STATS_WARMUP
             assert np.any(got.r_imitation != 0.0)
@@ -316,7 +318,7 @@ class TestCollectorState:
         # row 1's episode clock runs out three steps in
         env = first.env
         env.pitch[2], env.z[2] = np.pi / 2 + 0.4, 0.25
-        env.time[1] = env.params.max_episode_time - 0.05
+        env.steps[1] = env.params.episode_steps - 3
         path = first.save_checkpoint(tmp_path / "c.npz")
         fresh, slow = (Trainer(cfg, dataset, load_checkpoint(path)) for _ in range(2))
         assert fresh.collector.history.frames.buf.shape == (

@@ -89,10 +89,10 @@ class TestStandingEquilibrium:
             env.step(np.zeros((1, 4)))
         heights = []
         for _ in range(50):
-            env.step(np.zeros((1, 4)))
+            res = env.step(np.zeros((1, 4)))
             heights.append(float(env.z[0]))
         assert max(heights) - min(heights) < 2e-3
-        assert not env.terminal[0]
+        assert not res.terminal[0]
 
     def test_standing_penetration_under_5mm(self):
         params = quiet_params()
@@ -189,7 +189,7 @@ class TestDeterminism:
         batch = PlanarEnv(params, num_envs=len(seeds), seed=seeds)
         singles = [PlanarEnv(params, num_envs=1, seed=s) for s in seeds]
         fields = ("x", "z", "pitch", "vx", "vz", "om", "q", "qd", "mass",
-                  "flight_angle", "terminal", "airborne")
+                  "flight_angle", "steps", "airborne")
         for t in range(200):
             if t == 120:
                 mask = np.array([True, False, True])
@@ -265,6 +265,13 @@ class TestTimeout:
         for _ in range(5):
             flags.append(bool(env.step(np.zeros((1, 4))).timeout[0]))
         assert flags == [False, False, False, False, True]
+
+    def test_a_100_s_episode_ends_at_step_5000(self):
+        # a clock summed step by step drifted past its slack and timed out
+        # at step 5001
+        env = PlanarEnv(quiet_params(max_episode_time=100.0), num_envs=1, seed=0)
+        flags = [bool(env.step(np.zeros((1, 4))).timeout[0]) for _ in range(5000)]
+        assert flags.index(True) == 4999
 
 
 class TestActionEffects:
@@ -524,12 +531,10 @@ def oracle_step(env, actions):
         env.flight_angle[in_flight] += env.om[in_flight] * dt
         env.airborne = in_flight
 
-    env.time += p.control_dt
     env.steps += 1
     terminal = check_termination_arrays(env.z, np.cos(env.pitch),
                                         np.sin(env.pitch), p)
-    env.terminal = terminal.copy()
-    timeout = env.time >= p.max_episode_time - 1e-12
+    timeout = env.steps * p.control_dt >= p.max_episode_time - 1e-12
 
     angle_report = np.where(landing, landing_angle, env.flight_angle)
     return StepBatch(
@@ -543,7 +548,7 @@ def oracle_step(env, actions):
 
 
 ORACLE_STATE = ("x", "z", "pitch", "vx", "vz", "om", "q", "qd", "flight_angle",
-                "airborne", "time")
+                "airborne", "steps")
 
 
 def assert_same_bits(a, b, label):

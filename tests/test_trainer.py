@@ -271,7 +271,7 @@ class TestCheckpointResume:
         cfg = tiny_config(tmp_path=tmp_path)
         trainer = Trainer(cfg, tiny_dataset(cfg))
         ckpt = load_checkpoint(trainer.save_checkpoint(tmp_path / "c.npz"))
-        assert ckpt["format_version"] == CHECKPOINT_FORMAT_VERSION == 4
+        assert ckpt["format_version"] == CHECKPOINT_FORMAT_VERSION == 5
         ckpt["format_version"] = 999
         bad = write_checkpoint(tmp_path / "bad.npz", ckpt)
         with pytest.raises(ValueError, match="format 999"):
@@ -297,6 +297,17 @@ class TestCheckpointResume:
         ckpt = dict(Trainer(cfg, tiny_dataset(cfg)).checkpoint_dict(), format_version=3)
         old = write_checkpoint(tmp_path / "old.npz", ckpt)
         with pytest.raises(ValueError, match="unsupported checkpoint format 3"):
+            load_checkpoint(old)
+
+    def test_format_4_is_refused_by_its_format(self, tmp_path):
+        # format 4 also kept each env row's summed clock and terminal flag
+        cfg = tiny_config(tmp_path=tmp_path)
+        ckpt = dict(Trainer(cfg, tiny_dataset(cfg)).checkpoint_dict(), format_version=4)
+        arrays = ckpt["env"]["arrays"]
+        ckpt["env"] = {"arrays": dict(arrays, time=np.zeros(4),
+                                      terminal=np.zeros(4, dtype=bool))}
+        old = write_checkpoint(tmp_path / "old.npz", ckpt)
+        with pytest.raises(ValueError, match="unsupported checkpoint format 4"):
             load_checkpoint(old)
 
 
