@@ -342,9 +342,12 @@ def cmd_sweep(args) -> int:
     points = _grid_points(args.grid)
     runs = [f"run_{i:03d}" for i in range(len(points))]
     # every point's config and reference data are checked before the first
-    # run trains, and each run trains on the data read for its check
+    # run trains, and each run trains on the data read for its check, read
+    # once per refs path
+    datasets = {}
     runnable = [run_inputs(build_config(args.config,
-                                        [*point, ("out_dir", str(out / run))]))
+                                        [*point, ("out_dir", str(out / run))]),
+                           datasets=datasets)
                 for run, point in zip(runs, points)]
     summary = []
     for run, point, (cfg, dataset) in zip(runs, points, runnable):

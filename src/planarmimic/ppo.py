@@ -215,19 +215,21 @@ class PolicyHistory:
                                         POLICY_FRAME_DIM)
         self.reset_rows(np.ones(env.num_envs, dtype=bool))
 
-    def _frame(self, actions: np.ndarray) -> np.ndarray:
+    def _frame(self, actions: np.ndarray, features=None) -> np.ndarray:
         env = self.env
-        return np.concatenate([env.observation_features(), env.q, env.qd, actions],
-                              axis=1)
+        if features is None:
+            features = env.observation_features()
+        return np.concatenate([features, env.q, env.qd, actions], axis=1)
 
     def reset_rows(self, mask: np.ndarray) -> None:
         """Start the ``mask`` rows' history over, after the env reset them."""
         self.frames.reset_rows(
             mask, self._frame(np.zeros((self.env.num_envs, ACTION_DIM))))
 
-    def advance(self, actions: np.ndarray) -> None:
-        """Push every row's frame after ``env.step(actions)``."""
-        self.frames.push(self._frame(actions))
+    def advance(self, actions: np.ndarray, features=None) -> None:
+        """Push every row's frame after ``env.step(actions)``; ``features``
+        are the env's ``observation_features()`` if the caller has them."""
+        self.frames.push(self._frame(actions, features))
 
     def obs(self, out: np.ndarray | None = None) -> np.ndarray:
         """The policy's observation (E, POLICY_OBS_DIM): the last
@@ -322,7 +324,7 @@ class RolloutCollector:
             result = env.step(actions[t])
             joint_vel[t] = env.qd
             pitch_rate[t] = env.om
-            torques[t] = result.joint_torques
+            env.joint_torques(out=torques[t])
             terminal[t] = result.terminal
             hist.advance(actions[t])
             windows[t] = self._window()

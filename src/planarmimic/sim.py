@@ -11,23 +11,37 @@ Everything is batched over environments; a batch of one gives the scalar
 semantics used in tests. A control step runs its physics substeps in four
 phases split along their data dependencies (see `PlanarEnv.step`): joint
 tracking, then body-frame leg kinematics of every substep in one batch, then
-the contact-and-body loop that alone must go substep by substep, then the
-torque proxy, termination and flight bookkeeping in batches over all
-substeps. Each value comes from the same IEEE operations, in the same order,
-as in a plain loop over the substeps, so the result is bit-identical to it.
+the contact-and-body loop that alone must go substep by substep, then
+termination and flight bookkeeping in batches over all substeps. Each value
+comes from the same IEEE operations, in the same order, as in a plain loop
+over the substeps, so the result is bit-identical to it.
+
+A step computes only what every caller reads. The torque proxy (read by
+training's regularizer) and the end-of-step foot contacts (read by eval's
+stand-up tally) come from two readers, `PlanarEnv.joint_torques` and
+`PlanarEnv.foot_contacts`, which work from the last step's buffers: a reader
+holds until the next step, `PlanarEnv.reset_rows` leaves it as it is, and a
+reader called before the first step raises.
 
 At small E a step's time is numpy's per-call cost: its calls work on arrays of
-a few rows of E values. A step at the default 20 substeps makes about 712
-numpy calls: 28 per substep in the contact-and-body loop, 6 per substep in
-joint tracking, and about 32 others, plus one for each substep in which a foot
-lands. Rows are stacked so that one call serves several terms (see
-`PlanarEnv._integrate_body`). The loop's calls keep to numpy's fast path:
+a few rows of E values. At the default 20 substeps a step makes 695 numpy
+calls: 5 per substep in joint tracking, 28 per substep in the contact-and-body
+loop, and 35 others (6 in the prologue, 2 for the joint rates, 14 in leg
+kinematics, 5 to set up the loop, 7 for termination, 1 for flight), plus one
+when a foot is in flight and one for each substep in which a foot lands.
+`joint_torques` makes 17. Rows are stacked so that one call serves several
+terms (see `PlanarEnv._integrate_body` and `leg_kinematics`).
+
+Every ufunc call of a step and of `joint_torques` keeps to numpy's fast path:
 every array operand has the shape of the output and is contiguous, and no
 operand needs a cast; other operands are 0-d. A broadcast operand, a strided
-view or a mixed dtype sends a call through numpy's general iterator, at about
-twice the cost of a small call. The buffers are laid out for this (see
-`_StepBuffers`), and tests check every call of the loop and the count of a
-step's calls.
+view or a mixed dtype sends a call through numpy's general iterator, at
+several times the cost of a small call. The buffers are laid out for this
+(see `_StepBuffers`): the loops over the substeps lead with the substep, the
+batched phases with the component, and one copy per array moves rows between
+the two. Tests check every call of each phase and the count of a step's
+calls. Only the flight bookkeeping's operators on a few boolean rows, and
+`foot_contacts`, read strided or broadcast operands.
 """
 
 from __future__ import annotations
@@ -38,6 +52,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import OBS_DIM, phi_extract_arrays
+
+# numpy's clip ufunc: np.clip reaches it through Python wrappers that cost
+# several times the clip itself on a step's small arrays
+_clip = (np._core if hasattr(np, "_core") else np.core).umath.clip
 
 MOTIONS = ("leap", "wave", "standup", "backflip")
 DEMO_FRAMES = {"leap": 130, "wave": 130, "standup": 100, "backflip": 60}
@@ -136,61 +154,67 @@ class SimParams:
 
 @dataclass
 class StepBatch:
-    """Outcome of one control step for every environment."""
+    """Outcome of one control step for every environment. The step's torque
+    proxy and end-of-step foot contacts are not part of it: the readers
+    `PlanarEnv.joint_torques` and `PlanarEnv.foot_contacts` compute them from
+    the step's buffers for the callers that read them."""
 
-    foot_contacts: np.ndarray         # (E, 2) bool at end of step
-    joint_torques: np.ndarray         # (E, 4) substep-averaged torque proxy
     landing_event: np.ndarray         # (E,) bool, air -> ground this step
     flight_traversed_angle: np.ndarray  # (E,) rad, signed pitch integral in flight
     terminal: np.ndarray              # (E,) bool, body polygon touched ground
     timeout: np.ndarray               # (E,) bool, episode clock expired
 
 
-def check_termination_arrays(base_z, cos_pitch, sin_pitch, params: SimParams):
+def check_termination_arrays(base_z, trig, params: SimParams):
     """True where any corner of the body rectangle is at or below the ground,
-    for bodies at height ``base_z`` whose pitch has the given cos and sin."""
-    # lowest corner height: z - (|s| * half_length + |c| * half_height)
-    lowest = base_z - (np.abs(sin_pitch) * params.half_length
-                       + np.abs(cos_pitch) * params.half_height)
-    return lowest <= 0.0
+    for bodies at height ``base_z`` whose pitch has the cos and sin stacked
+    in ``trig``, (2, ...) as ``base_z`` is (...)."""
+    # the lowest corner is at z - reach, with reach = |s| * half_length +
+    # |c| * half_height; a rounded difference has the sign of the exact one
+    # and is zero only for equal values, so z - reach <= 0 is z <= reach
+    c, s = np.abs(trig)
+    reach = np.add(np.multiply(s, params.half_length),
+                   np.multiply(c, params.half_height))
+    return np.less_equal(base_z, reach)
 
 
-def leg_kinematics(q, qd, params: SimParams, out):
-    """Body-frame kinematics of both legs.
+def leg_kinematics(b: "_StepBuffers") -> None:
+    """Phase 2: body-frame kinematics of both legs at every substep, from
+    the joints ``b.q[1:]`` and rates ``b.qd``, into ``b.jac`` and ``b.kin``.
 
-    ``q`` and ``qd`` are joint angles and rates shaped (..., 4, E): the
-    (hip, knee) of the front leg, then of the rear leg, for E environments
-    after any leading shape. Returns ``(body, jac)``, each (..., 2, 2, 2, E):
+    - ``b.jac[a, j]``, (K, leg, E): coordinate a (x, z) of the Jacobian
+      column of joint j (hip, knee), the one the torque proxy maps contact
+      forces by;
+    - ``b.kin``, (8, K, leg, E): the foot's offset from the COM and its
+      velocity as (u, du, w, dw), then their negations.
 
-    - ``body[..., b, a, leg, :]``: coordinate a (x, z) of the foot's offset
-      from the COM (b = 0) or of its velocity (b = 1);
-    - ``jac[..., a, j, leg, :]``: coordinate a of the Jacobian column of
-      joint j (hip, knee), the one the torque proxy maps contact forces by.
-
-    One sin and one cos cover every hip and foot-link angle. They are
-    written into ``out``, a (body, jac) pair of arrays of those shapes.
+    The joints are copied into this component-first layout first, the rates
+    once per Jacobian coordinate, so that every call works on whole blocks
+    of (K, leg, E) values. One sin and one cos cover every hip and foot-link
+    angle. The velocity rows come from one sum of the products ``jac *
+    rates``, (J1x Hd, J2x Kd, J1z Hd, J2z Kd) as blocks, with themselves
+    shifted by one block: (du, -, dw), the block between written over by w.
     """
-    l1, l2 = params.link_lengths
-    lead, E = q.shape[:-2], q.shape[-1]
-    q = q.reshape(lead + (2, 2, E))          # (leg, joint)
-    qd = qd.reshape(lead + (2, 2, E))
-    body, jac = out
-    th = body[..., 1, :, :, :]               # scratch until the velocity is written
-    th[..., 0, :, :] = q[..., 0, :]
-    np.add(q[..., 0, :], q[..., 1, :], out=th[..., 1, :, :])
-    np.cos(th, out=jac[..., 0, :, :, :])
-    np.sin(th, out=jac[..., 1, :, :, :])
-    lengths = np.array([l1, l2, params.half_length, -params.half_length])
-    jac *= lengths[:2, None, None]               # (l c, l s) of each link
-    hip_x = lengths[2:, None]
-    np.add(hip_x, jac[..., 1, 0, :, :], out=body[..., 0, 0, :, :])
-    body[..., 0, 0, :, :] += jac[..., 1, 1, :, :]
-    jac[..., 0, :, :] += jac[..., 1, :, :]       # the hip moves both links
-    np.negative(jac[..., 0, 0, :, :], out=body[..., 0, 1, :, :])
-    vel = body[..., 1, :, :, :]
-    np.multiply(jac[..., 0, :, :], qd[..., None, :, 0, :], out=vel)
-    vel += jac[..., 1, :, :] * qd[..., None, :, 1, :]
-    return body, jac
+    K = b.substeps
+    angles, jac, kin = b.angles, b.jac, b.kin
+    rates, vel = b.scratch
+    add, multiply, negative = np.add, np.multiply, np.negative
+    joints = (K, 2, 2, -1)                      # (substep, leg, joint, E)
+    np.copyto(angles, b.q[1:].reshape(joints).transpose(2, 0, 1, 3))
+    np.copyto(rates, b.qd.reshape(joints).transpose(2, 0, 1, 3))
+    add(angles[0], angles[1], angles[1])        # the foot link's angle
+    np.cos(angles, jac[0])
+    np.sin(angles, jac[1])
+    multiply(jac, b.lengths, jac)               # (l c, l s) of each link
+    add(b.hip_x, jac[1, 0], kin[_U])
+    add(kin[_U], jac[1, 1], kin[_U])
+    add(jac[0, 0], jac[0, 1], jac[0, 0])        # the hip moves both links
+    add(jac[1, 0], jac[1, 1], jac[1, 0])
+    multiply(jac, rates, vel)
+    blocks = vel.reshape(4, -1)
+    add(blocks[:3], blocks[1:], kin[_DU:_DW + 1].reshape(3, -1))
+    negative(jac[0, 0], kin[_W])
+    negative(kin[:4], kin[4:])
 
 
 # Rows of the body state of a substep in `PlanarEnv.step`: the cosine and
@@ -209,25 +233,38 @@ _VEL_ROWS, _POS_ROWS = slice(_OM, _VX + 1, 2), slice(_PITCH, _X + 1, 2)
 _LT, _FN, _FT = 0, 1, 2
 # The rotation operands of a substep of the contact loop, ``_ROT_C``
 # times the cosine plus ``_ROT_S`` times the sine, as rows of
-# ``_StepBuffers.legs``: (u, w, du, dw) from `leg_kinematics`, then their
+# ``_StepBuffers.legs``: (u, du, w, dw) from `leg_kinematics`, then their
 # negations. The rotated rows are rz, rx, rz, -rz, dz, dx, dx, where
 # (rx, rz) = (c u - s w, s u + c w) and (dx, dz) likewise from (du, dw).
-_U, _W, _DU, _DW = range(4)
+_U, _DU, _W, _DW = range(4)
 _NU, _NW, _NDW = _U + 4, _W + 4, _DW + 4
 _ROT_C = (_W, _U, _W, _NW, _DW, _DU, _DU)
 _ROT_S = (_U, _NW, _U, _NU, _DU, _NDW, _NDW)
 _ROT_ROWS = len(_ROT_C)
 
 
-class _StepBuffers:
-    """The arrays `PlanarEnv.step` writes, kept from one step to the next:
-    fresh multi-megabyte arrays every step would cost more in page faults
-    than the arithmetic at E >= 256. Component axes come first and E last,
-    so each batched phase reads runs of E contiguous values.
+def _scalars(*values) -> tuple:
+    """0-d float64 arrays of ``values``: a ufunc converts a Python float
+    operand anew at every call."""
+    return tuple(np.array(v, dtype=np.float64) for v in values)
 
-    The contact loop's arrays are laid out for numpy's fast path: every
-    operand of its calls has the shape of the call's output and is
-    contiguous, or is 0-d. Per-leg arrays are (component, leg, E); the
+
+class _StepBuffers:
+    """The arrays `PlanarEnv.step` writes, kept from one step to the next,
+    and the step's constants, built once: fresh multi-megabyte arrays every
+    step would cost more in page faults than the arithmetic at E >= 256.
+
+    Every ufunc call of the step takes numpy's fast path: each array
+    operand has the shape of the call's output and is contiguous, or is
+    0-d. The loops over the substeps (joint tracking, contact and body)
+    work on one substep's rows, so their arrays lead with the substep
+    (K-first). The batched phases (leg kinematics, termination, the torque
+    proxy) work on one component over all substeps, so their arrays lead
+    with the component (component-first); a broadcasting ``np.copyto``
+    moves rows between the two layouts, and operands that would broadcast
+    are built at the output's shape. E is last everywhere.
+
+    In the contact loop, per-leg arrays are (component, leg, E); the
     per-env rows a per-leg call reads are copied per leg first, in two
     blocks (``trig``, ``env``), and the rotation operands are stacked for
     all substeps before the loop (``ops``). The loop rotates seven rows and
@@ -235,29 +272,47 @@ class _StepBuffers:
     `PlanarEnv._integrate_body`)."""
 
     def __init__(self, env: "PlanarEnv", substeps: int):
+        p = env.params
         K, E = substeps, env.num_envs
         self.substeps = K
-        # per substep; q and state lead with the state before it
+        # the prologue: the actions, scaled and clipped in place to the
+        # joint limits, are the targets, one row per joint
+        self.scale, self.substep_count = _scalars(p.action_scale, K)
+        self.nominal, self.lo, self.hi = (
+            np.repeat(v[:, None], E, axis=1)
+            for v in (NOMINAL_JOINT_POS, env._lo, env._hi))
+        self.target = np.empty((4, E))
+        # joint tracking, K-first; q leads with the joints before the first
+        # substep. ``gap`` is the target minus the joints before each
+        # substep, then after the last (written by the torque proxy).
+        self.track = _scalars(p.tracking_rate, p.max_joint_vel, -p.max_joint_vel,
+                              p.dt_physics)
         self.q = np.empty((K + 1, 4, E))
         self.qd = np.empty((K, 4, E))
-        self.cmd = np.empty((4, E))               # scratch of joint tracking
-        # each substep's foot offset and velocity in the body frame,
-        # (u, w, du, dw) (`leg_kinematics`' ``body``), then their negations
+        self.gap = np.empty((K + 1, 4, E))
+        self.cmd = np.empty((4, E))
+        # leg kinematics, component-first: the (hip, foot-link) angles, the
+        # Jacobian [a, j] and the foot rows (u, du, w, dw, -u, -du, -w, -dw);
+        # two scratch arrays of the Jacobian's shape, shared with the torque
+        # proxy
+        l1, l2 = p.link_lengths
+        self.angles = np.empty((2, K, 2, E))
+        self.jac = np.empty((2, 2, K, 2, E))
+        self.scratch = np.empty((2,) + self.jac.shape)
+        self.lengths = np.empty_like(self.jac)
+        self.lengths[:, 0], self.lengths[:, 1] = l1, l2
+        self.hip_x = np.empty((K, 2, E))
+        self.hip_x[:, 0], self.hip_x[:, 1] = p.half_length, -p.half_length
+        self.kin = np.empty((8, K, 2, E))
+        # the contact loop, K-first: the foot rows per substep
         self.legs = np.empty((K, 8, 2, E))
-        self.body = self.legs[:, :4].reshape(K, 2, 2, 2, E)
-        self.jac = np.empty((K, 2, 2, 2, E))
         # rows _COS .. _X; the padding rows of the first substep stay zero
         self.state = np.zeros((K + 1, _X + 1, E))
         self.force = np.empty((K, 3, 2, E))       # rows _LT, _FN, _FT per leg
         self.contact = np.empty((K, 2, E))        # 1.0 where the foot is down
-        # scratch of the flight bookkeeping: the landing angle, the flight
-        # angle, zeros
-        self.held = np.zeros((3, E))
-        # scratch of the torque proxy
-        self.tau = np.empty((K, 4, E))
-        self.term = np.empty((K, 2, 2, E))
-        self.load = np.empty((K, 2, 2, E))
-        self.tmp = np.empty((K, 2, 2, E))
+        (self.zero, self.inertia, self.gravity, self.dt, self.mu,
+         self.neg_mu) = _scalars(0.0, p.body_inertia, p.gravity, p.dt_physics,
+                                 p.friction, -p.friction)
         # scratch of one substep of the contact loop: per leg, (cos, sin,
         # om) once per rotated row, (vz, -, vx, pitch, -, z), and the
         # products of (cos, sin) with the rotation operands
@@ -265,18 +320,34 @@ class _StepBuffers:
         self.env = np.empty((6, 2, E))
         self.prod = np.empty((2 * _ROT_ROWS, 2, E))
         self.ops = np.empty((K, 2 * _ROT_ROWS, 2, E))
+        self.rot_rows = np.array(_ROT_C + _ROT_S, dtype=np.intp)
         # om times (rx, rz, -rz), two rows that stay zero, then the rotated
         # rows
         self.rot = np.zeros((5 + _ROT_ROWS, 2, E))
         self.foot = np.empty((6, 2, E))           # (vfz, -, vfx, -, -, fz)
         self.gains = np.empty_like(self.foot)
+        self.gains[...] = np.array([p.contact_damping, 1.0, -p.tangential_damping,
+                                    1.0, 1.0, -p.contact_stiffness])[:, None, None]
         self.gained = np.empty_like(self.foot)
         self.push = np.empty((2, E))
         self.cap = np.empty((2, 2, E))            # (upper, lower) friction bound
         self.moment = np.empty((2, 2, E))
         self.acc = np.empty((5, E))               # (alpha, -, az, -, ax)
-        self.inv_mass = np.empty((5, E))          # (1, -, 1/m, -, 1/m)
-        # the views substep k of the contact loop reads and writes
+        self.inv_mass = np.ones((5, E))           # (1, -, 1/m, -, 1/m)
+        # termination and flight, component-first: (cos, sin, om, z) after
+        # each substep; scratch of the flight bookkeeping: the landing
+        # angle, the flight angle, zeros
+        self.pose = np.empty((4, K, E))
+        self.held = np.zeros((3, E))
+        # the torque proxy: the effort of each substep and the contact load,
+        # K-first as the joints; (cos, sin) of each substep copied to the
+        # Jacobian's shape for the load's terms, which are component-first
+        self.kp, self.kd = _scalars(p.kp, p.kd)
+        self.tau = np.empty((K, 4, E))
+        self.load = np.empty_like(self.tau)
+        self.trig_jac = np.empty_like(self.jac)
+        # the views substep k of each loop reads and writes
+        self.track_views = list(zip(self.q[:-1], self.q[1:], self.gap[:-1]))
         state, force = self.state, self.force
         force_rows = force.reshape(K, 6, E)
         self.views = list(zip(
@@ -376,9 +447,13 @@ class PlanarEnv:
         3. Contact forces and body integration: the only loop that must run
            substep by substep. The pitch's cos and sin at the end of a
            substep are carried into the next one.
-        4. After the loop, in batches over all K substeps: the torque proxy
-           (accumulated in substep order), termination, flight and landing
-           bookkeeping, and the end-of-step foot contacts.
+        4. After the loop, in batches over all K substeps: termination, and
+           flight and landing bookkeeping, which carries state from one step
+           to the next.
+
+        The torque proxy and the end-of-step foot contacts are computed only
+        when read, from this step's buffers, by `joint_torques` and
+        `foot_contacts`.
 
         The result is bit-identical to a loop that does all of this substep
         by substep (the tests keep that loop as an oracle). The phases only
@@ -388,9 +463,12 @@ class PlanarEnv:
         ``c u + s (-w)``, ``x - y`` as ``x + (-y)``, a sum of two products
         in either order, a contact mask as a product with 0 or 1, a product
         with 1, a skipped addition as the addition of a zero, a clamp that
-        cannot bind as no clamp. Sums over the two legs are written out as
-        ``front + rear``, and the torque proxy is summed over the substeps
-        with a sequential accumulate, never a reduction numpy may reassociate.
+        cannot bind as no clamp, ``x - y <= 0`` as ``x <= y``, and numpy's
+        clip for a maximum and then a minimum, which differ at most in the
+        sign of a zero at a bound of zero. Sums over the two legs are written
+        out as ``front + rear``, and the torque proxy is summed over the
+        substeps in order: a reduction over the outer axis, never one numpy
+        may reassociate.
         """
         p = self.params
         a = np.asarray(actions, dtype=np.float64)
@@ -402,29 +480,29 @@ class PlanarEnv:
         if self._buffers is None or self._buffers.substeps != K:
             self._buffers = _StepBuffers(self, K)
         b = self._buffers
-        q_target = np.minimum(np.maximum(NOMINAL_JOINT_POS + p.action_scale * a,
-                                         self._lo), self._hi).T.copy()
+        target = b.target
+        np.copyto(target, a.T)
+        np.multiply(target, b.scale, out=target)
+        np.add(b.nominal, target, out=target)
+        _clip(target, b.lo, b.hi, target)
 
-        self._track_joints(b, q_target)
-        leg_kinematics(b.q[1:], b.qd, p, out=(b.body, b.jac))
+        self._track_joints(b, target)
+        leg_kinematics(b)
         self._integrate_body(b)
 
-        state = b.state
-        base = check_termination_arrays(state[1:, _Z], state[1:, _COS],
-                                        state[1:, _SIN], p)
+        state, pose = b.state, b.pose
+        np.copyto(pose[:3], state[1:, _COS:_OM + 1].transpose(1, 0, 2))
+        np.copyto(pose[3], state[1:, _Z])
+        base = check_termination_arrays(pose[3], pose[:2], p)
         landing, angle_report = self._account_flight(b, base)
-        # the last substep's legs, rotated by the final pitch
-        end, body = state[K], b.body[K - 1]
-        fz = end[_Z] + (end[_SIN] * body[0, 0] + end[_COS] * body[0, 1])
 
+        end = state[K]
         self.q[...] = b.q[K].T
         self.qd[...] = b.qd[K - 1].T
         self.pitch[...], self.z[...], self.x[...] = end[_POS_ROWS]
         self.om[...], self.vz[...], self.vx[...] = end[_VEL_ROWS]
         self.steps += 1
         return StepBatch(
-            foot_contacts=np.ascontiguousarray((fz < 0.0).T),
-            joint_torques=np.ascontiguousarray(self._torque_proxy(b, q_target).T),
             landing_event=landing,
             flight_traversed_angle=angle_report,
             terminal=base[K - 1],
@@ -434,7 +512,8 @@ class PlanarEnv:
     def _track_joints(self, b: "_StepBuffers", q_target: np.ndarray) -> None:
         """Phase 1: first-order, velocity-limited joint tracking of every
         substep into ``b.q`` (K + 1 rows, the first the current joints) and
-        ``b.qd`` (K rows).
+        ``b.qd`` (K rows). The target minus the joints before each substep
+        is kept in ``b.gap``, where the torque proxy reads it.
 
         A plain loop would clamp each new joint to its limits, as the
         target is. That clamp never binds, so it is left out: the joints
@@ -447,23 +526,18 @@ class PlanarEnv:
         between the joint and its target, inside the limits, and a clamp
         would return it unchanged.
         """
-        p = self.params
-        consts = np.array([p.tracking_rate, p.max_joint_vel, -p.max_joint_vel,
-                           p.dt_physics])
-        rate, vmax, nvmax, dt = (consts[i, ...] for i in range(4))
+        rate, vmax, nvmax, dt = b.track
         q, cmd = b.q, b.cmd
-        add, subtract, multiply, maximum, minimum = (
-            np.add, np.subtract, np.multiply, np.maximum, np.minimum)
+        add, subtract, multiply, clip = np.add, np.subtract, np.multiply, _clip
         q[0] = self.q.T
-        for cur, nxt in zip(q[:-1], q[1:]):
-            subtract(q_target, cur, cmd)
-            multiply(cmd, rate, cmd)
-            maximum(cmd, nvmax, out=cmd)
-            minimum(cmd, vmax, out=cmd)
+        for cur, nxt, gap in b.track_views:
+            subtract(q_target, cur, gap)
+            multiply(gap, rate, cmd)
+            clip(cmd, nvmax, vmax, cmd)
             multiply(cmd, dt, cmd)
             add(cur, cmd, nxt)
-        np.subtract(q[1:], q[:-1], out=b.qd)
-        b.qd /= dt
+        subtract(q[1:], q[:-1], out=b.qd)
+        np.divide(b.qd, dt, out=b.qd)
 
     def _integrate_body(self, b: "_StepBuffers") -> None:
         """Phase 3: contact forces and semi-implicit Euler integration of the
@@ -501,22 +575,17 @@ class PlanarEnv:
         this). So the ufuncs are bound to names once, and take ``out``
         positionally where numpy allows it.
         """
-        p = self.params
-        state, legs, inv_mass = b.state, b.legs, b.inv_mass
+        state, inv_mass = b.state, b.inv_mass
         state[0, _VEL_ROWS] = (self.om, self.vz, self.vx)
         state[0, _POS_ROWS] = (self.pitch, self.z, self.x)
         np.cos(self.pitch, out=state[0, _COS])
         np.sin(self.pitch, out=state[0, _SIN])
         np.divide(1.0, self.mass, out=inv_mass[2])
-        inv_mass[:2] = 1.0
         inv_mass[3:] = inv_mass[2]
-        consts = np.array([0.0, p.body_inertia, p.gravity, p.dt_physics,
-                           p.friction, -p.friction])
-        zero, inertia, gravity, dt, mu, neg_mu = (consts[i, ...] for i in range(6))
-        b.gains[...] = np.array([p.contact_damping, 1.0, -p.tangential_damping,
-                                 1.0, 1.0, -p.contact_stiffness])[:, None, None]
-        np.negative(legs[:, :4], out=legs[:, 4:])
-        np.take(legs, _ROT_C + _ROT_S, axis=1, out=b.ops, mode="clip")
+        zero, inertia, gravity, dt, mu, neg_mu = (
+            b.zero, b.inertia, b.gravity, b.dt, b.mu, b.neg_mu)
+        np.copyto(b.legs, b.kin.transpose(1, 0, 2, 3))
+        np.take(b.legs, b.rot_rows, axis=1, out=b.ops, mode="clip")
         add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
         maximum, minimum, heaviside, cos, sin, copyto = (
             np.maximum, np.minimum, np.heaviside, np.cos, np.sin, np.copyto)
@@ -566,30 +635,67 @@ class PlanarEnv:
             cos(pitch_n, cos_n)
             sin(pitch_n, sin_n)
 
-    def _torque_proxy(self, b: "_StepBuffers", q_target: np.ndarray) -> np.ndarray:
-        """Phase 4: the substep-averaged PD effort plus Jacobian-transpose
-        contact load, (4, E), summed in substep order."""
-        p = self.params
-        K, E = p.control_decimation, self.num_envs
-        tau, term, load, tmp = b.tau, b.term, b.load, b.tmp
-        np.subtract(q_target, b.q[1:], out=tau)
-        tau *= p.kp
-        np.multiply(b.qd, p.kd, out=tmp.reshape(K, 4, E))
-        tau -= tmp.reshape(K, 4, E)
-        c, s = b.state[:K, _COS, None, None], b.state[:K, _SIN, None, None]
-        jx, jz = b.jac[:, 0], b.jac[:, 1]     # (K, joint, leg, E)
-        # (c jx - s jz) ft + (s jx + c jz) fn
-        np.multiply(c, jx, out=term)
-        np.multiply(s, jz, out=tmp)
-        term -= tmp
-        term *= b.force[:, _FT, None]
-        np.multiply(s, jx, out=load)
-        np.multiply(c, jz, out=tmp)
-        load += tmp
-        load *= b.force[:, _FN, None]
-        term += load
-        tau.reshape(K, 2, 2, E)[...] += term.transpose(0, 2, 1, 3)
-        return np.add.accumulate(tau, axis=0)[K - 1] / K
+    # -- readers of the last step ------------------------------------------------
+
+    def _last_step(self) -> "_StepBuffers":
+        if self._buffers is None:
+            raise RuntimeError("no step has run yet: joint_torques and "
+                               "foot_contacts read the last step's buffers")
+        return self._buffers
+
+    def joint_torques(self, out: np.ndarray | None = None) -> np.ndarray:
+        """(E, 4) substep-averaged torque proxy of the last step, written
+        into ``out`` if given: the PD effort plus the Jacobian-transpose
+        contact load, summed in substep order.
+
+        It reads the last step's buffers, so it holds until the next step;
+        ``reset_rows`` leaves them as they are. Raises before the first step.
+        """
+        b = self._last_step()
+        K = b.substeps
+        add, subtract, multiply = np.add, np.subtract, np.multiply
+        trig, jac = b.trig_jac, b.jac
+        terms, parts = b.scratch
+        # the PD effort kp (target - q) - kd qd after each substep
+        subtract(b.target, b.q[K], b.gap[K])
+        tau, load = b.tau, b.load
+        multiply(b.gap[1:], b.kp, tau)
+        multiply(b.qd, b.kd, load)
+        subtract(tau, load, tau)
+        # the contact load (c jx - s jz) ft + (s jx + c jz) fn, with (c, s)
+        # and then (fn, ft) of each substep copied to the shape of the
+        # Jacobian
+        np.copyto(trig, b.state[:K, _COS:_SIN + 1].transpose(1, 0, 2)[:, None, :, None])
+        multiply(trig, jac, terms)                # (c jx, s jz)
+        multiply(trig[1], jac[0], parts[0])       # s jx
+        multiply(trig[0], jac[1], parts[1])       # c jz
+        add(parts[0], parts[1], parts[0])
+        subtract(terms[0], terms[1], parts[1])
+        np.copyto(terms, b.force[:, _FN:_FT + 1].transpose(1, 0, 2, 3)[:, None])
+        multiply(parts, terms, parts)             # ((s jx + c jz) fn, (c jx - s jz) ft)
+        add(parts[1], parts[0], terms[0])
+        np.copyto(load.reshape(K, 2, 2, -1), terms[0].transpose(1, 2, 0, 3))
+        add(tau, load, tau)
+        if out is None:
+            out = np.empty((self.num_envs, 4))
+        # the substeps are the outer axis, so numpy adds them one by one, in
+        # order; it sums pairwise only along the axis it loops over inside
+        np.add.reduce(tau, axis=0, out=out.T)
+        np.divide(out, b.substep_count, out=out)
+        return out
+
+    def foot_contacts(self) -> np.ndarray:
+        """(E, 2) bool: which feet are below the ground at the end of the
+        last step, front then rear. Holds until the next step, as
+        `joint_torques` does; raises before the first step."""
+        b = self._last_step()
+        K = b.substeps
+        # the last substep's legs, rotated by the final pitch
+        end, u, w = b.state[K], b.kin[_U, K - 1], b.kin[_W, K - 1]
+        fz = end[_Z] + (end[_SIN] * u + end[_COS] * w)
+        return np.ascontiguousarray((fz < 0.0).T)
+
+    # -- flight -------------------------------------------------------------------
 
     def _account_flight(self, b: "_StepBuffers", base: np.ndarray):
         """Phase 4: flight and landing bookkeeping over the K substeps.
@@ -618,7 +724,7 @@ class PlanarEnv:
         fa[...] = self.flight_angle
         if self.airborne.any() or in_flight.any():
             # a zero increment off flight leaves the angle as it is
-            inc = b.state[1:, _OM] * dt
+            inc = b.pose[_OM] * dt
             inc *= in_flight
             touched_any = touched.any(axis=1)
             landed, kept = held[:2], held[1:]

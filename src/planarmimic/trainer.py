@@ -213,13 +213,16 @@ def load_checkpoint(path) -> dict:
             raise ValueError(f"damaged checkpoint {path}: {e}") from None
 
 
-def run_inputs(cfg: TrainConfig, windowed: bool = True) -> tuple:
+def run_inputs(cfg: TrainConfig, windowed: bool = True,
+               datasets: dict | None = None) -> tuple:
     """``(cfg, dataset)``: ``cfg`` with its ``refs`` made absolute, so a
     run's checkpoints name its data from any working directory, and the data
     ``refs`` names. Raises ``ConfigError`` unless ``cfg`` validates, names
     data that exists and, if ``windowed`` (the caller reads critic windows),
     has a ``disc.horizon`` that fits in every trajectory; data that does not
-    parse raises ``ValueError``."""
+    parse raises ``ValueError``. ``datasets`` maps absolute ``refs`` paths
+    to the data read from them: a path in it is not read again, and a path
+    read is added to it."""
     errors = cfg.validate()
     if not cfg.refs or not Path(cfg.refs).exists():
         errors.append(f"refs must point at reference data that exists "
@@ -227,7 +230,10 @@ def run_inputs(cfg: TrainConfig, windowed: bool = True) -> tuple:
     if errors:
         raise ConfigError(errors)
     cfg.refs = str(Path(cfg.refs).absolute())
-    dataset = load_reference_dataset(cfg.refs, 1)
+    datasets = {} if datasets is None else datasets
+    if cfg.refs not in datasets:
+        datasets[cfg.refs] = load_reference_dataset(cfg.refs, 1)
+    dataset = datasets[cfg.refs]
     shortest = min(t.shape[0] for t in dataset.trajectories)
     if windowed and shortest < cfg.disc.horizon:
         raise ConfigError([f"disc.horizon ({cfg.disc.horizon}) must not exceed the "
@@ -240,6 +246,8 @@ def open_checkpoint(checkpoint, keys=(), windowed: bool = True) -> tuple:
     ``load_checkpoint`` read from one: the dict, and ``run_inputs`` of its
     config with ``keys``, ``(key, value)`` pairs, over it."""
     ckpt = checkpoint if isinstance(checkpoint, dict) else load_checkpoint(checkpoint)
+    if not isinstance(ckpt.get("config"), dict):
+        raise ValueError("checkpoint has no 'config'")
     cfg = build_config(keys=[*ckpt["config"].items(), *keys])
     return (ckpt, *run_inputs(cfg, windowed))
 
@@ -574,6 +582,11 @@ def rollout_batch(cfg: TrainConfig, policy: GaussianPolicy, frames: int,
     stand-up mean is taken over the row's live steps only, and a backflip
     landing counts only while the row is live. Frozen rows repeat their last
     action until every row is done; their history still advances, unread.
+
+    Each step's observation features are computed once, for the sequences
+    and the history. Until a row is done, the policy and the sequences take
+    every row without selecting any. The end-of-step foot contacts are read
+    only for the stand-up tally.
     """
     R = len(seeds)
     env = PlanarEnv(cfg.sim, num_envs=R, seed=list(seeds))
@@ -584,6 +597,7 @@ def rollout_batch(cfg: TrainConfig, policy: GaussianPolicy, frames: int,
     live_steps = np.zeros(R, dtype=np.int64)
     backflip_total = np.zeros(R)
     done = np.zeros(R, dtype=bool)
+    every = live = slice(None)  # the rows not done: every row until one is
     action = np.zeros((R, ACTION_DIM))
     obs = np.empty((R, 1, POLICY_OBS_DIM))
     cache = ForwardCache()
@@ -592,25 +606,28 @@ def rollout_batch(cfg: TrainConfig, policy: GaussianPolicy, frames: int,
         # each row is its own one-row product, stacked in one forward: a
         # many-row matrix product rounds differently from a one-row product,
         # and a falling robot amplifies that ~1e-17 to 1e-8 within 100 steps
-        live = np.flatnonzero(~done)
         mean, _ = policy.net.forward(obs[live], cache)
         action[live] = mean[:, 0]
         result = env.step(action)
-        seqs[:, t] = np.where(done[:, None], seqs[:, t - 1],
-                              env.observation_features())
+        features = env.observation_features()
+        seqs[:, t] = features
+        if live is not every:
+            seqs[done, t] = seqs[done, t - 1]
         if collect_handcrafted:
             standup_terms[:, t - 1] = handcrafted_standup_reward(
-                env.pitch, env.z, result.foot_contacts[:, 0])
+                env.pitch, env.z, env.foot_contacts()[:, 0])
             # backward rotation counts positive for the flip reward
             np.add(backflip_total, handcrafted_backflip_reward(
                 -result.flight_traversed_angle, True), out=backflip_total,
                 where=result.landing_event & ~done)
             live_steps += ~done
-        done |= result.terminal
-        if done.all():
-            seqs[:, t + 1:] = seqs[:, t, None]
-            break
-        history.advance(action)
+        if result.terminal.any():
+            done |= result.terminal
+            if done.all():
+                seqs[:, t + 1:] = seqs[:, t, None]
+                break
+            live = np.flatnonzero(~done)
+        history.advance(action, features)
     # a row's live steps are a prefix of its terms: np.mean sums that slice
     # pairwise, as it summed the list of them
     extras = [{"standup_mean": float(np.mean(terms[:n])) if n else 0.0,

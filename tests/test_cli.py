@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from planarmimic import cli
+from planarmimic import trainer as trainer_module
 from planarmimic.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from planarmimic.config import save_config
 from planarmimic.core import save_reference_csv
@@ -342,6 +343,17 @@ class TestRetiredConfigKeys:
 
 
 class TestCheckpointFormat:
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_checkpoint_without_a_config_names_the_key(self, checkpoint, tmp_path,
+                                                       capsys, command):
+        # it failed with the bare message "error: 'config'"
+        ckpt = load_checkpoint(checkpoint)
+        del ckpt["config"]
+        bad, out = write_checkpoint(tmp_path / "bad.npz", ckpt), tmp_path / "out"
+        assert main([command, "--checkpoint", str(bad), "--out", str(out)]) == EXIT_RUNTIME
+        assert "checkpoint has no 'config'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_json_checkpoint_is_a_runtime_failure(self, tmp_path, capsys):
         old, out = tmp_path / "old.json", tmp_path / "eval.json"
         old.write_text('{"format_version": 2}\n')
@@ -499,6 +511,21 @@ class TestSweep:
         for name in ("metrics.jsonl", "eval.json"):
             got = (sweep / "out" / f"run_{run:03d}" / name).read_bytes()
             assert got == (solo / name).read_bytes()
+
+    def test_one_refs_path_is_read_once(self, tmp_path, monkeypatch):
+        reads = []
+        load = trainer_module.load_reference_dataset
+        monkeypatch.setattr(trainer_module, "load_reference_dataset",
+                            lambda path, horizon: reads.append(path) or load(path, horizon))
+        save_config(tiny_config(tmp_path=tmp_path), tmp_path / "base.txt")
+        argv = ["sweep", "--config", str(tmp_path / "base.txt"),
+                "--out", str(tmp_path / "out"), "--quiet"]
+        for entry in ("seed=3", "seed=4", "disc.loss_kind=wgan", "disc.loss_kind=lsgan",
+                      "iterations=1"):
+            argv += ["--grid", entry]
+        assert main(argv) == EXIT_OK
+        assert len(json.loads((tmp_path / "out" / "summary.json").read_text())) == 4
+        assert len(reads) == 1
 
     def test_bad_last_point_fails_before_any_run(self, tmp_path):
         save_config(tiny_config(tmp_path=tmp_path), tmp_path / "base.txt")

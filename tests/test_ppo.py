@@ -183,7 +183,7 @@ def oracle_collect(collector, policy, value_net, disc_net, imitation):
         r_term = termination_penalty(result.terminal, cfg.gamma)
         r_reg = regularization_reward(
             actions, prev_action, env.qd, prev_joint_vel,
-            result.joint_torques, env.om, env.params.control_dt, weights)
+            env.joint_torques(), env.om, env.params.control_dt, weights)
         rewards = total_reward(r_imit, r_term, r_reg, weights.w_imitation)
 
         dones = result.terminal | result.timeout

@@ -18,8 +18,9 @@ def quiet_params(**kwargs):
 
 def terminated(params, base_z, pitch=0.0):
     """The termination test for one body."""
-    return bool(check_termination_arrays(np.array([base_z]), np.cos([pitch]),
-                                         np.sin([pitch]), params)[0])
+    return bool(check_termination_arrays(np.array([base_z]),
+                                         np.stack([np.cos([pitch]), np.sin([pitch])]),
+                                         params)[0])
 
 
 class TestReset:
@@ -150,16 +151,17 @@ class TestDeterminism:
         action = np.array([[0.2, -0.1, 0.05, 0.3]])
         env = PlanarEnv(params, num_envs=1, seed=0)
         start = env_state(env)
-        r1 = env.step(action)
+        env.step(action)
+        t1 = env.joint_torques()
         s1 = env_state(env)
         other = PlanarEnv(params, num_envs=1, seed=99)
         other.step(-action)
         load_env_state(other, start)
-        r2 = other.step(action)
+        other.step(action)
         assert other.z[0] == env.z[0]
         assert other.vx[0] == env.vx[0]
         assert np.array_equal(other.q[0], env.q[0])
-        assert np.array_equal(r1.joint_torques, r2.joint_torques)
+        assert np.array_equal(t1, other.joint_torques())
         assert_same_state(env_state(other), s1)
 
     def test_rollout_independent_of_batch_size(self):
@@ -203,7 +205,7 @@ class TestDeterminism:
                 for name in fields:
                     assert np.array_equal(getattr(batch, name)[i],
                                           getattr(single, name)[0]), (t, i, name)
-                assert np.array_equal(result.joint_torques[i], one.joint_torques[0])
+                assert np.array_equal(batch.joint_torques()[i], single.joint_torques()[0])
                 assert result.terminal[i] == one.terminal[0]
 
     def test_seed_sequence_length_must_match(self):
@@ -299,9 +301,10 @@ class TestActionEffects:
 
     def test_torque_proxy_is_finite_and_nonzero_on_ground(self):
         env = PlanarEnv(quiet_params(), num_envs=1, seed=0)
-        res = env.step(np.full((1, 4), 0.2))
-        assert np.all(np.isfinite(res.joint_torques))
-        assert np.any(res.joint_torques != 0.0)
+        env.step(np.full((1, 4), 0.2))
+        torques = env.joint_torques()
+        assert np.all(np.isfinite(torques))
+        assert np.any(torques != 0.0)
 
 
 class TestRoughDemos:
@@ -394,10 +397,10 @@ class TestStateViews:
         env.step(np.random.default_rng(0).normal(size=(3, 4)) * 0.2)
         other = PlanarEnv(params, num_envs=3, seed=999)
         load_env_state(other, env_state(env))
-        a = env.step(np.zeros((3, 4)))
-        b = other.step(np.zeros((3, 4)))
+        env.step(np.zeros((3, 4)))
+        other.step(np.zeros((3, 4)))
         assert np.array_equal(env.z, other.z)
-        assert np.array_equal(a.joint_torques, b.joint_torques)
+        assert np.array_equal(env.joint_torques(), other.joint_torques())
         assert_same_state(env_state(other), env_state(env))
 
 
@@ -433,9 +436,10 @@ def assert_same_state(got, expected):
 
 # ---------------------------------------------------------------------------
 # Slow oracle: the substep-by-substep step that the phased step replaced,
-# kept as it was with ``self`` renamed to ``env``, the input checks dropped
-# and the joint limits read from the params. The phased step must match it
-# bit for bit.
+# kept as it was with ``self`` renamed to ``env``, the input checks dropped,
+# the joint limits read from the params, and the torque proxy and the
+# end-of-step foot contacts returned beside the batch (the step leaves them
+# to its readers). The phased step must match it bit for bit.
 # ---------------------------------------------------------------------------
 
 def oracle_foot_kinematics(env):
@@ -520,8 +524,8 @@ def oracle_step(env, actions):
         torque_accum += tau
 
         feet_air = ~active.any(axis=1)
-        body_air = ~check_termination_arrays(env.z, np.cos(env.pitch),
-                                             np.sin(env.pitch), p)
+        body_air = ~check_termination_arrays(
+            env.z, np.stack([np.cos(env.pitch), np.sin(env.pitch)]), p)
         in_flight = feet_air & body_air
         touched_down = env.airborne & ~feet_air
         if touched_down.any():
@@ -532,19 +536,19 @@ def oracle_step(env, actions):
         env.airborne = in_flight
 
     env.steps += 1
-    terminal = check_termination_arrays(env.z, np.cos(env.pitch),
-                                        np.sin(env.pitch), p)
+    terminal = check_termination_arrays(
+        env.z, np.stack([np.cos(env.pitch), np.sin(env.pitch)]), p)
     timeout = env.steps * p.control_dt >= p.max_episode_time - 1e-12
 
     angle_report = np.where(landing, landing_angle, env.flight_angle)
-    return StepBatch(
-        foot_contacts=oracle_foot_kinematics(env)[4] < 0.0,
-        joint_torques=torque_accum / p.control_decimation,
+    batch = StepBatch(
         landing_event=landing,
         flight_traversed_angle=angle_report,
         terminal=terminal,
         timeout=timeout,
     )
+    return (batch, torque_accum / p.control_decimation,
+            oracle_foot_kinematics(env)[4] < 0.0)
 
 
 ORACLE_STATE = ("x", "z", "pitch", "vx", "vz", "om", "q", "qd", "flight_angle",
@@ -567,10 +571,12 @@ def run_against_oracle(params, num_envs, steps, scale, seed=0):
     for t in range(steps):
         actions = scale * rng.standard_normal((num_envs, 4))
         got = fast.step(actions)
-        want = oracle_step(slow, actions)
-        # foot_contacts among them, against the oracle's end-of-step feet
+        want, torques, contacts = oracle_step(slow, actions)
         for name in StepBatch.__dataclass_fields__:
             assert_same_bits(getattr(got, name), getattr(want, name), (t, name))
+        # the readers, against the oracle's torques and end-of-step feet
+        assert_same_bits(fast.joint_torques(), torques, (t, "joint_torques"))
+        assert_same_bits(fast.foot_contacts(), contacts, (t, "foot_contacts"))
         for name in ORACLE_STATE:
             assert_same_bits(getattr(fast, name), getattr(slow, name), (t, name))
         landings += int(want.landing_event.sum())
@@ -637,9 +643,9 @@ class TestStepMatchesOracle:
         contacts = 0
         for t in range(40):
             result = env.step(rng.normal(size=(5, 4)))
-            assert_same_bits(result.foot_contacts,
+            assert_same_bits(env.foot_contacts(),
                              oracle_foot_kinematics(env)[4] < 0.0, (t, "contacts"))
-            contacts += int(result.foot_contacts.sum())
+            contacts += int(env.foot_contacts().sum())
             env.reset_rows(result.terminal | result.timeout)
         assert 0 < contacts < 40 * 5 * 2
 
@@ -657,7 +663,10 @@ class UfuncProbe:
         self.calls = []
 
     def __getattr__(self, name):
-        attr = getattr(np, name)
+        return self.wrap(name, getattr(np, name))
+
+    def wrap(self, name, attr):
+        """``attr``, recording its calls under ``name`` if it is callable."""
         if isinstance(attr, type) or not callable(attr):
             return attr
         probe = self
@@ -695,13 +704,17 @@ class UfuncProbe:
 
 
 def probed(monkeypatch, call):
-    """The numpy calls the sim module makes in ``call()``."""
+    """The numpy calls the sim module makes in ``call()``, its clip ufunc's
+    among them."""
     probe = UfuncProbe()
+    clip = sim_module._clip
     monkeypatch.setattr(sim_module, "np", probe)
+    monkeypatch.setattr(sim_module, "_clip", probe.wrap("clip", clip))
     try:
         call()
     finally:
         monkeypatch.setattr(sim_module, "np", np)
+        monkeypatch.setattr(sim_module, "_clip", clip)
     return probe.calls
 
 
@@ -738,19 +751,102 @@ class TestContactLoopFastPath:
         assert sum(fast is None for _, fast in loop) == 20 * 2   # the copies
 
 
+class TestBatchedPhasesFastPath:
+    """Leg kinematics, the termination check and the torque proxy run on
+    component-first copies of the loops' rows, so that each of their ufunc
+    calls takes the fast path as the contact loop's do."""
+
+    @staticmethod
+    def stepped_env(num_envs):
+        env = PlanarEnv(SimParams(), num_envs=num_envs, seed=1)
+        env.step(np.random.default_rng(0).normal(size=(num_envs, 4)))
+        return env
+
+    @pytest.mark.parametrize("num_envs", [1, 16, 256])
+    @pytest.mark.parametrize("phase", ["leg_kinematics", "termination", "torque_proxy"])
+    def test_every_ufunc_call_takes_the_fast_path(self, monkeypatch, phase, num_envs):
+        env = self.stepped_env(num_envs)
+        b = env._buffers
+        call = {
+            "leg_kinematics": lambda: sim_module.leg_kinematics(b),
+            "termination": lambda: check_termination_arrays(b.pose[3], b.pose[:2],
+                                                            env.params),
+            "torque_proxy": lambda: env.joint_torques(out=np.empty((num_envs, 4))),
+        }[phase]
+        ufuncs = [fast for _, fast in probed(monkeypatch, call) if fast is not None]
+        assert len(ufuncs) >= 5 and all(ufuncs)
+
+    @pytest.mark.parametrize("num_envs", [1, 16, 256])
+    def test_so_does_every_ufunc_call_of_a_step(self, monkeypatch, num_envs):
+        # seeded steps with landings, terminations and resets, each with its
+        # torques read as the collector reads them
+        env = self.stepped_env(num_envs)
+        out = np.empty((num_envs, 4))
+        rng = np.random.default_rng(2)
+        for t in range(10):
+            actions = 3.0 * rng.standard_normal((num_envs, 4))
+            results = []
+            calls = probed(monkeypatch, lambda: (results.append(env.step(actions)),
+                                                 env.joint_torques(out=out)))
+            slow = [name for name, fast in calls if fast is False]
+            assert not slow, (t, slow)
+            env.reset_rows(results[0].terminal | results[0].timeout)
+
+
+class TestReaders:
+    @pytest.mark.parametrize("reader", ["joint_torques", "foot_contacts"])
+    def test_a_reader_raises_before_the_first_step(self, reader):
+        env = PlanarEnv(SimParams(), num_envs=2, seed=0)
+        with pytest.raises(RuntimeError, match="no step has run yet"):
+            getattr(env, reader)()
+
+    def test_a_reader_holds_until_the_next_step(self):
+        # reading again, or after a reset, gives the last step's values
+        env = PlanarEnv(SimParams(), num_envs=4, seed=3)
+        env.step(np.random.default_rng(1).normal(size=(4, 4)))
+        torques, contacts = env.joint_torques(), env.foot_contacts()
+        env.reset_rows(np.ones(4, dtype=bool))
+        out = np.empty((4, 4))
+        assert env.joint_torques(out=out) is out
+        assert_same_bits(out, torques, "joint_torques")
+        assert_same_bits(env.foot_contacts(), contacts, "foot_contacts")
+
+
 class TestCallBudget:
-    @pytest.mark.parametrize("num_envs", [1, 16])
-    def test_a_step_makes_at_most_720_numpy_calls(self, monkeypatch, num_envs):
-        # steps after the first, which builds the step's buffers
+    """The numpy calls of a step, its clip ufunc's among them, on seeded
+    steps after the first, which builds the step's buffers. A step without
+    flight makes 695 at any E: 5 per substep in joint tracking, 28 per
+    substep in the contact loop and 35 others. Flight adds one, and each
+    substep in which a foot lands one more. Reading the torques as the
+    collector does adds 17."""
+
+    @staticmethod
+    def seeded_calls(monkeypatch, num_envs, torques):
         env = PlanarEnv(SimParams(), num_envs=num_envs, seed=1)
         env.step(np.zeros((num_envs, 4)))
+        out = np.empty((num_envs, 4))
         rng = np.random.default_rng(0)
         for t in range(20):
             actions = rng.standard_normal((num_envs, 4))
             results = []
-            calls = probed(monkeypatch, lambda: results.append(env.step(actions)))
-            assert len(calls) <= 720, t
+
+            def call():
+                results.append(env.step(actions))
+                if torques:
+                    env.joint_torques(out=out)
+            yield t, len(probed(monkeypatch, call))
             env.reset_rows(results[0].terminal | results[0].timeout)
 
-    def test_joint_tracking_makes_6_calls_per_substep(self, monkeypatch):
-        assert per_substep(monkeypatch, "_track_joints", 4)[0] == 6
+    @pytest.mark.parametrize("num_envs", [1, 16])
+    def test_a_step_makes_at_most_702_numpy_calls(self, monkeypatch, num_envs):
+        for t, count in self.seeded_calls(monkeypatch, num_envs, torques=False):
+            assert count <= 702, t
+
+    @pytest.mark.parametrize("num_envs", [1, 16])
+    def test_a_step_and_its_torques_make_at_most_719_numpy_calls(self, monkeypatch,
+                                                                 num_envs):
+        for t, count in self.seeded_calls(monkeypatch, num_envs, torques=True):
+            assert count <= 719, t
+
+    def test_joint_tracking_makes_5_calls_per_substep(self, monkeypatch):
+        assert per_substep(monkeypatch, "_track_joints", 4)[0] == 5

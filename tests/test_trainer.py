@@ -837,7 +837,7 @@ def oracle_rollout(cfg, policy, frames, seed):
         result = env.step(action)
         seq[t] = env.observation_features()[0]
         standup_terms.append(handcrafted_standup_reward(
-            float(env.pitch[0]), float(env.z[0]), bool(result.foot_contacts[0, 0])))
+            float(env.pitch[0]), float(env.z[0]), bool(env.foot_contacts()[0, 0])))
         if result.landing_event[0]:
             backflip_total += handcrafted_backflip_reward(
                 -float(result.flight_traversed_angle[0]), True)
