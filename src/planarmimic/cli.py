@@ -23,7 +23,7 @@ only place that decides precedence. Each step beats the ones before it:
 A resume takes only ``--iterations`` and ``--out``. ``eval`` reads only its
 checkpoint's config and policy, and builds no trainer.
 
-``train`` writes a checkpoint (format 5, see ``trainer``) every
+``train`` writes a checkpoint (format 6, see ``trainer``) every
 ``checkpoint_interval`` iterations as ``checkpoint_<n>.npz``, the iteration
 in six digits (``checkpoint_000500.npz``), and at the end as
 ``checkpoint_final.npz``. ``eval``, ``analyze`` and ``train --resume`` tell
@@ -56,6 +56,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -99,9 +100,23 @@ def _count(text: str) -> int:
     return value
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _non_negative(text: str) -> float:
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is not >= 0")
+    return value
+
+
 def _range(text: str):
     try:
-        low, high = (float(part) for part in text.split(","))
+        low, high = (_finite(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not 'low,high'") from None
     return low, high
@@ -122,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory (or file with --single-file)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trajectories", type=_count, default=DEMO_TRAJECTORIES)
-    p.add_argument("--noise-scale", type=float, default=1.0)
-    p.add_argument("--height-offset", type=float, default=0.0)
+    p.add_argument("--noise-scale", type=_non_negative, default=1.0)
+    p.add_argument("--height-offset", type=_finite, default=0.0)
     p.add_argument("--single-file", action="store_true",
                    help="write one multi-trajectory CSV instead of one file per trajectory")
 

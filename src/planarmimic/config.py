@@ -3,6 +3,7 @@ nesting, full-field validation, and per-task defaults."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -75,6 +76,12 @@ class TrainConfig:
             errors.append("iterations must be >= 1")
         if self.checkpoint_interval < 1:
             errors.append("checkpoint_interval must be >= 1")
+        # a NaN passes every comparison below, and an infinity most
+        for section in _NESTED:
+            for name, value in vars(getattr(self, section)).items():
+                entries = value if isinstance(value, tuple) else (value,)
+                if not all(math.isfinite(v) for v in entries if isinstance(v, float)):
+                    errors.append(f"{section}.{name} must be finite, got {value!r}")
         errors += self.sim.validate()
         errors += self.disc.validate()
         errors += self.ppo.validate()

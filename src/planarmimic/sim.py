@@ -8,27 +8,28 @@ legs carry no mass, a joint-torque proxy (PD effort plus Jacobian-transpose
 contact load) stands in for actuator torque in the regularization penalties.
 
 Everything is batched over environments; a batch of one gives the scalar
-semantics used in tests. A control step runs its physics substeps in four
+semantics used in tests. A control step runs its physics substeps in three
 phases split along their data dependencies (see `PlanarEnv.step`): joint
 tracking, then body-frame leg kinematics of every substep in one batch, then
-the contact-and-body loop that alone must go substep by substep, then
-termination and flight bookkeeping in batches over all substeps. Each value
-comes from the same IEEE operations, in the same order, as in a plain loop
-over the substeps, so the result is bit-identical to it.
+the contact-and-body loop that alone must go substep by substep; the
+termination check reads the final state only. Each value comes from the same
+IEEE operations, in the same order, as in a plain loop over the substeps, so
+the result is bit-identical to it.
 
 A step computes only what every caller reads. The torque proxy (read by
-training's regularizer) and the end-of-step foot contacts (read by eval's
-stand-up tally) come from two readers, `PlanarEnv.joint_torques` and
-`PlanarEnv.foot_contacts`, which work from the last step's buffers: a reader
-holds until the next step, `PlanarEnv.reset_rows` leaves it as it is, and a
-reader called before the first step raises.
+training's regularizer), the end-of-step foot contacts (read by eval's
+stand-up tally) and the flight and landing bookkeeping (read by eval's
+backflip tally) come from three readers, `PlanarEnv.joint_torques`,
+`PlanarEnv.foot_contacts` and `PlanarEnv.flight`, which work from the last
+step's buffers: a reader holds until the next step, `PlanarEnv.reset_rows`
+leaves it as it is, and a reader called before the first step raises. The
+flight state that carries from one step to the next is the caller's.
 
 At small E a step's time is numpy's per-call cost: its calls work on arrays of
-a few rows of E values. At the default 20 substeps a step makes 695 numpy
-calls: 5 per substep in joint tracking, 28 per substep in the contact-and-body
-loop, and 35 others (6 in the prologue, 2 for the joint rates, 14 in leg
-kinematics, 5 to set up the loop, 7 for termination, 1 for flight), plus one
-when a foot is in flight and one for each substep in which a foot lands.
+a few rows of E values. At the default 20 substeps every step makes 692 numpy
+calls, whatever the state: 5 per substep in joint tracking, 28 per substep in
+the contact-and-body loop, and 32 others (6 in the prologue, 2 for the joint
+rates, 14 in leg kinematics, 5 to set up the loop, 5 for termination).
 `joint_torques` makes 17. Rows are stacked so that one call serves several
 terms (see `PlanarEnv._integrate_body` and `leg_kinematics`).
 
@@ -40,8 +41,8 @@ several times the cost of a small call. The buffers are laid out for this
 (see `_StepBuffers`): the loops over the substeps lead with the substep, the
 batched phases with the component, and one copy per array moves rows between
 the two. Tests check every call of each phase and the count of a step's
-calls. Only the flight bookkeeping's operators on a few boolean rows, and
-`foot_contacts`, read strided or broadcast operands.
+calls. Only the readers `foot_contacts` and `flight`, which eval alone calls,
+read strided or broadcast operands.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ class SimParams:
             errors.append("sim.body_mass and sim.body_inertia must be > 0")
         if self.mass_perturb_high < self.mass_perturb_low:
             errors.append("sim.mass_perturb_high must be >= sim.mass_perturb_low")
-        if self.body_mass + self.mass_perturb_low <= 0:
+        if not self.body_mass + self.mass_perturb_low > 0:
             errors.append("sim.body_mass + sim.mass_perturb_low must be > 0")
         if len(self.link_lengths) != 2:
             errors.append("sim.link_lengths must have 2 entries (thigh, shank)")
@@ -154,15 +155,13 @@ class SimParams:
 
 @dataclass
 class StepBatch:
-    """Outcome of one control step for every environment. The step's torque
-    proxy and end-of-step foot contacts are not part of it: the readers
-    `PlanarEnv.joint_torques` and `PlanarEnv.foot_contacts` compute them from
-    the step's buffers for the callers that read them."""
+    """Outcome of one control step for every environment: whether each
+    episode ended. The readers `PlanarEnv.joint_torques`,
+    `PlanarEnv.foot_contacts` and `PlanarEnv.flight` compute the rest from
+    the step's buffers for the callers that read it."""
 
-    landing_event: np.ndarray         # (E,) bool, air -> ground this step
-    flight_traversed_angle: np.ndarray  # (E,) rad, signed pitch integral in flight
-    terminal: np.ndarray              # (E,) bool, body polygon touched ground
-    timeout: np.ndarray               # (E,) bool, episode clock expired
+    terminal: np.ndarray  # (E,) bool, body polygon on the ground at the end
+    timeout: np.ndarray   # (E,) bool, episode clock expired
 
 
 def check_termination_arrays(base_z, trig, params: SimParams):
@@ -258,11 +257,11 @@ class _StepBuffers:
     operand has the shape of the call's output and is contiguous, or is
     0-d. The loops over the substeps (joint tracking, contact and body)
     work on one substep's rows, so their arrays lead with the substep
-    (K-first). The batched phases (leg kinematics, termination, the torque
-    proxy) work on one component over all substeps, so their arrays lead
-    with the component (component-first); a broadcasting ``np.copyto``
-    moves rows between the two layouts, and operands that would broadcast
-    are built at the output's shape. E is last everywhere.
+    (K-first). The batched phases (leg kinematics, the torque proxy) work
+    on one component over all substeps, so their arrays lead with the
+    component (component-first); a broadcasting ``np.copyto`` moves rows
+    between the two layouts, and operands that would broadcast are built
+    at the output's shape. E is last everywhere.
 
     In the contact loop, per-leg arrays are (component, leg, E); the
     per-env rows a per-leg call reads are copied per leg first, in two
@@ -334,11 +333,6 @@ class _StepBuffers:
         self.moment = np.empty((2, 2, E))
         self.acc = np.empty((5, E))               # (alpha, -, az, -, ax)
         self.inv_mass = np.ones((5, E))           # (1, -, 1/m, -, 1/m)
-        # termination and flight, component-first: (cos, sin, om, z) after
-        # each substep; scratch of the flight bookkeeping: the landing
-        # angle, the flight angle, zeros
-        self.pose = np.empty((4, K, E))
-        self.held = np.zeros((3, E))
         # the torque proxy: the effort of each substep and the contact load,
         # K-first as the joints; (cos, sin) of each substep copied to the
         # Jacobian's shape for the load's terms, which are component-first
@@ -360,8 +354,7 @@ class _StepBuffers:
 
 # the arrays of an env's state, each with a row per env: with the rows'
 # generators, what a checkpoint keeps of an env
-STATE_ARRAYS = ("x", "z", "pitch", "vx", "vz", "om", "q", "qd", "mass",
-                "flight_angle", "steps", "airborne")
+STATE_ARRAYS = ("x", "z", "pitch", "vx", "vz", "om", "q", "qd", "mass", "steps")
 
 
 class PlanarEnv:
@@ -400,8 +393,6 @@ class PlanarEnv:
         self.qd = np.zeros((E, 4))
         self.steps = np.zeros(E, dtype=np.int64)
         self.mass = np.full(E, params.body_mass)
-        self.flight_angle = np.zeros(E)
-        self.airborne = np.zeros(E, dtype=bool)
         self._buffers = None
         self.reset_rows(np.ones(E, dtype=bool))
 
@@ -423,13 +414,11 @@ class PlanarEnv:
                 hn[k] = rng.uniform(-p.reset_noise_height, p.reset_noise_height)
             if p.mass_perturb_high > p.mass_perturb_low:
                 dm[k] = rng.uniform(p.mass_perturb_low, p.mass_perturb_high)
-        for a in (self.x, self.pitch, self.vx, self.vz, self.om, self.qd,
-                  self.steps, self.flight_angle):
+        for a in (self.x, self.pitch, self.vx, self.vz, self.om, self.qd, self.steps):
             a[rows] = 0
         self.z[rows] = p.nominal_height() + hn
         self.q[rows] = np.clip(NOMINAL_JOINT_POS + jn, self._lo, self._hi)
         self.mass[rows] = p.body_mass + dm
-        self.airborne[rows] = False
 
     # -- stepping ---------------------------------------------------------------
 
@@ -438,7 +427,7 @@ class PlanarEnv:
         substeps). ``actions`` are joint-target offsets from the nominal pose,
         scaled by ``action_scale`` and clipped to the joint limits.
 
-        The K = ``control_decimation`` substeps run in four phases, split
+        The K = ``control_decimation`` substeps run in three phases, split
         along their data dependencies:
 
         1. Joint tracking depends only on the joints and their targets, so it
@@ -447,13 +436,13 @@ class PlanarEnv:
         3. Contact forces and body integration: the only loop that must run
            substep by substep. The pitch's cos and sin at the end of a
            substep are carried into the next one.
-        4. After the loop, in batches over all K substeps: termination, and
-           flight and landing bookkeeping, which carries state from one step
-           to the next.
 
-        The torque proxy and the end-of-step foot contacts are computed only
-        when read, from this step's buffers, by `joint_torques` and
-        `foot_contacts`.
+        Then the termination check reads the final state. Every step makes
+        the same 692 numpy calls at the default 20 substeps.
+
+        The torque proxy, the end-of-step foot contacts and the flight and
+        landing bookkeeping are computed only when read, from this step's
+        buffers, by `joint_torques`, `foot_contacts` and `flight`.
 
         The result is bit-identical to a loop that does all of this substep
         by substep (the tests keep that loop as an oracle). The phases only
@@ -490,22 +479,14 @@ class PlanarEnv:
         leg_kinematics(b)
         self._integrate_body(b)
 
-        state, pose = b.state, b.pose
-        np.copyto(pose[:3], state[1:, _COS:_OM + 1].transpose(1, 0, 2))
-        np.copyto(pose[3], state[1:, _Z])
-        base = check_termination_arrays(pose[3], pose[:2], p)
-        landing, angle_report = self._account_flight(b, base)
-
-        end = state[K]
+        end = b.state[K]
         self.q[...] = b.q[K].T
         self.qd[...] = b.qd[K - 1].T
         self.pitch[...], self.z[...], self.x[...] = end[_POS_ROWS]
         self.om[...], self.vz[...], self.vx[...] = end[_VEL_ROWS]
         self.steps += 1
         return StepBatch(
-            landing_event=landing,
-            flight_traversed_angle=angle_report,
-            terminal=base[K - 1],
+            terminal=check_termination_arrays(end[_Z], end[_COS:_SIN + 1], p),
             timeout=self.steps >= p.episode_steps,
         )
 
@@ -639,8 +620,8 @@ class PlanarEnv:
 
     def _last_step(self) -> "_StepBuffers":
         if self._buffers is None:
-            raise RuntimeError("no step has run yet: joint_torques and "
-                               "foot_contacts read the last step's buffers")
+            raise RuntimeError("no step has run yet: joint_torques, foot_contacts "
+                               "and flight read the last step's buffers")
         return self._buffers
 
     def joint_torques(self, out: np.ndarray | None = None) -> np.ndarray:
@@ -695,47 +676,42 @@ class PlanarEnv:
         fz = end[_Z] + (end[_SIN] * u + end[_COS] * w)
         return np.ascontiguousarray((fz < 0.0).T)
 
-    # -- flight -------------------------------------------------------------------
-
-    def _account_flight(self, b: "_StepBuffers", base: np.ndarray):
-        """Phase 4: flight and landing bookkeeping over the K substeps.
+    def flight(self, airborne: np.ndarray, flight_angle: np.ndarray) -> tuple:
+        """Flight and landing bookkeeping of the last step over its substeps,
+        for a caller that keeps each row's flight state: ``airborne``, (E,)
+        bool, and ``flight_angle``, (E,) rad, which it updates in place. The
+        caller calls it once after each step it tracks, and clears a row
+        (False, 0.0) when it resets it.
 
         A substep is in flight when neither foot nor the body touches the
         ground; a foot touching down after a flight substep is a landing,
         which reports the pitch traversed since take-off and restarts the
-        count. Returns (landing, angle): the landing flag and the reported
-        angle, the one at the last landing or else the running flight angle.
+        count. Returns (landing, angle), each (E,): the landing flag and the
+        reported angle, the one at the last landing or else the running
+        flight angle. Raises before the first step.
         """
-        dt = self.params.dt_physics
-        contact = b.contact > 0.0
-        foot_down = contact[:, 0] | contact[:, 1]
-        in_flight = ~(foot_down | base)
+        b, p = self._last_step(), self.params
+        after = b.state[1:]
+        foot_down = (b.contact > 0.0).any(axis=1)   # (K, E)
+        in_flight = ~(foot_down | check_termination_arrays(
+            after[:, _Z], after[:, _COS:_SIN + 1].transpose(1, 0, 2), p))
+        # a touchdown is a foot down after a substep in flight
         touched = foot_down
-        touched[0] &= self.airborne
+        touched[0] &= airborne
         touched[1:] &= in_flight[:-1]
-        # the angle at the last landing, the running flight angle and a row
-        # of zeros. A landing copies the last two rows over the first two:
-        # the flight angle becomes the landing angle and restarts at zero in
-        # one call (numpy reads an overlapping source as if it were copied
-        # first), so a landing adds one call to the step, not two.
-        held = b.held
-        landing_angle, fa = held[0], held[1]
-        landing_angle[...] = 0.0
-        fa[...] = self.flight_angle
-        if self.airborne.any() or in_flight.any():
-            # a zero increment off flight leaves the angle as it is
-            inc = b.pose[_OM] * dt
-            inc *= in_flight
-            touched_any = touched.any(axis=1)
-            landed, kept = held[:2], held[1:]
-            for k in np.flatnonzero(touched_any | in_flight.any(axis=1)):
-                if touched_any[k]:
-                    np.copyto(landed, kept, where=touched[k])
-                fa += inc[k]
-            self.flight_angle[...] = fa
-        self.airborne = in_flight[-1].copy()
+        # a zero increment off flight leaves the angle as it is
+        inc = after[:, _OM] * p.dt_physics
+        inc *= in_flight
+        landing_angle = np.zeros_like(flight_angle)
+        touched_any = touched.any(axis=1)
+        for k in np.flatnonzero(touched_any | in_flight.any(axis=1)):
+            if touched_any[k]:
+                np.copyto(landing_angle, flight_angle, where=touched[k])
+                np.copyto(flight_angle, 0.0, where=touched[k])
+            flight_angle += inc[k]
+        airborne[...] = in_flight[-1]
         landing = touched.any(axis=0)
-        return landing, np.where(landing, landing_angle, fa)
+        return landing, np.where(landing, landing_angle, flight_angle)
 
     # -- views ------------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Experiment orchestration: the adversarial training loop, checkpointing,
 metrics logging, and policy evaluation.
 
-A checkpoint (format 5) is one uncompressed zip in numpy's ``.npz`` layout,
+A checkpoint (format 6) is one uncompressed zip in numpy's ``.npz`` layout,
 so ``np.load`` opens it too. Its first member, ``meta.json``, is a JSON
 object of everything but the arrays: the format version, the iteration, the
 config mapping, each optimizer's ``learning_rate`` and ``step_count``, the
@@ -12,9 +12,9 @@ in file order. Every other member is one array in ``.npy`` form, named by
 its key path in the checkpoint dict (``policy_opt/slots/m``): each net's
 parameter vector (``policy``, ``value_net``, ``discriminator``), each
 optimizer's slots, the env's ``sim.STATE_ARRAYS`` (``env/arrays/x``, ``z``,
-``pitch``, ``vx``, ``vz``, ``om``, ``q``, ``qd``, ``mass``, ``flight_angle``,
-``steps`` and ``airborne``), and the collector's whole frame buffer, (E,
-max(H, 2), 18), as ``collector/frames``.
+``pitch``, ``vx``, ``vz``, ``om``, ``q``, ``qd``, ``mass`` and ``steps``), and
+the collector's whole frame buffer, (E, max(H, 2), 18), as
+``collector/frames``.
 
 Only ``Trainer`` knows this layout: ``checkpoint_dict`` lists the live
 arrays, and a loaded dict restores only a new trainer, ``Trainer(cfg,
@@ -34,8 +34,8 @@ the format by the file's first bytes, never by its name, and reads each
 array a block of ``MEMBER_BLOCK`` bytes at a time into the array it returns,
 checking the zip's CRC; nothing is unpickled. A torn or damaged file, a
 missing, extra or renamed member, a member of another dtype, a zip of
-another format (formats 3 and 4 included) and a JSON checkpoint of format 1
-or 2 (named by its format) each raise ``ValueError``.
+another format (formats 3, 4 and 5 included) and a JSON checkpoint of
+format 1 or 2 (named by its format) each raise ``ValueError``.
 
 Every file the program writes but the appended ``metrics.jsonl`` goes
 through ``core._write_atomic``: the content goes to a temp file beside the
@@ -73,7 +73,7 @@ from .rewards import (ImitationReward, RunningStats,
                       handcrafted_backflip_reward, handcrafted_standup_reward)
 from .sim import STATE_ARRAYS, PlanarEnv
 
-CHECKPOINT_FORMAT_VERSION = 5
+CHECKPOINT_FORMAT_VERSION = 6
 META_MEMBER = "meta.json"
 # bytes of an array member read at a time
 MEMBER_BLOCK = 64 * 1024
@@ -194,7 +194,7 @@ def _read_zip(zf: zipfile.ZipFile) -> dict:
 
 
 def load_checkpoint(path) -> dict:
-    """The checkpoint dict of a format-5 file: ``meta.json``'s object with
+    """The checkpoint dict of a format-6 file: ``meta.json``'s object with
     each array member at its key path (see the module docstring)."""
     with Path(path).open("rb") as f:
         head = f.read(64)
@@ -559,36 +559,38 @@ class EvalReport:
         }
 
 
-def rollout_observations(cfg: TrainConfig, policy: GaussianPolicy, frames: int,
-                         seed: int, collect_handcrafted: bool = False):
+def rollout_observations(cfg: TrainConfig, policy: GaussianPolicy, frames: int, seed: int):
     """One deterministic (mean-action) rollout: the (frames, 6) base
-    observation sequence and the handcrafted-reward tallies of
-    ``rollout_batch`` with the single seed ``seed``."""
-    seqs, extras = rollout_batch(cfg, policy, frames, [seed], collect_handcrafted)
-    return seqs[0], extras[0]
+    observation sequence and the handcrafted tally of ``rollout_batch``
+    with the single seed ``seed`` (None for a task without one)."""
+    seqs, tallies = rollout_batch(cfg, policy, frames, [seed])
+    return seqs[0], None if tallies is None else tallies[0]
 
 
-def rollout_batch(cfg: TrainConfig, policy: GaussianPolicy, frames: int,
-                  seeds, collect_handcrafted: bool = False):
+def rollout_batch(cfg: TrainConfig, policy: GaussianPolicy, frames: int, seeds):
     """Deterministic (mean-action) rollouts, one per seed, stepped together
     in one environment whose row ``i`` replays a one-env environment seeded
     with ``seeds[i]``. Returns the (R, frames, 6) base observation sequences
-    and one handcrafted-tally dict per rollout; each equals what
-    ``rollout_observations`` gives for its seed alone, bit for bit.
+    and each rollout's handcrafted tally of the task: the stand-up reward's
+    mean for standup, the backflip reward's total for backflip, and None
+    for the other tasks. Each equals what ``rollout_observations`` gives
+    for its seed alone, bit for bit.
 
     Once a row's body hits the ground its remaining frames hold its last
     observation: the motion is over, and a frozen tail keeps the sequence
-    comparable to full-length references. Its tallies stop at that step: the
+    comparable to full-length references. Its tally stops at that step: the
     stand-up mean is taken over the row's live steps only, and a backflip
     landing counts only while the row is live. Frozen rows repeat their last
     action until every row is done; their history still advances, unread.
 
     Each step's observation features are computed once, for the sequences
     and the history. Until a row is done, the policy and the sequences take
-    every row without selecting any. The end-of-step foot contacts are read
-    only for the stand-up tally.
+    every row without selecting any. Only the task's tally is computed: the
+    stand-up tally reads the end-of-step foot contacts, the backflip tally
+    the flight reader, which keeps its flight state in this loop's arrays.
     """
     R = len(seeds)
+    task = cfg.task
     env = PlanarEnv(cfg.sim, num_envs=R, seed=list(seeds))
     history = PolicyHistory(env)
     seqs = np.zeros((R, frames, 6))
@@ -596,6 +598,7 @@ def rollout_batch(cfg: TrainConfig, policy: GaussianPolicy, frames: int,
     standup_terms = np.zeros((R, frames - 1))
     live_steps = np.zeros(R, dtype=np.int64)
     backflip_total = np.zeros(R)
+    airborne, flight_angle = np.zeros(R, dtype=bool), np.zeros(R)
     done = np.zeros(R, dtype=bool)
     every = live = slice(None)  # the rows not done: every row until one is
     action = np.zeros((R, ACTION_DIM))
@@ -613,14 +616,15 @@ def rollout_batch(cfg: TrainConfig, policy: GaussianPolicy, frames: int,
         seqs[:, t] = features
         if live is not every:
             seqs[done, t] = seqs[done, t - 1]
-        if collect_handcrafted:
+        if task == "standup":
             standup_terms[:, t - 1] = handcrafted_standup_reward(
                 env.pitch, env.z, env.foot_contacts()[:, 0])
-            # backward rotation counts positive for the flip reward
-            np.add(backflip_total, handcrafted_backflip_reward(
-                -result.flight_traversed_angle, True), out=backflip_total,
-                where=result.landing_event & ~done)
             live_steps += ~done
+        elif task == "backflip":
+            landing, angle = env.flight(airborne, flight_angle)
+            # backward rotation counts positive for the flip reward
+            np.add(backflip_total, handcrafted_backflip_reward(-angle, True),
+                   out=backflip_total, where=landing & ~done)
         if result.terminal.any():
             done |= result.terminal
             if done.all():
@@ -628,12 +632,12 @@ def rollout_batch(cfg: TrainConfig, policy: GaussianPolicy, frames: int,
                 break
             live = np.flatnonzero(~done)
         history.advance(action, features)
-    # a row's live steps are a prefix of its terms: np.mean sums that slice
-    # pairwise, as it summed the list of them
-    extras = [{"standup_mean": float(np.mean(terms[:n])) if n else 0.0,
-               "backflip_total": float(total)}
-              for terms, n, total in zip(standup_terms, live_steps, backflip_total)]
-    return seqs, extras
+    if task == "standup":
+        # a row's live steps are a prefix of its terms: np.mean sums that
+        # slice pairwise, as it summed the list of them
+        return seqs, [float(np.mean(terms[:n])) if n else 0.0
+                      for terms, n in zip(standup_terms, live_steps)]
+    return seqs, backflip_total.tolist() if task == "backflip" else None
 
 
 def evaluate_policy(cfg: TrainConfig, policy: GaussianPolicy,
@@ -641,12 +645,10 @@ def evaluate_policy(cfg: TrainConfig, policy: GaussianPolicy,
     """DTW evaluation against the dataset plus the stand-still baseline and,
     for tasks with one, the handcrafted task-reward score."""
     frames = cfg.eval.episode_frames or max(t.shape[0] for t in dataset.trajectories)
-    handcrafted_kind = {"standup": "standup", "backflip": "backflip"}.get(cfg.task)
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 23, seed]))
     seeds = [int(rng.integers(0, 2 ** 31)) for _ in range(cfg.eval.rollouts)]
-    seqs, extras_log = rollout_batch(cfg, policy, frames, seeds,
-                                     collect_handcrafted=bool(handcrafted_kind))
+    seqs, tallies = rollout_batch(cfg, policy, frames, seeds)
     dtw_report = DtwReport.of(dtw_distances(seqs, dataset.trajectories, cfg.dtw))
 
     still = stand_still_rollout(_nominal_observation(cfg), frames)
@@ -654,11 +656,9 @@ def evaluate_policy(cfg: TrainConfig, policy: GaussianPolicy,
                                               cfg.dtw))
 
     handcrafted = None
-    if handcrafted_kind:
-        key = "standup_mean" if handcrafted_kind == "standup" else "backflip_total"
-        values = [e[key] for e in extras_log]
-        handcrafted = {"kind": handcrafted_kind, "mean": float(np.mean(values)),
-                       "std": float(np.std(values)), "per_rollout": values}
+    if tallies is not None:
+        handcrafted = {"kind": cfg.task, "mean": float(np.mean(tallies)),
+                       "std": float(np.std(tallies)), "per_rollout": tallies}
     return EvalReport(dtw=dtw_report, stand_still=still_report,
                       handcrafted=handcrafted, n_rollouts=cfg.eval.rollouts,
                       n_references=dataset.num_trajectories, rollouts=seqs)

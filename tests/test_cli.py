@@ -16,6 +16,7 @@ from planarmimic.dtw import local_cost
 from planarmimic.trainer import (Trainer, evaluate_policy, load_checkpoint,
                                  write_checkpoint)
 
+from test_config import NON_FINITE
 from test_trainer import tiny_config, tiny_dataset
 
 
@@ -258,6 +259,27 @@ class TestUsageErrors:
                      "--height-range", "0,0.8"]) == EXIT_OK
         assert out.is_dir()
 
+    @pytest.mark.parametrize("flags", [
+        ["--pitch-rate-range", "nan,1"], ["--pitch-rate-range=-inf,1"],
+        ["--height-range", "0,inf"]])
+    def test_analyze_range_must_be_finite(self, checkpoint, tmp_path, flags):
+        # nan,1 wrote NaN surface rows and exited 0
+        out = tmp_path / "analyze"
+        assert main(["analyze", "--checkpoint", str(checkpoint), "--out", str(out),
+                     *flags]) == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--height-offset", "nan"], ["--height-offset", "inf"],
+        ["--noise-scale", "-1"], ["--noise-scale", "nan"], ["--noise-scale", "inf"]])
+    def test_demo_gen_numbers_must_name_a_demo(self, tmp_path, flags):
+        # a NaN offset wrote refs every command refuses, and a negative
+        # noise scale wrote noise-free demos, each with exit 0
+        out = tmp_path / "refs"
+        assert main(["demo-gen", "--motion", "leap", "--out", str(out),
+                     *flags]) == EXIT_USAGE
+        assert not out.exists()
+
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_demo_gen_needs_a_trajectory(self, tmp_path, count):
         # zero wrote an empty reference set and exited 0
@@ -420,6 +442,11 @@ class TestTrainConfigErrors:
                                          "ppo.minibatches=1000"])
     def test_bad_minibatch_setting_fails_before_training(self, tmp_path, setting):
         assert_fails_before_training(tmp_path, setting)
+
+    @pytest.mark.parametrize("section, name, value", NON_FINITE)
+    def test_non_finite_setting_fails_before_training(self, tmp_path, section, name,
+                                                      value):
+        assert_fails_before_training(tmp_path, f"{section}.{name}={value}")
 
 
 class TestRefsExitCodes:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import asdict
 
 import pytest
@@ -6,6 +7,15 @@ from planarmimic.config import (TASK_DEFAULTS, ConfigError, TrainConfig,
                                 _set_dotted, build_config, config_to_mapping,
                                 default_config, save_config)
 from planarmimic.sim import MOTIONS
+
+
+# (section, field, value): the first four trained and exited 0, the others
+# failed at run time with exit 3, a non-finite action or gradient
+NON_FINITE = [("sim", "kp", math.nan), ("ppo", "learning_rate", math.nan),
+              ("reward", "w_imitation", math.nan), ("ppo", "max_grad_norm", math.nan),
+              ("sim", "body_mass", math.nan), ("sim", "gravity", math.nan),
+              ("sim", "friction", math.inf), ("disc", "w_gp", math.nan),
+              ("disc", "w_loss", math.inf)]
 
 
 def build_from_text(tmp_path, text):
@@ -121,8 +131,11 @@ class TestValidation:
         cfg.sim.friction = -1.0
         cfg.sim.contact_damping = -80.0
         cfg.sim.max_episode_time = 0.05
+        # non-finite values, each of which passed before
+        for section, name, value in NON_FINITE:
+            setattr(getattr(cfg, section), name, value)
         errors = cfg.validate()
-        assert len(errors) >= 22
+        assert len(errors) >= 22 + len(NON_FINITE)
         joined = "\n".join(errors)
         for fragment in ("task", "iterations", "ppo.clip", "disc.horizon",
                          "reward.w_action_rate", "dtw.step_pattern",
@@ -140,7 +153,9 @@ class TestValidation:
                          "disc.weight_decay must be >= 0",
                          "sim.half_length and sim.half_height must be > 0",
                          "sim.friction, sim.contact_damping and sim.tangential_damping",
-                         "sim.max_episode_time must be a whole number"):
+                         "sim.max_episode_time must be a whole number",
+                         *(f"{section}.{name} must be finite"
+                           for section, name, _ in NON_FINITE)):
             assert fragment in joined
 
     @pytest.mark.parametrize("setting, fragment", [

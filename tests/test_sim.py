@@ -23,6 +23,22 @@ def terminated(params, base_z, pitch=0.0):
                                          params)[0])
 
 
+class FlightState:
+    """The flight state a caller of `PlanarEnv.flight` keeps for its rows."""
+
+    def __init__(self, num_envs):
+        self.airborne = np.zeros(num_envs, dtype=bool)
+        self.angle = np.zeros(num_envs)
+
+    def read(self, env):
+        """The flight reader's (landing, angle) of ``env``'s last step."""
+        return env.flight(self.airborne, self.angle)
+
+    def clear(self, mask):
+        self.airborne[mask] = False
+        self.angle[mask] = 0.0
+
+
 class TestReset:
     def test_noise_free_reset_is_nominal(self):
         env = PlanarEnv(quiet_params(), num_envs=1, seed=0)
@@ -190,23 +206,31 @@ class TestDeterminism:
         actions = rng.normal(size=(200, len(seeds), 4))
         batch = PlanarEnv(params, num_envs=len(seeds), seed=seeds)
         singles = [PlanarEnv(params, num_envs=1, seed=s) for s in seeds]
-        fields = ("x", "z", "pitch", "vx", "vz", "om", "q", "qd", "mass",
-                  "flight_angle", "steps", "airborne")
+        # the flight state each env's caller keeps, (airborne, flight angle)
+        batch_flight = FlightState(len(seeds))
+        single_flights = [FlightState(1) for _ in seeds]
         for t in range(200):
             if t == 120:
                 mask = np.array([True, False, True])
                 batch.reset_rows(mask)
-                for single, m in zip(singles, mask):
+                batch_flight.clear(mask)
+                for single, flight, m in zip(singles, single_flights, mask):
                     if m:
                         single.reset_rows(np.ones(1, dtype=bool))
+                        flight.clear(np.ones(1, dtype=bool))
             result = batch.step(actions[t])
-            for i, single in enumerate(singles):
+            landing, angle = batch_flight.read(batch)
+            for i, (single, flight) in enumerate(zip(singles, single_flights)):
                 one = single.step(actions[t, i][None])
-                for name in fields:
+                one_landing, one_angle = flight.read(single)
+                for name in STATE_ARRAYS:
                     assert np.array_equal(getattr(batch, name)[i],
                                           getattr(single, name)[0]), (t, i, name)
                 assert np.array_equal(batch.joint_torques()[i], single.joint_torques()[0])
                 assert result.terminal[i] == one.terminal[0]
+                assert (landing[i], angle[i]) == (one_landing[0], one_angle[0]), t
+                assert batch_flight.airborne[i] == flight.airborne[0]
+                assert batch_flight.angle[i] == flight.angle[0]
 
     def test_seed_sequence_length_must_match(self):
         with pytest.raises(ValueError, match="seeds"):
@@ -230,33 +254,47 @@ class TestFlightAccounting:
         env = PlanarEnv(params, num_envs=1, seed=0)
         env.z[0] = 3.0
         env.om[0] = -1.5
-        env.airborne[0] = True
-        res = env.step(np.zeros((1, 4)))
+        flight = FlightState(1)
+        flight.airborne[0] = True
+        env.step(np.zeros((1, 4)))
+        landing, angle = flight.read(env)
         # no torques in flight: angle = omega * dt over the control step
-        assert res.flight_traversed_angle[0] == pytest.approx(
-            -1.5 * params.control_dt, rel=1e-9)
-        assert not res.landing_event[0]
+        assert angle[0] == pytest.approx(-1.5 * params.control_dt, rel=1e-9)
+        assert not landing[0]
+        assert flight.airborne[0] and flight.angle[0] == angle[0]
 
     def test_landing_event_fires_once(self):
         params = quiet_params()
         env = PlanarEnv(params, num_envs=1, seed=0)
         env.z[0] = 0.45
-        env.airborne[0] = True
+        flight = FlightState(1)
+        flight.airborne[0] = True
         landed = 0
         for _ in range(40):
-            res = env.step(np.zeros((1, 4)))
-            landed += int(res.landing_event[0])
-            if landed and not res.landing_event[0]:
+            env.step(np.zeros((1, 4)))
+            landing, _ = flight.read(env)
+            landed += int(landing[0])
+            if landed and not landing[0]:
                 break
         assert landed >= 1
         # after landing the accumulator is cleared
-        assert env.flight_angle[0] == pytest.approx(0.0, abs=1e-6)
+        assert flight.angle[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_grounded_steps_accumulate_nothing(self):
         env = PlanarEnv(quiet_params(), num_envs=1, seed=0)
+        flight = FlightState(1)
         for _ in range(10):
-            res = env.step(np.zeros((1, 4)))
-        assert res.flight_traversed_angle[0] == 0.0
+            env.step(np.zeros((1, 4)))
+            landing, angle = flight.read(env)
+        assert angle[0] == 0.0 and not landing[0] and not flight.airborne[0]
+
+    def test_the_step_keeps_no_flight_state(self):
+        # the flight state is the caller's: the env and its checkpointed
+        # arrays hold none, and a step reports only whether episodes ended
+        env = PlanarEnv(SimParams(), num_envs=2, seed=0)
+        env.step(np.zeros((2, 4)))
+        assert not {"airborne", "flight_angle"} & (set(vars(env)) | set(STATE_ARRAYS))
+        assert list(StepBatch.__dataclass_fields__) == ["terminal", "timeout"]
 
 
 class TestTimeout:
@@ -437,10 +475,27 @@ def assert_same_state(got, expected):
 # ---------------------------------------------------------------------------
 # Slow oracle: the substep-by-substep step that the phased step replaced,
 # kept as it was with ``self`` renamed to ``env``, the input checks dropped,
-# the joint limits read from the params, and the torque proxy and the
-# end-of-step foot contacts returned beside the batch (the step leaves them
-# to its readers). The phased step must match it bit for bit.
+# the joint limits read from the params, and the landing flag and angle, the
+# torque proxy and the end-of-step foot contacts returned beside the batch
+# (the step leaves them to its readers). Its flight state lives on the
+# oracle's env (``oracle_env``). The phased step and its readers must match
+# it bit for bit.
 # ---------------------------------------------------------------------------
+
+def oracle_env(params, num_envs, seed):
+    """An env for ``oracle_step``: it carries the flight state the oracle
+    updates, which ``oracle_reset`` clears with the rows."""
+    env = PlanarEnv(params, num_envs=num_envs, seed=seed)
+    env.airborne = np.zeros(num_envs, dtype=bool)
+    env.flight_angle = np.zeros(num_envs)
+    return env
+
+
+def oracle_reset(env, mask):
+    env.reset_rows(mask)
+    env.airborne[mask] = False
+    env.flight_angle[mask] = 0.0
+
 
 def oracle_foot_kinematics(env):
     l1, l2 = env.params.link_lengths
@@ -541,18 +596,12 @@ def oracle_step(env, actions):
     timeout = env.steps * p.control_dt >= p.max_episode_time - 1e-12
 
     angle_report = np.where(landing, landing_angle, env.flight_angle)
-    batch = StepBatch(
-        landing_event=landing,
-        flight_traversed_angle=angle_report,
-        terminal=terminal,
-        timeout=timeout,
-    )
-    return (batch, torque_accum / p.control_decimation,
+    batch = StepBatch(terminal=terminal, timeout=timeout)
+    return (batch, landing, angle_report, torque_accum / p.control_decimation,
             oracle_foot_kinematics(env)[4] < 0.0)
 
 
-ORACLE_STATE = ("x", "z", "pitch", "vx", "vz", "om", "q", "qd", "flight_angle",
-                "airborne", "steps")
+ORACLE_STATE = ("x", "z", "pitch", "vx", "vz", "om", "q", "qd", "steps")
 
 
 def assert_same_bits(a, b, label):
@@ -563,28 +612,37 @@ def assert_same_bits(a, b, label):
 
 def run_against_oracle(params, num_envs, steps, scale, seed=0):
     """Step a phased env and an oracle env with the same random actions,
-    resetting rows that end; returns (landings, terminations) seen."""
+    reading the phased env's flight into a caller's state and resetting
+    rows that end; returns (landings, terminations) seen."""
     fast = PlanarEnv(params, num_envs=num_envs, seed=seed)
-    slow = PlanarEnv(params, num_envs=num_envs, seed=seed)
+    flight = FlightState(num_envs)
+    slow = oracle_env(params, num_envs, seed)
     rng = np.random.default_rng(seed)
     landings = terminations = 0
     for t in range(steps):
         actions = scale * rng.standard_normal((num_envs, 4))
         got = fast.step(actions)
-        want, torques, contacts = oracle_step(slow, actions)
+        want, landing, angle, torques, contacts = oracle_step(slow, actions)
         for name in StepBatch.__dataclass_fields__:
             assert_same_bits(getattr(got, name), getattr(want, name), (t, name))
-        # the readers, against the oracle's torques and end-of-step feet
+        # the readers, against the oracle's flight, torques and end-of-step
+        # feet, and the caller's flight state against the oracle's
+        got_landing, got_angle = flight.read(fast)
+        assert_same_bits(got_landing, landing, (t, "landing"))
+        assert_same_bits(got_angle, angle, (t, "angle"))
+        assert_same_bits(flight.airborne, slow.airborne, (t, "airborne"))
+        assert_same_bits(flight.angle, slow.flight_angle, (t, "flight_angle"))
         assert_same_bits(fast.joint_torques(), torques, (t, "joint_torques"))
         assert_same_bits(fast.foot_contacts(), contacts, (t, "foot_contacts"))
         for name in ORACLE_STATE:
             assert_same_bits(getattr(fast, name), getattr(slow, name), (t, name))
-        landings += int(want.landing_event.sum())
+        landings += int(landing.sum())
         terminations += int(want.terminal.sum())
         done = want.terminal | want.timeout
         if done.any():
             fast.reset_rows(done)
-            slow.reset_rows(done)
+            flight.clear(done)
+            oracle_reset(slow, done)
     return landings, terminations
 
 
@@ -627,7 +685,7 @@ class TestStepMatchesOracle:
         errors = params.validate()
         assert len(errors) == 1 and fragment in errors[0]
         fast = PlanarEnv(params, num_envs=4, seed=0)
-        slow = PlanarEnv(params, num_envs=4, seed=0)
+        slow = oracle_env(params, 4, 0)
         for _ in range(100):
             fast.step(np.zeros((4, 4)))
             oracle_step(slow, np.zeros((4, 4)))
@@ -752,9 +810,10 @@ class TestContactLoopFastPath:
 
 
 class TestBatchedPhasesFastPath:
-    """Leg kinematics, the termination check and the torque proxy run on
-    component-first copies of the loops' rows, so that each of their ufunc
-    calls takes the fast path as the contact loop's do."""
+    """Leg kinematics and the torque proxy run on component-first copies of
+    the loops' rows, and the termination check on the final state's rows,
+    so that each of their ufunc calls takes the fast path as the contact
+    loop's do."""
 
     @staticmethod
     def stepped_env(num_envs):
@@ -767,10 +826,11 @@ class TestBatchedPhasesFastPath:
     def test_every_ufunc_call_takes_the_fast_path(self, monkeypatch, phase, num_envs):
         env = self.stepped_env(num_envs)
         b = env._buffers
+        end = b.state[b.substeps]
         call = {
             "leg_kinematics": lambda: sim_module.leg_kinematics(b),
-            "termination": lambda: check_termination_arrays(b.pose[3], b.pose[:2],
-                                                            env.params),
+            "termination": lambda: check_termination_arrays(
+                end[sim_module._Z], end[sim_module._COS:sim_module._SIN + 1], env.params),
             "torque_proxy": lambda: env.joint_torques(out=np.empty((num_envs, 4))),
         }[phase]
         ufuncs = [fast for _, fast in probed(monkeypatch, call) if fast is not None]
@@ -794,11 +854,12 @@ class TestBatchedPhasesFastPath:
 
 
 class TestReaders:
-    @pytest.mark.parametrize("reader", ["joint_torques", "foot_contacts"])
+    @pytest.mark.parametrize("reader", ["joint_torques", "foot_contacts", "flight"])
     def test_a_reader_raises_before_the_first_step(self, reader):
         env = PlanarEnv(SimParams(), num_envs=2, seed=0)
+        args = (np.zeros(2, dtype=bool), np.zeros(2)) if reader == "flight" else ()
         with pytest.raises(RuntimeError, match="no step has run yet"):
-            getattr(env, reader)()
+            getattr(env, reader)(*args)
 
     def test_a_reader_holds_until_the_next_step(self):
         # reading again, or after a reset, gives the last step's values
@@ -814,19 +875,23 @@ class TestReaders:
 
 class TestCallBudget:
     """The numpy calls of a step, its clip ufunc's among them, on seeded
-    steps after the first, which builds the step's buffers. A step without
-    flight makes 695 at any E: 5 per substep in joint tracking, 28 per
-    substep in the contact loop and 35 others. Flight adds one, and each
-    substep in which a foot lands one more. Reading the torques as the
-    collector does adds 17."""
+    steps after the first, which builds the step's buffers. Every step makes
+    692 at any E, with or without flight and landings: 5 per substep in
+    joint tracking, 28 per substep in the contact loop and 32 others.
+    Reading the torques as the collector does adds 17."""
 
     @staticmethod
     def seeded_calls(monkeypatch, num_envs, torques):
+        """Each seeded step's call count; the flight read after it, outside
+        the count, shows that the steps take off and land."""
         env = PlanarEnv(SimParams(), num_envs=num_envs, seed=1)
         env.step(np.zeros((num_envs, 4)))
+        flight = FlightState(num_envs)
+        flight.read(env)
         out = np.empty((num_envs, 4))
         rng = np.random.default_rng(0)
-        for t in range(20):
+        counts, landings = [], 0
+        for _ in range(20):
             actions = rng.standard_normal((num_envs, 4))
             results = []
 
@@ -834,19 +899,23 @@ class TestCallBudget:
                 results.append(env.step(actions))
                 if torques:
                     env.joint_torques(out=out)
-            yield t, len(probed(monkeypatch, call))
-            env.reset_rows(results[0].terminal | results[0].timeout)
+            counts.append(len(probed(monkeypatch, call)))
+            landings += int(flight.read(env)[0].sum())
+            done = results[0].terminal | results[0].timeout
+            env.reset_rows(done)
+            flight.clear(done)
+        assert landings > 0
+        return counts
 
+    # each count is exact, and below the bound the name gives
     @pytest.mark.parametrize("num_envs", [1, 16])
     def test_a_step_makes_at_most_702_numpy_calls(self, monkeypatch, num_envs):
-        for t, count in self.seeded_calls(monkeypatch, num_envs, torques=False):
-            assert count <= 702, t
+        assert self.seeded_calls(monkeypatch, num_envs, torques=False) == [692] * 20
 
     @pytest.mark.parametrize("num_envs", [1, 16])
     def test_a_step_and_its_torques_make_at_most_719_numpy_calls(self, monkeypatch,
                                                                  num_envs):
-        for t, count in self.seeded_calls(monkeypatch, num_envs, torques=True):
-            assert count <= 719, t
+        assert self.seeded_calls(monkeypatch, num_envs, torques=True) == [709] * 20
 
     def test_joint_tracking_makes_5_calls_per_substep(self, monkeypatch):
         assert per_substep(monkeypatch, "_track_joints", 4)[0] == 5

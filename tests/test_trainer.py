@@ -138,7 +138,7 @@ RESTORE_FAULTS = {
                              r"checkpoint/collector/frames is float64 \(1,"),
     "another dtype": ("env/arrays/steps", lambda a: a.astype(np.float64),
                       "checkpoint/env/arrays/steps is float64"),
-    "missing member": ("env/arrays/airborne", None, "checkpoint/env/arrays has"),
+    "missing member": ("env/arrays/mass", None, "checkpoint/env/arrays has"),
     "extra member": ("collector/windows", lambda _: np.zeros((4, 2, 6)),
                      "checkpoint/collector has"),
     "slots of another kind": (
@@ -271,7 +271,7 @@ class TestCheckpointResume:
         cfg = tiny_config(tmp_path=tmp_path)
         trainer = Trainer(cfg, tiny_dataset(cfg))
         ckpt = load_checkpoint(trainer.save_checkpoint(tmp_path / "c.npz"))
-        assert ckpt["format_version"] == CHECKPOINT_FORMAT_VERSION == 5
+        assert ckpt["format_version"] == CHECKPOINT_FORMAT_VERSION == 6
         ckpt["format_version"] = 999
         bad = write_checkpoint(tmp_path / "bad.npz", ckpt)
         with pytest.raises(ValueError, match="format 999"):
@@ -309,6 +309,19 @@ class TestCheckpointResume:
         old = write_checkpoint(tmp_path / "old.npz", ckpt)
         with pytest.raises(ValueError, match="unsupported checkpoint format 4"):
             load_checkpoint(old)
+
+    def test_format_5_is_refused_by_its_format(self, tmp_path):
+        # format 5 also kept each env row's flight state
+        cfg = tiny_config(tmp_path=tmp_path)
+        ckpt = dict(Trainer(cfg, tiny_dataset(cfg)).checkpoint_dict(), format_version=5)
+        arrays = ckpt["env"]["arrays"]
+        ckpt["env"] = {"arrays": dict(arrays, flight_angle=np.zeros(4),
+                                      airborne=np.zeros(4, dtype=bool))}
+        old = write_checkpoint(tmp_path / "old.npz", ckpt)
+        with pytest.raises(ValueError, match="unsupported checkpoint format 5"):
+            load_checkpoint(old)
+        with pytest.raises(ValueError, match="unsupported checkpoint format 5"):
+            Trainer.from_checkpoint(old)
 
 
 def desk_trainer(loss="wgan"):
@@ -805,10 +818,38 @@ class TestEvaluation:
     def test_rollout_observations_shape_and_determinism(self):
         cfg = tiny_config()
         trainer = Trainer(cfg, tiny_dataset(cfg))
-        a, _ = rollout_observations(cfg, trainer.policy, 50, seed=4)
+        a, tally = rollout_observations(cfg, trainer.policy, 50, seed=4)
         b, _ = rollout_observations(cfg, trainer.policy, 50, seed=4)
         assert a.shape == (50, 6)
         assert np.array_equal(a, b)
+        assert tally is None   # leap has no handcrafted tally
+
+    # each task's tallies as recorded when the step kept the flight state
+    # itself and both tallies were computed for either task (float.hex)
+    RECORDED_TALLIES = {
+        "backflip": ["0x1.086136a854262p-2", "-0x1.aa384da2e0f07p-2",
+                     "-0x1.aa8d4ca8f24d1p-1", "-0x1.0c0044c3d1452p-3"],
+        "standup": ["0x1.50f94756174a4p+1", "0x1.2c268916063aap+1",
+                    "0x1.82508b34acae3p+1", "0x1.435b593fa5a9dp+1"],
+    }
+
+    @pytest.mark.parametrize("task, unread", [("backflip", "foot_contacts"),
+                                              ("standup", "flight"), ("leap", "both")])
+    def test_eval_computes_only_the_task_tally(self, monkeypatch, task, unread):
+        cfg, trainer = flailing_trainer(task)
+        cfg.eval.rollouts = 4
+
+        def refuse(*args):
+            raise AssertionError(f"{task} eval read a reader it has no use for")
+        for name in ("foot_contacts", "flight") if unread == "both" else (unread,):
+            monkeypatch.setattr(PlanarEnv, name, refuse)
+        report = evaluate_policy(cfg, trainer.policy, trainer.dataset, seed=1)
+        if task == "leap":
+            assert report.handcrafted is None
+            return
+        per_rollout = report.handcrafted["per_rollout"]
+        assert [v.hex() for v in per_rollout] == self.RECORDED_TALLIES[task]
+        assert report.handcrafted["mean"] == float(np.mean(per_rollout))
 
     def test_build_identifier_nonempty(self):
         assert build_identifier()
@@ -816,9 +857,11 @@ class TestEvaluation:
 
 def oracle_rollout(cfg, policy, frames, seed):
     """The slow reference: one E=1 environment per rollout, stepped until its
-    first terminal, with the policy-history bookkeeping written out by hand.
-    Returns the sequence, the tallies and the terminal step (None if none)."""
+    first terminal, with the policy-history bookkeeping written out by hand
+    and the flight read after every step. Returns the sequence, both tallies
+    and the terminal step (None if none)."""
     env = PlanarEnv(cfg.sim, num_envs=1, seed=seed)
+    airborne, flight_angle = np.zeros(1, dtype=bool), np.zeros(1)
 
     def policy_frame(prev_action):
         return np.concatenate([env.observation_features(), env.q, env.qd,
@@ -838,9 +881,9 @@ def oracle_rollout(cfg, policy, frames, seed):
         seq[t] = env.observation_features()[0]
         standup_terms.append(handcrafted_standup_reward(
             float(env.pitch[0]), float(env.z[0]), bool(env.foot_contacts()[0, 0])))
-        if result.landing_event[0]:
-            backflip_total += handcrafted_backflip_reward(
-                -float(result.flight_traversed_angle[0]), True)
+        landing, angle = env.flight(airborne, flight_angle)
+        if landing[0]:
+            backflip_total += handcrafted_backflip_reward(-float(angle[0]), True)
         if result.terminal[0]:
             seq[t + 1:] = seq[t]
             end = t
@@ -864,29 +907,30 @@ class TestBatchedRollouts:
     def test_batch_matches_one_env_oracle(self, task):
         cfg, trainer = flailing_trainer(task)
         frames, seeds = 110, [0, 2, 4, 7]
-        seqs, extras = rollout_batch(cfg, trainer.policy, frames, seeds,
-                                     collect_handcrafted=True)
+        seqs, tallies = rollout_batch(cfg, trainer.policy, frames, seeds)
         assert seqs.shape == (len(seeds), frames, 6)
+        key = {"standup": "standup_mean", "backflip": "backflip_total"}.get(task)
+        assert (tallies is None) == (key is None)
         ends = []
         for i, seed in enumerate(seeds):
-            seq, tallies, end = oracle_rollout(cfg, trainer.policy, frames, seed)
+            seq, oracle_tallies, end = oracle_rollout(cfg, trainer.policy, frames, seed)
             ends.append(end)
             assert np.array_equal(seqs[i], seq)
-            assert extras[i] == tallies
+            if key:
+                assert tallies[i] == oracle_tallies[key]
         # rows end at different steps, and one runs to the last frame
         assert None in ends
         assert len(set(ends)) == len(ends)
         if task == "backflip":
-            assert any(e["backflip_total"] != 0.0 for e in extras)
+            assert any(total != 0.0 for total in tallies)
 
     def test_batch_of_one_is_bit_exact(self):
         cfg, trainer = flailing_trainer("standup")
-        seq, extras = rollout_observations(cfg, trainer.policy, 80, seed=4,
-                                           collect_handcrafted=True)
-        oracle_seq, oracle_extras, end = oracle_rollout(cfg, trainer.policy, 80, 4)
+        seq, tally = rollout_observations(cfg, trainer.policy, 80, seed=4)
+        oracle_seq, oracle_tallies, end = oracle_rollout(cfg, trainer.policy, 80, 4)
         assert end is not None
         assert np.array_equal(seq, oracle_seq)
-        assert extras == oracle_extras
+        assert tally == oracle_tallies["standup_mean"]
 
     def test_evaluate_policy_draws_seeds_in_order(self):
         cfg, trainer = flailing_trainer("leap")
