@@ -17,7 +17,7 @@ from .sim import MOTIONS, SimParams
 
 class ConfigError(Exception):
     """Raised when a config file cannot be parsed or validated. ``errors``
-    lists every violated field."""
+    lists every violated field, and names the key of each bad key or value."""
 
     def __init__(self, errors):
         self.errors = list(errors)
@@ -76,19 +76,17 @@ class TrainConfig:
             errors.append("iterations must be >= 1")
         if self.checkpoint_interval < 1:
             errors.append("checkpoint_interval must be >= 1")
-        # a NaN passes every comparison below, and an infinity most
+        own = [e for section in _NESTED for e in getattr(self, section).validate()]
+        # a NaN passes every comparison of the sections' checks, and an
+        # infinity most; a field its section reports as not finite is left to it
         for section in _NESTED:
             for name, value in vars(getattr(self, section)).items():
                 entries = value if isinstance(value, tuple) else (value,)
-                if not all(math.isfinite(v) for v in entries if isinstance(v, float)):
-                    errors.append(f"{section}.{name} must be finite, got {value!r}")
-        errors += self.sim.validate()
-        errors += self.disc.validate()
-        errors += self.ppo.validate()
-        errors += self.reward.validate()
-        errors += self.dtw.validate()
-        errors += self.eval.validate()
-        return errors
+                key = f"{section}.{name} "
+                if not (all(math.isfinite(v) for v in entries if isinstance(v, float))
+                        or any(e.startswith(key) and "finite" in e for e in own)):
+                    errors.append(f"{key}must be finite, got {value!r}")
+        return errors + own
 
     def require_valid(self) -> "TrainConfig":
         errors = self.validate()
@@ -131,9 +129,16 @@ def _coerce(value: str, target_type) -> object:
         return float(value)
     if target_type is tuple:
         parts = [p for p in value.replace("(", "").replace(")", "").split(",") if p.strip()]
-        return tuple(float(p) if ("." in p or "e" in p.lower()) else int(p)
-                     for p in parts)
+        return tuple(_number(p) for p in parts)
     return value
+
+
+def _number(text: str):
+    """An integer literal as an int, any other number (``inf`` too) as a float."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 def _set_dotted(cfg: TrainConfig, key: str, value) -> None:
@@ -147,7 +152,10 @@ def _set_dotted(cfg: TrainConfig, key: str, value) -> None:
     if name not in {f.name for f in fields(target)}:
         raise ValueError(f"unknown config key {key!r}")
     if isinstance(value, str):
-        value = _coerce(value, type(getattr(target, name)))
+        try:
+            value = _coerce(value, type(getattr(target, name)))
+        except ValueError as e:
+            raise ValueError(f"{key}: {e}") from None
     setattr(target, name, value)
 
 
@@ -185,7 +193,8 @@ def build_config(path=None, keys=(), overrides=()) -> TrainConfig:
     value)`` pairs: flags, or a checkpoint's config mapping), then
     ``overrides`` (``key=value`` strings). A later key beats an earlier one,
     and any key beats a task default. Raises ``ConfigError`` listing every
-    bad line, key and value."""
+    bad line, key and value; an error of a key or its value names the key,
+    and an error of the file its line."""
     errors = []
     staged = []
     if path is not None:

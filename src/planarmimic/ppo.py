@@ -2,7 +2,10 @@
 advantage estimation, an entropy bonus, and a KL-targeted adaptive learning
 rate. Rollout collection builds the adversarial reward from discriminator
 scores (through the trainer's ``rewards.ImitationReward``), the termination
-penalty, and the regularization terms.
+penalty, and the regularization terms. The policy, ``GaussianPolicy``, adopts
+the parameter vector it is built on, and its ``log_prob`` is the one
+log-likelihood: the collector stores it, and the update's ratio and gradient
+read it.
 """
 
 from __future__ import annotations
@@ -118,27 +121,12 @@ class GaussianPolicy:
     """Diagonal-Gaussian action head: the network emits the mean, a learnable
     state-independent log-std sets the exploration scale.
 
-    The parameters are one vector ``flat`` in the layout ``shapes``: the
-    net's parameters, then ``log_std``. ``self.net`` and ``self.log_std``
-    are views into it."""
+    The parameters are the vector ``flat`` passed in, not a copy, in the
+    layout ``shapes``: the parameters of a net of ``layer_sizes`` and
+    ``activation``, then ``log_std``. ``self.net`` and ``self.log_std`` are
+    views into it."""
 
-    def __init__(self, net: MlpNet, log_std=None, init_log_std: float = 0.0):
-        """A policy over a copy of ``net``'s parameters."""
-        n = net.num_params()
-        flat = np.empty(n + net.layer_sizes[-1])
-        flat[:n] = net.flat
-        flat[n:] = init_log_std if log_std is None else log_std
-        self._adopt(net.layer_sizes, net.activation, flat)
-
-    @classmethod
-    def from_flat(cls, layer_sizes, activation: str,
-                  flat: np.ndarray) -> "GaussianPolicy":
-        """A policy whose parameters are ``flat`` itself, not a copy."""
-        policy = cls.__new__(cls)
-        policy._adopt(layer_sizes, activation, flat)
-        return policy
-
-    def _adopt(self, layer_sizes, activation, flat) -> None:
+    def __init__(self, layer_sizes, activation: str, flat: np.ndarray):
         # the net's layout checks the length, as the log-std takes the rest
         self.flat = flat
         self.net = MlpNet(layer_sizes, activation, flat[:-layer_sizes[-1]])
@@ -149,11 +137,13 @@ class GaussianPolicy:
     def action_dim(self) -> int:
         return self.log_std.shape[0]
 
-    def log_prob(self, mean: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        std = np.exp(self.log_std)
-        z = (actions - mean) / std
+    def log_prob(self, mean: np.ndarray, actions: np.ndarray) -> tuple:
+        """``(logp, z)``: the log-likelihood of ``actions`` (..., action_dim)
+        under the means ``mean``, and their z-scores ``(actions - mean) /
+        std``, which the gradient of ``logp`` reads."""
+        z = (actions - mean) / np.exp(self.log_std)
         return (-0.5 * (z * z).sum(axis=-1) - self.log_std.sum()
-                - 0.5 * self.action_dim * LOG2PI)
+                - 0.5 * self.action_dim * LOG2PI), z
 
     def entropy(self) -> float:
         return float(self.log_std.sum() + 0.5 * self.action_dim * (LOG2PI + 1.0))
@@ -231,12 +221,10 @@ class PolicyHistory:
         are the env's ``observation_features()`` if the caller has them."""
         self.frames.push(self._frame(actions, features))
 
-    def obs(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The policy's observation (E, POLICY_OBS_DIM): the last
-        ``POLICY_FRAMES`` frames, oldest first."""
-        last = self.frames.last(POLICY_FRAMES)
-        return np.concatenate([last[:, k] for k in range(POLICY_FRAMES)], axis=1,
-                              out=out)
+    def obs(self, out: np.ndarray) -> None:
+        """Write the policy's observation (E, POLICY_OBS_DIM) into ``out``:
+        the last ``POLICY_FRAMES`` frames, oldest first."""
+        np.copyto(out, self.frames.last(POLICY_FRAMES).reshape(out.shape))
 
 
 class RolloutCollector:
@@ -350,7 +338,7 @@ class RolloutCollector:
                                       self.weights)
         return RolloutBuffer(
             obs=obs[:T], actions=actions,
-            log_probs=policy.log_prob(means, actions),
+            log_probs=policy.log_prob(means, actions)[0],
             values=values[:T],
             rewards=total_reward(r_imit, r_term, r_reg, self.weights.w_imitation),
             dones=dones, windows=windows, bootstrap_value=values[T],
@@ -410,10 +398,7 @@ def ppo_update(policy: GaussianPolicy, value_net: MlpNet, buf: RolloutBuffer,
             n = chunk.shape[0]
 
             mean, cache = policy.net.forward(mb_obs, pol_cache)
-            std = np.exp(policy.log_std)
-            zscore = (mb_act - mean) / std
-            logp = (-0.5 * (zscore * zscore).sum(axis=1)
-                    - policy.log_std.sum() - 0.5 * policy.action_dim * LOG2PI)
+            logp, zscore = policy.log_prob(mean, mb_act)
             log_ratio = logp - mb_logp_old
             ratio = np.exp(log_ratio)
             unclipped = ratio * mb_adv
@@ -435,7 +420,7 @@ def ppo_update(policy: GaussianPolicy, value_net: MlpNet, buf: RolloutBuffer,
             # is the active minimum
             active = (unclipped <= clipped).astype(np.float64)
             dlogp = -(mb_adv * ratio * active) / n
-            dmean = (dlogp[:, None] * zscore / std)
+            dmean = dlogp[:, None] * zscore / np.exp(policy.log_std)
             policy.net.backward(cache, dmean, out=pol_grad[:n_net])
             pol_grad[n_net:] = (dlogp[:, None] * (zscore * zscore - 1.0)).sum(axis=0)
             pol_grad[n_net:] -= cfg.entropy_coef  # entropy bonus, dH/dlog_std = 1

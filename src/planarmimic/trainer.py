@@ -261,7 +261,7 @@ def checkpoint_policy(cfg: TrainConfig, ckpt: dict) -> GaussianPolicy:
     it adopts the dict's vector, not a copy."""
     if "policy" not in ckpt:
         raise ValueError("checkpoint has no 'policy'")
-    return GaussianPolicy.from_flat(_policy_sizes(cfg), "elu", ckpt["policy"])
+    return GaussianPolicy(_policy_sizes(cfg), "elu", ckpt["policy"])
 
 
 class Trainer:
@@ -285,10 +285,10 @@ class Trainer:
         disc_sizes = [cfg.disc.input_dim, *cfg.disc.hidden_sizes, 1]
         if ckpt is None:
             init_rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
-            self.policy = GaussianPolicy(
-                MlpNet.create(_policy_sizes(cfg), "elu", rng=init_rng,
-                              output_gain=0.01),
-                init_log_std=cfg.ppo.init_log_std)
+            net = MlpNet.create(_policy_sizes(cfg), "elu", rng=init_rng,
+                                output_gain=0.01)
+            self.policy = GaussianPolicy(net.layer_sizes, "elu", np.concatenate(
+                [net.flat, np.full(ACTION_DIM, cfg.ppo.init_log_std)]))
             self.value_net = MlpNet.create(value_sizes, "elu", rng=init_rng)
             self.disc = MlpNet.create(disc_sizes, "relu", rng=init_rng)
         else:

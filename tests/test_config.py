@@ -74,11 +74,34 @@ class TestParsing:
     def test_tuple_field(self, tmp_path):
         cfg = build_from_text(tmp_path, "ppo.hidden_sizes = 32,32\n")
         assert cfg.ppo.hidden_sizes == (32, 32)
+        assert all(type(n) is int for n in cfg.ppo.hidden_sizes)
 
     def test_bool_coercion(self, tmp_path):
         cfg = build_from_text(tmp_path, "disc.full_state = true\nppo.adaptive_lr = off\n")
         assert cfg.disc.full_state is True
         assert cfg.ppo.adaptive_lr is False
+
+    def test_each_value_error_names_its_key(self):
+        # each used to give its message without its key
+        with pytest.raises(ConfigError) as err:
+            build_config(overrides=["ppo.epochs=abc", "disc.full_state=maybe",
+                                    "sim.kp=fast"])
+        assert err.value.errors == [
+            "ppo.epochs: invalid literal for int() with base 10: 'abc'",
+            "disc.full_state: expected a boolean, got 'maybe'",
+            "sim.kp: could not convert string to float: 'fast'"]
+
+    def test_a_file_value_error_names_its_line_and_key(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            build_from_text(tmp_path, "seed = 1.5\n")
+        assert err.value.errors == [
+            "line 1: seed: invalid literal for int() with base 10: '1.5'"]
+
+    def test_a_non_finite_tuple_entry_parses_as_a_float(self):
+        # it used to fail in int() with a message naming no key
+        cfg = build_config(overrides=["ppo.hidden_sizes=nan"])
+        assert math.isnan(cfg.ppo.hidden_sizes[0])
+        assert "ppo.hidden_sizes must be finite, got (nan,)" in cfg.validate()
 
 
 class TestRoundTrip:
@@ -181,6 +204,14 @@ class TestValidation:
         ("sim.tangential_damping=-1", "sim.friction, sim.contact_damping and sim.tang"),
         # an episode clock of whole control periods
         ("sim.max_episode_time=0.05", "sim.max_episode_time must be a whole number"),
+        # one error for one value: the next two also gave "must be finite"
+        ("sim.max_episode_time=inf", "sim.max_episode_time must be > 0 and finite"),
+        ("sim.max_episode_time=nan", "sim.max_episode_time must be > 0 and finite"),
+        # tuple entries that are not integer literals parse as floats: these
+        # used to fail in int() with a message naming no key
+        ("sim.link_lengths=inf,0.16", "sim.link_lengths must be finite"),
+        ("sim.joint_limits_low=-inf,-2.2,-1.3,-2.2",
+         "sim.joint_limits_low must be finite"),
     ])
     def test_shape_settings(self, setting, fragment):
         errors = build_config(overrides=[setting]).validate()

@@ -1,14 +1,16 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from planarmimic.config import default_config, save_config
-from planarmimic.core import (GRAVITY_UNIT_TOL, OBS_DIM, BatchWindowBuffer,
-                              ReferenceDataset, load_reference_dataset,
-                              phi_extract_arrays, sample_reference_windows,
-                              save_reference_csv, write_csv)
+from planarmimic.core import (CSV_HEADER, GRAVITY_UNIT_TOL, OBS_DIM,
+                              BatchWindowBuffer, ReferenceDataset,
+                              load_reference_dataset, phi_extract_arrays,
+                              sample_reference_windows, save_reference_csv,
+                              write_csv)
 from planarmimic.sim import PlanarEnv, SimParams
 
 
@@ -209,6 +211,50 @@ class TestReferenceDataset:
         f.write_text("t,vx,vz,pitch_rate,gx,gz,height\n"
                      "0,0,0,0,0,-1,0.3\n0.02,0,0,0,0,-1,0.3\n0.05,0,0,0,0,-1,0.3\n")
         with pytest.raises(ValueError, match="non-uniform time step"):
+            load_reference_dataset(f, horizon=1)
+
+    @pytest.mark.parametrize("row, message", [
+        ("0.02,0,0,0,0,-1", "{f}:3: expected 7 columns, got 6"),
+        ("0.02,0,nan,0,0,-1,0.3", "{f}:3: non-finite value"),
+        ("0.02,0,0,0,0,-1,inf", "{f}:3: non-finite value")])
+    def test_bad_row_names_its_line(self, tmp_path, row, message):
+        f = tmp_path / "bad.csv"
+        f.write_text(f"{CSV_HEADER}\n0,0,0,0,0,-1,0.3\n{row}\n0.04,0,0,0,0,-1,0.3\n")
+        with pytest.raises(ValueError, match=re.escape(message.format(f=f))):
+            load_reference_dataset(f, horizon=1)
+
+    def test_trajectory_without_header(self, tmp_path):
+        f = tmp_path / "bad.csv"
+        f.write_text(f"# trajectory 0\n{CSV_HEADER}\n0,0,0,0,0,-1,0.3\n"
+                     "0.02,0,0,0,0,-1,0.3\n# trajectory 1\n0,0,0,0,0,-1,0.3\n")
+        with pytest.raises(ValueError, match=re.escape(f"{f}:6: malformed header")):
+            load_reference_dataset(f, horizon=1)
+
+    def test_crlf_blank_lines_and_comments_are_skipped(self, tmp_path):
+        f = tmp_path / "refs.csv"
+        lines = ["# trajectory 0", CSV_HEADER, "0,1,0,0,0,-1,0.3", "", "# a note",
+                 "0.02,2,0,0,0,-1,0.3", "", "# trajectory 1", "", CSV_HEADER,
+                 "0,3,0,0,0,-1,0.3", "   ", "0.02,4,0,0,0,-1,0.3", "# end",
+                 "0.04,5,0,0,0,-1,0.3"]
+        f.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        ds = load_reference_dataset(f, horizon=2)
+        assert [t.shape[0] for t in ds.trajectories] == [2, 3]
+        assert [t[:, 0].tolist() for t in ds.trajectories] == [[1, 2], [3, 4, 5]]
+        assert ds.dt == 0.02
+
+    def test_one_row_trajectory_implies_no_dt(self, tmp_path):
+        f = tmp_path / "bad.csv"
+        f.write_text(f"{CSV_HEADER}\n0,0,0,0,0,-1,0.3\n")
+        with pytest.raises(ValueError, match="needs at least 2 rows to imply dt"):
+            load_reference_dataset(f, horizon=1)
+
+    def test_trajectories_of_different_dt(self, tmp_path):
+        f = tmp_path / "bad.csv"
+        f.write_text(f"# trajectory 0\n{CSV_HEADER}\n0,0,0,0,0,-1,0.3\n"
+                     f"0.02,0,0,0,0,-1,0.3\n# trajectory 1\n{CSV_HEADER}\n"
+                     "0,0,0,0,0,-1,0.3\n0.04,0,0,0,0,-1,0.3\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{f}: dt 0.04 differs from dataset dt 0.02")):
             load_reference_dataset(f, horizon=1)
 
     def test_paper_sized_dataset(self, tmp_path):

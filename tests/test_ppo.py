@@ -22,6 +22,12 @@ from test_sim import assert_same_state, env_state
 from test_trainer import assert_same, tiny_config, tiny_dataset
 
 
+def gaussian_policy(net, log_std=0.0):
+    """A policy over a copy of ``net``'s parameters, then ``log_std``."""
+    return GaussianPolicy(net.layer_sizes, net.activation, np.concatenate(
+        [net.flat, np.broadcast_to(log_std, net.layer_sizes[-1])]))
+
+
 def gae_direct_sum(rewards, values, dones, bootstrap, gamma, lam):
     """Literal definition: A_t = sum_k (gamma lam)^k delta_{t+k}, with the
     product of continuation masks cutting the sum at episode ends."""
@@ -105,7 +111,7 @@ def tiny_setup(seed=0, loss="wgan", num_envs=4, steps=8, horizon=2):
                                    hidden_sizes=(16, 8))
     weights = RewardWeights(w_imitation=1.0)
     rng = np.random.default_rng(seed)
-    policy = GaussianPolicy(MlpNet.create(
+    policy = gaussian_policy(MlpNet.create(
         [POLICY_OBS_DIM, 16, 16, ACTION_DIM], activation="elu", rng=rng,
         output_gain=0.01))
     value_net = MlpNet.create([POLICY_OBS_DIM, 16, 16, 1], activation="elu",
@@ -164,7 +170,7 @@ def oracle_collect(collector, policy, value_net, disc_net, imitation):
         noise = np.stack([rngs[i].standard_normal(ACTION_DIM) for i in range(E)])
         mean, _ = policy.net.forward(obs)
         actions = mean + np.exp(policy.log_std) * noise
-        logp = policy.log_prob(mean, actions)
+        logp = policy.log_prob(mean, actions)[0]
         values, _ = value_net.forward(obs)
 
         result = env.step(actions)
@@ -248,8 +254,8 @@ class TestCollectMatchesOracle:
                                        full_state=full_state)
         rng = np.random.default_rng(17)
         # a flailing policy falls at row-dependent steps
-        policy = GaussianPolicy(MlpNet.create([POLICY_OBS_DIM, 64, 64, ACTION_DIM],
-                                              rng=rng, output_gain=0.3))
+        policy = gaussian_policy(MlpNet.create([POLICY_OBS_DIM, 64, 64, ACTION_DIM],
+                                               rng=rng, output_gain=0.3))
         value_net = MlpNet.create([POLICY_OBS_DIM, 64, 64, 1], rng=rng)
         disc = build_discriminator(disc_cfg, rng)
         env = PlanarEnv(SimParams(), num_envs=16, seed=17)
@@ -460,7 +466,7 @@ class TestPpoUpdate:
         buf = self._buffer(collector, policy, value_net, disc, imitation)
         # ratio of fresh logp to stored logp is exactly 1 before any step
         mean, _ = policy.net.forward(buf.obs.reshape(buf.size, -1))
-        logp = policy.log_prob(mean, buf.actions.reshape(buf.size, -1))
+        logp = policy.log_prob(mean, buf.actions.reshape(buf.size, -1))[0]
         assert np.allclose(logp, buf.log_probs.reshape(-1), atol=1e-12)
 
     def test_update_reports_finite_stats(self):
@@ -566,28 +572,30 @@ class TestPpoUpdate:
 class TestPolicyHead:
     def test_log_prob_matches_scipy_style_formula(self):
         rng = np.random.default_rng(0)
-        policy = GaussianPolicy(MlpNet.create([3, 8, 2], rng=rng),
-                                init_log_std=-0.3)
+        policy = gaussian_policy(MlpNet.create([3, 8, 2], rng=rng), log_std=-0.3)
         mean = rng.normal(size=(5, 2))
         actions = rng.normal(size=(5, 2))
-        logp = policy.log_prob(mean, actions)
+        logp, z = policy.log_prob(mean, actions)
         std = np.exp(policy.log_std)
         expected = -0.5 * (((actions - mean) / std) ** 2).sum(axis=1) \
             - np.log(std).sum() - np.log(2 * np.pi)
         assert np.allclose(logp, expected, atol=1e-12)
+        assert np.allclose(z, (actions - mean) / std, atol=1e-12)
 
     def test_entropy_closed_form(self):
         rng = np.random.default_rng(1)
-        policy = GaussianPolicy(MlpNet.create([3, 8, 2], rng=rng),
-                                init_log_std=0.5)
+        policy = gaussian_policy(MlpNet.create([3, 8, 2], rng=rng), log_std=0.5)
         expected = 2 * 0.5 + 0.5 * 2 * (np.log(2 * np.pi) + 1)
         assert policy.entropy() == pytest.approx(expected)
 
     def test_one_vector_net_then_log_std(self):
         net = MlpNet.create([3, 8, 2], rng=np.random.default_rng(3))
-        policy = GaussianPolicy(net, log_std=[0.1, -0.2])
-        assert np.array_equal(policy.flat, np.concatenate([net.flat, [0.1, -0.2]]))
+        flat = np.concatenate([net.flat, [0.1, -0.2]])
+        policy = GaussianPolicy([3, 8, 2], "elu", flat)
+        # the policy adopts the vector it is given, not a copy
+        assert policy.flat is flat
+        assert np.array_equal(policy.net.flat, net.flat)
+        assert np.array_equal(policy.log_std, [0.1, -0.2])
         assert policy.shapes == net.shapes + [(2,)]
         assert_views_of(policy.flat, policy.net.weights + policy.net.biases
                         + [policy.net.flat, policy.log_std])
-        assert not np.shares_memory(policy.flat, net.flat)
