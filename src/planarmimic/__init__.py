@@ -12,7 +12,7 @@ from .dtw import DtwConfig, dtw_brute_force, dtw_distance, dtw_distances
 from .nets import MlpNet, OptimizerState, optimizer_step
 from .ppo import (GaussianPolicy, PpoConfig, RolloutBuffer, RolloutCollector,
                   adaptive_lr, gae_advantages, ppo_update)
-from .rewards import (ImitationReward, RewardWeights, RunningStats,
+from .rewards import (ImitationReward, RewardWeights,
                       handcrafted_backflip_reward, handcrafted_standup_reward,
                       regularization_reward, termination_penalty,
                       total_reward)

@@ -1,11 +1,14 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 usage error, 2 config validation error, 3 runtime
-failure. Exit 2 also covers refs that are unset or name nothing and, in each
-command that reads critic windows (``train``, ``sweep``, ``train --resume``,
-``analyze``), a ``disc.horizon`` longer than a reference trajectory; ``eval``
-takes refs of any length. The output root defaults to ``./runs`` and can be
-moved with the ``PLANARMIMIC_OUT_ROOT`` environment variable.
+failure. Exit 2 also covers refs that are unset, name nothing or are sampled
+at another period than ``sim.control_dt``; in each command that reads
+critic windows (``train``, ``sweep``, ``train --resume``, ``analyze``), a
+``disc.horizon`` longer than a reference trajectory (``eval`` takes refs of
+any length); and a ``train --resume`` whose ``iterations`` do not exceed its
+checkpoint's iteration. Each of these exits before the command writes. The
+output root defaults to ``./runs`` and can be moved with the
+``PLANARMIMIC_OUT_ROOT`` environment variable.
 
 Every command builds its config in one pass of ``config.build_config``, the
 only place that decides precedence. Each step beats the ones before it:
@@ -253,6 +256,9 @@ def cmd_train(args) -> int:
                              f"only --iterations and --out apply to --resume")
         trainer = Trainer.from_checkpoint(args.resume,
                                           keys=_flag_keys(args, ("iterations", "out")))
+        if trainer.cfg.iterations <= trainer.iteration:
+            raise ConfigError([f"iterations ({trainer.cfg.iterations}) must exceed the "
+                               f"checkpoint's iteration ({trainer.iteration}) to resume"])
     else:
         keys = _flag_keys(args, ("task", "loss", "seed", "iterations", "refs", "out"))
         trainer = _new_trainer(build_config(args.config, keys, args.set))

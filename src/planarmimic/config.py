@@ -78,14 +78,18 @@ class TrainConfig:
             errors.append("checkpoint_interval must be >= 1")
         own = [e for section in _NESTED for e in getattr(self, section).validate()]
         # a NaN passes every comparison of the sections' checks, and an
-        # infinity most; a field its section reports as not finite is left to it
+        # infinity most. A field that is not finite gets one error of its
+        # own: its section's, if that says so, else this one in place of the
+        # section's (errors naming other fields too are kept)
         for section in _NESTED:
             for name, value in vars(getattr(self, section)).items():
                 entries = value if isinstance(value, tuple) else (value,)
-                key = f"{section}.{name} "
-                if not (all(math.isfinite(v) for v in entries if isinstance(v, float))
-                        or any(e.startswith(key) and "finite" in e for e in own)):
-                    errors.append(f"{key}must be finite, got {value!r}")
+                if all(math.isfinite(v) for v in entries if isinstance(v, float)):
+                    continue
+                key = f"{section}.{name} must"
+                if not any(e.startswith(key) and "finite" in e for e in own):
+                    own = [e for e in own if not e.startswith(key)]
+                    errors.append(f"{key} be finite, got {value!r}")
         return errors + own
 
     def require_valid(self) -> "TrainConfig":

@@ -3,8 +3,9 @@ regularization penalties, and the handcrafted baseline task rewards.
 
 ``ImitationReward`` is the one place a discriminator score becomes an
 imitation reward: the least-squares critic's bounded map, or the Wasserstein
-critic's score normalized by running statistics of the policy scores. Every
-function here is elementwise over arrays of any shape."""
+critic's score normalized by the running statistics of the policy scores,
+which it holds and alone updates. Every other function here is elementwise
+over arrays of any shape."""
 
 from __future__ import annotations
 
@@ -16,44 +17,9 @@ import numpy as np
 # Normalization only switches on once enough scores have been seen; before
 # that the imitation reward is 0 so early gradients come from regularization.
 STATS_WARMUP = 100
-
-
-@dataclass
-class RunningStats:
-    """Single-pass (Welford) mean/variance tracker with a variance floor.
-
-    Population variance; the floor keeps the normalizer sane for degenerate
-    (constant) score streams.
-    """
-
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-    epsilon: float = 1e-6
-
-    @property
-    def variance(self) -> float:
-        return self.m2 / self.count if self.count > 0 else 0.0
-
-    @property
-    def std(self) -> float:
-        return max(math.sqrt(self.variance), self.epsilon)
-
-    def update(self, values) -> None:
-        """Fold ``values``, a scalar or an array, into the statistics in
-        order, one Welford step each. A batch holding a non-finite value is
-        rejected whole, before any of it is folded."""
-        values = np.asarray(values, dtype=np.float64).reshape(-1)
-        if not np.isfinite(values).all():
-            raise ValueError("non-finite value rejected by running stats")
-        for value in values.tolist():
-            self.count += 1
-            delta = value - self.mean
-            self.mean += delta / self.count
-            self.m2 += delta * (value - self.mean)
-
-    def normalize(self, score):
-        return (np.asarray(score, dtype=np.float64) - self.mean) / self.std
+# The normalizer's std never drops below this, so a constant score stream
+# keeps it finite.
+STD_FLOOR = 1e-6
 
 
 class ImitationReward:
@@ -62,36 +28,45 @@ class ImitationReward:
     * ``lsgan``: the bounded map max[0, 1 - 0.25 (score - 1)^2] (AMP). Scores
       at or below -1 (and at or above 3) land exactly on the 0 floor, where
       the least-squares critic stops carrying distance information.
-    * ``wgan``: the score normalized to zero mean and unit variance by
-      ``stats``, the running statistics of every policy score paid so far.
-      The reward is 0 until they have seen ``STATS_WARMUP`` scores.
+    * ``wgan``: the score normalized to zero mean and unit variance by the
+      running (Welford) statistics of every policy score paid so far:
+      ``count``, ``mean`` and ``m2``, the sum of squared deviations, so the
+      std is the population one, floored at ``STD_FLOOR``. The reward is 0
+      until they have seen ``STATS_WARMUP`` scores.
 
-    Calling it only reads the statistics; ``pay`` is the one path that
-    updates them.
+    Calling it only reads the statistics; ``pay`` is the one writer.
     """
 
-    def __init__(self, loss_kind: str, stats: RunningStats):
+    def __init__(self, loss_kind: str):
         self.loss_kind = loss_kind
-        self.stats = stats
+        self.count, self.mean, self.m2 = 0, 0.0, 0.0
 
     def __call__(self, scores) -> np.ndarray:
         scores = np.asarray(scores, dtype=np.float64)
         if self.loss_kind == "lsgan":
             return np.maximum(0.0, 1.0 - 0.25 * (scores - 1.0) ** 2)
-        if self.stats.count < STATS_WARMUP:
+        if self.count < STATS_WARMUP:
             return np.zeros_like(scores)
-        return self.stats.normalize(scores)
+        return (scores - self.mean) / max(math.sqrt(self.m2 / self.count), STD_FLOOR)
 
     def pay(self, scores: np.ndarray) -> np.ndarray:
         """Rewards of a (T, E) rollout's policy scores. Row by row, each
         row's rewards are read from the statistics first, then its scores
-        are folded into them (wgan; the lsgan map has no statistics)."""
+        are folded into them in order, one Welford step each (wgan; the
+        lsgan map has no statistics). A row holding a non-finite score
+        raises ``ValueError`` before any of it is folded."""
         if self.loss_kind == "lsgan":
             return self(scores)
         rewards = np.empty_like(scores)
         for t, row in enumerate(scores):
             rewards[t] = self(row)
-            self.stats.update(row)
+            if not np.isfinite(row).all():
+                raise ValueError("non-finite score rejected by the imitation reward")
+            for value in row.tolist():
+                self.count += 1
+                delta = value - self.mean
+                self.mean += delta / self.count
+                self.m2 += delta * (value - self.mean)
         return rewards
 
 

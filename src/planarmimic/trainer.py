@@ -5,16 +5,16 @@ A checkpoint (format 6) is one uncompressed zip in numpy's ``.npz`` layout,
 so ``np.load`` opens it too. Its first member, ``meta.json``, is a JSON
 object of everything but the arrays: the format version, the iteration, the
 config mapping, each optimizer's ``learning_rate`` and ``step_count``, the
-running statistics' ``count``, ``mean`` and ``m2``, and last the generator
-states of the trainer (``trainer_rng``), the env rows (``env_rngs``) and the
-action rows (``action_rngs``); under ``members`` it names the array members
-in file order. Every other member is one array in ``.npy`` form, named by
-its key path in the checkpoint dict (``policy_opt/slots/m``): each net's
-parameter vector (``policy``, ``value_net``, ``discriminator``), each
-optimizer's slots, the env's ``sim.STATE_ARRAYS`` (``env/arrays/x``, ``z``,
-``pitch``, ``vx``, ``vz``, ``om``, ``q``, ``qd``, ``mass`` and ``steps``), and
-the collector's whole frame buffer, (E, max(H, 2), 18), as
-``collector/frames``.
+imitation reward's ``count``, ``mean`` and ``m2`` (as ``running_stats``), and
+last the generator states of the trainer (``trainer_rng``), the env rows
+(``env_rngs``) and the action rows (``action_rngs``); under ``members`` it
+names the array members in file order. Every other member is one array in
+``.npy`` form, named by its key path in the checkpoint dict
+(``policy_opt/slots/m``): each net's parameter vector (``policy``,
+``value_net``, ``discriminator``), each optimizer's slots, the env's
+``sim.STATE_ARRAYS`` (``env/arrays/x``, ``z``, ``pitch``, ``vx``, ``vz``,
+``om``, ``q``, ``qd``, ``mass`` and ``steps``), and the collector's whole
+frame buffer, (E, max(H, 2), 18), as ``collector/frames``.
 
 Only ``Trainer`` knows this layout: ``checkpoint_dict`` lists the live
 arrays, and a loaded dict restores only a new trainer, ``Trainer(cfg,
@@ -69,8 +69,8 @@ from .dtw import DtwReport, dtw_distances, stand_still_rollout
 from .nets import SLOT_NAMES, ForwardCache, MlpNet, OptimizerState, optimizer_step
 from .ppo import (ACTION_DIM, GaussianPolicy, POLICY_OBS_DIM, PolicyHistory,
                   RolloutCollector, ppo_update)
-from .rewards import (ImitationReward, RunningStats,
-                      handcrafted_backflip_reward, handcrafted_standup_reward)
+from .rewards import (ImitationReward, handcrafted_backflip_reward,
+                      handcrafted_standup_reward)
 from .sim import STATE_ARRAYS, PlanarEnv
 
 CHECKPOINT_FORMAT_VERSION = 6
@@ -218,11 +218,12 @@ def run_inputs(cfg: TrainConfig, windowed: bool = True,
     """``(cfg, dataset)``: ``cfg`` with its ``refs`` made absolute, so a
     run's checkpoints name its data from any working directory, and the data
     ``refs`` names. Raises ``ConfigError`` unless ``cfg`` validates, names
-    data that exists and, if ``windowed`` (the caller reads critic windows),
-    has a ``disc.horizon`` that fits in every trajectory; data that does not
-    parse raises ``ValueError``. ``datasets`` maps absolute ``refs`` paths
-    to the data read from them: a path in it is not read again, and a path
-    read is added to it."""
+    data that exists, sampled every control period (the critic windows and
+    the DTW compare its frames with the policy's), and, if ``windowed`` (the
+    caller reads critic windows), has a ``disc.horizon`` that fits in every
+    trajectory; data that does not parse raises ``ValueError``. ``datasets``
+    maps absolute ``refs`` paths to the data read from them: a path in it is
+    not read again, and a path read is added to it."""
     errors = cfg.validate()
     if not cfg.refs or not Path(cfg.refs).exists():
         errors.append(f"refs must point at reference data that exists "
@@ -234,6 +235,9 @@ def run_inputs(cfg: TrainConfig, windowed: bool = True,
     if cfg.refs not in datasets:
         datasets[cfg.refs] = load_reference_dataset(cfg.refs, 1)
     dataset = datasets[cfg.refs]
+    if abs(dataset.dt - cfg.sim.control_dt) > 1e-9:
+        raise ConfigError([f"refs are sampled every {dataset.dt} s, but the policy "
+                           f"acts every sim.control_dt = {cfg.sim.control_dt} s"])
     shortest = min(t.shape[0] for t in dataset.trajectories)
     if windowed and shortest < cfg.disc.horizon:
         raise ConfigError([f"disc.horizon ({cfg.disc.horizon}) must not exceed the "
@@ -314,7 +318,7 @@ class Trainer:
         self.ppo_pol_cache, self.ppo_val_cache = ForwardCache(), ForwardCache()
         self.ppo_val_grad = np.empty_like(self.value_net.flat)
 
-        self.imitation = ImitationReward(cfg.disc.loss_kind, RunningStats())
+        self.imitation = ImitationReward(cfg.disc.loss_kind)
         self.env = PlanarEnv(cfg.sim, cfg.ppo.num_envs, seed=seed)
         self.collector = RolloutCollector(self.env, cfg.disc, cfg.ppo,
                                           cfg.reward, seed=seed)
@@ -431,7 +435,6 @@ class Trainer:
     def checkpoint_dict(self) -> dict:
         """The trainer's state as a checkpoint dict (see the module
         docstring); its arrays are the live ones, not copies."""
-        stats = self.imitation.stats
         return {
             "format_version": CHECKPOINT_FORMAT_VERSION,
             "iteration": self.iteration,
@@ -442,7 +445,8 @@ class Trainer:
             **{name: {"learning_rate": opt.learning_rate,
                       "step_count": opt.step_count, "slots": dict(opt.slots)}
                for name, opt in self._optimizers()},
-            "running_stats": {"count": stats.count, "mean": stats.mean, "m2": stats.m2},
+            "running_stats": {key: getattr(self.imitation, key)
+                              for key in ("count", "mean", "m2")},
             "env": {"arrays": {key: getattr(self.env, key) for key in STATE_ARRAYS}},
             "collector": {"frames": self.collector.history.frames.buf},
             "trainer_rng": self.rng.bit_generator.state,
@@ -480,8 +484,8 @@ class Trainer:
         for name, opt in self._optimizers():
             opt.learning_rate = ckpt[name]["learning_rate"]
             opt.step_count = ckpt[name]["step_count"]
-        stats, kept = self.imitation.stats, ckpt["running_stats"]
-        stats.count, stats.mean, stats.m2 = kept["count"], kept["mean"], kept["m2"]
+        for key, value in ckpt["running_stats"].items():
+            setattr(self.imitation, key, value)
 
     def save_checkpoint(self, path) -> Path:
         return write_checkpoint(path, self.checkpoint_dict())

@@ -1,5 +1,3 @@
-from dataclasses import asdict
-
 import numpy as np
 
 from planarmimic.analyze import (reference_window_rewards, reward_surface,
@@ -15,13 +13,13 @@ def test_histogram_leaves_the_reward_statistics_alone():
     # the exported rewards must all use the checkpoint's statistics
     cfg = tiny_config(loss="wgan")
     trainer = Trainer(cfg, tiny_dataset(cfg))
-    while trainer.imitation.stats.count <= STATS_WARMUP:
+    while trainer.imitation.count <= STATS_WARMUP:
         trainer.train_iteration()
-    stats = asdict(trainer.imitation.stats)
+    stats = dict(vars(trainer.imitation))
     ref_rewards = reference_window_rewards(trainer)
     surface = reward_surface(trainer, grid_n=5)
     rollout_reward_histogram(trainer)
-    assert asdict(trainer.imitation.stats) == stats
+    assert vars(trainer.imitation) == stats
     assert np.array_equal(reference_window_rewards(trainer), ref_rewards)
     assert np.array_equal(reward_surface(trainer, grid_n=5), surface)
 
@@ -31,11 +29,11 @@ def test_exports_pay_zero_before_warmup():
     # score in training, and the exports show that same map
     cfg = tiny_config(loss="wgan")
     trainer = Trainer(cfg, tiny_dataset(cfg))
-    assert trainer.imitation.stats.count < STATS_WARMUP
+    assert trainer.imitation.count < STATS_WARMUP
     assert np.all(reference_window_rewards(trainer) == 0.0)
     assert np.all(reward_surface(trainer, grid_n=5)[:, 2] == 0.0)
     histogram = rollout_reward_histogram(trainer)
-    assert trainer.imitation.stats.count == 0
+    assert trainer.imitation.count == 0
     assert np.all(histogram == 0.0)
     record = trainer.train_iteration()
     assert record["imitation_mean"] == 0.0

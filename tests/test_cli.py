@@ -457,14 +457,19 @@ class TestRefsExitCodes:
     @pytest.mark.parametrize("refs, command, code", [
         ("missing", "eval", EXIT_CONFIG), ("missing", "analyze", EXIT_CONFIG),
         ("missing", "resume", EXIT_CONFIG), ("short", "analyze", EXIT_CONFIG),
-        ("short", "resume", EXIT_CONFIG), ("short", "eval", EXIT_OK)])
+        ("short", "resume", EXIT_CONFIG), ("short", "eval", EXIT_OK),
+        # refs sampled every other control period used to be compared frame
+        # by frame with the policy's, without an error
+        ("slow", "eval", EXIT_CONFIG), ("slow", "analyze", EXIT_CONFIG),
+        ("slow", "resume", EXIT_CONFIG)])
     def test_exit_code(self, tmp_path, refs, command, code):
-        # each used to exit 3
+        # each but the slow refs used to exit 3
         cfg = tiny_config(tmp_path=tmp_path)
         cfg.disc.horizon = 8
         dataset = tiny_dataset(cfg)
         save_reference_csv(tmp_path / "short", [t[:5] for t in dataset.trajectories],
                            cfg.sim.control_dt)
+        save_slow_refs(tmp_path / "slow", cfg)
         checkpoint = Trainer(cfg, dataset).save_checkpoint(tmp_path / "ckpt.npz")
         out = tmp_path / "out"
         if command == "resume":
@@ -480,6 +485,24 @@ class TestRefsExitCodes:
         assert out.exists() == (code == EXIT_OK)
         if code == EXIT_OK:
             assert json.loads(out.read_text())["per_seed"][0]["n_references"] == 4
+
+
+    def test_slow_refs_fail_train_and_sweep_before_training(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path=tmp_path)
+        slow = save_slow_refs(tmp_path / "slow", cfg)
+        assert_fails_before_training(tmp_path, f"refs={slow}")
+        assert "refs are sampled every 0.04 s" in capsys.readouterr().err
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(tmp_path / "base.txt"), "--out", str(out),
+                     "--grid", f"refs={slow}", "--quiet"]) == EXIT_CONFIG
+        assert not out.exists()
+
+
+def save_slow_refs(path, cfg):
+    """``tiny_dataset(cfg)``'s trajectories written at twice the control
+    period."""
+    save_reference_csv(path, tiny_dataset(cfg).trajectories, 2 * cfg.sim.control_dt)
+    return path
 
 
 def assert_fails_before_training(tmp_path, setting):
@@ -593,6 +616,12 @@ class TestSweep:
         assert main(["sweep", "--out", str(out), "--grid", entry]) == EXIT_USAGE
         assert not out.exists()
 
+    def test_a_grid_entry_without_equals_is_named(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", "--out", str(out), "--grid", "noequals"]) == EXIT_USAGE
+        assert "grid entry 'noequals' must look like key=value" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvalAlignments:
     def test_off_by_default(self, checkpoint, tmp_path):
@@ -628,6 +657,25 @@ class TestEvalAlignments:
                         np.linalg.norm(seq[qi] - refs[b][ri]), rel=1e-12)
                     total += float(r["local_cost"])
                 assert total == pytest.approx(distances[a, b], rel=1e-12)
+
+
+class TestResumeTarget:
+    @pytest.mark.parametrize("iterations", ["1", "2"])
+    def test_a_target_already_reached_writes_nothing(self, tmp_path, capsys,
+                                                     iterations):
+        # it used to train nothing, log a resume in run.json and rewrite the
+        # final checkpoint and eval.json
+        cfg = tiny_config(tmp_path=tmp_path)
+        run = tmp_path / "run"
+        cfg.out_dir = str(run)
+        final = Trainer(cfg, tiny_dataset(cfg)).run(run, iterations=2)
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        code = main(["train", "--resume", str(final), "--iterations", iterations,
+                     "--quiet"])
+        assert code == EXIT_CONFIG
+        assert (f"iterations ({iterations}) must exceed the checkpoint's "
+                "iteration (2)") in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
 class TestResumeOut:

@@ -71,6 +71,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match="key = value"):
             build_from_text(tmp_path, "just some words\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("seed = 2\nnonsense line\n",
+         "line 2: expected 'key = value', got 'nonsense line'"),
+        ("seed = 2\n# a comment\nfoo.bar = 1\n",
+         "line 3: unknown config section 'foo' in key 'foo.bar'")])
+    def test_a_refused_file_line_is_named_by_its_number(self, tmp_path, text, message):
+        with pytest.raises(ConfigError) as err:
+            build_from_text(tmp_path, text)
+        assert err.value.errors == [message]
+
     def test_tuple_field(self, tmp_path):
         cfg = build_from_text(tmp_path, "ppo.hidden_sizes = 32,32\n")
         assert cfg.ppo.hidden_sizes == (32, 32)
@@ -212,6 +222,9 @@ class TestValidation:
         ("sim.link_lengths=inf,0.16", "sim.link_lengths must be finite"),
         ("sim.joint_limits_low=-inf,-2.2,-1.3,-2.2",
          "sim.joint_limits_low must be finite"),
+        # these also gave "must be integers >= 1"
+        ("ppo.hidden_sizes=nan", "ppo.hidden_sizes must be finite, got (nan,)"),
+        ("disc.hidden_sizes=64,inf", "disc.hidden_sizes must be finite, got (64, inf)"),
     ])
     def test_shape_settings(self, setting, fragment):
         errors = build_config(overrides=[setting]).validate()
@@ -274,6 +287,11 @@ class TestOverrides:
     def test_bad_override_format(self):
         with pytest.raises(ConfigError):
             build_config(overrides=["ppo.num_envs"])
+
+    def test_an_override_without_equals_is_named(self):
+        with pytest.raises(ConfigError) as err:
+            build_config(overrides=["seed=2", "noequals"])
+        assert err.value.errors == ["override 'noequals' must look like key=value"]
 
     def test_unknown_override_key(self):
         with pytest.raises(ConfigError):

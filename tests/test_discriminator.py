@@ -7,7 +7,7 @@ from planarmimic.discriminator import (DiscriminatorConfig, build_discriminator,
                                        discriminator_loss,
                                        raw_score, reference_input)
 from planarmimic.nets import ForwardCache, MlpNet, OptimizerState, optimizer_step
-from planarmimic.rewards import ImitationReward, RunningStats
+from planarmimic.rewards import ImitationReward
 
 from test_nets import fd_param_gradient, rand_net, rel_err, FD_RTOL
 
@@ -351,7 +351,7 @@ class TestRawScore:
 
 
 class TestLsganImitationReward:
-    reward = ImitationReward("lsgan", RunningStats())
+    reward = ImitationReward("lsgan")
 
     def test_paper_mapping_points(self):
         assert self.reward(1.0) == pytest.approx(1.0)

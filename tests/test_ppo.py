@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from planarmimic.ppo import (ACTION, ACTION_DIM, JOINT_VEL, GaussianPolicy,
                              POLICY_OBS_DIM, PpoConfig, RolloutBuffer,
                              RolloutCollector, adaptive_lr, gae_advantages,
                              ppo_update)
-from planarmimic.rewards import (STATS_WARMUP, ImitationReward, RewardWeights,
-                                 RunningStats, regularization_reward,
+from planarmimic.rewards import (STATS_WARMUP, STD_FLOOR, ImitationReward,
+                                 RewardWeights, regularization_reward,
                                  termination_penalty, total_reward)
 from planarmimic.sim import PlanarEnv, SimParams
 from planarmimic.trainer import Trainer, load_checkpoint
@@ -119,16 +120,17 @@ def tiny_setup(seed=0, loss="wgan", num_envs=4, steps=8, horizon=2):
     disc = build_discriminator(disc_cfg, rng)
     env = PlanarEnv(sim, num_envs=num_envs, seed=seed)
     collector = RolloutCollector(env, disc_cfg, ppo_cfg, weights, seed=seed)
-    imitation = ImitationReward(loss, RunningStats())
+    imitation = ImitationReward(loss)
     return collector, policy, value_net, disc, imitation, ppo_cfg
 
 
 def oracle_collect(collector, policy, value_net, disc_net, imitation):
     """The step-by-step collection ``collect`` replaced, the slow oracle of
     its batched passes: every noise draw, forward and reward term inside the
-    step loop, one step at a time, with the imitation reward written out. It
-    reads and advances the collector's state (env, history, windows,
-    generators) and the statistics of ``imitation`` as ``collect`` does.
+    step loop, one step at a time, with the imitation reward written out;
+    each step's scores are then folded into the statistics of ``imitation``
+    as a one-row ``pay``. It reads and advances the collector's state (env,
+    history, windows, generators) and those statistics as ``collect`` does.
 
     The history is its own plain arrays, shifted row by row: the last two
     policy frames, the last frame's action and joint rates, and the critic
@@ -178,14 +180,14 @@ def oracle_collect(collector, policy, value_net, disc_net, imitation):
         window[:, -1] = disc_frame()
         windows = window.reshape(E, -1).copy()
         scores = raw_score(disc_net, windows)
-        stats = imitation.stats
         if disc_cfg.loss_kind == "lsgan":
             r_imit = np.maximum(0.0, 1.0 - 0.25 * (scores - 1.0) ** 2)
         else:
-            r_imit = (np.zeros(E) if stats.count < STATS_WARMUP
-                      else (scores - stats.mean) / stats.std)
-            for v in scores:
-                stats.update(v)
+            r_imit = np.zeros(E)
+            if imitation.count >= STATS_WARMUP:
+                r_imit = (scores - imitation.mean) / max(
+                    math.sqrt(imitation.m2 / imitation.count), STD_FLOOR)
+            imitation.pay(scores[None])
         r_term = termination_penalty(result.terminal, cfg.gamma)
         r_reg = regularization_reward(
             actions, prev_action, env.qd, prev_joint_vel,
@@ -264,7 +266,7 @@ class TestCollectMatchesOracle:
         # and row 1's episode clock runs out three steps in
         env.pitch[2], env.z[2] = np.pi / 2 + 0.4, 0.25
         env.steps[1] = env.params.episode_steps - 3
-        return collector, policy, value_net, disc, ImitationReward(loss, RunningStats())
+        return collector, policy, value_net, disc, ImitationReward(loss)
 
     @pytest.mark.parametrize("loss", ["wgan", "lsgan"])
     @pytest.mark.parametrize("obs_noise", [0.0, 0.5])
@@ -285,14 +287,14 @@ class TestCollectMatchesOracle:
             assert got.termination_count == want.termination_count
             lengths += got.episode_lengths
             terminations += got.termination_count
-            assert fast[4].stats == slow[4].stats
+            assert vars(fast[4]) == vars(slow[4])
             assert_same_state(collector_state(fast[0]), collector_state(slow[0]))
             assert_same_state(env_state(fast[0].env), env_state(slow[0].env))
         # row 1's timed-out episode counts every step of its clock
         assert (fast[0].env.params.episode_steps in lengths and len(lengths) >= 3
                 and terminations >= 2)
         if loss == "wgan":
-            assert fast[4].stats.count >= STATS_WARMUP
+            assert fast[4].count >= STATS_WARMUP
             assert np.any(got.r_imitation != 0.0)
 
 
@@ -432,7 +434,7 @@ class TestCollector:
     def test_wgan_stats_updated_from_policy_scores_only(self):
         collector, policy, value_net, disc, imitation, _ = tiny_setup(seed=9)
         buf = collector.collect(policy, value_net, disc, imitation)
-        assert imitation.stats.count == buf.size
+        assert imitation.count == buf.size
 
     def test_windows_prefilled_after_reset(self):
         collector, policy, value_net, disc, imitation, _ = tiny_setup(horizon=4)

@@ -1,107 +1,114 @@
 import math
-from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from planarmimic.rewards import (STATS_WARMUP, ImitationReward, RewardWeights,
-                                 RunningStats, handcrafted_backflip_reward,
+from planarmimic.rewards import (STATS_WARMUP, STD_FLOOR, ImitationReward,
+                                 RewardWeights, handcrafted_backflip_reward,
                                  handcrafted_standup_reward,
                                  regularization_reward, termination_penalty,
                                  total_reward)
 
 
+def stats(r):
+    return r.count, r.mean, r.m2
+
+
+def warmed(values):
+    """A wgan reward that has paid ``values``, one row each."""
+    r = ImitationReward("wgan")
+    r.pay(np.asarray(values, dtype=np.float64).reshape(-1, 1))
+    return r
+
+
 class TestRunningStats:
+    """The wgan normalizer's running statistics, which ``pay`` alone folds
+    (checkpointed as ``running_stats``)."""
+
     def test_two_values(self):
-        s = RunningStats()
-        s.update(0.0)
-        s.update(2.0)
-        assert s.mean == pytest.approx(1.0)
-        assert s.variance == pytest.approx(1.0)  # population variance
+        r = warmed([0.0, 2.0])
+        assert r.mean == pytest.approx(1.0)
+        assert r.m2 / r.count == pytest.approx(1.0)  # population variance
 
     def test_constant_stream_hits_epsilon_floor(self):
-        s = RunningStats(epsilon=1e-6)
-        for _ in range(50):
-            s.update(3.25)
-        assert s.mean == pytest.approx(3.25)
-        assert s.std == 1e-6
+        r = warmed(np.full(STATS_WARMUP + 50, 3.25))
+        assert (r.mean, r.m2) == (3.25, 0.0)
+        assert r(3.25 + 2 * STD_FLOOR) == pytest.approx(2.0)
 
     def test_monte_carlo_normal_stream(self):
         rng = np.random.default_rng(314)
-        s = RunningStats()
-        s.update(rng.normal(3.0, 2.0, size=100_000))
-        assert abs(s.mean - 3.0) < 0.05
-        assert abs(s.std - 2.0) < 0.05
+        r = ImitationReward("wgan")
+        r.pay(rng.normal(3.0, 2.0, size=(100, 1000)))
+        assert abs(r.mean - 3.0) < 0.05
+        assert abs(math.sqrt(r.m2 / r.count) - 2.0) < 0.05
 
     def test_matches_numpy_moments(self):
         rng = np.random.default_rng(1)
         values = rng.normal(size=1000) * 5 + 1
-        s = RunningStats()
-        s.update(values)
-        assert s.mean == pytest.approx(values.mean(), rel=1e-12)
-        assert s.variance == pytest.approx(values.var(), rel=1e-10)
+        r = ImitationReward("wgan")
+        r.pay(values.reshape(40, 25))
+        assert r.mean == pytest.approx(values.mean(), rel=1e-12)
+        assert r.m2 / r.count == pytest.approx(values.var(), rel=1e-10)
 
     def test_non_finite_rejected(self):
-        s = RunningStats()
-        with pytest.raises(ValueError):
-            s.update(math.inf)
+        r = ImitationReward("wgan")
+        with pytest.raises(ValueError, match="non-finite"):
+            r.pay(np.array([[math.inf]]))
+        assert stats(r) == (0, 0.0, 0.0)
 
     def test_non_finite_mid_batch_folds_nothing(self):
-        # the values before the NaN used to be folded in before it raised
-        s = RunningStats()
-        s.update([1.0, 2.5])
-        before = asdict(s)
+        # a row is rejected whole, its values before the NaN included; the
+        # rows paid before it stay folded
+        r = warmed([1.0, 2.5])
         with pytest.raises(ValueError, match="non-finite"):
-            s.update(np.array([3.0, -1.0, np.nan, 4.0]))
-        assert asdict(s) == before
+            r.pay(np.array([[0.5, 0.5], [3.0, np.nan]]))
+        assert stats(r) == stats(warmed([1.0, 2.5, 0.5, 0.5]))
+        before = stats(r)
+        with pytest.raises(ValueError, match="non-finite"):
+            r.pay(np.array([[3.0, -1.0, np.nan, 4.0]]))
+        assert stats(r) == before
 
     def test_batch_folds_each_value_in_order(self):
         values = np.random.default_rng(6).normal(2.0, 3.0, size=(24, 16))
-        batch, single = RunningStats(), RunningStats()
-        batch.update(values)
-        for value in values.reshape(-1):
-            single.update(float(value))
-        assert asdict(batch) == asdict(single)
+        batch, single = ImitationReward("wgan"), warmed(values)
+        batch.pay(values)
+        assert stats(batch) == stats(single)
 
     def test_count_monotone(self):
-        s = RunningStats()
+        r = ImitationReward("wgan")
         for i in range(10):
-            assert s.count == i
-            s.update(float(i))
+            assert r.count == i
+            r.pay(np.array([[float(i)]]))
 
 
 class TestImitationReward:
     def _warm(self, mean=5.0, std=1.0, n=5000, seed=0):
-        s = RunningStats()
-        s.update(np.random.default_rng(seed).normal(mean, std, size=n))
-        return ImitationReward("wgan", s)
+        return warmed(np.random.default_rng(seed).normal(mean, std, size=n))
 
     def test_score_at_mean_is_zero(self):
         r = self._warm()
-        assert r(r.stats.mean) == pytest.approx(0.0)
+        assert r(r.mean) == pytest.approx(0.0)
 
     def test_score_one_sigma_above(self):
         r = self._warm()
-        assert r(r.stats.mean + r.stats.std) == pytest.approx(1.0)
+        assert r(r.mean + math.sqrt(r.m2 / r.count)) == pytest.approx(1.0)
 
     def test_monte_carlo_center(self):
         r = self._warm(mean=5.0, std=1.0)
         assert abs(r(5.0)) < 0.05
 
     def test_warmup_returns_zero(self):
-        r = ImitationReward("wgan", RunningStats())
-        for _ in range(99):
-            r.stats.update(7.0)
+        r = warmed(np.full(STATS_WARMUP - 1, 7.0))
         assert r(100.0) == 0.0
-        r.stats.update(7.0)
+        assert r.pay(np.array([[100.0]]))[0, 0] == 0.0
         assert r(100.0) != 0.0
 
     def test_normalization_contract(self):
         # after many updates, fresh samples from the stream normalize to
         # zero mean / unit std
         rng = np.random.default_rng(2718)
-        r = ImitationReward("wgan", RunningStats())
-        r.stats.update(rng.normal(-4.0, 3.0, size=20_000))
+        r = ImitationReward("wgan")
+        r.pay(rng.normal(-4.0, 3.0, size=(200, 100)))
         fresh = rng.normal(-4.0, 3.0, size=20_000)
         out = r(fresh)
         assert abs(out.mean()) < 0.1
@@ -109,31 +116,30 @@ class TestImitationReward:
 
     def test_call_reads_the_statistics_only(self):
         r = self._warm()
-        before = asdict(r.stats)
+        before = stats(r)
         r(np.arange(12.0).reshape(3, 4))
-        assert asdict(r.stats) == before
+        assert stats(r) == before
 
     def test_pay_reads_each_row_before_folding_it_in(self):
         # a row crosses the warm-up: the rewards of every row are read from
         # the statistics of the rows before it
         rng = np.random.default_rng(4)
         scores = rng.normal(size=(5, 30))
-        paid = ImitationReward("wgan", RunningStats())
+        paid = ImitationReward("wgan")
         rewards = paid.pay(scores)
-        step = ImitationReward("wgan", RunningStats())
+        step = ImitationReward("wgan")
         for t in range(5):
             assert rewards[t].tobytes() == step(scores[t]).tobytes()
-            for v in scores[t]:
-                step.stats.update(v)
-        assert paid.stats == step.stats
+            step.pay(scores[t].reshape(-1, 1))
+        assert stats(paid) == stats(step)
         assert np.all(rewards[:4] == 0.0) and np.all(rewards[4] != 0.0)
         assert 4 * 30 >= STATS_WARMUP > 3 * 30
 
     def test_lsgan_pay_is_the_map_and_keeps_no_statistics(self):
         scores = np.random.default_rng(5).normal(size=(6, 7))
-        r = ImitationReward("lsgan", RunningStats())
+        r = ImitationReward("lsgan")
         assert r.pay(scores).tobytes() == r(scores).tobytes()
-        assert r.stats == RunningStats()
+        assert stats(r) == (0, 0.0, 0.0)
 
 
 class TestTerminationPenalty:

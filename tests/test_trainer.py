@@ -207,7 +207,7 @@ class TestCheckpointResume:
         assert np.array_equal(restored.policy.flat, trainer.policy.flat)
         assert np.array_equal(restored.value_net.flat, trainer.value_net.flat)
         assert np.array_equal(restored.disc.flat, trainer.disc.flat)
-        assert restored.imitation.stats == trainer.imitation.stats
+        assert vars(restored.imitation) == vars(trainer.imitation)
         assert restored.iteration == trainer.iteration
         # memory layout too: BLAS rounds by layout, so a restored array that
         # is ordered differently from its original breaks bit-exact resume
