@@ -14,12 +14,30 @@ enumerator over the same step sets serves as the correctness oracle.
 There is one accumulated-cost recurrence, ``_accumulated_rows``: it runs
 over query rows, each for every (query, reference) pair at once.
 ``dtw_distances`` reads every pair's distance off it, and ``dtw_distance``
-keeps one pair's rows to backtrack its alignment. A query row equal to the
-one before it in every query has the same local costs, so the recurrence
-reuses that cost row instead of computing it again. The stand-still
-baseline is one frame repeated, so 129 of its 130 leap query rows reuse a
-cost row; in perfbench's leap eval of a fresh policy none of the rollouts'
-rows did.
+keeps one pair's rows to backtrack its alignment.
+
+Layout: a row of local or accumulated costs is (A, m, B), query by
+reference index by reference, and an accumulated row sits behind two +inf
+pad cells ahead of reference index 0, in an (A, m + 2, B) array. A row's
+recurrence is then three calls on contiguous shifted blocks of the row
+before: two ``np.minimum`` and one ``np.add``.
+
+Band: the reference index advances by at most 2 a query step, so cell
+(i, j) cannot be reached from (0, 0) when j > 2 i (the slope-2 edge of
+Itakura's parallelogram). Row i runs the recurrence only on reference
+indices below ``min(m, 2 i + 1)``, and computes no cost past the band of
+the last row that reads it; the cells past the band are never written and
+stay +inf, which the full recurrence gives them on finite costs. A
+130 x 130 pair has 12,675 of its 16,900 cells in the band.
+
+Reuse: a query row equal to the one before it in every query has the same
+local costs, so a run of such rows shares one cost row. While the band
+still widens, the rows of the run need ever more of its columns, so the
+run's first row computes it as wide as the band of the run's last row,
+once; widening it row by row would cost a whole row's calls for every two
+columns. The stand-still baseline is one frame repeated, so 129 of its 130
+leap query rows reuse a cost row; in perfbench's leap eval of a fresh
+policy none of the rollouts' rows did.
 """
 
 from __future__ import annotations
@@ -90,7 +108,7 @@ def dtw_distance(query, reference, cfg: DtwConfig):
     n, m = q.shape[0], r.shape[0]
     acc = np.empty((n, m))
     for i, row in enumerate(_accumulated_rows([q], [r])):
-        acc[i] = row[0, 0]
+        acc[i] = row[0, :, 0]
     end_j = int(np.argmin(acc[n - 1])) if cfg.open_end else m - 1
     dist = float(acc[n - 1, end_j])
     if not np.isfinite(dist):
@@ -109,62 +127,75 @@ def dtw_distance(query, reference, cfg: DtwConfig):
 
 
 def _accumulated_rows(qs: list, rs: list):
-    """Yield the accumulated-cost row of every query index in turn, (A, B, m)
-    for every (query, reference) pair and reference index at once. The same
-    array is yielded each time, updated in place.
+    """Yield the accumulated-cost row of every query index in turn, (A, m, B)
+    for every query, reference index and reference at once (see the module
+    docstring for the layout, the band and the reused cost rows): a view of
+    one of two arrays written in turn, so a row holds until the one after
+    next is computed.
 
-    The recurrence reads only the previous query row, and only one row of
-    local costs is held; a query row equal to the previous one in every
-    query (``==``, so a NaN never matches, and -0 matches +0, whose squared
-    differences are equal) keeps it. Sequences of unequal length are padded
-    on the right: a padded reference index costs +inf, and since every step
-    moves right or stays, no admissible path reaches a real index through
-    one.
+    A query row is repeated when it equals the previous one in every query
+    (``==``, so a NaN never matches, and -0 matches +0, whose squared
+    differences are equal). Sequences of unequal length are padded on the
+    right: a padded reference index costs +inf, and since every step moves
+    right or stays, no admissible path reaches a real index through one.
     """
     r_len = np.array([r.shape[0] for r in rs])
     A, B = len(qs), len(rs)
     n, m, d = max(q.shape[0] for q in qs), int(r_len.max()), qs[0].shape[1]
 
-    # queries as (n, d, A) and references as (d, B, m): one feature of one
-    # query row, or of every reference, is a contiguous block
-    q_rows = np.zeros((n, d, A))
+    # queries as (n, d, A, 1, 1) and references as (d, m, B): one feature of
+    # one query row meets a contiguous (k, B) block of every reference
+    q_rows = np.zeros((n, d, A, 1, 1))
     for a, q in enumerate(qs):
-        q_rows[:q.shape[0], :, a] = q
-    r_feat = np.zeros((d, B, m))
+        q_rows[:q.shape[0], :, a, 0, 0] = q
+    r_feat = np.zeros((d, m, B))
     for b, r in enumerate(rs):
-        r_feat[:, b, :r.shape[0]] = r.T
-    padded = np.arange(m) >= r_len[:, None]          # (B, m)
+        r_feat[:, :r.shape[0], b] = r.T
+    padded = np.arange(m)[:, None] >= r_len          # (m, B)
     ragged = bool(padded.any())
     repeated = np.zeros(n, dtype=bool)
-    repeated[1:] = (q_rows[1:] == q_rows[:-1]).all(axis=(1, 2))
+    repeated[1:] = (q_rows[1:] == q_rows[:-1]).reshape(n - 1, d * A).all(axis=1)
 
-    cost = np.empty((A, B, m))
-    sq = np.empty((A, B, m))
+    cost = np.empty((A, m, B))
+    sq = np.empty((A, m, B))
 
-    def cost_row(i):
-        # the arithmetic of local_cost: squared differences summed feature
-        # by feature from the left, then the square root
-        np.subtract(q_rows[i, 0][:, None, None], r_feat[0], out=cost)
-        np.multiply(cost, cost, out=cost)
+    def cost_cols(i, hi):
+        # the arithmetic of local_cost on reference indices below hi: squared
+        # differences summed feature by feature from the left, then the
+        # square root
+        c, s = cost[:, :hi], sq[:, :hi]
+        np.subtract(q_rows[i, 0], r_feat[0, :hi], out=c)
+        np.multiply(c, c, out=c)
         for k in range(1, d):
-            np.subtract(q_rows[i, k][:, None, None], r_feat[k], out=sq)
-            np.multiply(sq, sq, out=sq)
-            np.add(cost, sq, out=cost)
-        np.sqrt(cost, out=cost)
+            np.subtract(q_rows[i, k], r_feat[k, :hi], out=s)
+            np.multiply(s, s, out=s)
+            np.add(c, s, out=c)
+        np.sqrt(c, out=c)
         if ragged:
-            cost[:, padded] = _INF
-        return cost
+            c[:, padded[:hi]] = _INF
 
-    acc = np.full((A, B, m), _INF)
-    acc[..., 0] = cost_row(0)[..., 0]
-    best = np.empty_like(acc)
-    for i in range(n):
-        if i > 0:
-            best[..., 0] = acc[..., 0]
-            np.minimum(acc[..., 1:], acc[..., :-1], out=best[..., 1:])
-            np.minimum(best[..., 2:], acc[..., :-2], out=best[..., 2:])
-            np.add(best, cost if repeated[i] else cost_row(i), out=acc)
-        yield acc
+    # the first row of each run of repeated rows and its cost row's width,
+    # the band of the run's last row
+    starts = np.flatnonzero(~repeated)
+    ends = np.append(starts[1:], n) - 1
+    widths = dict(zip(starts.tolist(), np.minimum(m, 2 * ends + 1).tolist()))
+
+    acc, prev = np.full((2, A, m + 2, B), _INF)
+    cost_cols(0, widths[0])
+    acc[:, 2] = cost[:, 0]
+    yield acc[:, 2:]
+    for i in range(1, n):
+        if i in widths:
+            cost_cols(i, widths[i])
+        k = min(m, 2 * i + 1)
+        prev, acc = acc, prev
+        # cell j takes the least of cells j, j - 1 and j - 2 of the row
+        # before, in that order, then adds its cost
+        band = acc[:, 2:k + 2]
+        np.minimum(prev[:, 2:k + 2], prev[:, 1:k + 1], out=band)
+        np.minimum(band, prev[:, :k], out=band)
+        np.add(band, cost[:, :k], out=band)
+        yield acc[:, 2:]
 
 
 def dtw_distances(queries, references, cfg: DtwConfig) -> np.ndarray:
@@ -172,9 +203,10 @@ def dtw_distances(queries, references, cfg: DtwConfig) -> np.ndarray:
     ``dtw_distance(queries[a], references[b], cfg)[0]`` bit for bit.
 
     The loop runs over query rows of ``_accumulated_rows``, each computed for
-    all pairs and all reference indices at once. A query's distance is read
-    at its own last row, so only rows where some query ends are kept; a
-    closed end is read at each reference's own last index.
+    all pairs at once. A query's distance is read at its own last row, so
+    only rows where some query ends are kept; an open end is the least cell
+    over the reference indices, a closed end the cell at each reference's
+    own last index.
     """
     if cfg.step_pattern not in STEP_PATTERNS:
         raise ValueError(f"unknown step pattern {cfg.step_pattern!r}")
@@ -187,16 +219,16 @@ def dtw_distances(queries, references, cfg: DtwConfig) -> np.ndarray:
     q_len = np.array([q.shape[0] for q in qs])
     r_len = np.array([r.shape[0] for r in rs])
 
-    final = np.empty((len(qs), len(rs), int(r_len.max())))
+    final = np.empty((len(qs), int(r_len.max()), len(rs)))
     ends = {i: q_len == i + 1 for i in np.unique(q_len - 1).tolist()}
     for i, acc in enumerate(_accumulated_rows(qs, rs)):
         if i in ends:
             final[ends[i]] = acc[ends[i]]
 
     if cfg.open_end:
-        dist = final.min(axis=2)
+        dist = final.min(axis=1)
     else:
-        dist = final[:, np.arange(len(rs)), r_len - 1]
+        dist = final[:, r_len - 1, np.arange(len(rs))]
     bad = np.argwhere(~np.isfinite(dist))
     if bad.size:
         a, b = bad[0]

@@ -113,9 +113,12 @@ class ForwardCache:
     """What ``forward`` keeps for the backward passes: the input batch ``x``
     (B, n0), the pre-activations ``zs`` and the hidden post-activations
     ``activs``, (B, n_l) per layer. The cache owns these and every other
-    array the passes over it write (``array``), so a caller that passes it
-    back to ``forward`` for the next batch of the same shape allocates none
-    of them again; a new batch shape or net layout drops them all."""
+    array the passes over it write (``array``). ``zs`` and ``activs`` are
+    made once per batch shape and layer sizes, and ``forward`` writes into
+    them; so a caller that passes the cache back to ``forward`` for the next
+    batch of the same shape, through the same net or one of the same layer
+    sizes, allocates none of them again, and a new batch shape or layout
+    drops them all."""
 
     def __init__(self):
         self.x = None
@@ -128,8 +131,9 @@ class ForwardCache:
         key = (x.shape, tuple(layer_sizes))
         if key != self._key:
             self._key, self._arrays = key, {}
+            self.zs = [np.empty(x.shape[:-1] + (n,)) for n in layer_sizes[1:]]
+            self.activs = [np.empty_like(z) for z in self.zs[:-1]]
         self.x = x
-        self.zs, self.activs = [], []
 
     def array(self, name, shape) -> np.ndarray:
         """The array kept under ``name``, uninitialised when first made."""
@@ -199,15 +203,14 @@ class MlpNet:
         cache = ForwardCache() if cache is None else cache
         cache.bind(x, self.layer_sizes)
         a = x
-        last = self.num_layers - 1
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = np.matmul(a, w.T, out=cache.array(("z", l), x.shape[:-1] + w.shape[:1]))
+        # the hidden layers, then the linear output layer
+        for w, b, z, out in zip(self.weights, self.biases, cache.zs, cache.activs):
+            np.matmul(a, w.T, out=z)
             z += b
-            cache.zs.append(z)
-            if l != last:
-                a = act(z, cache.array(("a", l), z.shape))
-                cache.activs.append(a)
-        return cache.zs[-1], cache
+            a = act(z, out)
+        y = np.matmul(a, self.weights[-1].T, out=cache.zs[-1])
+        y += self.biases[-1]
+        return y, cache
 
     def backward(self, cache: ForwardCache, output_grad: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:

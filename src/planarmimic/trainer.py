@@ -460,7 +460,8 @@ class Trainer:
 
     def _adopt(self, ckpt: dict) -> None:
         """Raise ``ValueError``, the dict left as it was, unless ``ckpt`` has
-        ``checkpoint_dict``'s layout (``_check_layout``) and each generator
+        ``checkpoint_dict``'s layout (``_check_layout``), its iteration,
+        step counts, reward count and ``m2`` are >= 0, and each generator
         state is one its generator takes; then set the generator states,
         make the dict's env state arrays and frame buffer the env's and the
         collector's, and set the scalars. The config is this trainer's, so
@@ -469,6 +470,14 @@ class Trainer:
         del live["config"]
         _check_layout({key: value for key, value in ckpt.items() if key != "config"},
                       live)
+        counts = {"iteration": ckpt["iteration"],
+                  **{f"{name}/step_count": ckpt[name]["step_count"]
+                     for name, _ in self._optimizers()},
+                  **{f"running_stats/{key}": ckpt["running_stats"][key]
+                     for key in ("count", "m2")}}
+        for path, value in counts.items():
+            if value < 0:
+                raise ValueError(f"checkpoint/{path} is {value!r}, must be >= 0")
         rngs = [self.rng, *self.env.rngs, *self.collector.action_rngs]
         states = [ckpt["trainer_rng"], *ckpt["env_rngs"], *ckpt["action_rngs"]]
         # a generator checks a state only as it is set
@@ -502,10 +511,20 @@ class Trainer:
             raise ValueError(f"checkpoint has no {e}") from None
 
 
+def _scalar_kind(value):
+    """The kind of a checkpoint scalar: bool, int, float or str, else None.
+    A bool is not an int here, nor an int a float."""
+    for kind in (bool, int, float, str):
+        if isinstance(value, kind):
+            return kind
+    return None
+
+
 def _check_layout(got, live, path: str = "checkpoint") -> None:
     """Raise ``ValueError`` unless ``got`` has the layout of ``live``: the
     same keys at every level, each array of the live array's shape and
-    dtype, and each list of the live list's length."""
+    dtype, each list of the live list's length, and each scalar of the live
+    scalar's kind, a float finite."""
     if isinstance(live, dict):
         if not isinstance(got, dict) or got.keys() != live.keys():
             have = sorted(got) if isinstance(got, dict) else type(got).__name__
@@ -524,6 +543,11 @@ def _check_layout(got, live, path: str = "checkpoint") -> None:
             raise ValueError(f"{path} has {have} entries, this trainer {len(live)}")
         for i, (item, value) in enumerate(zip(got, live)):
             _check_layout(item, value, f"{path}[{i}]")
+    elif (kind := _scalar_kind(live)) is not None:
+        if _scalar_kind(got) is not kind:
+            raise ValueError(f"{path} is {got!r}, this trainer's is a {kind.__name__}")
+        if kind is float and not math.isfinite(got):
+            raise ValueError(f"{path} is {got!r}, not a finite float")
 
 
 def _kept_slots(ckpt, name: str, flat: np.ndarray, kind: str):

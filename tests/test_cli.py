@@ -2,6 +2,7 @@ import builtins
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from planarmimic.trainer import (Trainer, evaluate_policy, load_checkpoint,
                                  write_checkpoint)
 
 from test_config import NON_FINITE
-from test_trainer import tiny_config, tiny_dataset
+from test_trainer import apply_fault, tiny_config, tiny_dataset
 
 
 @pytest.fixture
@@ -404,6 +405,24 @@ class TestCheckpointFormat:
         before = {p.name: p.read_bytes() for p in run.iterdir()}
         code = main(["train", "--resume", str(bad), "--iterations", "2", "--quiet"])
         assert code == EXIT_RUNTIME
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+    @pytest.mark.parametrize("fault", ["count not a number", "no mean",
+                                       "learning rate not a number",
+                                       "negative iteration", "fractional step count"])
+    def test_resume_with_a_bad_scalar_writes_nothing(self, tmp_path, capsys, fault):
+        # each of these used to restore, then fail at the first collect or
+        # train on with a count no run reaches
+        cfg = tiny_config(tmp_path=tmp_path)
+        run = tmp_path / "run"
+        cfg.out_dir = str(run)
+        ckpt = load_checkpoint(Trainer(cfg, tiny_dataset(cfg)).run(run, iterations=1))
+        match = apply_fault(ckpt, fault)
+        bad = write_checkpoint(tmp_path / "bad.npz", ckpt)
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        code = main(["train", "--resume", str(bad), "--iterations", "2", "--quiet"])
+        assert code == EXIT_RUNTIME
+        assert re.search(match, capsys.readouterr().err)
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 

@@ -198,6 +198,37 @@ class TestBatched:
             dtw_distances([np.zeros(3)], [np.zeros(3)], DtwConfig("itakura"))
 
 
+class TestBand:
+    @pytest.mark.parametrize("cfg", cfgs(), ids=lambda c: f"{c.step_pattern}-open{c.open_end}")
+    def test_repeated_rows_against_the_cell_oracle(self, cfg):
+        # stand-still and frozen-tail queries against references of 130 and
+        # 60 frames; a tail frozen before row 65 repeats while the band still
+        # widens, so its reused cost row must hold columns past the band of
+        # the row that computes it
+        rng = np.random.default_rng(17)
+        demos = generate_demo_set("leap", SimParams(), rng, n_trajectories=3)
+        refs = [demos[0], demos[1][:60]]
+        moving = demos[2] + 0.05 * rng.normal(size=demos[2].shape)
+        queries = [stand_still_rollout(moving[0], 130)]
+        for start in (1, 20, 100):
+            q = moving.copy()
+            q[start:] = q[start]
+            queries.append(q)
+        queries.append(queries[2][:70])
+        want = {(a, b): cell_dtw(q, r, cfg)
+                for a, q in enumerate(queries) for b, r in enumerate(refs)}
+        for a, q in enumerate(queries):
+            for b, r in enumerate(refs):
+                assert dtw_distance(q, r, cfg) == want[a, b]
+        # in one batch a row is reused only where every query repeats: from
+        # row 21 for the first three queries, from row 101 for all five
+        for batch in ([0], [0, 1, 2], [0, 1, 2, 3, 4]):
+            got = dtw_distances([queries[a] for a in batch], refs, cfg)
+            for i, a in enumerate(batch):
+                for b in range(len(refs)):
+                    assert got[i, b] == want[a, b][0]
+
+
 class TestCellOracle:
     @pytest.mark.parametrize("cfg", cfgs(), ids=lambda c: f"{c.step_pattern}-open{c.open_end}")
     def test_ties_take_the_oracle_path(self, cfg):

@@ -303,6 +303,31 @@ class TestForwardCache:
                 assert v_kept == v_new
                 assert g_kept.tobytes() == g_new.tobytes()
 
+    def test_one_cache_across_shapes_and_nets(self):
+        # one cache taken in turn by two nets of equal layer sizes and two
+        # batch shapes, against a new cache each time
+        rng = np.random.default_rng(13)
+        nets = [rand_net(rng, [6, 9, 7, 1], "relu") for _ in range(2)]
+        cache = ForwardCache()
+        layers = None
+        for batch, which in [(5, 0), (5, 1), (3, 1), (3, 0), (5, 0), (5, 1), (3, 1)]:
+            net = nets[which]
+            x = rng.normal(size=(batch, 6))
+            dy = rng.normal(size=(batch, 1))
+            y, kept = net.forward(x, cache)
+            y_new, fresh = net.forward(x)
+            assert y.tobytes() == y_new.tobytes()
+            assert (net.backward(kept, dy).tobytes()
+                    == net.backward(fresh, dy).tobytes())
+            v_kept, g_kept = net.input_gradient_norm_grads(kept, 0.5)
+            v_new, g_new = net.input_gradient_norm_grads(fresh, 0.5)
+            assert v_kept == v_new
+            assert g_kept.tobytes() == g_new.tobytes()
+            # the layer arrays are made once per batch shape, whichever net
+            if layers is not None and layers[0].shape[0] == batch:
+                assert all(a is b for a, b in zip(layers, cache.zs + cache.activs))
+            layers = cache.zs + cache.activs
+
 
 class TestStackedForward:
     @pytest.mark.parametrize("activation", ["relu", "elu"])

@@ -153,6 +153,33 @@ RESTORE_FAULTS = {
     "generator of another kind": (
         "action_rngs", lambda s: [*s[:3], dict(s[3], bit_generator="MT19937")],
         "checkpoint generator state: state must be for a PCG64"),
+    "count not a number": ("running_stats/count", lambda _: "many",
+                           "checkpoint/running_stats/count is 'many', this trainer's is a int"),
+    "no mean": ("running_stats/mean", lambda _: None,
+                "checkpoint/running_stats/mean is None, this trainer's is a float"),
+    "learning rate not a number": (
+        "policy_opt/learning_rate", lambda _: "fast",
+        "checkpoint/policy_opt/learning_rate is 'fast', this trainer's is a float"),
+    "negative iteration": ("iteration", lambda _: -3,
+                           "checkpoint/iteration is -3, must be >= 0"),
+    "fractional step count": (
+        "policy_opt/step_count", lambda _: 1.5,
+        "checkpoint/policy_opt/step_count is 1.5, this trainer's is a int"),
+    "bool step count": ("value_opt/step_count", lambda _: True,
+                        "checkpoint/value_opt/step_count is True, this trainer's is a int"),
+    "negative step count": ("disc_opt/step_count", lambda _: -1,
+                            "checkpoint/disc_opt/step_count is -1, must be >= 0"),
+    "negative count": ("running_stats/count", lambda _: -2,
+                       "checkpoint/running_stats/count is -2, must be >= 0"),
+    "negative m2": ("running_stats/m2", lambda _: -0.5,
+                    r"checkpoint/running_stats/m2 is -0.5, must be >= 0"),
+    "int m2": ("running_stats/m2", lambda _: 0,
+               "checkpoint/running_stats/m2 is 0, this trainer's is a float"),
+    "nan mean": ("running_stats/mean", lambda _: float("nan"),
+                 "checkpoint/running_stats/mean is nan, not a finite float"),
+    "infinite learning rate": (
+        "disc_opt/learning_rate", lambda _: float("inf"),
+        "checkpoint/disc_opt/learning_rate is inf, not a finite float"),
 }
 
 
