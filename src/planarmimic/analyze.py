@@ -24,7 +24,7 @@ def reward_surface(trainer, grid_n: int = 101,
     (pitch_rate, height, reward), grid_n^2 of them.
     """
     cfg = trainer.cfg
-    means = trainer.dataset.feature_means()
+    means = trainer.dataset.frames.mean(axis=0)
     H = cfg.disc.horizon
     pr_values = np.linspace(*pitch_rate_range, grid_n)
     h_values = np.linspace(*height_range, grid_n)
@@ -49,7 +49,7 @@ def reference_window_rewards(trainer, n_samples: int = 512,
     """Imitation rewards of windows sampled from the reference dataset."""
     cfg = trainer.cfg
     rng = np.random.default_rng(seed)
-    n_samples = min(n_samples, trainer.dataset.total_frames())
+    n_samples = min(n_samples, len(trainer.dataset.frames))
     windows = sample_reference_windows(trainer.dataset, n_samples,
                                        cfg.disc.horizon, rng)
     return trainer.imitation(raw_score(trainer.disc,

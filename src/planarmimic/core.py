@@ -1,5 +1,6 @@
 """Core domain types: the base-only observation map, the rolling frame
-buffer of a vectorized rollout, and reference-trajectory datasets.
+buffer of a vectorized rollout, and the reference dataset, one frame array
+checked once when it is made.
 
 The observation is deliberately partial: it carries only what can be measured
 on a hand-held robot base (body-frame velocities, attitude via the projected
@@ -13,7 +14,6 @@ import io
 import math
 import os
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -80,66 +80,55 @@ class BatchWindowBuffer:
         return self.buf[:, -n:, :cols]
 
 
-@dataclass
 class ReferenceDataset:
-    """A set of demonstration trajectories in observation space.
+    """Demonstration trajectories in observation space, sampled every ``dt``,
+    as one (N, 6) array ``frames``: every trajectory's frames, end to end,
+    with ``lengths`` their frame counts. ``trajectories`` is a tuple of row
+    views of ``frames``, which is read-only.
 
-    ``trajectories`` holds (T_i, 6) arrays sampled at a uniform ``dt``.
+    It is checked once, when it is made: at least one trajectory, each a
+    (T, 6) array of at least one frame, finite, with a unit gravity vector
+    within ``GRAVITY_UNIT_TOL``. A horizon is checked where windows are cut,
+    in ``window_offsets``.
     """
 
-    trajectories: list = field(default_factory=list)
-    dt: float = 0.02
-    # window_index's result per horizon, with the trajectories it was made of
-    _window_index: dict = field(default_factory=dict, init=False, repr=False,
-                                compare=False)
+    def __init__(self, trajectories, dt: float):
+        if not len(trajectories):
+            raise ValueError("no trajectories")
+        for k, traj in enumerate(trajectories):
+            if traj.ndim != 2 or traj.shape[1] != OBS_DIM:
+                raise ValueError(f"trajectory {k}: expected (T, {OBS_DIM}) array")
+            if traj.shape[0] == 0:
+                raise ValueError(f"trajectory {k} has no frames")
+            if not np.all(np.isfinite(traj)):
+                raise ValueError(f"trajectory {k} contains non-finite values")
+            worst = float(np.abs(np.hypot(traj[:, 3], traj[:, 4]) - 1.0).max())
+            if worst > GRAVITY_UNIT_TOL:
+                raise ValueError(
+                    f"trajectory {k}: non-unit gravity vector (|norm-1| = {worst:.3e})")
+        self.dt = dt
+        self.lengths = np.array([t.shape[0] for t in trajectories])
+        self.frames = np.concatenate(trajectories, dtype=np.float64)
+        self.frames.flags.writeable = False
+        self.trajectories = tuple(np.split(self.frames, np.cumsum(self.lengths)[:-1]))
+        self._offsets = {}
 
     @property
     def num_trajectories(self) -> int:
         return len(self.trajectories)
 
-    def total_frames(self) -> int:
-        return sum(t.shape[0] for t in self.trajectories)
-
-    def feature_means(self) -> np.ndarray:
-        return np.concatenate(self.trajectories, axis=0).mean(axis=0)
-
-    def window_index(self, horizon: int) -> tuple:
-        """``(frames, offsets)`` for drawing windows of ``horizon`` frames:
-        every trajectory's frames concatenated, and the cumulative counts of
-        window starts, trajectory by trajectory. Made once per horizon, and
-        again only if ``trajectories`` holds other arrays; the arrays
-        themselves are not to change in place."""
-        kept = self._window_index.get(horizon)
-        if kept is not None and len(kept[0]) == len(self.trajectories) and all(
-                a is b for a, b in zip(kept[0], self.trajectories)):
-            return kept[1]
-        lengths = np.array([t.shape[0] for t in self.trajectories])
-        short = np.flatnonzero(lengths < horizon)
-        if short.size:
-            k = int(short[0])
-            raise ValueError(
-                f"trajectory {k} shorter than horizon ({lengths[k]} < {horizon})")
-        offsets = np.concatenate([[0], np.cumsum(lengths - horizon + 1)])
-        index = (np.concatenate(self.trajectories), offsets)
-        self._window_index[horizon] = (tuple(self.trajectories), index)
-        return index
-
-    def validate(self, horizon: int) -> None:
-        if not self.trajectories:
-            raise ValueError("no trajectories")
-        for k, traj in enumerate(self.trajectories):
-            if traj.ndim != 2 or traj.shape[1] != OBS_DIM:
-                raise ValueError(f"trajectory {k}: expected (T, {OBS_DIM}) array")
-            if traj.shape[0] < horizon:
-                raise ValueError(
-                    f"trajectory {k} shorter than horizon ({traj.shape[0]} < {horizon})")
-            if not np.all(np.isfinite(traj)):
-                raise ValueError(f"trajectory {k} contains non-finite values")
-            norms = np.hypot(traj[:, 3], traj[:, 4])
-            worst = float(np.abs(norms - 1.0).max())
-            if worst > GRAVITY_UNIT_TOL:
-                raise ValueError(
-                    f"trajectory {k}: non-unit gravity vector (|norm-1| = {worst:.3e})")
+    def window_offsets(self, horizon: int) -> np.ndarray:
+        """The cumulative counts of windows of ``horizon`` frames, trajectory
+        by trajectory, from 0. Made once per horizon; raises unless every
+        trajectory holds a window."""
+        if horizon not in self._offsets:
+            short = np.flatnonzero(self.lengths < horizon)
+            if short.size:
+                raise ValueError(f"trajectory {short[0]} shorter than horizon "
+                                 f"({self.lengths[short[0]]} < {horizon})")
+            self._offsets[horizon] = np.concatenate(
+                [[0], np.cumsum(self.lengths - horizon + 1)])
+        return self._offsets[horizon]
 
 
 def format_float(x: float) -> str:
@@ -281,21 +270,17 @@ def load_reference_dataset(path, horizon: int) -> ReferenceDataset:
                 dt = file_dt
             elif abs(file_dt - dt) > 1e-9:
                 raise ValueError(f"{f}: dt {file_dt} differs from dataset dt {dt}")
-            traj = raw[:, 1:].copy()
+            traj = raw[:, 1:]
             norms = np.hypot(traj[:, 3], traj[:, 4])
             worst = float(np.abs(norms - 1.0).max())
             if worst > GRAVITY_LOAD_TOL:
                 raise ValueError(f"{f}: non-unit gravity vector (|norm-1| = {worst:.3e})")
             fix = np.abs(norms - 1.0) > 1e-12
-            if np.any(fix):
-                traj[fix, 3] /= norms[fix]
-                traj[fix, 4] /= norms[fix]
+            traj[fix, 3:5] /= norms[fix, None]
             trajectories.append(traj)
 
-    if not trajectories:
-        raise ValueError("no trajectories")
-    dataset = ReferenceDataset(trajectories=trajectories, dt=dt)
-    dataset.validate(horizon)
+    dataset = ReferenceDataset(trajectories, dt)
+    dataset.window_offsets(horizon)
     return dataset
 
 
@@ -305,11 +290,10 @@ def sample_reference_windows(dataset: ReferenceDataset, batch: int, horizon: int
     pairs, with replacement. Returns an array of shape (batch, H, 6)."""
     if batch <= 0:
         raise ValueError("batch must be positive")
-    frames, offsets = dataset.window_index(horizon)
+    offsets = dataset.window_offsets(horizon)
     flat = rng.integers(0, int(offsets[-1]), size=batch)
     traj_idx = np.searchsorted(offsets, flat, side="right") - 1
-    # each trajectory has horizon - 1 more frames than window starts, so in
-    # the concatenated frames window ``flat`` of trajectory k starts at row
-    # flat + k * (horizon - 1)
+    # each trajectory has horizon - 1 more frames than window starts, so
+    # window ``flat`` of trajectory k starts at frame row flat + k * (horizon - 1)
     first_rows = flat + traj_idx * (horizon - 1)
-    return frames[first_rows[:, None] + np.arange(horizon)]
+    return dataset.frames[first_rows[:, None] + np.arange(horizon)]

@@ -79,6 +79,8 @@ class PpoConfig:
             errors.append("ppo.minibatches must be <= ppo.num_envs * ppo.steps_per_iter")
         if self.learning_rate < 0:
             errors.append("ppo.learning_rate must be >= 0")
+        if self.obs_noise < 0:
+            errors.append("ppo.obs_noise must be >= 0")
         if not all(isinstance(n, int) and n >= 1 for n in self.hidden_sizes):
             errors.append("ppo.hidden_sizes must be integers >= 1")
         return errors
@@ -357,7 +359,8 @@ def ppo_update(policy: GaussianPolicy, value_net: MlpNet, buf: RolloutBuffer,
 
     Runs ``epochs`` passes of shuffled minibatches; the learning rate adapts
     toward the KL target after each epoch. A non-finite loss aborts the whole
-    update and restores the pre-update parameters.
+    update and restores the pre-update parameters and both optimizers' slots,
+    step counts and learning rates.
 
     The passes write into the forward caches of the two nets and the value
     gradient into ``val_grad`` (a vector in the value net's layout); new ones
@@ -375,7 +378,12 @@ def ppo_update(policy: GaussianPolicy, value_net: MlpNet, buf: RolloutBuffer,
     adv_std = adv.std()
     adv_norm = (adv - adv.mean()) / (adv_std + 1e-8)
 
-    snapshot = (policy.flat.copy(), value_net.flat.copy())
+    # what an abort restores
+    snapshot = [(a, a.copy()) for a in (policy.flat, value_net.flat,
+                                        *policy_opt.slots.values(),
+                                        *value_opt.slots.values())]
+    opt_scalars = [(opt, opt.step_count, opt.learning_rate)
+                   for opt in (policy_opt, value_opt)]
     n_net = policy.net.flat.size
     pol_grad = np.empty_like(policy.flat)
     # minibatches of one size reuse the arrays of their passes
@@ -446,8 +454,10 @@ def ppo_update(policy: GaussianPolicy, value_net: MlpNet, buf: RolloutBuffer,
             value_opt.learning_rate = new_lr
 
     if aborted:
-        policy.flat[...] = snapshot[0]
-        value_net.flat[...] = snapshot[1]
+        for a, kept in snapshot:
+            a[...] = kept
+        for opt, steps, lr in opt_scalars:
+            opt.step_count, opt.learning_rate = steps, lr
         return PpoStats(kl=float("nan"), clip_fraction=0.0, policy_loss=float("nan"),
                         value_loss=float("nan"), entropy=policy.entropy(),
                         learning_rate=policy_opt.learning_rate, aborted=True)

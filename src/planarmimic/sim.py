@@ -139,6 +139,8 @@ class SimParams:
         if not min(self.friction, self.contact_damping, self.tangential_damping) >= 0:
             errors.append("sim.friction, sim.contact_damping and sim.tangential_damping "
                           "must be >= 0")
+        if min(self.reset_noise_joint, self.reset_noise_height) < 0:
+            errors.append("sim.reset_noise_joint and sim.reset_noise_height must be >= 0")
         if len(self.joint_limits_low) != 4 or len(self.joint_limits_high) != 4:
             errors.append("sim.joint_limits_low and sim.joint_limits_high must have "
                           "4 entries each, one per joint")

@@ -238,7 +238,7 @@ def run_inputs(cfg: TrainConfig, windowed: bool = True,
     if abs(dataset.dt - cfg.sim.control_dt) > 1e-9:
         raise ConfigError([f"refs are sampled every {dataset.dt} s, but the policy "
                            f"acts every sim.control_dt = {cfg.sim.control_dt} s"])
-    shortest = min(t.shape[0] for t in dataset.trajectories)
+    shortest = dataset.lengths.min()
     if windowed and shortest < cfg.disc.horizon:
         raise ConfigError([f"disc.horizon ({cfg.disc.horizon}) must not exceed the "
                            f"shortest reference trajectory ({shortest} frames)"])
@@ -280,7 +280,7 @@ class Trainer:
         built, and the rest in one last pass, ``_adopt``. So a dict restores
         one trainer, and its arrays are then that trainer's."""
         cfg.require_valid()
-        dataset.validate(cfg.disc.horizon)
+        dataset.window_offsets(cfg.disc.horizon)
         self.cfg = cfg
         self.dataset = dataset
 
@@ -672,7 +672,7 @@ def evaluate_policy(cfg: TrainConfig, policy: GaussianPolicy,
                     dataset: ReferenceDataset, seed: int = 0) -> EvalReport:
     """DTW evaluation against the dataset plus the stand-still baseline and,
     for tasks with one, the handcrafted task-reward score."""
-    frames = cfg.eval.episode_frames or max(t.shape[0] for t in dataset.trajectories)
+    frames = cfg.eval.episode_frames or int(dataset.lengths.max())
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 23, seed]))
     seeds = [int(rng.integers(0, 2 ** 31)) for _ in range(cfg.eval.rollouts)]

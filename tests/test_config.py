@@ -212,6 +212,10 @@ class TestValidation:
         ("sim.friction=-1", "sim.friction, sim.contact_damping and sim.tangential"),
         ("sim.contact_damping=-80", "sim.friction, sim.contact_damping and sim.tang"),
         ("sim.tangential_damping=-1", "sim.friction, sim.contact_damping and sim.tang"),
+        # a negative noise scale used to switch the noise off silently
+        ("ppo.obs_noise=-0.5", "ppo.obs_noise must be >= 0"),
+        ("sim.reset_noise_joint=-0.1", "sim.reset_noise_joint and sim.reset_noise_height"),
+        ("sim.reset_noise_height=-0.01", "sim.reset_noise_joint and sim.reset_noise_height"),
         # an episode clock of whole control periods
         ("sim.max_episode_time=0.05", "sim.max_episode_time must be a whole number"),
         # one error for one value: the next two also gave "must be finite"

@@ -134,7 +134,7 @@ class TestWindowBuffer:
         assert np.array_equal(window[:, 2], frames[:, :2] + 200.0)
 
 
-def _write_dataset(tmp_path, n_traj=3, length=30, dt=0.02, seed=0, multi=False):
+def _trajectories(n_traj=3, length=30, seed=0) -> list:
     rng = np.random.default_rng(seed)
     trajectories = []
     for _ in range(n_traj):
@@ -144,6 +144,11 @@ def _write_dataset(tmp_path, n_traj=3, length=30, dt=0.02, seed=0, multi=False):
             rng.normal(size=length), -np.sin(pitch), -np.cos(pitch),
             rng.uniform(0.1, 0.5, size=length)])
         trajectories.append(traj)
+    return trajectories
+
+
+def _write_dataset(tmp_path, n_traj=3, length=30, dt=0.02, seed=0, multi=False):
+    trajectories = _trajectories(n_traj, length, seed)
     if multi:
         target = tmp_path / "refs.csv"
     else:
@@ -204,7 +209,7 @@ class TestReferenceDataset:
             rows.append(f"{i * 0.02},0,0,0,{gx:.9g},{gz:.9g},0.3")
         f.write_text("\n".join(rows) + "\n")
         ds = load_reference_dataset(f, horizon=2)
-        ds.validate(horizon=2)  # unit-norm invariant holds after load
+        ReferenceDataset(ds.trajectories, ds.dt)  # unit-norm invariant holds after load
 
     def test_non_uniform_dt(self, tmp_path):
         f = tmp_path / "bad.csv"
@@ -256,6 +261,45 @@ class TestReferenceDataset:
         with pytest.raises(ValueError, match=re.escape(
                 f"{f}: dt 0.04 differs from dataset dt 0.02")):
             load_reference_dataset(f, horizon=1)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("no trajectory", "no trajectories"),
+        ("five columns", "trajectory 1: expected (T, 6) array"),
+        ("no frames", "trajectory 1 has no frames"),
+        ("nan", "trajectory 1 contains non-finite values"),
+        ("gravity", "trajectory 1: non-unit gravity vector (|norm-1| = 1.000e-08)"),
+    ])
+    def test_checked_when_made(self, fault, message):
+        trajectories = _trajectories()
+        if fault == "no trajectory":
+            trajectories = []
+        elif fault == "five columns":
+            trajectories[1] = trajectories[1][:, :5]
+        elif fault == "no frames":
+            trajectories[1] = trajectories[1][:0]
+        elif fault == "nan":
+            trajectories[1][7, 2] = np.nan
+        else:
+            trajectories[1][7, 3:5] *= 1 + 10 * GRAVITY_UNIT_TOL
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ReferenceDataset(trajectories, 0.02)
+
+    def test_trajectories_are_views_of_one_frame_array(self):
+        trajectories = _trajectories()
+        trajectories[2] = trajectories[2][:12]
+        ds = ReferenceDataset(trajectories, 0.02)
+        assert ds.frames.shape == (72, OBS_DIM)
+        assert ds.lengths.tolist() == [30, 30, 12]
+        for view, original in zip(ds.trajectories, trajectories):
+            assert view.base is ds.frames
+            assert np.array_equal(view, original)
+        # the checked frames stay as they were checked
+        with pytest.raises(TypeError):
+            ds.trajectories[1] = trajectories[0]
+        with pytest.raises(AttributeError):
+            ds.trajectories.append(trajectories[0])
+        with pytest.raises(ValueError, match="read-only"):
+            ds.trajectories[0][0, 0] = np.nan
 
     def test_paper_sized_dataset(self, tmp_path):
         target, _ = _write_dataset(tmp_path, n_traj=20, length=60)
@@ -387,16 +431,12 @@ class TestSampling:
             # one draw per call: both generators end in the same state
             assert rng_a.integers(2 ** 62) == rng_b.integers(2 ** 62)
 
-    def test_index_is_kept_and_follows_the_trajectories(self):
+    def test_offsets_are_kept_per_horizon(self):
         ds = self._dataset([9, 30, 4])
-        first = ds.window_index(4)
-        assert ds.window_index(4) is first
-        assert ds.window_index(2) is not first
-        # a replaced or added trajectory makes a new index, and the draws
-        # still match the oracle
-        ds.trajectories[1] = self._dataset([12]).trajectories[0]
-        ds.trajectories.append(self._dataset([7]).trajectories[0])
-        assert ds.window_index(4) is not first
+        first = ds.window_offsets(4)
+        assert first.tolist() == [0, 6, 33, 34]
+        assert ds.window_offsets(4) is first
+        assert ds.window_offsets(2) is not first
         for seed in range(3):
             got = sample_reference_windows(ds, 50, 4, np.random.default_rng(seed))
             want = loop_gather(ds, 50, 4, np.random.default_rng(seed))

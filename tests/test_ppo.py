@@ -6,7 +6,7 @@ import pytest
 
 from planarmimic.discriminator import (DiscriminatorConfig, build_discriminator,
                                        raw_score)
-from planarmimic.nets import ForwardCache, MlpNet, OptimizerState
+from planarmimic.nets import ForwardCache, MlpNet, OptimizerState, optimizer_step
 from planarmimic.ppo import (ACTION, ACTION_DIM, JOINT_VEL, GaussianPolicy,
                              OBS_NOISE_TEMPLATE, POLICY_FRAME_DIM, POLICY_FRAMES,
                              POLICY_OBS_DIM, PpoConfig, RolloutBuffer,
@@ -522,22 +522,66 @@ class TestPpoUpdate:
         assert stats.aborted
         assert np.array_equal(policy.flat, before)
 
-    def test_abort_mid_update_restores_both_nets(self):
+    @staticmethod
+    def _update_state(policy, value_net, p_opt, v_opt) -> tuple:
+        """Everything an update writes: both nets' vectors and both
+        optimizers' slots, step counts and learning rates."""
+        return (policy.flat.tobytes(), value_net.flat.tobytes(),
+                *(opt.slots[k].tobytes() for opt in (p_opt, v_opt) for k in opt.slots),
+                p_opt.step_count, v_opt.step_count,
+                p_opt.learning_rate, v_opt.learning_rate)
+
+    @staticmethod
+    def _count_steps(monkeypatch) -> list:
+        """A list that gains an entry per ``optimizer_step`` call of ``ppo``."""
+        calls = []
+
+        def counted(state, params, grads):
+            calls.append(id(state))
+            optimizer_step(state, params, grads)
+
+        monkeypatch.setattr("planarmimic.ppo.optimizer_step", counted)
+        return calls
+
+    def test_abort_mid_update_restores_both_nets(self, monkeypatch):
         # a non-finite observation in the last minibatch of the first epoch:
-        # the earlier minibatches have stepped both nets, which must roll back
+        # the earlier minibatches have stepped both nets and both optimizers,
+        # which must all roll back
         collector, policy, value_net, disc, imitation, cfg = tiny_setup(seed=16)
         buf = self._buffer(collector, policy, value_net, disc, imitation)
         order = np.random.default_rng(3).permutation(buf.size)
         assert order[-1] not in np.array_split(order, cfg.minibatches)[0]
         buf.obs.reshape(buf.size, -1)[order[-1], 0] = np.nan
         p_opt, v_opt = self._opts(policy, value_net, cfg.learning_rate)
-        before_p, before_v = policy.flat.copy(), value_net.flat.copy()
+        before = self._update_state(policy, value_net, p_opt, v_opt)
+        steps = self._count_steps(monkeypatch)
         stats = ppo_update(policy, value_net, buf, cfg, p_opt, v_opt,
                            np.random.default_rng(3))
         assert stats.aborted
-        assert p_opt.step_count == v_opt.step_count == cfg.minibatches - 1
-        assert np.array_equal(policy.flat, before_p)
-        assert np.array_equal(value_net.flat, before_v)
+        assert steps == [id(p_opt), id(v_opt)] * (cfg.minibatches - 1)
+        assert self._update_state(policy, value_net, p_opt, v_opt) == before
+
+    def test_abort_in_a_later_epoch_restores_the_learning_rate(self, monkeypatch):
+        # the first epoch steps both nets and then changes the rate; a
+        # non-finite policy parameter written there aborts the second epoch,
+        # and the update rolls all of it back
+        collector, policy, value_net, disc, imitation, cfg = tiny_setup(seed=16)
+        buf = self._buffer(collector, policy, value_net, disc, imitation)
+        p_opt, v_opt = self._opts(policy, value_net, cfg.learning_rate)
+        before = self._update_state(policy, value_net, p_opt, v_opt)
+
+        def adapt(lr, kl, target):
+            policy.flat[0] = np.nan
+            return lr / 2
+
+        monkeypatch.setattr("planarmimic.ppo.adaptive_lr", adapt)
+        steps = self._count_steps(monkeypatch)
+        stats = ppo_update(policy, value_net, buf, cfg, p_opt, v_opt,
+                           np.random.default_rng(3))
+        assert stats.aborted
+        assert steps == [id(p_opt), id(v_opt)] * cfg.minibatches
+        assert stats.learning_rate == cfg.learning_rate
+        assert self._update_state(policy, value_net, p_opt, v_opt) == before
 
     def test_kept_arrays_give_the_fresh_arrays_update(self):
         # two updates with the caches and value gradient kept across them
