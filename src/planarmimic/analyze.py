@@ -11,7 +11,7 @@ import copy
 import numpy as np
 
 from .core import sample_reference_windows
-from .discriminator import raw_score, reference_input
+from .discriminator import raw_score
 
 
 def reward_surface(trainer, grid_n: int = 101,
@@ -35,7 +35,7 @@ def reward_surface(trainer, grid_n: int = 101,
     for pr in pr_values:
         windows[:, :, 2] = pr
         windows[:, :, 5] = h_values[:, None]
-        scores = raw_score(trainer.disc, reference_input(windows, cfg.disc.full_state))
+        scores = raw_score(trainer.disc, windows.reshape(grid_n, -1))
         rewards = trainer.imitation(scores)
         rows[k:k + grid_n, 0] = pr
         rows[k:k + grid_n, 1] = h_values
@@ -52,8 +52,7 @@ def reference_window_rewards(trainer, n_samples: int = 512,
     n_samples = min(n_samples, len(trainer.dataset.frames))
     windows = sample_reference_windows(trainer.dataset, n_samples,
                                        cfg.disc.horizon, rng)
-    return trainer.imitation(raw_score(trainer.disc,
-                                       reference_input(windows, cfg.disc.full_state)))
+    return trainer.imitation(raw_score(trainer.disc, windows.reshape(n_samples, -1)))
 
 
 def rollout_reward_histogram(trainer) -> np.ndarray:

@@ -26,7 +26,7 @@ only place that decides precedence. Each step beats the ones before it:
 A resume takes only ``--iterations`` and ``--out``. ``eval`` reads only its
 checkpoint's config and policy, and builds no trainer.
 
-``train`` writes a checkpoint (format 6, see ``trainer``) every
+``train`` writes a checkpoint (format 7, see ``trainer``) every
 ``checkpoint_interval`` iterations as ``checkpoint_<n>.npz``, the iteration
 in six digits (``checkpoint_000500.npz``), and at the end as
 ``checkpoint_final.npz``. ``eval``, ``analyze`` and ``train --resume`` tell
@@ -103,6 +103,13 @@ def _count(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is not >= 0")
+    return value
+
+
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -138,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo-gen", help="generate rough reference trajectories")
     p.add_argument("--motion", required=True, choices=MOTIONS)
     p.add_argument("--out", required=True, help="output directory (or file with --single-file)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trajectories", type=_count, default=DEMO_TRAJECTORIES)
     p.add_argument("--noise-scale", type=_non_negative, default=1.0)
     p.add_argument("--height-offset", type=_finite, default=0.0)

@@ -72,6 +72,8 @@ class TrainConfig:
         errors = []
         if self.task not in MOTIONS:
             errors.append(f"task must be one of {MOTIONS}, got {self.task!r}")
+        if self.seed < 0:
+            errors.append("seed must be >= 0")
         if self.iterations < 1:
             errors.append("iterations must be >= 1")
         if self.checkpoint_interval < 1:

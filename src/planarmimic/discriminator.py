@@ -1,4 +1,6 @@
-"""Adversarial objectives over observation windows.
+"""Adversarial objectives over observation windows. A window is ``horizon``
+base-only frames of ``OBS_DIM`` features, flattened to ``input_dim``: the
+demonstrations carry nothing else, so neither does the policy's side.
 
 Two discriminator losses are supported: a least-squares objective that pins
 reference windows to +1 and policy windows to -1, and a Wasserstein objective
@@ -18,10 +20,6 @@ from .nets import SLOT_NAMES, ForwardCache, MlpNet
 
 LOSS_KINDS = ("wgan", "lsgan")
 
-# Joint position + velocity features appended per frame when the discriminator
-# sees the full robot configuration.
-FULL_STATE_EXTRA = 8
-
 
 @dataclass
 class DiscriminatorConfig:
@@ -36,16 +34,11 @@ class DiscriminatorConfig:
     momentum: float = 0.05
     rho: float = 0.99
     optimizer: str = ""          # "" = pick by loss kind (sgd for lsgan, rmsprop for wgan)
-    full_state: bool = False
     hidden_sizes: tuple = (256, 128)
 
     @property
-    def frame_dim(self) -> int:
-        return OBS_DIM + (FULL_STATE_EXTRA if self.full_state else 0)
-
-    @property
     def input_dim(self) -> int:
-        return self.horizon * self.frame_dim
+        return self.horizon * OBS_DIM
 
     @property
     def optimizer_kind(self) -> str:
@@ -157,15 +150,3 @@ def discriminator_loss(net: MlpNet, ref_batch, pol_batch,
 
     return DiscLossResult(total=main + gp_value, main_term=main, gp_term=gp_value,
                           grads=grads)
-
-
-def reference_input(windows: np.ndarray, full_state: bool) -> np.ndarray:
-    """Discriminator input (B, H * frame_dim) of base-only reference windows
-    (B, H, 6). A full-state discriminator sees their joint features as
-    zeros: demonstrations never carry joints."""
-    b, h, f = windows.shape
-    if not full_state:
-        return windows.reshape(b, -1)
-    out = np.zeros((b, h, f + FULL_STATE_EXTRA), dtype=np.float64)
-    out[:, :, :f] = windows
-    return out.reshape(b, -1)

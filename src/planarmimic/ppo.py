@@ -197,7 +197,7 @@ class PolicyHistory:
     positions and rates, and the action that led to it (zero after a
     reset). Every reader takes a slice of it: the policy observation is the
     last ``POLICY_FRAMES`` frames, a critic window is the first
-    ``frame_dim`` columns of the last ``horizon`` frames, and the previous
+    ``OBS_DIM`` columns of the last ``horizon`` frames, and the previous
     action and joint rates the regularizer reads are columns of the last
     frame."""
 
@@ -263,8 +263,8 @@ class RolloutCollector:
             ForwardCache(), ForwardCache(), ForwardCache())
 
     def _window(self) -> np.ndarray:
-        """A view of every row's critic window, (E, horizon, frame_dim)."""
-        return self.history.frames.last(self.disc_cfg.horizon, self.disc_cfg.frame_dim)
+        """A view of every row's critic window, (E, horizon, OBS_DIM)."""
+        return self.history.frames.last(self.disc_cfg.horizon, OBS_DIM)
 
     def _draw_noise(self, T: int) -> tuple:
         """The standard normal draws of a T-step rollout, (T, E, n) each:
@@ -289,7 +289,7 @@ class RolloutCollector:
         obs = np.empty((T + 1, E, POLICY_OBS_DIM))   # the last row bootstraps
         means = np.empty((T, E, ACTION_DIM))
         actions = np.empty((T, E, ACTION_DIM))
-        windows = np.empty((T, E, self.disc_cfg.horizon, self.disc_cfg.frame_dim))
+        windows = np.empty((T, E, self.disc_cfg.horizon, OBS_DIM))
         # what the rewards read of each step
         prev_actions, prev_joint_vel, joint_vel, torques = (
             np.empty((T, E, 4)) for _ in range(4))

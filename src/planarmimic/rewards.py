@@ -88,10 +88,10 @@ def total_reward(r_imitation, r_termination, r_regularization, w_imitation: floa
 
 @dataclass
 class RewardWeights:
-    """Weights of the reward terms. Regularization weights are penalties and
-    must be <= 0. ``w_pitch_rate`` is the planar stand-in for the out-of-plane
-    angular/lateral velocity penalties that have no 2D counterpart; it
-    defaults to off."""
+    """Weights of the reward terms. ``w_imitation`` must be >= 0, and the
+    regularization weights are penalties and must be <= 0. ``w_pitch_rate``
+    is the planar stand-in for the out-of-plane angular/lateral velocity
+    penalties that have no 2D counterpart; it defaults to off."""
 
     w_imitation: float = 1.0
     w_action_rate: float = -0.005
@@ -101,6 +101,8 @@ class RewardWeights:
 
     def validate(self) -> list:
         errors = []
+        if not self.w_imitation >= 0:
+            errors.append("reward.w_imitation must be >= 0")
         for name in ("w_action_rate", "w_joint_accel", "w_joint_torque", "w_pitch_rate"):
             if getattr(self, name) > 0:
                 errors.append(f"reward.{name} must be <= 0 (penalty weight)")

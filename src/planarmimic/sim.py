@@ -117,6 +117,8 @@ class SimParams:
         if abs(self.control_dt - 0.02) > 1e-9:
             errors.append("sim.dt_physics * sim.control_decimation must equal 0.02 s "
                           f"(policy runs at 50 Hz), got {self.control_dt}")
+        if not self.gravity > 0:
+            errors.append("sim.gravity must be > 0 (its magnitude; it pulls down)")
         if self.contact_stiffness < 1.0:
             errors.append("sim.contact_stiffness must be >= 1 N/m")
         if not 0.0 <= self.tracking_rate * self.dt_physics <= 0.5:

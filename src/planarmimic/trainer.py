@@ -1,7 +1,7 @@
 """Experiment orchestration: the adversarial training loop, checkpointing,
 metrics logging, and policy evaluation.
 
-A checkpoint (format 6) is one uncompressed zip in numpy's ``.npz`` layout,
+A checkpoint (format 7) is one uncompressed zip in numpy's ``.npz`` layout,
 so ``np.load`` opens it too. Its first member, ``meta.json``, is a JSON
 object of everything but the arrays: the format version, the iteration, the
 config mapping, each optimizer's ``learning_rate`` and ``step_count``, the
@@ -34,7 +34,7 @@ the format by the file's first bytes, never by its name, and reads each
 array a block of ``MEMBER_BLOCK`` bytes at a time into the array it returns,
 checking the zip's CRC; nothing is unpickled. A torn or damaged file, a
 missing, extra or renamed member, a member of another dtype, a zip of
-another format (formats 3, 4 and 5 included) and a JSON checkpoint of
+another format (formats 3, 4, 5 and 6 included) and a JSON checkpoint of
 format 1 or 2 (named by its format) each raise ``ValueError``.
 
 Every file the program writes but the appended ``metrics.jsonl`` goes
@@ -64,7 +64,7 @@ from .config import (ConfigError, TrainConfig, build_config, config_to_mapping,
                      save_config)
 from .core import (ReferenceDataset, _write_atomic, load_reference_dataset,
                    sample_reference_windows)
-from .discriminator import discriminator_loss, raw_score, reference_input
+from .discriminator import discriminator_loss, raw_score
 from .dtw import DtwReport, dtw_distances, stand_still_rollout
 from .nets import SLOT_NAMES, ForwardCache, MlpNet, OptimizerState, optimizer_step
 from .ppo import (ACTION_DIM, GaussianPolicy, POLICY_OBS_DIM, PolicyHistory,
@@ -73,7 +73,7 @@ from .rewards import (ImitationReward, handcrafted_backflip_reward,
                       handcrafted_standup_reward)
 from .sim import STATE_ARRAYS, PlanarEnv
 
-CHECKPOINT_FORMAT_VERSION = 6
+CHECKPOINT_FORMAT_VERSION = 7
 META_MEMBER = "meta.json"
 # bytes of an array member read at a time
 MEMBER_BLOCK = 64 * 1024
@@ -194,7 +194,7 @@ def _read_zip(zf: zipfile.ZipFile) -> dict:
 
 
 def load_checkpoint(path) -> dict:
-    """The checkpoint dict of a format-6 file: ``meta.json``'s object with
+    """The checkpoint dict of a format-7 file: ``meta.json``'s object with
     each array member at its key path (see the module docstring)."""
     with Path(path).open("rb") as f:
         head = f.read(64)
@@ -343,9 +343,8 @@ class Trainer:
         for _ in range(cfg.disc.minibatches):
             idx = self.rng.integers(0, pol_windows.shape[0], size=mb_size)
             pol_mb = pol_windows[idx]
-            ref_mb = reference_input(sample_reference_windows(
-                self.dataset, mb_size, cfg.disc.horizon, self.rng),
-                cfg.disc.full_state)
+            ref_mb = sample_reference_windows(
+                self.dataset, mb_size, cfg.disc.horizon, self.rng).reshape(mb_size, -1)
             res = discriminator_loss(self.disc, ref_mb, pol_mb, cfg.disc,
                                      self.disc_ref_cache, self.disc_pol_cache)
             optimizer_step(self.disc_opt, self.disc.flat, res.grads)

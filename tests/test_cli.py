@@ -289,6 +289,13 @@ class TestUsageErrors:
                      "--trajectories", count]) == EXIT_USAGE
         assert not out.exists()
 
+    def test_demo_gen_seed_must_be_non_negative(self, tmp_path):
+        # numpy refused it after the parse, with exit 3
+        out = tmp_path / "refs"
+        assert main(["demo-gen", "--motion", "leap", "--out", str(out),
+                     "--seed", "-1"]) == EXIT_USAGE
+        assert not out.exists()
+
 
 class TestCheckpointReadOnce:
     @pytest.mark.parametrize("command", ["eval", "analyze"])
@@ -385,13 +392,17 @@ class TestCheckpointFormat:
         assert not out.exists()
 
     def test_format_3_checkpoint_is_a_runtime_failure(self, tmp_path, capsys):
+        # and format 6, whose config held the retired disc.full_state
         cfg = tiny_config(tmp_path=tmp_path)
-        ckpt = dict(Trainer(cfg, tiny_dataset(cfg)).checkpoint_dict(), format_version=3)
-        old = write_checkpoint(tmp_path / "old.npz", ckpt)
+        live = Trainer(cfg, tiny_dataset(cfg)).checkpoint_dict()
         out = tmp_path / "eval.json"
-        assert main(["eval", "--checkpoint", str(old), "--out", str(out)]) == EXIT_RUNTIME
-        assert "format 3" in capsys.readouterr().err
-        assert not out.exists()
+        for version, config in [(3, live["config"]),
+                                (6, dict(live["config"], **{"disc.full_state": "false"}))]:
+            ckpt = dict(live, format_version=version, config=config)
+            old = write_checkpoint(tmp_path / f"old{version}.npz", ckpt)
+            assert main(["eval", "--checkpoint", str(old), "--out", str(out)]) == EXIT_RUNTIME
+            assert f"format {version}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_resume_with_a_slot_of_another_length_writes_nothing(self, tmp_path):
         # a short optimizer slot used to fail only at the first step, after

@@ -87,18 +87,20 @@ class TestParsing:
         assert all(type(n) is int for n in cfg.ppo.hidden_sizes)
 
     def test_bool_coercion(self, tmp_path):
-        cfg = build_from_text(tmp_path, "disc.full_state = true\nppo.adaptive_lr = off\n")
-        assert cfg.disc.full_state is True
+        cfg = build_from_text(tmp_path, "dtw.open_end = no\nppo.adaptive_lr = off\n")
+        assert cfg.dtw.open_end is False
         assert cfg.ppo.adaptive_lr is False
+        cfg = build_config(overrides=["dtw.open_end=false", "dtw.open_end=TRUE"])
+        assert cfg.dtw.open_end is True
 
     def test_each_value_error_names_its_key(self):
         # each used to give its message without its key
         with pytest.raises(ConfigError) as err:
-            build_config(overrides=["ppo.epochs=abc", "disc.full_state=maybe",
+            build_config(overrides=["ppo.epochs=abc", "dtw.open_end=maybe",
                                     "sim.kp=fast"])
         assert err.value.errors == [
             "ppo.epochs: invalid literal for int() with base 10: 'abc'",
-            "disc.full_state: expected a boolean, got 'maybe'",
+            "dtw.open_end: expected a boolean, got 'maybe'",
             "sim.kp: could not convert string to float: 'fast'"]
 
     def test_a_file_value_error_names_its_line_and_key(self, tmp_path):
@@ -229,6 +231,13 @@ class TestValidation:
         # these also gave "must be integers >= 1"
         ("ppo.hidden_sizes=nan", "ppo.hidden_sizes must be finite, got (nan,)"),
         ("disc.hidden_sizes=64,inf", "disc.hidden_sizes must be finite, got (64, inf)"),
+        # a negative seed used to pass, then numpy refused it mid-command
+        ("seed=-1", "seed must be >= 0"),
+        # a sign typo used to train: gravity threw the robot upward, and a
+        # negative imitation weight paid the policy to leave the demos
+        ("sim.gravity=-9.81", "sim.gravity must be > 0"),
+        ("sim.gravity=0", "sim.gravity must be > 0"),
+        ("reward.w_imitation=-1", "reward.w_imitation must be >= 0"),
     ])
     def test_shape_settings(self, setting, fragment):
         errors = build_config(overrides=[setting]).validate()
@@ -268,6 +277,16 @@ class TestValidation:
         cfg.ppo.minibatches = cfg.ppo.num_envs * cfg.ppo.steps_per_iter
         cfg.disc.minibatch_size = 1
         assert cfg.validate() == []
+
+    def test_the_retired_full_state_key_is_unknown(self, tmp_path):
+        # the critic sees base-only windows; a config that still sets the
+        # key is refused by its name, and in a file by its line too
+        with pytest.raises(ConfigError) as err:
+            build_config(overrides=["disc.full_state=false"])
+        assert err.value.errors == ["unknown config key 'disc.full_state'"]
+        with pytest.raises(ConfigError) as err:
+            build_from_text(tmp_path, "seed = 2\ndisc.full_state = false\n")
+        assert err.value.errors == ["line 2: unknown config key 'disc.full_state'"]
 
     def test_gamma_consistency_enforced(self):
         # the termination penalty discounts by ppo.gamma: there is no second

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from planarmimic.discriminator import (DiscriminatorConfig, build_discriminator,
-                                       discriminator_loss,
-                                       raw_score, reference_input)
+                                       discriminator_loss, raw_score)
 from planarmimic.nets import ForwardCache, MlpNet, OptimizerState, optimizer_step
 from planarmimic.rewards import ImitationReward
 
@@ -331,23 +330,6 @@ class TestRawScore:
         net = build_discriminator(cfg, rng)
         x = rng.normal(size=(1, cfg.input_dim))
         assert raw_score(net, x)[0] == raw_score(net, x)[0]
-
-    def test_full_state_changes_input_dim(self):
-        rng = np.random.default_rng(10)
-        base = small_cfg(full_state=False)
-        full = small_cfg(full_state=True)
-        assert base.input_dim == 2 * 6
-        assert full.input_dim == 2 * (6 + 8)
-        net = build_discriminator(full, rng)
-        windows = rng.normal(size=(3, 2, 6))
-        padded = reference_input(windows, full_state=True)
-        assert padded.shape == (3, full.input_dim)
-        assert np.array_equal(padded.reshape(3, 2, 14)[:, :, :6], windows)
-        assert not padded.reshape(3, 2, 14)[:, :, 6:].any()
-        assert np.array_equal(reference_input(windows, full_state=False),
-                              windows.reshape(3, base.input_dim))
-        scores = raw_score(net, padded)
-        assert scores.shape == (3,)
 
 
 class TestLsganImitationReward:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from planarmimic.core import OBS_DIM
 from planarmimic.discriminator import (DiscriminatorConfig, build_discriminator,
                                        raw_score)
 from planarmimic.nets import ForwardCache, MlpNet, OptimizerState, optimizer_step
@@ -138,7 +139,7 @@ def oracle_collect(collector, policy, value_net, disc_net, imitation):
     cfg, disc_cfg, weights = collector.ppo_cfg, collector.disc_cfg, collector.weights
     env, rngs = collector.env, collector.action_rngs
     E, T = env.num_envs, cfg.steps_per_iter
-    frames, H, D = collector.history.frames.buf, disc_cfg.horizon, disc_cfg.frame_dim
+    frames, H, D = collector.history.frames.buf, disc_cfg.horizon, OBS_DIM
     prev_frame, cur_frame = frames[:, -2].copy(), frames[:, -1].copy()
     prev_action, prev_joint_vel = cur_frame[:, ACTION].copy(), cur_frame[:, JOINT_VEL].copy()
     window = frames[:, -H:, :D].copy()
@@ -149,12 +150,6 @@ def oracle_collect(collector, policy, value_net, disc_net, imitation):
         dones=np.zeros(shp, dtype=bool), windows=np.zeros((T, E, disc_cfg.input_dim)),
         bootstrap_value=np.zeros(E), scores=np.zeros(shp), r_imitation=np.zeros(shp),
         r_regularization=np.zeros(shp), r_termination=np.zeros(shp))
-
-    def disc_frame():
-        feats = env.observation_features()
-        if disc_cfg.full_state:
-            feats = np.concatenate([feats, env.q, env.qd], axis=1)
-        return feats
 
     def policy_frame():
         return np.concatenate([env.observation_features(), env.q, env.qd,
@@ -177,7 +172,7 @@ def oracle_collect(collector, policy, value_net, disc_net, imitation):
 
         result = env.step(actions)
         window[:, :-1] = window[:, 1:]
-        window[:, -1] = disc_frame()
+        window[:, -1] = env.observation_features()
         windows = window.reshape(E, -1).copy()
         scores = raw_score(disc_net, windows)
         if disc_cfg.loss_kind == "lsgan":
@@ -215,7 +210,7 @@ def oracle_collect(collector, policy, value_net, disc_net, imitation):
             prev_action[dones] = 0.0
             prev_joint_vel[dones] = env.qd[dones]
             cur_frame[dones] = prev_frame[dones] = policy_frame()[dones]
-            window[dones] = disc_frame()[dones, None, :]
+            window[dones] = env.observation_features()[dones, None, :]
         live = ~dones
         prev_action[live] = actions[live]
         prev_joint_vel[live] = env.qd[live]
@@ -248,12 +243,11 @@ BUFFER_ARRAYS = ("obs", "actions", "log_probs", "values", "rewards", "dones",
 
 class TestCollectMatchesOracle:
     @staticmethod
-    def setup(loss, obs_noise, full_state, horizon=2):
+    def setup(loss, obs_noise, horizon=2):
         # the desk config's shapes, at which a product over all T * E rows at
         # once would round differently from the per-step products
         ppo_cfg = PpoConfig(num_envs=16, steps_per_iter=24, obs_noise=obs_noise)
-        disc_cfg = DiscriminatorConfig(loss_kind=loss, horizon=horizon,
-                                       full_state=full_state)
+        disc_cfg = DiscriminatorConfig(loss_kind=loss, horizon=horizon)
         rng = np.random.default_rng(17)
         # a flailing policy falls at row-dependent steps
         policy = gaussian_policy(MlpNet.create([POLICY_OBS_DIM, 64, 64, ACTION_DIM],
@@ -270,10 +264,9 @@ class TestCollectMatchesOracle:
 
     @pytest.mark.parametrize("loss", ["wgan", "lsgan"])
     @pytest.mark.parametrize("obs_noise", [0.0, 0.5])
-    @pytest.mark.parametrize("full_state", [False, True])
-    def test_bytes_equal_to_step_by_step_collection(self, loss, obs_noise, full_state):
-        fast = self.setup(loss, obs_noise, full_state)
-        slow = self.setup(loss, obs_noise, full_state)
+    def test_bytes_equal_to_step_by_step_collection(self, loss, obs_noise):
+        fast = self.setup(loss, obs_noise)
+        slow = self.setup(loss, obs_noise)
         lengths, terminations = [], 0
         # the first rollout's 384 windows take the wgan statistics past warmup
         for _ in range(3):
@@ -312,13 +305,11 @@ class TestCollectorState:
     slots; H = 1, 2 and 8 are the edges of that maximum."""
 
     @pytest.mark.parametrize("horizon", [1, 2, 8])
-    @pytest.mark.parametrize("full_state", [False, True])
-    def test_state_dict_round_trip_continues_the_rollout(self, tmp_path, horizon,
-                                                         full_state):
+    def test_state_dict_round_trip_continues_the_rollout(self, tmp_path, horizon):
         # the collector's part of the trainer's checkpoint dict, its frame
         # buffer and action generators, continues the rollout once restored
         cfg = tiny_config(seed=5)
-        cfg.disc.horizon, cfg.disc.full_state = horizon, full_state
+        cfg.disc.horizon = horizon
         dataset = tiny_dataset(cfg)
         first = Trainer(cfg, dataset)
         first.train_iteration()

@@ -298,7 +298,7 @@ class TestCheckpointResume:
         cfg = tiny_config(tmp_path=tmp_path)
         trainer = Trainer(cfg, tiny_dataset(cfg))
         ckpt = load_checkpoint(trainer.save_checkpoint(tmp_path / "c.npz"))
-        assert ckpt["format_version"] == CHECKPOINT_FORMAT_VERSION == 6
+        assert ckpt["format_version"] == CHECKPOINT_FORMAT_VERSION == 7
         ckpt["format_version"] = 999
         bad = write_checkpoint(tmp_path / "bad.npz", ckpt)
         with pytest.raises(ValueError, match="format 999"):
@@ -348,6 +348,17 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="unsupported checkpoint format 5"):
             load_checkpoint(old)
         with pytest.raises(ValueError, match="unsupported checkpoint format 5"):
+            Trainer.from_checkpoint(old)
+
+    def test_format_6_is_refused_by_its_format(self, tmp_path):
+        # format 6's config also held the critic's retired disc.full_state
+        cfg = tiny_config(tmp_path=tmp_path)
+        ckpt = dict(Trainer(cfg, tiny_dataset(cfg)).checkpoint_dict(), format_version=6)
+        ckpt["config"] = dict(ckpt["config"], **{"disc.full_state": "false"})
+        old = write_checkpoint(tmp_path / "old.npz", ckpt)
+        with pytest.raises(ValueError, match="unsupported checkpoint format 6"):
+            load_checkpoint(old)
+        with pytest.raises(ValueError, match="unsupported checkpoint format 6"):
             Trainer.from_checkpoint(old)
 
 
